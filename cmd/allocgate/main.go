@@ -496,7 +496,7 @@ func printHuman(w io.Writer, rep *report, verbose bool) {
 }
 
 // checkReport validates a report written by -json, the same pattern the CI
-// script uses for optipartlint and benchfmt output.
+// script uses for optipartlint output.
 func checkReport(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -1,6 +1,9 @@
 // Command loadgen drives request load against the partitioning service and
-// reports throughput, tail latency, and cache behaviour. It is the capstone
-// harness for the service layer: BENCH_8.json is recorded from its output.
+// reports throughput, tail latency, and cache behaviour. It is the only
+// out-of-process client of `optipartd -serve` (the CI live-server smoke) and
+// the only open-loop driver; recorded service numbers come from the
+// benchmark spine's service-hit and service-miss workloads (benchmark/),
+// not from here.
 //
 // Two targets:
 //
@@ -23,8 +26,7 @@
 //   - open: requests arrive on a fixed schedule at -rate per second
 //     regardless of completions (queueing delay shows up in the tail).
 //
-// Output is benchmark-format lines (with a pkg: header) so cmd/benchfmt
-// ingests them directly:
+// Output is `go test -bench`-format lines (with a pkg: header):
 //
 //	BenchmarkServiceLoad/mix=hit/conc=4  <n>  <avg> ns/op  <r> req/s  <p50> p50-ns/op  <p99> p99-ns/op  <h> hit-rate
 package main

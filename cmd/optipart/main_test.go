@@ -37,7 +37,7 @@ func TestBuildPlanValid(t *testing.T) {
 		t.Fatalf("tc-only straggler misparsed: %+v", s)
 	}
 
-	// No fault flags at all: an empty plan, so main takes the legacy path.
+	// No fault flags at all: an empty plan, so main takes the plain Run path.
 	plan, err = buildPlan(8, "", "", 0, 0, 0, 1)
 	if err != nil || !plan.Empty() {
 		t.Fatalf("flagless plan not empty: %+v, %v", plan, err)

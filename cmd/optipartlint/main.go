@@ -35,8 +35,7 @@ import (
 	"optipart/internal/lint"
 )
 
-// report is the -json schema, mirrored by -check (the jq-free CI guard,
-// same pattern as benchfmt -check for BENCH_3.json).
+// report is the -json schema, mirrored by -check (the jq-free CI guard).
 type report struct {
 	Tool         string             `json:"tool"`
 	Count        int                `json:"count"`

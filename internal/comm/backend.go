@@ -107,10 +107,8 @@ func (s *StepState) SetLocalDeposit() { s.c.w.slots[s.c.rank] = s.deposit }
 func (s *StepState) ComputeCost() float64 {
 	w := s.c.w
 	cost := s.compute()
-	if w.checked {
-		if sc := w.hooks.CollectiveScale; sc != nil {
-			cost *= sc(s.op)
-		}
+	if sc := w.hooks.CollectiveScale; sc != nil {
+		cost *= sc(s.op)
 	}
 	return cost
 }
@@ -203,22 +201,13 @@ type inprocTransport struct {
 	barrier *barrier
 }
 
-func newInprocTransport(w *World, p int) *inprocTransport {
-	return &inprocTransport{w: w, barrier: newBarrier(p)}
-}
-
 func (t *inprocTransport) Wire() bool { return false }
 
-// Bind is a no-op: the in-process backend reaches the world directly and
-// arms its barrier in RunCheckedOpts.
-func (t *inprocTransport) Bind(func(error)) {}
-
-// arm enables checked-mode failure handling on the barrier: failf poisons
-// the world on the first failure, abandoned builds the error for a
-// collective stranded by a departed rank.
-func (t *inprocTransport) arm(failf func(error), abandoned func(waiter int, departed []int) error) {
-	t.barrier.failf = failf
-	t.barrier.abandoned = abandoned
+// Bind arms the barrier: fail poisons the world on the first failure, and
+// the world builds the error for a collective stranded by a departed rank.
+func (t *inprocTransport) Bind(fail func(error)) {
+	t.barrier.failf = fail
+	t.barrier.abandoned = t.w.abandonedError
 }
 
 // Step is the original sync body: deposit under a barrier, compute on rank
@@ -230,9 +219,7 @@ func (t *inprocTransport) Step(st *StepState) any {
 	st.SetLocalDeposit()
 	t.barrier.wait(c.rank)
 	if c.rank == 0 {
-		if w.checked {
-			w.verifySigs() // does not return on mismatch
-		}
+		w.verifySigs() // does not return on mismatch
 		cost := st.ComputeCost()
 		// Replay the step's logical messages through the unreliable
 		// network: retries stretch the step, a dead link fails the world.

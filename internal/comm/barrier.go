@@ -3,11 +3,10 @@ package comm
 import "sync"
 
 // barrier is a reusable synchronization barrier for a fixed number of
-// goroutines. In a checked world (RunChecked) it is poisonable: once any
-// rank fails, poison wakes every waiter and makes every subsequent wait
-// unwind with a worldAbort panic instead of blocking forever, and depart
-// detects collectives that can never complete because a rank already
-// returned.
+// goroutines. It is poisonable: once any rank fails, poison wakes every
+// waiter and makes every subsequent wait unwind with a worldAbort panic
+// instead of blocking forever, and depart detects collectives that can never
+// complete because a rank already returned.
 type barrier struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -16,11 +15,10 @@ type barrier struct {
 	gen   uint64
 
 	poisoned bool
-	departed []int // ranks that returned from the body (checked worlds only)
+	departed []int // ranks that returned from the body
 
-	// failf, when non-nil, records a world failure and poisons this
-	// barrier; it is set by checked worlds. Legacy worlds leave it nil and
-	// keep the historical deadlock-on-misuse behavior.
+	// failf records a world failure and poisons this barrier; like
+	// abandoned it is installed by inprocTransport.Bind before any rank runs.
 	failf func(err error)
 	// abandoned builds the AbandonedError for a collective that can never
 	// complete; waiter is the stuck rank, or -1 when the departing rank
@@ -44,7 +42,7 @@ func (b *barrier) wait(rank int) {
 		b.mu.Unlock()
 		panic(worldAbort{})
 	}
-	if len(b.departed) > 0 && b.failf != nil {
+	if len(b.departed) > 0 {
 		departed := append([]int(nil), b.departed...)
 		b.mu.Unlock()
 		b.failf(b.abandoned(rank, departed)) // poisons this barrier
@@ -88,7 +86,7 @@ func (b *barrier) depart(rank int) {
 	}
 	//lint:ignore unboundedgrowth each rank departs at most once per world, so departed is bounded by the world's rank count and the barrier dies with the world
 	b.departed = append(b.departed, rank)
-	stranded := b.count > 0 && b.failf != nil
+	stranded := b.count > 0
 	departed := append([]int(nil), b.departed...)
 	b.mu.Unlock()
 	if stranded {

@@ -6,11 +6,12 @@ import (
 	"time"
 )
 
-// This file is the fault-tolerant front door of the runtime. Run (comm.go)
-// keeps the historical semantics — a panic on any rank crashes the process
-// or, worse, strands the survivors in a barrier forever, exactly like an
-// MPI job whose rank died without the others noticing. RunChecked gives
-// the repo the behavior production MPI runtimes are required to have:
+// This file is the front door of the runtime: RunCheckedOpts starts every
+// in-process world (Run, RunTraced and RunChecked are wrappers over it;
+// RunRank is its one-rank-per-process sibling over a wire transport). A
+// world never behaves like an MPI job whose rank died without the others
+// noticing; it has the behavior production MPI runtimes are required to
+// have:
 //
 //   - every rank goroutine is recovered, so a panic becomes a structured
 //     RankFailure naming the rank, its last op, and its phase;
@@ -43,15 +44,15 @@ type CheckedOptions struct {
 	// checksums and sequence numbers, losses are retried with timeout and
 	// backoff, and a dead link escalates to a *LinkFailure. With a nil
 	// Net the delivery path is skipped entirely; with a Net that injects
-	// nothing the run is bit-identical to a legacy Run.
+	// nothing the run is bit-identical to one without a Net.
 	Net NetInjector
 	// Transport tunes reliable delivery when Net is set; the zero value
 	// means defaults.
 	Transport TransportOptions
 }
 
-// RunChecked executes f on p ranks like Run, but returns instead of
-// hanging or crashing when a rank fails: the error is a *RankFailure,
+// RunChecked executes f on p ranks like Run, but returns the world's
+// failure instead of panicking with it: the error is a *RankFailure,
 // *MismatchError, *AbandonedError, or *StallError describing the first
 // thing that went wrong. A rank fails by panicking or by returning a
 // non-nil error. On failure the returned Stats still describes the partial
@@ -66,26 +67,7 @@ func RunCheckedOpts(p int, model CostModel, opts CheckedOptions, f func(c *Comm)
 	if p < 1 {
 		return nil, &UsageError{Op: "run", Msg: fmt.Sprintf("RunChecked with p=%d", p)}
 	}
-	w := newWorld(p, model, opts.Trace)
-	w.checked = true
-	w.hooks = opts.Hooks
-	w.sigs = make([]sig, p)
-	w.seqs = make([]int, p)
-	w.status = make([]rankStatus, p)
-	w.failCh = make(chan struct{})
-	for i := range w.status {
-		w.status[i].phase = "main"
-	}
-	w.transport.(*inprocTransport).arm(w.fail, w.abandonedError)
-	w.transport.Bind(w.fail)
-	if opts.Net != nil {
-		w.net = opts.Net
-		w.netOpts = opts.Transport.withDefaults()
-		w.netSeq = make([]uint64, p*p)
-		w.retrans = make([]int64, p)
-		w.retryBytes = make([]int64, p)
-		w.dups = make([]int64, p)
-	}
+	w := newWorld(p, model, opts, nil)
 
 	stall := opts.StallTimeout
 	if stall == 0 {
@@ -97,17 +79,7 @@ func RunCheckedOpts(p int, model CostModel, opts CheckedOptions, f func(c *Comm)
 	for r := 0; r < p; r++ {
 		go func(rank int) {
 			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					if _, ok := rec.(worldAbort); !ok {
-						w.fail(w.rankFailure(rank, rec))
-					}
-				}
-				w.depart(rank)
-			}()
-			if err := f(&Comm{w: w, rank: rank}); err != nil {
-				w.fail(w.rankFailure(rank, err))
-			}
+			w.runRank(rank, f)
 		}(r)
 	}
 

@@ -264,13 +264,8 @@ func TestCheckedAlltoallvBadSend(t *testing.T) {
 	}
 }
 
-// Legacy Run keeps panic semantics for API misuse (a rank-goroutine panic
-// crashes the process, which is why it cannot be asserted in-process here);
-// TestRunPanicsOnBadP in comm_test.go pins the calling-goroutine case.
-
-// TestCheckedMatchesUnchecked: a fault-free checked run must be
-// bit-identical to the legacy runtime — clocks, phase times, bytes,
-// messages.
+// TestCheckedMatchesUnchecked: Run and RunChecked (watchdog off and on)
+// report bit-identical stats — clocks, phase times, bytes, messages.
 func TestCheckedMatchesUnchecked(t *testing.T) {
 	model := CostModel{Tc: 1e-9, Ts: 1e-5, Tw: 1e-8}
 	body := func(c *Comm) {
@@ -286,13 +281,13 @@ func TestCheckedMatchesUnchecked(t *testing.T) {
 		_ = Alltoallv(c, send, 8, AlltoallvOptions{StageWidth: 2})
 		c.Barrier()
 	}
-	legacy := Run(6, model, body)
+	plain := Run(6, model, body)
 	checked, err := RunChecked(6, model, func(c *Comm) error { body(c); return nil })
 	if err != nil {
 		t.Fatalf("checked run failed: %v", err)
 	}
-	if !reflect.DeepEqual(legacy, checked) {
-		t.Fatalf("checked stats differ from legacy:\nlegacy  %+v\nchecked %+v", legacy, checked)
+	if !reflect.DeepEqual(plain, checked) {
+		t.Fatalf("RunChecked stats differ from Run:\nRun        %+v\nRunChecked %+v", plain, checked)
 	}
 }
 

@@ -19,7 +19,6 @@
 package comm
 
 import (
-	"fmt"
 	"math"
 	"sync"
 )
@@ -54,8 +53,8 @@ type Hooks struct {
 	CollectiveScale func(op string) float64
 }
 
-// sig is the signature of a collective call, verified across ranks by the
-// checked runtime.
+// sig is the signature of a collective call, verified across ranks at every
+// step.
 type sig struct {
 	op        string
 	elemBytes int
@@ -91,12 +90,9 @@ type World struct {
 
 	trace *Trace // nil unless the run is traced
 
-	// Checked-mode state (RunChecked). A legacy Run leaves checked false
-	// and pays nothing for any of it.
-	checked bool
-	hooks   Hooks
-	sigs    []sig // per-rank signature of the collective being entered
-	seqs    []int // per-rank count of collectives entered
+	hooks Hooks
+	sigs  []sig // per-rank signature of the collective being entered
+	seqs  []int // per-rank count of collectives entered
 
 	// Unreliable-transport state (transport.go), active when net is
 	// non-nil. All of it is touched only on rank 0 between the deposit and
@@ -128,48 +124,91 @@ type Comm struct {
 }
 
 // Run executes f on p ranks concurrently and returns the accumulated
-// statistics once every rank has returned. Ranks must all make the same
-// sequence of collective calls (as with MPI, mismatched collectives
-// deadlock).
+// statistics once every rank has returned. It is RunCheckedOpts for bodies
+// that cannot fail: the world's failure — a rank panic (*RankFailure
+// wrapping the panic value), ranks calling different collectives
+// (*MismatchError, *AbandonedError), an API misuse (*UsageError) — is
+// re-panicked on the caller's goroutine instead of being returned.
 func Run(p int, model CostModel, f func(c *Comm)) *Stats {
-	return runWorld(p, model, nil, f)
+	return mustRun(p, model, nil, f)
 }
 
-func runWorld(p int, model CostModel, trace *Trace, f func(c *Comm)) *Stats {
-	if p < 1 {
-		panic(&UsageError{Op: "run", Msg: fmt.Sprintf("Run with p=%d", p)})
+// mustRun is the body Run and RunTraced share.
+func mustRun(p int, model CostModel, trace *Trace, f func(c *Comm)) *Stats {
+	stats, err := RunCheckedOpts(p, model, runOptions(trace), func(c *Comm) error { f(c); return nil })
+	if err != nil {
+		panic(err)
 	}
-	w := newWorld(p, model, trace)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for r := 0; r < p; r++ {
-		go func(rank int) {
-			defer wg.Done()
-			f(&Comm{w: w, rank: rank})
-		}(r)
-	}
-	wg.Wait()
-	return newStats(w)
+	return stats
 }
 
-func newWorld(p int, model CostModel, trace *Trace) *World {
+// runOptions are the options Run and RunTraced pass to RunCheckedOpts: no
+// stall watchdog, because a body running under Run may legitimately spend
+// longer than DefaultStallTimeout in real local computation between two
+// collectives and must not be killed for it.
+func runOptions(trace *Trace) CheckedOptions {
+	return CheckedOptions{StallTimeout: -1, Trace: trace}
+}
+
+// newWorld allocates and arms a p-rank world: the clocks and accounting, the
+// collective-signature and watchdog-status arrays, the failure latch, and
+// the simulated unreliable network when opts.Net is set. t is the wire
+// transport of a single-rank process (RunRank); nil means all p ranks meet
+// at an in-process barrier.
+func newWorld(p int, model CostModel, opts CheckedOptions, t Transport) *World {
 	w := &World{
-		trace:     trace,
+		trace:     opts.Trace,
+		hooks:     opts.Hooks,
 		p:         p,
 		model:     model,
+		transport: t,
 		slots:     make([]any, p),
 		clocks:    make([]float64, p),
 		phases:    make([]string, p),
 		phaseTime: make([]map[string]float64, p),
 		bytesSent: make([]int64, p),
 		msgsSent:  make([]int64, p),
+		sigs:      make([]sig, p),
+		seqs:      make([]int, p),
+		status:    make([]rankStatus, p),
+		failCh:    make(chan struct{}),
 	}
 	for i := range w.phaseTime {
 		w.phaseTime[i] = make(map[string]float64)
 		w.phases[i] = "main"
+		w.status[i].phase = "main"
 	}
-	w.transport = newInprocTransport(w, p)
+	if t == nil {
+		w.transport = &inprocTransport{w: w, barrier: newBarrier(p)}
+	}
+	w.transport.Bind(w.fail)
+	if opts.Net != nil {
+		w.net = opts.Net
+		w.netOpts = opts.Transport.withDefaults()
+		w.netSeq = make([]uint64, p*p)
+		w.retrans = make([]int64, p)
+		w.retryBytes = make([]int64, p)
+		w.dups = make([]int64, p)
+	}
 	return w
+}
+
+// runRank is the body of one rank's goroutine: f's panic or returned error
+// becomes the world's failure (a worldAbort panic is a survivor unwinding
+// from a failure already recorded), and the rank departs either way so a
+// collective its peers still wait in is reported as abandoned.
+func (w *World) runRank(rank int, f func(c *Comm) error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			if _, ok := rec.(worldAbort); !ok {
+				w.fail(w.rankFailure(rank, rec))
+			}
+		}
+		w.depart(rank)
+	}()
+	if err := f(&Comm{w: w, rank: rank}); err != nil {
+		w.fail(w.rankFailure(rank, err))
+	}
 }
 
 // Rank returns this rank's id in [0, Size).
@@ -186,20 +225,16 @@ func (c *Comm) Model() CostModel { return c.w.model }
 // all2all).
 func (c *Comm) SetPhase(name string) {
 	c.w.phases[c.rank] = name
-	if c.w.checked {
-		c.w.statusMu.Lock()
-		c.w.status[c.rank].phase = name
-		c.w.statusMu.Unlock()
-	}
+	c.w.statusMu.Lock()
+	c.w.status[c.rank].phase = name
+	c.w.statusMu.Unlock()
 }
 
 // Elapse charges dt seconds of local time to this rank's clock under its
 // current phase.
 func (c *Comm) Elapse(dt float64) {
-	if c.w.checked {
-		if s := c.w.hooks.ElapseScale; s != nil {
-			dt *= s(c.rank)
-		}
+	if s := c.w.hooks.ElapseScale; s != nil {
+		dt *= s(c.rank)
 	}
 	start := c.w.clocks[c.rank]
 	c.w.clocks[c.rank] += dt
@@ -224,14 +259,8 @@ func (c *Comm) Clock() float64 { return c.w.clocks[c.rank] }
 
 // CollectiveIndex returns the number of collectives this rank has entered
 // so far — the per-rank step counter that fault plans key on (a Kill at
-// AtCollective k fires when this counter is k). It is only tracked under
-// the checked runtime; legacy Run returns -1.
-func (c *Comm) CollectiveIndex() int {
-	if !c.w.checked {
-		return -1
-	}
-	return c.w.seqs[c.rank]
-}
+// AtCollective k fires when this counter is k).
+func (c *Comm) CollectiveIndex() int { return c.w.seqs[c.rank] }
 
 // PhaseClock returns this rank's accumulated virtual time in the named
 // phase so far.
@@ -254,22 +283,20 @@ func log2p(p int) float64 {
 // a copy, because deposited buffers belong to their owners again as soon as
 // sync returns.
 //
-// The checked preamble (sequence counting, signature posting, kill hooks)
-// runs here, on the calling rank, for every backend; the synchronization
-// itself — barrier-and-shared-memory in process, framed sockets across
-// processes — is the transport's Step.
+// The preamble (sequence counting, signature posting, kill hooks) runs
+// here, on the calling rank, for every backend; the synchronization itself —
+// barrier-and-shared-memory in process, framed sockets across processes — is
+// the transport's Step.
 func (c *Comm) sync(op string, elemBytes int, deposit any, compute func() float64, consume func(scratch any) any) any {
 	w := c.w
-	if w.checked {
-		seq := w.seqs[c.rank]
-		w.seqs[c.rank]++
-		w.sigs[c.rank] = sig{op: op, elemBytes: elemBytes}
-		w.statusMu.Lock()
-		w.status[c.rank] = rankStatus{op: op, phase: w.phases[c.rank], seq: seq + 1}
-		w.statusMu.Unlock()
-		if h := w.hooks.BeforeCollective; h != nil {
-			h(c.rank, op, seq) // a panic here kills the rank
-		}
+	seq := w.seqs[c.rank]
+	w.seqs[c.rank]++
+	w.sigs[c.rank] = sig{op: op, elemBytes: elemBytes}
+	w.statusMu.Lock()
+	w.status[c.rank] = rankStatus{op: op, phase: w.phases[c.rank], seq: seq + 1}
+	w.statusMu.Unlock()
+	if h := w.hooks.BeforeCollective; h != nil {
+		h(c.rank, op, seq) // a panic here kills the rank
 	}
 	return w.transport.Step(&StepState{
 		c: c, op: op, elemBytes: elemBytes,
@@ -278,7 +305,7 @@ func (c *Comm) sync(op string, elemBytes int, deposit any, compute func() float6
 }
 
 // verifySigs runs on rank 0 between the deposit and compute barriers of a
-// checked sync step, when every rank's signature is posted and stable. A
+// sync step, when every rank's signature is posted and stable. A
 // mismatch means ranks called different collectives at the same step — a
 // bug that deadlocks real MPI programs; here it fails the world with the
 // full call map instead.

@@ -1,8 +1,11 @@
 package comm
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
+	"time"
 )
 
 func TestAllreduceSum(t *testing.T) {
@@ -247,4 +250,89 @@ func TestRunPanicsOnBadP(t *testing.T) {
 		}
 	}()
 	Run(0, CostModel{}, func(c *Comm) {})
+}
+
+// runPanic runs f under plain Run on its own goroutine and returns the value
+// Run panicked with (nil if it returned), failing the test if Run does
+// neither within the deadline.
+func runPanic(t *testing.T, p int, f func(c *Comm)) any {
+	t.Helper()
+	ch := make(chan any, 1)
+	go func() {
+		defer func() { ch <- recover() }()
+		Run(p, CostModel{}, f)
+	}()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(20 * time.Second):
+		t.Fatal("Run hung: the world was not torn down")
+		return nil
+	}
+}
+
+// TestRunPanicsOnMismatch: ranks calling different collectives at the same
+// step fail the world instead of deadlocking it.
+func TestRunPanicsOnMismatch(t *testing.T) {
+	v := runPanic(t, 3, func(c *Comm) {
+		if c.Rank() == 1 {
+			Allgather(c, []int64{1}, 8)
+		} else {
+			Allreduce(c, []int64{1}, 8, SumI64)
+		}
+	})
+	me, ok := v.(*MismatchError)
+	if !ok {
+		t.Fatalf("want Run to panic with *MismatchError, got %T: %v", v, v)
+	}
+	if me.Step != 0 || me.Calls[1].Op != "allgather" {
+		t.Errorf("mismatch misreported: %v", me)
+	}
+}
+
+// TestRunPanicsWithRankFailure: a rank's panic reaches the caller's
+// goroutine as a *RankFailure whose cause is the original value.
+func TestRunPanicsWithRankFailure(t *testing.T) {
+	boom := errors.New("boom")
+	v := runPanic(t, 4, func(c *Comm) {
+		c.Barrier()
+		if c.Rank() == 2 {
+			panic(boom)
+		}
+		c.Barrier()
+	})
+	rf, ok := v.(*RankFailure)
+	if !ok {
+		t.Fatalf("want Run to panic with *RankFailure, got %T: %v", v, v)
+	}
+	if rf.Rank != 2 || !errors.Is(rf, boom) {
+		t.Errorf("want rank 2 failing with %v, got %v", boom, rf)
+	}
+}
+
+// TestRunCountsCollectives: CollectiveIndex counts under Run as it does
+// under RunChecked.
+func TestRunCountsCollectives(t *testing.T) {
+	const k = 5
+	Run(3, CostModel{}, func(c *Comm) {
+		for i := 0; i < k; i++ {
+			if got := c.CollectiveIndex(); got != i {
+				t.Errorf("rank %d: CollectiveIndex() = %d before collective %d", c.Rank(), got, i)
+			}
+			c.Barrier()
+		}
+		if got := c.CollectiveIndex(); got != k {
+			t.Errorf("rank %d: CollectiveIndex() = %d after %d collectives", c.Rank(), got, k)
+		}
+	})
+}
+
+// TestRunStartsNoWatchdog: a body under Run may compute for longer than
+// DefaultStallTimeout between collectives, so Run must disable the stall
+// watchdog (and ask for nothing else).
+func TestRunStartsNoWatchdog(t *testing.T) {
+	trace := &Trace{}
+	if got, want := runOptions(trace), (CheckedOptions{StallTimeout: -1, Trace: trace}); !reflect.DeepEqual(got, want) {
+		t.Errorf("runOptions = %+v, want %+v", got, want)
+	}
 }

@@ -8,10 +8,11 @@ import (
 	"time"
 )
 
-// This file defines the structured error vocabulary of the checked runtime
-// (RunChecked). Real MPI programs are not allowed to hang when one rank
-// dies or misbehaves; neither is the checked world. Every way a run can go
-// wrong maps to one of these types:
+// This file defines the structured error vocabulary of the runtime. Real
+// MPI programs are not allowed to hang when one rank dies or misbehaves;
+// neither is a world. Every way a run can go wrong maps to one of these
+// types, returned by RunChecked/RunCheckedOpts/RunRank and re-panicked on
+// the caller's goroutine by Run/RunTraced:
 //
 //   - RankFailure: a rank panicked or returned an error. The world is
 //     poisoned so every survivor unblocks instead of waiting forever.
@@ -22,8 +23,7 @@ import (
 //     collective, so the collective can never complete.
 //   - StallError: the watchdog saw no collective progress for the stall
 //     threshold; it reports each stuck rank's last op and phase.
-//   - UsageError: an API misuse (mismatched Allreduce lengths, p < 1)
-//     that the legacy Run surfaces as a panic.
+//   - UsageError: an API misuse (mismatched Allreduce lengths, p < 1).
 
 // RankFailure reports that one rank terminated the world: it panicked, or
 // its body function returned a non-nil error. Op and Collective identify
@@ -55,8 +55,8 @@ type SigCall struct {
 }
 
 // MismatchError reports ranks calling different collectives at the same
-// synchronization step. Under an unchecked runtime this class of bug
-// deadlocks silently; here it names which ranks called which op.
+// synchronization step. Under MPI this class of bug deadlocks silently; here
+// it names which ranks called which op.
 type MismatchError struct {
 	Step  int       // 0-based collective index at which the mismatch surfaced
 	Calls []SigCall // one entry per rank, in rank order
@@ -170,8 +170,8 @@ func (e *LinkFailure) Error() string {
 
 // UsageError is an API misuse detected inside the runtime: mismatched
 // Allreduce lengths, a malformed Alltoallv send matrix, Run with p < 1.
-// The legacy Run surfaces it as a panic (unchanged behavior); RunChecked
-// converts it into the error return.
+// Raised inside a rank it reaches the caller as the cause of a
+// *RankFailure; p < 1 is reported bare.
 type UsageError struct {
 	Op  string
 	Msg string

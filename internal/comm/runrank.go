@@ -8,12 +8,12 @@ import "fmt"
 // calls RunRank with its own rank id, and the transport (internal/net)
 // carries every collective between the processes.
 //
-// The world runs checked — the same structured-failure surface as
-// RunChecked — but without the stall watchdog: across real processes the
-// transport's deadlines and heartbeats are the failure detector, and wall-
-// clock silence is expected whenever a peer is slow. A failure detected by
-// the transport (dead peer, exhausted reconnect budget) surfaces as the
-// returned error exactly as a local rank panic would.
+// The world has the same structured-failure surface as RunChecked, but no
+// stall watchdog: across real processes the transport's deadlines and
+// heartbeats are the failure detector, and wall-clock silence is expected
+// whenever a peer is slow. A failure detected by the transport (dead peer,
+// exhausted reconnect budget) surfaces as the returned error exactly as a
+// local rank panic would.
 //
 // opts.Net must be nil: the simulated unreliable network models loss on
 // top of the in-process backend and cannot compose with a real wire.
@@ -24,33 +24,11 @@ func RunRank(rank, p int, model CostModel, t Transport, opts CheckedOptions, f f
 	if opts.Net != nil {
 		return nil, &UsageError{Op: "run", Msg: "RunRank cannot inject a simulated Net over a wire transport"}
 	}
-	w := newWorld(p, model, opts.Trace)
-	w.transport = t
-	w.checked = true
-	w.hooks = opts.Hooks
-	w.sigs = make([]sig, p)
-	w.seqs = make([]int, p)
-	w.status = make([]rankStatus, p)
-	w.failCh = make(chan struct{})
-	for i := range w.status {
-		w.status[i].phase = "main"
-	}
-	t.Bind(w.fail)
-
+	w := newWorld(p, model, opts, t)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		defer func() {
-			if rec := recover(); rec != nil {
-				if _, ok := rec.(worldAbort); !ok {
-					w.fail(w.rankFailure(rank, rec))
-				}
-			}
-			w.depart(rank)
-		}()
-		if err := f(&Comm{w: w, rank: rank}); err != nil {
-			w.fail(w.rankFailure(rank, err))
-		}
+		w.runRank(rank, f)
 	}()
 	<-done
 	return newStats(w), w.takeFailure()

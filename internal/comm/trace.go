@@ -66,8 +66,7 @@ func (t *Trace) OpTotals() map[string]float64 {
 // campaigns.
 func RunTraced(p int, model CostModel, f func(c *Comm)) (*Stats, *Trace) {
 	trace := &Trace{}
-	stats := runWorld(p, model, trace, f)
-	return stats, trace
+	return mustRun(p, model, trace, f), trace
 }
 
 // RenderTimeline writes an ASCII Gantt chart of the trace: one row per

@@ -1,7 +1,7 @@
 package comm
 
 // This file is the unreliable-network delivery path under the collectives.
-// The legacy runtime delivers every byte perfectly; real commodity networks
+// A world without a NetInjector delivers every byte perfectly; real commodity networks
 // (the CloudLab 10 GbE clusters the paper targets) drop, corrupt, duplicate,
 // and delay packets. A world with a NetInjector installed replays every
 // collective's logical messages through that network and pays for reliable

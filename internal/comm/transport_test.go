@@ -84,20 +84,20 @@ func exerciseAll(c *Comm, out [][]int64) {
 var transportModel = CostModel{Tc: 1e-9, Ts: 3e-5, Tw: 4e-8}
 
 // TestTransportZeroLossParity is the acceptance gate: with a transport
-// installed but a network that loses nothing, the run must reproduce the
-// legacy Run exactly — identical results, clocks, byte and message counts,
+// installed but a network that loses nothing, the run must reproduce a run
+// without a Net exactly — identical results, clocks, byte and message counts,
 // and zero retransmissions.
 func TestTransportZeroLossParity(t *testing.T) {
 	const p = 8
-	legacy := make([][]int64, p)
+	plain := make([][]int64, p)
 	lossless := make([][]int64, p)
-	st0 := Run(p, transportModel, func(c *Comm) { exerciseAll(c, legacy) })
+	st0 := Run(p, transportModel, func(c *Comm) { exerciseAll(c, plain) })
 	st1, err := RunCheckedOpts(p, transportModel, CheckedOptions{Net: cleanNet},
 		func(c *Comm) error { exerciseAll(c, lossless); return nil })
 	if err != nil {
 		t.Fatalf("zero-loss transport run failed: %v", err)
 	}
-	if !reflect.DeepEqual(legacy, lossless) {
+	if !reflect.DeepEqual(plain, lossless) {
 		t.Fatalf("zero-loss transport changed collective results")
 	}
 	if !reflect.DeepEqual(st0.Clocks, st1.Clocks) {
@@ -384,19 +384,13 @@ func TestTransportBackoffGrows(t *testing.T) {
 	}
 }
 
-// --- Benchmarks: transport overhead vs the legacy runtime -----------------
+// --- Benchmarks: overhead of the simulated unreliable network -------------
 
 func benchBody(c *Comm) {
 	vals := make([]int64, 64)
 	for i := 0; i < 20; i++ {
 		Allreduce(c, vals, 8, SumI64)
 		c.Barrier()
-	}
-}
-
-func BenchmarkTransportLegacyRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Run(8, transportModel, benchBody)
 	}
 }
 

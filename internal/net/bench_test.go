@@ -1,10 +1,15 @@
 package net
 
-// Round-trip microbenchmarks: the same two-rank allreduce ping over the
-// in-process backend and over the wire backend (unix socket and TCP
-// loopback), so the per-collective cost of real framing + gob + sockets is
-// a recorded number rather than folklore. scripts/bench.sh captures these
-// into BENCH_6.json.
+// Recovery benchmarks: one iteration is a full two-rank world lifecycle with
+// a hard worker kill mid-run. Degrade measures the detect latency (kill →
+// structured failure on the root); Restore measures the measured MTTR (death
+// declared → replacement rejoined). Run them by hand with
+//
+//	go test -run '^$' -bench Recovery ./internal/net
+//
+// They are recorded nowhere: the benchmark spine (benchmark/) has no fault
+// workload. The socket round trip itself is the spine's
+// net.allreduce_rtt_us against comm.allreduce_inproc_us on wire-small.
 
 import (
 	"path/filepath"
@@ -14,75 +19,6 @@ import (
 
 	"optipart/internal/comm"
 )
-
-// benchBody is the rank program both backends run: b.N one-element
-// allreduces, the smallest full deposit/exchange/collect round trip.
-func benchBody(b *testing.B) func(c *comm.Comm) error {
-	return func(c *comm.Comm) error {
-		vals := []int64{int64(c.Rank())}
-		for i := 0; i < b.N; i++ {
-			comm.Allreduce(c, vals, 8, comm.SumI64)
-		}
-		return nil
-	}
-}
-
-func BenchmarkRoundTripInproc(b *testing.B) {
-	if _, err := comm.RunChecked(2, comm.CostModel{}, benchBody(b)); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func benchWire(b *testing.B, ep string) {
-	rt, err := NewRoot(ep, 2, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rt.Close()
-	dialEp := ep
-	if rt.Addr().Network() == "tcp" {
-		dialEp = "tcp:" + rt.Addr().String() // resolve the :0 ephemeral port
-	}
-	body := benchBody(b)
-	errs := make(chan error, 1)
-	go func() {
-		wk, err := Dial(dialEp, 1, 2, Options{})
-		if err != nil {
-			errs <- err
-			return
-		}
-		defer wk.Close()
-		_, err = comm.RunRank(1, 2, wk.Model(), wk, comm.CheckedOptions{}, body)
-		errs <- err
-	}()
-	if err := rt.WaitReady(10 * time.Second); err != nil {
-		b.Fatal(err)
-	}
-	rt.Announce(comm.CostModel{})
-	b.ResetTimer()
-	if _, err := comm.RunRank(0, 2, comm.CostModel{}, rt, comm.CheckedOptions{}, body); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	if err := <-errs; err != nil {
-		b.Fatal(err)
-	}
-	rt.Drain(5 * time.Second)
-}
-
-func BenchmarkRoundTripUnix(b *testing.B) {
-	benchWire(b, "unix:"+filepath.Join(b.TempDir(), "bench.sock"))
-}
-
-func BenchmarkRoundTripTCP(b *testing.B) {
-	benchWire(b, "tcp:127.0.0.1:0")
-}
-
-// Recovery benchmarks: one iteration is a full two-rank world lifecycle with
-// a hard worker kill mid-run. Degrade measures the detect latency (kill →
-// structured failure on the root); Restore measures the measured MTTR (death
-// declared → replacement rejoined). scripts/bench.sh captures these into
-// BENCH_7.json, so the per-policy recovery cost is a recorded number.
 
 func benchRecoveryOpts() Options {
 	return Options{

@@ -227,14 +227,14 @@ func (s *selector) splitChunk(idxs []int) {
 		// Elements equal to the node come first in pre-order; children
 		// follow in traversal-position order, contiguously.
 		offs[0] = b.lo
-		j := b.lo + upperBoundRank(s.ranks[b.lo:b.hi], s.curve.Rank(b.key))
+		j := b.lo + sfc.UpperBound(s.ranks[b.lo:b.hi], s.curve.Rank(b.key))
 		offs[1] = j
 		counts[i*per] = s.weightRange(b.lo, j)
 		for pos := 0; pos < nch; pos++ {
 			end := b.hi
 			if pos+1 < nch {
 				nextChild := b.key.Child(s.curve.ChildAt(b.state, pos+1))
-				end = j + lowerBoundRank(s.ranks[j:b.hi], s.curve.Rank(nextChild))
+				end = j + sfc.LowerBound(s.ranks[j:b.hi], s.curve.Rank(nextChild))
 			}
 			offs[2+pos] = end
 			counts[i*per+1+pos] = s.weightRange(j, end)
@@ -309,23 +309,6 @@ func (s *selector) splitChunk(idxs []int) {
 // construction.
 func (s *selector) weightRange(lo, hi int) int64 {
 	return s.pw[hi] - s.pw[lo]
-}
-
-// lowerBoundRank returns the first index in ranks with ranks[i] >= r.
-func lowerBoundRank(ranks []sfc.Rank128, r sfc.Rank128) int {
-	i, _ := slices.BinarySearchFunc(ranks, r, sfc.Rank128.Compare)
-	return i
-}
-
-// upperBoundRank returns the first index in ranks with ranks[i] > r.
-func upperBoundRank(ranks []sfc.Rank128, r sfc.Rank128) int {
-	i, _ := slices.BinarySearchFunc(ranks, r, func(e, r sfc.Rank128) int {
-		if !r.Less(e) {
-			return -1
-		}
-		return 1
-	})
-	return i
 }
 
 // snap fixes every target at its nearest available boundary and returns the

@@ -246,7 +246,7 @@ func priorPositions(c *comm.Comm, sel *selector, prior *Splitters) []int64 {
 			pos[i] = int64(len(sel.ranks))
 			continue
 		}
-		pos[i] = int64(lowerPos(sel.ranks, sel.curve.Rank(sep)))
+		pos[i] = int64(sfc.LowerBound(sel.ranks, sel.curve.Rank(sep)))
 	}
 	c.Compute(int64(len(seps)) * psort.KeyBytes)
 	global := comm.Allreduce(c, pos, 8, comm.SumI64)

@@ -276,7 +276,7 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 	// Prior positions: where the current separators fall in the new mesh.
 	e.aPos[0], e.aPos[p] = 0, e.n
 	for r := 1; r < p; r++ {
-		e.aPos[r] = lowerPos(e.ranks, e.sepRanks[r-1])
+		e.aPos[r] = sfc.LowerBound(e.ranks, e.sepRanks[r-1])
 	}
 
 	grain := float64(e.n) / float64(p)
@@ -461,7 +461,7 @@ func (e *Repartitioner) scanQuality(pos []int) Quality {
 				if !ok {
 					continue
 				}
-				if e.ownerOfRank(curve.Rank(nk)) != owner {
+				if sfc.UpperBound(e.candRanks, curve.Rank(nk)) != owner {
 					e.counts[p+owner]++
 					boundary = true
 					break
@@ -491,39 +491,6 @@ func (e *Repartitioner) scanQuality(pos []int) Quality {
 		}
 	}
 	return q
-}
-
-// ownerOfRank returns the partition owning curve rank kr under the
-// candidate separator ranks: the number of separators at or before kr.
-//
-//alloc:zero
-func (e *Repartitioner) ownerOfRank(kr sfc.Rank128) int {
-	lo, hi := 0, len(e.candRanks)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if !kr.Less(e.candRanks[mid]) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// lowerPos returns the first index in ranks with ranks[i] >= r.
-//
-//alloc:zero
-func lowerPos(ranks []sfc.Rank128, r sfc.Rank128) int {
-	lo, hi := 0, len(ranks)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ranks[mid].Less(r) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // movedBetween counts the elements whose owner differs between the

@@ -67,15 +67,7 @@ func (s *Splitters) Owner(k sfc.Key) int {
 	if !IsInf(k) {
 		kr = s.Curve.Rank(k)
 	}
-	// First separator strictly after k; equality means the separator is at
-	// or before k, so it counts toward the owner index.
-	i, _ := slices.BinarySearchFunc(s.ranks(), kr, func(sep, kr sfc.Rank128) int {
-		if !kr.Less(sep) {
-			return -1
-		}
-		return 1
-	})
-	return i
+	return sfc.UpperBound(s.ranks(), kr)
 }
 
 // Ranges returns the p+1 boundaries of the owner ranges within a local

@@ -69,12 +69,12 @@ func HistogramSort(c *comm.Comm, local []sfc.Key, opts HistogramSortOptions) []s
 		if par.Workers() > 1 && len(cands) >= 64 {
 			par.For(len(cands), 16, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					counts[i] = int64(searchRank(localRanks, curve.Rank(cands[i])))
+					counts[i] = int64(sfc.LowerBound(localRanks, curve.Rank(cands[i])))
 				}
 			})
 		} else {
 			for i, cand := range cands {
-				counts[i] = int64(searchRank(localRanks, curve.Rank(cand)))
+				counts[i] = int64(sfc.LowerBound(localRanks, curve.Rank(cand)))
 			}
 		}
 		c.Compute(int64(len(cands)) * KeyBytes) // histogram pass
@@ -194,7 +194,7 @@ type histCand struct {
 func boundingInterval(curve *sfc.Curve, localRanks []sfc.Rank128, pool []histCand, g int64) (int, int) {
 	lo, hi := 0, len(localRanks)
 	for _, cd := range pool {
-		idx := searchRank(localRanks, curve.Rank(cd.key))
+		idx := sfc.LowerBound(localRanks, curve.Rank(cd.key))
 		if cd.rank <= g && idx > lo {
 			lo = idx
 		}

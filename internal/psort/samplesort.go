@@ -122,12 +122,6 @@ func searchKeys(curve *sfc.Curve, keys []sfc.Key, target sfc.Rank128) int {
 	return i
 }
 
-// searchRank returns the first index in ranks with ranks[i] >= r.
-func searchRank(ranks []sfc.Rank128, r sfc.Rank128) int {
-	i, _ := slices.BinarySearchFunc(ranks, r, sfc.Rank128.Compare)
-	return i
-}
-
 // rankKeys linearizes every key; keys[i]'s curve position is out[i].
 func rankKeys(curve *sfc.Curve, keys []sfc.Key) []sfc.Rank128 {
 	out := make([]sfc.Rank128, len(keys))

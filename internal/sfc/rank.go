@@ -56,6 +56,41 @@ func (r Rank128) Compare(o Rank128) int {
 	return 0
 }
 
+// LowerBound returns the first index i in the ascending ranks with
+// ranks[i] >= r, or len(ranks) when every element precedes r.
+//
+//alloc:zero
+func LowerBound(ranks []Rank128, r Rank128) int {
+	lo, hi := 0, len(ranks)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ranks[mid].Less(r) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// UpperBound returns the first index i in the ascending ranks with
+// ranks[i] > r, or len(ranks) when no element follows r. Over a separator
+// array it is the owner lookup: the number of separators at or before r.
+//
+//alloc:zero
+func UpperBound(ranks []Rank128, r Rank128) int {
+	lo, hi := 0, len(ranks)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.Less(ranks[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // Digit returns the d-th byte of the rank counting from the most
 // significant useful byte (d = 0 is bits 95..88, d = 11 is bits 7..0). The
 // MSD radix sort in internal/psort buckets on these.

@@ -2,6 +2,7 @@ package sfc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -146,4 +147,41 @@ func clampKey(x, y, z uint32, level uint8) Key {
 	}
 	mask := ^lowMask(MaxLevel-int(level)) & (1<<MaxLevel - 1)
 	return Key{X: x & mask, Y: y & mask, Z: z & mask, Level: level}
+}
+
+// TestRankBounds checks LowerBound and UpperBound against a linear scan on
+// sorted slices with runs of duplicates (drawn from a small alphabet, so
+// both words take part in the order), ending in MaxRank128 sentinels the way
+// separator arrays do, and probed before the first element, at every
+// element, between elements, and after the last.
+func TestRankBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	scan := func(ranks []Rank128, stop func(e Rank128) bool) int {
+		for i, e := range ranks {
+			if stop(e) {
+				return i
+			}
+		}
+		return len(ranks)
+	}
+	for trial := 0; trial < 500; trial++ {
+		ranks := make([]Rank128, rng.Intn(40)) // length 0 included
+		for i := range ranks {
+			ranks[i] = Rank128{Hi: 1 + uint64(rng.Intn(3)), Lo: 1 + uint64(rng.Intn(4))}
+			if rng.Intn(8) == 0 {
+				ranks[i] = MaxRank128
+			}
+		}
+		slices.SortFunc(ranks, Rank128.Compare)
+		probes := []Rank128{{}, {Hi: 0, Lo: 9}, {Hi: 2, Lo: 0}, {Hi: 9, Lo: 9}, MaxRank128}
+		probes = append(probes, ranks...)
+		for _, r := range probes {
+			if got, want := LowerBound(ranks, r), scan(ranks, func(e Rank128) bool { return !e.Less(r) }); got != want {
+				t.Fatalf("LowerBound(%v, %v) = %d, want %d", ranks, r, got, want)
+			}
+			if got, want := UpperBound(ranks, r), scan(ranks, func(e Rank128) bool { return r.Less(e) }); got != want {
+				t.Fatalf("UpperBound(%v, %v) = %d, want %d", ranks, r, got, want)
+			}
+		}
+	}
 }

@@ -126,6 +126,8 @@ type (
 
 // Run executes f on p ranks under the machine's cost model and returns the
 // run's modeled statistics. It is the entry point to everything collective.
+// A rank that panics, or ranks that call mismatched collectives, make Run
+// panic with the structured failure RunChecked would return.
 func Run(p int, m Machine, f func(c *Comm)) *Stats {
 	return comm.Run(p, m.CostModel(), f)
 }
@@ -140,12 +142,12 @@ func Workers() int { return par.Workers() }
 // identical at every width — only host wall-clock changes.
 func SetWorkers(n int) int { return par.SetWorkers(n) }
 
-// Fault tolerance. RunChecked is the hardened runtime: a rank that panics
-// or returns an error terminates the world with a structured *RankFailure
-// instead of stranding the survivors in a barrier, mismatched collectives
-// report who called what instead of deadlocking, and a watchdog converts
-// any remaining stall into an error naming each stuck rank's last op and
-// phase. FaultPlan (internal/fault) injects deterministic rank deaths and
+// Fault tolerance. A rank that panics or returns an error terminates the
+// world with a structured *RankFailure instead of stranding the survivors in
+// a barrier, and mismatched collectives report who called what instead of
+// deadlocking; Run panics with that failure, RunChecked returns it and adds
+// a watchdog that converts any remaining stall into an error naming each
+// stuck rank's last op and phase. FaultPlan (internal/fault) injects deterministic rank deaths and
 // stragglers for resilience experiments; see `experiments -run faults` for
 // the recovery-by-repartition campaign built on top.
 type (
@@ -178,8 +180,8 @@ func UniformLoss(seed int64, dropRate, corruptRate float64) *NetPlan {
 	return fault.UniformLoss(seed, dropRate, corruptRate)
 }
 
-// RunChecked executes f on p ranks like Run, but returns instead of
-// hanging or crashing when a rank fails.
+// RunChecked executes f on p ranks like Run, but returns the world's
+// failure instead of panicking with it.
 func RunChecked(p int, m Machine, f func(c *Comm) error) (*Stats, error) {
 	return comm.RunChecked(p, m.CostModel(), f)
 }

@@ -65,19 +65,32 @@ echo "==> service/alloc dedicated race pass"
 # it gets its own -race pass on top of the suite-wide one.
 go test -race -shuffle=on -count=1 ./internal/service ./internal/alloc
 
-echo "==> hot-path benchmark smoke"
-go test -run '^$' -bench 'TreeSort|Partition' -benchtime 1x .
-go test -run '^$' -bench 'Transport' -benchtime 1x ./internal/comm
-
-echo "==> BENCH_3.json / BENCH_5.json / BENCH_6.json / BENCH_7.json / BENCH_8.json / BENCH_10.json parse"
-go run ./cmd/benchfmt -check BENCH_3.json
-go run ./cmd/benchfmt -check BENCH_5.json
-go run ./cmd/benchfmt -check BENCH_6.json
-go run ./cmd/benchfmt -check BENCH_7.json
-go run ./cmd/benchfmt -check BENCH_8.json
-# BENCH_10 additionally enforces RepartitionStep completeness: both warm and
-# cold variants present, each with moved-bytes/op, warm faster than cold.
-go run ./cmd/benchfmt -check BENCH_10.json
+echo "==> benchmark spine: quick run, exact metrics against scripts/spine_quick_baseline.json"
+# The one bench harness (benchmark/, BENCHMARK.json) is the gate. The quick
+# run exits non-zero on any failed output check; the comparison then fails
+# this stage iff a metric that repeats bit for bit at one seed — modeled_tp_us
+# and every count in benchmark/main.go's exact set — is marked "changed", or
+# a larger share of ops failed. Timing verdicts are printed but ignored: the
+# quick sizes are a smoke test and this host drifts 20 % within an hour. A PR
+# that legitimately changes a placement regenerates the baseline with
+#   bash benchmark/run.sh -quick >scripts/spine_quick_baseline.json
+# and says so in CHANGES.md.
+spinedir=$(mktemp -d)
+if ! bash benchmark/run.sh -quick >"$spinedir/quick.json" 2>"$spinedir/quick.log"; then
+    echo "benchmark -quick failed:" >&2
+    cat "$spinedir/quick.log" >&2
+    rm -rf "$spinedir"
+    exit 1
+fi
+bash benchmark/run.sh -compare scripts/spine_quick_baseline.json "$spinedir/quick.json" >"$spinedir/compare.txt" || true
+cat "$spinedir/compare.txt"
+if [ ! -s "$spinedir/compare.txt" ] ||
+        grep -Eq 'changed|failed ops|only in the new run|^note: the runs differ|^compare:' "$spinedir/compare.txt"; then
+    echo "spine: exact metrics or failed-op share differ from scripts/spine_quick_baseline.json" >&2
+    rm -rf "$spinedir"
+    exit 1
+fi
+rm -rf "$spinedir"
 
 echo "==> repart transcript bit-identical at -workers 1 and GOMAXPROCS, and to its golden"
 # The incremental repartitioning campaign must not depend on worker-pool
