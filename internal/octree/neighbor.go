@@ -13,14 +13,15 @@ type Face struct {
 	Plus bool
 }
 
+// faces is the table Faces slices: every face of a 3-D cell, axis-major.
+var faces = [6]Face{{0, false}, {0, true}, {1, false}, {1, true}, {2, false}, {2, true}}
+
 // Faces returns the faces of a dim-dimensional cell in a fixed order:
-// -x, +x, -y, +y, (-z, +z).
+// -x, +x, -y, +y, (-z, +z). The result is a read-only view of a shared
+// table (callers range over it, once per key); its capacity is capped so an
+// append copies instead of writing into the table.
 func Faces(dim int) []Face {
-	out := make([]Face, 0, 2*dim)
-	for axis := 0; axis < dim; axis++ {
-		out = append(out, Face{axis, false}, Face{axis, true})
-	}
-	return out
+	return faces[: 2*dim : 2*dim]
 }
 
 // FaceNeighbor returns the same-level key sharing the given face of k, and

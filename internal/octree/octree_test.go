@@ -2,6 +2,7 @@ package octree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"optipart/internal/sfc"
@@ -192,6 +193,30 @@ func TestFaceNeighbor(t *testing.T) {
 		t.Fatalf("neighbor round-trip failed: %v", back)
 	}
 }
+
+// TestFacesFixedTable: Faces is called once per key by every neighbor scan,
+// so it hands out a view of one table instead of a fresh slice — in the
+// documented order, and with no spare capacity for an append to write into.
+func TestFacesFixedTable(t *testing.T) {
+	want := []Face{{0, false}, {0, true}, {1, false}, {1, true}, {2, false}, {2, true}}
+	for _, dim := range []int{2, 3} {
+		got := Faces(dim)
+		if !slices.Equal(got, want[:2*dim]) {
+			t.Fatalf("Faces(%d) = %v, want %v", dim, got, want[:2*dim])
+		}
+		_ = append(got, Face{9, true})
+		if !slices.Equal(Faces(3), want) {
+			t.Fatalf("append to Faces(%d) clobbered the table: %v", dim, Faces(3))
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { facesSink = Faces(3) }); allocs != 0 {
+		t.Fatalf("Faces(3) allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// facesSink makes the measured result escape, so a fresh slice per call
+// could not hide on the stack.
+var facesSink []Face
 
 func TestNeighborLeavesUniform(t *testing.T) {
 	// Uniform level-2 quadtree: interior cells have 4 neighbors, corners 2.

@@ -110,19 +110,6 @@ func BottomUpHeuristic(c *comm.Comm, local []sfc.Key, opts HeuristicOptions) *Re
 	}
 
 	// Final redistribution of the fine elements by the coarse splitters.
-	c.SetPhase("all2all")
-	ranges := sp.Ranges(mine)
-	send := make([][]sfc.Key, c.Size())
-	for r := 0; r < c.Size(); r++ {
-		send[r] = mine[ranges[r]:ranges[r+1]]
-	}
-	recv := comm.Alltoallv(c, send, psort.KeyBytes, comm.AlltoallvOptions{StageWidth: opts.StageWidth})
-	c.SetPhase("local sort")
-	var out []sfc.Key
-	for _, run := range recv {
-		out = append(out, run...)
-	}
-	psort.ChargeLocalSort(c, curve, out)
-	res.Local = out
+	res.Local = exchange(c, curve, mine, sp, opts.StageWidth)
 	return res
 }

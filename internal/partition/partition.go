@@ -103,12 +103,7 @@ type Result struct {
 // holds exactly its partition, sorted along the curve. It must be called
 // collectively by all ranks.
 func Partition(c *comm.Comm, local []sfc.Key, opts Options) *Result {
-	if opts.Alpha == 0 {
-		opts.Alpha = machine.DefaultAlpha
-	}
-	if opts.PayloadBytes == 0 {
-		opts.PayloadBytes = machine.GhostPayloadBytes
-	}
+	obj := newObjective(opts.Machine, opts.Alpha, opts.PayloadBytes, opts.Tol, 0)
 	curve := opts.Curve
 
 	c.SetPhase("local sort")
@@ -120,7 +115,7 @@ func Partition(c *comm.Comm, local []sfc.Key, opts Options) *Result {
 	var achieved float64
 	switch opts.Mode {
 	case ModelDriven:
-		sp, achieved = runModelDriven(c, sel, opts)
+		sp, achieved = runModelDriven(sel, &obj)
 	default:
 		slack := int64(0)
 		if opts.Mode == FlexibleTolerance {
@@ -137,8 +132,8 @@ func Partition(c *comm.Comm, local []sfc.Key, opts Options) *Result {
 		Rounds:      sel.rounds,
 		AchievedTol: achieved,
 	}
-	res.Quality = EvaluateQuality(c, curve, local, sp)
-	res.Predicted = res.Quality.PredictKernel(opts.Machine, opts.Alpha, opts.PayloadBytes)
+	res.Quality = sel.quality(sp)
+	res.Predicted = obj.tp(res.Quality)
 
 	if opts.SkipExchange {
 		return res
@@ -176,41 +171,48 @@ func exchange(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, sp *Splitters, st
 // model prices the induced partition, and the loop keeps the best partition
 // seen, stopping as soon as a round makes the prediction worse — the
 // "approaches the optimum from the right" behaviour of Figure 10.
-func runModelDriven(c *comm.Comm, sel *selector, opts Options) (*Splitters, float64) {
-	// Initial splitters: refine until every target has a boundary within
-	// half a grain, the coarse starting point of Algorithm 3 line 2.
-	coarse := int64(sel.grain() / 2)
-	for sel.worstDeviation() > coarse {
-		if !sel.refineRound(coarse) {
-			break
-		}
-	}
-	best := sel.snap()
-	bestTol := sel.achievedTolerance()
-	bestQ := EvaluateQuality(c, sel.curve, sel.local, best)
+func runModelDriven(sel *selector, obj *objective) (best *Splitters, bestTol float64) {
+	var bestT float64
 	// A start so coarse that a rank owns nothing is never acceptable (the
-	// paper's tolerances keep every partition populated); refine past it.
-	for bestQ.Wmin == 0 && bestQ.N >= int64(c.Size()) {
-		if !sel.refineRound(0) {
-			break
-		}
-		best = sel.snap()
-		bestTol = sel.achievedTolerance()
-		bestQ = EvaluateQuality(c, sel.curve, sel.local, best)
-	}
-	bestT := bestQ.PredictKernel(opts.Machine, opts.Alpha, opts.PayloadBytes)
-
-	for {
-		if !sel.refineRound(0) {
-			return best, bestTol
-		}
-		cand := sel.snap()
-		q := EvaluateQuality(c, sel.curve, sel.local, cand)
-		t := q.PredictKernel(opts.Machine, opts.Alpha, opts.PayloadBytes)
-		if t > bestT {
+	// paper's tolerances keep every partition populated); refine past it,
+	// adopting every rung until one is populated.
+	populated := false
+	sel.descend(func(cand *Splitters, q Quality) bool {
+		t := obj.tp(q)
+		if populated && t > bestT {
 			// The model says further balancing costs more than it saves.
-			return best, bestTol
+			return false
 		}
 		best, bestT, bestTol = cand, t, sel.achievedTolerance()
+		populated = populated || !q.emptiesRank(sel.c.Size())
+		return true
+	})
+	return best, bestTol
+}
+
+// descend is the walk of Algorithm 3 that Partition and Repartition share.
+// It refines until every target has a boundary within half a grain (the
+// coarse starting point of line 2), then descends one level per rung,
+// handing visit each rung's snapped splitters and their quality. The walk
+// ends when visit returns false or nothing is left to refine; which rung
+// is adopted is the visitor's business.
+func (s *selector) descend(visit func(cand *Splitters, q Quality) bool) {
+	coarse := int64(s.grain() / 2)
+	for s.worstDeviation() > coarse {
+		if !s.refineRound(coarse) {
+			break
+		}
 	}
+	for {
+		cand := s.snap()
+		if !visit(cand, s.quality(cand)) || !s.refineRound(0) {
+			return
+		}
+	}
+}
+
+// quality is EvaluateQuality of sp over the selector's elements, reusing
+// the curve ranks it already holds.
+func (s *selector) quality(sp *Splitters) Quality {
+	return evaluateQuality(s.c, s.curve, s.local, s.ranks, sp)
 }

@@ -98,58 +98,91 @@ func TestPartitionConservesMultiset(t *testing.T) {
 }
 
 // TestEvaluateQualityMatchesDirectCount: the distributed Algorithm 2 must
-// agree with a straightforward sequential evaluation.
+// agree with a straightforward sequential evaluation (Owner per key and per
+// neighbor), on curve-ordered local arrays and on shuffled ones — the
+// kernel's carried owner hint is an optimization, not an ordering
+// requirement — and at the edges of its (keys, separator ranks) domain.
 func TestEvaluateQualityMatchesDirectCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(3200))
-	curve := sfc.NewCurve(sfc.Morton, 3)
-	keys := octree.RandomKeys(rng, 1200, 3, octree.Normal, 2, 10)
-	octree.Sort(curve, keys)
-	seps := []sfc.Key{keys[300].Ancestor(keys[300].Level - 1), keys[800].Ancestor(keys[800].Level - 2)}
-	octree.Sort(curve, seps)
-	sp := &Splitters{Curve: curve, Seps: seps}
+	morton3 := sfc.NewCurve(sfc.Morton, 3)
+	hilbert2 := sfc.NewCurve(sfc.Hilbert, 2)
+	keys3 := octree.RandomKeys(rng, 1200, 3, octree.Normal, 2, 10)
+	octree.Sort(morton3, keys3)
+	keys2 := octree.RandomKeys(rng, 900, 2, octree.Normal, 2, 9)
+	octree.Sort(hilbert2, keys2)
+	coarse := []sfc.Key{keys3[300].Ancestor(keys3[300].Level - 1), keys3[800].Ancestor(keys3[800].Level - 2)}
+	octree.Sort(morton3, coarse)
+	seps2 := []sfc.Key{keys2[200], keys2[450].Parent(), keys2[700]}
+	octree.Sort(hilbert2, seps2)
 
-	// Sequential reference.
-	p := sp.P()
-	work := make([]int64, p)
-	bdy := make([]int64, p)
-	for _, k := range keys {
-		o := sp.Owner(k)
-		work[o]++
-		for _, f := range octree.Faces(3) {
-			nk, ok := octree.FaceNeighbor(k, f)
-			if ok && sp.Owner(nk) != o {
-				bdy[o]++
-				break
+	cases := []struct {
+		name  string
+		curve *sfc.Curve
+		keys  []sfc.Key
+		seps  []sfc.Key // non-decreasing along the curve
+	}{
+		{"coarse separators", morton3, keys3, coarse},
+		{"p=1", morton3, keys3, nil},
+		{"empty local", morton3, nil, coarse},
+		{"all separators InfKey", morton3, keys3, []sfc.Key{InfKey, InfKey, InfKey}},
+		{"n<p, repeated separator ranks", morton3, keys3[:3],
+			[]sfc.Key{keys3[0], keys3[1], keys3[1], keys3[2], keys3[2], InfKey, InfKey}},
+		{"dim 2", hilbert2, keys2, seps2},
+	}
+	for _, tc := range cases {
+		sp := &Splitters{Curve: tc.curve, Seps: tc.seps}
+
+		// Sequential reference.
+		p := sp.P()
+		work := make([]int64, p)
+		bdy := make([]int64, p)
+		for _, k := range tc.keys {
+			o := sp.Owner(k)
+			work[o]++
+			for _, f := range octree.Faces(tc.curve.Dim) {
+				nk, ok := octree.FaceNeighbor(k, f)
+				if ok && sp.Owner(nk) != o {
+					bdy[o]++
+					break
+				}
 			}
 		}
-	}
-	var want Quality
-	want.Wmin, want.Cmin = 1<<62, 1<<62
-	for r := 0; r < p; r++ {
-		want.N += work[r]
-		want.Ctot += bdy[r]
-		want.Wmax = comm.MaxI64(want.Wmax, work[r])
-		want.Wmin = comm.MinI64(want.Wmin, work[r])
-		want.Cmax = comm.MaxI64(want.Cmax, bdy[r])
-		want.Cmin = comm.MinI64(want.Cmin, bdy[r])
-	}
+		var want Quality
+		want.Wmin, want.Cmin = 1<<62, 1<<62
+		for r := 0; r < p; r++ {
+			want.N += work[r]
+			want.Ctot += bdy[r]
+			want.Wmax = comm.MaxI64(want.Wmax, work[r])
+			want.Wmin = comm.MinI64(want.Wmin, work[r])
+			want.Cmax = comm.MaxI64(want.Cmax, bdy[r])
+			want.Cmin = comm.MinI64(want.Cmin, bdy[r])
+		}
 
-	// Distributed evaluation over 4 ranks holding arbitrary splits.
-	var got Quality
-	comm.Run(4, comm.CostModel{}, func(c *comm.Comm) {
-		var local []sfc.Key
-		for i, k := range keys {
-			if i%4 == c.Rank() {
-				local = append(local, k)
+		// Distributed evaluation over 4 ranks holding arbitrary splits, in
+		// curve order and then shuffled.
+		var sorted, shuffled Quality
+		comm.Run(4, comm.CostModel{}, func(c *comm.Comm) {
+			var local []sfc.Key
+			for i, k := range tc.keys {
+				if i%4 == c.Rank() {
+					local = append(local, k)
+				}
 			}
+			qs := EvaluateQuality(c, tc.curve, local, sp)
+			rand.New(rand.NewSource(int64(c.Rank()))).Shuffle(len(local), func(i, j int) {
+				local[i], local[j] = local[j], local[i]
+			})
+			qu := EvaluateQuality(c, tc.curve, local, sp)
+			if c.Rank() == 0 {
+				sorted, shuffled = qs, qu
+			}
+		})
+		if sorted != want {
+			t.Errorf("%s: distributed quality %+v != sequential %+v", tc.name, sorted, want)
 		}
-		q := EvaluateQuality(c, curve, local, sp)
-		if c.Rank() == 0 {
-			got = q
+		if shuffled != want {
+			t.Errorf("%s: quality of shuffled local %+v != sequential %+v", tc.name, shuffled, want)
 		}
-	})
-	if got != want {
-		t.Fatalf("distributed quality %+v != sequential %+v", got, want)
 	}
 }
 

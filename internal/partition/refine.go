@@ -1,8 +1,6 @@
 package partition
 
 import (
-	"slices"
-
 	"optipart/internal/comm"
 	"optipart/internal/par"
 	"optipart/internal/psort"
@@ -121,36 +119,42 @@ func (s *selector) worstDeviation() int64 {
 
 // deviation returns the distance from target g to the nearest boundary.
 func (s *selector) deviation(g int64) int64 {
-	b := s.bucketContaining(g)
-	if b < 0 {
+	b, inside := s.locate(g)
+	if !inside {
 		return 0 // g falls exactly on a boundary (or outside, clamped)
 	}
-	left := g - s.buckets[b].start
-	right := s.buckets[b].start + s.buckets[b].count - g
-	if left < right {
-		return left
-	}
-	return right
+	left, right := s.buckets[b].sides(g)
+	return min(left, right)
 }
 
-// bucketContaining returns the index of the bucket strictly containing
-// global rank g (start < g < start+count), or -1 when g lies on a boundary.
-func (s *selector) bucketContaining(g int64) int {
-	// Buckets are in curve order with consecutive ranges; binary search.
+// sides returns the distances from global rank g, inside the bucket, to
+// the bucket's start and end boundaries.
+func (b *bucket) sides(g int64) (left, right int64) {
+	return g - b.start, b.start + b.count - g
+}
+
+// locate finds global rank g among the buckets, which are in curve order
+// with consecutive ranges: the index of the bucket strictly containing g
+// (start < g < start+count) and true, or, when g lies on a boundary, the
+// index of the bucket starting at g and false — len(s.buckets) for the end
+// of the sequence.
+func (s *selector) locate(g int64) (int, bool) {
 	lo, hi := 0, len(s.buckets)
-	for lo < hi {
+	for lo < hi { // first bucket starting at or after g
 		mid := (lo + hi) / 2
-		b := &s.buckets[mid]
-		switch {
-		case g <= b.start:
-			hi = mid
-		case g >= b.start+b.count:
+		if s.buckets[mid].start < g {
 			lo = mid + 1
-		default:
-			return mid
+		} else {
+			hi = mid
 		}
 	}
-	return -1
+	if lo < len(s.buckets) && s.buckets[lo].start == g {
+		return lo, false
+	}
+	if lo > 0 && g < s.buckets[lo-1].start+s.buckets[lo-1].count {
+		return lo - 1, true
+	}
+	return len(s.buckets), false
 }
 
 // refineRound splits every splittable bucket that strictly contains a
@@ -177,23 +181,22 @@ func (s *selector) refineRound(slack int64) bool {
 }
 
 // chooseSplits returns the indices of buckets to split this round, in
-// ascending order.
+// ascending order: targets ascend, so their buckets arrive non-decreasing
+// and a repeat is always the last one appended.
 func (s *selector) chooseSplits(slack int64) []int {
-	want := map[int]bool{}
+	var out []int
 	for _, g := range s.targets {
-		if s.deviation(g) <= slack {
+		b, inside := s.locate(g)
+		if !inside || s.buckets[b].atomic {
 			continue
 		}
-		b := s.bucketContaining(g)
-		if b >= 0 && !s.buckets[b].atomic {
-			want[b] = true
+		if left, right := s.buckets[b].sides(g); min(left, right) <= slack {
+			continue
+		}
+		if n := len(out); n == 0 || out[n-1] != b {
+			out = append(out, b)
 		}
 	}
-	out := make([]int, 0, len(want))
-	for b := range want {
-		out = append(out, b)
-	}
-	slices.Sort(out)
 	return out
 }
 
@@ -325,30 +328,14 @@ func (s *selector) snap() *Splitters {
 // boundaryKeyNear returns the separator key of the boundary nearest to
 // global rank g.
 func (s *selector) boundaryKeyNear(g int64) sfc.Key {
-	b := s.bucketContaining(g)
-	if b < 0 {
-		// g lies exactly on a boundary: the bucket starting at g, or the
-		// end sentinel.
-		for lo, hi := 0, len(s.buckets); lo < hi; {
-			mid := (lo + hi) / 2
-			switch {
-			case s.buckets[mid].start < g:
-				lo = mid + 1
-			case s.buckets[mid].start > g:
-				hi = mid
-			default:
-				return s.buckets[mid].key
-			}
+	b, inside := s.locate(g)
+	if inside {
+		if left, right := s.buckets[b].sides(g); left > right {
+			b++
 		}
-		return InfKey
 	}
-	left := g - s.buckets[b].start
-	right := s.buckets[b].start + s.buckets[b].count - g
-	if left <= right {
+	if b < len(s.buckets) {
 		return s.buckets[b].key
-	}
-	if b+1 < len(s.buckets) {
-		return s.buckets[b+1].key
 	}
 	return InfKey
 }

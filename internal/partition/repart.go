@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"optipart/internal/comm"
-	"optipart/internal/machine"
 	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
@@ -53,20 +52,8 @@ type RepartResult struct {
 // or derived) describes where they live, which is what the moved-bytes
 // term charges against. Collective.
 func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResult {
-	if opts.Alpha == 0 {
-		opts.Alpha = machine.DefaultAlpha
-	}
-	if opts.PayloadBytes == 0 {
-		opts.PayloadBytes = machine.GhostPayloadBytes
-	}
-	if opts.Tol <= 0 {
-		opts.Tol = 0.1
-	}
-	if opts.Horizon <= 0 {
-		opts.Horizon = machine.DefaultHorizon
-	}
+	obj := newObjective(opts.Machine, opts.Alpha, opts.PayloadBytes, opts.Tol, opts.Horizon)
 	curve := opts.Curve
-	m := opts.Machine
 	p := c.Size()
 
 	c.SetPhase("local sort")
@@ -93,16 +80,24 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	// Rung zero: keep the prior placement verbatim. Its quality is the
 	// baseline objective; it moves nothing.
 	best := prior
-	bestQ := EvaluateQuality(c, curve, local, prior)
-	bestTp := bestQ.PredictKernel(m, opts.Alpha, opts.PayloadBytes)
-	bestJ := opts.Horizon * bestTp
+	bestQ := sel.quality(prior)
+	bestTp, bestJ := obj.tp(bestQ), obj.j(bestQ, 0)
 	var bestMoved int64
-	kept := true
+	// consider prices cand, of quality q, against the prior placement and,
+	// when adoptable, adopts it if it beats the best J seen.
+	consider := func(cand *Splitters, q Quality, adoptable bool) (tp, j float64) {
+		moved := MovedElements(c, local, prior, cand)
+		tp, j = obj.tp(q), obj.j(q, moved)
+		if adoptable && j < bestJ {
+			best, bestQ, bestTp, bestJ, bestMoved = cand, q, tp, j, moved
+		}
+		return tp, j
+	}
 
 	// Global positions of the prior separators in the new element order,
 	// and from them the violated targets: separators farther than the
 	// tolerance slack from their ideal rank r·N/p.
-	slack0 := int64(opts.Tol * sel.grain())
+	slack0 := int64(obj.tol * sel.grain())
 	priorPos := priorPositions(c, sel, prior)
 	allTargets := sel.targets
 	violated := make([]int64, 0, len(allTargets))
@@ -116,17 +111,6 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 			violated = append(violated, g)
 			violatedIdx = append(violatedIdx, r)
 		}
-	}
-
-	res := &RepartResult{
-		Result: Result{
-			Splitters:   best,
-			Quality:     bestQ,
-			Predicted:   bestTp,
-			AchievedTol: worstDevOf(priorPos, allTargets, sel.grain()),
-		},
-		Objective: bestJ,
-		KeptSeps:  len(allTargets),
 	}
 
 	if len(violated) > 0 {
@@ -143,18 +127,11 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 				}
 			}
 			cand := mergeSeps(curve, prior, sel, violated, violatedIdx)
-			q := EvaluateQuality(c, curve, local, cand)
-			moved := MovedElements(c, local, prior, cand)
-			bytes := moved * int64(opts.PayloadBytes)
-			tp := q.PredictKernel(m, opts.Alpha, opts.PayloadBytes)
-			j := m.PredictRepartition(opts.Alpha, opts.PayloadBytes, q.Wmax, q.Cmax, bytes, opts.Horizon)
-			switch {
-			case (q.Wmin == 0 && q.N >= int64(p)) && slack > 0:
-				// A candidate that empties a rank is never adopted while
-				// refinement can still place its separators better.
-			case j < bestJ:
-				best, bestQ, bestTp, bestJ, bestMoved, kept = cand, q, tp, j, moved, false
-			case j > bestJ:
+			q := sel.quality(cand)
+			// A candidate that empties a rank is never adopted while
+			// refinement can still place its separators better.
+			emptied := slack > 0 && q.emptiesRank(p)
+			if _, j := consider(cand, q, !emptied); !emptied && j > bestJ {
 				slack = 0 // worse than the best seen: stop after this rung
 			}
 			if slack == 0 {
@@ -177,56 +154,45 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	// merges above, so a re-aim is adopted only when its movement pays for
 	// itself within the horizon.
 	walk := newSelector(c, curve, local, opts.MaxSplitters, opts.Weight)
-	coarse := int64(walk.grain() / 2)
-	for walk.worstDeviation() > coarse {
-		if !walk.refineRound(coarse) {
-			break
-		}
-	}
 	walkT := math.Inf(1)
-	for {
-		cand := walk.snap()
-		q := EvaluateQuality(c, curve, local, cand)
-		if !(q.Wmin == 0 && q.N >= int64(p)) {
-			tp := q.PredictKernel(m, opts.Alpha, opts.PayloadBytes)
-			moved := MovedElements(c, local, prior, cand)
-			bytes := moved * int64(opts.PayloadBytes)
-			j := m.PredictRepartition(opts.Alpha, opts.PayloadBytes, q.Wmax, q.Cmax, bytes, opts.Horizon)
-			if j < bestJ {
-				best, bestQ, bestTp, bestJ, bestMoved, kept = cand, q, tp, j, moved, false
-			}
-			if tp > walkT {
-				// Same stop as Algorithm 3: further balancing costs more
-				// surface than it saves in load.
-				break
-			}
-			if tp < walkT {
-				walkT = tp
-			}
+	walk.descend(func(cand *Splitters, q Quality) bool {
+		if q.emptiesRank(p) {
+			return true
 		}
-		if !walk.refineRound(0) {
-			break
+		tp, _ := consider(cand, q, true)
+		if tp > walkT {
+			// Same stop as Algorithm 3: further balancing costs more
+			// surface than it saves in load.
+			return false
 		}
-	}
+		walkT = tp
+		return true
+	})
 	sel.rounds += walk.rounds
-	if !kept {
-		res.Result.Splitters = best
-		res.Result.Quality = bestQ
-		res.Result.Predicted = bestTp
-		res.Result.AchievedTol = achievedTolOf(c, sel, local, best)
-		keptSeps := 0
-		for i, sep := range best.Seps {
-			if sep == prior.Seps[i] {
-				keptSeps++
-			}
-		}
-		res.KeptSeps = keptSeps
+	// A kept prior's realized tolerance is already known from priorPos; an
+	// adopted candidate (always a fresh Splitters) pays one more reduction.
+	achieved := worstDevOf(priorPos, allTargets, sel.grain())
+	if best != prior {
+		achieved = achievedTolOf(c, sel, best)
 	}
-	res.Result.Rounds = sel.rounds
-	res.MovedElements = bestMoved
-	res.MovedBytes = bestMoved * int64(opts.PayloadBytes)
-	res.MigrationCost = m.MigrationCost(res.MovedBytes)
-	res.Objective = bestJ
+	res := &RepartResult{
+		Result: Result{
+			Splitters:   best,
+			Quality:     bestQ,
+			Predicted:   bestTp,
+			Rounds:      sel.rounds,
+			AchievedTol: achieved,
+		},
+		MovedElements: bestMoved,
+		MovedBytes:    bestMoved * int64(obj.payload),
+		Objective:     bestJ,
+	}
+	res.MigrationCost = obj.m.MigrationCost(res.MovedBytes)
+	for i, sep := range best.Seps {
+		if sep == prior.Seps[i] {
+			res.KeptSeps++ // inherited verbatim; all p-1 when the prior is kept
+		}
+	}
 
 	if opts.SkipExchange {
 		return res
@@ -239,18 +205,15 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 // separator in the new element order: an Allreduce over per-rank counts of
 // local elements before the separator.
 func priorPositions(c *comm.Comm, sel *selector, prior *Splitters) []int64 {
-	seps := prior.Seps
+	// Every element ranks below MaxRank128, so an InfKey separator lands at
+	// len(sel.ranks) without a special case.
+	seps := prior.ranks()
 	pos := make([]int64, len(seps))
-	for i, sep := range seps {
-		if IsInf(sep) {
-			pos[i] = int64(len(sel.ranks))
-			continue
-		}
-		pos[i] = int64(sfc.LowerBound(sel.ranks, sel.curve.Rank(sep)))
+	for i, sr := range seps {
+		pos[i] = int64(sfc.LowerBound(sel.ranks, sr))
 	}
 	c.Compute(int64(len(seps)) * psort.KeyBytes)
-	global := comm.Allreduce(c, pos, 8, comm.SumI64)
-	return global
+	return comm.Allreduce(c, pos, 8, comm.SumI64)
 }
 
 // worstDevOf returns the worst deviation of the given positions from their
@@ -275,7 +238,7 @@ func worstDevOf(pos, targets []int64, grain float64) float64 {
 // achievedTolOf measures the adopted placement's realized tolerance from
 // its range boundaries, using the same global-position reduction as
 // priorPositions.
-func achievedTolOf(c *comm.Comm, sel *selector, local []sfc.Key, sp *Splitters) float64 {
+func achievedTolOf(c *comm.Comm, sel *selector, sp *Splitters) float64 {
 	pos := priorPositions(c, sel, sp)
 	return worstDevOf(pos, sel.targets, sel.grain())
 }
@@ -293,10 +256,7 @@ func mergeSeps(curve *sfc.Curve, prior *Splitters, sel *selector, violated []int
 	prev := sfc.Rank128{}
 	havePrev := false
 	for i, sep := range out {
-		kr := sfc.MaxRank128
-		if !IsInf(sep) {
-			kr = curve.Rank(sep)
-		}
+		kr := sepRank(curve, sep)
 		if havePrev && kr.Less(prev) {
 			out[i] = out[i-1]
 			kr = prev
@@ -314,21 +274,7 @@ func MovedElements(c *comm.Comm, local []sfc.Key, prior, next *Splitters) int64 
 	if prior.P() != next.P() {
 		panic(fmt.Errorf("partition: MovedElements across %d and %d partitions", prior.P(), next.P()))
 	}
-	a := prior.Ranges(local)
-	b := next.Ranges(local)
-	var kept int64
-	for r := 0; r+1 < len(a); r++ {
-		lo, hi := a[r], a[r+1]
-		if b[r] > lo {
-			lo = b[r]
-		}
-		if b[r+1] < hi {
-			hi = b[r+1]
-		}
-		if hi > lo {
-			kept += int64(hi - lo)
-		}
-	}
+	moved := movedBetween(prior.Ranges(local), next.Ranges(local), len(local))
 	c.Compute(int64(2*prior.P()) * psort.KeyBytes)
-	return comm.AllreduceScalar(c, int64(len(local))-kept, 8, comm.SumI64)
+	return comm.AllreduceScalar(c, moved, 8, comm.SumI64)
 }

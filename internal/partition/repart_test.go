@@ -148,25 +148,40 @@ func TestMovedElementsMatchesOwnerScan(t *testing.T) {
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
 	mesh := repartMesh(curve, 7, 350, 6)
 	p := 6
-	// Two arbitrary placements: equal blocks and a skewed split.
+	// Two arbitrary placements, equal blocks and a skewed split, plus the
+	// extremes: everything on rank 0 against everything on rank p-1.
 	prior := &Splitters{Curve: curve, Seps: make([]sfc.Key, p-1)}
 	next := &Splitters{Curve: curve, Seps: make([]sfc.Key, p-1)}
+	first := &Splitters{Curve: curve, Seps: make([]sfc.Key, p-1)}
+	last := &Splitters{Curve: curve, Seps: make([]sfc.Key, p-1)}
 	for r := 1; r < p; r++ {
 		prior.Seps[r-1] = mesh[len(mesh)*r/p]
 		next.Seps[r-1] = mesh[len(mesh)*r*r/(p*p)]
+		first.Seps[r-1] = InfKey
+		last.Seps[r-1] = mesh[0]
 	}
-	var want int64
+	var scan int64
 	for _, k := range mesh {
 		if prior.Owner(k) != next.Owner(k) {
-			want++
+			scan++
 		}
+	}
+	cases := []struct {
+		name     string
+		from, to *Splitters
+		want     int64
+	}{
+		{"owner scan", prior, next, scan},
+		{"prior == next", prior, prior, 0},
+		{"disjoint placements", first, last, int64(len(mesh))},
 	}
 	comm.Run(p, comm.CostModel{}, func(c *comm.Comm) {
 		ranges := prior.Ranges(mesh)
 		local := mesh[ranges[c.Rank()]:ranges[c.Rank()+1]]
-		got := MovedElements(c, local, prior, next)
-		if got != want {
-			t.Errorf("rank %d: MovedElements = %d, want %d", c.Rank(), got, want)
+		for _, tc := range cases {
+			if got := MovedElements(c, local, tc.from, tc.to); got != tc.want {
+				t.Errorf("rank %d, %s: MovedElements = %d, want %d", c.Rank(), tc.name, got, tc.want)
+			}
 		}
 	})
 }
@@ -231,7 +246,8 @@ func TestRepartitionerStepMatchesEvolver(t *testing.T) {
 
 // TestRepartitionerStepMatchesRebuild: the warm Step over a delta and a
 // cold Rebuild over the same mesh and prior must adopt the identical
-// placement — the equivalence the service's warm path relies on.
+// placement — what makes partition.rebuild_ms a fair cold comparison for
+// partition.step_ms in the benchmark spine.
 func TestRepartitionerStepMatchesRebuild(t *testing.T) {
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
 	ev := octree.NewEvolver(curve, 13, repartMesh(curve, 6, 350, 6))
@@ -253,6 +269,75 @@ func TestRepartitionerStepMatchesRebuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRepartitionerAgreesWithCollective pins the arithmetic the serial
+// engine and the collective path share: along an evolving mesh history, the
+// Quality and moved count a Step reports are exactly what the collective
+// EvaluateQuality and MovedElements compute for the engine's placements
+// from a different data layout (4 ranks, keys dealt round-robin for the
+// scan; the moved count needs curve-ordered ranges, so equal blocks).
+//
+// The engine prices a placement by positions, so each separator enters its
+// scan as the rank of the first element at or after it. For an adopted
+// candidate that element IS the separator; for a kept prior whose separator
+// octant has since been refined it is the octant's first child, and a
+// neighbor octant equal to the separator itself is attributed to the other
+// side. The quality comparison therefore runs under the snapped separators,
+// and the test reports how often snapping mattered so the difference stays
+// visible.
+func TestRepartitionerAgreesWithCollective(t *testing.T) {
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	ev := octree.NewEvolver(curve, 11, repartMesh(curve, 12, 350, 6))
+	// A moving refinement front under a long horizon: three steps re-aim
+	// (moved > 0) and three keep the prior.
+	ev.RefineBias, ev.CoarsenBias = octree.FrontBias(3, 2, 6, 0.25)
+	cfg := engineConfig(curve, 8)
+	cfg.Horizon = 100
+	e := NewRepartitioner(cfg)
+	res := e.Seed(ev.Leaves())
+	prior := e.Splitters()
+	keptSteps, snappedSeps := 0, 0
+	for step := 0; step <= 6; step++ {
+		if step > 0 {
+			prior = e.Splitters()
+			res = e.Step(ev.Step(0.05, 0.2))
+		}
+		next := e.Splitters()
+		keys := e.Keys()
+		snapped := &Splitters{Curve: curve, Seps: make([]sfc.Key, len(next.Seps))}
+		for i, pos := range next.Ranges(keys)[1:next.P()] {
+			snapped.Seps[i] = InfKey
+			if pos < len(keys) {
+				snapped.Seps[i] = keys[pos]
+			}
+			if snapped.Seps[i] != next.Seps[i] {
+				snappedSeps++
+			}
+		}
+		if res.Kept {
+			keptSteps++
+		}
+		comm.Run(4, comm.CostModel{}, func(c *comm.Comm) {
+			var dealt []sfc.Key
+			for i, k := range keys {
+				if i%4 == c.Rank() {
+					dealt = append(dealt, k)
+				}
+			}
+			if q := EvaluateQuality(c, curve, dealt, snapped); q != res.Quality {
+				t.Errorf("step %d rank %d: collective quality %+v, engine %+v (kept=%v)", step, c.Rank(), q, res.Quality, res.Kept)
+			}
+			block := blockOf(keys, 4, c.Rank())
+			if moved := MovedElements(c, block, prior, next); moved != res.MovedElements {
+				t.Errorf("step %d rank %d: collective moved %d, engine %d", step, c.Rank(), moved, res.MovedElements)
+			}
+		})
+	}
+	if keptSteps == 0 || keptSteps == 6 {
+		t.Errorf("%d of 6 steps kept the prior; the history should exercise both outcomes", keptSteps)
+	}
+	t.Logf("%d of 6 steps kept the prior; %d separators differed from the element they snap to", keptSteps, snappedSeps)
 }
 
 // TestRepartitionerMovedAccounting verifies the binary-search moved count

@@ -62,6 +62,7 @@ type StepResult struct {
 // A Repartitioner is not safe for concurrent use.
 type Repartitioner struct {
 	cfg   RepartConfig
+	obj   objective // cfg's model knobs with the defaults filled
 	arena *psort.Arena
 	keys  []sfc.Key     // current mesh, curve order
 	ranks []sfc.Rank128 // ranks[i] = Curve.Rank(keys[i]), the warm cache
@@ -84,21 +85,10 @@ func NewRepartitioner(cfg RepartConfig) *Repartitioner {
 	if cfg.P < 1 {
 		panic(fmt.Errorf("partition: RepartConfig.P = %d, want >= 1", cfg.P))
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = machine.DefaultAlpha
-	}
-	if cfg.PayloadBytes == 0 {
-		cfg.PayloadBytes = machine.GhostPayloadBytes
-	}
-	if cfg.Tol <= 0 {
-		cfg.Tol = 0.1
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = machine.DefaultHorizon
-	}
 	p := cfg.P
 	return &Repartitioner{
 		cfg:       cfg,
+		obj:       newObjective(cfg.Machine, cfg.Alpha, cfg.PayloadBytes, cfg.Tol, cfg.Horizon),
 		arena:     &psort.Arena{},
 		seps:      make([]sfc.Key, p-1),
 		sepRanks:  make([]sfc.Rank128, p-1),
@@ -135,22 +125,18 @@ func (e *Repartitioner) Seed(keys []sfc.Key) StepResult {
 
 // Rebuild re-ingests a full mesh (re-ranking every element) and
 // warm-starts from the given prior placement. It is the entry point for
-// callers that hold a prior Splitters but no edit script — the service's
-// warm path — and adopts exactly the placement Step would have adopted for
-// the same mesh and prior.
+// callers that hold a prior Splitters but no edit script, and adopts
+// exactly the placement Step would have adopted for the same mesh and
+// prior. Its one caller outside the tests is the benchmark spine, which
+// times it as partition.rebuild_ms, the cold route Step is compared
+// against; the service's warm path runs the collective Repartition.
 func (e *Repartitioner) Rebuild(keys []sfc.Key, prior *Splitters) StepResult {
 	if prior.P() != e.cfg.P {
 		panic(fmt.Errorf("partition: Rebuild prior has %d partitions, engine has %d", prior.P(), e.cfg.P))
 	}
 	e.ingest(keys)
 	copy(e.seps, prior.Seps)
-	for i, sep := range prior.Seps {
-		if IsInf(sep) {
-			e.sepRanks[i] = sfc.MaxRank128
-		} else {
-			e.sepRanks[i] = e.cfg.Curve.Rank(sep)
-		}
-	}
+	copy(e.sepRanks, prior.ranks())
 	return e.selectPlacement(true)
 }
 
@@ -258,7 +244,6 @@ func (e *Repartitioner) applyDelta(delta octree.Delta) {
 //alloc:zero
 func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 	p := e.cfg.P
-	m := e.cfg.Machine
 	if p == 1 || e.n == 0 {
 		for i := range e.seps {
 			e.seps[i] = InfKey
@@ -269,8 +254,7 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 		}
 		e.bPos[0] = 0
 		q := e.scanQuality(e.bPos)
-		tp := q.PredictKernel(m, e.cfg.Alpha, e.cfg.PayloadBytes)
-		return StepResult{Quality: q, Predicted: tp, Objective: e.cfg.Horizon * tp, Kept: warm}
+		return StepResult{Quality: q, Predicted: e.obj.tp(q), Objective: e.obj.j(q, 0), Kept: warm}
 	}
 
 	// Prior positions: where the current separators fall in the new mesh.
@@ -280,46 +264,39 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 	}
 
 	grain := float64(e.n) / float64(p)
-	slack := int(e.cfg.Tol * grain)
+	slack := int(e.obj.tol * grain)
 	if !warm {
 		slack = int(grain / 2)
 	}
 
 	res := StepResult{}
-	bestJ := 0.0
-	haveBest := false
+	haveBest := warm
 	if warm {
 		// Rung zero: keep the prior placement verbatim; it moves nothing.
 		q := e.scanQuality(e.aPos)
-		tp := q.PredictKernel(m, e.cfg.Alpha, e.cfg.PayloadBytes)
-		bestJ = e.cfg.Horizon * tp
-		haveBest = true
 		copy(e.bestPos, e.aPos)
-		res = StepResult{Quality: q, Predicted: tp, Objective: bestJ, Rounds: 1, Kept: true}
+		res = StepResult{Quality: q, Predicted: e.obj.tp(q), Objective: e.obj.j(q, 0), Rounds: 1, Kept: true}
 	}
 	for {
 		e.buildCandidate(slack, warm)
 		q := e.scanQuality(e.bPos)
-		tp := q.PredictKernel(m, e.cfg.Alpha, e.cfg.PayloadBytes)
 		var moved int64
 		if warm {
 			moved = movedBetween(e.aPos, e.bPos, e.n)
 		}
-		bytes := moved * int64(e.cfg.PayloadBytes)
-		j := m.PredictRepartition(e.cfg.Alpha, e.cfg.PayloadBytes, q.Wmax, q.Cmax, bytes, e.cfg.Horizon)
+		j := e.obj.j(q, moved)
 		res.Rounds++
-		if !haveBest || j < bestJ {
+		if !haveBest || j < res.Objective {
 			haveBest = true
-			bestJ = j
 			copy(e.bestPos, e.bPos)
 			res.Quality = q
-			res.Predicted = tp
+			res.Predicted = e.obj.tp(q)
 			res.MovedElements = moved
-			res.MovedBytes = bytes
-			res.MigrationCost = m.MigrationCost(bytes)
+			res.MovedBytes = moved * int64(e.obj.payload)
+			res.MigrationCost = e.obj.m.MigrationCost(res.MovedBytes)
 			res.Objective = j
 			res.Kept = false
-		} else if j > bestJ {
+		} else if j > res.Objective {
 			break // refining further costs more than it saves
 		}
 		if slack == 0 {
@@ -425,78 +402,28 @@ func (e *Repartitioner) clampPos(r int) {
 	}
 }
 
-// scanQuality is the serial Algorithm 2: one pass over the mesh under the
-// candidate positions, counting per-partition work and boundary octants
-// (an element is a boundary octant when a same-size face neighbor falls in
-// a different partition). The owner walk is monotone because the mesh is
-// in curve order; neighbor ownership is a binary search over the candidate
-// separator ranks.
+// scanQuality is the serial Algorithm 2: scanCounts and foldQuality over
+// the whole mesh under the candidate positions, whose separator ranks are
+// the cached ranks of the elements they point at.
 //
 //alloc:zero
 func (e *Repartitioner) scanQuality(pos []int) Quality {
-	curve := e.cfg.Curve
-	p := e.cfg.P
-	dim := curve.Dim
-	for i := range e.counts {
-		e.counts[i] = 0
-	}
-	for r := 1; r < p; r++ {
+	for r := 1; r < e.cfg.P; r++ {
 		if pos[r] >= e.n {
 			e.candRanks[r-1] = sfc.MaxRank128
 		} else {
 			e.candRanks[r-1] = e.ranks[pos[r]]
 		}
 	}
-	owner := 0
-	for i := 0; i < e.n; i++ {
-		for owner+1 < p && i >= pos[owner+1] {
-			owner++
-		}
-		e.counts[owner]++
-		k := e.keys[i]
-		for axis := 0; axis < dim; axis++ {
-			boundary := false
-			for side := 0; side < 2; side++ {
-				nk, ok := octree.FaceNeighbor(k, octree.Face{Axis: axis, Plus: side == 1})
-				if !ok {
-					continue
-				}
-				if sfc.UpperBound(e.candRanks, curve.Rank(nk)) != owner {
-					e.counts[p+owner]++
-					boundary = true
-					break
-				}
-			}
-			if boundary {
-				break
-			}
-		}
-	}
-	q := Quality{Wmin: int64(1) << 62, Cmin: int64(1) << 62}
-	for r := 0; r < p; r++ {
-		w, b := e.counts[r], e.counts[p+r]
-		q.N += w
-		q.Ctot += b
-		if w > q.Wmax {
-			q.Wmax = w
-		}
-		if w < q.Wmin {
-			q.Wmin = w
-		}
-		if b > q.Cmax {
-			q.Cmax = b
-		}
-		if b < q.Cmin {
-			q.Cmin = b
-		}
-	}
-	return q
+	scanCounts(e.cfg.Curve, e.keys, e.ranks, e.candRanks, e.counts)
+	return foldQuality(e.counts)
 }
 
 // movedBetween counts the elements whose owner differs between the
-// placements aPos and bPos over a mesh of n elements: n minus the overlap
-// of each rank's old and new ranges — the exact moved-element count,
-// computed from 2(p+1) integers instead of a mesh scan.
+// placements aPos and bPos (p+1 range boundaries each, as Splitters.Ranges
+// returns them) over n curve-ordered elements: n minus the overlap of each
+// rank's old and new ranges — the exact moved-element count, computed from
+// 2(p+1) integers instead of a mesh scan.
 //
 //alloc:zero
 func movedBetween(aPos, bPos []int, n int) int64 {

@@ -23,6 +23,15 @@ var InfKey = sfc.Key{X: ^uint32(0), Y: ^uint32(0), Z: ^uint32(0), Level: ^uint8(
 // IsInf reports whether k is the sentinel separator.
 func IsInf(k sfc.Key) bool { return k == InfKey }
 
+// sepRank linearizes a separator (or any key that may be the sentinel) into
+// its curve rank: infinity is after every key.
+func sepRank(curve *sfc.Curve, k sfc.Key) sfc.Rank128 {
+	if IsInf(k) {
+		return sfc.MaxRank128
+	}
+	return curve.Rank(k)
+}
+
 // Splitters defines a partition of the curve into p contiguous ranges:
 // rank 0 owns keys before Seps[0], rank r owns [Seps[r-1], Seps[r]), and
 // rank p-1 owns everything from Seps[p-2] on. Separators are octant keys —
@@ -49,11 +58,7 @@ func (s *Splitters) ranks() []sfc.Rank128 {
 	s.ranksOnce.Do(func() {
 		r := make([]sfc.Rank128, len(s.Seps))
 		for i, sep := range s.Seps {
-			if IsInf(sep) {
-				r[i] = sfc.MaxRank128 // infinity is after every key
-			} else {
-				r[i] = s.Curve.Rank(sep)
-			}
+			r[i] = sepRank(s.Curve, sep)
 		}
 		s.sepRanks = r
 	})
@@ -63,11 +68,7 @@ func (s *Splitters) ranks() []sfc.Rank128 {
 // Owner returns the partition owning key k: the number of separators at or
 // before k in curve order.
 func (s *Splitters) Owner(k sfc.Key) int {
-	kr := sfc.MaxRank128
-	if !IsInf(k) {
-		kr = s.Curve.Rank(k)
-	}
-	return sfc.UpperBound(s.ranks(), kr)
+	return sfc.UpperBound(s.ranks(), sepRank(s.Curve, k))
 }
 
 // Ranges returns the p+1 boundaries of the owner ranges within a local

@@ -454,46 +454,27 @@ func compute(req Request, curve *sfc.Curve, canon []sfc.Key, prior *partition.Sp
 	if prior != nil {
 		priorRanges = prior.Ranges(canon)
 	}
+	opts := partition.Options{
+		Curve:        curve,
+		Mode:         req.Mode, // the warm path prices rungs by J and ignores it
+		Tol:          req.Tol,
+		Machine:      req.Machine,
+		Alpha:        req.Alpha,
+		PayloadBytes: req.PayloadBytes,
+		SkipExchange: true,
+	}
 	_, err := comm.RunChecked(p, req.Machine.CostModel(), func(c *comm.Comm) error {
+		var res *partition.Result
+		var rr *partition.RepartResult // non-nil on the warm path only
 		if prior != nil {
 			local := canon[priorRanges[c.Rank()]:priorRanges[c.Rank()+1]]
-			rr := partition.Repartition(c, local, partition.RepartOptions{
-				Options: partition.Options{
-					Curve:        curve,
-					Tol:          req.Tol,
-					Machine:      req.Machine,
-					Alpha:        req.Alpha,
-					PayloadBytes: req.PayloadBytes,
-					SkipExchange: true,
-				},
-				Prior:   prior,
-				Horizon: req.Horizon,
-			})
-			if c.Rank() == 0 {
-				resp = Response{
-					Splitters:     rr.Splitters,
-					Quality:       rr.Quality,
-					Predicted:     rr.Predicted,
-					Rounds:        rr.Rounds,
-					AchievedTol:   rr.AchievedTol,
-					MovedElements: rr.MovedElements,
-					MovedBytes:    rr.MovedBytes,
-					KeptSeps:      rr.KeptSeps,
-				}
-			}
-			return nil
+			rr = partition.Repartition(c, local, partition.RepartOptions{Options: opts, Prior: prior, Horizon: req.Horizon})
+			res = &rr.Result
+		} else {
+			lo := len(canon) * c.Rank() / p
+			hi := len(canon) * (c.Rank() + 1) / p
+			res = partition.Partition(c, canon[lo:hi], opts)
 		}
-		lo := len(canon) * c.Rank() / p
-		hi := len(canon) * (c.Rank() + 1) / p
-		res := partition.Partition(c, canon[lo:hi], partition.Options{
-			Curve:        curve,
-			Mode:         req.Mode,
-			Tol:          req.Tol,
-			Machine:      req.Machine,
-			Alpha:        req.Alpha,
-			PayloadBytes: req.PayloadBytes,
-			SkipExchange: true,
-		})
 		if c.Rank() == 0 {
 			resp = Response{
 				Splitters:   res.Splitters,
@@ -501,6 +482,9 @@ func compute(req Request, curve *sfc.Curve, canon []sfc.Key, prior *partition.Sp
 				Predicted:   res.Predicted,
 				Rounds:      res.Rounds,
 				AchievedTol: res.AchievedTol,
+			}
+			if rr != nil {
+				resp.MovedElements, resp.MovedBytes, resp.KeptSeps = rr.MovedElements, rr.MovedBytes, rr.KeptSeps
 			}
 		}
 		return nil

@@ -1,8 +1,18 @@
 #!/bin/sh
 # ci.sh — the repo's gate, runnable anywhere the Go toolchain exists:
 #
-#   ./scripts/ci.sh          # vet + gofmt + full test suite under -race
-#   ./scripts/ci.sh -short   # same, with -short tests
+#   ./scripts/ci.sh          # every stage below, in order
+#   ./scripts/ci.sh -short   # same, with -short passed to the suite-wide test run
+#
+# Stages: go vet; gofmt -l; go build; optipartlint (run, then its -json
+# report parsed back); allocgate (//alloc:zero contracts, then its report);
+# go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
+# lint, and service/alloc; the benchmark spine's quick run with its exact
+# metrics compared against scripts/spine_quick_baseline.json; the repart
+# transcript at -workers 1 and GOMAXPROCS against its golden; then the
+# smokes: optipartd multi-process (kill and recover), optipartd self-healing
+# (restore), the partitioning service (in-process and over a unix socket),
+# and the chaos harness on five fixed seeds.
 #
 # The comm runtime is a shared-memory stand-in for MPI: every collective is
 # goroutines racing through a barrier, which is exactly the code the race
