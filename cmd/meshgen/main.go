@@ -17,7 +17,6 @@ import (
 	"optipart/internal/octree"
 	"optipart/internal/partition"
 	"optipart/internal/stats"
-	"optipart/internal/vis"
 )
 
 func main() {
@@ -106,7 +105,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		if err := vis.RenderSVG(f, tree.Curve, tree.Leaves, sp, vis.Options{DrawCurve: true}); err != nil {
+		if err := renderSVG(f, tree.Curve, tree.Leaves, sp, svgOptions{DrawCurve: true}); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}

@@ -1,7 +1,8 @@
-// Package vis renders 2D quadtrees, their SFC traversal, and partition
+package main
+
+// svg.go renders 2D quadtrees, their SFC traversal, and partition
 // assignments as SVG — the illustrations of Figures 1 and 2 of the paper,
 // regenerated from live data structures.
-package vis
 
 import (
 	"bufio"
@@ -18,8 +19,8 @@ var palette = []string{
 	"#ffd92f", "#e5c494", "#b3b3b3",
 }
 
-// Options controls the rendering.
-type Options struct {
+// svgOptions controls the rendering.
+type svgOptions struct {
 	// SizePx is the image edge length in pixels (default 512).
 	SizePx int
 	// DrawCurve overlays the SFC traversal polyline through cell centers.
@@ -29,12 +30,12 @@ type Options struct {
 	DrawLabels bool
 }
 
-// RenderSVG draws a 2D linear quadtree with each leaf filled by its owner's
+// renderSVG draws a 2D linear quadtree with each leaf filled by its owner's
 // color under the given splitters (pass nil splitters for a single-color
 // mesh). Leaves must be in curve order.
-func RenderSVG(w io.Writer, curve *sfc.Curve, leaves []sfc.Key, sp *partition.Splitters, opts Options) error {
+func renderSVG(w io.Writer, curve *sfc.Curve, leaves []sfc.Key, sp *partition.Splitters, opts svgOptions) error {
 	if curve.Dim != 2 {
-		return fmt.Errorf("vis: only 2D trees can be rendered, got dim %d", curve.Dim)
+		return fmt.Errorf("svg: only 2D trees can be rendered, got dim %d", curve.Dim)
 	}
 	size := opts.SizePx
 	if size <= 0 {

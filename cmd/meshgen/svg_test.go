@@ -1,4 +1,4 @@
-package vis
+package main
 
 import (
 	"bytes"
@@ -24,7 +24,7 @@ func TestRenderSVGWellFormed(t *testing.T) {
 	leaves := uniformGrid(curve, 3)
 	sp := &partition.Splitters{Curve: curve, Seps: []sfc.Key{leaves[21], leaves[43]}}
 	var buf bytes.Buffer
-	err := RenderSVG(&buf, curve, leaves, sp, Options{DrawCurve: true, DrawLabels: true})
+	err := renderSVG(&buf, curve, leaves, sp, svgOptions{DrawCurve: true, DrawLabels: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestRenderSVGAdaptive(t *testing.T) {
 	curve := sfc.NewCurve(sfc.Morton, 2)
 	leaves := octree.Complete(curve, []sfc.Key{{X: 5 << 20, Y: 9 << 20, Level: sfc.MaxLevel}}, 5)
 	var buf bytes.Buffer
-	if err := RenderSVG(&buf, curve, leaves, nil, Options{}); err != nil {
+	if err := renderSVG(&buf, curve, leaves, nil, svgOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Count(buf.String(), "<rect") != len(leaves) {
@@ -68,7 +68,7 @@ func TestRenderSVGAdaptive(t *testing.T) {
 func TestRenderSVGRejects3D(t *testing.T) {
 	curve := sfc.NewCurve(sfc.Morton, 3)
 	var buf bytes.Buffer
-	if err := RenderSVG(&buf, curve, nil, nil, Options{}); err == nil {
+	if err := renderSVG(&buf, curve, nil, nil, svgOptions{}); err == nil {
 		t.Fatal("3D tree accepted")
 	}
 }

@@ -117,7 +117,7 @@ func orderNodes(t Torus, policy Policy) []Coord {
 	// Embed the (small) torus grid into the key space: level such that
 	// 2^level covers the largest dimension.
 	level := uint8(1)
-	for (1 << level) < maxInt(t.NX, maxInt(t.NY, t.NZ)) {
+	for (1 << level) < max(t.NX, t.NY, t.NZ) {
 		level++
 	}
 	shift := uint(sfc.MaxLevel - level)
@@ -129,13 +129,6 @@ func orderNodes(t Torus, policy Policy) []Coord {
 	}
 	slices.SortFunc(coords, func(a, b Coord) int { return cmp.Compare(idx(a), idx(b)) })
 	return coords
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Alloc reserves n nodes and returns their torus coordinates, or nil if no

@@ -15,12 +15,6 @@ type Saver interface {
 	Save(*Snapshot) error
 }
 
-// Loader yields the newest usable restore point, or (nil, nil) when no
-// snapshot has been taken yet.
-type Loader interface {
-	Latest() (*Snapshot, error)
-}
-
 // Store persists snapshots as files in a directory, one per epoch
 // (ckpt-<epoch>.snap), written atomically via a temp file + rename so a
 // crash mid-write never corrupts an existing restore point. Latest scans
@@ -123,8 +117,8 @@ func (s *Store) Latest() (*Snapshot, error) {
 // encoded snapshot per epoch forever.
 const MemRetain = 8
 
-// MemStore is an in-memory Saver/Loader for tests and the in-process chaos
-// harness. It stores encoded bytes (so the codec is on the hot path exactly
+// MemStore is an in-memory Store stand-in (Save and Latest) for tests and
+// the in-process chaos harness. It stores encoded bytes (so the codec is on the hot path exactly
 // as with the file store) and tracks how many snapshot bytes restores have
 // read back, feeding the chaos experiment's restored-bytes metric. Only the
 // MemRetain most recent epochs are kept.

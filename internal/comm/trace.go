@@ -108,7 +108,7 @@ func RenderTimeline(w io.Writer, trace *Trace, p int, width int) {
 		for b := lo; b <= hi && b < width; b++ {
 			blo := float64(b) * dt
 			bhi := blo + dt
-			overlap := minF(e.End, bhi) - maxF(e.Start, blo)
+			overlap := min(e.End, bhi) - max(e.Start, blo)
 			if overlap > 0 {
 				dst[e.Rank][b] += overlap
 			}
@@ -131,18 +131,4 @@ func RenderTimeline(w io.Writer, trace *Trace, p int, width int) {
 		sb.WriteByte('|')
 		fmt.Fprintln(w, sb.String())
 	}
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,11 +1,12 @@
-// Package sim is the analytic scaling executor: it evaluates the cost model
+package experiments
+
+// analytic.go is the analytic scaling executor: it evaluates the cost model
 // of §3.1 (Eqs. (1) and (2)) at core counts far beyond what can be run as
 // goroutines, so the weak- and strong-scaling figures can reach the paper's
 // 262,144 cores. The same formulas price the collectives inside the real
 // SPMD runs (internal/comm), so small-p analytic points coincide with
-// small-p measured points by construction; a test in this package checks
-// that agreement.
-package sim
+// small-p measured points by construction; TestAnalyticMatchesMeasured
+// checks that agreement.
 
 import (
 	"math"
@@ -14,9 +15,9 @@ import (
 	"optipart/internal/psort"
 )
 
-// Breakdown is the modeled cost of one distributed TreeSort partition run,
+// breakdown is the modeled cost of one distributed TreeSort partition run,
 // split the way Figures 5 and 6 split it.
-type Breakdown struct {
+type breakdown struct {
 	P         int
 	Grain     int // elements per rank
 	LocalSort float64
@@ -25,10 +26,10 @@ type Breakdown struct {
 }
 
 // Total returns the summed runtime.
-func (b Breakdown) Total() float64 { return b.LocalSort + b.Splitter + b.Alltoall }
+func (b breakdown) Total() float64 { return b.LocalSort + b.Splitter + b.Alltoall }
 
-// Config fixes the algorithmic constants of the analytic model.
-type Config struct {
+// analyticConfig fixes the algorithmic constants of the analytic model.
+type analyticConfig struct {
 	Dim int
 	// KSplitters is the staging bound k ≤ p on splitters per reduction
 	// (§3.1: reduces the reduction from O(p·log p) to O(k·log p)). Zero
@@ -42,7 +43,7 @@ type Config struct {
 	ExtraRounds int
 }
 
-func (cfg Config) withDefaults() Config {
+func (cfg analyticConfig) withDefaults() analyticConfig {
 	if cfg.Dim == 0 {
 		cfg.Dim = 3
 	}
@@ -55,7 +56,7 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// TreeSortPartition models one distributed TreeSort partition of grain
+// treeSortPartition models one distributed TreeSort partition of grain
 // elements per rank on p ranks of machine m — Eq. (2) instantiated with the
 // constants of the implementation:
 //
@@ -63,7 +64,7 @@ func (cfg Config) withDefaults() Config {
 //
 // with the three addends reported as the local sort, splitter, and
 // all-to-all phases.
-func TreeSortPartition(m machine.Machine, p, grain int, cfg Config) Breakdown {
+func treeSortPartition(m machine.Machine, p, grain int, cfg analyticConfig) breakdown {
 	cfg = cfg.withDefaults()
 	lg := math.Ceil(math.Log2(float64(p)))
 	if p == 1 {
@@ -98,15 +99,15 @@ func TreeSortPartition(m machine.Machine, p, grain int, cfg Config) Breakdown {
 		alltoall = stages*m.Ts + m.Tw*moved + m.Tc*float64(grain*psort.KeyBytes)
 	}
 
-	return Breakdown{P: p, Grain: grain, LocalSort: localSort, Splitter: splitter, Alltoall: alltoall}
+	return breakdown{P: p, Grain: grain, LocalSort: localSort, Splitter: splitter, Alltoall: alltoall}
 }
 
-// SampleSortPartition models the Dendro SampleSort baseline at the same
+// sampleSortPartition models the Dendro SampleSort baseline at the same
 // scale: a full local sort, an all-gather of p·(p-1) samples with a sort of
 // the gathered samples, and the same exchange. Its splitter phase grows
 // with p² sample traffic, which is what lets TreeSort's staged splitters
 // win at scale in Figure 6.
-func SampleSortPartition(m machine.Machine, p, grain int, cfg Config) Breakdown {
+func sampleSortPartition(m machine.Machine, p, grain int, cfg analyticConfig) breakdown {
 	cfg = cfg.withDefaults()
 	lg := math.Ceil(math.Log2(float64(p)))
 	if p == 1 {
@@ -124,39 +125,5 @@ func SampleSortPartition(m machine.Machine, p, grain int, cfg Config) Breakdown 
 	if p > 1 {
 		alltoall = stages*m.Ts + m.Tw*moved + m.Tc*float64(grain*psort.KeyBytes)
 	}
-	return Breakdown{P: p, Grain: grain, LocalSort: localSort, Splitter: splitter, Alltoall: alltoall}
-}
-
-// StrongScaling evaluates TreeSortPartition at fixed global N across the
-// given core counts (Figure 4).
-func StrongScaling(m machine.Machine, n int, ps []int, cfg Config) []Breakdown {
-	out := make([]Breakdown, len(ps))
-	for i, p := range ps {
-		out[i] = TreeSortPartition(m, p, n/p, cfg)
-	}
-	return out
-}
-
-// WeakScaling evaluates TreeSortPartition at fixed grain across the given
-// core counts (Figure 5).
-func WeakScaling(m machine.Machine, grain int, ps []int, cfg Config) []Breakdown {
-	out := make([]Breakdown, len(ps))
-	for i, p := range ps {
-		out[i] = TreeSortPartition(m, p, grain, cfg)
-	}
-	return out
-}
-
-// Efficiency returns the parallel efficiency of a strong-scaling series
-// relative to its first point: T(p0)·p0 / (T(p)·p).
-func Efficiency(series []Breakdown) []float64 {
-	out := make([]float64, len(series))
-	if len(series) == 0 {
-		return out
-	}
-	base := series[0].Total() * float64(series[0].P)
-	for i, b := range series {
-		out[i] = base / (b.Total() * float64(b.P))
-	}
-	return out
+	return breakdown{P: p, Grain: grain, LocalSort: localSort, Splitter: splitter, Alltoall: alltoall}
 }

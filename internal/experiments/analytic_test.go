@@ -1,4 +1,4 @@
-package sim
+package experiments
 
 import (
 	"math/rand"
@@ -14,7 +14,10 @@ import (
 func TestWeakScalingShapes(t *testing.T) {
 	m := machine.Titan()
 	ps := []int{16, 256, 4096, 65536, 262144}
-	series := WeakScaling(m, 1_000_000, ps, Config{})
+	series := make([]breakdown, len(ps))
+	for i, p := range ps {
+		series[i] = treeSortPartition(m, p, 1_000_000, analyticConfig{})
+	}
 	for i := 1; i < len(series); i++ {
 		if series[i].Total() <= series[i-1].Total() {
 			t.Fatalf("weak-scaling total must grow with p: p=%d %g vs p=%d %g",
@@ -36,8 +39,17 @@ func TestWeakScalingShapes(t *testing.T) {
 func TestStrongScalingEfficiency(t *testing.T) {
 	m := machine.Titan()
 	ps := []int{16, 32, 64, 128, 256, 512, 1024}
-	series := StrongScaling(m, 16_000_000, ps, Config{})
-	eff := Efficiency(series)
+	// Efficiency relative to the series' first point, T(p0)·p0 / (T(p)·p),
+	// as fig4 tabulates it.
+	eff := make([]float64, len(ps))
+	var base float64
+	for i, p := range ps {
+		work := treeSortPartition(m, p, 16_000_000/p, analyticConfig{}).Total() * float64(p)
+		if i == 0 {
+			base = work
+		}
+		eff[i] = base / work
+	}
 	if eff[0] != 1 {
 		t.Fatalf("base efficiency %g, want 1", eff[0])
 	}
@@ -62,10 +74,10 @@ func TestSampleSortLosesAtScale(t *testing.T) {
 	m := machine.Stampede()
 	small := 64
 	large := 32768
-	tsSmall := TreeSortPartition(m, small, 1_000_000, Config{})
-	ssSmall := SampleSortPartition(m, small, 1_000_000, Config{})
-	tsLarge := TreeSortPartition(m, large, 1_000_000, Config{})
-	ssLarge := SampleSortPartition(m, large, 1_000_000, Config{})
+	tsSmall := treeSortPartition(m, small, 1_000_000, analyticConfig{})
+	ssSmall := sampleSortPartition(m, small, 1_000_000, analyticConfig{})
+	tsLarge := treeSortPartition(m, large, 1_000_000, analyticConfig{})
+	ssLarge := sampleSortPartition(m, large, 1_000_000, analyticConfig{})
 	if tsLarge.Splitter >= ssLarge.Splitter {
 		t.Fatalf("TreeSort splitter %g should beat SampleSort %g at p=%d",
 			tsLarge.Splitter, ssLarge.Splitter, large)
@@ -80,8 +92,8 @@ func TestSampleSortLosesAtScale(t *testing.T) {
 
 func TestKSplittersReducesSplitterCost(t *testing.T) {
 	m := machine.Titan()
-	full := TreeSortPartition(m, 262144, 1_000_000, Config{KSplitters: -1})
-	staged := TreeSortPartition(m, 262144, 1_000_000, Config{KSplitters: 4096})
+	full := treeSortPartition(m, 262144, 1_000_000, analyticConfig{KSplitters: -1})
+	staged := treeSortPartition(m, 262144, 1_000_000, analyticConfig{KSplitters: 4096})
 	if staged.Splitter >= full.Splitter {
 		t.Fatalf("k-staging should cut splitter cost: %g vs %g", staged.Splitter, full.Splitter)
 	}
@@ -107,7 +119,7 @@ func TestAnalyticMatchesMeasured(t *testing.T) {
 			})
 		})
 		measured := st.Time()
-		predicted := TreeSortPartition(m, p, grain, Config{}).Total()
+		predicted := treeSortPartition(m, p, grain, analyticConfig{}).Total()
 		ratio := measured / predicted
 		if ratio < 0.2 || ratio > 5 {
 			t.Fatalf("p=%d: analytic %g s vs measured %g s (ratio %g) — model out of calibration",

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"optipart/internal/octree"
 	"optipart/internal/sfc"
@@ -44,7 +45,7 @@ func fig2(cfg Config) error {
 			loads[r] = len(part)
 			s += interPartitionBoundary(curve, part, 4)
 		}
-		lambda := float64(maxOf(loads)) / float64(minOf(loads))
+		lambda := float64(slices.Max(loads)) / float64(slices.Min(loads))
 		table.Add(level, n, fmt.Sprintf("%v", loads), lambda, s)
 		if level > 1 {
 			if lambda > prevLambda {
@@ -86,24 +87,4 @@ func interPartitionBoundary(curve *sfc.Curve, part []sfc.Key, depth uint8) uint6
 		}
 	}
 	return s
-}
-
-func maxOf(a []int) int {
-	m := a[0]
-	for _, v := range a {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-func minOf(a []int) int {
-	m := a[0]
-	for _, v := range a {
-		if v < m {
-			m = v
-		}
-	}
-	return m
 }

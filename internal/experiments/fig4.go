@@ -10,7 +10,6 @@ import (
 	"optipart/internal/partition"
 	"optipart/internal/psort"
 	"optipart/internal/sfc"
-	"optipart/internal/sim"
 	"optipart/internal/stats"
 )
 
@@ -30,7 +29,7 @@ func sampleSortRun(c *comm.Comm, curve *sfc.Curve, local []sfc.Key) {
 
 // measurePartition runs the real SPMD partitioner once and reports its
 // modeled phase breakdown.
-func measurePartition(m machine.Machine, p, grain int, kind sfc.Kind, seed int64, sampleSortBaseline bool) sim.Breakdown {
+func measurePartition(m machine.Machine, p, grain int, kind sfc.Kind, seed int64, sampleSortBaseline bool) breakdown {
 	curve := sfc.NewCurve(kind, 3)
 	st := comm.Run(p, m.CostModel(), func(c *comm.Comm) {
 		rng := rand.New(rand.NewSource(seed + int64(c.Rank())))
@@ -43,7 +42,7 @@ func measurePartition(m machine.Machine, p, grain int, kind sfc.Kind, seed int64
 			Curve: curve, Mode: partition.EqualWork, Machine: m,
 		})
 	})
-	return sim.Breakdown{
+	return breakdown{
 		P: p, Grain: grain,
 		LocalSort: st.Phase("local sort"),
 		Splitter:  st.Phase("splitter"),
@@ -54,7 +53,7 @@ func measurePartition(m machine.Machine, p, grain int, kind sfc.Kind, seed int64
 // fig4 reproduces Figure 4: strong scaling of the partitioner with a fixed
 // problem size, for both curves, with parallel efficiencies. Small core
 // counts run for real under the Titan cost model; the paper's full range is
-// completed analytically (identical formulas, see internal/sim).
+// completed analytically (identical formulas, see analytic.go).
 func fig4(cfg Config) error {
 	paperNote(cfg,
 		"16M elements on Titan, 16-1024 cores, efficiency 98%..43%, ~25ms at 1024 cores",
@@ -84,7 +83,7 @@ func fig4(cfg Config) error {
 	// series' own first point, as in the figure.
 	var mbase float64
 	for _, p := range analytic {
-		b := sim.TreeSortPartition(machine.Titan(), p, paperN/p, sim.Config{})
+		b := treeSortPartition(machine.Titan(), p, paperN/p, analyticConfig{})
 		if mbase == 0 {
 			mbase = b.Total() * float64(p)
 		}
@@ -115,7 +114,7 @@ func fig5(cfg Config) error {
 		table.Add(p, "measured", grain, b.LocalSort+b.Splitter, b.Alltoall, b.Total())
 	}
 	for _, p := range analytic {
-		b := sim.TreeSortPartition(machine.Titan(), p, 1_000_000, sim.Config{})
+		b := treeSortPartition(machine.Titan(), p, 1_000_000, analyticConfig{})
 		table.Add(p, "model", 1_000_000, b.LocalSort+b.Splitter, b.Alltoall, b.Total())
 	}
 	table.Fprint(cfg.Out)
@@ -150,8 +149,8 @@ func fig6(cfg Config) error {
 			paperGrain = 5_000_000
 		}
 		for _, p := range analytic {
-			ts := sim.TreeSortPartition(m, p, paperGrain, sim.Config{})
-			ss := sim.SampleSortPartition(m, p, paperGrain, sim.Config{})
+			ts := treeSortPartition(m, p, paperGrain, analyticConfig{})
+			ss := sampleSortPartition(m, p, paperGrain, analyticConfig{})
 			table.Add(p, "model", "treesort", ts.LocalSort, ts.Splitter, ts.Alltoall, ts.Total())
 			table.Add(p, "model", "samplesort", ss.LocalSort, ss.Splitter, ss.Alltoall, ss.Total())
 		}

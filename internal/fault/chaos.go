@@ -98,7 +98,8 @@ type ChaosOptions struct {
 	MaxStep int
 	// Stragglers is the number of degraded ranks (distinct, always on).
 	Stragglers int
-	// MaxMult bounds straggler multipliers as in RandomOptions.
+	// MaxMult bounds straggler multipliers in [1, MaxMult]; values <= 1
+	// mean 4x, a typical thermally-throttled core.
 	MaxMult float64
 	// Loss, when non-empty, adds an unreliable network under every attempt.
 	Loss LossFlags

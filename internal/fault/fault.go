@@ -139,46 +139,6 @@ func Run(p int, model comm.CostModel, plan *Plan, f func(c *comm.Comm) error) (*
 	return comm.RunCheckedOpts(p, model, opts, f)
 }
 
-// RandomOptions bounds the random plan generator.
-type RandomOptions struct {
-	// Kills is the number of rank deaths to schedule (on distinct ranks).
-	Kills int
-	// MaxCollective bounds each kill's AtCollective in [0, MaxCollective).
-	MaxCollective int
-	// Stragglers is the number of degraded ranks to schedule (distinct).
-	Stragglers int
-	// MaxMult bounds straggler multipliers in [1, MaxMult]; values <= 1
-	// mean 4x, a typical thermally-throttled core.
-	MaxMult float64
-}
-
-// RandomPlan draws a deterministic plan for a p-rank world from the seed:
-// the same (seed, p, opts) always yields the same plan, so an entire fault
-// campaign replays exactly.
-func RandomPlan(seed int64, p int, opts RandomOptions) *Plan {
-	rng := rand.New(rand.NewSource(seed))
-	maxMult := opts.MaxMult
-	if maxMult <= 1 {
-		maxMult = 4
-	}
-	maxColl := opts.MaxCollective
-	if maxColl < 1 {
-		maxColl = 1
-	}
-	plan := &Plan{}
-	for _, r := range pick(rng, p, opts.Kills) {
-		plan.Kills = append(plan.Kills, Kill{Rank: r, AtCollective: rng.Intn(maxColl)})
-	}
-	for _, r := range pick(rng, p, opts.Stragglers) {
-		plan.Stragglers = append(plan.Stragglers, Straggler{
-			Rank:   r,
-			TcMult: 1 + rng.Float64()*(maxMult-1),
-			TwMult: 1 + rng.Float64()*(maxMult-1),
-		})
-	}
-	return plan
-}
-
 // pick draws n distinct ranks from [0, p).
 func pick(rng *rand.Rand, p, n int) []int {
 	if n > p {

@@ -132,37 +132,6 @@ func TestKillPastEndIsNoop(t *testing.T) {
 	}
 }
 
-func TestRandomPlanDeterministic(t *testing.T) {
-	opts := RandomOptions{Kills: 2, MaxCollective: 9, Stragglers: 3, MaxMult: 6}
-	a := RandomPlan(42, 16, opts)
-	b := RandomPlan(42, 16, opts)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different plans:\n%+v\n%+v", a, b)
-	}
-	c := RandomPlan(43, 16, opts)
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical plans")
-	}
-	if len(a.Kills) != 2 || len(a.Stragglers) != 3 {
-		t.Fatalf("plan shape wrong: %+v", a)
-	}
-	seen := map[int]bool{}
-	for _, k := range a.Kills {
-		if seen[k.Rank] {
-			t.Fatalf("duplicate kill rank in %+v", a.Kills)
-		}
-		seen[k.Rank] = true
-		if k.AtCollective < 0 || k.AtCollective >= 9 {
-			t.Fatalf("kill step out of range: %+v", k)
-		}
-	}
-	for _, s := range a.Stragglers {
-		if s.TcMult < 1 || s.TcMult > 6 || s.TwMult < 1 || s.TwMult > 6 {
-			t.Fatalf("straggler multiplier out of range: %+v", s)
-		}
-	}
-}
-
 // TestStragglerSlowsOnlyItsOwnCompute: TcMult stretches only the degraded
 // rank's local charges; other ranks' compute-phase clocks are untouched.
 func TestStragglerSlowsOnlyItsOwnCompute(t *testing.T) {

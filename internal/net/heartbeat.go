@@ -1,6 +1,7 @@
 package net
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -70,7 +71,7 @@ func (m *Monitor) Expired(now time.Time) []int {
 		m.dead[rank] = true
 		delete(m.lastSeen, rank)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -89,12 +90,4 @@ func (m *Monitor) Dead(rank int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.dead[rank]
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -142,31 +142,43 @@ func DecodeFrame(buf []byte) (*Frame, error) {
 	return f, nil
 }
 
+// parseFrameHeader is the one place a frame header is checked: magic,
+// version, type range, and the two declared lengths against their caps.
+// hdr must hold at least headerLen bytes. It returns the frame with its
+// fixed fields filled and the lengths of the op and payload that follow.
+func parseFrameHeader(hdr []byte) (f Frame, opLen, payLen int, err error) {
+	if string(hdr[0:4]) != frameMagic {
+		return f, 0, 0, ErrFrameMagic
+	}
+	if hdr[4] != frameVersion {
+		return f, 0, 0, fmt.Errorf("%w: %d", ErrFrameVersion, hdr[4])
+	}
+	f.Type = hdr[5]
+	if f.Type < fHello || f.Type > fShutdown {
+		return f, 0, 0, fmt.Errorf("%w: %d", ErrFrameType, f.Type)
+	}
+	opLen = int(binary.BigEndian.Uint16(hdr[6:8]))
+	f.Src = int32(binary.BigEndian.Uint32(hdr[8:12]))
+	f.Seq = binary.BigEndian.Uint64(hdr[12:20])
+	payLen = int(binary.BigEndian.Uint32(hdr[20:24]))
+	if opLen > MaxFrameOp {
+		return f, 0, 0, fmt.Errorf("%w: op %d bytes", ErrFrameOversize, opLen)
+	}
+	if payLen > MaxFramePayload {
+		return f, 0, 0, fmt.Errorf("%w: payload %d bytes", ErrFrameOversize, payLen)
+	}
+	return f, opLen, payLen, nil
+}
+
 // decodeFramePrefix decodes one frame from the front of buf, returning the
 // frame and the number of bytes it occupied.
 func decodeFramePrefix(buf []byte) (*Frame, int, error) {
 	if len(buf) < headerLen {
 		return nil, 0, fmt.Errorf("%w: %d header bytes", ErrFrameShort, len(buf))
 	}
-	if string(buf[0:4]) != frameMagic {
-		return nil, 0, ErrFrameMagic
-	}
-	if buf[4] != frameVersion {
-		return nil, 0, fmt.Errorf("%w: %d", ErrFrameVersion, buf[4])
-	}
-	ftype := buf[5]
-	if ftype < fHello || ftype > fShutdown {
-		return nil, 0, fmt.Errorf("%w: %d", ErrFrameType, ftype)
-	}
-	opLen := int(binary.BigEndian.Uint16(buf[6:8]))
-	src := int32(binary.BigEndian.Uint32(buf[8:12]))
-	seq := binary.BigEndian.Uint64(buf[12:20])
-	payLen := int(binary.BigEndian.Uint32(buf[20:24]))
-	if opLen > MaxFrameOp {
-		return nil, 0, fmt.Errorf("%w: op %d bytes", ErrFrameOversize, opLen)
-	}
-	if payLen > MaxFramePayload {
-		return nil, 0, fmt.Errorf("%w: payload %d bytes", ErrFrameOversize, payLen)
+	f, opLen, payLen, err := parseFrameHeader(buf)
+	if err != nil {
+		return nil, 0, err
 	}
 	total := headerLen + opLen + payLen + checksumLen
 	if len(buf) < total {
@@ -177,10 +189,9 @@ func decodeFramePrefix(buf []byte) (*Frame, int, error) {
 	if fnv1a(fnvOffset64, body) != want {
 		return nil, 0, ErrFrameChecksum
 	}
-	f := &Frame{Type: ftype, Src: src, Seq: seq}
 	f.Op = string(buf[headerLen : headerLen+opLen])
 	f.Payload = append([]byte(nil), buf[headerLen+opLen:headerLen+opLen+payLen]...)
-	return f, total, nil
+	return &f, total, nil
 }
 
 // WriteFrame encodes f and writes it to w in one call.
@@ -202,23 +213,9 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	if string(hdr[0:4]) != frameMagic {
-		return nil, ErrFrameMagic
-	}
-	if hdr[4] != frameVersion {
-		return nil, fmt.Errorf("%w: %d", ErrFrameVersion, hdr[4])
-	}
-	ftype := hdr[5]
-	if ftype < fHello || ftype > fShutdown {
-		return nil, fmt.Errorf("%w: %d", ErrFrameType, ftype)
-	}
-	opLen := int(binary.BigEndian.Uint16(hdr[6:8]))
-	payLen := int(binary.BigEndian.Uint32(hdr[20:24]))
-	if opLen > MaxFrameOp {
-		return nil, fmt.Errorf("%w: op %d bytes", ErrFrameOversize, opLen)
-	}
-	if payLen > MaxFramePayload {
-		return nil, fmt.Errorf("%w: payload %d bytes", ErrFrameOversize, payLen)
+	f, opLen, payLen, err := parseFrameHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
 	rest := make([]byte, opLen+payLen+checksumLen)
 	if _, err := io.ReadFull(r, rest); err != nil {
@@ -229,11 +226,7 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if sum != want {
 		return nil, ErrFrameChecksum
 	}
-	return &Frame{
-		Type:    ftype,
-		Src:     int32(binary.BigEndian.Uint32(hdr[8:12])),
-		Seq:     binary.BigEndian.Uint64(hdr[12:20]),
-		Op:      string(rest[:opLen]),
-		Payload: rest[opLen : opLen+payLen],
-	}, nil
+	f.Op = string(rest[:opLen])
+	f.Payload = rest[opLen : opLen+payLen]
+	return &f, nil
 }

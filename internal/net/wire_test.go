@@ -110,7 +110,10 @@ func TestDecodeFrameRejects(t *testing.T) {
 // FuzzDecodeFrame asserts the decoder's safety contract on arbitrary
 // input: it may reject, but it must never panic, never over-allocate
 // (the length caps bound every allocation), and anything it accepts must
-// re-encode to the identical bytes.
+// re-encode to the identical bytes. Production reads frames with ReadFrame,
+// so every input goes through it too: the two decoders share one header
+// parser and must agree on accept/reject (ReadFrame leaves trailing bytes
+// unread, DecodeFrame rejects them) and on the frame.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("OPTP"))
@@ -123,8 +126,16 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, err := DecodeFrame(data)
+		streamed, rerr := ReadFrame(bytes.NewReader(data))
+		if (rerr == nil) != (err == nil || errors.Is(err, ErrFrameTrailing)) {
+			t.Fatalf("decoders disagree: DecodeFrame %v, ReadFrame %v", err, rerr)
+		}
 		if err != nil {
 			return
+		}
+		if streamed.Type != frame.Type || streamed.Src != frame.Src || streamed.Seq != frame.Seq ||
+			streamed.Op != frame.Op || !bytes.Equal(streamed.Payload, frame.Payload) {
+			t.Fatalf("frames differ: DecodeFrame %+v, ReadFrame %+v", frame, streamed)
 		}
 		re, err := AppendFrame(nil, frame)
 		if err != nil {

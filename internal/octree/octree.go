@@ -39,11 +39,6 @@ func Sort(curve *sfc.Curve, keys []sfc.Key) {
 	slices.SortFunc(keys, curve.Compare)
 }
 
-// IsSorted reports whether keys are sorted along the curve.
-func IsSorted(curve *sfc.Curve, keys []sfc.Key) bool {
-	return slices.IsSortedFunc(keys, curve.Compare)
-}
-
 // Linearize sorts keys along the curve and removes duplicates and ancestors
 // (when both an ancestor and a descendant are present, the finer descendant
 // is kept). It returns the sanitized slice, which reuses the input's
@@ -148,36 +143,6 @@ func completeNode(curve *sfc.Curve, node sfc.Key, state sfc.State, seeds []sfc.K
 	if lo != len(seeds) {
 		panic(fmt.Errorf("octree: %d seeds not contained in children of %v", len(seeds)-lo, node))
 	}
-}
-
-// Coarsen replaces every complete family of 2^dim sibling leaves with their
-// parent, in a single pass. Repeated application reaches a fixed point. This
-// is the coarsening step of the bottom-up heuristic the paper improves upon
-// (Sundar et al. 2008, ref [35]).
-func Coarsen(curve *sfc.Curve, keys []sfc.Key) []sfc.Key {
-	n := curve.NumChildren()
-	out := make([]sfc.Key, 0, len(keys))
-	for i := 0; i < len(keys); {
-		k := keys[i]
-		if k.Level > 0 && i+n <= len(keys) {
-			parent := k.Parent()
-			family := true
-			for j := 0; j < n; j++ {
-				if keys[i+j].Level != k.Level || keys[i+j].Parent() != parent {
-					family = false
-					break
-				}
-			}
-			if family {
-				out = append(out, parent)
-				i += n
-				continue
-			}
-		}
-		out = append(out, k)
-		i++
-	}
-	return out
 }
 
 // FindLeaf returns the index of the leaf containing point q (a key at any

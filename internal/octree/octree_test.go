@@ -120,41 +120,6 @@ func TestCompleteNoSeedsIsRoot(t *testing.T) {
 	}
 }
 
-func TestCoarsenInvertsUniformSplit(t *testing.T) {
-	curve := sfc.NewCurve(sfc.Morton, 3)
-	// Uniform level-2 tree coarsens to level-1, then to the root.
-	var leaves []sfc.Key
-	for a := 0; a < 8; a++ {
-		for b := 0; b < 8; b++ {
-			leaves = append(leaves, sfc.RootKey.Child(a).Child(b))
-		}
-	}
-	Sort(curve, leaves)
-	l1 := Coarsen(curve, leaves)
-	if len(l1) != 8 {
-		t.Fatalf("first coarsen: %d leaves, want 8", len(l1))
-	}
-	l0 := Coarsen(curve, l1)
-	if len(l0) != 1 || l0[0] != sfc.RootKey {
-		t.Fatalf("second coarsen: %v, want [root]", l0)
-	}
-}
-
-func TestCoarsenPartialFamilyUntouched(t *testing.T) {
-	curve := sfc.NewCurve(sfc.Morton, 2)
-	leaves := []sfc.Key{
-		sfc.RootKey.Child(0), sfc.RootKey.Child(1), sfc.RootKey.Child(2),
-		sfc.RootKey.Child(3).Child(0), sfc.RootKey.Child(3).Child(1),
-		sfc.RootKey.Child(3).Child(2), sfc.RootKey.Child(3).Child(3),
-	}
-	Sort(curve, leaves)
-	out := Coarsen(curve, leaves)
-	// Only the complete level-2 family coarsens.
-	if len(out) != 4 {
-		t.Fatalf("Coarsen: %d leaves, want 4 (%v)", len(out), out)
-	}
-}
-
 func TestFindLeaf(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	curve := sfc.NewCurve(sfc.Hilbert, 3)

@@ -2,6 +2,7 @@ package octree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -87,39 +88,19 @@ func TestSurfaceAreaPanicsBelowResolution(t *testing.T) {
 	SurfaceArea(curve, cells, 1)
 }
 
-func TestCoarsenIdempotentAtFixedPoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(103))
-	curve := sfc.NewCurve(sfc.Morton, 3)
-	tree := AdaptiveMesh(rng, 60, 3, LogNormal, 6)
-	leaves := tree.Leaves
-	for i := 0; i < 40; i++ {
-		next := Coarsen(curve, leaves)
-		if len(next) == len(leaves) {
-			// Fixed point: one more application must change nothing.
-			again := Coarsen(curve, next)
-			if len(again) != len(next) {
-				t.Fatal("Coarsen not idempotent at its fixed point")
-			}
-			return
-		}
-		leaves = next
-	}
-	t.Fatal("Coarsen never reached a fixed point")
-}
-
 func TestWithCurveReorders(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	tree := AdaptiveMesh(rng, 100, 3, Normal, 6)
 	hilbert := sfc.NewCurve(sfc.Hilbert, 3)
 	ht := tree.WithCurve(hilbert)
-	if !IsSorted(hilbert, ht.Leaves) {
+	if !slices.IsSortedFunc(ht.Leaves, hilbert.Compare) {
 		t.Fatal("WithCurve output not in new curve order")
 	}
 	if ht.Len() != tree.Len() {
 		t.Fatal("WithCurve changed the leaf set size")
 	}
 	// The original is untouched.
-	if !IsSorted(tree.Curve, tree.Leaves) {
+	if !slices.IsSortedFunc(tree.Leaves, tree.Curve.Compare) {
 		t.Fatal("WithCurve disturbed the original tree")
 	}
 }

@@ -4,10 +4,9 @@
 // the way p ranks × k private pools would.
 //
 // Everything par exposes is deterministic by construction. The chunk layout
-// of For, Reduce, and PrefixSum is a pure function of (n, grain) — never of
-// the worker count or of scheduling — so disjoint chunk writes land in the
-// same places, reductions combine partials in the same fixed tree order, and
-// float results are bit-identical run-to-run and across worker counts.
+// of For and ForChunks is a pure function of (n, grain) — never of the worker
+// count or of scheduling — so disjoint chunk writes land in the same places
+// and results are bit-identical run-to-run and across worker counts.
 // Parallelism here changes host wall-clock only; the modeled machine
 // (comm.Stats bytes, messages, virtual time) is charged exactly as before.
 //
@@ -28,7 +27,7 @@ import (
 type task func()
 
 // pool is a work-stealing scheduler with workers-1 background goroutines.
-// The caller of For/Reduce/PrefixSum is always the workers-th executor, so a
+// The caller of For/ForChunks is always the workers-th executor, so a
 // pool with workers == 1 spawns no goroutines at all and every primitive
 // degenerates to its serial loop.
 type pool struct {

@@ -2,7 +2,6 @@ package par
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -97,128 +96,6 @@ func TestForChunksLayoutFixed(t *testing.T) {
 	}
 }
 
-func TestReduceIntMatchesSerialSum(t *testing.T) {
-	sizes := []int{0, 1, 23, 24, 25, 1000, 4096}
-	for _, n := range sizes {
-		src := make([]int64, n)
-		var want int64
-		for i := range src {
-			src[i] = int64(i*i - 7*i + 3)
-			want += src[i]
-		}
-		for _, w := range workerCounts() {
-			atWorkers(t, w, func() {
-				got := Reduce(n, 24, func(lo, hi int) int64 {
-					var s int64
-					for _, v := range src[lo:hi] {
-						s += v
-					}
-					return s
-				}, func(a, b int64) int64 { return a + b })
-				if got != want {
-					t.Errorf("workers=%d n=%d: Reduce = %d, want %d", w, n, got, want)
-				}
-			})
-		}
-	}
-}
-
-// TestReduceFloatBitIdentical: the fixed combine tree makes float sums
-// bit-identical across worker counts, even though float addition does not
-// associate.
-func TestReduceFloatBitIdentical(t *testing.T) {
-	const n = 5000
-	src := make([]float64, n)
-	for i := range src {
-		src[i] = math.Sin(float64(i)) * math.Exp(float64(i%13))
-	}
-	sum := func(w int) (bits uint64) {
-		atWorkers(t, w, func() {
-			got := Reduce(n, 57, func(lo, hi int) float64 {
-				var s float64
-				for _, v := range src[lo:hi] {
-					s += v
-				}
-				return s
-			}, func(a, b float64) float64 { return a + b })
-			bits = math.Float64bits(got)
-		})
-		return bits
-	}
-	want := sum(1)
-	for _, w := range workerCounts()[1:] {
-		if got := sum(w); got != want {
-			t.Errorf("workers=%d: float Reduce bits %016x, want %016x", w, got, want)
-		}
-	}
-}
-
-func TestPrefixSumIntMatchesNaive(t *testing.T) {
-	sizes := []int{0, 1, 23, 24, 25, 997, 4096}
-	for _, n := range sizes {
-		src := make([]int64, n)
-		for i := range src {
-			src[i] = int64(3*i - n)
-		}
-		naive := make([]int64, n+1)
-		for i, v := range src {
-			naive[i+1] = naive[i] + v
-		}
-		for _, w := range workerCounts() {
-			atWorkers(t, w, func() {
-				out := make([]int64, n+1)
-				PrefixSum(out, src, 24)
-				for i := range naive {
-					if out[i] != naive[i] {
-						t.Fatalf("workers=%d n=%d: out[%d] = %d, want %d", w, n, i, out[i], naive[i])
-					}
-				}
-			})
-		}
-	}
-}
-
-func TestPrefixSumFloatBitIdenticalAcrossWorkers(t *testing.T) {
-	const n = 3000
-	src := make([]float64, n)
-	for i := range src {
-		src[i] = math.Cos(float64(i)) / float64(i%17+1)
-	}
-	scan := func(w int) []uint64 {
-		bits := make([]uint64, n+1)
-		atWorkers(t, w, func() {
-			out := make([]float64, n+1)
-			PrefixSum(out, src, 64)
-			for i, v := range out {
-				bits[i] = math.Float64bits(v)
-			}
-		})
-		return bits
-	}
-	want := scan(1)
-	for _, w := range workerCounts()[1:] {
-		got := scan(w)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: prefix bits differ at %d: %016x vs %016x", w, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestPrefixSumLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no panic for mismatched out length")
-		}
-		if _, ok := r.(error); !ok {
-			t.Fatalf("panic value %v (%T) is not an error", r, r)
-		}
-	}()
-	PrefixSum(make([]int64, 5), make([]int64, 5), 8)
-}
-
 func TestSetWorkersRejectsNonPositive(t *testing.T) {
 	for _, n := range []int{0, -1} {
 		func() {
@@ -300,13 +177,15 @@ func TestConcurrentRegions(t *testing.T) {
 		done := make(chan int, ranks)
 		for r := 0; r < ranks; r++ {
 			go func(r int) {
-				results[r] = Reduce(10000, 100, func(lo, hi int) int64 {
-					var s int64
+				partial := make([]int64, NumChunks(10000, 100))
+				ForChunks(10000, 100, func(chunk, lo, hi int) {
 					for i := lo; i < hi; i++ {
-						s += int64(i)
+						partial[chunk] += int64(i)
 					}
-					return s
-				}, func(a, b int64) int64 { return a + b })
+				})
+				for _, s := range partial {
+					results[r] += s
+				}
 				done <- r
 			}(r)
 		}
@@ -319,57 +198,5 @@ func TestConcurrentRegions(t *testing.T) {
 				t.Errorf("rank %d: sum = %d, want %d", r, got, want)
 			}
 		}
-	})
-}
-
-func FuzzPrefixSumMatchesNaive(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(3), uint8(2))
-	f.Add([]byte{}, uint8(0), uint8(6))
-	f.Add([]byte{255, 0, 255, 0}, uint8(1), uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, grain, workers uint8) {
-		src := make([]int64, len(data))
-		for i, b := range data {
-			src[i] = int64(b) - 128
-		}
-		naive := make([]int64, len(src)+1)
-		for i, v := range src {
-			naive[i+1] = naive[i] + v
-		}
-		w := int(workers)%8 + 1
-		atWorkers(t, w, func() {
-			out := make([]int64, len(src)+1)
-			PrefixSum(out, src, int(grain))
-			for i := range naive {
-				if out[i] != naive[i] {
-					t.Fatalf("workers=%d grain=%d: out[%d] = %d, want %d", w, grain, i, out[i], naive[i])
-				}
-			}
-		})
-	})
-}
-
-func FuzzReduceMatchesSerial(f *testing.F) {
-	f.Add([]byte{10, 20, 30}, uint8(1), uint8(3))
-	f.Add([]byte{0}, uint8(7), uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, grain, workers uint8) {
-		src := make([]int64, len(data))
-		var want int64
-		for i, b := range data {
-			src[i] = int64(b)*3 - 100
-			want += src[i]
-		}
-		w := int(workers)%8 + 1
-		atWorkers(t, w, func() {
-			got := Reduce(len(src), int(grain), func(lo, hi int) int64 {
-				var s int64
-				for _, v := range src[lo:hi] {
-					s += v
-				}
-				return s
-			}, func(a, b int64) int64 { return a + b })
-			if got != want {
-				t.Fatalf("workers=%d grain=%d: Reduce = %d, want %d", w, grain, got, want)
-			}
-		})
 	})
 }

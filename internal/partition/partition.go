@@ -70,14 +70,6 @@ type Options struct {
 	// SkipExchange computes splitters and quality without moving the
 	// elements, for experiments that only inspect partition quality.
 	SkipExchange bool
-
-	// Weight, when non-nil, gives each element a work weight; splitter
-	// targets become r·W/p over total weight W instead of element counts.
-	// Weighted partitioning is what the coarse repartition of the
-	// bottom-up heuristic (ref [35], §3) requires. The function must be
-	// pure and safe for concurrent use: it is applied to local elements on
-	// every rank, possibly from internal/par pool workers.
-	Weight func(sfc.Key) int64
 }
 
 // Result reports the outcome of a partitioning run on one rank.
@@ -110,7 +102,7 @@ func Partition(c *comm.Comm, local []sfc.Key, opts Options) *Result {
 	psort.ChargeLocalSort(c, curve, local)
 
 	c.SetPhase("splitter")
-	sel := newSelector(c, curve, local, opts.MaxSplitters, opts.Weight)
+	sel := newSelector(c, curve, local, opts.MaxSplitters)
 	var sp *Splitters
 	var achieved float64
 	switch opts.Mode {

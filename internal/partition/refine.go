@@ -9,8 +9,8 @@ import (
 
 // parCutoff gates the parallel selector paths (below it the chunked passes
 // cost more than they save); parGrain fixes their chunk layout. Both are
-// independent of the worker count, so rank arrays and integer prefix sums
-// are identical at every pool width.
+// independent of the worker count, so rank arrays are identical at every
+// pool width.
 const (
 	parCutoff = 1 << 14
 	parGrain  = 1 << 12
@@ -34,56 +34,42 @@ type bucket struct {
 // flexible-tolerance partitioner and OptiPart. It maintains the invariant
 // that buckets tile the element sequence in curve order.
 //
-// The weight callback is evaluated exactly once per local element, at
-// construction; every later per-round range sum is a prefix-sum difference.
-// Likewise each element's curve rank is linearized once, so the per-round
-// bucket classification is a handful of binary searches over integers
-// instead of a tree-walking scan.
+// Each element's curve rank is linearized once, at construction, so the
+// per-round bucket classification is a handful of binary searches over
+// integers instead of a tree-walking scan, and a bucket's count is the
+// length of the index range the searches delimit.
 type selector struct {
 	c       *comm.Comm
 	curve   *sfc.Curve
 	local   []sfc.Key     // sorted along the curve
 	ranks   []sfc.Rank128 // ranks[i] = curve.Rank(local[i])
-	pw      []int64       // pw[i] = sum of weights of local[:i]
 	buckets []bucket
-	targets []int64 // ideal global splitter ranks r·W/p, r = 1..p-1
-	n       int64   // global work (sum of weights; element count when unweighted)
+	targets []int64 // ideal global splitter ranks r·N/p, r = 1..p-1
+	n       int64   // global element count
 	kmax    int     // max buckets refined per reduction (the paper's k ≤ p)
 	rounds  int
 	offsBuf []int // reused flat offset scratch for splitChunk
 }
 
-func newSelector(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, kmax int, weight func(sfc.Key) int64) *selector {
-	if weight == nil {
-		weight = func(sfc.Key) int64 { return 1 }
-	}
+func newSelector(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, kmax int) *selector {
 	s := &selector{c: c, curve: curve, local: local, kmax: kmax}
 	p := c.Size()
 	if s.kmax <= 0 {
 		s.kmax = p
 	}
 	s.ranks = make([]sfc.Rank128, len(local))
-	s.pw = make([]int64, len(local)+1)
 	if par.Workers() > 1 && len(local) >= parCutoff {
-		// Weight is still evaluated exactly once per element, just from pool
-		// workers (Options.Weight requires a pure function). The integer
-		// prefix sum is exact, so pw matches the serial loop bit-for-bit.
-		w := make([]int64, len(local))
 		par.For(len(local), parGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				s.ranks[i] = curve.Rank(local[i])
-				w[i] = weight(local[i])
 			}
 		})
-		par.PrefixSum(s.pw, w, parGrain)
 	} else {
 		for i, k := range local {
 			s.ranks[i] = curve.Rank(k)
-			s.pw[i+1] = s.pw[i] + weight(k)
 		}
 	}
-	localW := s.pw[len(local)]
-	s.n = comm.AllreduceScalar(c, localW, 8, comm.SumI64)
+	s.n = comm.AllreduceScalar(c, int64(len(local)), 8, comm.SumI64)
 	s.buckets = []bucket{{
 		key:   sfc.RootKey,
 		state: curve.RootState(),
@@ -232,7 +218,7 @@ func (s *selector) splitChunk(idxs []int) {
 		offs[0] = b.lo
 		j := b.lo + sfc.UpperBound(s.ranks[b.lo:b.hi], s.curve.Rank(b.key))
 		offs[1] = j
-		counts[i*per] = s.weightRange(b.lo, j)
+		counts[i*per] = int64(j - b.lo)
 		for pos := 0; pos < nch; pos++ {
 			end := b.hi
 			if pos+1 < nch {
@@ -240,7 +226,7 @@ func (s *selector) splitChunk(idxs []int) {
 				end = j + sfc.LowerBound(s.ranks[j:b.hi], s.curve.Rank(nextChild))
 			}
 			offs[2+pos] = end
-			counts[i*per+1+pos] = s.weightRange(j, end)
+			counts[i*per+1+pos] = int64(end - j)
 			j = end
 		}
 	}
@@ -305,13 +291,6 @@ func (s *selector) splitChunk(idxs []int) {
 		next = append(next, s.buckets[bi])
 	}
 	s.buckets = next
-}
-
-// weightRange sums the weights of local elements in [lo, hi) as a prefix-sum
-// difference; the weight callback itself ran once per element at
-// construction.
-func (s *selector) weightRange(lo, hi int) int64 {
-	return s.pw[hi] - s.pw[lo]
 }
 
 // snap fixes every target at its nearest available boundary and returns the

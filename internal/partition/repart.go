@@ -75,7 +75,7 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 		panic(fmt.Errorf("partition: prior placement has %d partitions, world has %d", prior.P(), p))
 	}
 
-	sel := newSelector(c, curve, local, opts.MaxSplitters, opts.Weight)
+	sel := newSelector(c, curve, local, opts.MaxSplitters)
 
 	// Rung zero: keep the prior placement verbatim. Its quality is the
 	// baseline objective; it moves nothing.
@@ -153,7 +153,7 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	// competes on J against both the kept prior and the violated-only
 	// merges above, so a re-aim is adopted only when its movement pays for
 	// itself within the horizon.
-	walk := newSelector(c, curve, local, opts.MaxSplitters, opts.Weight)
+	walk := newSelector(c, curve, local, opts.MaxSplitters)
 	walkT := math.Inf(1)
 	walk.descend(func(cand *Splitters, q Quality) bool {
 		if q.emptiesRank(p) {

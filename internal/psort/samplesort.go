@@ -121,20 +121,3 @@ func searchKeys(curve *sfc.Curve, keys []sfc.Key, target sfc.Rank128) int {
 	})
 	return i
 }
-
-// rankKeys linearizes every key; keys[i]'s curve position is out[i].
-func rankKeys(curve *sfc.Curve, keys []sfc.Key) []sfc.Rank128 {
-	out := make([]sfc.Rank128, len(keys))
-	if parallelOK(len(keys)) {
-		par.For(len(keys), rankGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = curve.Rank(keys[i])
-			}
-		})
-		return out
-	}
-	for i, k := range keys {
-		out[i] = curve.Rank(k)
-	}
-	return out
-}

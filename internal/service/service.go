@@ -399,6 +399,13 @@ func validate(req *Request) error {
 	if req.Horizon < 0 {
 		return fmt.Errorf("service: horizon %g < 0", req.Horizon)
 	}
+	// Keys arrive from outside the process (ServeConn): an out-of-range
+	// level or anchor would otherwise reach the curve's shifts and panic.
+	for i, k := range req.Keys {
+		if !k.Valid(req.Dim) {
+			return fmt.Errorf("service: key %d (%v) is not a valid dim-%d octant", i, k, req.Dim)
+		}
+	}
 	return nil
 }
 

@@ -1,7 +1,11 @@
 package service
 
 import (
+	"encoding/gob"
+	"fmt"
 	"math/rand"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -621,5 +625,84 @@ func TestWirePriorRoundTrip(t *testing.T) {
 	}
 	if back.Prior != req.Prior || back.Horizon != req.Horizon {
 		t.Fatalf("round trip changed the prior: %+v", back)
+	}
+}
+
+// TestServiceRejectsInvalidKeys: a key a client can put on the wire that is
+// not an octant of the 30-level grid is an error naming its index, never a
+// panic, and the request leaves no trace in the counters or the cache.
+// Before validate checked keys, a level past MaxLevel (255 is
+// partition.InfKey's) panicked canonicalize with a negative shift and the
+// other cases were partitioned silently.
+func TestServiceRejectsInvalidKeys(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	for _, tc := range []struct {
+		name string
+		dim  int
+		key  sfc.Key
+	}{
+		{"level 31", 3, sfc.Key{Level: 31}},
+		{"level 255", 3, sfc.Key{Level: 255}},
+		{"InfKey", 3, partition.InfKey},
+		{"unaligned anchor", 3, sfc.Key{X: 1, Level: 4}},
+		{"coordinate past the grid", 3, sfc.Key{Y: 1 << sfc.MaxLevel, Level: 0}},
+		{"Z set at dim 2", 2, sfc.Key{Z: 1 << 29, Level: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			keys := octree.RandomKeys(rand.New(rand.NewSource(3)), 20, tc.dim, octree.Normal, 2, 10)
+			const bad = 7
+			keys[bad] = tc.key
+			req := baseRequest(keys)
+			req.Dim = tc.dim
+			before := s.Metrics()
+			_, _, err := s.Do(req)
+			if err == nil {
+				t.Fatalf("Do accepted key %v at dim %d", tc.key, tc.dim)
+			}
+			if want := fmt.Sprintf("key %d ", bad); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name the bad index (%q)", err, want)
+			}
+			if after := s.Metrics(); after != before {
+				t.Errorf("rejected request moved the metrics: %+v -> %+v", before, after)
+			}
+		})
+	}
+}
+
+// TestServeConnSurvivesInvalidKey: over the wire the same request comes
+// back as WireResponse.Err and the connection (and with it the daemon's
+// per-connection goroutine) keeps serving.
+func TestServeConnSurvivesInvalidKey(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	client, server := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- ServeConn(s, server) }()
+	enc, dec := gob.NewEncoder(client), gob.NewDecoder(client)
+
+	roundTrip := func(req Request) WireResponse {
+		t.Helper()
+		wr := FromRequest(req)
+		if err := enc.Encode(&wr); err != nil {
+			t.Fatal(err)
+		}
+		var resp WireResponse
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	good := testKeys(71, 200)
+	bad := append([]sfc.Key{partition.InfKey}, good...)
+	if resp := roundTrip(baseRequest(bad)); !strings.Contains(resp.Err, "key 0 ") {
+		t.Fatalf("invalid key over the wire: Err = %q, want it to name key 0", resp.Err)
+	}
+	if resp := roundTrip(baseRequest(good)); resp.Err != "" || len(resp.Seps) != 3 {
+		t.Fatalf("valid request after a rejected one: %+v", resp)
+	}
+	client.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("ServeConn: %v", err)
 	}
 }

@@ -189,16 +189,6 @@ func (c *Curve) buildHilbertTables() {
 // gray returns the Gray code of i.
 func gray(i uint32) uint32 { return i ^ i>>1 }
 
-// grayInverse returns the i with gray(i) == g (g < 2^32).
-func grayInverse(g uint32) uint32 {
-	g ^= g >> 16
-	g ^= g >> 8
-	g ^= g >> 4
-	g ^= g >> 2
-	g ^= g >> 1
-	return g
-}
-
 // trailingOnes returns the number of trailing set bits of i.
 func trailingOnes(i uint32) uint32 {
 	var n uint32
@@ -229,15 +219,6 @@ func direction(i uint32, n uint) uint32 {
 	}
 }
 
-// rotr rotates the low n bits of b right by r.
-func rotr(b, r uint32, n uint) uint32 {
-	r %= uint32(n)
-	if r == 0 {
-		return b & (1<<n - 1)
-	}
-	return (b>>r | b<<(uint32(n)-r)) & (1<<n - 1)
-}
-
 // rotl rotates the low n bits of b left by r.
 func rotl(b, r uint32, n uint) uint32 {
 	r %= uint32(n)
@@ -245,12 +226,6 @@ func rotl(b, r uint32, n uint) uint32 {
 		return b & (1<<n - 1)
 	}
 	return (b<<r | b>>(uint32(n)-r)) & (1<<n - 1)
-}
-
-// t transforms a child label from node coordinates into the canonical curve
-// frame: T_{e,d}(b) = rotr(b ^ e, d+1).
-func t(b, e, d uint32, n uint) uint32 {
-	return rotr(b^e, d+1, n)
 }
 
 // tInverse transforms a canonical-frame label back into node coordinates:

@@ -41,17 +41,13 @@ func (k Key) Valid(dim int) bool {
 	if k.Level > MaxLevel {
 		return false
 	}
-	mask := lowMask(MaxLevel - int(k.Level))
-	if k.X&mask != 0 || k.Y&mask != 0 || k.Z&mask != 0 {
+	// One mask covers both conditions: the bits below the level grid and
+	// the bits at or above 2^MaxLevel must all be zero.
+	mask := lowMask(MaxLevel-int(k.Level)) | ^lowMask(MaxLevel)
+	if (k.X|k.Y|k.Z)&mask != 0 {
 		return false
 	}
-	if k.X >= 1<<MaxLevel || k.Y >= 1<<MaxLevel || k.Z >= 1<<MaxLevel {
-		return false
-	}
-	if dim == 2 && k.Z != 0 {
-		return false
-	}
-	return true
+	return dim != 2 || k.Z == 0
 }
 
 // Size returns the edge length of the key's region in grid units.
