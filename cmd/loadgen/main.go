@@ -47,6 +47,9 @@ import (
 	"time"
 
 	"optipart"
+	"optipart/internal/machine"
+	wnet "optipart/internal/net"
+	"optipart/internal/partition"
 )
 
 func main() {
@@ -60,7 +63,7 @@ func main() {
 		octrees  = flag.Int("octrees", 8, "distinct octrees in the hit-mix pool")
 		ranks    = flag.Int("ranks", 8, "partitions per request")
 		slots    = flag.Int("slots", 2, "in-process service: admission slots")
-		machine  = flag.String("machine", "Clemson-32", "machine model: Titan, Stampede, Clemson-32, Wisconsin-8")
+		mname    = flag.String("machine", "Clemson-32", "machine model: Titan, Stampede, Clemson-32, Wisconsin-8")
 		mode     = flag.String("mode", "optipart", "partitioning mode: equal, flexible, optipart")
 		tol      = flag.Float64("tol", 0.3, "tolerance for -mode flexible")
 		seed     = flag.Int64("seed", 1, "octree generation seed")
@@ -71,7 +74,7 @@ func main() {
 	if err := validateFlags(*rate, *duration, *n, *octrees, *ranks, *slots, *tenants); err != nil {
 		fatal(err)
 	}
-	m, pmode, err := parseModel(*machine, *mode)
+	m, pmode, err := parseModel(*mname, *mode)
 	if err != nil {
 		fatal(err)
 	}
@@ -174,11 +177,11 @@ type wireClient struct {
 }
 
 func dialWire(endpoint string) (*wireClient, error) {
-	scheme, addr, ok := strings.Cut(endpoint, ":")
-	if !ok || (scheme != "unix" && scheme != "tcp") {
-		return nil, fmt.Errorf("endpoint %q: want unix:/path.sock or tcp:host:port", endpoint)
+	network, addr, err := wnet.SplitEndpoint(endpoint)
+	if err != nil {
+		return nil, err
 	}
-	conn, err := net.Dial(scheme, addr)
+	conn, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -427,26 +430,14 @@ func parseConcs(s string) ([]int, error) {
 	return out, nil
 }
 
+// parseModel resolves -machine and -mode through their types' one parsers.
 func parseModel(machineName, modeName string) (optipart.Machine, optipart.Mode, error) {
-	var m optipart.Machine
-	found := false
-	for _, cand := range []optipart.Machine{optipart.Titan(), optipart.Stampede(), optipart.Clemson32(), optipart.Wisconsin8()} {
-		if strings.EqualFold(cand.Name, machineName) {
-			m, found = cand, true
-		}
+	m, err := machine.ByName(machineName)
+	if err != nil {
+		return m, 0, err
 	}
-	if !found {
-		return m, 0, fmt.Errorf("unknown machine %q", machineName)
-	}
-	switch strings.ToLower(modeName) {
-	case "equal":
-		return m, optipart.EqualWork, nil
-	case "flexible":
-		return m, optipart.FlexibleTolerance, nil
-	case "optipart":
-		return m, optipart.ModelDriven, nil
-	}
-	return m, 0, fmt.Errorf("unknown mode %q", modeName)
+	pmode, err := partition.ParseMode(modeName)
+	return m, pmode, err
 }
 
 func fatal(err error) {

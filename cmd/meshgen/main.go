@@ -11,11 +11,11 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 
 	"optipart"
 	"optipart/internal/octree"
 	"optipart/internal/partition"
+	"optipart/internal/sfc"
 	"optipart/internal/stats"
 )
 
@@ -33,21 +33,10 @@ func main() {
 	)
 	flag.Parse()
 
-	var d optipart.Distribution
-	switch strings.ToLower(*dist) {
-	case "uniform":
-		d = optipart.Uniform
-	case "normal":
-		d = optipart.Normal
-	case "lognormal":
-		d = optipart.LogNormal
-	default:
-		fmt.Fprintf(os.Stderr, "error: unknown distribution %q\n", *dist)
+	kind, d, err := parseNames(*curveN, *dist)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
-	}
-	kind := optipart.Hilbert
-	if strings.EqualFold(*curveN, "morton") {
-		kind = optipart.Morton
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -111,4 +100,15 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *svgOut)
 	}
+}
+
+// parseNames resolves the -curve and -dist flags through their types' one
+// parsers.
+func parseNames(curveName, distName string) (optipart.CurveKind, optipart.Distribution, error) {
+	kind, err := sfc.ParseKind(curveName)
+	if err != nil {
+		return 0, 0, err
+	}
+	d, err := octree.ParseDistribution(distName)
+	return kind, d, err
 }

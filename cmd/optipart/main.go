@@ -39,6 +39,10 @@ import (
 	"optipart"
 	"optipart/internal/comm"
 	"optipart/internal/fault"
+	"optipart/internal/machine"
+	"optipart/internal/octree"
+	"optipart/internal/partition"
+	"optipart/internal/sfc"
 	"optipart/internal/stats"
 )
 
@@ -46,7 +50,7 @@ func main() {
 	var (
 		p        = flag.Int("p", 32, "number of ranks")
 		n        = flag.Int("n", 100000, "total number of elements")
-		machine  = flag.String("machine", "Clemson-32", "machine model: Titan, Stampede, Clemson-32, Wisconsin-8")
+		mname    = flag.String("machine", "Clemson-32", "machine model: Titan, Stampede, Clemson-32, Wisconsin-8")
 		curveArg = flag.String("curve", "hilbert", "space-filling curve: morton or hilbert")
 		mode     = flag.String("mode", "optipart", "partitioning mode: equal, flexible, optipart")
 		tol      = flag.Float64("tol", 0.3, "tolerance for -mode flexible and the incremental keep window of -repart-steps")
@@ -70,37 +74,11 @@ func main() {
 	}
 	optipart.SetWorkers(*workers)
 
-	m, err := machineByName(*machine)
+	m, kind, pmode, d, err := parseNames(*mname, *curveArg, *mode, *dist)
 	if err != nil {
 		fatal(err)
 	}
-	kind := optipart.Hilbert
-	if strings.EqualFold(*curveArg, "morton") {
-		kind = optipart.Morton
-	}
 	curve := optipart.NewCurve(kind, 3)
-	var pmode optipart.Mode
-	switch strings.ToLower(*mode) {
-	case "equal":
-		pmode = optipart.EqualWork
-	case "flexible":
-		pmode = optipart.FlexibleTolerance
-	case "optipart":
-		pmode = optipart.ModelDriven
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
-	}
-	var d optipart.Distribution
-	switch strings.ToLower(*dist) {
-	case "uniform":
-		d = optipart.Uniform
-	case "normal":
-		d = optipart.Normal
-	case "lognormal":
-		d = optipart.LogNormal
-	default:
-		fatal(fmt.Errorf("unknown distribution %q", *dist))
-	}
 
 	if *rsteps < 0 {
 		fatal(fmt.Errorf("-repart-steps %d: must be >= 0", *rsteps))
@@ -342,13 +320,22 @@ func splitRankAt(s string) (rank int, rest string, err error) {
 	return rank, s[i+1:], err
 }
 
-func machineByName(name string) (optipart.Machine, error) {
-	for _, m := range []optipart.Machine{optipart.Titan(), optipart.Stampede(), optipart.Clemson32(), optipart.Wisconsin8()} {
-		if strings.EqualFold(m.Name, name) {
-			return m, nil
-		}
+// parseNames resolves the name flags, each through its type's one parser.
+func parseNames(machineName, curveName, modeName, distName string) (optipart.Machine, optipart.CurveKind, optipart.Mode, optipart.Distribution, error) {
+	m, err := machine.ByName(machineName)
+	if err != nil {
+		return m, 0, 0, 0, err
 	}
-	return optipart.Machine{}, fmt.Errorf("unknown machine %q", name)
+	kind, err := sfc.ParseKind(curveName)
+	if err != nil {
+		return m, 0, 0, 0, err
+	}
+	pmode, err := partition.ParseMode(modeName)
+	if err != nil {
+		return m, 0, 0, 0, err
+	}
+	d, err := octree.ParseDistribution(distName)
+	return m, kind, pmode, d, err
 }
 
 func fatal(err error) {

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"optipart"
 )
 
 // TestBuildPlanValid covers the shapes each flag accepts.
@@ -102,6 +104,26 @@ func TestValidateWorkers(t *testing.T) {
 		err := validateWorkers(tc.w)
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("validateWorkers(%d) = %v, want error containing %q", tc.w, err, tc.frag)
+		}
+	}
+}
+
+// TestParseNamesRejectsUnknown: every name flag goes through its type's
+// parser, so a misspelt curve is an error, not a silent Hilbert.
+func TestParseNamesRejectsUnknown(t *testing.T) {
+	if _, kind, mode, d, err := parseNames("clemson-32", "Morton", "flexible", "lognormal"); err != nil ||
+		kind != optipart.Morton || mode != optipart.FlexibleTolerance || d != optipart.LogNormal {
+		t.Fatalf("documented spellings: %v, %v, %v, %v", kind, mode, d, err)
+	}
+	cases := []struct{ machine, curve, mode, dist, frag string }{
+		{"Clemson-32", "hilbrt", "optipart", "normal", "unknown curve"},
+		{"Cray", "hilbert", "optipart", "normal", "unknown machine"},
+		{"Clemson-32", "hilbert", "greedy", "normal", "unknown mode"},
+		{"Clemson-32", "hilbert", "optipart", "cauchy", "unknown distribution"},
+	}
+	for _, tc := range cases {
+		if _, _, _, _, err := parseNames(tc.machine, tc.curve, tc.mode, tc.dist); err == nil || !strings.Contains(err.Error(), tc.frag) {
+			t.Errorf("parseNames(%q, %q, %q, %q) = %v, want error containing %q", tc.machine, tc.curve, tc.mode, tc.dist, err, tc.frag)
 		}
 	}
 }

@@ -11,6 +11,9 @@
 //	optipartd -launch -p 4 -kill 2@3                   # driver: full demo
 //	optipartd -serve unix:/tmp/svc.sock -slots 2       # partition service
 //
+// Every endpoint is unix:/path.sock or tcp:host:port, parsed by one
+// grammar; tcp::port binds or dials loopback, never every interface.
+//
 // -serve runs the long-lived partitioning service (see internal/service):
 // clients connect and exchange gob WireRequest/WireResponse pairs; the
 // service canonicalizes and content-hashes each octree, serves repeats from
@@ -42,20 +45,19 @@
 // SIGTERM/SIGINT announces an orderly shutdown to every worker — they exit
 // 0 on the structured *ShutdownError — and the driver reaps its children
 // before exiting.
+//
+// main.go holds the flags and signal handling, rank.go the rank program
+// every process runs (root and worker modes), launch.go the two -launch
+// drivers, and serve.go the -serve daemon.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"os/exec"
 	"os/signal"
-	"path/filepath"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -167,662 +169,6 @@ func installRootSignals() {
 	}()
 }
 
-// program is the rank program every process runs: the same flags must reach
-// every rank, because the SPMD world requires identical collective
-// sequences, so the driver forwards them verbatim to the workers it spawns.
-type program struct {
-	n                                          int
-	seed                                       int64
-	machineName, curveName, modeName, distName string
-	tol, alpha                                 float64
-	steps                                      int
-}
-
-func (pr program) parse() (optipart.Machine, *optipart.Curve, optipart.Mode, optipart.Distribution, error) {
-	var zero optipart.Machine
-	m, err := machineByName(pr.machineName)
-	if err != nil {
-		return zero, nil, 0, 0, err
-	}
-	kind := optipart.Hilbert
-	switch strings.ToLower(pr.curveName) {
-	case "hilbert":
-	case "morton":
-		kind = optipart.Morton
-	default:
-		return zero, nil, 0, 0, fmt.Errorf("unknown curve %q", pr.curveName)
-	}
-	var pmode optipart.Mode
-	switch strings.ToLower(pr.modeName) {
-	case "equal":
-		pmode = optipart.EqualWork
-	case "flexible":
-		pmode = optipart.FlexibleTolerance
-	case "optipart":
-		pmode = optipart.ModelDriven
-	default:
-		return zero, nil, 0, 0, fmt.Errorf("unknown mode %q", pr.modeName)
-	}
-	var d optipart.Distribution
-	switch strings.ToLower(pr.distName) {
-	case "uniform":
-		d = optipart.Uniform
-	case "normal":
-		d = optipart.Normal
-	case "lognormal":
-		d = optipart.LogNormal
-	default:
-		return zero, nil, 0, 0, fmt.Errorf("unknown distribution %q", pr.distName)
-	}
-	if pr.n < 1 {
-		return zero, nil, 0, 0, fmt.Errorf("-n %d: need at least one element", pr.n)
-	}
-	return m, optipart.NewCurve(kind, 3), pmode, d, nil
-}
-
-// forward renders the program back into flags for a spawned worker.
-func (pr program) forward() []string {
-	return []string{
-		"-n", strconv.Itoa(pr.n),
-		"-seed", strconv.FormatInt(pr.seed, 10),
-		"-machine", pr.machineName,
-		"-curve", pr.curveName,
-		"-mode", pr.modeName,
-		"-dist", pr.distName,
-		"-tol", strconv.FormatFloat(pr.tol, 'g', -1, 64),
-		"-alpha", strconv.FormatFloat(pr.alpha, 'g', -1, 64),
-		"-steps", strconv.Itoa(pr.steps),
-	}
-}
-
-// body builds the classic single-partition rank function for a p-rank
-// world. When out is non-nil, rank 0 stores its partition result there.
-func (pr program) body(p int, out **optipart.Result) (func(c *optipart.Comm) error, error) {
-	m, curve, pmode, d, err := pr.parse()
-	if err != nil {
-		return nil, err
-	}
-	perRank := pr.n / p
-	if perRank < 1 {
-		return nil, fmt.Errorf("-n %d spread over %d ranks leaves empty ranks", pr.n, p)
-	}
-	return func(c *optipart.Comm) error {
-		rng := rand.New(rand.NewSource(pr.seed + int64(c.Rank())))
-		local := optipart.RandomKeys(rng, perRank, 3, d, 2, 18)
-		r := optipart.Partition(c, local, optipart.Options{
-			Curve: curve, Mode: pmode, Tol: pr.tol, Machine: m, Alpha: pr.alpha,
-		})
-		if c.Rank() == 0 && out != nil {
-			*out = r
-		}
-		return nil
-	}, nil
-}
-
-// campaignOpts renders the program into checkpointed-campaign options
-// (Saver/Checkpointer are wired in by the caller that owns them).
-func (pr program) campaignOpts(p int) (optipart.CampaignOptions, error) {
-	m, curve, pmode, d, err := pr.parse()
-	if err != nil {
-		return optipart.CampaignOptions{}, err
-	}
-	perRank := pr.n / p
-	if perRank < 1 {
-		return optipart.CampaignOptions{}, fmt.Errorf("-n %d spread over %d ranks leaves empty ranks", pr.n, p)
-	}
-	return optipart.CampaignOptions{
-		Steps: pr.steps, PerRank: perRank, Seed: pr.seed,
-		Kind: curve.Kind, Dim: 3,
-		Mode: pmode, Tol: pr.tol, Machine: m, Alpha: pr.alpha,
-		Dist: d, MinLevel: 2, MaxLevel: 18,
-		Every: 1,
-	}, nil
-}
-
-// campaignBody wraps RunCampaign as a rank function; rank 0 reports the
-// final digest through digestOut when non-nil.
-func (pr program) campaignBody(copts optipart.CampaignOptions, res optipart.CampaignResume, digestOut *uint64) func(c *optipart.Comm) error {
-	return func(c *optipart.Comm) error {
-		out, err := optipart.RunCampaign(c, res, copts)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 && digestOut != nil {
-			*digestOut = out.Digest
-		}
-		return nil
-	}
-}
-
-// workerMain runs one non-root rank: dial (or rejoin, when respawned with
-// -incarnation), learn the model from the welcome, run the rank program,
-// report how the world ended.
-func workerMain(pr program, endpoint string, rank, p, hardkill int, ckptDir string, inc uint64) error {
-	if rank < 1 || rank >= p {
-		return fmt.Errorf("-rank %d out of range [1,%d) (rank 0 lives in the root process)", rank, p)
-	}
-	// Graceful drain: announce the departure so the root (and any rank
-	// waiting in a collective) observes a structured exit, not silence.
-	// Installed before the dial so a SIGTERM landing while the rendezvous
-	// is still assembling (the dial blocks until the root's welcome) also
-	// exits 0 instead of dying on the default disposition.
-	var drainMu sync.Mutex
-	var drainWk *optipart.WireWorker
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		fmt.Fprintf(os.Stderr, "optipartd: rank %d: SIGTERM, draining\n", rank)
-		drainMu.Lock()
-		if drainWk != nil {
-			drainWk.Depart(rank)
-			drainWk.Close()
-		}
-		drainMu.Unlock()
-		os.Exit(0)
-	}()
-
-	var body func(c *optipart.Comm) error
-	res := optipart.FreshCampaign()
-	var resumeSeq uint64 = optipart.ResumeNone
-	if pr.steps > 0 {
-		copts, err := pr.campaignOpts(p)
-		if err != nil {
-			return err
-		}
-		if inc > 0 {
-			// Respawned incarnation: restore from the latest snapshot; with
-			// none saved yet, replay the whole world from seq 0 (the root's
-			// replay log is complete until its first Checkpoint prune).
-			resumeSeq = 0
-			if ckptDir != "" {
-				store, err := optipart.NewSnapshotStore(ckptDir)
-				if err != nil {
-					return err
-				}
-				snap, err := store.Latest()
-				if err != nil {
-					return err
-				}
-				if snap != nil {
-					if res, err = optipart.ResumeCampaign(snap, rank); err != nil {
-						return err
-					}
-					resumeSeq = snap.Seq
-					fmt.Fprintf(os.Stderr, "optipartd: rank %d: incarnation %d restoring from epoch %d (seq %d)\n",
-						rank, inc, snap.Epoch, snap.Seq)
-				} else {
-					fmt.Fprintf(os.Stderr, "optipartd: rank %d: incarnation %d found no snapshot; replaying from the start\n", rank, inc)
-				}
-			}
-		}
-		body = pr.campaignBody(copts, res, nil)
-	} else {
-		var err error
-		body, err = pr.body(p, nil)
-		if err != nil {
-			return err
-		}
-	}
-
-	var wk *optipart.WireWorker
-	var err error
-	if inc > 0 {
-		wk, err = optipart.DialRootResume(endpoint, rank, p, resumeSeq, inc, optipart.WireOptions{})
-	} else {
-		wk, err = optipart.DialRoot(endpoint, rank, p, optipart.WireOptions{})
-	}
-	if err != nil {
-		return err
-	}
-	defer wk.Close()
-	drainMu.Lock()
-	drainWk = wk
-	drainMu.Unlock()
-
-	var opts optipart.CheckedOptions
-	if hardkill >= 0 {
-		opts.Hooks = optipart.HardKill{Rank: rank, AtCollective: hardkill}.Hooks(nil)
-	}
-	if _, err := optipart.RunRank(rank, p, wk.Model(), wk, opts, body); err != nil {
-		var se *optipart.ShutdownError
-		if errors.As(err, &se) {
-			fmt.Fprintf(os.Stderr, "optipartd: rank %d: %v; exiting cleanly\n", rank, err)
-			return nil
-		}
-		fmt.Fprintf(os.Stderr, "optipartd: rank %d: world failed: %v\n", rank, err)
-		os.Exit(2)
-	}
-	return nil
-}
-
-// rootMain hosts rank 0 against externally launched workers.
-func rootMain(pr program, endpoint string, p int, calibrate bool, policy optipart.FailurePolicy, ckptDir string) error {
-	st, res, digest, err := runRoot(rootRun{
-		pr: pr, endpoint: endpoint, p: p, calibrate: calibrate,
-		wopts: optipart.WireOptions{OnFailure: policy}, ckptDir: ckptDir,
-	})
-	if err != nil {
-		var se *optipart.ShutdownError
-		if errors.As(err, &se) {
-			fmt.Printf("root: shut down cleanly: %v\n", err)
-			return nil
-		}
-		return err
-	}
-	if pr.steps > 0 {
-		fmt.Printf("campaign: %d steps completed, digest %016x\n", pr.steps, digest)
-		printRecovery(st)
-		return nil
-	}
-	printResult(os.Stdout, pr, p, st, res)
-	return nil
-}
-
-// rootRun bundles runRoot's inputs.
-type rootRun struct {
-	pr        program
-	endpoint  string
-	p         int
-	calibrate bool
-	// spawned, when non-nil, runs after the socket exists (the driver hooks
-	// its worker launches in here).
-	spawned func()
-	wopts   optipart.WireOptions
-	ckptDir string
-}
-
-// runRoot binds the root transport, invokes spawned, waits for the world to
-// assemble, optionally calibrates, and runs rank 0 of the program (the
-// classic body, or the checkpointed campaign when -steps > 0). The returned
-// stats carry the transport's recovery accounting.
-func runRoot(rr rootRun) (*optipart.Stats, *optipart.Result, uint64, error) {
-	m, _, _, _, err := rr.pr.parse()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	rt, err := optipart.ListenRoot(rr.endpoint, rr.p, rr.wopts)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	defer rt.Close()
-	activeRoot.Store(rt)
-	defer activeRoot.Store(nil)
-	if rr.spawned != nil {
-		rr.spawned()
-	}
-	if err := rt.WaitReady(30 * time.Second); err != nil {
-		return nil, nil, 0, err
-	}
-	model := m.CostModel()
-	if rr.calibrate {
-		measured, err := rt.Calibrate(optipart.CalibrateOptions{})
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		fmt.Printf("calibrated: tc=%.3g ts=%.3g tw=%.3g (machine table: tc=%.3g ts=%.3g tw=%.3g)\n",
-			measured.Tc, measured.Ts, measured.Tw, model.Tc, model.Ts, model.Tw)
-		model = measured
-	}
-	rt.Announce(model)
-	var res *optipart.Result
-	var digest uint64
-	var body func(c *optipart.Comm) error
-	if rr.pr.steps > 0 {
-		copts, err := rr.pr.campaignOpts(rr.p)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if rr.ckptDir != "" {
-			store, err := optipart.NewSnapshotStore(rr.ckptDir)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			copts.Saver = store
-			copts.Checkpointer = rt
-		}
-		body = rr.pr.campaignBody(copts, optipart.FreshCampaign(), &digest)
-	} else {
-		body, err = rr.pr.body(rr.p, &res)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	st, err := optipart.RunRank(0, rr.p, model, rt, optipart.CheckedOptions{}, body)
-	if st != nil {
-		rec := rt.Recovery()
-		st.Recovery = &rec
-	}
-	if err != nil {
-		return st, nil, 0, err
-	}
-	rt.Drain(5 * time.Second)
-	return st, res, digest, nil
-}
-
-// driverMain demos the selected failure policy: degrade is the
-// recovery-by-repartition two-phase demo, restore is the self-healing
-// supervised campaign.
-func driverMain(pr program, p int, kill, sockDir string, deadline time.Duration, calibrate bool, policy optipart.FailurePolicy, ckptDir string) error {
-	if policy == optipart.Restore {
-		return restoreDriver(pr, p, kill, sockDir, deadline, calibrate, ckptDir)
-	}
-	if p < 3 {
-		return fmt.Errorf("-launch needs -p >= 3: one root, one victim, and at least one survivor worker")
-	}
-	victim, at := p-1, 3
-	if kill != "" {
-		var err error
-		if victim, at, err = parseKill(kill, p); err != nil {
-			return err
-		}
-	}
-	bin, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	if sockDir == "" {
-		dir, err := os.MkdirTemp("", "optipartd")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		sockDir = dir
-	}
-
-	spawn := func(endpoint string, rank, worldP, hardkill int) *exec.Cmd {
-		args := []string{
-			"-connect", endpoint,
-			"-rank", strconv.Itoa(rank),
-			"-p", strconv.Itoa(worldP),
-		}
-		args = append(args, pr.forward()...)
-		if hardkill >= 0 {
-			args = append(args, "-hardkill", strconv.Itoa(hardkill))
-		}
-		cmd := exec.Command(bin, args...)
-		cmd.Stderr = os.Stderr
-		return cmd
-	}
-
-	// Phase 1: the full world, with the victim scheduled to genuinely die.
-	fmt.Printf("phase 1: %d ranks, victim rank %d exits at its collective %d\n", p, victim, at)
-	ep1 := "unix:" + filepath.Join(sockDir, "phase1.sock")
-	var procs []*exec.Cmd
-	_, _, _, err = runRoot(rootRun{pr: pr, endpoint: ep1, p: p, calibrate: calibrate, spawned: func() {
-		for r := 1; r < p; r++ {
-			hk := -1
-			if r == victim {
-				hk = at
-			}
-			cmd := spawn(ep1, r, p, hk)
-			if serr := cmd.Start(); serr != nil && err == nil {
-				err = serr
-			}
-			procs = append(procs, cmd)
-		}
-	}})
-	for _, cmd := range procs {
-		_ = cmd.Wait() // phase 1 workers die with the world; codes logged on stderr
-	}
-	if err == nil {
-		return fmt.Errorf("phase 1 completed despite the scheduled death of rank %d", victim)
-	}
-	var se *optipart.ShutdownError
-	if errors.As(err, &se) {
-		fmt.Printf("driver: interrupted during phase 1; workers reaped\n")
-		return nil
-	}
-	var rf *optipart.RankFailure
-	if !errors.As(err, &rf) {
-		return fmt.Errorf("phase 1 failed without a structured RankFailure: %w", err)
-	}
-	if rf.Rank != victim {
-		return fmt.Errorf("phase 1 blamed rank %d, want victim %d: %w", rf.Rank, victim, err)
-	}
-	fmt.Printf("phase 1: structured failure as expected: %v\n", err)
-
-	// Phase 2: repartition the same workload onto the survivors.
-	survivors := p - 1
-	fmt.Printf("phase 2: repartitioning onto %d survivors (deadline %v)\n", survivors, deadline)
-	start := time.Now()
-	guard := time.AfterFunc(deadline, func() {
-		fmt.Fprintf(os.Stderr, "error: recovery did not complete within %v\n", deadline)
-		os.Exit(1)
-	})
-	ep2 := "unix:" + filepath.Join(sockDir, "phase2.sock")
-	procs = procs[:0]
-	var spawnErr error
-	st, res, _, err := runRoot(rootRun{pr: pr, endpoint: ep2, p: survivors, spawned: func() {
-		for r := 1; r < survivors; r++ {
-			cmd := spawn(ep2, r, survivors, -1)
-			if serr := cmd.Start(); serr != nil && spawnErr == nil {
-				spawnErr = serr
-			}
-			procs = append(procs, cmd)
-		}
-	}})
-	guard.Stop()
-	for _, cmd := range procs {
-		if werr := cmd.Wait(); werr != nil && err == nil {
-			err = fmt.Errorf("phase 2 worker: %w", werr)
-		}
-	}
-	if spawnErr != nil {
-		return spawnErr
-	}
-	if err != nil {
-		if errors.As(err, &se) {
-			fmt.Printf("driver: interrupted during phase 2; workers reaped\n")
-			return nil
-		}
-		return fmt.Errorf("recovery failed: %w", err)
-	}
-	fmt.Printf("phase 2: recovery on %d survivors completed in %v\n",
-		survivors, time.Since(start).Round(time.Millisecond))
-	fmt.Println()
-	printResult(os.Stdout, pr, survivors, st, res)
-	return nil
-}
-
-// restoreDriver is the self-healing demo: one checkpointed campaign world,
-// a victim scheduled to genuinely die mid-flight, a supervisor that
-// respawns it under a backoff budget, and a final digest that must match a
-// fault-free in-process run bit for bit.
-func restoreDriver(pr program, p int, kill, sockDir string, deadline time.Duration, calibrate bool, ckptDir string) error {
-	if p < 2 {
-		return fmt.Errorf("-launch -on-failure=restore needs -p >= 2: one root and at least one worker")
-	}
-	if pr.steps < 1 {
-		return fmt.Errorf("-on-failure=restore needs a checkpointed campaign: pass -steps >= 1")
-	}
-	victim, at := p-1, 3
-	if kill != "" {
-		var err error
-		if victim, at, err = parseKill(kill, p); err != nil {
-			return err
-		}
-	}
-	bin, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	if sockDir == "" {
-		dir, err := os.MkdirTemp("", "optipartd")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		sockDir = dir
-	}
-	if ckptDir == "" {
-		ckptDir = filepath.Join(sockDir, "ckpt")
-	}
-
-	// The fault-free golden digest, computed in-process under the same
-	// machine model: the self-healed wire campaign must reproduce it.
-	m, _, _, _, err := pr.parse()
-	if err != nil {
-		return err
-	}
-	copts, err := pr.campaignOpts(p)
-	if err != nil {
-		return err
-	}
-	var golden uint64
-	if _, err := optipart.RunChecked(p, m, func(c *optipart.Comm) error {
-		out, err := optipart.RunCampaign(c, optipart.FreshCampaign(), copts)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			golden = out.Digest
-		}
-		return nil
-	}); err != nil {
-		return fmt.Errorf("fault-free golden campaign: %w", err)
-	}
-
-	fmt.Printf("restore: %d ranks, %d steps, victim rank %d exits at its collective %d, policy restore\n",
-		p, pr.steps, victim, at)
-	ep := "unix:" + filepath.Join(sockDir, "restore.sock")
-
-	spawn := func(rank, hardkill int, inc uint64) *exec.Cmd {
-		args := []string{
-			"-connect", ep,
-			"-rank", strconv.Itoa(rank),
-			"-p", strconv.Itoa(p),
-			"-ckpt", ckptDir,
-		}
-		args = append(args, pr.forward()...)
-		if hardkill >= 0 {
-			args = append(args, "-hardkill", strconv.Itoa(hardkill))
-		}
-		if inc > 0 {
-			args = append(args, "-incarnation", strconv.FormatUint(inc, 10))
-		}
-		cmd := exec.Command(bin, args...)
-		cmd.Stderr = os.Stderr
-		return cmd
-	}
-
-	budget := &optipart.RespawnBudget{MaxRespawns: 3, Base: 100 * time.Millisecond, Max: 2 * time.Second}
-	var done atomic.Bool
-	var respawns atomic.Int64
-	var reapMu sync.Mutex
-	live := map[int]*exec.Cmd{}
-	var wg sync.WaitGroup
-
-	// watch supervises one worker process: it reaps the exit and, while the
-	// campaign is still running, respawns the rank as the next incarnation
-	// under the backoff budget.
-	var watch func(rank int, cmd *exec.Cmd, inc uint64)
-	watch = func(rank int, cmd *exec.Cmd, inc uint64) {
-		defer wg.Done()
-		werr := cmd.Wait()
-		reapMu.Lock()
-		if live[rank] == cmd {
-			delete(live, rank)
-		}
-		reapMu.Unlock()
-		if werr == nil || done.Load() || stopping.Load() {
-			return
-		}
-		status := -1
-		var ee *exec.ExitError
-		if errors.As(werr, &ee) {
-			status = ee.ExitCode()
-		}
-		delay, ok := budget.Next(rank, time.Now())
-		if !ok {
-			fmt.Fprintf(os.Stderr, "supervisor: rank %d exhausted its respawn budget; leaving it down\n", rank)
-			return
-		}
-		next := inc + 1
-		fmt.Fprintf(os.Stderr, "supervisor: rank %d exited with status %d; respawning as incarnation %d in %v\n",
-			rank, status, next, delay)
-		time.Sleep(delay)
-		if done.Load() || stopping.Load() {
-			return
-		}
-		c2 := spawn(rank, -1, next)
-		if err := c2.Start(); err != nil {
-			fmt.Fprintf(os.Stderr, "supervisor: respawn rank %d: %v\n", rank, err)
-			return
-		}
-		respawns.Add(1)
-		fmt.Printf("supervisor: respawned rank %d (incarnation %d)\n", rank, next)
-		reapMu.Lock()
-		live[rank] = c2
-		reapMu.Unlock()
-		wg.Add(1)
-		go watch(rank, c2, next)
-	}
-
-	start := time.Now()
-	guard := time.AfterFunc(deadline, func() {
-		fmt.Fprintf(os.Stderr, "error: restore did not complete within %v\n", deadline)
-		os.Exit(1)
-	})
-	var spawnErr error
-	st, _, digest, err := runRoot(rootRun{
-		pr: pr, endpoint: ep, p: p, calibrate: calibrate, ckptDir: ckptDir,
-		wopts: optipart.WireOptions{OnFailure: optipart.Restore},
-		spawned: func() {
-			for r := 1; r < p; r++ {
-				hk := -1
-				if r == victim {
-					hk = at
-				}
-				cmd := spawn(r, hk, 0)
-				if serr := cmd.Start(); serr != nil {
-					if spawnErr == nil {
-						spawnErr = serr
-					}
-					continue
-				}
-				reapMu.Lock()
-				live[r] = cmd
-				reapMu.Unlock()
-				wg.Add(1)
-				go watch(r, cmd, 0)
-			}
-		},
-	})
-	guard.Stop()
-	done.Store(true)
-	// Reap: anything still up is asked to drain, then every watcher joins.
-	reapMu.Lock()
-	for _, cmd := range live {
-		if cmd.Process != nil {
-			_ = cmd.Process.Signal(syscall.SIGTERM)
-		}
-	}
-	reapMu.Unlock()
-	wg.Wait()
-	if spawnErr != nil {
-		return spawnErr
-	}
-	if err != nil {
-		var se *optipart.ShutdownError
-		if errors.As(err, &se) {
-			fmt.Printf("driver: interrupted; workers drained and reaped\n")
-			return nil
-		}
-		return fmt.Errorf("restore campaign failed: %w", err)
-	}
-	if respawns.Load() < 1 {
-		return fmt.Errorf("restore campaign completed but the supervisor never respawned a worker (was the kill schedule reachable?)")
-	}
-	if digest != golden {
-		return fmt.Errorf("restored campaign digest %016x != fault-free golden %016x", digest, golden)
-	}
-	fmt.Printf("restore: campaign completed in %v; digest matches fault-free golden (%016x)\n",
-		time.Since(start).Round(time.Millisecond), digest)
-	printRecovery(st)
-	return nil
-}
-
 func printRecovery(st *optipart.Stats) {
 	if st == nil || st.Recovery == nil {
 		return
@@ -843,37 +189,6 @@ func printResult(w *os.File, pr program, p int, st *optipart.Stats, res *optipar
 	table.Add("Cmax (boundary octants)", res.Quality.Cmax)
 	table.Add("predicted app step (s), Eq. (3)", res.Predicted)
 	table.Fprint(w)
-}
-
-// parseKill parses the driver's -kill rank@k. Rank 0 is the driver process
-// itself, so the victim must be one of the spawned workers.
-func parseKill(s string, p int) (rank, at int, err error) {
-	i := strings.IndexByte(s, '@')
-	if i < 0 {
-		return 0, 0, fmt.Errorf("-kill %q: want rank@k", s)
-	}
-	if rank, err = strconv.Atoi(s[:i]); err != nil {
-		return 0, 0, fmt.Errorf("-kill %q: bad rank: %w", s, err)
-	}
-	if rank < 1 || rank >= p {
-		return 0, 0, fmt.Errorf("-kill %q: rank %d out of range [1,%d) (rank 0 is the driver)", s, rank, p)
-	}
-	if at, err = strconv.Atoi(s[i+1:]); err != nil {
-		return 0, 0, fmt.Errorf("-kill %q: bad collective index: %w", s, err)
-	}
-	if at < 0 {
-		return 0, 0, fmt.Errorf("-kill %q: collective index must be >= 0", s)
-	}
-	return rank, at, nil
-}
-
-func machineByName(name string) (optipart.Machine, error) {
-	for _, m := range []optipart.Machine{optipart.Titan(), optipart.Stampede(), optipart.Clemson32(), optipart.Wisconsin8()} {
-		if strings.EqualFold(m.Name, name) {
-			return m, nil
-		}
-	}
-	return optipart.Machine{}, fmt.Errorf("unknown machine %q", name)
 }
 
 func fatal(err error) {

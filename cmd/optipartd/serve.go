@@ -6,22 +6,23 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
 
 	"optipart"
+	wnet "optipart/internal/net"
 )
 
-// serveMain runs the partitioning service: bind the endpoint, accept client
+// serveMain runs the partitioning service: bind the endpoint (the wire
+// transport's grammar, so tcp::port is loopback), accept client
 // connections, and run the gob request/response loop per connection. Every
 // client shares one Service, so concurrent campaigns share its cache, its
 // singleflight groups, and its fair admission slots. SIGTERM/SIGINT drains:
 // the listener closes, in-flight requests finish, and the final cache
 // metrics go to stderr.
 func serveMain(endpoint string, slots, cacheKeys int) error {
-	network, addr, err := splitEndpoint(endpoint)
+	network, addr, err := wnet.SplitEndpoint(endpoint)
 	if err != nil {
 		return err
 	}
@@ -71,19 +72,4 @@ func serveMain(endpoint string, slots, cacheKeys int) error {
 		"optipartd: served %d requests: %d hits, %d coalesced, %d misses, %d collisions, %d evictions; cache %d entries / %d keys\n",
 		m.Requests, m.Hits, m.Coalesced, m.Misses, m.Collisions, m.Evictions, m.CachedEntries, m.CachedKeys)
 	return nil
-}
-
-// splitEndpoint parses "unix:/path.sock" or "tcp:host:port" into the
-// net.Listen network/address pair — the same endpoint grammar the wire
-// transport modes use.
-func splitEndpoint(endpoint string) (network, addr string, err error) {
-	scheme, rest, ok := strings.Cut(endpoint, ":")
-	if !ok || rest == "" {
-		return "", "", fmt.Errorf("endpoint %q: want unix:/path.sock or tcp:host:port", endpoint)
-	}
-	switch scheme {
-	case "unix", "tcp":
-		return scheme, rest, nil
-	}
-	return "", "", fmt.Errorf("endpoint %q: unknown scheme %q (want unix or tcp)", endpoint, scheme)
 }

@@ -10,22 +10,20 @@ package main
 import (
 	"fmt"
 	"math/rand"
-
-	"optipart/internal/alloc"
 )
 
 func main() {
-	torus := alloc.TitanTorus()
+	torus := TitanTorus()
 	fmt.Printf("torus %dx%dx%d (%d nodes), random job stream, three placement policies\n\n",
 		torus.NX, torus.NY, torus.NZ, torus.Nodes())
 	fmt.Printf("%-8s  %14s  %14s  %12s\n", "policy", "avg hops/job", "avg box volume", "jobs placed")
 
-	for _, policy := range []alloc.Policy{alloc.Linear, alloc.MortonOrder, alloc.HilbertOrder} {
-		a := alloc.NewAllocator(torus, policy)
+	for _, policy := range []Policy{Linear, MortonOrder, HilbertOrder} {
+		a := NewAllocator(torus, policy)
 		rng := rand.New(rand.NewSource(3))
 		var hops, vol float64
 		placed := 0
-		live := make([][]alloc.Coord, 0)
+		live := make([][]Coord, 0)
 		for step := 0; step < 400; step++ {
 			if rng.Intn(3) > 0 || len(live) == 0 {
 				size := 8 + rng.Intn(120)
@@ -34,7 +32,7 @@ func main() {
 					continue
 				}
 				hops += torus.AvgPairwiseHops(job)
-				vol += float64(alloc.BoundingVolume(job))
+				vol += float64(BoundingVolume(job))
 				placed++
 				live = append(live, job)
 			} else {

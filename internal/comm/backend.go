@@ -66,12 +66,6 @@ type StepState struct {
 	consume   func(scratch any) any
 }
 
-// Rank returns the calling rank.
-func (s *StepState) Rank() int { return s.c.rank }
-
-// Size returns the world size.
-func (s *StepState) Size() int { return s.c.w.p }
-
 // Op returns the collective's operation name.
 func (s *StepState) Op() string { return s.op }
 

@@ -311,13 +311,5 @@ func MinI64(a, b int64) int64 {
 	return b
 }
 
-// MaxF64 is the maximum reduction over float64.
-func MaxF64(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // SumF64 is the addition reduction over float64.
 func SumF64(a, b float64) float64 { return a + b }

@@ -217,9 +217,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the world.
 func (c *Comm) Size() int { return c.w.p }
 
-// Model returns the world's cost model.
-func (c *Comm) Model() CostModel { return c.w.model }
-
 // SetPhase labels subsequent virtual-time charges on this rank. Phases let
 // experiments report the paper's breakdowns (splitter / local sort /
 // all2all).

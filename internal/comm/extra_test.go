@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -129,4 +130,21 @@ func TestCollectivesAfterCollectives(t *testing.T) {
 			c.Barrier()
 		}
 	})
+}
+
+// Phases returns the set of phase names seen on any rank, sorted so the
+// result is independent of map iteration order. Only tests list phases.
+func (s *Stats) Phases() []string {
+	seen := map[string]bool{}
+	var names []string
+	for _, m := range s.PhaseTimes {
+		for name := range m {
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+			}
+		}
+	}
+	slices.Sort(names)
+	return names
 }

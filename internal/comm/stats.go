@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"slices"
-	"time"
-)
+import "time"
 
 // Stats is the accounting of one SPMD run: modeled times per rank and phase,
 // and actual communication volumes. All values are deterministic functions
@@ -86,23 +83,6 @@ func (s *Stats) Phase(name string) float64 {
 		}
 	}
 	return t
-}
-
-// Phases returns the set of phase names seen on any rank, sorted so the
-// result is independent of map iteration order.
-func (s *Stats) Phases() []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, m := range s.PhaseTimes {
-		for name := range m {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
-	}
-	slices.Sort(names)
-	return names
 }
 
 // TotalBytes returns the total bytes placed on the network by all ranks.

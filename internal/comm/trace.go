@@ -51,15 +51,6 @@ func (t *Trace) Events() []Event {
 	return out
 }
 
-// OpTotals returns the summed span length per op name, across ranks.
-func (t *Trace) OpTotals() map[string]float64 {
-	out := map[string]float64{}
-	for _, e := range t.Events() {
-		out[e.Op] += e.End - e.Start
-	}
-	return out
-}
-
 // RunTraced is Run with event recording: every compute charge and every
 // collective becomes a timeline span. Tracing costs memory proportional to
 // the number of events; use it for understanding runs, not for large

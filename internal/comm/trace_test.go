@@ -85,3 +85,13 @@ func TestRenderTimelineEmpty(t *testing.T) {
 		t.Fatal("empty trace not reported")
 	}
 }
+
+// OpTotals returns the summed span length per op name, across ranks. Only
+// tests total a trace by op.
+func (t *Trace) OpTotals() map[string]float64 {
+	out := map[string]float64{}
+	for _, e := range t.Events() {
+		out[e.Op] += e.End - e.Start
+	}
+	return out
+}

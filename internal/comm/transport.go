@@ -51,38 +51,31 @@ type NetOutcome struct {
 // order, and purity is what makes lossy runs replay bit-identically.
 type NetInjector func(src, dst int, op string, seq uint64, pkt, attempt int, bytes int64) NetOutcome
 
-// Transport defaults; see TransportOptions.
+// Reliable-delivery constants. All timing is virtual: timeouts are priced in
+// multiples of a message's modeled delivery time ts + tw·m, so the same
+// constants adapt to fast and slow machine models.
 const (
-	DefaultMTU              = 1500
-	DefaultRTOFactor        = 4.0
+	// DefaultMTU is the frame size messages are segmented into; loss applies
+	// per frame and retransmission resends only lost frames (selective
+	// repeat).
+	DefaultMTU = 1500
+	// DefaultRTOFactor sets the retransmit timeout as a multiple of the
+	// message's modeled delivery time.
+	DefaultRTOFactor = 4.0
+	// DefaultBackoffFactor multiplies the timeout after every drop-triggered
+	// retransmission, up to DefaultMaxBackoffFactor times the base RTO.
 	DefaultBackoffFactor    = 2.0
 	DefaultMaxBackoffFactor = 16.0
-	DefaultJitterFrac       = 0.1
-	DefaultMaxRetries       = 8
+	// DefaultJitterFrac adds a deterministic per-(message,attempt) jitter in
+	// [0, DefaultJitterFrac) of the current timeout to each wait,
+	// de-synchronizing retransmissions.
+	DefaultJitterFrac = 0.1
+	DefaultMaxRetries = 8
 )
 
 // TransportOptions tunes reliable delivery over an unreliable network. The
-// zero value means defaults. All timing is virtual: timeouts are priced in
-// multiples of a message's modeled delivery time ts + tw·m, so the same
-// options adapt to fast and slow machine models.
+// zero value means defaults.
 type TransportOptions struct {
-	// MTU is the frame size messages are segmented into; loss applies per
-	// frame and retransmission resends only lost frames (selective repeat).
-	// <= 0 means DefaultMTU.
-	MTU int
-	// RTOFactor sets the retransmit timeout as a multiple of the message's
-	// modeled delivery time. <= 0 means DefaultRTOFactor.
-	RTOFactor float64
-	// BackoffFactor multiplies the timeout after every drop-triggered
-	// retransmission. <= 1 means DefaultBackoffFactor.
-	BackoffFactor float64
-	// MaxBackoffFactor bounds the grown timeout as a multiple of the base
-	// RTO. <= 0 means DefaultMaxBackoffFactor.
-	MaxBackoffFactor float64
-	// JitterFrac adds a deterministic per-(message,attempt) jitter in
-	// [0, JitterFrac) of the current timeout to each wait, de-synchronizing
-	// retransmissions. 0 means DefaultJitterFrac; negative disables jitter.
-	JitterFrac float64
 	// MaxRetries caps retransmissions of one message. A message that fails
 	// MaxRetries+1 attempts escalates to a *LinkFailure. <= 0 means
 	// DefaultMaxRetries.
@@ -90,24 +83,6 @@ type TransportOptions struct {
 }
 
 func (o TransportOptions) withDefaults() TransportOptions {
-	if o.MTU <= 0 {
-		o.MTU = DefaultMTU
-	}
-	if o.RTOFactor <= 0 {
-		o.RTOFactor = DefaultRTOFactor
-	}
-	if o.BackoffFactor <= 1 {
-		o.BackoffFactor = DefaultBackoffFactor
-	}
-	if o.MaxBackoffFactor <= 0 {
-		o.MaxBackoffFactor = DefaultMaxBackoffFactor
-	}
-	switch {
-	case o.JitterFrac == 0:
-		o.JitterFrac = DefaultJitterFrac
-	case o.JitterFrac < 0:
-		o.JitterFrac = 0
-	}
 	if o.MaxRetries <= 0 {
 		o.MaxRetries = DefaultMaxRetries
 	}
@@ -213,7 +188,7 @@ func (w *World) netStep(op string) (float64, error) {
 // charged to the ranks as a side effect.
 func (w *World) deliver(op string, m *netMsg) (float64, error) {
 	opts := w.netOpts
-	mtu := int64(opts.MTU)
+	const mtu = int64(DefaultMTU)
 	idx := m.Src*w.p + m.Dst
 	seq := w.netSeq[idx]
 	w.netSeq[idx]++
@@ -231,7 +206,7 @@ func (w *World) deliver(op string, m *netMsg) (float64, error) {
 		}
 		return m.Bytes - mtu*int64(npkts-1)
 	}
-	rto := opts.RTOFactor * (w.model.Ts + w.model.Tw*float64(m.Bytes))
+	rto := DefaultRTOFactor * (w.model.Ts + w.model.Tw*float64(m.Bytes))
 	backoff := rto
 	jitterID := packet{Src: m.Src, Dst: m.Dst, Op: op, Seq: seq, Pkt: -1, Bytes: m.Bytes}
 
@@ -301,9 +276,9 @@ func (w *World) deliver(op string, m *netMsg) (float64, error) {
 		if anyDrop {
 			// Silence: the sender's retransmit timer expires after the
 			// current backoff plus deterministic jitter.
-			extra += backoff * (1 + opts.JitterFrac*unitJitter(&jitterID, attempt))
-			backoff *= opts.BackoffFactor
-			if max := rto * opts.MaxBackoffFactor; backoff > max {
+			extra += backoff * (1 + DefaultJitterFrac*unitJitter(&jitterID, attempt))
+			backoff *= DefaultBackoffFactor
+			if max := rto * DefaultMaxBackoffFactor; backoff > max {
 				backoff = max
 			}
 		} else {

@@ -259,10 +259,9 @@ func TestTransportSelectiveRepeat(t *testing.T) {
 	inj := func(src, dst int, op string, seq uint64, pkt, attempt int, bytes int64) NetOutcome {
 		return NetOutcome{Drop: seq == 0 && pkt == 1 && attempt == 0}
 	}
-	mtu := 100
-	vals := make([]int64, 60) // 480 bytes = 5 frames of 100B MTU
-	st, err := RunCheckedOpts(p, transportModel,
-		CheckedOptions{Net: inj, Transport: TransportOptions{MTU: mtu}},
+	const mtu = DefaultMTU
+	vals := make([]int64, 5*mtu/8) // 5 full frames
+	st, err := RunCheckedOpts(p, transportModel, CheckedOptions{Net: inj},
 		func(c *Comm) error {
 			Allreduce(c, vals, 8, SumI64)
 			return nil
@@ -270,7 +269,7 @@ func TestTransportSelectiveRepeat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
-	// Each rank's seq-0 message to its partner lost one 100-byte frame.
+	// Each rank's seq-0 message to its partner lost one full frame.
 	if got := st.TotalRetransmits(); got != 2 {
 		t.Fatalf("want 2 retransmitted frames (one per direction), got %d", got)
 	}
@@ -364,8 +363,7 @@ func TestTransportBackoffGrows(t *testing.T) {
 		}
 	}
 	timeWith := func(n int) float64 {
-		st, err := RunCheckedOpts(p, transportModel,
-			CheckedOptions{Net: dropFirstN(n), Transport: TransportOptions{JitterFrac: -1}},
+		st, err := RunCheckedOpts(p, transportModel, CheckedOptions{Net: dropFirstN(n)},
 			func(c *Comm) error {
 				AllreduceScalar(c, int64(c.Rank()), 8, SumI64)
 				return nil

@@ -36,8 +36,6 @@ type analyticConfig struct {
 	// selects the default staging of min(p, 1024); a negative value
 	// disables staging (k = p), the ablation baseline.
 	KSplitters int
-	// StageWidth is the all-to-all stage width (0 means 1).
-	StageWidth int
 	// ExtraRounds is how many refinement rounds beyond log_{2^dim}(p) the
 	// splitter loop runs to reach the tolerance (2 fits the measured runs).
 	ExtraRounds int
@@ -46,9 +44,6 @@ type analyticConfig struct {
 func (cfg analyticConfig) withDefaults() analyticConfig {
 	if cfg.Dim == 0 {
 		cfg.Dim = 3
-	}
-	if cfg.StageWidth <= 0 {
-		cfg.StageWidth = 1
 	}
 	if cfg.ExtraRounds == 0 {
 		cfg.ExtraRounds = 2
@@ -89,10 +84,10 @@ func treeSortPartition(m machine.Machine, p, grain int, cfg analyticConfig) brea
 		(m.Ts+m.Tw*float64(k*(1+1<<cfg.Dim)*8))*lg
 	splitter := rounds * perRound
 
-	// Staged all-to-all: (p-1)/width stages; under weak scaling with
-	// globally random data every rank sends ~grain/p elements per
-	// destination, so each stage moves ~grain·width/p per rank.
-	stages := math.Ceil(float64(p-1) / float64(cfg.StageWidth))
+	// Staged all-to-all at comm's width 1: p-1 stages; under weak scaling
+	// with globally random data every rank sends ~grain/p elements per
+	// destination, so each stage moves ~grain/p per rank.
+	stages := float64(p - 1)
 	moved := float64(grain*psort.KeyBytes) * float64(p-1) / float64(p)
 	alltoall := 0.0
 	if p > 1 {
@@ -119,7 +114,7 @@ func sampleSortPartition(m machine.Machine, p, grain int, cfg analyticConfig) br
 	splitter := m.Ts*lg + m.Tw*samples +
 		m.Tc*float64(psort.LocalSortCost(p*(p-1), cfg.Dim))
 
-	stages := math.Ceil(float64(p-1) / float64(cfg.StageWidth))
+	stages := float64(p - 1)
 	moved := float64(grain*psort.KeyBytes) * float64(p-1) / float64(p)
 	alltoall := 0.0
 	if p > 1 {

@@ -19,17 +19,16 @@ import (
 // 100-iteration matvec loop, and collect time, energy, and partition-quality
 // metrics. This is the §5.3/§5.4 measurement pipeline.
 type CampaignSpec struct {
-	Machine    machine.Machine
-	P          int
-	Kind       sfc.Kind
-	MeshSeeds  int
-	MeshDepth  uint8
-	Dist       octree.Distribution
-	Mode       partition.Mode
-	Tol        float64
-	Iters      int
-	Seed       int64
-	StageWidth int
+	Machine   machine.Machine
+	P         int
+	Kind      sfc.Kind
+	MeshSeeds int
+	MeshDepth uint8
+	Dist      octree.Distribution
+	Mode      partition.Mode
+	Tol       float64
+	Iters     int
+	Seed      int64
 }
 
 // CampaignOutcome aggregates one campaign's measurements.
@@ -107,13 +106,12 @@ func runFEMCampaign(spec CampaignSpec) CampaignOutcome {
 			}
 		}
 		res := partition.Partition(c, local, partition.Options{
-			Curve:      curve,
-			Mode:       spec.Mode,
-			Tol:        spec.Tol,
-			Machine:    spec.Machine,
-			StageWidth: spec.StageWidth,
+			Curve:   curve,
+			Mode:    spec.Mode,
+			Tol:     spec.Tol,
+			Machine: spec.Machine,
 		})
-		prob := fem.Setup(c, res.Local, res.Splitters, spec.StageWidth)
+		prob := fem.Setup(c, res.Local, res.Splitters)
 		mat := mesh.GatherMatrix(c, prob.Ghost)
 		fem.RunCampaign(c, prob, spec.Iters, spec.Seed+1)
 		if c.Rank() == 0 {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"optipart/internal/ckpt"
 	"optipart/internal/comm"
@@ -23,7 +22,8 @@ func init() {
 // multi-outage schedule and checks hard invariants after every attempt:
 //
 //   - every failure is structured (*RankFailure, *AbandonedError, or
-//     *LinkFailure) — never a hang (a watchdog bounds each attempt) and
+//     *LinkFailure) — never a hang (the runtime's stall watchdog ends a
+//     wedged attempt with a *StallError, which fails the harness) and
 //     never an unexplained error;
 //   - the campaign, restored from its latest checkpoint after each outage,
 //     finishes with a digest bit-identical to a fault-free golden run;
@@ -152,25 +152,10 @@ func chaosExperiment(cfg Config) error {
 			}
 			return nil
 		}
-		// Watchdog: an attempt that neither completes nor fails within the
-		// deadline is a deadlock, which the harness treats as a hard bug
-		// (the checked runtime's own stall detector should fire first).
-		//lint:ignore costaccounting the watchdog channel carries one error value for the no-deadlock invariant, not modeled campaign bytes
-		errCh := make(chan error, 1)
-		//lint:ignore nondeterminism the watchdog goroutine exists to bound the attempt in real time; its only output is the single completion error, joined before any transcript write
-		go func() {
-			_, err := fault.Run(p, m.CostModel(), fp, body)
-			//lint:ignore costaccounting completion signal for the watchdog, not modeled bytes
-			errCh <- err
-		}()
-		var runErr error
-		select {
-		//lint:ignore costaccounting completion signal for the watchdog, not modeled bytes
-		case runErr = <-errCh:
-		//lint:ignore costaccounting wall-clock deadline receive enforcing the harness's no-deadlock invariant
-		case <-time.After(120 * time.Second):
-			return fmt.Errorf("chaos: attempt %d deadlocked: no completion and no structured failure within the watchdog deadline", attempt)
-		}
+		// No second watchdog: fault.Run leaves the checked runtime's stall
+		// watchdog armed, so a wedged attempt ends as a *comm.StallError,
+		// which the switch below rejects as unstructured.
+		_, runErr := fault.Run(p, m.CostModel(), fp, body)
 		if runErr == nil {
 			finalDigest = digest
 			completed = true

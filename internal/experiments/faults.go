@@ -80,7 +80,7 @@ func faultsExperiment(cfg Config) error {
 		// fem.Setup needs splitters for the ghost exchange; reconstruct
 		// them from the distribution the healthy partition left behind.
 		sp := partition.SplittersFromDistribution(c, curve, locals[c.Rank()])
-		prob := fem.Setup(c, locals[c.Rank()], sp, 1)
+		prob := fem.Setup(c, locals[c.Rank()], sp)
 		if c.Rank() == killRank {
 			loopStart = c.CollectiveIndex()
 		}
@@ -151,7 +151,7 @@ func faultsExperiment(cfg Config) error {
 			// Recovery is complete once the data is placed and the halo is
 			// rebuilt: the campaign can resume matvecs.
 			c.SetPhase("ghost")
-			fem.Setup(c, mine, sp, 1)
+			fem.Setup(c, mine, sp)
 			if c.Rank() == 0 {
 				rec.quality, rec.predicted = *q, pred
 			}
@@ -174,7 +174,7 @@ func faultsExperiment(cfg Config) error {
 		return err
 	}
 	samp, err := runRecovery("samplesort-redistribution", func(c *comm.Comm, local []sfc.Key) ([]sfc.Key, *partition.Splitters, *partition.Quality, float64) {
-		mine := psort.SampleSort(c, local, psort.SampleSortOptions{Curve: curve})
+		mine := psort.SampleSort(c, local, curve)
 		sp := partition.SplittersFromDistribution(c, curve, mine)
 		q := partition.EvaluateQuality(c, curve, mine, sp)
 		return mine, sp, &q, q.Predict(m, machine.DefaultAlpha)

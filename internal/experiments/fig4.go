@@ -24,7 +24,7 @@ func init() {
 
 // sampleSortRun executes the Dendro baseline for the same input.
 func sampleSortRun(c *comm.Comm, curve *sfc.Curve, local []sfc.Key) {
-	psort.SampleSort(c, local, psort.SampleSortOptions{Curve: curve})
+	psort.SampleSort(c, local, curve)
 }
 
 // measurePartition runs the real SPMD partitioner once and reports its

@@ -136,7 +136,7 @@ func repartExperiment(cfg Config) error {
 					out.next, out.moved, out.tp = res.Splitters, moved, res.Predicted
 				}
 			case "samplesort":
-				mine := psort.SampleSort(c, local, psort.SampleSortOptions{Curve: curve})
+				mine := psort.SampleSort(c, local, curve)
 				nsp := partition.SplittersFromDistribution(c, curve, mine)
 				q := partition.EvaluateQuality(c, curve, mine, nsp)
 				moved := partition.MovedElements(c, local, sp, nsp)

@@ -3,8 +3,6 @@ package fault
 import (
 	"fmt"
 	"math/rand"
-
-	"optipart/internal/comm"
 )
 
 // Chaos: a seeded schedule of heterogeneous failures for a checkpointed
@@ -67,20 +65,6 @@ func (cp *ChaosPlan) Attempt(i int) *ChaosEvent {
 		return nil
 	}
 	return &cp.Events[i]
-}
-
-// Hooks compiles a kill event into the runtime's intercept points; drain
-// events are enforced at the campaign layer (StepDone) and compile to
-// nothing here. A nil event yields empty hooks.
-func (e *ChaosEvent) Hooks() comm.Hooks {
-	if e == nil || e.Kind != ChaosKill {
-		return comm.Hooks{}
-	}
-	return comm.Hooks{BeforeCollective: func(rank int, op string, seq int) {
-		if rank == e.Rank && seq >= e.At {
-			panic(&Killed{Rank: e.Rank, Collective: seq})
-		}
-	}}
 }
 
 // Drains reports whether the event tells rank to leave at or before step.
@@ -153,14 +137,4 @@ func RandomChaosPlan(seed int64, p int, opts ChaosOptions) (*ChaosPlan, error) {
 		plan.Net = np
 	}
 	return plan, nil
-}
-
-// Background returns the always-on portion of the plan — stragglers and the
-// lossy network — as a Plan usable with the existing hooks/injector
-// machinery for one attempt.
-func (cp *ChaosPlan) Background() *Plan {
-	if cp == nil {
-		return &Plan{}
-	}
-	return &Plan{Stragglers: cp.Stragglers, Net: cp.Net}
 }

@@ -67,15 +67,20 @@ func TestChaosAttemptConsumesEvents(t *testing.T) {
 	}
 }
 
+// TestChaosKillHooksRaiseKilled arms a kill event the way the chaos
+// harness does: as a fault.Plan kill run under the plan's stragglers.
 func TestChaosKillHooksRaiseKilled(t *testing.T) {
 	ev := &ChaosEvent{Kind: ChaosKill, Rank: 2, At: 1}
-	_, err := comm.RunCheckedOpts(4, comm.CostModel{}, comm.CheckedOptions{Hooks: ev.Hooks()},
-		func(c *comm.Comm) error {
-			for i := 0; i < 4; i++ {
-				comm.Allreduce(c, []int64{1}, 8, comm.SumI64)
-			}
-			return nil
-		})
+	plan := &Plan{
+		Stragglers: []Straggler{{Rank: 1, TcMult: 2, TwMult: 2}},
+		Kills:      []Kill{{Rank: ev.Rank, AtCollective: ev.At}},
+	}
+	_, err := Run(4, comm.CostModel{}, plan, func(c *comm.Comm) error {
+		for i := 0; i < 4; i++ {
+			comm.Allreduce(c, []int64{1}, 8, comm.SumI64)
+		}
+		return nil
+	})
 	var rf *comm.RankFailure
 	if !errors.As(err, &rf) || rf.Rank != 2 {
 		t.Fatalf("got %v, want RankFailure on rank 2", err)
@@ -103,8 +108,5 @@ func TestChaosDrainPredicate(t *testing.T) {
 	}
 	if (*ChaosEvent)(nil).Drains(0, 0) {
 		t.Fatal("nil event drained")
-	}
-	if h := (*ChaosEvent)(nil).Hooks(); h.BeforeCollective != nil {
-		t.Fatal("nil event compiled to non-empty hooks")
 	}
 }

@@ -92,17 +92,3 @@ func (b *RespawnBudget) Next(rank int, now time.Time) (time.Duration, bool) {
 	b.attempts[rank] = append(live, now)
 	return delay, true
 }
-
-// Used reports how many attempts rank has charged inside the window as of
-// now, without charging a new one.
-func (b *RespawnBudget) Used(rank int, now time.Time) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, at := range b.attempts[rank] {
-		if b.Window <= 0 || now.Sub(at) < b.Window {
-			n++
-		}
-	}
-	return n
-}

@@ -108,3 +108,17 @@ func TestRespawnBudgetDefaults(t *testing.T) {
 		t.Fatalf("default schedule %v, want 100ms/200ms/400ms", ds)
 	}
 }
+
+// Used reports how many attempts rank has charged inside the window as of
+// now, without charging a new one. Only the schedule tests observe it.
+func (b *RespawnBudget) Used(rank int, now time.Time) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, at := range b.attempts[rank] {
+		if b.Window <= 0 || now.Sub(at) < b.Window {
+			n++
+		}
+	}
+	return n
+}

@@ -43,32 +43,29 @@ type Problem struct {
 	adj  [][]entry // per local element: couplings into the values array
 	diag []float64 // per local element: diagonal (incl. Dirichlet faces)
 
-	stageWidth int
-	// ghostSlot[i] is the position of ghost i within the values array.
 	nLocal int
 }
 
 // Setup builds the distributed operator for the given partitioned leaves.
 // The leaves must form (collectively) a complete, 2:1-balanced linear
 // octree, each rank holding its partition in curve order. Collective.
-func Setup(c *comm.Comm, local []sfc.Key, sp *partition.Splitters, stageWidth int) *Problem {
-	return SetupKernel(c, local, sp, stageWidth, Laplacian())
+func Setup(c *comm.Comm, local []sfc.Key, sp *partition.Splitters) *Problem {
+	return SetupKernel(c, local, sp, Laplacian())
 }
 
 // SetupKernel is Setup with an explicit application kernel, which controls
 // the α charged per element and the wire size of ghost elements.
-func SetupKernel(c *comm.Comm, local []sfc.Key, sp *partition.Splitters, stageWidth int, kernel Kernel) *Problem {
+func SetupKernel(c *comm.Comm, local []sfc.Key, sp *partition.Splitters, kernel Kernel) *Problem {
 	curve := sp.Curve
-	g := mesh.Build(c, local, sp, stageWidth)
+	g := mesh.Build(c, local, sp)
 	p := &Problem{
-		Curve:      curve,
-		Local:      local,
-		Ghost:      g,
-		Kernel:     kernel,
-		adj:        make([][]entry, len(local)),
-		diag:       make([]float64, len(local)),
-		stageWidth: stageWidth,
-		nLocal:     len(local),
+		Curve:  curve,
+		Local:  local,
+		Ghost:  g,
+		Kernel: kernel,
+		adj:    make([][]entry, len(local)),
+		diag:   make([]float64, len(local)),
+		nLocal: len(local),
 	}
 
 	// Combined lookup tree over local + ghost leaves. Values array layout:
@@ -217,9 +214,4 @@ func (p *Problem) Dot(c *comm.Comm, a, b []float64) float64 {
 	}
 	c.Compute(int64(p.nLocal) * 2 * machine.WordBytes)
 	return comm.AllreduceScalar(c, s, 8, comm.SumF64)
-}
-
-// Norm returns the global 2-norm of the local prefix. Collective.
-func (p *Problem) Norm(c *comm.Comm, a []float64) float64 {
-	return math.Sqrt(p.Dot(c, a, a))
 }

@@ -28,7 +28,7 @@ func applyGlobal(t *testing.T, m *octree.Tree, curve *sfc.Curve, p int, mode par
 		res := partition.Partition(c, local, partition.Options{
 			Curve: curve, Mode: mode, Tol: tol, Machine: machine.Wisconsin8(),
 		})
-		prob := Setup(c, res.Local, res.Splitters, 1)
+		prob := Setup(c, res.Local, res.Splitters)
 		x := prob.NewVector()
 		y := prob.NewVector()
 		for i, k := range res.Local {
@@ -143,7 +143,7 @@ func TestOperatorSymmetric(t *testing.T) {
 		res := partition.Partition(c, local, partition.Options{
 			Curve: curve, Mode: partition.EqualWork, Machine: machine.Wisconsin8(),
 		})
-		prob := Setup(c, res.Local, res.Splitters, 1)
+		prob := Setup(c, res.Local, res.Splitters)
 		rng := rand.New(rand.NewSource(int64(500 + c.Rank())))
 		x := prob.NewVector()
 		y := prob.NewVector()
@@ -181,7 +181,7 @@ func TestCGSolvesPoisson(t *testing.T) {
 		res := partition.Partition(c, local, partition.Options{
 			Curve: curve, Mode: partition.EqualWork, Machine: machine.Wisconsin8(),
 		})
-		prob := Setup(c, res.Local, res.Splitters, 1)
+		prob := Setup(c, res.Local, res.Splitters)
 		b := prob.NewVector()
 		for i, k := range res.Local {
 			// Unit source scaled by cell volume.
@@ -194,8 +194,9 @@ func TestCGSolvesPoisson(t *testing.T) {
 			lmax = math.Max(lmax, x[i])
 			lmin = math.Min(lmin, x[i])
 		}
-		gmax := comm.AllreduceScalar(c, lmax, 8, comm.MaxF64)
-		gmin := -comm.AllreduceScalar(c, -lmin, 8, comm.MaxF64)
+		maxF64 := func(a, b float64) float64 { return max(a, b) }
+		gmax := comm.AllreduceScalar(c, lmax, 8, maxF64)
+		gmin := -comm.AllreduceScalar(c, -lmin, 8, maxF64)
 		if c.Rank() == 0 {
 			rel, iters, maxU, minU = r, it, gmax, gmin
 		}
@@ -229,7 +230,7 @@ func TestCampaignAccounting(t *testing.T) {
 		res := partition.Partition(c, local, partition.Options{
 			Curve: curve, Mode: partition.EqualWork, Machine: machineModel,
 		})
-		prob := Setup(c, res.Local, res.Splitters, 1)
+		prob := Setup(c, res.Local, res.Splitters)
 		got := RunCampaign(c, prob, 10, 42)
 		if c.Rank() == 0 {
 			result = got

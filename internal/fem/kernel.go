@@ -42,10 +42,3 @@ func HighOrder() Kernel {
 func MultiSpecies() Kernel {
 	return Kernel{Name: "multi-species", Alpha: 4, PayloadBytes: 4 * machine.GhostPayloadBytes}
 }
-
-// PredictStep evaluates Eq. (3) for this kernel on a partition with the
-// given work and communication maxima.
-func (k Kernel) PredictStep(m machine.Machine, wmax, cmax int64) float64 {
-	return k.Alpha*m.Tc*machine.WordBytes*float64(wmax) +
-		m.Tw*float64(k.PayloadBytes)*float64(cmax)
-}

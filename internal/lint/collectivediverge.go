@@ -84,7 +84,6 @@ type escapes struct {
 	taintedRet, taintedBrk, taintedCont bool
 }
 
-func (e escapes) any() bool        { return e.ret || e.brk || e.cont }
 func (e escapes) anyTainted() bool { return e.taintedRet || e.taintedBrk || e.taintedCont }
 
 func (e *escapes) union(o escapes) {

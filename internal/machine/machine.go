@@ -17,7 +17,7 @@ package machine
 
 import (
 	"fmt"
-	"math"
+	"strings"
 
 	"optipart/internal/comm"
 )
@@ -50,9 +50,6 @@ const WordBytes = 8
 // paper's grain sizes.
 const GhostPayloadBytes = 256
 
-// Cores returns the total rank count of the machine.
-func (m Machine) Cores() int { return m.CoresPerNode * m.Nodes }
-
 // CostModel converts the machine to the comm package's BSP cost model.
 func (m Machine) CostModel() comm.CostModel {
 	return comm.CostModel{Tc: m.Tc, Ts: m.Ts, Tw: m.Tw}
@@ -73,37 +70,6 @@ func (m Machine) Predict(alpha float64, wmax, cmax int64) float64 {
 // (e.g. high-order elements).
 func (m Machine) PredictKernel(alpha float64, payloadBytes int, wmax, cmax int64) float64 {
 	return alpha*m.Tc*WordBytes*float64(wmax) + m.Tw*float64(payloadBytes)*float64(cmax)
-}
-
-// RetryInflation is the first-order cost multiplier reliable delivery pays
-// on a network that drops frames with probability q: every byte is sent an
-// expected 1/(1-q) times (selective repeat resends the lost fraction each
-// round), and each retransmission round additionally waits a timeout of
-// rtoFactor times the delivery cost with probability ~q. rtoFactor <= 0
-// means the transport default. Loss multiplies only wire terms — local
-// memory traffic is unaffected — so apply it to tw·Cmax, not α·tc·Wmax.
-func RetryInflation(dropRate, rtoFactor float64) float64 {
-	if dropRate <= 0 {
-		return 1
-	}
-	if dropRate >= 1 {
-		return math.Inf(1)
-	}
-	if rtoFactor <= 0 {
-		rtoFactor = comm.DefaultRTOFactor
-	}
-	return (1 + rtoFactor*dropRate) / (1 - dropRate)
-}
-
-// PredictLossy evaluates Eq. (3) on a machine whose network drops frames
-// with probability dropRate, inflating the communication term by
-// RetryInflation: Tp = α·tc·Wmax + tw·Cmax·inflation. This is the model
-// the losses experiment validates against the transport's measured
-// retransmissions — and the reason a smaller Cmax is worth even more on a
-// lossy network than Eq. (3) alone suggests.
-func (m Machine) PredictLossy(alpha float64, wmax, cmax int64, dropRate float64) float64 {
-	return alpha*m.Tc*WordBytes*float64(wmax) +
-		m.Tw*float64(GhostPayloadBytes)*float64(cmax)*RetryInflation(dropRate, 0)
 }
 
 // DefaultHorizon is the number of application steps a placement is expected
@@ -204,10 +170,12 @@ func Wisconsin8() Machine {
 	}
 }
 
-// ByName returns the machine with the given name.
+// ByName returns the machine with the given name, compared without regard
+// to case. It is the one machine lookup of the commands and the service
+// wire.
 func ByName(name string) (Machine, error) {
 	for _, m := range All() {
-		if m.Name == name {
+		if strings.EqualFold(m.Name, name) {
 			return m, nil
 		}
 	}

@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestByName(t *testing.T) {
 	for _, m := range All() {
@@ -18,7 +15,16 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("nonexistent"); err == nil {
 		t.Fatal("ByName of unknown machine did not error")
 	}
+	for _, name := range []string{"titan", "CLEMSON-32", "wisconsin-8"} {
+		if _, err := ByName(name); err != nil {
+			t.Fatalf("ByName(%q): %v, want a case-insensitive match", name, err)
+		}
+	}
 }
+
+// Cores returns the total rank count of the machine. Only the tests that pin
+// the paper's task counts observe it.
+func (m Machine) Cores() int { return m.CoresPerNode * m.Nodes }
 
 func TestParametersSane(t *testing.T) {
 	for _, m := range All() {
@@ -82,30 +88,6 @@ func TestCostModelRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRetryInflation(t *testing.T) {
-	if got := RetryInflation(0, 0); got != 1 {
-		t.Fatalf("RetryInflation(0) = %g, want 1 (lossless wire costs nothing extra)", got)
-	}
-	if got := RetryInflation(-0.5, 0); got != 1 {
-		t.Fatalf("RetryInflation of negative rate = %g, want 1", got)
-	}
-	if got := RetryInflation(1, 0); !math.IsInf(got, 1) {
-		t.Fatalf("RetryInflation(1) = %g, want +Inf (nothing ever arrives)", got)
-	}
-	prev := RetryInflation(0, 0)
-	for _, q := range []float64{0.01, 0.05, 0.1, 0.2, 0.5} {
-		cur := RetryInflation(q, 0)
-		if cur <= prev {
-			t.Fatalf("RetryInflation not increasing at q=%g: %g <= %g", q, cur, prev)
-		}
-		prev = cur
-	}
-	// Explicit rtoFactor beats the default only when larger.
-	if RetryInflation(0.1, 8) <= RetryInflation(0.1, 2) {
-		t.Fatal("RetryInflation not increasing in rtoFactor")
-	}
-}
-
 func TestMigrationCost(t *testing.T) {
 	m := Clemson32()
 	if got := m.MigrationCost(0); got != 0 {
@@ -149,24 +131,5 @@ func TestPredictRepartition(t *testing.T) {
 	}
 	if stay(1e6) <= move(1e6) {
 		t.Fatalf("long horizon should prefer the better Tp: stay=%g move=%g", stay(1e6), move(1e6))
-	}
-}
-
-func TestPredictLossy(t *testing.T) {
-	m := Clemson32()
-	if got, want := m.PredictLossy(DefaultAlpha, 1000, 100, 0), m.Predict(DefaultAlpha, 1000, 100); got != want {
-		t.Fatalf("PredictLossy at zero loss = %g, want Predict = %g", got, want)
-	}
-	base := m.PredictLossy(DefaultAlpha, 1000, 100, 0)
-	lossy := m.PredictLossy(DefaultAlpha, 1000, 100, 0.2)
-	if lossy <= base {
-		t.Fatalf("PredictLossy not increasing in drop rate: %g <= %g", lossy, base)
-	}
-	// Loss inflates only the communication term: a partition trading Wmax
-	// for a smaller Cmax gains more on a lossy wire than on a clean one.
-	cleanGain := m.PredictLossy(DefaultAlpha, 1000, 200, 0) - m.PredictLossy(DefaultAlpha, 1100, 100, 0)
-	lossyGain := m.PredictLossy(DefaultAlpha, 1000, 200, 0.2) - m.PredictLossy(DefaultAlpha, 1100, 100, 0.2)
-	if lossyGain <= cleanGain {
-		t.Fatalf("loss does not amplify the value of a smaller Cmax: %g <= %g", lossyGain, cleanGain)
 	}
 }

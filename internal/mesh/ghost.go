@@ -53,7 +53,7 @@ type Ghost struct {
 // leaves across each face; with a 2:1-balanced complete tree this reaches
 // exactly the ranks that need it (plus, rarely, a rank that owns no actual
 // neighbor, which then simply stores an unused ghost).
-func Build(c *comm.Comm, local []sfc.Key, sp *partition.Splitters, stageWidth int) *Ghost {
+func Build(c *comm.Comm, local []sfc.Key, sp *partition.Splitters) *Ghost {
 	curve := sp.Curve
 	p := c.Size()
 	me := c.Rank()
@@ -128,7 +128,7 @@ func Build(c *comm.Comm, local []sfc.Key, sp *partition.Splitters, stageWidth in
 		}
 		send[dst] = keys
 	}
-	_ = stageWidth // the halo graph is sparse; price it as a neighbor exchange
+	// The halo graph is sparse; price it as a neighbor exchange.
 	recv := comm.Alltoallv(c, send, psort.KeyBytes, comm.AlltoallvOptions{Sparse: true})
 	for src := 0; src < p; src++ {
 		g.RecvCounts[src] = int64(len(recv[src]))
@@ -172,9 +172,6 @@ func neighborOwners(sp *partition.Splitters, nk sfc.Key, f octree.Face, dim int)
 	}
 	return out
 }
-
-// NumGhosts returns the number of remote elements in the halo.
-func (g *Ghost) NumGhosts() int { return len(g.Ghosts) }
 
 // SendVolume returns the number of elements this rank sends per refresh.
 func (g *Ghost) SendVolume() int64 {

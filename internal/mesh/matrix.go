@@ -36,22 +36,6 @@ func (m *Matrix) TotalData() int64 {
 	return t
 }
 
-// MaxRow returns the largest per-partition ghost volume — the Cmax a
-// partition actually experiences during a matvec.
-func (m *Matrix) MaxRow() int64 {
-	var best int64
-	for i := 0; i < m.P; i++ {
-		var row int64
-		for j := 0; j < m.P; j++ {
-			row += m.At(i, j)
-		}
-		if row > best {
-			best = row
-		}
-	}
-	return best
-}
-
 // MaxDegree returns the largest number of neighbor partitions any partition
 // communicates with.
 func (m *Matrix) MaxDegree() int {

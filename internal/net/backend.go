@@ -191,7 +191,7 @@ func NewRoot(endpoint string, p int, opts Options) (*Root, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("net: NewRoot with p=%d", p)
 	}
-	network, addr, err := splitEndpoint(endpoint)
+	network, addr, err := SplitEndpoint(endpoint)
 	if err != nil {
 		return nil, err
 	}
@@ -749,7 +749,7 @@ func DialResume(endpoint string, rank, p int, resume, inc uint64, opts Options) 
 	if rank < 1 || rank >= p {
 		return nil, fmt.Errorf("net: Dial with rank=%d p=%d (rank 0 is the root)", rank, p)
 	}
-	network, addr, err := splitEndpoint(endpoint)
+	network, addr, err := SplitEndpoint(endpoint)
 	if err != nil {
 		return nil, err
 	}
@@ -799,12 +799,11 @@ func (w *Worker) Close() {
 }
 
 func (w *Worker) dialRetry() (stdnet.Conn, error) {
-	bo := Backoff{Base: w.opts.BackoffBase, Max: w.opts.BackoffMax,
-		Jitter: w.opts.JitterSeed + int64(w.rank)}
-	deadline := time.Now().Add(w.opts.DialTimeout)
+	bo := Backoff{Base: DefaultBackoffBase, Max: DefaultBackoffMax, Jitter: int64(w.rank)}
+	deadline := time.Now().Add(DefaultDialTimeout)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		conn, err := stdnet.DialTimeout(w.network, w.addr, w.opts.BackoffMax)
+		conn, err := stdnet.DialTimeout(w.network, w.addr, DefaultBackoffMax)
 		if err == nil {
 			return conn, nil
 		}
@@ -832,7 +831,7 @@ func (w *Worker) hello(conn stdnet.Conn, resume uint64) error {
 // awaitWelcome services the pre-world handshake: the root may calibrate
 // (fCalReq echoes) and heartbeat (fPing) before announcing the model.
 func (w *Worker) awaitWelcome(conn stdnet.Conn) (comm.CostModel, error) {
-	overall := time.Now().Add(w.opts.DialTimeout + 6*w.opts.IOTimeout)
+	overall := time.Now().Add(DefaultDialTimeout + 6*w.opts.IOTimeout)
 	for {
 		conn.SetReadDeadline(time.Now().Add(w.opts.IOTimeout))
 		f, err := ReadFrame(conn)
@@ -935,9 +934,8 @@ func (w *Worker) reader(conn stdnet.Conn) {
 // the owed result is replayed by the root's admit path. Exhausting the
 // retry cap escalates to a structured LinkFailure.
 func (w *Worker) reconnect() stdnet.Conn {
-	bo := Backoff{Base: w.opts.BackoffBase, Max: w.opts.BackoffMax,
-		Jitter: w.opts.JitterSeed + int64(w.rank)}
-	for attempt := 0; attempt < w.opts.MaxRetries; attempt++ {
+	bo := Backoff{Base: DefaultBackoffBase, Max: DefaultBackoffMax, Jitter: int64(w.rank)}
+	for attempt := 0; attempt < DefaultMaxRetries; attempt++ {
 		select {
 		case <-w.stop:
 			return nil
@@ -946,7 +944,7 @@ func (w *Worker) reconnect() stdnet.Conn {
 		if w.isCancelled() {
 			return nil
 		}
-		conn, err := stdnet.DialTimeout(w.network, w.addr, w.opts.BackoffMax)
+		conn, err := stdnet.DialTimeout(w.network, w.addr, DefaultBackoffMax)
 		if err != nil {
 			continue
 		}
@@ -969,7 +967,7 @@ func (w *Worker) reconnect() stdnet.Conn {
 	w.mu.Unlock()
 	w.remoteAbort(&comm.LinkFailure{
 		Src: w.rank, Dst: 0, Op: op, Seq: seq,
-		Attempts: w.opts.MaxRetries, Cap: w.opts.MaxRetries,
+		Attempts: DefaultMaxRetries, Cap: DefaultMaxRetries,
 	})
 	return nil
 }

@@ -19,13 +19,9 @@ import (
 // fastOpts keeps failure detection well inside test timeouts.
 func fastOpts() Options {
 	return Options{
-		DialTimeout:       10 * time.Second,
 		IOTimeout:         5 * time.Second,
 		HeartbeatInterval: 20 * time.Millisecond,
 		HeartbeatTimeout:  400 * time.Millisecond,
-		MaxRetries:        3,
-		BackoffBase:       10 * time.Millisecond,
-		BackoffMax:        100 * time.Millisecond,
 	}
 }
 

@@ -22,13 +22,9 @@ import (
 
 func benchRecoveryOpts() Options {
 	return Options{
-		DialTimeout:       5 * time.Second,
 		IOTimeout:         2 * time.Second,
 		HeartbeatInterval: 5 * time.Millisecond,
 		HeartbeatTimeout:  50 * time.Millisecond,
-		MaxRetries:        2,
-		BackoffBase:       5 * time.Millisecond,
-		BackoffMax:        20 * time.Millisecond,
 	}
 }
 
@@ -91,7 +87,6 @@ func BenchmarkRecoveryRestore(b *testing.B) {
 		respawn := make(chan int, 1)
 		opts := benchRecoveryOpts()
 		opts.OnFailure = Restore
-		opts.RejoinWait = 5 * time.Second
 		opts.OnDeath = func(rank int) { respawn <- rank }
 		ep := "unix:" + filepath.Join(b.TempDir(), "res.sock")
 		rt, err := NewRoot(ep, 2, opts)

@@ -17,7 +17,7 @@ const (
 	// can shrink to the survivors and repartition — PR 6's behavior, and
 	// the default.
 	Degrade Policy = iota
-	// Restore holds the world open for a bounded RejoinWait: a supervisor
+	// Restore holds the world open for DefaultRejoinWait: a supervisor
 	// respawns the dead worker, the replacement rejoins with a higher
 	// incarnation number and a resume sequence from its checkpoint, and the
 	// root replays the results it is owed. Only if no replacement arrives
@@ -50,8 +50,6 @@ func ParsePolicy(s string) (Policy, error) {
 // so a loopback CI world detects a killed worker well inside a one-minute
 // deadline while tolerating multi-second GC or scheduler pauses.
 type Options struct {
-	// DialTimeout bounds one connection attempt.
-	DialTimeout time.Duration
 	// IOTimeout is the per-operation read/write deadline on an established
 	// connection. Reads renew it on every frame; heartbeats guarantee
 	// frames keep flowing even when the world is between collectives.
@@ -63,22 +61,11 @@ type Options struct {
 	// declared dead. Must exceed HeartbeatInterval by enough slack to
 	// absorb scheduling noise; the default is 10 intervals.
 	HeartbeatTimeout time.Duration
-	// MaxRetries caps reconnect attempts after a broken connection before
-	// the link escalates to a structured failure.
-	MaxRetries int
-	// BackoffBase and BackoffMax bound the exponential reconnect backoff.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// JitterSeed seeds the deterministic backoff jitter.
-	JitterSeed int64
 
 	// OnFailure selects the root's reaction to a dead worker: Degrade
 	// (default, fail the world with a structured error) or Restore (await a
 	// respawned incarnation).
 	OnFailure Policy
-	// RejoinWait bounds how long a Restore-policy root holds the world open
-	// for a dead rank's replacement before failing as under Degrade.
-	RejoinWait time.Duration
 	// OnDeath, when non-nil, is invoked on its own goroutine each time the
 	// root declares a rank dead under the Restore policy — the supervisor's
 	// respawn trigger for drains the process exit alone would not surface.
@@ -87,19 +74,28 @@ type Options struct {
 
 // Defaults for Options fields left zero.
 const (
-	DefaultDialTimeout       = 5 * time.Second
 	DefaultIOTimeout         = 10 * time.Second
 	DefaultHeartbeatInterval = 200 * time.Millisecond
-	DefaultMaxRetries        = 5
-	DefaultBackoffBase       = 50 * time.Millisecond
-	DefaultBackoffMax        = 2 * time.Second
-	DefaultRejoinWait        = 30 * time.Second
+)
+
+// Fixed timings of the transport, the same in every deployment and test.
+const (
+	// DefaultDialTimeout bounds a worker's dial retries.
+	DefaultDialTimeout = 5 * time.Second
+	// DefaultMaxRetries caps reconnect attempts after a broken connection
+	// before the link escalates to a structured failure, and
+	// DefaultBackoffBase and DefaultBackoffMax bound the exponential
+	// reconnect backoff.
+	DefaultMaxRetries  = 5
+	DefaultBackoffBase = 50 * time.Millisecond
+	DefaultBackoffMax  = 2 * time.Second
+	// DefaultRejoinWait bounds how long a Restore-policy root holds the
+	// world open for a dead rank's replacement before failing as under
+	// Degrade.
+	DefaultRejoinWait = 30 * time.Second
 )
 
 func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = DefaultDialTimeout
-	}
 	if o.IOTimeout <= 0 {
 		o.IOTimeout = DefaultIOTimeout
 	}
@@ -108,18 +104,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = 10 * o.HeartbeatInterval
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = DefaultMaxRetries
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = DefaultBackoffBase
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = DefaultBackoffMax
-	}
-	if o.RejoinWait <= 0 {
-		o.RejoinWait = DefaultRejoinWait
 	}
 	return o
 }
@@ -162,20 +146,22 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	return d
 }
 
-// Network/address parsing: endpoints are written "unix:/path/sock" or
-// "tcp:host:port" ("tcp:" defaults the host to loopback).
-func splitEndpoint(ep string) (network, addr string, err error) {
+// SplitEndpoint parses the one endpoint grammar of the wire transport and
+// of every command that binds or dials, "unix:/path.sock" or
+// "tcp:host:port", into a net.Listen/net.Dial network and address.
+// "tcp::port" means loopback (127.0.0.1), never every interface; an empty
+// path or address is an error.
+func SplitEndpoint(ep string) (network, addr string, err error) {
+	network, addr, _ = strings.Cut(ep, ":")
 	switch {
-	case strings.HasPrefix(ep, "unix:"):
-		return "unix", ep[len("unix:"):], nil
-	case strings.HasPrefix(ep, "tcp:"):
-		addr = ep[len("tcp:"):]
-		if strings.HasPrefix(addr, ":") {
-			addr = "127.0.0.1" + addr
-		}
-		return "tcp", addr, nil
+	case network != "unix" && network != "tcp":
+		return "", "", fmt.Errorf("net: endpoint %q is not unix:/path or tcp:host:port", ep)
+	case addr == "":
+		return "", "", fmt.Errorf("net: endpoint %q has an empty %s address", ep, network)
+	case network == "tcp" && strings.HasPrefix(addr, ":"):
+		addr = "127.0.0.1" + addr
 	}
-	return "", "", fmt.Errorf("net: endpoint %q is not unix:/path or tcp:host:port", ep)
+	return network, addr, nil
 }
 
 // link is one framed connection with per-operation deadlines and a write
@@ -252,18 +238,6 @@ func (l *link) writeRaw(buf []byte) error {
 	}
 	_, err := c.Write(buf)
 	return err
-}
-
-// read reads one frame from the current conn under the read deadline.
-func (l *link) read() (*Frame, error) {
-	c := l.current()
-	if c == nil {
-		return nil, fmt.Errorf("net: link closed")
-	}
-	if err := c.SetReadDeadline(time.Now().Add(l.opts.IOTimeout)); err != nil {
-		return nil, err
-	}
-	return ReadFrame(c)
 }
 
 // isTimeout reports whether err is a deadline expiry rather than a broken

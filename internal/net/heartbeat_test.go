@@ -96,3 +96,25 @@ func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 		t.Fatal("different seeds never decorrelated the schedule")
 	}
 }
+
+func TestSplitEndpoint(t *testing.T) {
+	cases := []struct {
+		ep, network, addr string
+	}{
+		{"unix:/tmp/opt.sock", "unix", "/tmp/opt.sock"},
+		{"tcp:example.org:7000", "tcp", "example.org:7000"},
+		{"tcp::7000", "tcp", "127.0.0.1:7000"},
+		{"tcp:0.0.0.0:7000", "tcp", "0.0.0.0:7000"},
+	}
+	for _, tc := range cases {
+		network, addr, err := SplitEndpoint(tc.ep)
+		if err != nil || network != tc.network || addr != tc.addr {
+			t.Errorf("SplitEndpoint(%q) = %q, %q, %v; want %q, %q", tc.ep, network, addr, err, tc.network, tc.addr)
+		}
+	}
+	for _, ep := range []string{"unix:", "tcp:", "", "/tmp/opt.sock", "udp::7000", "unix"} {
+		if network, addr, err := SplitEndpoint(ep); err == nil {
+			t.Errorf("SplitEndpoint(%q) = %q, %q; want an error", ep, network, addr)
+		}
+	}
+}

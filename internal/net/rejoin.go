@@ -3,19 +3,20 @@ package net
 // The rejoin protocol: what turns failure detection into self-healing.
 //
 // Under Options.OnFailure == Restore, a dead worker does not fail the
-// world. Instead the root opens a bounded rejoin window (RejoinWait): the
-// rank's membership slot is marked awaiting, the supervisor is notified via
-// OnDeath (it also watches process exits directly), and the in-flight Step
-// blocks holding the collective open. A replacement process joins with a
-// higher incarnation number in its hello — the fence that keeps a paused
-// zombie of the old incarnation from split-braining the rank — plus a
-// resume sequence taken from its checkpoint. The root replays every logged
-// result frame at or after the resume sequence; the replacement re-executes
-// its rank program from the checkpoint epoch, its deposits for already-
-// completed steps are dropped by the existing seq dedup, and the replayed
-// results carry it forward until it is depositing live. Checkpoint(seq)
-// prunes the log: anything below seq is recoverable from stable storage and
-// can never be requested again.
+// world. Instead the root opens a bounded rejoin window
+// (DefaultRejoinWait): the rank's membership slot is marked awaiting, the
+// supervisor is notified via OnDeath (it also watches process exits
+// directly), and the in-flight Step blocks holding the collective open. A
+// replacement process joins with a higher incarnation number in its hello —
+// the fence that keeps a paused zombie of the old incarnation from
+// split-braining the rank — plus a resume sequence taken from its
+// checkpoint. The root replays every logged result frame at or after the
+// resume sequence; the replacement re-executes its rank program from the
+// checkpoint epoch, its deposits for already-completed steps are dropped
+// by the existing seq dedup, and the replayed results carry it forward
+// until it is depositing live. Checkpoint(seq) prunes the log: anything
+// below seq is recoverable from stable storage and can never be requested
+// again.
 
 import (
 	"fmt"
@@ -72,15 +73,14 @@ func (r *Root) deathEventLocked(rank int) {
 	if op != "" {
 		coll = int(r.lastSeq[rank])
 	}
-	wait := r.opts.RejoinWait
-	r.rejoinTimer[rank] = time.AfterFunc(wait, func() {
+	r.rejoinTimer[rank] = time.AfterFunc(DefaultRejoinWait, func() {
 		r.mu.Lock()
 		expired := r.awaitingRejoin[rank]
 		r.mu.Unlock()
 		if expired {
 			r.failWorld(&comm.RankFailure{
 				Rank: rank, Op: op, Phase: "main", Collective: coll,
-				Err: fmt.Errorf("%w; no replacement within %v", ErrPeerDead, wait),
+				Err: fmt.Errorf("%w; no replacement within %v", ErrPeerDead, DefaultRejoinWait),
 			})
 		}
 	})

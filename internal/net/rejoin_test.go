@@ -82,7 +82,6 @@ func TestRestoreRejoinCompletesCampaign(t *testing.T) {
 	respawn := make(chan int, p)
 	opts := fastOpts()
 	opts.OnFailure = Restore
-	opts.RejoinWait = 20 * time.Second
 	opts.OnDeath = func(rank int) { respawn <- rank }
 	sock := filepath.Join(t.TempDir(), "rj.sock")
 	ep := "unix:" + sock

@@ -1,8 +1,10 @@
 package octree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"optipart/internal/sfc"
 )
@@ -30,6 +32,18 @@ func (d Distribution) String() string {
 		return "lognormal"
 	}
 	return "unknown"
+}
+
+// ParseDistribution maps a distribution name, compared without regard to
+// case, to its Distribution: the String forms "uniform", "normal" and
+// "lognormal". It is the one reader of the commands' -dist flag.
+func ParseDistribution(s string) (Distribution, error) {
+	for _, d := range []Distribution{Uniform, Normal, LogNormal} {
+		if strings.EqualFold(s, d.String()) {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("octree: unknown distribution %q (want uniform, normal or lognormal)", s)
 }
 
 // sample draws one coordinate in [0,1).

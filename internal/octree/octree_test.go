@@ -310,3 +310,16 @@ func TestDistributionsDiffer(t *testing.T) {
 		t.Fatalf("lognormal mean %f, want < 0.25 (mass near origin)", ml)
 	}
 }
+
+func TestParseDistribution(t *testing.T) {
+	for s, want := range map[string]Distribution{"uniform": Uniform, "Normal": Normal, "lognormal": LogNormal, "LogNormal": LogNormal} {
+		if got, err := ParseDistribution(s); err != nil || got != want {
+			t.Errorf("ParseDistribution(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"cauchy", "", "unknown", "log-normal"} {
+		if _, err := ParseDistribution(s); err == nil {
+			t.Errorf("ParseDistribution(%q) accepted", s)
+		}
+	}
+}

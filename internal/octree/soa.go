@@ -1,6 +1,10 @@
 package octree
 
-import "optipart/internal/sfc"
+import (
+	"slices"
+
+	"optipart/internal/sfc"
+)
 
 // SoA is struct-of-arrays storage for a sequence of octant keys: one column
 // per key field instead of a slice of 16-byte records. At 13 bytes per key
@@ -10,8 +14,8 @@ import "optipart/internal/sfc"
 // two operations a cache performs on it (equality sweep against an incoming
 // request, digesting) sequential scans of dense arrays.
 //
-// An SoA is append-only between Resets; it preserves whatever order keys
-// were appended in (for cached octrees: canonical curve order).
+// An SoA is append-only; it preserves whatever order keys were appended in
+// (for cached octrees: canonical curve order).
 type SoA struct {
 	X, Y, Z []uint32
 	Level   []uint8
@@ -20,43 +24,17 @@ type SoA struct {
 // Len returns the number of stored keys.
 func (s *SoA) Len() int { return len(s.Level) }
 
-// At materializes key i.
-func (s *SoA) At(i int) sfc.Key {
-	return sfc.Key{X: s.X[i], Y: s.Y[i], Z: s.Z[i], Level: s.Level[i]}
-}
-
-// Reset empties the store, keeping the columns' capacity for reuse.
-func (s *SoA) Reset() {
-	s.X, s.Y, s.Z, s.Level = s.X[:0], s.Y[:0], s.Z[:0], s.Level[:0]
-}
-
-// AppendKeys appends every key of ks, growing the columns as needed.
+// AppendKeys appends every key of ks: each column grows once, to the new
+// length, and is filled by index. The columns are bounded by their owner —
+// the service keeps one SoA per cache entry and evicts entries past its key
+// budget — not here.
 func (s *SoA) AppendKeys(ks []sfc.Key) {
-	if n := s.Len() + len(ks); cap(s.Level) < n {
-		s.X = append(make([]uint32, 0, n), s.X...)
-		s.Y = append(make([]uint32, 0, n), s.Y...)
-		s.Z = append(make([]uint32, 0, n), s.Z...)
-		s.Level = append(make([]uint8, 0, n), s.Level...)
+	n, m := s.Len(), s.Len()+len(ks)
+	s.X, s.Y, s.Z = slices.Grow(s.X, len(ks))[:m], slices.Grow(s.Y, len(ks))[:m], slices.Grow(s.Z, len(ks))[:m]
+	s.Level = slices.Grow(s.Level, len(ks))[:m]
+	for i, k := range ks {
+		s.X[n+i], s.Y[n+i], s.Z[n+i], s.Level[n+i] = k.X, k.Y, k.Z, k.Level
 	}
-	for _, k := range ks {
-		s.X = append(s.X, k.X)
-		s.Y = append(s.Y, k.Y)
-		s.Z = append(s.Z, k.Z)
-		s.Level = append(s.Level, k.Level)
-	}
-}
-
-// Keys materializes the stored sequence into dst (grown as needed) and
-// returns it.
-func (s *SoA) Keys(dst []sfc.Key) []sfc.Key {
-	if cap(dst) < s.Len() {
-		dst = make([]sfc.Key, s.Len())
-	}
-	dst = dst[:s.Len()]
-	for i := range dst {
-		dst[i] = s.At(i)
-	}
-	return dst
 }
 
 // EqualKeys reports whether the stored sequence is element-wise equal to ks.

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"strings"
 
 	"optipart/internal/comm"
 	"optipart/internal/machine"
@@ -39,6 +40,22 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// ParseMode maps a mode name, compared without regard to case, to its Mode:
+// the String forms "equal-work", "flexible" and "optipart", plus "equal",
+// the commands' spelling of equal-work. It is the one reader of the
+// commands' -mode flag.
+func ParseMode(s string) (Mode, error) {
+	if strings.EqualFold(s, "equal") {
+		return EqualWork, nil
+	}
+	for _, m := range []Mode{EqualWork, FlexibleTolerance, ModelDriven} {
+		if strings.EqualFold(s, m.String()) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("partition: unknown mode %q (want equal, flexible or optipart)", s)
+}
+
 // Options configures a partitioning run.
 type Options struct {
 	Curve *sfc.Curve
@@ -63,9 +80,6 @@ type Options struct {
 	// MaxSplitters is the paper's k ≤ p: the maximum number of buckets
 	// refined per reduction. Zero means p.
 	MaxSplitters int
-
-	// StageWidth configures the staged all-to-all (see comm package).
-	StageWidth int
 
 	// SkipExchange computes splitters and quality without moving the
 	// elements, for experiments that only inspect partition quality.
@@ -130,23 +144,23 @@ func Partition(c *comm.Comm, local []sfc.Key, opts Options) *Result {
 	if opts.SkipExchange {
 		return res
 	}
-	res.Local = exchange(c, curve, local, sp, opts.StageWidth)
+	res.Local = exchange(c, curve, local, sp)
 	return res
 }
 
 // exchange moves every element to its owner under sp and returns the rank's
 // elements after the exchange, sorted along the curve. The modeled charges
-// (staged all-to-all plus a local sort of the received runs) are exactly
-// what Partition has always paid; Repartition shares them so the two paths
-// price data movement identically.
-func exchange(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, sp *Splitters, stageWidth int) []sfc.Key {
+// (the all-to-all at comm's default stage width of §3.1 plus a local sort of
+// the received runs) are exactly what Partition has always paid;
+// Repartition shares them so the two paths price data movement identically.
+func exchange(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, sp *Splitters) []sfc.Key {
 	c.SetPhase("all2all")
 	ranges := sp.Ranges(local)
 	send := make([][]sfc.Key, c.Size())
 	for r := 0; r < c.Size(); r++ {
 		send[r] = local[ranges[r]:ranges[r+1]]
 	}
-	recv := comm.Alltoallv(c, send, psort.KeyBytes, comm.AlltoallvOptions{StageWidth: stageWidth})
+	recv := comm.Alltoallv(c, send, psort.KeyBytes, comm.AlltoallvOptions{})
 
 	c.SetPhase("local sort")
 	var mine []sfc.Key

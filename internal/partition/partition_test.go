@@ -277,3 +277,18 @@ func TestHilbertBoundaryNotWorseThanMorton(t *testing.T) {
 		t.Fatalf("Hilbert total boundary %d not better than Morton %d", h.Ctot, m.Ctot)
 	}
 }
+
+func TestParseMode(t *testing.T) {
+	for s, want := range map[string]Mode{
+		"equal": EqualWork, "equal-work": EqualWork, "Flexible": FlexibleTolerance, "optipart": ModelDriven, "OptiPart": ModelDriven,
+	} {
+		if got, err := ParseMode(s); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"greedy", "", "flex", "Mode(2)"} {
+		if _, err := ParseMode(s); err == nil {
+			t.Errorf("ParseMode(%q) accepted", s)
+		}
+	}
+}

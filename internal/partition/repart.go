@@ -197,7 +197,7 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	if opts.SkipExchange {
 		return res
 	}
-	res.Local = exchange(c, curve, local, best, opts.StageWidth)
+	res.Local = exchange(c, curve, local, best)
 	return res
 }
 

@@ -14,11 +14,9 @@ type RepartConfig struct {
 	Curve *sfc.Curve
 	P     int // number of partitions
 
-	// Machine, Alpha, PayloadBytes parameterize the performance model, as
-	// in Options. Zero Alpha and PayloadBytes select the defaults.
-	Machine      machine.Machine
-	Alpha        float64
-	PayloadBytes int
+	// Machine parameterizes the performance model, with the default α and
+	// ghost payload (machine.DefaultAlpha, machine.GhostPayloadBytes).
+	Machine machine.Machine
 
 	// Tol is the imbalance a warm start tolerates before a separator is
 	// considered violated, as a fraction of the ideal grain N/p (0 means
@@ -39,7 +37,7 @@ type StepResult struct {
 
 	// MovedElements/MovedBytes count the elements whose owner changed
 	// relative to the placement in force before the call (zero for Seed,
-	// which has no prior). Bytes are elements × PayloadBytes.
+	// which has no prior). Bytes are elements × machine.GhostPayloadBytes.
 	MovedElements int64
 	MovedBytes    int64
 	MigrationCost float64 // machine.MigrationCost(MovedBytes)
@@ -88,7 +86,7 @@ func NewRepartitioner(cfg RepartConfig) *Repartitioner {
 	p := cfg.P
 	return &Repartitioner{
 		cfg:       cfg,
-		obj:       newObjective(cfg.Machine, cfg.Alpha, cfg.PayloadBytes, cfg.Tol, cfg.Horizon),
+		obj:       newObjective(cfg.Machine, 0, 0, cfg.Tol, cfg.Horizon),
 		arena:     &psort.Arena{},
 		seps:      make([]sfc.Key, p-1),
 		sepRanks:  make([]sfc.Rank128, p-1),

@@ -119,7 +119,7 @@ func TestSampleSortGlobalOrder(t *testing.T) {
 			comm.Run(p, comm.CostModel{}, func(c *comm.Comm) {
 				rng := rand.New(rand.NewSource(int64(100 + c.Rank())))
 				local := octree.RandomKeys(rng, 400+11*c.Rank(), 3, octree.Normal, 1, 12)
-				perRank[c.Rank()] = SampleSort(c, local, SampleSortOptions{Curve: curve})
+				perRank[c.Rank()] = SampleSort(c, local, curve)
 			})
 			total := 0
 			var prevLast *sfc.Key
@@ -156,7 +156,7 @@ func TestSampleSortBalance(t *testing.T) {
 	comm.Run(p, comm.CostModel{}, func(c *comm.Comm) {
 		rng := rand.New(rand.NewSource(int64(200 + c.Rank())))
 		local := octree.RandomKeys(rng, 2000, 3, octree.LogNormal, 2, 14)
-		out := SampleSort(c, local, SampleSortOptions{Curve: curve})
+		out := SampleSort(c, local, curve)
 		sizes[c.Rank()] = len(out)
 	})
 	max, min := 0, 1<<62
@@ -179,7 +179,7 @@ func TestSampleSortPhases(t *testing.T) {
 	stats := comm.Run(4, model, func(c *comm.Comm) {
 		rng := rand.New(rand.NewSource(int64(300 + c.Rank())))
 		local := octree.RandomKeys(rng, 1000, 3, octree.Uniform, 1, 10)
-		SampleSort(c, local, SampleSortOptions{Curve: curve})
+		SampleSort(c, local, curve)
 	})
 	for _, phase := range []string{"local sort", "splitter", "all2all"} {
 		if stats.Phase(phase) <= 0 {

@@ -8,14 +8,6 @@ import (
 	"optipart/internal/sfc"
 )
 
-// SampleSortOptions tunes the baseline sorter.
-type SampleSortOptions struct {
-	Curve *sfc.Curve
-	// StageWidth is passed to the all-to-all exchange (see
-	// comm.AlltoallvOptions).
-	StageWidth int
-}
-
 // SampleSort is the Dendro-style baseline: a parallel sort by regular
 // sampling (Frazer & McKellar, the paper's ref [11]) over SFC-ordered keys.
 // It load-balances to N/p ± p but is oblivious to the machine and to the
@@ -24,8 +16,7 @@ type SampleSortOptions struct {
 // and "all2all" to match the breakdown in Figure 6.
 //
 // It returns this rank's slice of the globally sorted sequence.
-func SampleSort(c *comm.Comm, local []sfc.Key, opts SampleSortOptions) []sfc.Key {
-	curve := opts.Curve
+func SampleSort(c *comm.Comm, local []sfc.Key, curve *sfc.Curve) []sfc.Key {
 	p := c.Size()
 
 	c.SetPhase("local sort")
@@ -59,7 +50,7 @@ func SampleSort(c *comm.Comm, local []sfc.Key, opts SampleSortOptions) []sfc.Key
 	c.Compute(int64(len(local)) * KeyBytes) // one scan to split into buckets
 
 	c.SetPhase("all2all")
-	recv := comm.Alltoallv(c, send, KeyBytes, comm.AlltoallvOptions{StageWidth: opts.StageWidth})
+	recv := comm.Alltoallv(c, send, KeyBytes, comm.AlltoallvOptions{})
 
 	// Merge the p sorted runs.
 	c.SetPhase("local sort")

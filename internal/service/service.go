@@ -3,7 +3,7 @@
 // to one Service, which canonicalizes each octree, memoizes results by
 // content hash, coalesces concurrent identical requests into a single
 // computation (singleflight), and admits cache misses to the shared
-// execution slots in least-attained-service order (alloc.FairQueue) so a
+// execution slots in least-attained-service order (FairQueue) so a
 // heavy campaign cannot starve a light one.
 //
 // The request path is built to allocate nothing in the steady state when it
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sync"
 
-	"optipart/internal/alloc"
 	"optipart/internal/comm"
 	"optipart/internal/machine"
 	"optipart/internal/octree"
@@ -149,8 +148,6 @@ type Config struct {
 	// octree larger than the bound is computed but not cached. 0 means
 	// 1<<22 (≈64 MiB of key columns).
 	MaxCachedKeys int
-	// MaxArenas bounds the per-request arena freelist. 0 means Slots+2.
-	MaxArenas int
 }
 
 // entry is one cache slot: the canonical octree (for exact verification),
@@ -172,7 +169,7 @@ type entry struct {
 // Service is the long-lived partitioning facility. Safe for concurrent use.
 type Service struct {
 	cfg   Config
-	queue *alloc.FairQueue
+	queue *FairQueue
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -202,12 +199,9 @@ func New(cfg Config) *Service {
 	if cfg.MaxCachedKeys <= 0 {
 		cfg.MaxCachedKeys = 1 << 22
 	}
-	if cfg.MaxArenas <= 0 {
-		cfg.MaxArenas = cfg.Slots + 2
-	}
 	s := &Service{
 		cfg:     cfg,
-		queue:   alloc.NewFairQueue(cfg.Slots),
+		queue:   NewFairQueue(cfg.Slots),
 		entries: map[digest128]*entry{},
 		curves:  map[curveID]*sfc.Curve{},
 	}
@@ -240,9 +234,11 @@ func (s *Service) Metrics() Metrics {
 // the partition under fair admission and caches the result. The returned
 // Response is shared: callers must not mutate it.
 //
-// (the pending entry) or below admitAndCompute (the computation itself).
+// The cache-hit path allocates nothing: every allocation of a miss lives in
+// lead (the pending entry) or below admitAndCompute (the computation
+// itself).
 //
-//alloc:zero the cache-hit path: every allocation of a miss lives in lead
+//alloc:zero the cache-hit path
 func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 	if err := validate(&req); err != nil {
 		return nil, false, err
@@ -412,11 +408,10 @@ func validate(req *Request) error {
 // canonicalize copies the request keys into the arena, sorts them along the
 // curve, and strips duplicates and ancestors — the canonical linear octree
 // that content-addresses the request. Allocation-free once the arena and
-// curve cache are warm.
+// curve cache are warm. First sight of a curve kind or a bigger octree
+// allocates once and is waived below.
 //
-// octree allocates once and is waived below.
-//
-//alloc:zero warm-path contract; first sight of a curve kind or a bigger
+//alloc:zero warm-path contract
 func (s *Service) canonicalize(req *Request, a *psort.Arena) ([]sfc.Key, *sfc.Curve) {
 	s.mu.Lock()
 	id := curveID{kind: req.CurveKind, dim: req.Dim}
@@ -435,11 +430,11 @@ func (s *Service) canonicalize(req *Request, a *psort.Arena) ([]sfc.Key, *sfc.Cu
 }
 
 // admitAndCompute waits for a fair execution slot, runs the partitioning
-// world, and charges the tenant for the canonical keys processed.
-//
+// world, and charges the tenant for the canonical keys processed. The
+// contract covers its own lines only: the partitioning world below compute
 // allocates freely, but admission itself must not.
 //
-//alloc:zero on its own lines: the partitioning world below compute
+//alloc:zero admission only
 func (s *Service) admitAndCompute(req Request, curve *sfc.Curve, canon []sfc.Key, prior *partition.Splitters) (*Response, error) {
 	if !s.queue.Acquire(req.Tenant) {
 		return nil, ErrClosed
@@ -567,11 +562,11 @@ func (s *Service) evictLocked(keep *entry) {
 	}
 }
 
-// getArena pops a warm arena from the freelist or builds a fresh one.
+// getArena pops a warm arena from the freelist or builds a fresh one. In the
+// steady state the freelist is sized to the slot count (Slots+2), so the
+// fresh-arena fallback below runs only at startup (waived).
 //
-// so the fresh-arena fallback below runs only at startup (waived).
-//
-//alloc:zero in the steady state: the freelist is sized to the slot count,
+//alloc:zero steady state
 func (s *Service) getArena() *psort.Arena {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -580,11 +575,11 @@ func (s *Service) getArena() *psort.Arena {
 		s.arenas = s.arenas[:n-1]
 		return a
 	}
-	return new(psort.Arena) //alloc:escape freelist empty: startup, or more concurrent requests than MaxArenas
+	return new(psort.Arena) //alloc:escape freelist empty: startup, or more concurrent requests than Slots+2
 }
 
 // putArena returns an arena to the freelist, trimming oversized columns so
-// one huge request cannot pin memory; past MaxArenas the arena is dropped.
+// one huge request cannot pin memory; past Slots+2 arenas it is dropped.
 //
 //alloc:zero
 func (s *Service) putArena(a *psort.Arena) {
@@ -596,7 +591,7 @@ func (s *Service) putArena(a *psort.Arena) {
 //alloc:zero the freelist append reuses capacity after the first few puts.
 func (s *Service) putArenaLocked(a *psort.Arena) {
 	a.Trim()
-	if len(s.arenas) < s.cfg.MaxArenas {
+	if len(s.arenas) < s.cfg.Slots+2 {
 		s.arenas = append(s.arenas, a)
 	}
 }

@@ -2,6 +2,7 @@ package sfc
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -26,6 +27,18 @@ func (k Kind) String() string {
 		return "Hilbert"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// ParseKind maps a curve name, compared without regard to case, to its
+// Kind: "morton" or "hilbert", which are also the String forms. It is the
+// one reader of the commands' -curve flag.
+func ParseKind(s string) (Kind, error) {
+	for _, k := range []Kind{Morton, Hilbert} {
+		if strings.EqualFold(s, k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("sfc: unknown curve %q (want morton or hilbert)", s)
 }
 
 // State is the orientation of a curve within one subtree node. For the
@@ -127,14 +140,6 @@ func (c *Curve) Next(s State, pos int) State {
 		return s
 	}
 	return c.unpack(c.next[c.pack(s)][pos])
-}
-
-// Perm fills perm with the child visit order for state s:
-// perm[pos] = child label. len(perm) must be NumChildren().
-func (c *Curve) Perm(s State, perm []int) {
-	for pos := 0; pos < c.nchild; pos++ {
-		perm[pos] = c.ChildAt(s, pos)
-	}
 }
 
 func (c *Curve) pack(s State) int { return int(s.E)<<2 | int(s.D) }

@@ -203,7 +203,7 @@ func TestKeyChildParent(t *testing.T) {
 		k := keyAt(x, y, z, level)
 		lab := int(label) % 8
 		ch := k.Child(lab)
-		return ch.Parent() == k && ch.ChildLabel(int(level)+1) == lab && k.IsAncestorOf(ch)
+		return ch.Parent() == k && ch.ChildLabel(int(level)+1) == lab && k.Contains(ch) && !ch.Contains(k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
@@ -254,4 +254,17 @@ func randomKey(rng *rand.Rand, dim int, level uint8) Key {
 func keyAt(x, y, z uint32, level uint8) Key {
 	mask := ^lowMask(MaxLevel-int(level)) & (1<<MaxLevel - 1)
 	return Key{X: x & mask, Y: y & mask, Z: z & mask, Level: level}
+}
+
+func TestParseKind(t *testing.T) {
+	for s, want := range map[string]Kind{"morton": Morton, "hilbert": Hilbert, "Morton": Morton, "HILBERT": Hilbert} {
+		if got, err := ParseKind(s); err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"hilbrt", "", "z-order", "Kind(1)"} {
+		if _, err := ParseKind(s); err == nil {
+			t.Errorf("ParseKind(%q) accepted", s)
+		}
+	}
 }

@@ -98,15 +98,6 @@ func (k Key) Ancestor(level uint8) Key {
 	return Key{X: k.X & mask, Y: k.Y & mask, Z: k.Z & mask, Level: level}
 }
 
-// IsAncestorOf reports whether k strictly contains other (k is a proper
-// ancestor of other).
-func (k Key) IsAncestorOf(other Key) bool {
-	if k.Level >= other.Level {
-		return false
-	}
-	return other.Ancestor(k.Level) == k
-}
-
 // Contains reports whether other's region lies within k's region (equality
 // counts as containment).
 func (k Key) Contains(other Key) bool {

@@ -32,7 +32,6 @@ import (
 	"io"
 	"math/rand"
 
-	"optipart/internal/alloc"
 	"optipart/internal/ckpt"
 	"optipart/internal/comm"
 	"optipart/internal/fault"
@@ -238,11 +237,11 @@ func RunRank(rank, p int, model CostModel, t Transport, opts CheckedOptions, f f
 
 // Self-healing runtime. A checkpointed campaign (internal/ckpt) snapshots
 // the world placement at step boundaries; under the Restore failure policy
-// the wire root holds a dead rank's slot open for RejoinWait, a supervisor
-// respawns the worker under a RespawnBudget, and the replacement rejoins
-// with a higher incarnation number via DialRootResume — the root replays
-// the results it is owed and the campaign finishes bit-identical to a
-// fault-free run. ChaosPlan drives the seeded multi-outage harness (see
+// the wire root holds a dead rank's slot open for DefaultRejoinWait, a
+// supervisor respawns the worker under a RespawnBudget, and the replacement
+// rejoins with a higher incarnation number via DialRootResume — the root
+// replays the results it is owed and the campaign finishes bit-identical to
+// a fault-free run. ChaosPlan drives the seeded multi-outage harness (see
 // `experiments -run chaos`).
 type (
 	FailurePolicy   = wnet.Policy
@@ -407,7 +406,7 @@ func TreeSort(curve *Curve, keys []Key) { psort.TreeSort(curve, keys) }
 
 // SampleSort is the Dendro-style baseline partitioner/sorter. Collective.
 func SampleSort(c *Comm, local []Key, curve *Curve) []Key {
-	return psort.SampleSort(c, local, psort.SampleSortOptions{Curve: curve})
+	return psort.SampleSort(c, local, curve)
 }
 
 // Partitioning-as-a-service. A PartitionService is a long-lived facility
@@ -450,10 +449,10 @@ func ServeServiceConn(s *PartitionService, conn io.ReadWriter) error {
 // built outside the service: a bounded pool of execution slots granted to
 // competing tenants in least-attained-service order, FIFO within a tenant,
 // with deterministic tie-breaks.
-type FairQueue = alloc.FairQueue
+type FairQueue = service.FairQueue
 
 // NewFairQueue builds a fair admission queue with the given slot count.
-func NewFairQueue(slots int) *FairQueue { return alloc.NewFairQueue(slots) }
+func NewFairQueue(slots int) *FairQueue { return service.NewFairQueue(slots) }
 
 // Ghost is a rank's halo layer; CommMatrix is the communication matrix M of
 // §5.5.
@@ -465,7 +464,7 @@ type (
 // BuildGhost constructs the halo for a partitioned, 2:1-balanced complete
 // tree. Collective.
 func BuildGhost(c *Comm, local []Key, sp *Splitters) *Ghost {
-	return mesh.Build(c, local, sp, 1)
+	return mesh.Build(c, local, sp)
 }
 
 // GatherCommMatrix assembles the global communication matrix. Collective.
@@ -479,7 +478,7 @@ type Problem = fem.Problem
 // SetupPoisson builds the distributed operator on a partitioned mesh.
 // Collective.
 func SetupPoisson(c *Comm, local []Key, sp *Splitters) *Problem {
-	return fem.Setup(c, local, sp, 1)
+	return fem.Setup(c, local, sp)
 }
 
 // RunMatvecs applies the operator iters times (the paper's measurement

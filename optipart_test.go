@@ -82,7 +82,7 @@ func TestPublicAPISortAndBaseline(t *testing.T) {
 
 func TestPublicAPIQualityAndMachines(t *testing.T) {
 	for _, m := range []optipart.Machine{optipart.Titan(), optipart.Stampede(), optipart.Clemson32(), optipart.Wisconsin8()} {
-		if m.Cores() <= 0 {
+		if m.CoresPerNode*m.Nodes <= 0 {
 			t.Fatalf("%s has no cores", m.Name)
 		}
 		if m.Predict(optipart.DefaultAlpha, 1000, 100) <= 0 {

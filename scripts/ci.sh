@@ -7,7 +7,7 @@
 # Stages: go vet; gofmt -l; go build; optipartlint (run, then its -json
 # report parsed back); allocgate (//alloc:zero contracts, then its report);
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
-# lint, and service/alloc; the benchmark spine's quick run with its exact
+# lint, and service; the benchmark spine's quick run with its exact
 # metrics compared against scripts/spine_quick_baseline.json; the repart
 # transcript at -workers 1 and GOMAXPROCS against its golden; then the
 # smokes: optipartd multi-process (kill and recover), optipartd self-healing
@@ -69,11 +69,11 @@ echo "==> lint dedicated race pass"
 # shuffling: fixture expectations must not depend on package or test order.
 go test -race -shuffle=on -count=1 ./internal/lint
 
-echo "==> service/alloc dedicated race pass"
+echo "==> service dedicated race pass"
 # The service layer is the one place concurrent client goroutines share
 # mutable state on purpose (cache map, LRU, arena freelist, fair queue), so
 # it gets its own -race pass on top of the suite-wide one.
-go test -race -shuffle=on -count=1 ./internal/service ./internal/alloc
+go test -race -shuffle=on -count=1 ./internal/service
 
 echo "==> benchmark spine: quick run, exact metrics against scripts/spine_quick_baseline.json"
 # The one bench harness (benchmark/, BENCHMARK.json) is the gate. The quick
