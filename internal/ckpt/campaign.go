@@ -7,6 +7,7 @@ import (
 	"optipart/internal/comm"
 	"optipart/internal/machine"
 	"optipart/internal/octree"
+	"optipart/internal/par"
 	"optipart/internal/partition"
 	"optipart/internal/sfc"
 )
@@ -105,16 +106,8 @@ type CampaignResult struct {
 
 // stepSeed mixes (seed, step, rank) into an independent stream seed.
 func stepSeed(seed int64, step, rank int) int64 {
-	x := uint64(seed) ^ mix64(uint64(step)<<32|uint64(uint32(rank)))
-	return int64(mix64(x))
-}
-
-// mix64 is the splitmix64 finalizer: a bijective avalanche over uint64.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	x := uint64(seed) ^ par.SplitMix64(uint64(step)<<32|uint64(uint32(rank)))
+	return int64(par.SplitMix64(x))
 }
 
 // RunCampaign executes the campaign from res through opts.Steps. It must be

@@ -33,6 +33,12 @@ package comm
 // injectors are pure functions of message identity, the whole lossy
 // timeline is bit-reproducible across runs.
 
+import (
+	"time"
+
+	"optipart/internal/par"
+)
+
 // NetOutcome describes what the network does to one delivery attempt of one
 // frame. The zero value is clean delivery.
 type NetOutcome struct {
@@ -137,18 +143,40 @@ func (pk *packet) sum() uint64 {
 // verify reports whether the packet's carried checksum matches its header.
 func (pk *packet) verify() bool { return pk.Checksum == pk.sum() }
 
-// splitmix64 is the 64-bit finalizer used for deterministic jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // unitJitter maps a message attempt to a deterministic value in [0, 1).
 func unitJitter(pk *packet, attempt int) float64 {
-	h := splitmix64(pk.sum() ^ uint64(attempt)*0x9E3779B97F4A7C15)
+	h := par.SplitMix64(pk.sum() ^ uint64(attempt)*0x9E3779B97F4A7C15)
 	return float64(h>>11) / (1 << 53)
+}
+
+// Backoff is the one exponential retry schedule of the real processes: the
+// wire transport's reconnect loop and the supervisor's respawn budget.
+// Attempt k (0-based) waits Base·2^k, capped at Max, stretched by up to 25%
+// by a jitter drawn from the seed and attempt number alone. Determinism
+// makes backoff schedules assertable in unit tests — same seed, same
+// delays — while still decorrelating real fleets, which each seed from
+// their rank.
+type Backoff struct {
+	Base   time.Duration
+	Max    time.Duration
+	Jitter int64 // seed; 0 means no jitter
+}
+
+// Delay returns the wait before attempt k (0-based).
+func (b Backoff) Delay(attempt int) time.Duration {
+	d := b.Base
+	for i := 0; i < attempt && d < b.Max; i++ {
+		d *= 2
+	}
+	if d > b.Max {
+		d = b.Max
+	}
+	if b.Jitter != 0 {
+		h := par.SplitMix64(uint64(b.Jitter) + uint64(attempt)*0x9e3779b97f4a7c15)
+		frac := float64(h>>11) / float64(1<<53) // uniform [0, 1)
+		d += time.Duration(frac * 0.25 * float64(d))
+	}
+	return d
 }
 
 // netStep replays the pending collective step's logical messages through

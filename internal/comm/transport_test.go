@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"optipart/internal/par"
 )
 
 // cleanNet is a non-nil injector that injects nothing: it forces the full
@@ -22,12 +24,12 @@ func hashNet(seed uint64, drop, corrupt, dup float64) NetInjector {
 		for i := 0; i < len(op); i++ {
 			h = (h ^ uint64(op[i])) * fnvPrime64
 		}
-		h = splitmix64(h ^ uint64(src)<<32 ^ uint64(dst))
-		h = splitmix64(h ^ seq)
-		h = splitmix64(h ^ uint64(pkt))
-		h = splitmix64(h ^ uint64(attempt))
+		h = par.SplitMix64(h ^ uint64(src)<<32 ^ uint64(dst))
+		h = par.SplitMix64(h ^ seq)
+		h = par.SplitMix64(h ^ uint64(pkt))
+		h = par.SplitMix64(h ^ uint64(attempt))
 		unit := func(lane uint64) float64 {
-			return float64(splitmix64(h^lane*0xA24BAED4963EE407)>>11) / (1 << 53)
+			return float64(par.SplitMix64(h^lane*0xA24BAED4963EE407)>>11) / (1 << 53)
 		}
 		var out NetOutcome
 		if unit(0) < drop {

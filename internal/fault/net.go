@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"optipart/internal/comm"
+	"optipart/internal/par"
 )
 
 // LinkFault describes the unreliability of one directed link, or of a
@@ -125,7 +126,7 @@ func (np *NetPlan) Injector() comm.NetInjector {
 		return nil
 	}
 	links := append([]LinkFault(nil), np.Links...)
-	seed := splitmix64(uint64(np.Seed) ^ 0x6E65747061756C74) // "netfault"
+	seed := par.SplitMix64(uint64(np.Seed) ^ 0x6E65747061756C74) // "netfault"
 	return func(src, dst int, op string, seq uint64, pkt, attempt int, bytes int64) comm.NetOutcome {
 		for _, lf := range links {
 			if !lf.matches(src, dst, op) {
@@ -158,21 +159,13 @@ func frameHash(seed uint64, src, dst int, op string, seq uint64, pkt, attempt in
 	for i := 0; i < len(op); i++ {
 		h = (h ^ uint64(op[i])) * 1099511628211
 	}
-	h = splitmix64(h ^ uint64(src)<<32 ^ uint64(dst))
-	h = splitmix64(h ^ seq)
-	h = splitmix64(h ^ uint64(pkt))
-	return splitmix64(h ^ uint64(attempt))
+	h = par.SplitMix64(h ^ uint64(src)<<32 ^ uint64(dst))
+	h = par.SplitMix64(h ^ seq)
+	h = par.SplitMix64(h ^ uint64(pkt))
+	return par.SplitMix64(h ^ uint64(attempt))
 }
 
 // unitLane derives an independent uniform draw in [0, 1) from hash lane i.
 func unitLane(h uint64, lane uint64) float64 {
-	return float64(splitmix64(h^lane*0xA24BAED4963EE407)>>11) / (1 << 53)
-}
-
-// splitmix64 is the standard 64-bit finalizer.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
+	return float64(par.SplitMix64(h^lane*0xA24BAED4963EE407)>>11) / (1 << 53)
 }

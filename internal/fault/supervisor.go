@@ -3,6 +3,8 @@ package fault
 import (
 	"sync"
 	"time"
+
+	"optipart/internal/comm"
 )
 
 // RespawnBudget is the supervisor's throttle: it decides whether a dead
@@ -38,7 +40,7 @@ func (b *RespawnBudget) maxRespawns() int {
 	return b.MaxRespawns
 }
 
-func (b *RespawnBudget) backoff() Backoff {
+func (b *RespawnBudget) backoff() comm.Backoff {
 	base, max := b.Base, b.Max
 	if base <= 0 {
 		base = 100 * time.Millisecond
@@ -46,26 +48,7 @@ func (b *RespawnBudget) backoff() Backoff {
 	if max <= 0 {
 		max = 5 * time.Second
 	}
-	return Backoff{Base: base, Max: max}
-}
-
-// Backoff mirrors the transport's reconnect schedule without importing it:
-// attempt k (0-based) waits Base·2^k capped at Max.
-type Backoff struct {
-	Base time.Duration
-	Max  time.Duration
-}
-
-// Delay returns the wait before attempt k (0-based).
-func (bo Backoff) Delay(attempt int) time.Duration {
-	d := bo.Base
-	for i := 0; i < attempt && d < bo.Max; i++ {
-		d *= 2
-	}
-	if d > bo.Max {
-		d = bo.Max
-	}
-	return d
+	return comm.Backoff{Base: base, Max: max}
 }
 
 // Next charges one respawn attempt for rank at instant now. It returns the

@@ -68,38 +68,48 @@ type wireFailure struct {
 	Msg        string
 }
 
-func encodeBody(v any) ([]byte, error) {
+// encodeFrame encodes f with the gob encoding of v as its payload.
+func encodeFrame(f Frame, v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	f.Payload = buf.Bytes()
+	return AppendFrame(nil, &f)
 }
 
 func decodeBody(b []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }
 
-func encodeFailure(err error) wireFailure {
+// abortFrame is the one fAbort encoder: err flattened to its wire form,
+// sent from rank src.
+func abortFrame(src int, err error) ([]byte, error) {
+	wf := wireFailure{Kind: "generic", Msg: fmt.Sprint(err)}
 	switch e := err.(type) {
 	case *comm.RankFailure:
-		return wireFailure{Kind: "rank", Rank: e.Rank, Op: e.Op, Phase: e.Phase,
+		wf = wireFailure{Kind: "rank", Rank: e.Rank, Op: e.Op, Phase: e.Phase,
 			Collective: e.Collective, Msg: fmt.Sprint(e.Err)}
 	case *comm.LinkFailure:
-		return wireFailure{Kind: "link", Src: e.Src, Dst: e.Dst, Op: e.Op,
+		wf = wireFailure{Kind: "link", Src: e.Src, Dst: e.Dst, Op: e.Op,
 			Seq: e.Seq, Attempts: e.Attempts, Cap: e.Cap}
 	case *comm.MismatchError:
-		return wireFailure{Kind: "mismatch", Step: e.Step, Calls: e.Calls}
+		wf = wireFailure{Kind: "mismatch", Step: e.Step, Calls: e.Calls}
 	case *comm.AbandonedError:
-		return wireFailure{Kind: "abandoned", Waiter: e.Waiter, Op: e.Op, Departed: e.Departed}
+		wf = wireFailure{Kind: "abandoned", Waiter: e.Waiter, Op: e.Op, Departed: e.Departed}
 	case *ShutdownError:
-		return wireFailure{Kind: "shutdown", Msg: e.Reason}
-	default:
-		return wireFailure{Kind: "generic", Msg: fmt.Sprint(err)}
+		wf = wireFailure{Kind: "shutdown", Msg: e.Reason}
 	}
+	return encodeFrame(Frame{Type: fAbort, Src: int32(src)}, &wf)
 }
 
-func decodeFailure(wf wireFailure) error {
+// decodeAbort is the one fAbort decoder: the frame's failure rebuilt as
+// the structured type the sender failed with.
+func decodeAbort(f *Frame) error {
+	var wf wireFailure
+	if err := decodeBody(f.Payload, &wf); err != nil {
+		return fmt.Errorf("net: rank %d sent an undecodable abort: %w", f.Src, err)
+	}
 	switch wf.Kind {
 	case "rank":
 		return &comm.RankFailure{Rank: wf.Rank, Op: wf.Op, Phase: wf.Phase,
@@ -113,10 +123,113 @@ func decodeFailure(wf wireFailure) error {
 		return &comm.AbandonedError{Waiter: wf.Waiter, Op: wf.Op, Departed: wf.Departed}
 	case "shutdown":
 		return &ShutdownError{Reason: wf.Msg}
-	default:
-		return errors.New(wf.Msg)
+	}
+	return errors.New(wf.Msg)
+}
+
+// core is the half of the rank-0 star protocol Root and Worker share: the
+// failure funnel, the cancellable step state, the completed-step counter
+// and the stop signal.
+//
+// Lock order: failMu and mu are never held together. failMu guards only
+// the failure funnel (failf, pending) and is always released before any
+// call that could take mu; mu guards the embedding side's step state. Keep
+// it that way — nesting them in either direction starts a lock-order cycle
+// (enforced by optipartlint's lockorder rule).
+type core struct {
+	rank, p  int // this side's rank (0 on the root) and the world size
+	opts     Options
+	gen      atomic.Uint64
+	stop     chan struct{}
+	stopOnce sync.Once
+
+	failMu  sync.Mutex
+	failf   func(error)
+	pending error
+
+	mu        sync.Mutex
+	cond      *sync.Cond
+	cancelled bool
+	quiet     bool // a failure from elsewhere is being delivered: send no fAbort back
+}
+
+func (c *core) init(rank, p int, opts Options) {
+	c.rank, c.p, c.opts = rank, p, opts.withDefaults()
+	c.stop = make(chan struct{})
+	c.cond = sync.NewCond(&c.mu)
+}
+
+// failWorld reports an asynchronous failure into the bound world; before a
+// world is bound the error is parked and delivered at Bind.
+func (c *core) failWorld(err error) {
+	c.failMu.Lock()
+	f := c.failf
+	if f == nil && c.pending == nil {
+		c.pending = err
+	}
+	c.failMu.Unlock()
+	if f != nil {
+		f(err)
 	}
 }
+
+// failQuietly fails the world with a failure that did not originate here,
+// so the Cancel it triggers sends no fAbort back; notify, if any, tells
+// the peers first. The failure is recorded before any waiter wakes: a rank
+// woken first could return from its program before its world knew it had
+// failed.
+func (c *core) failQuietly(err error, notify func()) {
+	c.mu.Lock()
+	c.quiet = true
+	c.mu.Unlock()
+	if notify != nil {
+		notify()
+	}
+	c.failWorld(err)
+	c.cancelLocal()
+}
+
+// cancelLocal marks the world cancelled and wakes every waiter. It reports
+// whether this call cancelled a world whose failure originated here, the
+// one case in which the peers are owed an fAbort.
+func (c *core) cancelLocal() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cancelled {
+		return false
+	}
+	c.cancelled = true
+	c.cond.Broadcast()
+	return !c.quiet
+}
+
+// cancel is both sides' Cancel: the first call marks the world cancelled
+// and sends its reason, if any, to the peers as an fAbort through send.
+func (c *core) cancel(reason error, send func(frame []byte)) {
+	if !c.cancelLocal() || reason == nil {
+		return
+	}
+	if frame, err := abortFrame(c.rank, reason); err == nil {
+		send(frame)
+	}
+}
+
+// comm.Transport implementation, shared by Root and Worker.
+
+func (c *core) Wire() bool { return true }
+
+func (c *core) Bind(fail func(error)) {
+	c.failMu.Lock()
+	c.failf = fail
+	p := c.pending
+	c.pending = nil
+	c.failMu.Unlock()
+	if p != nil {
+		fail(p)
+	}
+}
+
+func (c *core) Generation() uint64 { return c.gen.Load() }
 
 // depositMsg is one worker deposit parked in the root's inbox, payload
 // still encoded: it is decoded inside Step, after the root's own collective
@@ -130,35 +243,19 @@ type depositMsg struct {
 // Root is the rank-0 transport: it listens, admits p-1 workers, and runs
 // every collective's compute closure against their framed deposits. The
 // root is itself a live rank — its process calls comm.RunRank(0, ...) with
-// this transport.
-//
-// Lock order: failMu and mu are never held together. failMu guards only
-// the failure funnel (failf, pending) and is always released before any
-// call that could take mu; mu guards the collective state machine. Keep it
-// that way — nesting them in either direction starts a lock-order cycle
-// (enforced by optipartlint's lockorder rule).
+// this transport. Its mu guards the collective state machine below.
 type Root struct {
-	p    int
-	opts Options
-	ln   stdnet.Listener
+	core
+	ln stdnet.Listener
 
-	failMu  sync.Mutex
-	failf   func(error)
-	pending error
-
-	mu          sync.Mutex
-	cond        *sync.Cond
-	links       []*link // index by rank; [0] unused
-	inbox       []*depositMsg
-	lastOp      []string
-	lastSeq     []uint64
-	done        []bool
-	joined      int
-	waitExpired bool
-	announced   bool
-	model       comm.CostModel
-	cancelled   bool
-	step        uint64 // next collective index rank 0 will run
+	links   []*link // index by rank; [0] unused
+	inbox   []*depositMsg
+	lastOp  []string
+	lastSeq []uint64
+	done    []bool
+	joined  int
+	welcome []byte // the encoded fWelcome once Announce has fixed the model
+	step    uint64 // next collective index rank 0 will run
 
 	// resultLog holds encoded fResult frames by seq for reconnect and
 	// rejoin replay. Under Degrade it is pruned to the latest result (the
@@ -176,11 +273,8 @@ type Root struct {
 	deathAt        []time.Time
 	rec            comm.RecoveryStats
 
-	gen      atomic.Uint64
-	mon      *Monitor
-	calCh    chan *Frame
-	stop     chan struct{}
-	stopOnce sync.Once
+	mon   *Monitor
+	calCh chan *Frame
 }
 
 // NewRoot listens on endpoint ("unix:/path" or "tcp:host:port") and starts
@@ -202,10 +296,7 @@ func NewRoot(endpoint string, p int, opts Options) (*Root, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	r := &Root{
-		p:              p,
-		opts:           opts,
 		ln:             ln,
 		links:          make([]*link, p),
 		inbox:          make([]*depositMsg, p),
@@ -217,11 +308,10 @@ func NewRoot(endpoint string, p int, opts Options) (*Root, error) {
 		awaitingRejoin: make([]bool, p),
 		rejoinTimer:    make([]*time.Timer, p),
 		deathAt:        make([]time.Time, p),
-		mon:            NewMonitor(opts.HeartbeatTimeout),
 		calCh:          make(chan *Frame, 4*p),
-		stop:           make(chan struct{}),
 	}
-	r.cond = sync.NewCond(&r.mu)
+	r.init(0, p, opts)
+	r.mon = NewMonitor(r.opts.HeartbeatTimeout)
 	go r.acceptLoop()
 	go r.heartbeatLoop()
 	return r, nil
@@ -230,22 +320,31 @@ func NewRoot(endpoint string, p int, opts Options) (*Root, error) {
 // Addr returns the listener's address.
 func (r *Root) Addr() stdnet.Addr { return r.ln.Addr() }
 
-// WaitReady blocks until all p-1 workers have joined. If the rendezvous
-// does not complete within timeout it fails with a structured *JoinTimeout
-// naming the ranks that never connected.
-func (r *Root) WaitReady(timeout time.Duration) error {
+// waitUntil blocks until done (evaluated with r.mu held) reports true or
+// timeout passes, whichever comes first.
+func (r *Root) waitUntil(timeout time.Duration, done func() bool) {
+	expired := false
 	t := time.AfterFunc(timeout, func() {
 		r.mu.Lock()
-		r.waitExpired = true
+		expired = true
 		r.cond.Broadcast()
 		r.mu.Unlock()
 	})
 	defer t.Stop()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for r.joined < r.p-1 && !r.waitExpired && !r.cancelled {
+	for !expired && !done() {
 		r.cond.Wait()
 	}
+}
+
+// WaitReady blocks until all p-1 workers have joined. If the rendezvous
+// does not complete within timeout it fails with a structured *JoinTimeout
+// naming the ranks that never connected.
+func (r *Root) WaitReady(timeout time.Duration) error {
+	r.waitUntil(timeout, func() bool { return r.joined >= r.p-1 || r.cancelled })
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.joined < r.p-1 {
 		jt := &JoinTimeout{P: r.p, Joined: r.joined, Timeout: timeout}
 		for rank := 1; rank < r.p; rank++ {
@@ -258,52 +357,45 @@ func (r *Root) WaitReady(timeout time.Duration) error {
 	return nil
 }
 
+// broadcast writes one encoded frame to every joined worker. A write error
+// is not a verdict on the rank: the worker may be mid-reconnect, and admit
+// replays what it is owed.
+func (r *Root) broadcast(frame []byte) {
+	r.mu.Lock()
+	links := append([]*link(nil), r.links...)
+	r.mu.Unlock()
+	for _, l := range links[1:] {
+		if l != nil {
+			l.writeRaw(frame)
+		}
+	}
+}
+
 // Announce fixes the world's cost model and releases the joined workers
 // into their rank programs (they block in Dial until the welcome carrying
 // the model arrives).
 func (r *Root) Announce(model comm.CostModel) {
-	r.mu.Lock()
-	r.model = model
-	r.announced = true
-	links := append([]*link(nil), r.links...)
-	r.mu.Unlock()
-	payload, err := encodeBody(&welcomeBody{P: r.p, Tc: model.Tc, Ts: model.Ts, Tw: model.Tw})
+	welcome, err := encodeFrame(Frame{Type: fWelcome}, &welcomeBody{P: r.p, Tc: model.Tc, Ts: model.Ts, Tw: model.Tw})
 	if err != nil {
 		return
 	}
-	f := &Frame{Type: fWelcome, Src: 0, Payload: payload}
-	for rank := 1; rank < r.p; rank++ {
-		if l := links[rank]; l != nil {
-			l.write(f)
-		}
-	}
+	r.mu.Lock()
+	r.welcome = welcome
+	r.mu.Unlock()
+	r.broadcast(welcome)
 }
 
 // Drain waits for every worker's fDone (clean rank-program exit), bounding
 // the wait; use it before Close so final results are not torn mid-read.
 func (r *Root) Drain(timeout time.Duration) {
-	t := time.AfterFunc(timeout, func() {
-		r.mu.Lock()
-		r.waitExpired = true
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer t.Stop()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.waitExpired = false
-	for !r.waitExpired {
-		all := true
+	r.waitUntil(timeout, func() bool {
 		for rank := 1; rank < r.p; rank++ {
 			if !r.done[rank] && !r.mon.Dead(rank) {
-				all = false
+				return false
 			}
 		}
-		if all {
-			return
-		}
-		r.cond.Wait()
-	}
+		return true
+	})
 }
 
 // Close tears the transport down: the listener, every worker connection,
@@ -312,15 +404,14 @@ func (r *Root) Close() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	r.ln.Close()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	for rank, t := range r.rejoinTimer {
 		if t != nil {
 			t.Stop()
 			r.rejoinTimer[rank] = nil
 		}
 	}
-	links := append([]*link(nil), r.links...)
-	r.mu.Unlock()
-	for _, l := range links {
+	for _, l := range r.links {
 		if l != nil {
 			l.close()
 		}
@@ -331,10 +422,6 @@ func (r *Root) acceptLoop() {
 	for {
 		conn, err := r.ln.Accept()
 		if err != nil {
-			select {
-			case <-r.stop:
-			default:
-			}
 			return
 		}
 		go r.admit(conn)
@@ -399,20 +486,16 @@ func (r *Root) admit(conn stdnet.Conn) {
 		l.replace(conn)
 		r.rec.Redials++
 	}
-	announced, model := r.announced, r.model
 	replay := r.loggedLocked(hb.Resume)
 	for _, buf := range replay {
 		r.rec.RestoredBytes += int64(len(buf))
 	}
+	if r.welcome != nil {
+		replay = append([][]byte{r.welcome}, replay...)
+	}
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	r.mon.Touch(rank, time.Now())
-	if announced {
-		payload, err := encodeBody(&welcomeBody{P: r.p, Tc: model.Tc, Ts: model.Ts, Tw: model.Tw})
-		if err == nil {
-			l.write(&Frame{Type: fWelcome, Src: 0, Payload: payload})
-		}
-	}
 	for _, buf := range replay {
 		l.writeRaw(buf)
 	}
@@ -432,7 +515,7 @@ func (r *Root) reader(rank int, conn stdnet.Conn, l *link) {
 			}
 			return
 		}
-		r.mon.Touch(rank, time.Now())
+		r.mon.Touch(rank, time.Now()) // any frame, pongs included, is liveness
 		switch f.Type {
 		case fDeposit:
 			r.mu.Lock()
@@ -450,18 +533,15 @@ func (r *Root) reader(rank int, conn stdnet.Conn, l *link) {
 			r.mu.Unlock()
 			r.mon.Forget(rank)
 		case fAbort:
-			var wf wireFailure
-			if decodeBody(f.Payload, &wf) == nil {
-				r.cancelLocal()
-				r.failWorld(decodeFailure(wf))
-			}
+			// The world's failure reaches Cancel, which relays the abort to
+			// every worker; the sender has already cancelled and ignores
+			// the echo.
+			r.failWorld(decodeAbort(f))
 		case fCalEcho:
 			select {
 			case r.calCh <- f:
 			default:
 			}
-		case fPong, fPing:
-			// liveness only
 		}
 	}
 }
@@ -471,112 +551,43 @@ func (r *Root) reader(rank int, conn stdnet.Conn, l *link) {
 func (r *Root) heartbeatLoop() {
 	ticker := time.NewTicker(r.opts.HeartbeatInterval)
 	defer ticker.Stop()
-	ping := &Frame{Type: fPing, Src: 0}
+	ping, _ := AppendFrame(nil, &Frame{Type: fPing})
 	for {
 		select {
 		case <-r.stop:
 			return
 		case <-ticker.C:
-			r.mu.Lock()
-			links := append([]*link(nil), r.links...)
-			r.mu.Unlock()
-			for rank := 1; rank < r.p; rank++ {
-				if l := links[rank]; l != nil {
-					l.write(ping)
-				}
-			}
+			r.broadcast(ping)
 			for _, rank := range r.mon.Expired(time.Now()) {
+				r.mu.Lock()
 				if r.opts.OnFailure == Restore {
-					r.mu.Lock()
 					r.deathEventLocked(rank)
 					r.mu.Unlock()
 					continue
 				}
-				r.mu.Lock()
-				op := r.lastOp[rank]
-				coll := -1
-				if op != "" {
-					coll = int(r.lastSeq[rank])
-				}
+				rf := r.lostLocked(rank, ErrPeerDead)
 				r.cond.Broadcast()
 				r.mu.Unlock()
-				r.failWorld(&comm.RankFailure{
-					Rank: rank, Op: op, Phase: "main", Collective: coll, Err: ErrPeerDead,
-				})
+				r.failWorld(rf)
 			}
 		}
 	}
 }
 
-// failWorld reports an asynchronous failure into the bound world; before a
-// world is bound the error is parked and delivered at Bind.
-func (r *Root) failWorld(err error) {
-	r.failMu.Lock()
-	f := r.failf
-	if f == nil && r.pending == nil {
-		r.pending = err
+// lostLocked (r.mu held) is the RankFailure blaming a dead rank, naming the
+// last collective it deposited for.
+func (r *Root) lostLocked(rank int, cause error) *comm.RankFailure {
+	op := r.lastOp[rank]
+	coll := -1
+	if op != "" {
+		coll = int(r.lastSeq[rank])
 	}
-	r.failMu.Unlock()
-	if f != nil {
-		f(err)
-	}
+	return &comm.RankFailure{Rank: rank, Op: op, Phase: "main", Collective: coll, Err: cause}
 }
-
-// comm.Transport implementation.
-
-func (r *Root) Wire() bool { return true }
-
-func (r *Root) Bind(fail func(error)) {
-	r.failMu.Lock()
-	r.failf = fail
-	p := r.pending
-	r.pending = nil
-	r.failMu.Unlock()
-	if p != nil {
-		fail(p)
-	}
-}
-
-func (r *Root) Generation() uint64 { return r.gen.Load() }
 
 func (r *Root) Depart(int) {}
 
-// cancelLocal marks the world cancelled without broadcasting fAbort —
-// used when the abort originated remotely and echoing it back would only
-// bounce between peers.
-func (r *Root) cancelLocal() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cancelled {
-		return false
-	}
-	r.cancelled = true
-	r.cond.Broadcast()
-	return true
-}
-
-func (r *Root) Cancel(reason error) {
-	if !r.cancelLocal() {
-		return
-	}
-	if reason == nil {
-		return
-	}
-	wf := encodeFailure(reason)
-	payload, err := encodeBody(&wf)
-	if err != nil {
-		return
-	}
-	f := &Frame{Type: fAbort, Src: 0, Payload: payload}
-	r.mu.Lock()
-	links := append([]*link(nil), r.links...)
-	r.mu.Unlock()
-	for rank := 1; rank < r.p; rank++ {
-		if l := links[rank]; l != nil {
-			l.write(f)
-		}
-	}
-}
+func (r *Root) Cancel(reason error) { r.cancel(reason, r.broadcast) }
 
 // Step runs one collective on the root: wait for every worker's deposit of
 // this step, verify the signatures, install the remote clocks and values,
@@ -607,7 +618,9 @@ func (r *Root) Step(st *comm.StepState) any {
 				}
 			}
 		}
-		if len(departed) > 0 {
+		// While a quiet failure is in flight, a departure is its echo (a
+		// worker leaving on fShutdown), not a second failure.
+		if len(departed) > 0 && !r.quiet {
 			r.mu.Unlock()
 			st.Abort(&comm.AbandonedError{Waiter: 0, Op: st.Op(), Departed: departed})
 		}
@@ -642,13 +655,10 @@ func (r *Root) Step(st *comm.StepState) any {
 	cost := st.ComputeCost()
 	end := st.FinishStep(cost)
 
-	payload, err := encodeBody(&resultBody{End: end, Scratch: st.Scratch()})
+	frame, err := encodeFrame(Frame{Type: fResult, Seq: seq, Op: st.Op()},
+		&resultBody{End: end, Scratch: st.Scratch()})
 	if err != nil {
 		st.Abort(fmt.Errorf("net: result for %s unencodable: %w", st.Op(), err))
-	}
-	frame, err := AppendFrame(nil, &Frame{Type: fResult, Src: 0, Seq: seq, Op: st.Op(), Payload: payload})
-	if err != nil {
-		st.Abort(fmt.Errorf("net: result frame for %s: %w", st.Op(), err))
 	}
 
 	r.mu.Lock()
@@ -667,15 +677,8 @@ func (r *Root) Step(st *comm.StepState) any {
 		r.inbox[rank] = nil
 	}
 	r.step = seq + 1
-	links := append([]*link(nil), r.links...)
 	r.mu.Unlock()
-	for rank := 1; rank < r.p; rank++ {
-		if l := links[rank]; l != nil {
-			// A write error is not a verdict on the rank: the worker may be
-			// mid-reconnect, in which case admit replays this result.
-			l.writeRaw(frame)
-		}
-	}
+	r.broadcast(frame)
 	r.gen.Add(1)
 	return st.Consume()
 }
@@ -698,38 +701,27 @@ func (r *Root) mismatch(st *comm.StepState, deposits []*depositMsg) error {
 
 // Worker is the transport of one non-root rank: a single framed connection
 // to the root, a reader goroutine answering heartbeats and collecting
-// results, and reconnect-with-backoff when the connection breaks.
-//
-// Lock order: as on Root, failMu (failure funnel) and mu (step state) are
-// disjoint and never nested; acquire at most one at a time.
+// results, and reconnect-with-backoff when the connection breaks. Its mu
+// guards the step state below.
 type Worker struct {
-	rank, p  int
-	inc      uint64 // incarnation number carried in every hello
-	opts     Options
-	network  string
-	addr     string
-	model    comm.CostModel
-	link     *link
-	gen      atomic.Uint64
-	stop     chan struct{}
-	stopOnce sync.Once
+	core
+	inc           uint64 // incarnation number carried in every hello
+	network, addr string
+	model         comm.CostModel
+	link          *link
 
-	failMu  sync.Mutex
-	failf   func(error)
-	pending error
-
-	mu         sync.Mutex
-	cond       *sync.Cond
 	results    map[uint64]*Frame // parked results by seq (replay can arrive in bursts)
-	cancelled  bool
-	awaiting   uint64 // seq of the result Step is blocked on; noSeq if none
-	pendingDep []byte // encoded deposit frame of the in-flight step
+	awaiting   uint64            // seq of the result Step is blocked on; noSeq if none
+	pendingDep []byte            // encoded deposit frame of the in-flight step
 	lastOpName string
-	lastRoot   time.Time // last instant any frame arrived from the root
+	lastRoot   atomic.Int64 // unix nanoseconds of the last frame from the root
 }
 
 // ResumeNone marks a fresh join in DialResume: no owed results to replay.
 const ResumeNone = noSeq
+
+// errDialStopped ends a dial loop whose worker was closed or cancelled.
+var errDialStopped = errors.New("net: dial stopped: worker closed or cancelled")
 
 // Dial connects rank to the root at endpoint, sends the hello, and blocks —
 // answering heartbeats and calibration probes — until the root's welcome
@@ -753,34 +745,30 @@ func DialResume(endpoint string, rank, p int, resume, inc uint64, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
 	w := &Worker{
-		rank: rank, p: p, inc: inc, opts: opts,
+		inc:     inc,
 		network: network, addr: addr,
-		stop:     make(chan struct{}),
 		awaiting: noSeq,
 		results:  make(map[uint64]*Frame),
 	}
+	w.init(rank, p, opts)
 	if resume != ResumeNone {
 		w.gen.Store(resume)
 	}
-	w.cond = sync.NewCond(&w.mu)
-	conn, err := w.dialRetry()
+	deadline := time.Now().Add(DefaultDialTimeout)
+	conn, err := w.dial(-1, func(int) bool { return time.Now().After(deadline) },
+		func(conn stdnet.Conn) error { return w.hello(conn, resume) })
 	if err != nil {
 		return nil, err
 	}
-	w.link = newLink(conn, opts)
-	if err := w.hello(conn, resume); err != nil {
-		conn.Close()
-		return nil, err
-	}
+	w.link = newLink(conn, w.opts)
 	model, err := w.awaitWelcome(conn)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
 	w.model = model
-	w.sawRoot()
+	w.lastRoot.Store(time.Now().UnixNano())
 	go w.reader(conn)
 	return w, nil
 }
@@ -792,40 +780,53 @@ func (w *Worker) Model() comm.CostModel { return w.model }
 func (w *Worker) Close() {
 	w.stopOnce.Do(func() { close(w.stop) })
 	w.link.close()
-	w.mu.Lock()
-	w.cancelled = true
-	w.cond.Broadcast()
-	w.mu.Unlock()
+	w.cancelLocal()
 }
 
-func (w *Worker) dialRetry() (stdnet.Conn, error) {
-	bo := Backoff{Base: DefaultBackoffBase, Max: DefaultBackoffMax, Jitter: int64(w.rank)}
-	deadline := time.Now().Add(DefaultDialTimeout)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
+// dial is the one dial loop to the root, under the rank-seeded backoff: it
+// waits the backoff's delay before attempt k ≥ 0 (a fresh join starts at
+// attempt -1, with no wait), hands each connection to join, and returns
+// the first one join accepts. After a failed attempt it gives up with the
+// last error once giveUp says so; a close or cancellation during a wait
+// stops it with errDialStopped.
+func (w *Worker) dial(first int, giveUp func(attempt int) bool, join func(stdnet.Conn) error) (stdnet.Conn, error) {
+	bo := comm.Backoff{Base: DefaultBackoffBase, Max: DefaultBackoffMax, Jitter: int64(w.rank)}
+	for attempt := first; ; attempt++ {
+		if attempt >= 0 {
+			select {
+			case <-w.stop:
+				return nil, errDialStopped
+			case <-time.After(bo.Delay(attempt)):
+			}
+			w.mu.Lock()
+			cancelled := w.cancelled
+			w.mu.Unlock()
+			if cancelled {
+				return nil, errDialStopped
+			}
+		}
 		conn, err := stdnet.DialTimeout(w.network, w.addr, DefaultBackoffMax)
 		if err == nil {
-			return conn, nil
+			if err = join(conn); err == nil {
+				return conn, nil
+			}
+			conn.Close()
 		}
-		lastErr = err
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("net: rank %d dial %s %s: %w", w.rank, w.network, w.addr, lastErr)
-		}
-		select {
-		case <-w.stop:
-			return nil, fmt.Errorf("net: rank %d dial aborted", w.rank)
-		case <-time.After(bo.Delay(attempt)):
+		if giveUp(attempt) {
+			return nil, fmt.Errorf("net: rank %d dial %s %s: %w", w.rank, w.network, w.addr, err)
 		}
 	}
 }
 
 func (w *Worker) hello(conn stdnet.Conn, resume uint64) error {
-	payload, err := encodeBody(&helloBody{Rank: w.rank, P: w.p, Resume: resume, Inc: w.inc})
+	frame, err := encodeFrame(Frame{Type: fHello, Src: int32(w.rank)},
+		&helloBody{Rank: w.rank, P: w.p, Resume: resume, Inc: w.inc})
 	if err != nil {
 		return err
 	}
 	conn.SetWriteDeadline(time.Now().Add(w.opts.IOTimeout))
-	return WriteFrame(conn, &Frame{Type: fHello, Src: int32(w.rank), Payload: payload})
+	_, err = conn.Write(frame)
+	return err
 }
 
 // awaitWelcome services the pre-world handshake: the root may calibrate
@@ -841,44 +842,38 @@ func (w *Worker) awaitWelcome(conn stdnet.Conn) (comm.CostModel, error) {
 			}
 			return comm.CostModel{}, fmt.Errorf("net: rank %d handshake: %w", w.rank, err)
 		}
-		switch f.Type {
-		case fWelcome:
-			var wb welcomeBody
-			if err := decodeBody(f.Payload, &wb); err != nil {
+		if f.Type != fWelcome {
+			if err := w.control(f); err != nil {
 				return comm.CostModel{}, err
 			}
-			if wb.P != w.p {
-				return comm.CostModel{}, fmt.Errorf("net: rank %d joined a p=%d world expecting p=%d", w.rank, wb.P, w.p)
-			}
-			return comm.CostModel{Tc: wb.Tc, Ts: wb.Ts, Tw: wb.Tw}, nil
-		case fPing:
-			conn.SetWriteDeadline(time.Now().Add(w.opts.IOTimeout))
-			WriteFrame(conn, &Frame{Type: fPong, Src: int32(w.rank)})
-		case fCalReq:
-			conn.SetWriteDeadline(time.Now().Add(w.opts.IOTimeout))
-			WriteFrame(conn, &Frame{Type: fCalEcho, Src: int32(w.rank), Seq: f.Seq, Payload: f.Payload})
-		case fAbort:
-			var wf wireFailure
-			if decodeBody(f.Payload, &wf) == nil {
-				return comm.CostModel{}, decodeFailure(wf)
-			}
-			return comm.CostModel{}, fmt.Errorf("net: rank %d aborted during handshake", w.rank)
-		case fShutdown:
-			return comm.CostModel{}, &ShutdownError{Reason: string(f.Payload)}
+			continue
 		}
+		var wb welcomeBody
+		if err := decodeBody(f.Payload, &wb); err != nil {
+			return comm.CostModel{}, err
+		}
+		if wb.P != w.p {
+			return comm.CostModel{}, fmt.Errorf("net: rank %d joined a p=%d world expecting p=%d", w.rank, wb.P, w.p)
+		}
+		return comm.CostModel{Tc: wb.Tc, Ts: wb.Ts, Tw: wb.Tw}, nil
 	}
 }
 
-func (w *Worker) sawRoot() {
-	w.mu.Lock()
-	w.lastRoot = time.Now()
-	w.mu.Unlock()
-}
-
-func (w *Worker) rootSilence() time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return time.Since(w.lastRoot)
+// control answers the root's control frames, the same before and after
+// the welcome: pings and calibration probes are echoed, and an fAbort or
+// fShutdown returns the world failure it carries. Other frames return nil.
+func (w *Worker) control(f *Frame) error {
+	switch f.Type {
+	case fPing:
+		w.link.write(&Frame{Type: fPong, Src: int32(w.rank)})
+	case fCalReq:
+		w.link.write(&Frame{Type: fCalEcho, Src: int32(w.rank), Seq: f.Seq, Payload: f.Payload})
+	case fAbort:
+		return decodeAbort(f)
+	case fShutdown:
+		return &ShutdownError{Reason: string(f.Payload)}
+	}
+	return nil
 }
 
 // reader drains frames from the root: heartbeats are answered inline,
@@ -894,7 +889,7 @@ func (w *Worker) reader(conn stdnet.Conn) {
 		conn.SetReadDeadline(time.Now().Add(w.opts.IOTimeout))
 		f, err := ReadFrame(conn)
 		if err != nil {
-			if isTimeout(err) && w.rootSilence() < w.opts.HeartbeatTimeout {
+			if isTimeout(err) && time.Since(time.Unix(0, w.lastRoot.Load())) < w.opts.HeartbeatTimeout {
 				continue
 			}
 			conn = w.reconnect()
@@ -903,29 +898,21 @@ func (w *Worker) reader(conn stdnet.Conn) {
 			}
 			continue
 		}
-		w.sawRoot()
-		switch f.Type {
-		case fPing:
-			w.link.write(&Frame{Type: fPong, Src: int32(w.rank)})
-		case fCalReq:
-			w.link.write(&Frame{Type: fCalEcho, Src: int32(w.rank), Seq: f.Seq, Payload: f.Payload})
-		case fResult:
-			w.mu.Lock()
-			if f.Seq >= w.gen.Load() {
-				w.results[f.Seq] = f
+		w.lastRoot.Store(time.Now().UnixNano())
+		if f.Type != fResult {
+			// A welcome here is a replay after a reconnect; the model is
+			// already fixed, so control ignores it.
+			if err := w.control(f); err != nil {
+				w.failQuietly(err, nil)
 			}
-			w.cond.Broadcast()
-			w.mu.Unlock()
-		case fAbort:
-			var wf wireFailure
-			if decodeBody(f.Payload, &wf) == nil {
-				w.remoteAbort(decodeFailure(wf))
-			}
-		case fShutdown:
-			w.remoteAbort(&ShutdownError{Reason: string(f.Payload)})
-		case fWelcome:
-			// replayed after a reconnect; the model is already fixed
+			continue
 		}
+		w.mu.Lock()
+		if f.Seq >= w.gen.Load() {
+			w.results[f.Seq] = f
+		}
+		w.cond.Broadcast()
+		w.mu.Unlock()
 	}
 }
 
@@ -934,144 +921,59 @@ func (w *Worker) reader(conn stdnet.Conn) {
 // the owed result is replayed by the root's admit path. Exhausting the
 // retry cap escalates to a structured LinkFailure.
 func (w *Worker) reconnect() stdnet.Conn {
-	bo := Backoff{Base: DefaultBackoffBase, Max: DefaultBackoffMax, Jitter: int64(w.rank)}
-	for attempt := 0; attempt < DefaultMaxRetries; attempt++ {
-		select {
-		case <-w.stop:
-			return nil
-		case <-time.After(bo.Delay(attempt)):
-		}
-		if w.isCancelled() {
-			return nil
-		}
-		conn, err := stdnet.DialTimeout(w.network, w.addr, DefaultBackoffMax)
-		if err != nil {
-			continue
-		}
-		w.mu.Lock()
-		resume := w.awaiting
-		dep := w.pendingDep
-		w.mu.Unlock()
-		if err := w.hello(conn, resume); err != nil {
-			conn.Close()
-			continue
-		}
+	var dep []byte
+	conn, err := w.dial(0, func(attempt int) bool { return attempt+1 >= DefaultMaxRetries },
+		func(conn stdnet.Conn) error {
+			w.mu.Lock()
+			resume := w.awaiting
+			dep = w.pendingDep
+			w.mu.Unlock()
+			return w.hello(conn, resume)
+		})
+	if err == nil {
 		w.link.replace(conn)
 		if dep != nil {
 			w.link.writeRaw(dep)
 		}
 		return conn
 	}
-	w.mu.Lock()
-	op, seq := w.lastOpName, w.awaiting
-	w.mu.Unlock()
-	w.remoteAbort(&comm.LinkFailure{
-		Src: w.rank, Dst: 0, Op: op, Seq: seq,
-		Attempts: DefaultMaxRetries, Cap: DefaultMaxRetries,
-	})
+	if !errors.Is(err, errDialStopped) {
+		w.mu.Lock()
+		op, seq := w.lastOpName, w.awaiting
+		w.mu.Unlock()
+		w.failQuietly(&comm.LinkFailure{
+			Src: w.rank, Dst: 0, Op: op, Seq: seq,
+			Attempts: DefaultMaxRetries, Cap: DefaultMaxRetries,
+		}, nil)
+	}
 	return nil
 }
-
-// remoteAbort tears the world down for a failure that did not originate in
-// this rank's program — the cancellation is marked locally first so Cancel
-// does not echo the abort back to the root.
-func (w *Worker) remoteAbort(err error) {
-	w.cancelLocal()
-	w.failWorld(err)
-}
-
-func (w *Worker) failWorld(err error) {
-	w.failMu.Lock()
-	f := w.failf
-	if f == nil && w.pending == nil {
-		w.pending = err
-	}
-	w.failMu.Unlock()
-	if f != nil {
-		f(err)
-	}
-}
-
-func (w *Worker) isCancelled() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.cancelled
-}
-
-func (w *Worker) cancelLocal() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.cancelled {
-		return false
-	}
-	w.cancelled = true
-	w.cond.Broadcast()
-	return true
-}
-
-// comm.Transport implementation.
-
-func (w *Worker) Wire() bool { return true }
-
-func (w *Worker) Bind(fail func(error)) {
-	w.failMu.Lock()
-	w.failf = fail
-	p := w.pending
-	w.pending = nil
-	w.failMu.Unlock()
-	if p != nil {
-		fail(p)
-	}
-}
-
-func (w *Worker) Generation() uint64 { return w.gen.Load() }
 
 func (w *Worker) Depart(int) {
 	w.link.write(&Frame{Type: fDone, Src: int32(w.rank)})
 }
 
 func (w *Worker) Cancel(reason error) {
-	if !w.cancelLocal() {
-		return
-	}
-	if reason == nil {
-		return
-	}
-	wf := encodeFailure(reason)
-	payload, err := encodeBody(&wf)
-	if err != nil {
-		return
-	}
-	w.link.write(&Frame{Type: fAbort, Src: int32(w.rank), Payload: payload})
+	w.cancel(reason, func(frame []byte) { w.link.writeRaw(frame) })
 }
 
 // Step runs one collective on a worker: frame the deposit to the root,
 // block until the matching result arrives (or the world is cancelled),
 // install the scratch and the authoritative end clock, consume.
 func (w *Worker) Step(st *comm.StepState) any {
-	w.mu.Lock()
 	seq := w.gen.Load()
-	w.awaiting = seq
-	w.lastOpName = st.Op()
-	w.mu.Unlock()
-
-	payload, err := encodeBody(&depositBody{
-		ElemBytes: st.ElemBytes(),
-		Clock:     st.LocalClock(),
-		Phase:     st.LocalPhase(),
-		Value:     st.Deposit(),
-	})
+	frame, err := encodeFrame(Frame{Type: fDeposit, Src: int32(w.rank), Seq: seq, Op: st.Op()},
+		&depositBody{
+			ElemBytes: st.ElemBytes(),
+			Clock:     st.LocalClock(),
+			Phase:     st.LocalPhase(),
+			Value:     st.Deposit(),
+		})
 	if err != nil {
 		st.Abort(fmt.Errorf("net: rank %d deposit for %s unencodable: %w", w.rank, st.Op(), err))
 	}
-	frame, err := AppendFrame(nil, &Frame{
-		Type: fDeposit, Src: int32(w.rank), Seq: seq, Op: st.Op(), Payload: payload,
-	})
-	if err != nil {
-		st.Abort(fmt.Errorf("net: rank %d deposit frame for %s: %w", w.rank, st.Op(), err))
-	}
 	w.mu.Lock()
-	w.pendingDep = frame
+	w.awaiting, w.lastOpName, w.pendingDep = seq, st.Op(), frame
 	w.mu.Unlock()
 	// A write error is left to the reader's reconnect path, which replays
 	// the cached deposit frame.

@@ -108,44 +108,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// splitmix64 is the same seeded mixer the simulated transport uses for
-// deterministic jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// Backoff computes exponential reconnect delays with deterministic jitter:
-// attempt k (0-based) waits base·2^k, capped at max, stretched by up to 25%
-// by a jitter drawn from the seed and attempt number alone. Determinism
-// makes backoff schedules assertable in unit tests — same seed, same
-// delays — while still decorrelating real fleets, which each seed from
-// their rank.
-type Backoff struct {
-	Base   time.Duration
-	Max    time.Duration
-	Jitter int64 // seed; 0 means no jitter
-}
-
-// Delay returns the wait before reconnect attempt k (0-based).
-func (b Backoff) Delay(attempt int) time.Duration {
-	d := b.Base
-	for i := 0; i < attempt && d < b.Max; i++ {
-		d *= 2
-	}
-	if d > b.Max {
-		d = b.Max
-	}
-	if b.Jitter != 0 {
-		h := splitmix64(uint64(b.Jitter) + uint64(attempt)*0x9e3779b97f4a7c15)
-		frac := float64(h>>11) / float64(1<<53) // uniform [0, 1)
-		d += time.Duration(frac * 0.25 * float64(d))
-	}
-	return d
-}
-
 // SplitEndpoint parses the one endpoint grammar of the wire transport and
 // of every command that binds or dials, "unix:/path.sock" or
 // "tcp:host:port", into a net.Listen/net.Dial network and address.

@@ -3,6 +3,8 @@ package net
 import (
 	"testing"
 	"time"
+
+	"optipart/internal/comm"
 )
 
 // The monitor and backoff are pure functions of injected instants and
@@ -60,7 +62,7 @@ func TestMonitorExpiredSorted(t *testing.T) {
 }
 
 func TestBackoffSchedule(t *testing.T) {
-	b := Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
+	b := comm.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
 	want := []time.Duration{
 		50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
 		400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond,
@@ -74,10 +76,10 @@ func TestBackoffSchedule(t *testing.T) {
 }
 
 func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
-	b1 := Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 7}
-	b2 := Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 7}
-	b3 := Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 8}
-	plain := Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
+	b1 := comm.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 7}
+	b2 := comm.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 7}
+	b3 := comm.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second, Jitter: 8}
+	plain := comm.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
 	differs := false
 	for k := 0; k < 10; k++ {
 		d1, d2, d3 := b1.Delay(k), b2.Delay(k), b3.Delay(k)

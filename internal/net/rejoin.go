@@ -68,20 +68,13 @@ func (r *Root) deathEventLocked(rank int) {
 	r.awaitingRejoin[rank] = true
 	r.deathAt[rank] = time.Now()
 	r.rec.Deaths++
-	op := r.lastOp[rank]
-	coll := -1
-	if op != "" {
-		coll = int(r.lastSeq[rank])
-	}
+	rf := r.lostLocked(rank, fmt.Errorf("%w; no replacement within %v", ErrPeerDead, DefaultRejoinWait))
 	r.rejoinTimer[rank] = time.AfterFunc(DefaultRejoinWait, func() {
 		r.mu.Lock()
 		expired := r.awaitingRejoin[rank]
 		r.mu.Unlock()
 		if expired {
-			r.failWorld(&comm.RankFailure{
-				Rank: rank, Op: op, Phase: "main", Collective: coll,
-				Err: fmt.Errorf("%w; no replacement within %v", ErrPeerDead, DefaultRejoinWait),
-			})
+			r.failWorld(rf)
 		}
 	})
 	if cb := r.opts.OnDeath; cb != nil {
@@ -157,15 +150,9 @@ func (r *Root) Recovery() comm.RecoveryStats {
 // us" from "the root died" — the latter would send them into reconnect
 // backoff and a spurious LinkFailure.
 func (r *Root) Shutdown(reason string) {
-	f := &Frame{Type: fShutdown, Src: 0, Payload: []byte(reason)}
-	r.mu.Lock()
-	links := append([]*link(nil), r.links...)
-	r.mu.Unlock()
-	for rank := 1; rank < r.p; rank++ {
-		if l := links[rank]; l != nil {
-			l.write(f)
+	r.failQuietly(&ShutdownError{Reason: reason}, func() {
+		if frame, err := AppendFrame(nil, &Frame{Type: fShutdown, Payload: []byte(reason)}); err == nil {
+			r.broadcast(frame)
 		}
-	}
-	r.cancelLocal()
-	r.failWorld(&ShutdownError{Reason: reason})
+	})
 }

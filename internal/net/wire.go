@@ -14,7 +14,7 @@
 // The files of this package:
 //
 //	wire.go      — length-prefixed, checksummed frame format (this file)
-//	conn.go      — deadline-wrapped connections and backoff reconnect
+//	conn.go      — options, the endpoint grammar, deadline-wrapped connections
 //	heartbeat.go — peer liveness monitor with an injectable clock
 //	backend.go   — Root and Worker comm.Transport implementations
 //	calibrate.go — ts/tw/tc measurement over the live links
@@ -192,16 +192,6 @@ func decodeFramePrefix(buf []byte) (*Frame, int, error) {
 	f.Op = string(buf[headerLen : headerLen+opLen])
 	f.Payload = append([]byte(nil), buf[headerLen+opLen:headerLen+opLen+payLen]...)
 	return &f, total, nil
-}
-
-// WriteFrame encodes f and writes it to w in one call.
-func WriteFrame(w io.Writer, f *Frame) error {
-	buf, err := AppendFrame(nil, f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
 }
 
 // ReadFrame reads exactly one frame from r. The header is read first so the

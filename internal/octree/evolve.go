@@ -3,6 +3,7 @@ package octree
 import (
 	"fmt"
 
+	"optipart/internal/par"
 	"optipart/internal/sfc"
 )
 
@@ -135,15 +136,15 @@ func (e *Evolver) decide(salt uint64, k sfc.Key, frac float64, bias func(sfc.Key
 	if frac >= 1 {
 		return true
 	}
-	h := splitmix64(e.seed ^ salt*uint64(e.step) ^ keyHash(k))
+	h := par.SplitMix64(e.seed ^ salt*uint64(e.step) ^ keyHash(k))
 	return float64(h>>11)/(1<<53) < frac
 }
 
 // keyHash folds a key's coordinates and level into 64 bits. Coordinates are
 // below 2^30, so the two packed words are injective over valid keys.
 func keyHash(k sfc.Key) uint64 {
-	h := splitmix64(uint64(k.X) | uint64(k.Level)<<32)
-	return h ^ splitmix64(uint64(k.Y)|uint64(k.Z)<<32)
+	h := par.SplitMix64(uint64(k.X) | uint64(k.Level)<<32)
+	return h ^ par.SplitMix64(uint64(k.Y)|uint64(k.Z)<<32)
 }
 
 // FrontBias returns a refine/coarsen bias pair modeling a moving
@@ -181,12 +182,4 @@ func FrontBias(dim, period int, hot, cold float64) (refine, coarsen func(sfc.Key
 		return hot
 	}
 	return refine, coarsen
-}
-
-// splitmix64 is the SplitMix64 finalizer: a full-avalanche 64-bit mix.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -407,4 +408,88 @@ func TestRepartitionerSinglePartition(t *testing.T) {
 	if res.MovedElements != 0 {
 		t.Fatal("single partition can never move elements")
 	}
+}
+
+// walkOnlyJ is the objective Repartition would reach without its merge
+// rung: the better of the kept prior and every rung of the from-scratch
+// descent, priced and stopped exactly as Repartition's final phase.
+// Collective.
+func walkOnlyJ(c *comm.Comm, local []sfc.Key, opts RepartOptions) float64 {
+	obj := newObjective(opts.Machine, opts.Alpha, opts.PayloadBytes, opts.Tol, opts.Horizon)
+	best := obj.j(newSelector(c, opts.Curve, local, opts.MaxSplitters).quality(opts.Prior), 0)
+	walkT := math.Inf(1)
+	newSelector(c, opts.Curve, local, opts.MaxSplitters).descend(func(cand *Splitters, q Quality) bool {
+		if q.emptiesRank(c.Size()) {
+			return true
+		}
+		tp := obj.tp(q)
+		best = math.Min(best, obj.j(q, MovedElements(c, local, opts.Prior, cand)))
+		if tp > walkT {
+			return false
+		}
+		walkT = tp
+		return true
+	})
+	return best
+}
+
+// TestRepartitionMergeRungAdopted pins the violated-separator merge rung:
+// on a small moving-front campaign (the shape of the repart experiment),
+// some step's adopted placement is a merge — its J is strictly below the
+// kept prior's and every descent rung's — and no step's J is above what
+// the walk alone would reach. Without the merge phase the quick repart
+// transcript keeps its placements; this campaign does not.
+func TestRepartitionMergeRungAdopted(t *testing.T) {
+	const p, steps = 8, 10
+	m := machine.Titan()
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	ev := octree.NewEvolver(curve, 8, repartMesh(curve, 3, 100, 6))
+	ev.RefineBias, ev.CoarsenBias = octree.FrontBias(3, 2, 8, 0.1)
+
+	var sp *Splitters
+	comm.Run(p, m.CostModel(), func(c *comm.Comm) {
+		var local []sfc.Key
+		for i, k := range ev.Leaves() {
+			if i%p == c.Rank() {
+				local = append(local, k)
+			}
+		}
+		res := Partition(c, local, Options{Curve: curve, Mode: ModelDriven, Machine: m, SkipExchange: true})
+		if c.Rank() == 0 {
+			sp = res.Splitters
+		}
+	})
+
+	var merged []int
+	for step := 1; step <= steps; step++ {
+		ev.Step(0.008, 0.010)
+		mesh := ev.Leaves()
+		opts := RepartOptions{
+			Options: Options{Curve: curve, Machine: m, Tol: 0.03, SkipExchange: true},
+			Prior:   sp,
+			Horizon: 240,
+		}
+		var next *Splitters
+		var j, walkJ float64
+		comm.Run(p, m.CostModel(), func(c *comm.Comm) {
+			rg := sp.Ranges(mesh)
+			local := append([]sfc.Key(nil), mesh[rg[c.Rank()]:rg[c.Rank()+1]]...)
+			rr := Repartition(c, local, opts)
+			wj := walkOnlyJ(c, local, opts)
+			if c.Rank() == 0 {
+				next, j, walkJ = rr.Splitters, rr.Objective, wj
+			}
+		})
+		if j > walkJ {
+			t.Fatalf("step %d: Repartition's J %.6g is worse than the walk alone (%.6g)", step, j, walkJ)
+		}
+		if j < walkJ {
+			merged = append(merged, step)
+		}
+		sp = next
+	}
+	if len(merged) == 0 {
+		t.Fatalf("no step of the campaign adopted a merged candidate")
+	}
+	t.Logf("merged candidates adopted at steps %v", merged)
 }

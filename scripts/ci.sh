@@ -9,10 +9,11 @@
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
 # lint, and service; the benchmark spine's quick run with its exact
 # metrics compared against scripts/spine_quick_baseline.json; the repart
-# transcript at -workers 1 and GOMAXPROCS against its golden; then the
-# smokes: optipartd multi-process (kill and recover), optipartd self-healing
-# (restore), the partitioning service (in-process and over a unix socket),
-# and the chaos harness on five fixed seeds.
+# transcript at -workers 1 and GOMAXPROCS against its golden; the full
+# repart campaign and its built-in assertions; then the smokes: optipartd
+# multi-process (kill and recover), optipartd self-healing (restore), the
+# partitioning service (in-process and over a unix socket), and the chaos
+# harness on five fixed seeds.
 #
 # The comm runtime is a shared-memory stand-in for MPI: every collective is
 # goroutines racing through a barrier, which is exactly the code the race
@@ -122,6 +123,14 @@ if ! cmp -s "$repartdir/w1.txt" internal/experiments/testdata/golden/repart.gold
     exit 1
 fi
 rm -rf "$repartdir"
+
+echo "==> repart full campaign (its built-in headline assertions are the gate)"
+# The quick transcript cannot see Repartition's merge rung: without it the
+# quick placements are unchanged, but the full campaign keeps the prior at
+# step 8 and its cumulative Tp falls behind from-scratch. The experiment
+# checks fewer moved elements and no worse cumulative Tp than from-scratch,
+# and exits non-zero when either fails.
+go run ./cmd/experiments -run repart >/dev/null
 
 echo "==> optipartd multi-process smoke (4 ranks, kill one, recover)"
 # Hermetic: workers rendezvous over unix sockets in a private temp dir, no
