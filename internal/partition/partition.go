@@ -112,11 +112,17 @@ func Partition(c *comm.Comm, local []sfc.Key, opts Options) *Result {
 	obj := newObjective(opts.Machine, opts.Alpha, opts.PayloadBytes, opts.Tol, 0)
 	curve := opts.Curve
 
+	// The call holds one pooled arena: the sort leaves its rank column
+	// aligned with the sorted elements, and the selector reuses it next to
+	// the span columns, instead of ranking local a second time.
+	a := psort.GetArena()
+	defer psort.PutArena(a)
 	c.SetPhase("local sort")
-	psort.ChargeLocalSort(c, curve, local)
+	ranks := psort.TreeSortArena(curve, local, a)
+	c.Compute(psort.LocalSortCost(len(local), curve.Dim)) // ChargeLocalSort's charge
 
 	c.SetPhase("splitter")
-	sel := newSelector(c, curve, local, opts.MaxSplitters)
+	sel := newSelector(c, curve, local, ranks, a, opts.MaxSplitters)
 	var sp *Splitters
 	var achieved float64
 	switch opts.Mode {
@@ -218,7 +224,7 @@ func (s *selector) descend(visit func(cand *Splitters, q Quality) bool) {
 }
 
 // quality is EvaluateQuality of sp over the selector's elements, reusing
-// the curve ranks it already holds.
+// the rank and span columns it already holds.
 func (s *selector) quality(sp *Splitters) Quality {
-	return evaluateQuality(s.c, s.curve, s.local, s.ranks, sp)
+	return evaluateQuality(s.c, s.curve, s.local, s.ranks, s.lo, s.hi, sp)
 }

@@ -8,6 +8,7 @@ import (
 	"optipart/internal/comm"
 	"optipart/internal/machine"
 	"optipart/internal/octree"
+	"optipart/internal/par"
 	"optipart/internal/sfc"
 )
 
@@ -97,11 +98,44 @@ func TestPartitionConservesMultiset(t *testing.T) {
 	}
 }
 
+// directQuality is the sequential reference for Algorithm 2: Owner per key
+// and per same-size face neighbour.
+func directQuality(sp *Splitters, keys []sfc.Key) Quality {
+	p := sp.P()
+	work := make([]int64, p)
+	bdy := make([]int64, p)
+	for _, k := range keys {
+		o := sp.Owner(k)
+		work[o]++
+		for _, f := range octree.Faces(sp.Curve.Dim) {
+			nk, ok := octree.FaceNeighbor(k, f)
+			if ok && sp.Owner(nk) != o {
+				bdy[o]++
+				break
+			}
+		}
+	}
+	var q Quality
+	q.Wmin, q.Cmin = 1<<62, 1<<62
+	for r := 0; r < p; r++ {
+		q.N += work[r]
+		q.Ctot += bdy[r]
+		q.Wmax = comm.MaxI64(q.Wmax, work[r])
+		q.Wmin = comm.MinI64(q.Wmin, work[r])
+		q.Cmax = comm.MaxI64(q.Cmax, bdy[r])
+		q.Cmin = comm.MinI64(q.Cmin, bdy[r])
+	}
+	return q
+}
+
 // TestEvaluateQualityMatchesDirectCount: the distributed Algorithm 2 must
 // agree with a straightforward sequential evaluation (Owner per key and per
 // neighbor), on curve-ordered local arrays and on shuffled ones — the
 // kernel's carried owner hint is an optimization, not an ordering
-// requirement — and at the edges of its (keys, separator ranks) domain.
+// requirement — with each element's rank and span computed inline and read
+// from cached columns, and at the edges of its (keys, separator ranks)
+// domain: elements missing face neighbours on the domain boundary, and the
+// root octant, which has none and scans on the span sentinels alone.
 func TestEvaluateQualityMatchesDirectCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(3200))
 	morton3 := sfc.NewCurve(sfc.Morton, 3)
@@ -114,6 +148,11 @@ func TestEvaluateQualityMatchesDirectCount(t *testing.T) {
 	octree.Sort(morton3, coarse)
 	seps2 := []sfc.Key{keys2[200], keys2[450].Parent(), keys2[700]}
 	octree.Sort(hilbert2, seps2)
+	var grid []sfc.Key // every level-2 octant: 56 of the 64 touch the domain boundary
+	for i := uint64(0); i < 64; i++ {
+		grid = append(grid, morton3.KeyAtIndex(i, 2))
+	}
+	root := []sfc.Key{sfc.RootKey}
 
 	cases := []struct {
 		name  string
@@ -128,39 +167,17 @@ func TestEvaluateQualityMatchesDirectCount(t *testing.T) {
 		{"n<p, repeated separator ranks", morton3, keys3[:3],
 			[]sfc.Key{keys3[0], keys3[1], keys3[1], keys3[2], keys3[2], InfKey, InfKey}},
 		{"dim 2", hilbert2, keys2, seps2},
+		{"domain boundary", morton3, grid, []sfc.Key{grid[13], grid[40].Parent(), grid[51]}},
+		{"root alone, first partition", morton3, root, []sfc.Key{sfc.RootKey.Child(0), InfKey}},
+		{"root alone, last partition", morton3, root, []sfc.Key{sfc.RootKey}},
 	}
 	for _, tc := range cases {
 		sp := &Splitters{Curve: tc.curve, Seps: tc.seps}
-
-		// Sequential reference.
-		p := sp.P()
-		work := make([]int64, p)
-		bdy := make([]int64, p)
-		for _, k := range tc.keys {
-			o := sp.Owner(k)
-			work[o]++
-			for _, f := range octree.Faces(tc.curve.Dim) {
-				nk, ok := octree.FaceNeighbor(k, f)
-				if ok && sp.Owner(nk) != o {
-					bdy[o]++
-					break
-				}
-			}
-		}
-		var want Quality
-		want.Wmin, want.Cmin = 1<<62, 1<<62
-		for r := 0; r < p; r++ {
-			want.N += work[r]
-			want.Ctot += bdy[r]
-			want.Wmax = comm.MaxI64(want.Wmax, work[r])
-			want.Wmin = comm.MinI64(want.Wmin, work[r])
-			want.Cmax = comm.MaxI64(want.Cmax, bdy[r])
-			want.Cmin = comm.MinI64(want.Cmin, bdy[r])
-		}
+		want := directQuality(sp, tc.keys)
 
 		// Distributed evaluation over 4 ranks holding arbitrary splits, in
-		// curve order and then shuffled.
-		var sorted, shuffled Quality
+		// curve order (inline and cached) and then shuffled.
+		var sorted, cached, shuffled Quality
 		comm.Run(4, comm.CostModel{}, func(c *comm.Comm) {
 			var local []sfc.Key
 			for i, k := range tc.keys {
@@ -169,19 +186,74 @@ func TestEvaluateQualityMatchesDirectCount(t *testing.T) {
 				}
 			}
 			qs := EvaluateQuality(c, tc.curve, local, sp)
+			ranks := make([]sfc.Rank128, len(local))
+			lo := make([]sfc.Rank128, len(local))
+			hi := make([]sfc.Rank128, len(local))
+			fillColumns(tc.curve, local, ranks, lo, hi)
+			qc := evaluateQuality(c, tc.curve, local, ranks, lo, hi, sp)
 			rand.New(rand.NewSource(int64(c.Rank()))).Shuffle(len(local), func(i, j int) {
 				local[i], local[j] = local[j], local[i]
 			})
 			qu := EvaluateQuality(c, tc.curve, local, sp)
 			if c.Rank() == 0 {
-				sorted, shuffled = qs, qu
+				sorted, cached, shuffled = qs, qc, qu
 			}
 		})
 		if sorted != want {
 			t.Errorf("%s: distributed quality %+v != sequential %+v", tc.name, sorted, want)
 		}
+		if cached != want {
+			t.Errorf("%s: quality from cached columns %+v != sequential %+v", tc.name, cached, want)
+		}
 		if shuffled != want {
 			t.Errorf("%s: quality of shuffled local %+v != sequential %+v", tc.name, shuffled, want)
+		}
+	}
+	if lo, hi := neighborSpan(morton3, sfc.RootKey); lo != sfc.MaxRank128 || hi != (sfc.Rank128{}) {
+		t.Errorf("root octant span (%v, %v), want the sentinels (MaxRank128, zero)", lo, hi)
+	}
+}
+
+// TestPartitionQualityMatchesDirectCount: Partition prices its rungs from
+// the selector's cached rank and span columns; the adopted placement's
+// quality must equal the direct Owner count of its splitters, at a per-rank
+// size where the columns are filled across the pool, and the result must
+// be identical at pool widths 1 and 2.
+func TestPartitionQualityMatchesDirectCount(t *testing.T) {
+	const p = 2
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	locals := make([][]sfc.Key, p)
+	var all []sfc.Key
+	for r := range locals {
+		rng := rand.New(rand.NewSource(int64(3400 + r)))
+		locals[r] = octree.RandomKeys(rng, parCutoff, 3, octree.Normal, 2, 12)
+		all = append(all, locals[r]...)
+	}
+	run := func(workers int) *Result {
+		prev := par.SetWorkers(workers)
+		defer par.SetWorkers(prev)
+		var res *Result
+		comm.Run(p, comm.CostModel{}, func(c *comm.Comm) {
+			local := append([]sfc.Key(nil), locals[c.Rank()]...)
+			r := Partition(c, local, Options{Curve: curve, Mode: ModelDriven, Machine: machine.Clemson32(), SkipExchange: true})
+			if c.Rank() == 0 {
+				res = r
+			}
+		})
+		return res
+	}
+	// Width 2 first: a width-1 run would leave its columns, which equal
+	// width 2's, in the pooled arenas.
+	pooled, serial := run(2), run(1)
+	if want := directQuality(pooled.Splitters, all); pooled.Quality != want {
+		t.Fatalf("Partition quality %+v != direct count %+v of its splitters", pooled.Quality, want)
+	}
+	if pooled.Quality != serial.Quality || pooled.Rounds != serial.Rounds {
+		t.Fatalf("pool width 2: quality %+v after %d rounds, width 1: %+v after %d", pooled.Quality, pooled.Rounds, serial.Quality, serial.Rounds)
+	}
+	for i, sep := range serial.Splitters.Seps {
+		if pooled.Splitters.Seps[i] != sep {
+			t.Fatalf("separator %d differs between pool widths 1 and 2", i)
 		}
 	}
 }

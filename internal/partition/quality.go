@@ -6,6 +6,7 @@ import (
 	"optipart/internal/comm"
 	"optipart/internal/machine"
 	"optipart/internal/octree"
+	"optipart/internal/par"
 	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
@@ -112,40 +113,108 @@ func (o *objective) j(q Quality, movedElements int64) float64 {
 // partition, we sum per-partition counts across ranks instead, which
 // measures the same quantity exactly rather than approximately.
 func EvaluateQuality(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, sp *Splitters) Quality {
-	return evaluateQuality(c, curve, local, nil, sp)
+	return evaluateQuality(c, curve, local, nil, nil, nil, sp)
 }
 
 // evaluateQuality is EvaluateQuality for callers that already hold the
-// curve ranks of local (ranks[i] = curve.Rank(local[i])); nil ranks them
-// here.
-func evaluateQuality(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, ranks []sfc.Rank128, sp *Splitters) Quality {
+// cached columns of local; nil columns work from the keys alone (see
+// scanCounts).
+func evaluateQuality(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, ranks, lo, hi []sfc.Rank128, sp *Splitters) Quality {
 	counts := make([]int64, 2*sp.P())
-	scanCounts(curve, local, ranks, sp.ranks(), counts)
-	// One pass over the elements: each touched 1+2·dim times.
+	scanCounts(curve, local, ranks, lo, hi, sp.ranks(), counts)
+	// The modeled cost is the pass the paper's implementation pays: each
+	// element touched 1+2·dim times. Cached columns make only the simulator
+	// faster.
 	c.Compute(int64(len(local)) * int64(1+2*curve.Dim) * psort.KeyBytes)
 	return foldQuality(comm.Allreduce(c, counts, 8, comm.SumI64))
+}
+
+// neighborSpan returns the lowest and highest curve rank among k's
+// same-size face neighbours, or the sentinels (MaxRank128, zero) when k has
+// none — the root octant, whose every face lies on the domain boundary.
+//
+// Owners are monotone in rank, so k, owned by the partition whose
+// separators bracket its rank in [lower, upper), is a boundary octant
+// exactly when lo < lower or hi >= upper: some neighbour then ranks outside
+// the bracket, and if none does, every neighbour shares k's owner. The
+// sentinels never fire, since no rank is below zero and upper > Rank(k) >=
+// 0. A span depends on k alone, not on the mesh or the separators, so it is
+// computed once per element and reused by every scan.
+//
+//alloc:zero
+func neighborSpan(curve *sfc.Curve, k sfc.Key) (lo, hi sfc.Rank128) {
+	lo = sfc.MaxRank128
+	for _, f := range octree.Faces(curve.Dim) {
+		if nk, ok := octree.FaceNeighbor(k, f); ok {
+			r := curve.Rank(nk)
+			if r.Less(lo) {
+				lo = r
+			}
+			if hi.Less(r) {
+				hi = r
+			}
+		}
+	}
+	return lo, hi
+}
+
+// foreignNeighbor reports whether some same-size face neighbour of k ranks
+// outside [lower, upper): the span test of neighborSpan for a scan without
+// cached columns, which stops at the first foreign neighbour.
+//
+//alloc:zero
+func foreignNeighbor(curve *sfc.Curve, k sfc.Key, lower, upper sfc.Rank128) bool {
+	for _, f := range octree.Faces(curve.Dim) {
+		if nk, ok := octree.FaceNeighbor(k, f); ok {
+			if r := curve.Rank(nk); r.Less(lower) || !r.Less(upper) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// fillColumns computes the cached scan columns of keys: lo[i], hi[i] =
+// neighborSpan(curve, keys[i]) and, when ranks is non-nil, ranks[i] =
+// curve.Rank(keys[i]). Large inputs chunk across the pool; every slot has
+// one writer, so the columns are identical at every pool width.
+func fillColumns(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi []sfc.Rank128) {
+	fill := func(from, to int) {
+		for i := from; i < to; i++ {
+			if ranks != nil {
+				ranks[i] = curve.Rank(keys[i])
+			}
+			lo[i], hi[i] = neighborSpan(curve, keys[i])
+		}
+	}
+	if par.Workers() > 1 && len(keys) >= parCutoff {
+		par.For(len(keys), parGrain, fill)
+	} else {
+		fill(0, len(keys))
+	}
 }
 
 // scanCounts is the local pass of Algorithm 2, shared by the collective
 // evaluator and the serial Repartitioner: it fills counts, laid out as
 // [work per partition | boundary octants per partition], for keys under the
-// p-1 separator ranks sepRanks. ranks, when non-nil, holds each key's curve
-// rank; nil ranks every key here.
+// p-1 separator ranks sepRanks. ranks, lo and hi are the cached columns of
+// keys (ranks[i] = curve.Rank(keys[i]), lo[i], hi[i] = neighborSpan(curve,
+// keys[i])); nil columns compute each key's rank here and test its
+// neighbours against the owner's bracket, in the same single pass.
 //
-// The element's own owner is a hint carried from the previous element and
-// searched again only when the rank leaves the hinted range, so the walk is
-// O(1) per element over keys in curve order and still exact over unsorted
-// ones. Neighbor ownership is a binary search over sepRanks; the first
-// same-size face neighbor in another partition makes the element a boundary
-// octant.
+// The element's own owner is a hint carried from the previous element, with
+// the owner's separator bracket [lower, upper), and searched again only when
+// the rank leaves the bracket, so the walk is O(1) per element over keys in
+// curve order and still exact over unsorted ones. With cached columns the
+// boundary test is two compares against the bracket: no Rank call and no
+// neighbour search.
 //
 //alloc:zero
-func scanCounts(curve *sfc.Curve, keys []sfc.Key, ranks, sepRanks []sfc.Rank128, counts []int64) {
-	p, dim := len(sepRanks)+1, curve.Dim
-	for i := range counts {
-		counts[i] = 0
-	}
+func scanCounts(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi, sepRanks []sfc.Rank128, counts []int64) {
+	p := len(sepRanks) + 1
+	clear(counts)
 	owner := 0
+	lower, upper := bracket(sepRanks, owner)
 	for i, k := range keys {
 		var kr sfc.Rank128
 		if ranks != nil {
@@ -153,21 +222,38 @@ func scanCounts(curve *sfc.Curve, keys []sfc.Key, ranks, sepRanks []sfc.Rank128,
 		} else {
 			kr = curve.Rank(k)
 		}
-		if (owner > 0 && kr.Less(sepRanks[owner-1])) || (owner+1 < p && !kr.Less(sepRanks[owner])) {
+		if kr.Less(lower) || !kr.Less(upper) {
 			owner = sfc.UpperBound(sepRanks, kr)
+			lower, upper = bracket(sepRanks, owner)
 		}
 		counts[owner]++
-	faces:
-		for axis := 0; axis < dim; axis++ {
-			for side := 0; side < 2; side++ {
-				nk, ok := octree.FaceNeighbor(k, octree.Face{Axis: axis, Plus: side == 1})
-				if ok && sfc.UpperBound(sepRanks, curve.Rank(nk)) != owner {
-					counts[p+owner]++
-					break faces
-				}
-			}
+		var boundary bool
+		if ranks != nil {
+			boundary = lo[i].Less(lower) || !hi[i].Less(upper)
+		} else {
+			boundary = foreignNeighbor(curve, k, lower, upper)
+		}
+		if boundary {
+			counts[p+owner]++
 		}
 	}
+}
+
+// bracket returns the rank range [lower, upper) that partition o owns under
+// the separator ranks seps: zero below the first partition, MaxRank128 past
+// the last. No key ranks below zero or at MaxRank128, so the open ends need
+// no special case.
+//
+//alloc:zero
+func bracket(seps []sfc.Rank128, o int) (lower, upper sfc.Rank128) {
+	if o > 0 {
+		lower = seps[o-1]
+	}
+	upper = sfc.MaxRank128
+	if o < len(seps) {
+		upper = seps[o]
+	}
+	return lower, upper
 }
 
 // foldQuality reduces per-partition [work | boundary] counts to a Quality.

@@ -37,12 +37,15 @@ type bucket struct {
 // Each element's curve rank is linearized once, at construction, so the
 // per-round bucket classification is a handful of binary searches over
 // integers instead of a tree-walking scan, and a bucket's count is the
-// length of the index range the searches delimit.
+// length of the index range the searches delimit. The element's
+// neighbour span (neighborSpan) is cached next to it, so every rung's
+// quality scan is two compares per element.
 type selector struct {
 	c       *comm.Comm
 	curve   *sfc.Curve
 	local   []sfc.Key     // sorted along the curve
 	ranks   []sfc.Rank128 // ranks[i] = curve.Rank(local[i])
+	lo, hi  []sfc.Rank128 // lo[i], hi[i] = neighborSpan(curve, local[i])
 	buckets []bucket
 	targets []int64 // ideal global splitter ranks r·N/p, r = 1..p-1
 	n       int64   // global element count
@@ -51,38 +54,52 @@ type selector struct {
 	offsBuf []int // reused flat offset scratch for splitChunk
 }
 
-func newSelector(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, kmax int) *selector {
-	s := &selector{c: c, curve: curve, local: local, kmax: kmax}
-	p := c.Size()
+// newSelector builds a selector over the sorted local elements. ranks is
+// their rank column when the caller holds one (the sort's); nil ranks them
+// here, into a's rank column. Either way the span columns come from a, so
+// the selector's columns live exactly as long as the caller holds a.
+func newSelector(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, ranks []sfc.Rank128, a *psort.Arena, kmax int) *selector {
+	s := &selector{c: c, curve: curve, local: local, ranks: ranks, kmax: kmax}
 	if s.kmax <= 0 {
-		s.kmax = p
+		s.kmax = c.Size()
 	}
-	s.ranks = make([]sfc.Rank128, len(local))
-	if par.Workers() > 1 && len(local) >= parCutoff {
-		par.For(len(local), parGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				s.ranks[i] = curve.Rank(local[i])
-			}
-		})
-	} else {
-		for i, k := range local {
-			s.ranks[i] = curve.Rank(k)
-		}
+	var unranked []sfc.Rank128 // the rank column fillColumns must fill, if any
+	if ranks == nil {
+		s.ranks = a.Ranks(len(local))
+		unranked = s.ranks
 	}
-	s.n = comm.AllreduceScalar(c, int64(len(local)), 8, comm.SumI64)
+	s.lo, s.hi = a.Spans(len(local))
+	fillColumns(curve, local, unranked, s.lo, s.hi)
+	s.start()
+	return s
+}
+
+// restart returns a selector over the same elements and cached columns
+// with a fresh bucket tree. Like newSelector it sums the global element
+// count with one reduction.
+func (s *selector) restart() *selector {
+	t := &selector{c: s.c, curve: s.curve, local: s.local, ranks: s.ranks, lo: s.lo, hi: s.hi, kmax: s.kmax}
+	t.start()
+	return t
+}
+
+// start sums the global element count and sets up the root bucket and the
+// ideal splitter ranks.
+func (s *selector) start() {
+	p := s.c.Size()
+	s.n = comm.AllreduceScalar(s.c, int64(len(s.local)), 8, comm.SumI64)
 	s.buckets = []bucket{{
 		key:   sfc.RootKey,
-		state: curve.RootState(),
+		state: s.curve.RootState(),
 		count: s.n,
 		start: 0,
 		lo:    0,
-		hi:    len(local),
+		hi:    len(s.local),
 	}}
 	s.targets = make([]int64, p-1)
 	for r := 1; r < p; r++ {
 		s.targets[r-1] = int64(r) * s.n / int64(p)
 	}
-	return s
 }
 
 // grain returns the ideal per-rank load N/p.

@@ -56,14 +56,19 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	curve := opts.Curve
 	p := c.Size()
 
+	// One pooled arena holds both selectors' columns for the whole call.
+	a := psort.GetArena()
+	defer psort.PutArena(a)
 	c.SetPhase("local sort")
+	var ranks []sfc.Rank128 // the sort's rank column; nil when no sort ran
 	if psort.IsSorted(curve, local) {
 		// The online loop hands over per-rank data that is already in curve
 		// order (refinement replaces a leaf by its children in place), so
 		// the warm path pays a linear verification scan, not a sort.
 		c.Compute(int64(len(local)) * psort.KeyBytes)
 	} else {
-		psort.ChargeLocalSort(c, curve, local)
+		ranks = psort.TreeSortArena(curve, local, a)
+		c.Compute(psort.LocalSortCost(len(local), curve.Dim)) // ChargeLocalSort's charge
 	}
 
 	c.SetPhase("splitter")
@@ -75,7 +80,7 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 		panic(fmt.Errorf("partition: prior placement has %d partitions, world has %d", prior.P(), p))
 	}
 
-	sel := newSelector(c, curve, local, opts.MaxSplitters)
+	sel := newSelector(c, curve, local, ranks, a, opts.MaxSplitters)
 
 	// Rung zero: keep the prior placement verbatim. Its quality is the
 	// baseline objective; it moves nothing.
@@ -149,11 +154,12 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	// refines the shared bucket tree to fine levels around the violated
 	// targets, and separators snapped to deep boundaries carry more surface
 	// than the octant-aligned coarse rungs from-scratch refinement walks
-	// through — the rungs where Algorithm 3 finds its optimum. Every rung
-	// competes on J against both the kept prior and the violated-only
-	// merges above, so a re-aim is adopted only when its movement pays for
-	// itself within the horizon.
-	walk := newSelector(c, curve, local, opts.MaxSplitters)
+	// through — the rungs where Algorithm 3 finds its optimum. The fresh
+	// tree reuses sel's rank and span columns. Every rung competes on J
+	// against both the kept prior and the violated-only merges above, so a
+	// re-aim is adopted only when its movement pays for itself within the
+	// horizon.
+	walk := sel.restart()
 	walkT := math.Inf(1)
 	walk.descend(func(cand *Splitters, q Quality) bool {
 		if q.emptiesRank(p) {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"optipart/internal/comm"
 	"optipart/internal/machine"
 	"optipart/internal/octree"
+	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
 
@@ -199,11 +201,7 @@ func TestRepartitionerSeedInvariants(t *testing.T) {
 	if e.Len() != len(mesh) {
 		t.Fatalf("engine holds %d elements, want %d", e.Len(), len(mesh))
 	}
-	for i, k := range e.Keys() {
-		if e.ranks[i] != curve.Rank(k) {
-			t.Fatalf("rank cache stale at %d", i)
-		}
-	}
+	checkColumns(t, e, "seed")
 	if res.Quality.N != int64(len(mesh)) {
 		t.Fatalf("quality N = %d, want %d", res.Quality.N, len(mesh))
 	}
@@ -219,9 +217,27 @@ func TestRepartitionerSeedInvariants(t *testing.T) {
 	}
 }
 
+// checkColumns fails unless the engine's cached rank and span columns equal
+// fresh ranks and neighbour spans of its keys.
+func checkColumns(t *testing.T, e *Repartitioner, when string) {
+	t.Helper()
+	curve := e.cfg.Curve
+	if len(e.ranks) != e.n || len(e.lo) != e.n || len(e.hi) != e.n {
+		t.Fatalf("%s: columns hold %d ranks and %d/%d spans for %d elements", when, len(e.ranks), len(e.lo), len(e.hi), e.n)
+	}
+	for i, k := range e.Keys() {
+		if e.ranks[i] != curve.Rank(k) {
+			t.Fatalf("%s: cached rank %d stale", when, i)
+		}
+		if lo, hi := neighborSpan(curve, k); e.lo[i] != lo || e.hi[i] != hi {
+			t.Fatalf("%s: cached span %d stale", when, i)
+		}
+	}
+}
+
 // TestRepartitionerStepMatchesEvolver checks the incremental mesh update:
 // after each delta the engine's cached columns must equal the evolver's
-// leaves with fresh ranks.
+// leaves with fresh ranks and spans.
 func TestRepartitionerStepMatchesEvolver(t *testing.T) {
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
 	ev := octree.NewEvolver(curve, 9, repartMesh(curve, 5, 300, 6))
@@ -238,10 +254,8 @@ func TestRepartitionerStepMatchesEvolver(t *testing.T) {
 			if k != leaves[i] {
 				t.Fatalf("step %d: key %d diverges", step, i)
 			}
-			if e.ranks[i] != curve.Rank(k) {
-				t.Fatalf("step %d: cached rank %d stale", step, i)
-			}
 		}
+		checkColumns(t, e, fmt.Sprintf("step %d", step))
 	}
 }
 
@@ -416,9 +430,12 @@ func TestRepartitionerSinglePartition(t *testing.T) {
 // Collective.
 func walkOnlyJ(c *comm.Comm, local []sfc.Key, opts RepartOptions) float64 {
 	obj := newObjective(opts.Machine, opts.Alpha, opts.PayloadBytes, opts.Tol, opts.Horizon)
-	best := obj.j(newSelector(c, opts.Curve, local, opts.MaxSplitters).quality(opts.Prior), 0)
+	a := psort.GetArena()
+	defer psort.PutArena(a)
+	sel := newSelector(c, opts.Curve, local, nil, a, opts.MaxSplitters)
+	best := obj.j(sel.quality(opts.Prior), 0)
 	walkT := math.Inf(1)
-	newSelector(c, opts.Curve, local, opts.MaxSplitters).descend(func(cand *Splitters, q Quality) bool {
+	sel.descend(func(cand *Splitters, q Quality) bool {
 		if q.emptiesRank(c.Size()) {
 			return true
 		}

@@ -47,24 +47,26 @@ type StepResult struct {
 }
 
 // Repartitioner is the serial incremental repartitioning engine: one
-// address space holding the whole mesh as arena-backed key/rank columns,
-// repartitioned across timesteps of an AMR loop. Seed ingests the first
-// mesh and cold-starts a model-driven placement; Step applies an
-// octree.Delta — re-ranking only the refined and coarsened subtrees while
-// every unchanged element keeps its cached curve rank — and warm-starts the
-// next placement from the previous one, trading residual imbalance against
-// migration through machine.PredictRepartition. The Step path performs no
-// steady-state allocations: columns live on a pooled psort.Arena and all
-// selection scratch is sized once per (p, n) high-water mark.
+// address space holding the whole mesh as arena-backed key, rank and
+// neighbour-span columns, repartitioned across timesteps of an AMR loop.
+// Seed ingests the first mesh and cold-starts a model-driven placement;
+// Step applies an octree.Delta — re-ranking only the refined and coarsened
+// subtrees while every unchanged element keeps its cached curve rank and
+// span — and warm-starts the next placement from the previous one,
+// trading residual imbalance against migration through
+// machine.PredictRepartition. The Step path performs no steady-state
+// allocations: columns live on a pooled psort.Arena and all selection
+// scratch is sized once per (p, n) high-water mark.
 //
 // A Repartitioner is not safe for concurrent use.
 type Repartitioner struct {
-	cfg   RepartConfig
-	obj   objective // cfg's model knobs with the defaults filled
-	arena *psort.Arena
-	keys  []sfc.Key     // current mesh, curve order
-	ranks []sfc.Rank128 // ranks[i] = Curve.Rank(keys[i]), the warm cache
-	n     int
+	cfg    RepartConfig
+	obj    objective // cfg's model knobs with the defaults filled
+	arena  *psort.Arena
+	keys   []sfc.Key     // current mesh, curve order
+	ranks  []sfc.Rank128 // ranks[i] = Curve.Rank(keys[i]), the warm cache
+	lo, hi []sfc.Rank128 // lo[i], hi[i] = neighborSpan(Curve, keys[i])
+	n      int
 
 	seps     []sfc.Key // p-1 separators of the placement in force
 	sepRanks []sfc.Rank128
@@ -156,20 +158,13 @@ func (e *Repartitioner) Step(delta octree.Delta) StepResult {
 
 // ingest copies keys into the arena columns, sorts them along the curve
 // (filling the rank cache as a side effect of the rank-radix TreeSort),
-// and linearizes duplicates and ancestor pairs out of both columns.
+// linearizes duplicates and ancestor pairs out of both columns, and
+// computes every survivor's neighbour span.
 func (e *Repartitioner) ingest(keys []sfc.Key) {
 	curve := e.cfg.Curve
 	ks := e.arena.Keys(len(keys))
 	copy(ks, keys)
-	psort.TreeSortArena(curve, ks, e.arena)
-	ks, rs := e.arena.Columns(len(keys))
-	if len(keys) < 2 {
-		// TreeSortArena skips trivial inputs without filling the rank
-		// column; complete it here so the cache invariant holds.
-		for i, k := range ks {
-			rs[i] = curve.Rank(k)
-		}
-	}
+	rs := psort.TreeSortArena(curve, ks, e.arena)
 	// Dual-column LinearizeSorted: compact keys and ranks in step.
 	out := 0
 	for i := range ks {
@@ -184,22 +179,30 @@ func (e *Repartitioner) ingest(keys []sfc.Key) {
 	}
 	e.n = out
 	e.keys, e.ranks = e.arena.Columns(out)
+	e.lo, e.hi = e.arena.Spans(out)
+	// Size the scratch span pair now, as the sort sized the key and rank
+	// scratch pair, so the first Step reslices instead of allocating.
+	e.arena.AltSpans(out)
+	fillColumns(curve, e.keys, nil, e.lo, e.hi)
 }
 
 // applyDelta merges the surviving elements into the scratch columns,
-// re-ranking only what the delta touched, then adopts the scratch pair.
+// re-ranking and re-spanning only what the delta touched, then adopts the
+// scratch columns.
 //
 //alloc:zero once the alt columns are warm.
 func (e *Repartitioner) applyDelta(delta octree.Delta) {
 	curve := e.cfg.Curve
 	nch := curve.NumChildren()
 	nk, nr := e.arena.AltColumns(delta.NewLen) //alloc:escape alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
+	nlo, nhi := e.arena.AltSpans(delta.NewLen) //alloc:escape alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
 	w, ri, ci := 0, 0, 0
 	for i := 0; i < e.n; {
 		if ci < len(delta.Coarsened) && delta.Coarsened[ci] == i {
 			parent := e.keys[i].Parent()
 			nk[w] = parent
 			nr[w] = curve.Rank(parent)
+			nlo[w], nhi[w] = neighborSpan(curve, parent)
 			w++
 			i += nch
 			ci++
@@ -211,6 +214,7 @@ func (e *Repartitioner) applyDelta(delta octree.Delta) {
 				child := e.keys[i].Child(curve.ChildAt(st, pos)) //alloc:escape Key.Child's max-level panic is inlined here; the Evolver never refines a max-level leaf
 				nk[w] = child
 				nr[w] = curve.Rank(child)
+				nlo[w], nhi[w] = neighborSpan(curve, child)
 				w++
 			}
 			i++
@@ -219,6 +223,7 @@ func (e *Repartitioner) applyDelta(delta octree.Delta) {
 		}
 		nk[w] = e.keys[i]
 		nr[w] = e.ranks[i]
+		nlo[w], nhi[w] = e.lo[i], e.hi[i]
 		w++
 		i++
 	}
@@ -229,6 +234,7 @@ func (e *Repartitioner) applyDelta(delta octree.Delta) {
 	e.arena.SwapAlt()
 	e.n = delta.NewLen
 	e.keys, e.ranks = e.arena.Columns(delta.NewLen) //alloc:escape column growth is a once-per-high-water-mark cold path; warm arenas reslice
+	e.lo, e.hi = e.arena.Spans(delta.NewLen)        //alloc:escape column growth is a once-per-high-water-mark cold path; warm arenas reslice
 }
 
 // selectPlacement runs the slack-halving ladder: at each rung, separators
@@ -401,8 +407,8 @@ func (e *Repartitioner) clampPos(r int) {
 }
 
 // scanQuality is the serial Algorithm 2: scanCounts and foldQuality over
-// the whole mesh under the candidate positions, whose separator ranks are
-// the cached ranks of the elements they point at.
+// the whole mesh's cached columns under the candidate positions, whose
+// separator ranks are the cached ranks of the elements they point at.
 //
 //alloc:zero
 func (e *Repartitioner) scanQuality(pos []int) Quality {
@@ -413,7 +419,7 @@ func (e *Repartitioner) scanQuality(pos []int) Quality {
 			e.candRanks[r-1] = e.ranks[pos[r]]
 		}
 	}
-	scanCounts(e.cfg.Curve, e.keys, e.ranks, e.candRanks, e.counts)
+	scanCounts(e.cfg.Curve, e.keys, e.ranks, e.lo, e.hi, e.candRanks, e.counts)
 	return foldQuality(e.counts)
 }
 

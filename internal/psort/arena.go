@@ -20,13 +20,19 @@ import (
 // MaxArenaKeys, so an arena (pooled or per-request) can never pin more than
 // ~16 MiB of working set for the process lifetime.
 //
+// Two more rank columns, lo and hi, ride along for the partitioner: each
+// element's lowest and highest same-size face-neighbour rank, the cached
+// input of every Algorithm 2 scan. A sort never touches them.
+//
 // An Arena is not safe for concurrent use; the parallel sort paths share it
 // only through the disjoint chunk writes of internal/par.
 type Arena struct {
-	keys  []sfc.Key
-	ranks []sfc.Rank128
-	kAlt  []sfc.Key
-	rAlt  []sfc.Rank128
+	keys         []sfc.Key
+	ranks        []sfc.Rank128
+	kAlt         []sfc.Key
+	rAlt         []sfc.Rank128
+	lo, hi       []sfc.Rank128
+	loAlt, hiAlt []sfc.Rank128
 }
 
 // MaxArenaKeys caps the per-column capacity an Arena retains after Trim:
@@ -46,26 +52,21 @@ func growCap(n int) int { return n + n/4 }
 // checked individually: SwapAlt exchanges primary and scratch pairs, so
 // their capacities can diverge across uses of one arena.
 func (a *Arena) grow(n int) {
-	if cap(a.ranks) < n {
-		a.ranks = make([]sfc.Rank128, growCap(n))
-	}
-	if cap(a.rAlt) < n {
-		a.rAlt = make([]sfc.Rank128, growCap(n))
-	}
+	a.ranks = growRank(a.ranks, n)
+	a.rAlt = growRank(a.rAlt, n)
 	if cap(a.kAlt) < n {
 		a.kAlt = make([]sfc.Key, growCap(n))
 	}
-	a.ranks = a.ranks[:n]
-	a.rAlt = a.rAlt[:n]
 	a.kAlt = a.kAlt[:n]
 }
 
-// growRanks ensures the primary rank column alone holds at least n elements.
-func (a *Arena) growRanks(n int) {
-	if cap(a.ranks) < n {
-		a.ranks = make([]sfc.Rank128, growCap(n))
+// growRank resizes one rank column to n, reallocating with headroom only
+// when its capacity falls short.
+func growRank(col []sfc.Rank128, n int) []sfc.Rank128 {
+	if cap(col) < n {
+		return make([]sfc.Rank128, growCap(n))[:n]
 	}
-	a.ranks = a.ranks[:n]
+	return col[:n]
 }
 
 // growKeys ensures the arena-owned key column holds at least n elements
@@ -94,9 +95,26 @@ func (a *Arena) Keys(n int) []sfc.Key {
 //
 //alloc:zero once the columns are warm; growth is the first-use cold path.
 func (a *Arena) Columns(n int) ([]sfc.Key, []sfc.Rank128) {
-	a.growKeys(n)  //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
-	a.growRanks(n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
+	a.growKeys(n)                  //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
+	a.ranks = growRank(a.ranks, n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
 	return a.keys, a.ranks
+}
+
+// Ranks returns the rank column alone resized to n, for a caller that ranks
+// keys it holds itself. The contents are undefined.
+func (a *Arena) Ranks(n int) []sfc.Rank128 {
+	a.ranks = growRank(a.ranks, n)
+	return a.ranks
+}
+
+// Spans returns the lo and hi columns resized to n, aligned with the
+// element columns. The contents beyond the previous length are undefined.
+//
+//alloc:zero once the columns are warm; growth is the first-use cold path.
+func (a *Arena) Spans(n int) (lo, hi []sfc.Rank128) {
+	a.lo = growRank(a.lo, n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
+	a.hi = growRank(a.hi, n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
+	return a.lo, a.hi
 }
 
 // AltColumns returns the scratch key and rank columns resized to n. A
@@ -109,21 +127,30 @@ func (a *Arena) AltColumns(n int) ([]sfc.Key, []sfc.Rank128) {
 	if cap(a.kAlt) < n {
 		a.kAlt = make([]sfc.Key, growCap(n)) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
 	}
-	if cap(a.rAlt) < n {
-		a.rAlt = make([]sfc.Rank128, growCap(n)) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
-	}
 	a.kAlt = a.kAlt[:n]
-	a.rAlt = a.rAlt[:n]
+	a.rAlt = growRank(a.rAlt, n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
 	return a.kAlt, a.rAlt
 }
 
-// SwapAlt exchanges the primary and scratch column pairs, making the merge
-// output written through AltColumns the new element store.
+// AltSpans is AltColumns for the lo and hi columns: their scratch pair,
+// resized to n, which SwapAlt adopts together with the element columns.
+//
+//alloc:zero once the columns are warm; growth is the first-use cold path.
+func (a *Arena) AltSpans(n int) (lo, hi []sfc.Rank128) {
+	a.loAlt = growRank(a.loAlt, n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
+	a.hiAlt = growRank(a.hiAlt, n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
+	return a.loAlt, a.hiAlt
+}
+
+// SwapAlt exchanges the primary and scratch columns, making the merge
+// output written through AltColumns and AltSpans the new element store.
 //
 //alloc:zero
 func (a *Arena) SwapAlt() {
 	a.keys, a.kAlt = a.kAlt, a.keys
 	a.ranks, a.rAlt = a.rAlt, a.ranks
+	a.lo, a.loAlt = a.loAlt, a.lo
+	a.hi, a.hiAlt = a.hiAlt, a.hi
 }
 
 // Trim releases any column that grew past MaxArenaKeys. Call it when a sort
@@ -132,29 +159,33 @@ func (a *Arena) SwapAlt() {
 //
 //alloc:zero
 func (a *Arena) Trim() {
-	if cap(a.ranks) > MaxArenaKeys {
-		a.ranks = nil
-	}
-	if cap(a.rAlt) > MaxArenaKeys {
-		a.rAlt = nil
-	}
-	if cap(a.kAlt) > MaxArenaKeys {
-		a.kAlt = nil
-	}
-	if cap(a.keys) > MaxArenaKeys {
-		a.keys = nil
-	}
+	a.keys, a.kAlt = trimmed(a.keys), trimmed(a.kAlt)
+	a.ranks, a.rAlt = trimmed(a.ranks), trimmed(a.rAlt)
+	a.lo, a.hi = trimmed(a.lo), trimmed(a.hi)
+	a.loAlt, a.hiAlt = trimmed(a.loAlt), trimmed(a.hiAlt)
 }
 
-// arenaPool recycles arenas across plain TreeSort calls. Partitioning
-// campaigns sort on every rank of every trial; pooling keeps the
-// steady-state allocation count at zero. putArena trims first, so the pool
-// inherits the same oversized-buffer bound the old pair pool had.
+// trimmed returns col, or nil when col's capacity exceeds MaxArenaKeys.
+func trimmed[T any](col []T) []T {
+	if cap(col) > MaxArenaKeys {
+		return nil
+	}
+	return col
+}
+
+// arenaPool recycles arenas across plain TreeSort calls and partitioning
+// calls. Partitioning campaigns sort on every rank of every trial; pooling
+// keeps the steady-state allocation count at zero. PutArena trims first, so
+// the pool inherits the same oversized-buffer bound the old pair pool had.
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
 
-func getArena() *Arena { return arenaPool.Get().(*Arena) }
+// GetArena draws an arena from the process-wide pool. Its columns hold
+// whatever the previous user left; return it with PutArena once nothing
+// references them.
+func GetArena() *Arena { return arenaPool.Get().(*Arena) }
 
-func putArena(a *Arena) {
+// PutArena trims a and returns it to the pool.
+func PutArena(a *Arena) {
 	a.Trim()
 	arenaPool.Put(a)
 }

@@ -143,22 +143,28 @@ func TestArenaCapacityBounded(t *testing.T) {
 	var a Arena
 	a.grow(MaxArenaKeys + 1)
 	a.growKeys(MaxArenaKeys + 1)
+	a.Spans(MaxArenaKeys + 1)
+	a.AltSpans(MaxArenaKeys + 1)
 	a.Trim()
 	if cap(a.ranks) != 0 || cap(a.kAlt) != 0 || cap(a.keys) != 0 {
 		t.Fatalf("Trim retained oversized columns: ranks=%d kAlt=%d keys=%d",
 			cap(a.ranks), cap(a.kAlt), cap(a.keys))
 	}
-	// The pool inherits the bound through putArena.
+	if cap(a.lo) != 0 || cap(a.hi) != 0 || cap(a.loAlt) != 0 || cap(a.hiAlt) != 0 {
+		t.Fatalf("Trim retained oversized span columns: lo=%d hi=%d loAlt=%d hiAlt=%d",
+			cap(a.lo), cap(a.hi), cap(a.loAlt), cap(a.hiAlt))
+	}
+	// The pool inherits the bound through PutArena.
 	huge := &Arena{}
 	huge.grow(MaxArenaKeys + 1)
-	putArena(huge)
+	PutArena(huge)
 	for i := 0; i < 64; i++ {
-		p := getArena()
+		p := GetArena()
 		if cap(p.ranks) > MaxArenaKeys || cap(p.kAlt) > MaxArenaKeys {
 			t.Fatalf("pool returned arena with cap ranks=%d kAlt=%d > MaxArenaKeys %d",
 				cap(p.ranks), cap(p.kAlt), MaxArenaKeys)
 		}
-		putArena(p)
+		PutArena(p)
 	}
 	// Bounded columns are still recycled: TreeSort keeps working after the
 	// cap rejection, and a trimmed arena regrows on demand.
@@ -176,8 +182,9 @@ func TestArenaCapacityBounded(t *testing.T) {
 }
 
 // TestTreeSortArenaMatchesTreeSort: the arena entry point must produce the
-// identical permutation as the pooled one, and reusing one arena across
-// sorts of varying sizes must not corrupt results.
+// identical permutation as the pooled one, its returned rank column must be
+// aligned with the sorted keys (trivial inputs included), and reusing one
+// arena across sorts of varying sizes must not corrupt results.
 func TestTreeSortArenaMatchesTreeSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
@@ -187,10 +194,16 @@ func TestTreeSortArenaMatchesTreeSort(t *testing.T) {
 		want := append([]sfc.Key(nil), keys...)
 		TreeSort(curve, want)
 		got := append([]sfc.Key(nil), keys...)
-		TreeSortArena(curve, got, &a)
+		ranks := TreeSortArena(curve, got, &a)
+		if len(ranks) != n {
+			t.Fatalf("n=%d: rank column has %d entries", n, len(ranks))
+		}
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("n=%d: arena sort differs at %d", n, i)
+			}
+			if ranks[i] != curve.Rank(got[i]) {
+				t.Fatalf("n=%d: rank column misaligned at %d", n, i)
 			}
 		}
 	}

@@ -43,19 +43,18 @@ func TreeSort(curve *sfc.Curve, keys []sfc.Key) {
 	if len(keys) < 2 {
 		return
 	}
-	a := getArena()
+	a := GetArena()
 	TreeSortArena(curve, keys, a)
-	putArena(a)
+	PutArena(a)
 }
 
 // TreeSortArena is TreeSort against a caller-owned Arena: the rank column
 // and both scratch columns come from a, so a caller that reuses its arena
 // across sorts (the service request path) performs zero steady-state
-// allocations. keys itself is the key column — it is permuted in place.
-func TreeSortArena(curve *sfc.Curve, keys []sfc.Key, a *Arena) {
-	if len(keys) < 2 {
-		return
-	}
+// allocations. keys itself is the key column — it is permuted in place. The
+// returned rank column, a's, is aligned with the sorted keys:
+// ranks[i] = curve.Rank(keys[i]).
+func TreeSortArena(curve *sfc.Curve, keys []sfc.Key, a *Arena) []sfc.Rank128 {
 	a.grow(len(keys))
 	ranks := a.ranks[:len(keys)]
 	if parallelOK(len(keys)) {
@@ -74,6 +73,7 @@ func TreeSortArena(curve *sfc.Curve, keys []sfc.Key, a *Arena) {
 		}
 		radixSortSoA(keys, ranks, a.kAlt[:len(keys)], a.rAlt[:len(keys)], 0)
 	}
+	return ranks
 }
 
 // radixSortSoA sorts the parallel (keys, ranks) columns by rank with an MSD

@@ -8,7 +8,8 @@
 # report parsed back); allocgate (//alloc:zero contracts, then its report);
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
 # lint, and service; the benchmark spine's quick run with its exact
-# metrics compared against scripts/spine_quick_baseline.json; the repart
+# metrics compared against scripts/spine_quick_baseline.json and its
+# partition.step_allocs required to be 0; the repart
 # transcript at -workers 1 and GOMAXPROCS against its golden; the full
 # repart campaign and its built-in assertions; then the smokes: optipartd
 # multi-process (kill and recover), optipartd self-healing (restore), the
@@ -98,6 +99,15 @@ cat "$spinedir/compare.txt"
 if [ ! -s "$spinedir/compare.txt" ] ||
         grep -Eq 'changed|failed ops|only in the new run|^note: the runs differ|^compare:' "$spinedir/compare.txt"; then
     echo "spine: exact metrics or failed-op share differ from scripts/spine_quick_baseline.json" >&2
+    rm -rf "$spinedir"
+    exit 1
+fi
+# Repartitioner.Step's zero-allocation contract, read from the number the
+# spine itself reports (TestRepartitionerStepZeroAlloc guards the same
+# contract inside the suite). A missing metric fails too.
+stepallocs=$(grep -Eo '"partition\.step_allocs":\{"value":[^,}]*' "$spinedir/quick.json" | sed 's/.*"value"://')
+if [ "$stepallocs" != "0" ]; then
+    echo "spine: partition.step_allocs is ${stepallocs:-missing}, want 0" >&2
     rm -rf "$spinedir"
     exit 1
 fi
