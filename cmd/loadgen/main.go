@@ -50,6 +50,7 @@ import (
 	"optipart/internal/machine"
 	wnet "optipart/internal/net"
 	"optipart/internal/partition"
+	"optipart/internal/service"
 )
 
 func main() {
@@ -189,12 +190,7 @@ func dialWire(endpoint string) (*wireClient, error) {
 }
 
 func (c *wireClient) do(req optipart.ServiceRequest) (bool, error) {
-	wr := optipart.ServiceWireRequest{
-		Tenant: req.Tenant, Keys: req.Keys,
-		CurveKind: int(req.CurveKind), Dim: req.Dim, Ranks: req.Ranks,
-		Mode: int(req.Mode), Tol: req.Tol, Alpha: req.Alpha,
-		PayloadBytes: req.PayloadBytes, MachineName: req.Machine.Name,
-	}
+	wr := service.FromRequest(req)
 	if err := c.enc.Encode(&wr); err != nil {
 		return false, err
 	}

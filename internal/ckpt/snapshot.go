@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"optipart/internal/comm"
+	"optipart/internal/par"
 	"optipart/internal/sfc"
 )
 
@@ -79,22 +80,8 @@ type Snapshot struct {
 	Placement [][]sfc.Key
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnv1a folds b into a running FNV-1a sum.
-func fnv1a(sum uint64, b []byte) uint64 {
-	for _, c := range b {
-		sum ^= uint64(c)
-		sum *= fnvPrime64
-	}
-	return sum
-}
-
 // DigestInit is the seed of the running campaign digest.
-const DigestInit uint64 = fnvOffset64
+const DigestInit uint64 = par.FNVOffset64
 
 // DigestFold folds one step's settled placement into the running campaign
 // digest. Every rank computes it over the same gathered placement, so the
@@ -103,13 +90,13 @@ const DigestInit uint64 = fnvOffset64
 func DigestFold(d uint64, step int, placement [][]sfc.Key) uint64 {
 	var buf [keyBytes]byte
 	binary.BigEndian.PutUint64(buf[:8], uint64(step))
-	d = fnv1a(d, buf[:8])
+	d = par.FNV1a(d, buf[:8])
 	for _, keys := range placement {
 		binary.BigEndian.PutUint64(buf[:8], uint64(len(keys)))
-		d = fnv1a(d, buf[:8])
+		d = par.FNV1a(d, buf[:8])
 		for _, k := range keys {
 			putKey(buf[:], k)
-			d = fnv1a(d, buf[:])
+			d = par.FNV1a(d, buf[:])
 		}
 	}
 	return d
@@ -173,7 +160,7 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 			buf = append(buf, kb[:]...)
 		}
 	}
-	buf = binary.BigEndian.AppendUint64(buf, fnv1a(fnvOffset64, buf))
+	buf = binary.BigEndian.AppendUint64(buf, par.FNV1a(par.FNVOffset64, buf))
 	return buf, nil
 }
 
@@ -192,7 +179,7 @@ func DecodeSnapshot(buf []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: %d", ErrSnapshotVersion, buf[4])
 	}
 	body, trailer := buf[:len(buf)-checksumLen], buf[len(buf)-checksumLen:]
-	if got, want := fnv1a(fnvOffset64, body), binary.BigEndian.Uint64(trailer); got != want {
+	if got, want := par.FNV1a(par.FNVOffset64, body), binary.BigEndian.Uint64(trailer); got != want {
 		return nil, fmt.Errorf("%w: got %016x want %016x", ErrSnapshotChecksum, got, want)
 	}
 	s := &Snapshot{

@@ -1,19 +1,10 @@
 package comm
 
-import "optipart/internal/par"
-
 // This file implements the collectives. Costs follow the standard models
 // for tree/recursive-doubling algorithms, expressed with the paper's
 // parameters: a collective on m bytes costs (ts + tw·m)·log2(p); the staged
 // all-to-all costs ts + tw·(max bytes any rank moves) per stage, which is
 // the congestion-avoiding exchange of §3.1 (refs [4, 34]).
-
-// allreduceParCutoff gates the parallel element-wise combine of Allreduce;
-// allreduceGrain fixes its chunk layout independently of the worker count.
-const (
-	allreduceParCutoff = 1 << 14
-	allreduceGrain     = 1 << 12
-)
 
 // Allreduce combines the per-rank slices element-wise with op (an
 // associative, commutative reduction) and returns the combined slice on
@@ -30,26 +21,10 @@ func Allreduce[T any](c *Comm, vals []T, elemBytes int, op func(a, b T) T) []T {
 				panic(&UsageError{Op: "allreduce", Msg: "length mismatch across ranks"})
 			}
 		}
-		if par.Workers() > 1 && len(res) >= allreduceParCutoff {
-			// Elements are independent; each is still folded over ranks in
-			// ascending rank order, so even float results are bit-identical
-			// to the serial loop. Reduction ops must be pure functions. This
-			// runs in the rank-0 compute window while every other rank waits
-			// at the barrier, so the pool is free.
-			par.For(len(res), allreduceGrain, func(lo, hi int) {
-				for r := 1; r < w.p; r++ {
-					rv := w.slots[r].([]T)
-					for i := lo; i < hi; i++ {
-						res[i] = op(res[i], rv[i])
-					}
-				}
-			})
-		} else {
-			for r := 1; r < w.p; r++ {
-				rv := w.slots[r].([]T)
-				for i := range res {
-					res[i] = op(res[i], rv[i])
-				}
+		for r := 1; r < w.p; r++ {
+			rv := w.slots[r].([]T)
+			for i := range res {
+				res[i] = op(res[i], rv[i])
 			}
 		}
 		w.scratch = res

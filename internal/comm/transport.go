@@ -34,6 +34,7 @@ package comm
 // timeline is bit-reproducible across runs.
 
 import (
+	"encoding/binary"
 	"time"
 
 	"optipart/internal/par"
@@ -119,25 +120,17 @@ type packet struct {
 	Checksum uint64
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-	// corruptFlip is XORed into a corrupted packet's checksum on the wire.
-	corruptFlip = 0xBAD1DEA5BAD1DEA5
-)
+// corruptFlip is XORed into a corrupted packet's checksum on the wire.
+const corruptFlip = 0xBAD1DEA5BAD1DEA5
 
-// sum computes the FNV-1a checksum of the packet header.
+// sum computes the FNV-1a checksum of the packet header: the op name, then
+// the five integer fields as little-endian 8-byte words.
 func (pk *packet) sum() uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(pk.Op); i++ {
-		h = (h ^ uint64(pk.Op[i])) * fnvPrime64
+	var b [40]byte
+	for j, v := range [...]uint64{uint64(pk.Src), uint64(pk.Dst), pk.Seq, uint64(pk.Pkt), uint64(pk.Bytes)} {
+		binary.LittleEndian.PutUint64(b[8*j:], v)
 	}
-	for _, v := range [...]uint64{uint64(pk.Src), uint64(pk.Dst), pk.Seq, uint64(pk.Pkt), uint64(pk.Bytes)} {
-		for i := 0; i < 8; i++ {
-			h = (h ^ (v >> (8 * i) & 0xff)) * fnvPrime64
-		}
-	}
-	return h
+	return par.FNV1a(par.FNV1a(par.FNVOffset64, pk.Op), b[:])
 }
 
 // verify reports whether the packet's carried checksum matches its header.

@@ -20,11 +20,7 @@ func cleanNet(src, dst int, op string, seq uint64, pkt, attempt int, bytes int64
 // (which would be an import cycle from this package's tests).
 func hashNet(seed uint64, drop, corrupt, dup float64) NetInjector {
 	return func(src, dst int, op string, seq uint64, pkt, attempt int, bytes int64) NetOutcome {
-		h := seed
-		for i := 0; i < len(op); i++ {
-			h = (h ^ uint64(op[i])) * fnvPrime64
-		}
-		h = par.SplitMix64(h ^ uint64(src)<<32 ^ uint64(dst))
+		h := par.SplitMix64(par.FNV1a(seed, op) ^ uint64(src)<<32 ^ uint64(dst))
 		h = par.SplitMix64(h ^ seq)
 		h = par.SplitMix64(h ^ uint64(pkt))
 		h = par.SplitMix64(h ^ uint64(attempt))

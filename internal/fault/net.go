@@ -155,11 +155,7 @@ func (np *NetPlan) Injector() comm.NetInjector {
 
 // frameHash condenses a frame attempt's identity into 64 mixed bits.
 func frameHash(seed uint64, src, dst int, op string, seq uint64, pkt, attempt int) uint64 {
-	h := seed
-	for i := 0; i < len(op); i++ {
-		h = (h ^ uint64(op[i])) * 1099511628211
-	}
-	h = par.SplitMix64(h ^ uint64(src)<<32 ^ uint64(dst))
+	h := par.SplitMix64(par.FNV1a(seed, op) ^ uint64(src)<<32 ^ uint64(dst))
 	h = par.SplitMix64(h ^ seq)
 	h = par.SplitMix64(h ^ uint64(pkt))
 	return par.SplitMix64(h ^ uint64(attempt))

@@ -10,22 +10,10 @@ import (
 
 	"optipart/internal/comm"
 	"optipart/internal/octree"
-	"optipart/internal/par"
 	"optipart/internal/partition"
 	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
-
-// ghostCutoff gates the parallel boundary scan of Build; ghostGrain fixes
-// its chunk layout independently of the worker count.
-const (
-	ghostCutoff = 1 << 13
-	ghostGrain  = 1 << 11
-)
-
-// sendPair is one (destination rank, local leaf index) mark produced by a
-// chunk of the parallel boundary scan.
-type sendPair struct{ dst, i int }
 
 // Ghost is one rank's halo: the remote leaves its elements read during a
 // matvec, and the send lists for keeping them fresh.
@@ -59,54 +47,20 @@ func Build(c *comm.Comm, local []sfc.Key, sp *partition.Splitters) *Ghost {
 	me := c.Rank()
 
 	sendSet := make([]map[int]bool, p) // dst -> set of local indices
-	add := func(dst, i int) {
-		if sendSet[dst] == nil {
-			sendSet[dst] = make(map[int]bool)
-		}
-		sendSet[dst][i] = true
-	}
-	if par.Workers() > 1 && len(local) >= ghostCutoff {
-		// The per-leaf owner lookups are independent (Splitters.Owner is a
-		// binary search behind a sync.Once rank cache), so leaves chunk
-		// across the pool; each chunk records its (dst, leaf) pairs and the
-		// sets merge serially. Set union is order-independent and SendIDs are
-		// sorted below, so the result matches the serial loop exactly.
-		nc := par.NumChunks(len(local), ghostGrain)
-		chunkPairs := make([][]sendPair, nc)
-		par.ForChunks(len(local), ghostGrain, func(c, lo, hi int) {
-			var pairs []sendPair
-			for i := lo; i < hi; i++ {
-				for _, f := range octree.Faces(curve.Dim) {
-					nk, ok := octree.FaceNeighbor(local[i], f)
-					if !ok {
-						continue
-					}
-					for _, dst := range neighborOwners(sp, nk, f, curve.Dim) {
-						if dst != me {
-							pairs = append(pairs, sendPair{dst: dst, i: i})
-						}
-					}
-				}
+	for i, k := range local {
+		for _, f := range octree.Faces(curve.Dim) {
+			nk, ok := octree.FaceNeighbor(k, f)
+			if !ok {
+				continue
 			}
-			chunkPairs[c] = pairs
-		})
-		for _, pairs := range chunkPairs {
-			for _, pr := range pairs {
-				add(pr.dst, pr.i)
-			}
-		}
-	} else {
-		for i, k := range local {
-			for _, f := range octree.Faces(curve.Dim) {
-				nk, ok := octree.FaceNeighbor(k, f)
-				if !ok {
+			for _, dst := range neighborOwners(sp, nk, f, curve.Dim) {
+				if dst == me {
 					continue
 				}
-				for _, dst := range neighborOwners(sp, nk, f, curve.Dim) {
-					if dst != me {
-						add(dst, i)
-					}
+				if sendSet[dst] == nil {
+					sendSet[dst] = make(map[int]bool)
 				}
+				sendSet[dst][i] = true
 			}
 		}
 	}

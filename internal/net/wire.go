@@ -25,6 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"optipart/internal/par"
 )
 
 // Frame format, evolving the PR 2 simulated-transport packet into a real
@@ -92,20 +94,6 @@ var (
 	ErrFrameTrailing = errors.New("net: trailing bytes after frame")
 )
 
-// FNV-1a, matching the simulated transport's packet checksum.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnv1a(sum uint64, b []byte) uint64 {
-	for _, c := range b {
-		sum ^= uint64(c)
-		sum *= fnvPrime64
-	}
-	return sum
-}
-
 // AppendFrame encodes f onto dst and returns the extended slice.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	if len(f.Op) > MaxFrameOp {
@@ -123,7 +111,7 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Payload)))
 	dst = append(dst, f.Op...)
 	dst = append(dst, f.Payload...)
-	dst = binary.BigEndian.AppendUint64(dst, fnv1a(fnvOffset64, dst[start:]))
+	dst = binary.BigEndian.AppendUint64(dst, par.FNV1a(par.FNVOffset64, dst[start:]))
 	return dst, nil
 }
 
@@ -186,7 +174,7 @@ func decodeFramePrefix(buf []byte) (*Frame, int, error) {
 	}
 	body := buf[:total-checksumLen]
 	want := binary.BigEndian.Uint64(buf[total-checksumLen : total])
-	if fnv1a(fnvOffset64, body) != want {
+	if par.FNV1a(par.FNVOffset64, body) != want {
 		return nil, 0, ErrFrameChecksum
 	}
 	f.Op = string(buf[headerLen : headerLen+opLen])
@@ -211,7 +199,7 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if _, err := io.ReadFull(r, rest); err != nil {
 		return nil, err
 	}
-	sum := fnv1a(fnv1a(fnvOffset64, hdr), rest[:opLen+payLen])
+	sum := par.FNV1a(par.FNV1a(par.FNVOffset64, hdr), rest[:opLen+payLen])
 	want := binary.BigEndian.Uint64(rest[opLen+payLen:])
 	if sum != want {
 		return nil, ErrFrameChecksum

@@ -5,12 +5,9 @@ import (
 	"optipart/internal/sfc"
 )
 
-// balanceCutoff gates the parallel neighbor scan of Balance21; balanceGrain
-// fixes its chunk layout independently of the worker count.
-const (
-	balanceCutoff = 1 << 13
-	balanceGrain  = 1 << 11
-)
+// balanceGrain fixes the chunk layout of Balance21's neighbor scan
+// independently of the worker count.
+const balanceGrain = 1 << 11
 
 // Balance21 enforces the 2:1 face-balance condition on a complete linear
 // octree: leaves sharing a face differ by at most one refinement level. It
@@ -25,45 +22,16 @@ func Balance21(t *Tree) *Tree {
 	curve := t.Curve
 	for {
 		work := &Tree{Curve: curve, Leaves: leaves}
-		split := make([]bool, len(leaves))
-		any := false
-		mark := func(j int) {
-			if !split[j] {
-				split[j] = true
-				any = true
-			}
-		}
-		if par.Workers() > 1 && len(leaves) >= balanceCutoff {
-			// The neighbor scans are pure lookups (FindLeaf is a stateless
-			// binary search), so they chunk across the pool; each chunk
-			// collects the leaf indices it wants split and the marks merge
-			// serially. Marking is an idempotent set union, so the result is
-			// the same boolean vector the serial loop builds.
-			nc := par.NumChunks(len(leaves), balanceGrain)
-			marks := make([][]int, nc)
-			par.ForChunks(len(leaves), balanceGrain, func(c, lo, hi int) {
-				var local []int
-				for _, k := range leaves[lo:hi] {
-					for _, f := range Faces(curve.Dim) {
-						nk, ok := FaceNeighbor(k, f)
-						if !ok {
-							continue
-						}
-						j := work.FindLeaf(nk)
-						if j >= 0 && int(leaves[j].Level) < int(k.Level)-1 {
-							local = append(local, j)
-						}
-					}
-				}
-				marks[c] = local
-			})
-			for _, m := range marks {
-				for _, j := range m {
-					mark(j)
-				}
-			}
-		} else {
-			for _, k := range leaves {
+		// The neighbor scans are pure lookups (FindLeaf is a stateless binary
+		// search), so they chunk across the pool; each chunk collects the
+		// leaf indices it wants split and the marks merge serially. Marking
+		// is an idempotent set union, so the boolean vector does not depend
+		// on the worker count. A tree of one chunk, or a pool of width 1,
+		// scans inline.
+		marks := make([][]int, par.NumChunks(len(leaves), balanceGrain))
+		par.ForChunks(len(leaves), balanceGrain, func(c, lo, hi int) {
+			var local []int
+			for _, k := range leaves[lo:hi] {
 				for _, f := range Faces(curve.Dim) {
 					nk, ok := FaceNeighbor(k, f)
 					if !ok {
@@ -71,8 +39,19 @@ func Balance21(t *Tree) *Tree {
 					}
 					j := work.FindLeaf(nk)
 					if j >= 0 && int(leaves[j].Level) < int(k.Level)-1 {
-						mark(j)
+						local = append(local, j)
 					}
+				}
+			}
+			marks[c] = local
+		})
+		split := make([]bool, len(leaves))
+		any := false
+		for _, m := range marks {
+			for _, j := range m {
+				if !split[j] {
+					split[j] = true
+					any = true
 				}
 			}
 		}

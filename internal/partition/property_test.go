@@ -132,10 +132,9 @@ func directQuality(sp *Splitters, keys []sfc.Key) Quality {
 // agree with a straightforward sequential evaluation (Owner per key and per
 // neighbor), on curve-ordered local arrays and on shuffled ones — the
 // kernel's carried owner hint is an optimization, not an ordering
-// requirement — with each element's rank and span computed inline and read
-// from cached columns, and at the edges of its (keys, separator ranks)
-// domain: elements missing face neighbours on the domain boundary, and the
-// root octant, which has none and scans on the span sentinels alone.
+// requirement — and at the edges of its (keys, separator ranks) domain:
+// elements missing face neighbours on the domain boundary, and the root
+// octant, which has none and scans on the span sentinels alone.
 func TestEvaluateQualityMatchesDirectCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(3200))
 	morton3 := sfc.NewCurve(sfc.Morton, 3)
@@ -176,8 +175,8 @@ func TestEvaluateQualityMatchesDirectCount(t *testing.T) {
 		want := directQuality(sp, tc.keys)
 
 		// Distributed evaluation over 4 ranks holding arbitrary splits, in
-		// curve order (inline and cached) and then shuffled.
-		var sorted, cached, shuffled Quality
+		// curve order and then shuffled.
+		var sorted, shuffled Quality
 		comm.Run(4, comm.CostModel{}, func(c *comm.Comm) {
 			var local []sfc.Key
 			for i, k := range tc.keys {
@@ -186,24 +185,16 @@ func TestEvaluateQualityMatchesDirectCount(t *testing.T) {
 				}
 			}
 			qs := EvaluateQuality(c, tc.curve, local, sp)
-			ranks := make([]sfc.Rank128, len(local))
-			lo := make([]sfc.Rank128, len(local))
-			hi := make([]sfc.Rank128, len(local))
-			fillColumns(tc.curve, local, ranks, lo, hi)
-			qc := evaluateQuality(c, tc.curve, local, ranks, lo, hi, sp)
 			rand.New(rand.NewSource(int64(c.Rank()))).Shuffle(len(local), func(i, j int) {
 				local[i], local[j] = local[j], local[i]
 			})
 			qu := EvaluateQuality(c, tc.curve, local, sp)
 			if c.Rank() == 0 {
-				sorted, cached, shuffled = qs, qc, qu
+				sorted, shuffled = qs, qu
 			}
 		})
 		if sorted != want {
 			t.Errorf("%s: distributed quality %+v != sequential %+v", tc.name, sorted, want)
-		}
-		if cached != want {
-			t.Errorf("%s: quality from cached columns %+v != sequential %+v", tc.name, cached, want)
 		}
 		if shuffled != want {
 			t.Errorf("%s: quality of shuffled local %+v != sequential %+v", tc.name, shuffled, want)

@@ -113,19 +113,23 @@ func (o *objective) j(q Quality, movedElements int64) float64 {
 // partition, we sum per-partition counts across ranks instead, which
 // measures the same quantity exactly rather than approximately.
 func EvaluateQuality(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, sp *Splitters) Quality {
-	return evaluateQuality(c, curve, local, nil, nil, nil, sp)
+	a := psort.GetArena()
+	defer psort.PutArena(a)
+	ranks := a.Ranks(len(local))
+	lo, hi := a.Spans(len(local))
+	fillColumns(curve, local, ranks, lo, hi)
+	return evaluateQuality(c, curve, ranks, lo, hi, sp)
 }
 
-// evaluateQuality is EvaluateQuality for callers that already hold the
-// cached columns of local; nil columns work from the keys alone (see
-// scanCounts).
-func evaluateQuality(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, ranks, lo, hi []sfc.Rank128, sp *Splitters) Quality {
+// evaluateQuality is EvaluateQuality over the cached columns of the local
+// elements (see scanCounts).
+func evaluateQuality(c *comm.Comm, curve *sfc.Curve, ranks, lo, hi []sfc.Rank128, sp *Splitters) Quality {
 	counts := make([]int64, 2*sp.P())
-	scanCounts(curve, local, ranks, lo, hi, sp.ranks(), counts)
+	scanCounts(ranks, lo, hi, sp.ranks(), counts)
 	// The modeled cost is the pass the paper's implementation pays: each
 	// element touched 1+2·dim times. Cached columns make only the simulator
 	// faster.
-	c.Compute(int64(len(local)) * int64(1+2*curve.Dim) * psort.KeyBytes)
+	c.Compute(int64(len(ranks)) * int64(1+2*curve.Dim) * psort.KeyBytes)
 	return foldQuality(comm.Allreduce(c, counts, 8, comm.SumI64))
 }
 
@@ -158,22 +162,6 @@ func neighborSpan(curve *sfc.Curve, k sfc.Key) (lo, hi sfc.Rank128) {
 	return lo, hi
 }
 
-// foreignNeighbor reports whether some same-size face neighbour of k ranks
-// outside [lower, upper): the span test of neighborSpan for a scan without
-// cached columns, which stops at the first foreign neighbour.
-//
-//alloc:zero
-func foreignNeighbor(curve *sfc.Curve, k sfc.Key, lower, upper sfc.Rank128) bool {
-	for _, f := range octree.Faces(curve.Dim) {
-		if nk, ok := octree.FaceNeighbor(k, f); ok {
-			if r := curve.Rank(nk); r.Less(lower) || !r.Less(upper) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // fillColumns computes the cached scan columns of keys: lo[i], hi[i] =
 // neighborSpan(curve, keys[i]) and, when ranks is non-nil, ranks[i] =
 // curve.Rank(keys[i]). Large inputs chunk across the pool; every slot has
@@ -196,44 +184,30 @@ func fillColumns(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi []sfc.Rank128) 
 
 // scanCounts is the local pass of Algorithm 2, shared by the collective
 // evaluator and the serial Repartitioner: it fills counts, laid out as
-// [work per partition | boundary octants per partition], for keys under the
-// p-1 separator ranks sepRanks. ranks, lo and hi are the cached columns of
-// keys (ranks[i] = curve.Rank(keys[i]), lo[i], hi[i] = neighborSpan(curve,
-// keys[i])); nil columns compute each key's rank here and test its
-// neighbours against the owner's bracket, in the same single pass.
+// [work per partition | boundary octants per partition], for elements under
+// the p-1 separator ranks sepRanks. ranks, lo and hi are the elements' cached
+// columns (ranks[i] = curve.Rank(keys[i]), lo[i], hi[i] =
+// neighborSpan(curve, keys[i])).
 //
 // The element's own owner is a hint carried from the previous element, with
 // the owner's separator bracket [lower, upper), and searched again only when
-// the rank leaves the bracket, so the walk is O(1) per element over keys in
-// curve order and still exact over unsorted ones. With cached columns the
-// boundary test is two compares against the bracket: no Rank call and no
-// neighbour search.
+// the rank leaves the bracket, so the walk is O(1) per element over elements
+// in curve order and still exact over unsorted ones. The boundary test is two
+// compares against the bracket: no Rank call and no neighbour search.
 //
 //alloc:zero
-func scanCounts(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi, sepRanks []sfc.Rank128, counts []int64) {
+func scanCounts(ranks, lo, hi, sepRanks []sfc.Rank128, counts []int64) {
 	p := len(sepRanks) + 1
 	clear(counts)
 	owner := 0
 	lower, upper := bracket(sepRanks, owner)
-	for i, k := range keys {
-		var kr sfc.Rank128
-		if ranks != nil {
-			kr = ranks[i]
-		} else {
-			kr = curve.Rank(k)
-		}
+	for i, kr := range ranks {
 		if kr.Less(lower) || !kr.Less(upper) {
 			owner = sfc.UpperBound(sepRanks, kr)
 			lower, upper = bracket(sepRanks, owner)
 		}
 		counts[owner]++
-		var boundary bool
-		if ranks != nil {
-			boundary = lo[i].Less(lower) || !hi[i].Less(upper)
-		} else {
-			boundary = foreignNeighbor(curve, k, lower, upper)
-		}
-		if boundary {
+		if lo[i].Less(lower) || !hi[i].Less(upper) {
 			counts[p+owner]++
 		}
 	}

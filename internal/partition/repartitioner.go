@@ -419,7 +419,7 @@ func (e *Repartitioner) scanQuality(pos []int) Quality {
 			e.candRanks[r-1] = e.ranks[pos[r]]
 		}
 	}
-	scanCounts(e.cfg.Curve, e.keys, e.ranks, e.lo, e.hi, e.candRanks, e.counts)
+	scanCounts(e.ranks, e.lo, e.hi, e.candRanks, e.counts)
 	return foldQuality(e.counts)
 }
 

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"optipart/internal/comm"
-	"optipart/internal/par"
 	"optipart/internal/sfc"
 )
 
@@ -64,39 +63,15 @@ func SampleSort(c *comm.Comm, local []sfc.Key, curve *sfc.Curve) []sfc.Key {
 
 // bucketBySplitters cuts the sorted local run into p contiguous buckets at
 // the splitter keys; rank r's bucket holds keys in [splitters[r-1],
-// splitters[r]). Each boundary is a binary search over linearized ranks.
-//
-// The parallel path searches the full run for every splitter independently
-// and then clamps each boundary to its predecessor. That is exactly the
-// sequential narrowing semantics: a search restricted to local[lo:] returns
-// lo when the splitter sorts before local[lo], which is what the clamp
-// produces, and the unrestricted position otherwise.
+// splitters[r]). Each boundary is a binary search over linearized ranks,
+// narrowed to the keys after the previous boundary.
 func bucketBySplitters(curve *sfc.Curve, local, splitters []sfc.Key, p int) [][]sfc.Key {
-	bounds := make([]int, len(splitters))
-	if par.Workers() > 1 && len(splitters) >= 8 && len(local) >= parallelCutoff {
-		par.For(len(splitters), 1, func(rlo, rhi int) {
-			for r := rlo; r < rhi; r++ {
-				bounds[r] = searchKeys(curve, local, curve.Rank(splitters[r]))
-			}
-		})
-		for r := 1; r < len(bounds); r++ {
-			if bounds[r] < bounds[r-1] {
-				bounds[r] = bounds[r-1]
-			}
-		}
-	} else {
-		lo := 0
-		for r := range splitters {
-			bounds[r] = lo + searchKeys(curve, local[lo:], curve.Rank(splitters[r]))
-			lo = bounds[r]
-		}
-	}
 	send := make([][]sfc.Key, p)
 	lo := 0
 	for r := 0; r < p; r++ {
 		hi := len(local)
-		if r < len(bounds) {
-			hi = bounds[r]
+		if r < len(splitters) {
+			hi = lo + searchKeys(curve, local[lo:], curve.Rank(splitters[r]))
 		}
 		send[r] = local[lo:hi]
 		lo = hi

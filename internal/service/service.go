@@ -180,15 +180,9 @@ type Service struct {
 	cachedKeys int
 
 	arenas []*psort.Arena
-	curves map[curveID]*sfc.Curve
 
 	metrics Metrics
 	closed  bool
-}
-
-type curveID struct {
-	kind sfc.Kind
-	dim  int
 }
 
 // New builds a Service. Close it when done to release parked waiters.
@@ -203,7 +197,6 @@ func New(cfg Config) *Service {
 		cfg:     cfg,
 		queue:   NewFairQueue(cfg.Slots),
 		entries: map[digest128]*entry{},
-		curves:  map[curveID]*sfc.Curve{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -253,7 +246,7 @@ func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 	}
 
 	a := s.getArena()
-	canon, curve := s.canonicalize(&req, a)
+	canon, curve := canonicalize(&req, a)
 	d := digestRequest(&req, canon)
 
 	s.mu.Lock()
@@ -389,6 +382,16 @@ func validate(req *Request) error {
 	if req.Dim != 2 && req.Dim != 3 {
 		return fmt.Errorf("service: dim %d not in {2, 3}", req.Dim)
 	}
+	// CurveKind and Mode arrive as wire ints: an unknown kind would reach
+	// sfc.NewCurve and panic.
+	if req.CurveKind != sfc.Morton && req.CurveKind != sfc.Hilbert {
+		return fmt.Errorf("service: unknown curve kind %v", req.CurveKind)
+	}
+	switch req.Mode {
+	case partition.EqualWork, partition.FlexibleTolerance, partition.ModelDriven:
+	default:
+		return fmt.Errorf("service: unknown mode %v", req.Mode)
+	}
 	if req.Ranks < 1 {
 		return fmt.Errorf("service: ranks %d < 1", req.Ranks)
 	}
@@ -407,22 +410,13 @@ func validate(req *Request) error {
 
 // canonicalize copies the request keys into the arena, sorts them along the
 // curve, and strips duplicates and ancestors — the canonical linear octree
-// that content-addresses the request. Allocation-free once the arena and
-// curve cache are warm. First sight of a curve kind or a bigger octree
-// allocates once and is waived below.
+// that content-addresses the request. Allocation-free once the arena is
+// warm; sfc.NewCurve memoizes the curve. A bigger octree than the arena has
+// seen allocates once and is waived below.
 //
 //alloc:zero warm-path contract
-func (s *Service) canonicalize(req *Request, a *psort.Arena) ([]sfc.Key, *sfc.Curve) {
-	s.mu.Lock()
-	id := curveID{kind: req.CurveKind, dim: req.Dim}
-	curve := s.curves[id]
-	if curve == nil {
-		curve = sfc.NewCurve(req.CurveKind, req.Dim)
-		//lint:ignore unboundedgrowth the key domain is validated: dim is checked to {2,3} and curve kinds are a small enum, so curves holds at most kinds x 2 entries
-		s.curves[id] = curve
-	}
-	s.mu.Unlock()
-
+func canonicalize(req *Request, a *psort.Arena) ([]sfc.Key, *sfc.Curve) {
+	curve := sfc.NewCurve(req.CurveKind, req.Dim)
 	keys := a.Keys(len(req.Keys)) //alloc:escape arena column growth is a once-per-high-water-mark cold path; warm arenas reslice
 	copy(keys, req.Keys)
 	psort.TreeSortArena(curve, keys, a)

@@ -189,14 +189,12 @@ func FuzzDigestCanonicalization(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		keys := octree.RandomKeys(rng, int(n), 3, octree.Uniform, 1, 12)
 		req := baseRequest(keys)
-		s := New(Config{})
-		defer s.Close()
 
 		var a psort.Arena
 		canonicalDigest := func(ks []sfc.Key) digest128 {
 			r := req
 			r.Keys = ks
-			canon, _ := s.canonicalize(&r, &a)
+			canon, _ := canonicalize(&r, &a)
 			d := digestRequest(&r, canon)
 			// canon aliases the arena; consume the digest before reuse.
 			return d
@@ -670,8 +668,42 @@ func TestServiceRejectsInvalidKeys(t *testing.T) {
 	}
 }
 
-// TestServeConnSurvivesInvalidKey: over the wire the same request comes
-// back as WireResponse.Err and the connection (and with it the daemon's
+// TestServiceRejectsUnknownEnums: CurveKind and Mode travel the wire as
+// ints, so a client can name a curve or a mode that does not exist. Both are
+// errors that leave no trace in the counters. Before validate checked them,
+// an unknown kind panicked the Rank hot loop on a curve built without state
+// tables, and an unknown mode was partitioned silently.
+func TestServiceRejectsUnknownEnums(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	for _, tc := range []struct {
+		name string
+		edit func(*Request)
+		want string
+	}{
+		{"curve kind 7", func(r *Request) { r.CurveKind = 7 }, "unknown curve kind"},
+		{"curve kind -1", func(r *Request) { r.CurveKind = -1 }, "unknown curve kind"},
+		{"mode 7", func(r *Request) { r.Mode = 7 }, "unknown mode"},
+		{"mode -1", func(r *Request) { r.Mode = -1 }, "unknown mode"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := baseRequest(testKeys(5, 200))
+			tc.edit(&req)
+			before := s.Metrics()
+			_, _, err := s.Do(req)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Do error = %v, want %q", err, tc.want)
+			}
+			if after := s.Metrics(); after != before {
+				t.Errorf("rejected request moved the metrics: %+v -> %+v", before, after)
+			}
+		})
+	}
+}
+
+// TestServeConnSurvivesInvalidKey: over the wire the same request, and one
+// naming an unknown curve kind, come back as WireResponse.Err and the
+// connection (and with it the daemon's
 // per-connection goroutine) keeps serving.
 func TestServeConnSurvivesInvalidKey(t *testing.T) {
 	s := New(Config{})
@@ -697,6 +729,11 @@ func TestServeConnSurvivesInvalidKey(t *testing.T) {
 	bad := append([]sfc.Key{partition.InfKey}, good...)
 	if resp := roundTrip(baseRequest(bad)); !strings.Contains(resp.Err, "key 0 ") {
 		t.Fatalf("invalid key over the wire: Err = %q, want it to name key 0", resp.Err)
+	}
+	unknownKind := baseRequest(good)
+	unknownKind.CurveKind = 7
+	if resp := roundTrip(unknownKind); !strings.Contains(resp.Err, "unknown curve kind") {
+		t.Fatalf("unknown curve kind over the wire: Err = %q", resp.Err)
 	}
 	if resp := roundTrip(baseRequest(good)); resp.Err != "" || len(resp.Seps) != 3 {
 		t.Fatalf("valid request after a rejected one: %+v", resp)

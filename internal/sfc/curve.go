@@ -84,29 +84,25 @@ var curveCache struct {
 
 // NewCurve builds a curve of the given kind for dim dimensions (2 or 3).
 // Construction is memoized: repeated calls with the same kind and dim return
-// the same (immutable, concurrency-safe) *Curve.
+// the same (immutable, concurrency-safe) *Curve. An unknown kind or dim
+// panics with an error.
 func NewCurve(kind Kind, dim int) *Curve {
 	if dim != 2 && dim != 3 {
 		panic(fmt.Errorf("sfc: unsupported dimension %d", dim))
 	}
-	if kind == Morton || kind == Hilbert {
-		curveCache.mu.Lock()
-		defer curveCache.mu.Unlock()
-		if c := curveCache.by[kind][dim]; c != nil {
-			return c
-		}
-		c := buildCurve(kind, dim)
-		curveCache.by[kind][dim] = c
+	if kind != Morton && kind != Hilbert {
+		panic(fmt.Errorf("sfc: unknown curve kind %v", kind))
+	}
+	curveCache.mu.Lock()
+	defer curveCache.mu.Unlock()
+	if c := curveCache.by[kind][dim]; c != nil {
 		return c
 	}
-	return buildCurve(kind, dim)
-}
-
-func buildCurve(kind Kind, dim int) *Curve {
 	c := &Curve{Kind: kind, Dim: dim, nchild: 1 << dim}
 	if kind == Hilbert {
 		c.buildHilbertTables()
 	}
+	curveCache.by[kind][dim] = c
 	return c
 }
 

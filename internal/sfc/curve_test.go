@@ -236,6 +236,15 @@ func TestNewCurvePanicsOnBadDim(t *testing.T) {
 	NewCurve(Hilbert, 4)
 }
 
+func TestNewCurvePanicsOnUnknownKind(t *testing.T) {
+	defer func() {
+		if _, ok := recover().(error); !ok {
+			t.Fatal("NewCurve(Kind(7), 3) did not panic with an error")
+		}
+	}()
+	NewCurve(Kind(7), 3)
+}
+
 // randomKey returns a valid random key of the given level.
 func randomKey(rng *rand.Rand, dim int, level uint8) Key {
 	mask := ^lowMask(MaxLevel - int(level))
