@@ -118,7 +118,7 @@ func Partition(c *comm.Comm, local []sfc.Key, opts Options) *Result {
 	a := psort.GetArena()
 	defer psort.PutArena(a)
 	c.SetPhase("local sort")
-	ranks := psort.TreeSortArena(curve, local, a)
+	ranks, _ := psort.TreeSortArena(curve, local, a)
 	c.Compute(psort.LocalSortCost(len(local), curve.Dim)) // ChargeLocalSort's charge
 
 	c.SetPhase("splitter")

@@ -200,7 +200,7 @@ func TestEvaluateQualityMatchesDirectCount(t *testing.T) {
 			t.Errorf("%s: quality of shuffled local %+v != sequential %+v", tc.name, shuffled, want)
 		}
 	}
-	if lo, hi := neighborSpan(morton3, sfc.RootKey); lo != sfc.MaxRank128 || hi != (sfc.Rank128{}) {
+	if _, lo, hi := morton3.RankWithSpan(sfc.RootKey); lo != sfc.MaxRank128 || hi != (sfc.Rank128{}) {
 		t.Errorf("root octant span (%v, %v), want the sentinels (MaxRank128, zero)", lo, hi)
 	}
 }

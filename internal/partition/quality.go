@@ -5,7 +5,6 @@ import (
 
 	"optipart/internal/comm"
 	"optipart/internal/machine"
-	"optipart/internal/octree"
 	"optipart/internal/par"
 	"optipart/internal/psort"
 	"optipart/internal/sfc"
@@ -133,46 +132,21 @@ func evaluateQuality(c *comm.Comm, curve *sfc.Curve, ranks, lo, hi []sfc.Rank128
 	return foldQuality(comm.Allreduce(c, counts, 8, comm.SumI64))
 }
 
-// neighborSpan returns the lowest and highest curve rank among k's
-// same-size face neighbours, or the sentinels (MaxRank128, zero) when k has
-// none — the root octant, whose every face lies on the domain boundary.
-//
-// Owners are monotone in rank, so k, owned by the partition whose
-// separators bracket its rank in [lower, upper), is a boundary octant
-// exactly when lo < lower or hi >= upper: some neighbour then ranks outside
-// the bracket, and if none does, every neighbour shares k's owner. The
-// sentinels never fire, since no rank is below zero and upper > Rank(k) >=
-// 0. A span depends on k alone, not on the mesh or the separators, so it is
-// computed once per element and reused by every scan.
-//
-//alloc:zero
-func neighborSpan(curve *sfc.Curve, k sfc.Key) (lo, hi sfc.Rank128) {
-	lo = sfc.MaxRank128
-	for _, f := range octree.Faces(curve.Dim) {
-		if nk, ok := octree.FaceNeighbor(k, f); ok {
-			r := curve.Rank(nk)
-			if r.Less(lo) {
-				lo = r
-			}
-			if hi.Less(r) {
-				hi = r
-			}
-		}
-	}
-	return lo, hi
-}
-
-// fillColumns computes the cached scan columns of keys: lo[i], hi[i] =
-// neighborSpan(curve, keys[i]) and, when ranks is non-nil, ranks[i] =
-// curve.Rank(keys[i]). Large inputs chunk across the pool; every slot has
-// one writer, so the columns are identical at every pool width.
+// fillColumns computes the cached scan columns of keys with one
+// sfc.RankWithSpan call per key: lo[i], hi[i] are the lowest and highest
+// rank among keys[i]'s face neighbours and, when ranks is non-nil, ranks[i]
+// = curve.Rank(keys[i]). A span depends on the key alone, not on the mesh
+// or the separators, so every scan reuses it. Large inputs chunk across
+// the pool; every slot has one writer, so the columns are identical at
+// every pool width.
 func fillColumns(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi []sfc.Rank128) {
 	fill := func(from, to int) {
 		for i := from; i < to; i++ {
+			r, l, h := curve.RankWithSpan(keys[i])
 			if ranks != nil {
-				ranks[i] = curve.Rank(keys[i])
+				ranks[i] = r
 			}
-			lo[i], hi[i] = neighborSpan(curve, keys[i])
+			lo[i], hi[i] = l, h
 		}
 	}
 	if par.Workers() > 1 && len(keys) >= parCutoff {
@@ -186,14 +160,18 @@ func fillColumns(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi []sfc.Rank128) 
 // evaluator and the serial Repartitioner: it fills counts, laid out as
 // [work per partition | boundary octants per partition], for elements under
 // the p-1 separator ranks sepRanks. ranks, lo and hi are the elements' cached
-// columns (ranks[i] = curve.Rank(keys[i]), lo[i], hi[i] =
-// neighborSpan(curve, keys[i])).
+// columns (ranks[i], lo[i], hi[i] = curve.RankWithSpan(keys[i])).
 //
 // The element's own owner is a hint carried from the previous element, with
 // the owner's separator bracket [lower, upper), and searched again only when
 // the rank leaves the bracket, so the walk is O(1) per element over elements
 // in curve order and still exact over unsorted ones. The boundary test is two
-// compares against the bracket: no Rank call and no neighbour search.
+// compares against the bracket: no Rank call and no neighbour search. Owners
+// are monotone in rank, so an element is a boundary octant exactly when
+// lo < lower or hi >= upper: some neighbour then ranks outside the bracket,
+// and if none does, every neighbour shares the element's owner. The root's
+// sentinels (MaxRank128, zero) never fire, since no rank is below zero and
+// upper > Rank(root) >= 0.
 //
 //alloc:zero
 func scanCounts(ranks, lo, hi, sepRanks []sfc.Rank128, counts []int64) {

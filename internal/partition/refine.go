@@ -38,14 +38,14 @@ type bucket struct {
 // per-round bucket classification is a handful of binary searches over
 // integers instead of a tree-walking scan, and a bucket's count is the
 // length of the index range the searches delimit. The element's
-// neighbour span (neighborSpan) is cached next to it, so every rung's
-// quality scan is two compares per element.
+// neighbour span (sfc.Curve.RankWithSpan) is cached next to it, so every
+// rung's quality scan is two compares per element.
 type selector struct {
 	c       *comm.Comm
 	curve   *sfc.Curve
 	local   []sfc.Key     // sorted along the curve
 	ranks   []sfc.Rank128 // ranks[i] = curve.Rank(local[i])
-	lo, hi  []sfc.Rank128 // lo[i], hi[i] = neighborSpan(curve, local[i])
+	lo, hi  []sfc.Rank128 // local[i]'s neighbour span, from curve.RankWithSpan
 	buckets []bucket
 	targets []int64 // ideal global splitter ranks r·N/p, r = 1..p-1
 	n       int64   // global element count

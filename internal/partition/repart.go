@@ -60,14 +60,13 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	a := psort.GetArena()
 	defer psort.PutArena(a)
 	c.SetPhase("local sort")
-	var ranks []sfc.Rank128 // the sort's rank column; nil when no sort ran
-	if psort.IsSorted(curve, local) {
+	ranks, presorted := psort.TreeSortArena(curve, local, a)
+	if presorted {
 		// The online loop hands over per-rank data that is already in curve
 		// order (refinement replaces a leaf by its children in place), so
 		// the warm path pays a linear verification scan, not a sort.
 		c.Compute(int64(len(local)) * psort.KeyBytes)
 	} else {
-		ranks = psort.TreeSortArena(curve, local, a)
 		c.Compute(psort.LocalSortCost(len(local), curve.Dim)) // ChargeLocalSort's charge
 	}
 

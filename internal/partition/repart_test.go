@@ -218,7 +218,7 @@ func TestRepartitionerSeedInvariants(t *testing.T) {
 }
 
 // checkColumns fails unless the engine's cached rank and span columns equal
-// fresh ranks and neighbour spans of its keys.
+// fresh ranks of its keys and of their face neighbours.
 func checkColumns(t *testing.T, e *Repartitioner, when string) {
 	t.Helper()
 	curve := e.cfg.Curve
@@ -229,7 +229,19 @@ func checkColumns(t *testing.T, e *Repartitioner, when string) {
 		if e.ranks[i] != curve.Rank(k) {
 			t.Fatalf("%s: cached rank %d stale", when, i)
 		}
-		if lo, hi := neighborSpan(curve, k); e.lo[i] != lo || e.hi[i] != hi {
+		lo, hi := sfc.MaxRank128, sfc.Rank128{}
+		for _, f := range octree.Faces(curve.Dim) {
+			if nk, ok := octree.FaceNeighbor(k, f); ok {
+				r := curve.Rank(nk)
+				if r.Less(lo) {
+					lo = r
+				}
+				if hi.Less(r) {
+					hi = r
+				}
+			}
+		}
+		if e.lo[i] != lo || e.hi[i] != hi {
 			t.Fatalf("%s: cached span %d stale", when, i)
 		}
 	}

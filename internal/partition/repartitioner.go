@@ -65,7 +65,7 @@ type Repartitioner struct {
 	arena  *psort.Arena
 	keys   []sfc.Key     // current mesh, curve order
 	ranks  []sfc.Rank128 // ranks[i] = Curve.Rank(keys[i]), the warm cache
-	lo, hi []sfc.Rank128 // lo[i], hi[i] = neighborSpan(Curve, keys[i])
+	lo, hi []sfc.Rank128 // keys[i]'s neighbour span, from Curve.RankWithSpan
 	n      int
 
 	seps     []sfc.Key // p-1 separators of the placement in force
@@ -159,12 +159,12 @@ func (e *Repartitioner) Step(delta octree.Delta) StepResult {
 // ingest copies keys into the arena columns, sorts them along the curve
 // (filling the rank cache as a side effect of the rank-radix TreeSort),
 // linearizes duplicates and ancestor pairs out of both columns, and
-// computes every survivor's neighbour span.
+// computes every survivor's neighbour span with fillColumns.
 func (e *Repartitioner) ingest(keys []sfc.Key) {
 	curve := e.cfg.Curve
 	ks := e.arena.Keys(len(keys))
 	copy(ks, keys)
-	rs := psort.TreeSortArena(curve, ks, e.arena)
+	rs, _ := psort.TreeSortArena(curve, ks, e.arena)
 	// Dual-column LinearizeSorted: compact keys and ranks in step.
 	out := 0
 	for i := range ks {
@@ -201,8 +201,7 @@ func (e *Repartitioner) applyDelta(delta octree.Delta) {
 		if ci < len(delta.Coarsened) && delta.Coarsened[ci] == i {
 			parent := e.keys[i].Parent()
 			nk[w] = parent
-			nr[w] = curve.Rank(parent)
-			nlo[w], nhi[w] = neighborSpan(curve, parent)
+			nr[w], nlo[w], nhi[w] = curve.RankWithSpan(parent)
 			w++
 			i += nch
 			ci++
@@ -213,8 +212,7 @@ func (e *Repartitioner) applyDelta(delta octree.Delta) {
 			for pos := 0; pos < nch; pos++ {
 				child := e.keys[i].Child(curve.ChildAt(st, pos)) //alloc:escape Key.Child's max-level panic is inlined here; the Evolver never refines a max-level leaf
 				nk[w] = child
-				nr[w] = curve.Rank(child)
-				nlo[w], nhi[w] = neighborSpan(curve, child)
+				nr[w], nlo[w], nhi[w] = curve.RankWithSpan(child)
 				w++
 			}
 			i++

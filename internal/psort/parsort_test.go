@@ -194,7 +194,7 @@ func TestTreeSortArenaMatchesTreeSort(t *testing.T) {
 		want := append([]sfc.Key(nil), keys...)
 		TreeSort(curve, want)
 		got := append([]sfc.Key(nil), keys...)
-		ranks := TreeSortArena(curve, got, &a)
+		ranks, _ := TreeSortArena(curve, got, &a)
 		if len(ranks) != n {
 			t.Fatalf("n=%d: rank column has %d entries", n, len(ranks))
 		}
@@ -204,6 +204,51 @@ func TestTreeSortArenaMatchesTreeSort(t *testing.T) {
 			}
 			if ranks[i] != curve.Rank(got[i]) {
 				t.Fatalf("n=%d: rank column misaligned at %d", n, i)
+			}
+		}
+	}
+}
+
+// TestTreeSortArenaSortedInput covers the rank pass's order check, which
+// skips the radix passes on input already in curve order: sorted input,
+// sorted input with runs of duplicates, and input sorted inside every
+// rankGrain chunk but inverted across one chunk boundary, which only the
+// boundary check can catch. Every output must equal TreeSortComparator's,
+// with an aligned rank column and the right presorted flag, at pool widths
+// 1 and 2.
+func TestTreeSortArenaSortedInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	n := parallelCutoff + rankGrain/2
+	sorted := octree.RandomKeys(rng, n, 3, octree.Normal, 0, 14)
+	TreeSortComparator(curve, sorted)
+	dups := make([]sfc.Key, n)
+	base := octree.RandomKeys(rng, 7, 3, octree.Uniform, 1, 6)
+	for i := range dups {
+		dups[i] = base[rng.Intn(len(base))]
+	}
+	TreeSortComparator(curve, dups)
+	swapped := append([]sfc.Key(nil), sorted...)
+	copy(swapped[rankGrain:], sorted[2*rankGrain:3*rankGrain])
+	copy(swapped[2*rankGrain:], sorted[rankGrain:2*rankGrain])
+	inputs := map[string][]sfc.Key{"sorted": sorted, "duplicates": dups, "chunks-swapped": swapped}
+	for name, input := range inputs {
+		wantPresorted := name != "chunks-swapped"
+		want := append([]sfc.Key(nil), input...)
+		TreeSortComparator(curve, want)
+		for _, w := range []int{1, 2} {
+			got := append([]sfc.Key(nil), input...)
+			var a Arena
+			prev := par.SetWorkers(w)
+			ranks, presorted := TreeSortArena(curve, got, &a)
+			par.SetWorkers(prev)
+			if presorted != wantPresorted {
+				t.Fatalf("%s workers=%d: presorted = %v", name, w, presorted)
+			}
+			for i := range want {
+				if got[i] != want[i] || ranks[i] != curve.Rank(want[i]) {
+					t.Fatalf("%s workers=%d: record %d differs", name, w, i)
+				}
 			}
 		}
 	}

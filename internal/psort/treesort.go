@@ -16,6 +16,8 @@ package psort
 
 import (
 	"math"
+	"math/bits"
+	"sync/atomic"
 
 	"optipart/internal/comm"
 	"optipart/internal/par"
@@ -54,26 +56,54 @@ func TreeSort(curve *sfc.Curve, keys []sfc.Key) {
 // allocations. keys itself is the key column — it is permuted in place. The
 // returned rank column, a's, is aligned with the sorted keys:
 // ranks[i] = curve.Rank(keys[i]).
-func TreeSortArena(curve *sfc.Curve, keys []sfc.Key, a *Arena) []sfc.Rank128 {
+//
+// The rank pass also checks whether the ranks are already non-decreasing:
+// an already-sorted block from the service, a canonical request, or sorted
+// local keys. Then the radix passes are skipped and presorted is true. The
+// keys and ranks are the same either way, because the radix sort is stable
+// and so leaves such input in place.
+func TreeSortArena(curve *sfc.Curve, keys []sfc.Key, a *Arena) (ranks []sfc.Rank128, presorted bool) {
 	a.grow(len(keys))
-	ranks := a.ranks[:len(keys)]
+	rs := a.ranks[:len(keys)] // not ranks: the closure would move a result to the heap
 	if parallelOK(len(keys)) {
 		// The parallel path produces the identical permutation (stable
 		// chunked scatter, see parRadixSortSoA); curves are immutable and
-		// safe for concurrent Rank calls.
+		// safe for concurrent Rank calls. Each chunk checks its own order,
+		// then the chunk boundaries are checked here.
+		var descent atomic.Bool
 		par.For(len(keys), rankGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ranks[i] = curve.Rank(keys[i])
+			if !rankSorted(curve, keys[lo:hi], rs[lo:hi]) {
+				descent.Store(true)
 			}
 		})
-		parRadixSortSoA(keys, ranks, a.kAlt[:len(keys)], a.rAlt[:len(keys)], 0)
-	} else {
-		for i, k := range keys {
-			ranks[i] = curve.Rank(k)
+		presorted = !descent.Load()
+		for i := rankGrain; presorted && i < len(rs); i += rankGrain {
+			presorted = !rs[i].Less(rs[i-1])
 		}
-		radixSortSoA(keys, ranks, a.kAlt[:len(keys)], a.rAlt[:len(keys)], 0)
+		if !presorted {
+			parRadixSortSoA(keys, rs, a.kAlt[:len(keys)], a.rAlt[:len(keys)], 0)
+		}
+	} else if presorted = rankSorted(curve, keys, rs); !presorted {
+		radixSortSoA(keys, rs, a.kAlt[:len(keys)], a.rAlt[:len(keys)], 0)
 	}
-	return ranks
+	return rs, presorted
+}
+
+// rankSorted fills ranks[i] = curve.Rank(keys[i]) and reports whether the
+// ranks are non-decreasing. The order check is a borrow, not a branch, so
+// unsorted input pays no mispredictions for it.
+func rankSorted(curve *sfc.Curve, keys []sfc.Key, ranks []sfc.Rank128) bool {
+	var prev sfc.Rank128
+	var descents uint64
+	for i, k := range keys {
+		r := curve.Rank(k)
+		ranks[i] = r
+		_, b := bits.Sub64(r.Lo, prev.Lo, 0)
+		_, b = bits.Sub64(r.Hi, prev.Hi, b)
+		descents |= b
+		prev = r
+	}
+	return descents == 0
 }
 
 // radixSortSoA sorts the parallel (keys, ranks) columns by rank with an MSD

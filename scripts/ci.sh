@@ -6,6 +6,7 @@
 #
 # Stages: go vet; gofmt -l; go build; optipartlint (run, then its -json
 # report parsed back); allocgate (//alloc:zero contracts, then its report);
+# a 10 s fuzz smoke each of internal/sfc's FuzzRankWithSpan and FuzzRankOrder;
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
 # lint, and service; the benchmark spine's quick run with its exact
 # metrics compared against scripts/spine_quick_baseline.json and its
@@ -59,6 +60,14 @@ allocreport=$(mktemp)
 trap 'rm -f "$lintreport" "$allocreport"' EXIT
 go run ./cmd/allocgate -json ./... >"$allocreport"
 go run ./cmd/allocgate -check "$allocreport"
+
+echo "==> fuzz smoke: FuzzRankWithSpan, FuzzRankOrder (10 s each)"
+# The curve kernels' oracles, run past their seed corpora: the neighbour-span
+# kernel against ranks of explicitly built face neighbours, and rank order
+# against the tree-walking Compare.
+for target in FuzzRankWithSpan FuzzRankOrder; do
+    go test ./internal/sfc -run '^$' -fuzz "^$target\$" -fuzztime 10s
+done
 
 echo "==> go test -race -shuffle=on $* ./..."
 go test -race -shuffle=on "$@" ./...
