@@ -98,7 +98,8 @@ func SetupKernel(c *comm.Comm, local []sfc.Key, sp *partition.Splitters, kernel 
 			}
 			// The leaves covering nk across the shared face: same level,
 			// coarser, or finer (2:1).
-			for _, nb := range neighborLeaves(tree, nk, f, curve.Dim) {
+			for _, j := range tree.FaceLeaves(nk, f) {
+				nb := tree.Leaves[j]
 				hj := h(nb)
 				area := faceArea(math.Min(hi, hj), curve.Dim)
 				w := area / ((hi + hj) / 2)
@@ -123,36 +124,6 @@ func faceArea(h float64, dim int) float64 {
 		a *= h
 	}
 	return a
-}
-
-// neighborLeaves returns the leaves of the combined tree covering the
-// region of same-level neighbor key nk restricted to the face shared with
-// the original cell (the face of nk opposite to f).
-func neighborLeaves(tree *octree.Tree, nk sfc.Key, f octree.Face, dim int) []sfc.Key {
-	if i := tree.FindLeaf(nk); i >= 0 {
-		return []sfc.Key{tree.Leaves[i]}
-	}
-	opp := octree.Face{Axis: f.Axis, Plus: !f.Plus}
-	var out []sfc.Key
-	var rec func(k sfc.Key)
-	rec = func(k sfc.Key) {
-		if i := tree.FindLeaf(k); i >= 0 {
-			out = append(out, tree.Leaves[i])
-			return
-		}
-		if k.Level >= sfc.MaxLevel {
-			return
-		}
-		for _, ck := range octree.FaceChildren(k, opp, dim) {
-			rec(ck)
-		}
-	}
-	if nk.Level < sfc.MaxLevel {
-		for _, ck := range octree.FaceChildren(nk, opp, dim) {
-			rec(ck)
-		}
-	}
-	return out
 }
 
 // NumLocal returns the number of elements this rank owns.

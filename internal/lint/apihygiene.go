@@ -11,7 +11,12 @@ package lint
 //     it inside a loop is a construction site that belongs outside,
 //   - library panics must carry error values (or re-throw an interface):
 //     the checked runtime recovers rank panics into structured RankFailure
-//     reports, and a bare string panic loses the typed cause.
+//     reports, and a bare string panic loses the typed cause,
+//   - curve order is rank order: outside internal/sfc, library code orders
+//     keys by sfc.Rank and searches by rank. The tree-walking
+//     (*sfc.Curve).Compare is the reference the sfc oracles check Rank
+//     against, and a call or method value of it (or of a Less beside it) is
+//     a second order on a production path.
 
 import (
 	"go/ast"
@@ -21,9 +26,12 @@ import (
 
 var APIHygiene = &Analyzer{
 	Name: "apihygiene",
-	Doc:  "reflection sorts, looped NewCurve, and non-error panics regress deliberate design decisions",
+	Doc:  "reflection sorts, looped NewCurve, non-error panics and tree-walking curve order regress deliberate design decisions",
 	Run:  runAPIHygiene,
 }
+
+// curveOrders are the tree-walking order methods of sfc.Curve.
+var curveOrders = map[string]bool{"Compare": true, "Less": true}
 
 // reflectionSorts are the sort entry points PR 3 retired, with their
 // replacements.
@@ -44,10 +52,31 @@ func runAPIHygiene(p *Pass) {
 	if isLintPkg(p.Path) {
 		return
 	}
+	rankOrder := isLibraryPkg(p.Path) && !isSfcPkg(p.Path)
 	for _, f := range p.Files {
 		for _, fd := range funcBodies(f) {
 			hygieneWalk(p, fd.Body, 0)
 		}
+		if rankOrder {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					checkCurveOrder(p, sel)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// isSfcPkg reports whether path is internal/sfc, home of both curve orders.
+func isSfcPkg(path string) bool { return strings.HasSuffix(path, "internal/sfc") }
+
+// checkCurveOrder reports a selection of (*sfc.Curve).Compare or Less,
+// called or taken as a method value or expression.
+func checkCurveOrder(p *Pass, sel *ast.SelectorExpr) {
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	if ok && curveOrders[fn.Name()] && recvNamed(fn) == "Curve" && isSfcPkg(fn.Pkg().Path()) {
+		p.Report(sel.Sel.Pos(), "(*sfc.Curve).%s walks the tree per comparison and is the reference order: order keys by sfc.Rank and search by rank (sfc.LowerBound, UpperBound, Curve.LowerBoundKeys)", fn.Name())
 	}
 }
 
@@ -106,8 +135,7 @@ func checkHygieneCall(p *Pass, call *ast.CallExpr, loopDepth int) {
 		}
 		return
 	}
-	if name == "NewCurve" && loopDepth > 0 &&
-		(pkg == "optipart" || strings.HasSuffix(pkg, "internal/sfc")) {
+	if name == "NewCurve" && loopDepth > 0 && (pkg == "optipart" || isSfcPkg(pkg)) {
 		p.Report(call.Pos(), "NewCurve inside a loop: construction is memoized but each call takes the memo lock — hoist the curve out of the loop")
 	}
 }

@@ -3,6 +3,7 @@
 package hygienebad
 
 import (
+	"slices"
 	"sort"
 
 	"optipart/internal/sfc"
@@ -33,4 +34,16 @@ func badPanic(n int) {
 	if n < 0 {
 		panic("hygienebad: negative count") // want "panic with a non-error string"
 	}
+}
+
+// orderByCompare sorts and searches with the tree-walking reference order.
+func orderByCompare(curve *sfc.Curve, keys []sfc.Key, q sfc.Key) (int, bool) {
+	slices.SortFunc(keys, curve.Compare)                   // want "\(\*sfc\.Curve\)\.Compare walks the tree"
+	return slices.BinarySearchFunc(keys, q, curve.Compare) // want "order keys by sfc\.Rank"
+}
+
+// compareOne calls Compare directly, and through a method expression.
+func compareOne(curve *sfc.Curve, a, b sfc.Key) bool {
+	cmp := (*sfc.Curve).Compare                            // want "\(\*sfc\.Curve\)\.Compare walks the tree"
+	return curve.Compare(a, b) < 0 && cmp(curve, b, a) > 0 // want "search by rank"
 }

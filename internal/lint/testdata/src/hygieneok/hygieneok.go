@@ -41,3 +41,20 @@ func rethrow(f func()) {
 	}()
 	f()
 }
+
+// orderByRank sorts by curve rank and searches by rank, the one order
+// outside internal/sfc. Rank128.Less is an integer compare, not the
+// tree-walking order.
+func orderByRank(curve *sfc.Curve, keys []sfc.Key, q sfc.Key) int {
+	slices.SortFunc(keys, func(a, b sfc.Key) int {
+		ra, rb := curve.Rank(a), curve.Rank(b)
+		switch {
+		case ra.Less(rb):
+			return -1
+		case rb.Less(ra):
+			return 1
+		}
+		return 0
+	})
+	return curve.LowerBoundKeys(keys, curve.Rank(q))
+}

@@ -52,21 +52,27 @@ func TestGhostCoversAllRemoteNeighbors(t *testing.T) {
 		sp := sps[0]
 		for i := range m.Leaves {
 			owner := sp.Owner(m.Leaves[i])
-			for _, j := range tree.NeighborLeaves(i) {
-				nbOwner := sp.Owner(m.Leaves[j])
-				if nbOwner == owner {
+			for _, f := range octree.Faces(curve.Dim) {
+				nk, ok := octree.FaceNeighbor(m.Leaves[i], f)
+				if !ok {
 					continue
 				}
-				found := false
-				for _, gk := range ghosts[owner].Ghosts {
-					if gk == m.Leaves[j] {
-						found = true
-						break
+				for _, j := range tree.FaceLeaves(nk, f) {
+					nbOwner := sp.Owner(m.Leaves[j])
+					if nbOwner == owner {
+						continue
 					}
-				}
-				if !found {
-					t.Fatalf("%v: leaf %v (rank %d) misses remote neighbor %v (rank %d)",
-						kind, m.Leaves[i], owner, m.Leaves[j], nbOwner)
+					found := false
+					for _, gk := range ghosts[owner].Ghosts {
+						if gk == m.Leaves[j] {
+							found = true
+							break
+						}
+					}
+					if !found {
+						t.Fatalf("%v: leaf %v (rank %d) misses remote neighbor %v (rank %d)",
+							kind, m.Leaves[i], owner, m.Leaves[j], nbOwner)
+					}
 				}
 			}
 		}

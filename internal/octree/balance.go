@@ -16,18 +16,21 @@ const balanceGrain = 1 << 11
 // The implementation is the classic ripple propagation: repeatedly split any
 // leaf that is more than one level coarser than a face neighbor until a
 // fixed point is reached. Each round strictly refines, and levels are
-// bounded by MaxLevel, so it terminates.
+// bounded by MaxLevel, so it terminates. A split leaf's children are written
+// in curve order where the leaf stood (appendChildren), as Evolver.Step
+// does: the split leaves are disjoint, so the next round's leaves are linear
+// without a sort.
 func Balance21(t *Tree) *Tree {
 	leaves := append([]sfc.Key(nil), t.Leaves...)
 	curve := t.Curve
 	for {
 		work := &Tree{Curve: curve, Leaves: leaves}
-		// The neighbor scans are pure lookups (FindLeaf is a stateless binary
-		// search), so they chunk across the pool; each chunk collects the
-		// leaf indices it wants split and the marks merge serially. Marking
-		// is an idempotent set union, so the boolean vector does not depend
-		// on the worker count. A tree of one chunk, or a pool of width 1,
-		// scans inline.
+		// The neighbor scans are pure lookups (FindLeaf is a binary search
+		// over the round's rank column, built once behind a sync.Once), so
+		// they chunk across the pool; each chunk collects the leaf indices it
+		// wants split and the marks merge serially. Marking is an idempotent
+		// set union, so the boolean vector does not depend on the worker
+		// count. A tree of one chunk, or a pool of width 1, scans inline.
 		marks := make([][]int, par.NumChunks(len(leaves), balanceGrain))
 		par.ForChunks(len(leaves), balanceGrain, func(c, lo, hi int) {
 			var local []int
@@ -60,15 +63,12 @@ func Balance21(t *Tree) *Tree {
 		}
 		next := make([]sfc.Key, 0, len(leaves)+8)
 		for i, k := range leaves {
-			if !split[i] {
+			if split[i] {
+				next = appendChildren(next, curve, k)
+			} else {
 				next = append(next, k)
-				continue
-			}
-			for label := 0; label < curve.NumChildren(); label++ {
-				next = append(next, k.Child(label))
 			}
 		}
-		next = Linearize(curve, next)
 		leaves = next
 	}
 }

@@ -70,9 +70,9 @@ func (e *Evolver) Leaves() []sfc.Key { return e.leaves }
 // parent), remaining leaves below sfc.MaxLevel refine with probability
 // refineFrac (decided by a hash of the leaf). Order,
 // linearity, and completeness are preserved by construction: a leaf's
-// children emitted in curve order occupy exactly its position in the
-// pre-order, as does a family's parent. The returned Delta is valid until
-// the next Step.
+// children emitted in curve order (appendChildren) occupy exactly its
+// position in the pre-order, as does a family's parent. The returned Delta
+// is valid until the next Step.
 func (e *Evolver) Step(refineFrac, coarsenFrac float64) Delta {
 	e.step++
 	n := e.curve.NumChildren()
@@ -100,10 +100,7 @@ func (e *Evolver) Step(refineFrac, coarsenFrac float64) Delta {
 		}
 		if k.Level < sfc.MaxLevel && e.decide(refineSalt, k, refineFrac, e.RefineBias) {
 			e.delta.Refined = append(e.delta.Refined, i)
-			st := e.curve.StateAt(k)
-			for pos := 0; pos < n; pos++ {
-				out = append(out, k.Child(e.curve.ChildAt(st, pos)))
-			}
+			out = appendChildren(out, e.curve, k)
 			i++
 			continue
 		}

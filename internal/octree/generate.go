@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
 
@@ -116,9 +117,9 @@ func AdaptiveMesh(rng *rand.Rand, nSeeds, dim int, dist Distribution, maxLevel u
 }
 
 // WithCurve returns a view of the tree ordered along a different curve
-// (re-sorting the leaves). The leaf set is copied.
+// (re-sorting the leaves with psort.TreeSort). The leaf set is copied.
 func (t *Tree) WithCurve(curve *sfc.Curve) *Tree {
 	leaves := append([]sfc.Key(nil), t.Leaves...)
-	Sort(curve, leaves)
+	psort.TreeSort(curve, leaves)
 	return &Tree{Curve: curve, Leaves: leaves}
 }

@@ -3,6 +3,7 @@ package octree
 import (
 	"errors"
 
+	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
 
@@ -64,52 +65,22 @@ func FaceChildren(k sfc.Key, f Face, dim int) []sfc.Key {
 	return out
 }
 
-// NeighborLeaves returns the indices of all leaves of the complete,
-// 2:1-balanced tree t that share a face with leaf index i. In a balanced
-// tree a face neighbor is at the same level, one level coarser, or one level
-// finer.
-func (t *Tree) NeighborLeaves(i int) []int {
-	k := t.Leaves[i]
-	dim := t.Dim()
-	var out []int
-	for _, f := range Faces(dim) {
-		nk, ok := FaceNeighbor(k, f)
-		if !ok {
-			continue
-		}
-		// Same level or coarser: the leaf containing nk's anchor cell.
-		if j := t.FindLeaf(nk); j >= 0 {
-			out = append(out, j)
-			continue
-		}
-		// Finer: the children of nk touching the shared face. The shared
-		// face of nk is the opposite of f.
-		opp := Face{Axis: f.Axis, Plus: !f.Plus}
-		for _, ck := range FaceChildren(nk, opp, dim) {
-			if j := t.FindLeaf(ck); j >= 0 {
-				out = append(out, j)
-			} else {
-				// Deeper than one level: descend through the face children.
-				out = append(out, t.faceDescendants(ck, opp)...)
-			}
-		}
-	}
-	return out
+// FaceLeaves returns the indices of the leaves across face f of a cell whose
+// same-level neighbor there is nk: the leaf containing nk if there is one,
+// and otherwise the finer leaves covering nk's face opposite f, depth first
+// through FaceChildren. Looping over a leaf's faces with FaceNeighbor and
+// FaceLeaves visits all of its face neighbors.
+func (t *Tree) FaceLeaves(nk sfc.Key, f Face) []int {
+	return t.appendFaceLeaves(nil, nk, Face{Axis: f.Axis, Plus: !f.Plus})
 }
 
-// faceDescendants returns leaves covering the region of key k restricted to
-// its given face, descending as deep as needed (for trees that are not
-// 2:1 balanced).
-func (t *Tree) faceDescendants(k sfc.Key, f Face) []int {
+// appendFaceLeaves appends to out the leaves covering k's face g.
+func (t *Tree) appendFaceLeaves(out []int, k sfc.Key, g Face) []int {
 	if j := t.FindLeaf(k); j >= 0 {
-		return []int{j}
+		return append(out, j)
 	}
-	if k.Level >= sfc.MaxLevel {
-		return nil
-	}
-	var out []int
-	for _, ck := range FaceChildren(k, f, t.Dim()) {
-		out = append(out, t.faceDescendants(ck, f)...)
+	for _, ck := range FaceChildren(k, g, t.Dim()) {
+		out = t.appendFaceLeaves(out, ck, g)
 	}
 	return out
 }
@@ -124,7 +95,7 @@ func (t *Tree) faceDescendants(k sfc.Key, f Face) []int {
 func SurfaceArea(curve *sfc.Curve, cells []sfc.Key, maxDepth uint8) uint64 {
 	dim := curve.Dim
 	t := &Tree{Curve: curve, Leaves: append([]sfc.Key(nil), cells...)}
-	Sort(curve, t.Leaves)
+	psort.TreeSort(curve, t.Leaves)
 	var area uint64
 	for _, k := range t.Leaves {
 		faceUnits := unitFaces(k, maxDepth, dim)

@@ -6,20 +6,29 @@
 //
 // A linear octree is a slice of sfc.Key sorted along a curve with no key an
 // ancestor of another; a complete linear octree additionally covers the
-// whole domain with no overlap.
+// whole domain with no overlap. Curve order is rank order (sfc.Rank), and
+// every sort here is psort.TreeSort.
 package octree
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
+	"sync"
 
+	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
 
 // Tree is a linear octree: leaves sorted along Curve, no ancestor pairs.
+//
+// FindLeaf ranks the leaves once, on first use, so a Tree must not be
+// copied after first use and its Leaves must not change afterwards.
 type Tree struct {
 	Curve  *sfc.Curve
 	Leaves []sfc.Key
+
+	ranksOnce sync.Once
+	ranks     []sfc.Rank128 // Curve.Rank(Leaves[i])
 }
 
 // New wraps leaves (which must already be linear with respect to curve) in a
@@ -34,20 +43,12 @@ func (t *Tree) Len() int { return len(t.Leaves) }
 // Dim returns the spatial dimension of the tree's curve.
 func (t *Tree) Dim() int { return t.Curve.Dim }
 
-// Sort sorts keys in place along the curve.
-func Sort(curve *sfc.Curve, keys []sfc.Key) {
-	slices.SortFunc(keys, curve.Compare)
-}
-
 // Linearize sorts keys along the curve and removes duplicates and ancestors
 // (when both an ancestor and a descendant are present, the finer descendant
 // is kept). It returns the sanitized slice, which reuses the input's
 // backing array.
 func Linearize(curve *sfc.Curve, keys []sfc.Key) []sfc.Key {
-	if len(keys) == 0 {
-		return keys
-	}
-	Sort(curve, keys)
+	psort.TreeSort(curve, keys)
 	return LinearizeSorted(keys)
 }
 
@@ -72,26 +73,43 @@ func LinearizeSorted(keys []sfc.Key) []sfc.Key {
 }
 
 // IsLinear reports whether keys are sorted and contain no duplicate or
-// ancestor/descendant pairs.
+// ancestor/descendant pairs: ranks strictly increase, and no key contains
+// its successor.
 func IsLinear(curve *sfc.Curve, keys []sfc.Key) bool {
-	for i := 1; i < len(keys); i++ {
-		if curve.Compare(keys[i-1], keys[i]) >= 0 || keys[i-1].Contains(keys[i]) {
+	var prev sfc.Rank128
+	for i, k := range keys {
+		r := curve.Rank(k)
+		if i > 0 && (!prev.Less(r) || keys[i-1].Contains(k)) {
 			return false
 		}
+		prev = r
 	}
 	return true
 }
 
 // IsComplete reports whether the linear octree covers the whole domain:
 // the total measure of the leaves equals the measure of the root. Leaves
-// must already be linear.
+// must already be linear. Measures are counted in level-MaxLevel cells: the
+// root's is 2^90 in 3D, so the sum is kept in two words.
 func IsComplete(curve *sfc.Curve, keys []sfc.Key) bool {
 	dim := uint(curve.Dim)
-	var total uint64
+	var hi, lo uint64
 	for _, k := range keys {
-		total += uint64(1) << (dim * uint(sfc.MaxLevel-int(k.Level)))
+		h, l := pow2(dim * uint(sfc.MaxLevel-int(k.Level)))
+		var carry uint64
+		lo, carry = bits.Add64(lo, l, 0)
+		hi += h + carry
 	}
-	return total == uint64(1)<<(dim*sfc.MaxLevel)
+	h, l := pow2(dim * sfc.MaxLevel)
+	return hi == h && lo == l
+}
+
+// pow2 returns 2^n, for n < 128, as its high and low words.
+func pow2(n uint) (hi, lo uint64) {
+	if n >= 64 {
+		return 1 << (n - 64), 0
+	}
+	return 0, 1 << n
 }
 
 // Complete builds the minimal complete linear octree whose leaf set contains
@@ -127,7 +145,6 @@ func completeNode(curve *sfc.Curve, node sfc.Key, state sfc.State, seeds []sfc.K
 		return
 	}
 	// Split the seeds among children in curve order.
-	depth := int(node.Level) + 1
 	lo := 0
 	for pos := 0; pos < curve.NumChildren(); pos++ {
 		label := curve.ChildAt(state, pos)
@@ -136,7 +153,6 @@ func completeNode(curve *sfc.Curve, node sfc.Key, state sfc.State, seeds []sfc.K
 		for hi < len(seeds) && child.Contains(seeds[hi]) {
 			hi++
 		}
-		_ = depth
 		completeNode(curve, child, curve.Next(state, pos), seeds[lo:hi], out)
 		lo = hi
 	}
@@ -145,25 +161,37 @@ func completeNode(curve *sfc.Curve, node sfc.Key, state sfc.State, seeds []sfc.K
 	}
 }
 
-// FindLeaf returns the index of the leaf containing point q (a key at any
-// level; containment is of q's anchor cell) in a complete linear octree, or
-// -1 if no leaf contains it. O(log n).
-func (t *Tree) FindLeaf(q sfc.Key) int {
-	// The containing leaf is the last leaf that does not come after q in
-	// pre-order: leaves are disjoint, and an ancestor precedes descendants.
-	// The comparator collapses to -1/+1 so the binary search lands on the
-	// first leaf strictly after q.
-	i, _ := slices.BinarySearchFunc(t.Leaves, q, func(leaf, q sfc.Key) int {
-		if t.Curve.Compare(leaf, q) > 0 {
-			return 1
-		}
-		return -1
-	})
-	// Candidate is i-1 (the last leaf <= q).
-	if i == 0 {
-		return -1
+// appendChildren appends k's children to out in curve order. They fill
+// exactly the stretch of the curve k covered, so writing them where k stood
+// keeps a linear sequence linear without a sort.
+func appendChildren(out []sfc.Key, curve *sfc.Curve, k sfc.Key) []sfc.Key {
+	st := curve.StateAt(k)
+	for pos := 0; pos < curve.NumChildren(); pos++ {
+		out = append(out, k.Child(curve.ChildAt(st, pos)))
 	}
-	if t.Leaves[i-1].Contains(q) {
+	return out
+}
+
+// leafRanks returns the leaves' rank column, computing it on first use.
+func (t *Tree) leafRanks() []sfc.Rank128 {
+	t.ranksOnce.Do(func() {
+		r := make([]sfc.Rank128, len(t.Leaves))
+		for i, k := range t.Leaves {
+			r[i] = t.Curve.Rank(k)
+		}
+		t.ranks = r
+	})
+	return t.ranks
+}
+
+// FindLeaf returns the index of the leaf containing point q (a key at any
+// level; containment is of q's anchor cell), or -1 if no leaf contains it.
+// O(log n) over the rank column.
+func (t *Tree) FindLeaf(q sfc.Key) int {
+	// The containing leaf is the last leaf ranked at or before q: leaves are
+	// disjoint, and an ancestor ranks before its descendants.
+	i := sfc.UpperBound(t.leafRanks(), t.Curve.Rank(q))
+	if i > 0 && t.Leaves[i-1].Contains(q) {
 		return i - 1
 	}
 	return -1

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
 
@@ -91,6 +92,11 @@ func TestCompleteCoversDomain(t *testing.T) {
 			if !IsComplete(curve, leaves) {
 				t.Fatalf("%v dim=%d: Complete output does not cover the domain", kind, dim)
 			}
+			// Every leaf counts: a measure too large for one word must not
+			// vanish from the sum.
+			if IsComplete(curve, leaves[1:]) || IsComplete(curve, leaves[:len(leaves)-1]) {
+				t.Fatalf("%v dim=%d: IsComplete holds without a leaf", kind, dim)
+			}
 			// Every seed's level-8 ancestor cell must be a leaf (the seed is
 			// resolved at maxLevel).
 			tree := &Tree{Curve: curve, Leaves: leaves}
@@ -144,6 +150,55 @@ func TestFindLeaf(t *testing.T) {
 	}
 }
 
+// TestFindLeafMatchesScan checks FindLeaf against a brute-force Contains
+// scan on linear trees with holes (random leaves dropped from a linearized
+// key set, and from a complete mesh re-sorted by WithCurve), for both
+// curves and both dimensions. The queries are the root, every leaf's
+// ancestors and a descendant, level-30 points, and random keys at every
+// level, many of them in the holes.
+func TestFindLeafMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	scan := func(leaves []sfc.Key, q sfc.Key) int {
+		for i, k := range leaves {
+			if k.Contains(q) {
+				return i
+			}
+		}
+		return -1
+	}
+	holes := func(keys []sfc.Key) []sfc.Key {
+		return slices.DeleteFunc(keys, func(sfc.Key) bool { return rng.Intn(3) == 0 })
+	}
+	for _, kind := range []sfc.Kind{sfc.Morton, sfc.Hilbert} {
+		for _, dim := range []int{2, 3} {
+			curve := sfc.NewCurve(kind, dim)
+			mesh := AdaptiveMesh(rng, 40, dim, LogNormal, 7).WithCurve(curve)
+			trees := map[string]*Tree{
+				"linearized": New(curve, holes(Linearize(curve, RandomKeys(rng, 300, dim, Normal, 1, 9)))),
+				"WithCurve":  New(curve, holes(mesh.Leaves)),
+			}
+			for name, tree := range trees {
+				if !IsLinear(curve, tree.Leaves) || IsComplete(curve, tree.Leaves) {
+					t.Fatalf("%v dim=%d %s: want a linear tree with holes", kind, dim, name)
+				}
+				queries := []sfc.Key{sfc.RootKey}
+				for _, k := range tree.Leaves {
+					queries = append(queries, k.Ancestor(uint8(rng.Intn(int(k.Level)+1))), k.Child(rng.Intn(1<<dim)))
+				}
+				for i := 0; i < 500; i++ {
+					queries = append(queries, RandomPoint(rng, dim, Uniform))
+				}
+				queries = append(queries, RandomKeys(rng, 500, dim, Uniform, 0, sfc.MaxLevel)...)
+				for _, q := range queries {
+					if got, want := tree.FindLeaf(q), scan(tree.Leaves, q); got != want {
+						t.Fatalf("%v dim=%d %s: FindLeaf(%v) = %d, scan finds %d", kind, dim, name, q, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFaceNeighbor(t *testing.T) {
 	k := sfc.Key{X: 0, Y: 0, Z: 0, Level: 1} // lower corner octant
 	if _, ok := FaceNeighbor(k, Face{0, false}); ok {
@@ -183,6 +238,17 @@ func TestFacesFixedTable(t *testing.T) {
 // could not hide on the stack.
 var facesSink []Face
 
+// neighborLeaves lists the face neighbors of leaf i, face by face.
+func neighborLeaves(t *Tree, i int) []int {
+	var out []int
+	for _, f := range Faces(t.Dim()) {
+		if nk, ok := FaceNeighbor(t.Leaves[i], f); ok {
+			out = append(out, t.FaceLeaves(nk, f)...)
+		}
+	}
+	return out
+}
+
 func TestNeighborLeavesUniform(t *testing.T) {
 	// Uniform level-2 quadtree: interior cells have 4 neighbors, corners 2.
 	curve := sfc.NewCurve(sfc.Morton, 2)
@@ -192,11 +258,11 @@ func TestNeighborLeavesUniform(t *testing.T) {
 			leaves = append(leaves, sfc.RootKey.Child(a).Child(b))
 		}
 	}
-	Sort(curve, leaves)
+	psort.TreeSort(curve, leaves)
 	tree := &Tree{Curve: curve, Leaves: leaves}
 	counts := map[int]int{}
 	for i := range leaves {
-		counts[len(tree.NeighborLeaves(i))]++
+		counts[len(neighborLeaves(tree, i))]++
 	}
 	// 4x4 grid: 4 corners with 2, 8 edges with 3, 4 interior with 4.
 	if counts[2] != 4 || counts[3] != 8 || counts[4] != 4 {
@@ -208,9 +274,9 @@ func TestNeighborLeavesSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	tree := Balance21(AdaptiveMesh(rng, 40, 3, Normal, 6))
 	for i := range tree.Leaves {
-		for _, j := range tree.NeighborLeaves(i) {
+		for _, j := range neighborLeaves(tree, i) {
 			found := false
-			for _, back := range tree.NeighborLeaves(j) {
+			for _, back := range neighborLeaves(tree, j) {
 				if back == i {
 					found = true
 					break
@@ -241,6 +307,87 @@ func TestBalance21(t *testing.T) {
 		}
 		if b.Len() < tree.Len() {
 			t.Fatalf("dim=%d: balancing shrank the tree (%d -> %d)", dim, tree.Len(), b.Len())
+		}
+	}
+}
+
+// rippleBalance21 is the reference 2:1 ripple, independent of ranks: each
+// round finds neighbors by a binary search over the tree-walking Compare,
+// appends every split leaf's children in label order, and re-linearizes the
+// whole sequence sorted by Compare.
+func rippleBalance21(t *Tree) []sfc.Key {
+	curve := t.Curve
+	leaves := append([]sfc.Key(nil), t.Leaves...)
+	for {
+		split := map[int]bool{}
+		for _, k := range leaves {
+			for _, f := range Faces(curve.Dim) {
+				nk, ok := FaceNeighbor(k, f)
+				if !ok {
+					continue
+				}
+				if j := compareFindLeaf(curve, leaves, nk); j >= 0 && int(leaves[j].Level) < int(k.Level)-1 {
+					split[j] = true
+				}
+			}
+		}
+		if len(split) == 0 {
+			return leaves
+		}
+		var next []sfc.Key
+		for i, k := range leaves {
+			if !split[i] {
+				next = append(next, k)
+				continue
+			}
+			for label := 0; label < curve.NumChildren(); label++ {
+				next = append(next, k.Child(label))
+			}
+		}
+		slices.SortFunc(next, curve.Compare)
+		leaves = LinearizeSorted(next)
+	}
+}
+
+// compareFindLeaf is FindLeaf over the tree-walking Compare: the last leaf
+// not after q, if it contains q.
+func compareFindLeaf(curve *sfc.Curve, leaves []sfc.Key, q sfc.Key) int {
+	i, _ := slices.BinarySearchFunc(leaves, q, func(leaf, q sfc.Key) int {
+		if curve.Compare(leaf, q) > 0 {
+			return 1
+		}
+		return -1
+	})
+	if i > 0 && leaves[i-1].Contains(q) {
+		return i - 1
+	}
+	return -1
+}
+
+// TestBalance21MatchesRipple: Balance21, which writes split leaves' children
+// in curve order in place and finds neighbors by rank, produces leaf for
+// leaf the reference ripple's tree, on random meshes for both curves and
+// both dimensions, and leaves an already balanced tree as it is.
+func TestBalance21MatchesRipple(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, kind := range []sfc.Kind{sfc.Morton, sfc.Hilbert} {
+		for _, dim := range []int{2, 3} {
+			curve := sfc.NewCurve(kind, dim)
+			for trial := 0; trial < 3; trial++ {
+				tree := AdaptiveMesh(rng, 30, dim, LogNormal, 8).WithCurve(curve)
+				got := Balance21(tree)
+				if want := rippleBalance21(tree); !slices.Equal(got.Leaves, want) {
+					t.Fatalf("%v dim=%d trial %d: Balance21 differs from the ripple (%d vs %d leaves)",
+						kind, dim, trial, got.Len(), len(want))
+				}
+				if got.Len() == tree.Len() {
+					t.Fatalf("%v dim=%d trial %d: mesh was already balanced; the trial checks nothing", kind, dim, trial)
+				}
+				again := Balance21(got)
+				if !slices.Equal(again.Leaves, got.Leaves) || !slices.Equal(rippleBalance21(got), got.Leaves) {
+					t.Fatalf("%v dim=%d trial %d: a balanced tree changed", kind, dim, trial)
+				}
+			}
 		}
 	}
 }

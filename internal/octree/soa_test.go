@@ -2,6 +2,7 @@ package octree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"optipart/internal/sfc"
@@ -63,7 +64,7 @@ func TestLinearizeSortedMatchesLinearize(t *testing.T) {
 		want := Linearize(curve, append([]sfc.Key(nil), noisy...))
 
 		sorted := append([]sfc.Key(nil), noisy...)
-		Sort(curve, sorted)
+		slices.SortFunc(sorted, curve.Compare)
 		got := LinearizeSorted(sorted)
 		if len(got) != len(want) {
 			t.Fatalf("%v: LinearizeSorted len %d, Linearize len %d", kind, len(got), len(want))

@@ -45,7 +45,7 @@ func checkDistribution(t *testing.T, results []*Result, kind sfc.Kind, wantN int
 				t.Fatalf("rank %d holds %v owned by %d", r, k, sp.Owner(k))
 			}
 		}
-		if prevLast != nil && len(res.Local) > 0 && curve.Less(res.Local[0], *prevLast) {
+		if prevLast != nil && len(res.Local) > 0 && curve.Compare(res.Local[0], *prevLast) < 0 {
 			t.Fatalf("rank %d range starts before rank %d ends", r, r-1)
 		}
 		if len(res.Local) > 0 {

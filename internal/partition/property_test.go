@@ -9,6 +9,7 @@ import (
 	"optipart/internal/machine"
 	"optipart/internal/octree"
 	"optipart/internal/par"
+	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
 
@@ -20,10 +21,10 @@ func TestOwnerMonotoneAlongCurve(t *testing.T) {
 	for _, kind := range []sfc.Kind{sfc.Morton, sfc.Hilbert} {
 		curve := sfc.NewCurve(kind, 3)
 		keys := octree.RandomKeys(rng, 2000, 3, octree.LogNormal, 1, 14)
-		octree.Sort(curve, keys)
+		psort.TreeSort(curve, keys)
 		// Random separators drawn from the same distribution, sorted.
 		seps := octree.RandomKeys(rng, 7, 3, octree.Uniform, 1, 10)
-		octree.Sort(curve, seps)
+		psort.TreeSort(curve, seps)
 		sp := &Splitters{Curve: curve, Seps: seps}
 		prev := 0
 		for _, k := range keys {
@@ -41,9 +42,9 @@ func TestRangesMatchOwner(t *testing.T) {
 	rng := rand.New(rand.NewSource(3002))
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
 	keys := octree.RandomKeys(rng, 1500, 3, octree.Normal, 2, 12)
-	octree.Sort(curve, keys)
+	psort.TreeSort(curve, keys)
 	seps := octree.RandomKeys(rng, 5, 3, octree.Uniform, 1, 8)
-	octree.Sort(curve, seps)
+	psort.TreeSort(curve, seps)
 	seps = append(seps, InfKey) // include the sentinel
 	sp := &Splitters{Curve: curve, Seps: seps}
 	ranges := sp.Ranges(keys)
@@ -140,13 +141,13 @@ func TestEvaluateQualityMatchesDirectCount(t *testing.T) {
 	morton3 := sfc.NewCurve(sfc.Morton, 3)
 	hilbert2 := sfc.NewCurve(sfc.Hilbert, 2)
 	keys3 := octree.RandomKeys(rng, 1200, 3, octree.Normal, 2, 10)
-	octree.Sort(morton3, keys3)
+	psort.TreeSort(morton3, keys3)
 	keys2 := octree.RandomKeys(rng, 900, 2, octree.Normal, 2, 9)
-	octree.Sort(hilbert2, keys2)
+	psort.TreeSort(hilbert2, keys2)
 	coarse := []sfc.Key{keys3[300].Ancestor(keys3[300].Level - 1), keys3[800].Ancestor(keys3[800].Level - 2)}
-	octree.Sort(morton3, coarse)
+	psort.TreeSort(morton3, coarse)
 	seps2 := []sfc.Key{keys2[200], keys2[450].Parent(), keys2[700]}
-	octree.Sort(hilbert2, seps2)
+	psort.TreeSort(hilbert2, seps2)
 	var grid []sfc.Key // every level-2 octant: 56 of the 64 touch the domain boundary
 	for i := uint64(0); i < 64; i++ {
 		grid = append(grid, morton3.KeyAtIndex(i, 2))

@@ -18,7 +18,7 @@ func TestSplittersFromDistribution(t *testing.T) {
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
 	rng := rand.New(rand.NewSource(11))
 	keys := octree.RandomKeys(rng, 4000, 3, octree.Normal, 2, 12)
-	sort.Slice(keys, func(i, j int) bool { return curve.Less(keys[i], keys[j]) })
+	sort.Slice(keys, func(i, j int) bool { return curve.Compare(keys[i], keys[j]) < 0 })
 
 	const p = 7
 	// Deliberately skewed cuts, with rank 3 left empty.
@@ -54,7 +54,7 @@ func TestSplittersFromDistributionSingleRank(t *testing.T) {
 	curve := sfc.NewCurve(sfc.Morton, 3)
 	rng := rand.New(rand.NewSource(3))
 	keys := octree.RandomKeys(rng, 50, 3, octree.Uniform, 2, 8)
-	sort.Slice(keys, func(i, j int) bool { return curve.Less(keys[i], keys[j]) })
+	sort.Slice(keys, func(i, j int) bool { return curve.Compare(keys[i], keys[j]) < 0 })
 	comm.Run(1, comm.CostModel{}, func(c *comm.Comm) {
 		sp := SplittersFromDistribution(c, curve, keys)
 		if sp.P() != 1 || len(sp.Seps) != 0 {
@@ -96,7 +96,7 @@ func TestSplittersFromDistributionOneHolder(t *testing.T) {
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
 	rng := rand.New(rand.NewSource(8))
 	keys := octree.RandomKeys(rng, 200, 3, octree.Normal, 2, 10)
-	sort.Slice(keys, func(i, j int) bool { return curve.Less(keys[i], keys[j]) })
+	sort.Slice(keys, func(i, j int) bool { return curve.Compare(keys[i], keys[j]) < 0 })
 	const p, holder = 6, 3
 	comm.Run(p, comm.CostModel{}, func(c *comm.Comm) {
 		var local []sfc.Key
@@ -131,7 +131,7 @@ func TestSplittersFromDistributionDuplicateBoundary(t *testing.T) {
 	curve := sfc.NewCurve(sfc.Morton, 3)
 	rng := rand.New(rand.NewSource(21))
 	base := octree.RandomKeys(rng, 100, 3, octree.Uniform, 3, 9)
-	sort.Slice(base, func(i, j int) bool { return curve.Less(base[i], base[j]) })
+	sort.Slice(base, func(i, j int) bool { return curve.Compare(base[i], base[j]) < 0 })
 	base = slices.Compact(base) // only the cut key may be duplicated
 	// Triplicate the key at the cut so rank 1 starts with a run of equals.
 	cut := len(base) / 3

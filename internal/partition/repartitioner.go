@@ -156,34 +156,22 @@ func (e *Repartitioner) Step(delta octree.Delta) StepResult {
 	return e.selectPlacement(true)
 }
 
-// ingest copies keys into the arena columns, sorts them along the curve
-// (filling the rank cache as a side effect of the rank-radix TreeSort),
-// linearizes duplicates and ancestor pairs out of both columns, and
-// computes every survivor's neighbour span with fillColumns.
+// ingest copies keys into the arena's key column, sorts them along the
+// curve, linearizes duplicates and ancestor pairs out in place
+// (octree.LinearizeSorted), and fills every survivor's rank and neighbour
+// span with fillColumns.
 func (e *Repartitioner) ingest(keys []sfc.Key) {
 	curve := e.cfg.Curve
 	ks := e.arena.Keys(len(keys))
 	copy(ks, keys)
-	rs, _ := psort.TreeSortArena(curve, ks, e.arena)
-	// Dual-column LinearizeSorted: compact keys and ranks in step.
-	out := 0
-	for i := range ks {
-		if i+1 < len(ks) {
-			next := ks[i+1]
-			if ks[i] == next || ks[i].Contains(next) {
-				continue
-			}
-		}
-		ks[out], rs[out] = ks[i], rs[i]
-		out++
-	}
-	e.n = out
-	e.keys, e.ranks = e.arena.Columns(out)
-	e.lo, e.hi = e.arena.Spans(out)
+	psort.TreeSortArena(curve, ks, e.arena)
+	e.n = len(octree.LinearizeSorted(ks))
+	e.keys, e.ranks = e.arena.Columns(e.n)
+	e.lo, e.hi = e.arena.Spans(e.n)
 	// Size the scratch span pair now, as the sort sized the key and rank
 	// scratch pair, so the first Step reslices instead of allocating.
-	e.arena.AltSpans(out)
-	fillColumns(curve, e.keys, nil, e.lo, e.hi)
+	e.arena.AltSpans(e.n)
+	fillColumns(curve, e.keys, e.ranks, e.lo, e.hi)
 }
 
 // applyDelta merges the surviving elements into the scratch columns,

@@ -10,7 +10,6 @@
 package partition
 
 import (
-	"slices"
 	"sync"
 
 	"optipart/internal/sfc"
@@ -73,23 +72,17 @@ func (s *Splitters) Owner(k sfc.Key) int {
 
 // Ranges returns the p+1 boundaries of the owner ranges within a local
 // array already sorted in curve order: rank r's elements are
-// sorted[out[r]:out[r+1]].
+// sorted[out[r]:out[r+1]]. Each boundary is one sfc.LowerBoundKeys search,
+// narrowed to the keys after the previous boundary; an InfKey separator
+// ranks after every key, so its boundary is the end.
 func (s *Splitters) Ranges(sorted []sfc.Key) []int {
 	p := s.P()
 	seps := s.ranks()
 	out := make([]int, p+1)
 	out[p] = len(sorted)
 	for r := 1; r < p; r++ {
-		sr := seps[r-1]
-		if sr == sfc.MaxRank128 {
-			out[r] = len(sorted)
-			continue
-		}
 		lo := out[r-1]
-		i, _ := slices.BinarySearchFunc(sorted[lo:], sr, func(k sfc.Key, target sfc.Rank128) int {
-			return s.Curve.Rank(k).Compare(target)
-		})
-		out[r] = lo + i
+		out[r] = lo + s.Curve.LowerBoundKeys(sorted[lo:], seps[r-1])
 	}
 	return out
 }

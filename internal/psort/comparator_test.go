@@ -63,7 +63,7 @@ func insertionSort(curve *sfc.Curve, a []sfc.Key) {
 	for i := 1; i < len(a); i++ {
 		k := a[i]
 		j := i - 1
-		for j >= 0 && curve.Less(k, a[j]) {
+		for j >= 0 && curve.Compare(k, a[j]) < 0 {
 			a[j+1] = a[j]
 			j--
 		}

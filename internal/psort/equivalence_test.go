@@ -1,10 +1,11 @@
-package psort
+package psort_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"optipart/internal/octree"
+	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
 
@@ -18,7 +19,7 @@ func TestRadixMatchesComparator(t *testing.T) {
 	for _, kind := range []sfc.Kind{sfc.Morton, sfc.Hilbert} {
 		for _, dim := range []int{2, 3} {
 			curve := sfc.NewCurve(kind, dim)
-			for _, n := range []int{0, 1, 2, insertionCutoff, insertionCutoff + 1, 100, 5000} {
+			for _, n := range []int{0, 1, 2, psort.InsertionCutoff, psort.InsertionCutoff + 1, 100, 5000} {
 				keys := octree.RandomKeys(rng, n, dim, octree.Normal, 0, 18)
 				checkEquivalent(t, curve, keys, "random")
 
@@ -32,7 +33,7 @@ func TestRadixMatchesComparator(t *testing.T) {
 
 					// Already sorted, then reversed.
 					sorted := append([]sfc.Key(nil), keys...)
-					TreeSortComparator(curve, sorted)
+					psort.TreeSortComparator(curve, sorted)
 					checkEquivalent(t, curve, sorted, "sorted")
 					rev := make([]sfc.Key, n)
 					for i := range rev {
@@ -69,15 +70,15 @@ func checkEquivalent(t *testing.T, curve *sfc.Curve, keys []sfc.Key, label strin
 	t.Helper()
 	want := append([]sfc.Key(nil), keys...)
 	got := append([]sfc.Key(nil), keys...)
-	TreeSortComparator(curve, want)
-	TreeSort(curve, got)
+	psort.TreeSortComparator(curve, want)
+	psort.TreeSort(curve, got)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("%v dim=%d %s n=%d: radix and comparator outputs differ at %d: %v vs %v",
 				curve.Kind, curve.Dim, label, len(keys), i, got[i], want[i])
 		}
 	}
-	if !IsSorted(curve, got) {
+	if !psort.IsSorted(curve, got) {
 		t.Fatalf("%v dim=%d %s: output not in curve order", curve.Kind, curve.Dim, label)
 	}
 }

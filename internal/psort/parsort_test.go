@@ -1,13 +1,15 @@
-package psort
+package psort_test
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"optipart/internal/octree"
 	"optipart/internal/par"
+	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
 
@@ -33,11 +35,11 @@ func sortWorkerCounts() []int {
 func adversarialInputs(rng *rand.Rand, dim int) map[string][]sfc.Key {
 	curve := sfc.NewCurve(sfc.Morton, dim)
 	inputs := map[string][]sfc.Key{}
-	for _, n := range []int{0, 1, insertionCutoff - 1, insertionCutoff + 1,
-		parallelCutoff - 1, parallelCutoff + 1, 3 * parallelCutoff} {
+	for _, n := range []int{0, 1, psort.InsertionCutoff - 1, psort.InsertionCutoff + 1,
+		psort.ParallelCutoff - 1, psort.ParallelCutoff + 1, 3 * psort.ParallelCutoff} {
 		inputs[fmt.Sprintf("uniform/n=%d", n)] = octree.RandomKeys(rng, n, dim, octree.Uniform, 0, 12)
 	}
-	n := parallelCutoff * 2
+	n := psort.ParallelCutoff * 2
 	dup := make([]sfc.Key, n)
 	base := octree.RandomKeys(rng, 7, dim, octree.Uniform, 1, 6)
 	for i := range dup {
@@ -46,7 +48,7 @@ func adversarialInputs(rng *rand.Rand, dim int) map[string][]sfc.Key {
 	inputs["duplicate-heavy"] = dup
 
 	sorted := octree.RandomKeys(rng, n, dim, octree.Uniform, 0, 12)
-	TreeSortComparator(curve, sorted)
+	psort.TreeSortComparator(curve, sorted)
 	inputs["presorted"] = sorted
 	rev := append([]sfc.Key(nil), sorted...)
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -84,14 +86,14 @@ func TestParallelTreeSortMatchesSerial(t *testing.T) {
 				func() {
 					prev := par.SetWorkers(1)
 					defer par.SetWorkers(prev)
-					TreeSort(curve, want)
+					psort.TreeSort(curve, want)
 				}()
 				for _, w := range sortWorkerCounts() {
 					got := append([]sfc.Key(nil), input...)
 					func() {
 						prev := par.SetWorkers(w)
 						defer par.SetWorkers(prev)
-						TreeSort(curve, got)
+						psort.TreeSort(curve, got)
 					}()
 					for i := range want {
 						if got[i] != want[i] {
@@ -111,7 +113,7 @@ func TestParallelTreeSortMatchesSerial(t *testing.T) {
 func TestParRadixSortSoADirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
-	keys := octree.RandomKeys(rng, parallelCutoff+513, 3, octree.Normal, 0, 14)
+	keys := octree.RandomKeys(rng, psort.ParallelCutoff+513, 3, octree.Normal, 0, 14)
 	mk := func() ([]sfc.Key, []sfc.Rank128) {
 		ks := append([]sfc.Key(nil), keys...)
 		rs := make([]sfc.Rank128, len(keys))
@@ -121,11 +123,11 @@ func TestParRadixSortSoADirect(t *testing.T) {
 		return ks, rs
 	}
 	wantK, wantR := mk()
-	radixSortSoA(wantK, wantR, make([]sfc.Key, len(wantK)), make([]sfc.Rank128, len(wantR)), 0)
+	psort.RadixSortSoA(wantK, wantR, make([]sfc.Key, len(wantK)), make([]sfc.Rank128, len(wantR)), 0)
 	for _, w := range sortWorkerCounts() {
 		gotK, gotR := mk()
 		prev := par.SetWorkers(w)
-		parRadixSortSoA(gotK, gotR, make([]sfc.Key, len(gotK)), make([]sfc.Rank128, len(gotR)), 0)
+		psort.ParRadixSortSoA(gotK, gotR, make([]sfc.Key, len(gotK)), make([]sfc.Rank128, len(gotR)), 0)
 		par.SetWorkers(prev)
 		for i := range wantK {
 			if gotK[i] != wantK[i] || gotR[i] != wantR[i] {
@@ -140,45 +142,62 @@ func TestParRadixSortSoADirect(t *testing.T) {
 // Trim, so one huge sort cannot pin its working arrays for the process
 // lifetime — neither in the shared arena pool nor in a service-held arena.
 func TestArenaCapacityBounded(t *testing.T) {
-	var a Arena
-	a.grow(MaxArenaKeys + 1)
-	a.growKeys(MaxArenaKeys + 1)
-	a.Spans(MaxArenaKeys + 1)
-	a.AltSpans(MaxArenaKeys + 1)
-	a.Trim()
-	if cap(a.ranks) != 0 || cap(a.kAlt) != 0 || cap(a.keys) != 0 {
-		t.Fatalf("Trim retained oversized columns: ranks=%d kAlt=%d keys=%d",
-			cap(a.ranks), cap(a.kAlt), cap(a.keys))
+	if got := psort.Trimmed(make([]int, 0, psort.MaxArenaKeys)); cap(got) != psort.MaxArenaKeys {
+		t.Fatalf("trimmed dropped a column at the bound: cap %d", cap(got))
 	}
-	if cap(a.lo) != 0 || cap(a.hi) != 0 || cap(a.loAlt) != 0 || cap(a.hiAlt) != 0 {
-		t.Fatalf("Trim retained oversized span columns: lo=%d hi=%d loAlt=%d hiAlt=%d",
-			cap(a.lo), cap(a.hi), cap(a.loAlt), cap(a.hiAlt))
+	if got := psort.Trimmed(make([]int, psort.MaxArenaKeys+1)); got != nil {
+		t.Fatalf("trimmed kept a column past the bound: cap %d", cap(got))
+	}
+	var a psort.Arena
+	inflate(&a, psort.MaxArenaKeys+1)
+	a.Trim()
+	if caps := columnCaps(&a); slices.Max(caps) != 0 {
+		t.Fatalf("Trim retained oversized columns: caps %v", caps)
 	}
 	// The pool inherits the bound through PutArena.
-	huge := &Arena{}
-	huge.grow(MaxArenaKeys + 1)
-	PutArena(huge)
+	huge := &psort.Arena{}
+	inflate(huge, psort.MaxArenaKeys+1)
+	psort.PutArena(huge)
 	for i := 0; i < 64; i++ {
-		p := GetArena()
-		if cap(p.ranks) > MaxArenaKeys || cap(p.kAlt) > MaxArenaKeys {
-			t.Fatalf("pool returned arena with cap ranks=%d kAlt=%d > MaxArenaKeys %d",
-				cap(p.ranks), cap(p.kAlt), MaxArenaKeys)
+		p := psort.GetArena()
+		if caps := columnCaps(p); slices.Max(caps) > psort.MaxArenaKeys {
+			t.Fatalf("pool returned arena with caps %v > MaxArenaKeys %d", caps, psort.MaxArenaKeys)
 		}
-		PutArena(p)
+		psort.PutArena(p)
 	}
 	// Bounded columns are still recycled: TreeSort keeps working after the
 	// cap rejection, and a trimmed arena regrows on demand.
 	rng := rand.New(rand.NewSource(5))
 	curve := sfc.NewCurve(sfc.Morton, 3)
 	keys := octree.RandomKeys(rng, 4096, 3, octree.Uniform, 0, 10)
-	TreeSort(curve, keys)
-	if !IsSorted(curve, keys) {
+	psort.TreeSort(curve, keys)
+	if !psort.IsSorted(curve, keys) {
 		t.Fatal("TreeSort output not sorted after pool-cap exercise")
 	}
-	TreeSortArena(curve, keys, &a)
-	if !IsSorted(curve, keys) {
+	psort.TreeSortArena(curve, keys, &a)
+	if !psort.IsSorted(curve, keys) {
 		t.Fatal("TreeSortArena output not sorted after Trim")
 	}
+}
+
+// inflate grows every column of a to n elements.
+func inflate(a *psort.Arena, n int) {
+	a.Columns(n)
+	a.AltColumns(n)
+	a.Spans(n)
+	a.AltSpans(n)
+}
+
+// columnCaps reads the capacity of every column of a through its accessors,
+// each resliced to length zero (the contents are undefined anyway): keys,
+// ranks, their scratch pair, then the two span columns and their scratch
+// pair.
+func columnCaps(a *psort.Arena) []int {
+	keys, ranks := a.Columns(0)
+	kAlt, rAlt := a.AltColumns(0)
+	lo, hi := a.Spans(0)
+	loAlt, hiAlt := a.AltSpans(0)
+	return []int{cap(keys), cap(ranks), cap(kAlt), cap(rAlt), cap(lo), cap(hi), cap(loAlt), cap(hiAlt)}
 }
 
 // TestTreeSortArenaMatchesTreeSort: the arena entry point must produce the
@@ -188,13 +207,13 @@ func TestArenaCapacityBounded(t *testing.T) {
 func TestTreeSortArenaMatchesTreeSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
-	var a Arena
-	for _, n := range []int{0, 1, 2, insertionCutoff + 1, 4096, parallelCutoff + 7, 100} {
+	var a psort.Arena
+	for _, n := range []int{0, 1, 2, psort.InsertionCutoff + 1, 4096, psort.ParallelCutoff + 7, 100} {
 		keys := octree.RandomKeys(rng, n, 3, octree.Normal, 0, 14)
 		want := append([]sfc.Key(nil), keys...)
-		TreeSort(curve, want)
+		psort.TreeSort(curve, want)
 		got := append([]sfc.Key(nil), keys...)
-		ranks, _ := TreeSortArena(curve, got, &a)
+		ranks, _ := psort.TreeSortArena(curve, got, &a)
 		if len(ranks) != n {
 			t.Fatalf("n=%d: rank column has %d entries", n, len(ranks))
 		}
@@ -219,28 +238,28 @@ func TestTreeSortArenaMatchesTreeSort(t *testing.T) {
 func TestTreeSortArenaSortedInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
-	n := parallelCutoff + rankGrain/2
+	n := psort.ParallelCutoff + psort.RankGrain/2
 	sorted := octree.RandomKeys(rng, n, 3, octree.Normal, 0, 14)
-	TreeSortComparator(curve, sorted)
+	psort.TreeSortComparator(curve, sorted)
 	dups := make([]sfc.Key, n)
 	base := octree.RandomKeys(rng, 7, 3, octree.Uniform, 1, 6)
 	for i := range dups {
 		dups[i] = base[rng.Intn(len(base))]
 	}
-	TreeSortComparator(curve, dups)
+	psort.TreeSortComparator(curve, dups)
 	swapped := append([]sfc.Key(nil), sorted...)
-	copy(swapped[rankGrain:], sorted[2*rankGrain:3*rankGrain])
-	copy(swapped[2*rankGrain:], sorted[rankGrain:2*rankGrain])
+	copy(swapped[psort.RankGrain:], sorted[2*psort.RankGrain:3*psort.RankGrain])
+	copy(swapped[2*psort.RankGrain:], sorted[psort.RankGrain:2*psort.RankGrain])
 	inputs := map[string][]sfc.Key{"sorted": sorted, "duplicates": dups, "chunks-swapped": swapped}
 	for name, input := range inputs {
 		wantPresorted := name != "chunks-swapped"
 		want := append([]sfc.Key(nil), input...)
-		TreeSortComparator(curve, want)
+		psort.TreeSortComparator(curve, want)
 		for _, w := range []int{1, 2} {
 			got := append([]sfc.Key(nil), input...)
-			var a Arena
+			var a psort.Arena
 			prev := par.SetWorkers(w)
-			ranks, presorted := TreeSortArena(curve, got, &a)
+			ranks, presorted := psort.TreeSortArena(curve, got, &a)
 			par.SetWorkers(prev)
 			if presorted != wantPresorted {
 				t.Fatalf("%s workers=%d: presorted = %v", name, w, presorted)
@@ -271,10 +290,10 @@ func FuzzParallelTreeSort(f *testing.F) {
 		keys := octree.RandomKeys(rng, int(n), dim, octree.Uniform, 0, 15)
 		want := append([]sfc.Key(nil), keys...)
 		prev := par.SetWorkers(1)
-		TreeSort(curve, want)
+		psort.TreeSort(curve, want)
 		par.SetWorkers(int(workers)%8 + 1)
 		got := append([]sfc.Key(nil), keys...)
-		TreeSort(curve, got)
+		psort.TreeSort(curve, got)
 		par.SetWorkers(prev)
 		for i := range want {
 			if got[i] != want[i] {

@@ -1,4 +1,4 @@
-package psort
+package psort_test
 
 import (
 	"math/rand"
@@ -7,6 +7,7 @@ import (
 
 	"optipart/internal/comm"
 	"optipart/internal/octree"
+	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
 
@@ -19,8 +20,8 @@ func TestTreeSortMatchesComparisonSort(t *testing.T) {
 				n := 1 + rng.Intn(2000)
 				keys := octree.RandomKeys(rng, n, dim, octree.Uniform, 0, 12)
 				want := append([]sfc.Key(nil), keys...)
-				sort.SliceStable(want, func(i, j int) bool { return curve.Less(want[i], want[j]) })
-				TreeSort(curve, keys)
+				sort.SliceStable(want, func(i, j int) bool { return curve.Compare(want[i], want[j]) < 0 })
+				psort.TreeSort(curve, keys)
 				for i := range keys {
 					// Equal keys may permute; compare by order only.
 					if curve.Compare(keys[i], want[i]) != 0 {
@@ -45,17 +46,17 @@ func TestTreeSortMixedLevels(t *testing.T) {
 			keys = append(keys, k.Ancestor(k.Level/2))
 		}
 	}
-	TreeSort(curve, keys)
-	if !IsSorted(curve, keys) {
+	psort.TreeSort(curve, keys)
+	if !psort.IsSorted(curve, keys) {
 		t.Fatal("TreeSort output not in curve order")
 	}
 }
 
 func TestTreeSortEmptyAndSingle(t *testing.T) {
 	curve := sfc.NewCurve(sfc.Morton, 3)
-	TreeSort(curve, nil)
+	psort.TreeSort(curve, nil)
 	one := []sfc.Key{{X: 4, Level: sfc.MaxLevel}}
-	TreeSort(curve, one)
+	psort.TreeSort(curve, one)
 	if one[0].X != 4 {
 		t.Fatal("single-element sort corrupted data")
 	}
@@ -68,7 +69,7 @@ func TestTreeSortAllDuplicates(t *testing.T) {
 	for i := range keys {
 		keys[i] = k
 	}
-	TreeSort(curve, keys)
+	psort.TreeSort(curve, keys)
 	for _, got := range keys {
 		if got != k {
 			t.Fatal("duplicate sort corrupted data")
@@ -84,7 +85,7 @@ func TestTreeSortPreservesMultiset(t *testing.T) {
 	for _, k := range keys {
 		count[k]++
 	}
-	TreeSort(curve, keys)
+	psort.TreeSort(curve, keys)
 	for _, k := range keys {
 		count[k]--
 	}
@@ -96,17 +97,17 @@ func TestTreeSortPreservesMultiset(t *testing.T) {
 }
 
 func TestLocalSortCost(t *testing.T) {
-	if LocalSortCost(0, 3) != 0 || LocalSortCost(1, 3) != 0 {
+	if psort.LocalSortCost(0, 3) != 0 || psort.LocalSortCost(1, 3) != 0 {
 		t.Fatal("trivial sorts must cost nothing")
 	}
-	if LocalSortCost(1000, 3) <= 0 {
+	if psort.LocalSortCost(1000, 3) <= 0 {
 		t.Fatal("non-trivial sort must cost something")
 	}
-	if LocalSortCost(1_000_000, 3) <= LocalSortCost(1000, 3) {
+	if psort.LocalSortCost(1_000_000, 3) <= psort.LocalSortCost(1000, 3) {
 		t.Fatal("cost must grow with n")
 	}
 	// 2D trees are deeper for the same n: more passes.
-	if LocalSortCost(4096, 2) <= LocalSortCost(4096, 3) {
+	if psort.LocalSortCost(4096, 2) <= psort.LocalSortCost(4096, 3) {
 		t.Fatal("2D sort must need more passes than 3D for equal n")
 	}
 }
@@ -119,17 +120,17 @@ func TestSampleSortGlobalOrder(t *testing.T) {
 			comm.Run(p, comm.CostModel{}, func(c *comm.Comm) {
 				rng := rand.New(rand.NewSource(int64(100 + c.Rank())))
 				local := octree.RandomKeys(rng, 400+11*c.Rank(), 3, octree.Normal, 1, 12)
-				perRank[c.Rank()] = SampleSort(c, local, curve)
+				perRank[c.Rank()] = psort.SampleSort(c, local, curve)
 			})
 			total := 0
 			var prevLast *sfc.Key
 			for r := 0; r < p; r++ {
 				run := perRank[r]
 				total += len(run)
-				if !IsSorted(curve, run) {
+				if !psort.IsSorted(curve, run) {
 					t.Fatalf("p=%d %v: rank %d run not sorted", p, kind, r)
 				}
-				if prevLast != nil && len(run) > 0 && curve.Less(run[0], *prevLast) {
+				if prevLast != nil && len(run) > 0 && curve.Compare(run[0], *prevLast) < 0 {
 					t.Fatalf("p=%d %v: rank %d starts before rank %d ends", p, kind, r, r-1)
 				}
 				if len(run) > 0 {
@@ -156,7 +157,7 @@ func TestSampleSortBalance(t *testing.T) {
 	comm.Run(p, comm.CostModel{}, func(c *comm.Comm) {
 		rng := rand.New(rand.NewSource(int64(200 + c.Rank())))
 		local := octree.RandomKeys(rng, 2000, 3, octree.LogNormal, 2, 14)
-		out := SampleSort(c, local, curve)
+		out := psort.SampleSort(c, local, curve)
 		sizes[c.Rank()] = len(out)
 	})
 	max, min := 0, 1<<62
@@ -179,7 +180,7 @@ func TestSampleSortPhases(t *testing.T) {
 	stats := comm.Run(4, model, func(c *comm.Comm) {
 		rng := rand.New(rand.NewSource(int64(300 + c.Rank())))
 		local := octree.RandomKeys(rng, 1000, 3, octree.Uniform, 1, 10)
-		SampleSort(c, local, curve)
+		psort.SampleSort(c, local, curve)
 	})
 	for _, phase := range []string{"local sort", "splitter", "all2all"} {
 		if stats.Phase(phase) <= 0 {

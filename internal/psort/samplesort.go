@@ -1,8 +1,6 @@
 package psort
 
 import (
-	"slices"
-
 	"optipart/internal/comm"
 	"optipart/internal/sfc"
 )
@@ -63,27 +61,18 @@ func SampleSort(c *comm.Comm, local []sfc.Key, curve *sfc.Curve) []sfc.Key {
 
 // bucketBySplitters cuts the sorted local run into p contiguous buckets at
 // the splitter keys; rank r's bucket holds keys in [splitters[r-1],
-// splitters[r]). Each boundary is a binary search over linearized ranks,
-// narrowed to the keys after the previous boundary.
+// splitters[r]). Each boundary is one sfc.LowerBoundKeys search, narrowed
+// to the keys after the previous boundary.
 func bucketBySplitters(curve *sfc.Curve, local, splitters []sfc.Key, p int) [][]sfc.Key {
 	send := make([][]sfc.Key, p)
 	lo := 0
 	for r := 0; r < p; r++ {
 		hi := len(local)
 		if r < len(splitters) {
-			hi = lo + searchKeys(curve, local[lo:], curve.Rank(splitters[r]))
+			hi = lo + curve.LowerBoundKeys(local[lo:], curve.Rank(splitters[r]))
 		}
 		send[r] = local[lo:hi]
 		lo = hi
 	}
 	return send
-}
-
-// searchKeys returns the first index in the curve-sorted keys whose rank is
-// at or after target.
-func searchKeys(curve *sfc.Curve, keys []sfc.Key, target sfc.Rank128) int {
-	i, _ := slices.BinarySearchFunc(keys, target, func(k sfc.Key, t sfc.Rank128) int {
-		return curve.Rank(k).Compare(t)
-	})
-	return i
 }

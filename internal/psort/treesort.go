@@ -185,12 +185,16 @@ func LocalSortCost(n int, dim int) int64 {
 	return int64(2*n*KeyBytes) * int64(levels)
 }
 
-// IsSorted reports whether keys are in curve order.
+// IsSorted reports whether keys are in curve order: their ranks are
+// non-decreasing.
 func IsSorted(curve *sfc.Curve, keys []sfc.Key) bool {
-	for i := 1; i < len(keys); i++ {
-		if curve.Less(keys[i], keys[i-1]) {
+	var prev sfc.Rank128
+	for _, k := range keys {
+		r := curve.Rank(k)
+		if r.Less(prev) {
 			return false
 		}
+		prev = r
 	}
 	return true
 }

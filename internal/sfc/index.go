@@ -10,10 +10,10 @@ import "fmt"
 //
 // The index needs Dim·Level bits, so it is only defined for Level ≤ 64/Dim
 // (21 in 3D, 32 in 2D); deeper keys panic. Ordering deeper keys never needs
-// the index — use Compare, which walks the tree without materializing it.
+// the index — use Rank, which is defined at every level.
 func (c *Curve) Index(k Key) uint64 {
 	if int(k.Level)*c.Dim > 64 {
-		panic(fmt.Errorf("sfc: Index of level-%d key needs %d bits; use Compare instead",
+		panic(fmt.Errorf("sfc: Index of level-%d key needs %d bits; use Rank instead",
 			k.Level, int(k.Level)*c.Dim))
 	}
 	var idx uint64
@@ -45,6 +45,10 @@ func (c *Curve) KeyAtIndex(idx uint64, level uint8) Key {
 // Compare orders two keys along the curve. Regions are ordered by the curve
 // position of their first descendant cell, with an ancestor preceding all of
 // its descendants (pre-order). It returns -1, 0, or +1.
+//
+// Compare walks the tree one level at a time and is the reference order:
+// the oracles check Rank against it, and code outside this package orders
+// by Rank and searches by rank instead.
 func (c *Curve) Compare(a, b Key) int {
 	s := c.RootState()
 	minL := int(a.Level)
@@ -72,9 +76,6 @@ func (c *Curve) Compare(a, b Key) int {
 	}
 	return 0
 }
-
-// Less reports whether a precedes b along the curve.
-func (c *Curve) Less(a, b Key) bool { return c.Compare(a, b) < 0 }
 
 // StateAt returns the orientation state of the subtree rooted at the given
 // key, i.e. the state reached by descending from the root along the key's

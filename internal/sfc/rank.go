@@ -16,10 +16,12 @@ package sfc
 // The defining invariant, enforced by TestRankMatchesCompare and
 // FuzzRankOrder: for every curve and every pair of valid keys,
 //
-//	Rank(a) < Rank(b)  ⇔  Less(a, b).
+//	Rank(a) < Rank(b)  ⇔  Compare(a, b) < 0.
 //
-// Ranks order the *simulation's* data structures; they never enter the
-// machine model, so modeled costs are unchanged by their use.
+// Rank is the one order production code uses; Compare is the independent
+// reference it is checked against. Ranks order the *simulation's* data
+// structures; they never enter the machine model, so modeled costs are
+// unchanged by their use.
 
 // rankLevelBits is the width of the level tiebreak field at the bottom of a
 // rank (MaxLevel = 30 < 2^5).
@@ -39,21 +41,6 @@ var MaxRank128 = Rank128{Hi: ^uint64(0), Lo: ^uint64(0)}
 // Less reports whether r precedes o.
 func (r Rank128) Less(o Rank128) bool {
 	return r.Hi < o.Hi || (r.Hi == o.Hi && r.Lo < o.Lo)
-}
-
-// Compare returns -1, 0, or +1 ordering r against o.
-func (r Rank128) Compare(o Rank128) int {
-	switch {
-	case r.Hi < o.Hi:
-		return -1
-	case r.Hi > o.Hi:
-		return 1
-	case r.Lo < o.Lo:
-		return -1
-	case r.Lo > o.Lo:
-		return 1
-	}
-	return 0
 }
 
 // LowerBound returns the first index i in the ascending ranks with
@@ -91,6 +78,25 @@ func UpperBound(ranks []Rank128, r Rank128) int {
 	return lo
 }
 
+// LowerBoundKeys is LowerBound over keys in curve order, ranking only the
+// keys it probes: the first index i with c.Rank(keys[i]) >= r, or len(keys)
+// when every key precedes r. It is the one search for where a separator
+// rank falls in a sorted key run.
+//
+//alloc:zero
+func (c *Curve) LowerBoundKeys(keys []Key, r Rank128) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.Rank(keys[mid]).Less(r) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Digit returns the d-th byte of the rank counting from the most
 // significant useful byte (d = 0 is bits 95..88, d = 11 is bits 7..0). The
 // MSD radix sort in internal/psort buckets on these.
@@ -105,9 +111,9 @@ func (r Rank128) Digit(d int) uint8 {
 const RankDigits = 12
 
 // Rank returns the key's exact position on the curve as a totally ordered
-// integer: Rank(a) < Rank(b) iff Less(a, b), for every pair of valid keys of
-// this curve's dimension. Unlike Index it is defined for every level up to
-// MaxLevel. The padded digit string ends with the level as the pre-order
+// integer: Rank(a) < Rank(b) iff Compare(a, b) < 0, for every pair of valid
+// keys of this curve's dimension. Unlike Index it is defined for every level
+// up to MaxLevel. The padded digit string ends with the level as the pre-order
 // tiebreak: among keys whose padded digits coincide — necessarily an ancestor
 // chain — the coarser key comes first.
 //

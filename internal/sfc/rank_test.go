@@ -22,6 +22,18 @@ func randomKeyAnyLevel(rng *rand.Rand, dim int) Key {
 	return k
 }
 
+// Compare returns -1, 0, or +1 ordering r against o, in the shape of
+// Curve.Compare, so the oracles can set the two orders side by side.
+func (r Rank128) Compare(o Rank128) int {
+	switch {
+	case r.Less(o):
+		return -1
+	case o.Less(r):
+		return 1
+	}
+	return 0
+}
+
 // TestRankMatchesCompare is the defining invariant of linearized ranks:
 // integer order over Rank must agree exactly with the tree-walking Compare,
 // for both curves, both dimensions, and arbitrary (including maximally deep)
@@ -181,6 +193,43 @@ func TestRankBounds(t *testing.T) {
 			}
 			if got, want := UpperBound(ranks, r), scan(ranks, func(e Rank128) bool { return r.Less(e) }); got != want {
 				t.Fatalf("UpperBound(%v, %v) = %d, want %d", ranks, r, got, want)
+			}
+		}
+	}
+}
+
+// TestLowerBoundKeys pins the key search at its edges: no keys, a rank
+// before every key, after every key, equal to a key (with the key
+// duplicated, so the first copy must win), between two keys, and the
+// MaxRank128 sentinel, which no key reaches.
+func TestLowerBoundKeys(t *testing.T) {
+	for _, kind := range []Kind{Morton, Hilbert} {
+		c := NewCurve(kind, 2)
+		var keys []Key
+		for label := 0; label < 4; label++ {
+			keys = append(keys, RootKey.Child(c.ChildAt(c.RootState(), label)))
+		}
+		keys = slices.Insert(keys, 2, keys[1]) // curve order, with a duplicate
+		first, dup, last := c.Rank(keys[0]), c.Rank(keys[1]), c.Rank(keys[4])
+		cases := []struct {
+			name string
+			keys []Key
+			r    Rank128
+			want int
+		}{
+			{"empty", nil, first, 0},
+			{"empty/max", nil, MaxRank128, 0},
+			{"before all", keys, c.Rank(RootKey), 0},
+			{"equal to first", keys, first, 0},
+			{"equal to a duplicate", keys, dup, 1},
+			{"between", keys, c.Rank(keys[1].Child(3)), 3},
+			{"equal to last", keys, last, 4},
+			{"after all", keys, c.Rank(keys[4].Child(3)), 5},
+			{"MaxRank128", keys, MaxRank128, 5},
+		}
+		for _, tc := range cases {
+			if got := c.LowerBoundKeys(tc.keys, tc.r); got != tc.want {
+				t.Errorf("%v %s: LowerBoundKeys = %d, want %d", kind, tc.name, got, tc.want)
 			}
 		}
 	}

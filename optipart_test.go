@@ -63,7 +63,7 @@ func TestPublicAPISortAndBaseline(t *testing.T) {
 	keys := optipart.RandomKeys(rand.New(rand.NewSource(3)), 1000, 3, optipart.LogNormal, 1, 12)
 	optipart.TreeSort(curve, keys)
 	for i := 1; i < len(keys); i++ {
-		if curve.Less(keys[i], keys[i-1]) {
+		if curve.Compare(keys[i], keys[i-1]) < 0 {
 			t.Fatal("TreeSort output unsorted")
 		}
 	}
@@ -72,7 +72,7 @@ func TestPublicAPISortAndBaseline(t *testing.T) {
 		local := optipart.RandomKeys(rng, 500, 3, optipart.Uniform, 1, 10)
 		out := optipart.SampleSort(c, local, curve)
 		for i := 1; i < len(out); i++ {
-			if curve.Less(out[i], out[i-1]) {
+			if curve.Compare(out[i], out[i-1]) < 0 {
 				t.Error("SampleSort output unsorted")
 				return
 			}

@@ -6,7 +6,8 @@
 #
 # Stages: go vet; gofmt -l; go build; optipartlint (run, then its -json
 # report parsed back); allocgate (//alloc:zero contracts, then its report);
-# a 10 s fuzz smoke each of internal/sfc's FuzzRankWithSpan and FuzzRankOrder;
+# a 10 s fuzz smoke each of internal/sfc's FuzzRankWithSpan, FuzzRankOrder
+# and FuzzCompareConsistent;
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
 # lint, and service; the benchmark spine's quick run with its exact
 # metrics compared against scripts/spine_quick_baseline.json and its
@@ -61,11 +62,12 @@ trap 'rm -f "$lintreport" "$allocreport"' EXIT
 go run ./cmd/allocgate -json ./... >"$allocreport"
 go run ./cmd/allocgate -check "$allocreport"
 
-echo "==> fuzz smoke: FuzzRankWithSpan, FuzzRankOrder (10 s each)"
+echo "==> fuzz smoke: FuzzRankWithSpan, FuzzRankOrder, FuzzCompareConsistent (10 s each)"
 # The curve kernels' oracles, run past their seed corpora: the neighbour-span
-# kernel against ranks of explicitly built face neighbours, and rank order
-# against the tree-walking Compare.
-for target in FuzzRankWithSpan FuzzRankOrder; do
+# kernel against ranks of explicitly built face neighbours, rank order
+# against the tree-walking Compare, and Compare itself, the reference order
+# every other check leans on, against its own invariants.
+for target in FuzzRankWithSpan FuzzRankOrder FuzzCompareConsistent; do
     go test ./internal/sfc -run '^$' -fuzz "^$target\$" -fuzztime 10s
 done
 
