@@ -37,9 +37,7 @@ var collectiveCalls = []struct {
 	call func(c *Comm)
 }{
 	{"allreduce", func(c *Comm) { Allreduce(c, []int64{1, 2}, 8, SumI64) }},
-	{"scan", func(c *Comm) { ExclusiveScan(c, int64(1), 0, 8, SumI64) }},
 	{"allgather", func(c *Comm) { Allgather(c, []int64{int64(c.Rank())}, 8) }},
-	{"bcast", func(c *Comm) { Bcast(c, 0, []int64{7}, 8) }},
 	{"barrier", func(c *Comm) { c.Barrier() }},
 	{"alltoallv", func(c *Comm) {
 		send := make([][]int64, c.Size())
@@ -194,6 +192,34 @@ func TestEarlyExitAbandonsCollective(t *testing.T) {
 	}
 	if len(ae.Departed) == 0 || ae.Departed[0] != 3 {
 		t.Fatalf("departed = %v, want [3]", ae.Departed)
+	}
+}
+
+// TestArrivalAfterDepartureAbandons reaches the other half of the abandoned
+// check: here the early rank has already departed when the others arrive
+// at the barrier, so the arriving waiter reports it, not the departure.
+func TestArrivalAfterDepartureAbandons(t *testing.T) {
+	left := make(chan struct{})
+	st, err := runCheckedTimed(t, 4, CheckedOptions{}, func(c *Comm) error {
+		c.Barrier()
+		if c.Rank() == 3 {
+			close(left)
+			return nil
+		}
+		<-left
+		time.Sleep(50 * time.Millisecond) // rank 3's departure follows its return
+		c.Barrier()
+		return nil
+	})
+	var ae *AbandonedError
+	if !errors.As(err, &ae) {
+		t.Fatalf("want *AbandonedError, got %v", err)
+	}
+	if st == nil {
+		t.Fatal("no stats: a rank never unwound, so the run was abandoned after the grace period")
+	}
+	if ae.Waiter < 0 || len(ae.Departed) != 1 || ae.Departed[0] != 3 {
+		t.Fatalf("waiter %d, departed %v: want an arriving waiter blaming [3]", ae.Waiter, ae.Departed)
 	}
 }
 

@@ -50,35 +50,6 @@ func AllreduceScalar[T any](c *Comm, val T, elemBytes int, op func(a, b T) T) T 
 	return Allreduce(c, []T{val}, elemBytes, op)[0]
 }
 
-// ExclusiveScan returns, on rank r, the op-combination of the values of
-// ranks 0..r-1 (and zero on rank 0).
-func ExclusiveScan[T any](c *Comm, val T, zero T, elemBytes int, op func(a, b T) T) T {
-	wireTypes(c, zero, []T(nil))
-	m := float64(elemBytes)
-	out := c.sync("scan", elemBytes, val, func() float64 {
-		w := c.w
-		pref := make([]T, w.p)
-		acc := zero
-		for r := 0; r < w.p; r++ {
-			pref[r] = acc
-			acc = op(acc, w.slots[r].(T))
-		}
-		w.scratch = pref
-		steps := log2p(w.p)
-		for i := range w.bytesSent {
-			w.bytesSent[i] += int64(m) * int64(steps)
-			w.msgsSent[i] += int64(steps)
-		}
-		if w.net != nil {
-			w.pendingMsgs = netTree(w.pendingMsgs[:0], w.p, int64(m))
-		}
-		return (w.model.Ts + w.model.Tw*m) * steps
-	}, func(scratch any) any {
-		return scratch.([]T)[c.rank]
-	})
-	return out.(T)
-}
-
 // Allgather concatenates every rank's slice in rank order and returns a copy
 // on every rank. Slices may have different lengths.
 func Allgather[T any](c *Comm, vals []T, elemBytes int) []T {
@@ -115,29 +86,6 @@ func Allgather[T any](c *Comm, vals []T, elemBytes int) []T {
 			w.pendingMsgs = netAllgather(w.pendingMsgs[:0], w.p, contrib, w.i64Scratch[w.p:2*w.p+1])
 		}
 		return w.model.Ts*steps + w.model.Tw*m
-	}, func(scratch any) any {
-		res := make([]T, len(scratch.([]T)))
-		copy(res, scratch.([]T))
-		return res
-	})
-	return out.([]T)
-}
-
-// Bcast distributes root's slice to every rank. Non-root ranks pass nil.
-func Bcast[T any](c *Comm, root int, vals []T, elemBytes int) []T {
-	wireTypes(c, []T(nil))
-	out := c.sync("bcast", elemBytes, vals, func() float64 {
-		w := c.w
-		res := w.slots[root].([]T)
-		w.scratch = res
-		m := float64(len(res) * elemBytes)
-		steps := log2p(w.p)
-		w.bytesSent[root] += int64(m) * int64(steps)
-		w.msgsSent[root] += int64(steps)
-		if w.net != nil {
-			w.pendingMsgs = netBcast(w.pendingMsgs[:0], w.p, root, int64(m))
-		}
-		return (w.model.Ts + w.model.Tw*m) * steps
 	}, func(scratch any) any {
 		res := make([]T, len(scratch.([]T)))
 		copy(res, scratch.([]T))
@@ -267,24 +215,8 @@ func Alltoallv[T any](c *Comm, send [][]T, elemBytes int, opts AlltoallvOptions)
 	return out.([][]T)
 }
 
-// SumI64 is the addition reduction for Allreduce and ExclusiveScan.
+// SumI64 is the addition reduction for Allreduce.
 func SumI64(a, b int64) int64 { return a + b }
-
-// MaxI64 is the maximum reduction.
-func MaxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinI64 is the minimum reduction.
-func MinI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // SumF64 is the addition reduction over float64.
 func SumF64(a, b float64) float64 { return a + b }

@@ -1,7 +1,7 @@
 // Package comm is the distributed-memory substrate: an SPMD runtime that
 // plays the role MPI plays in the paper. Run launches p ranks as goroutines;
 // ranks communicate only through the collectives defined here (Allreduce,
-// Allgather, Bcast, exclusive Scan, Barrier, and a staged Alltoallv).
+// Allgather, Barrier, and a staged Alltoallv).
 //
 // Alongside moving real data between goroutines, every collective advances a
 // virtual clock per rank according to a BSP cost model parameterized by the

@@ -50,16 +50,15 @@ func TestSparsePricing(t *testing.T) {
 	}
 }
 
-func TestScanKeysLikePayload(t *testing.T) {
-	// Exclusive scan over a struct payload.
+func TestAllreduceStructPayload(t *testing.T) {
+	// A reduction over a struct payload with a caller-supplied combine.
 	type pair struct{ A, B int64 }
 	Run(5, CostModel{}, func(c *Comm) {
-		got := ExclusiveScan(c, pair{1, int64(c.Rank())}, pair{}, 16, func(x, y pair) pair {
-			return pair{x.A + y.A, x.B + y.B}
+		got := AllreduceScalar(c, pair{1, int64(c.Rank())}, 16, func(x, y pair) pair {
+			return pair{x.A + y.A, max(x.B, y.B)}
 		})
-		r := int64(c.Rank())
-		if got.A != r || got.B != r*(r-1)/2 {
-			t.Errorf("rank %d: scan = %+v", c.Rank(), got)
+		if got.A != 5 || got.B != 4 {
+			t.Errorf("rank %d: allreduce = %+v", c.Rank(), got)
 		}
 	})
 }
@@ -95,19 +94,6 @@ func TestPhaseClockPerRank(t *testing.T) {
 		c.Elapse(float64(c.Rank()))
 		if got := c.PhaseClock("work"); got != float64(c.Rank()) {
 			t.Errorf("rank %d: PhaseClock = %g", c.Rank(), got)
-		}
-	})
-}
-
-func TestBcastFromLastRank(t *testing.T) {
-	Run(4, CostModel{}, func(c *Comm) {
-		var msg []int64
-		if c.Rank() == 3 {
-			msg = []int64{11}
-		}
-		got := Bcast(c, 3, msg, 8)
-		if len(got) != 1 || got[0] != 11 {
-			t.Errorf("rank %d: %v", c.Rank(), got)
 		}
 	})
 }

@@ -360,21 +360,3 @@ func netAllgather(msgs []netMsg, p int, contrib, pre []int64) []netMsg {
 	}
 	return msgs
 }
-
-// netBcast appends the binomial broadcast tree rooted at root: in round s
-// every rank that already holds the data forwards it one subtree over.
-func netBcast(msgs []netMsg, p, root int, bytes int64) []netMsg {
-	steps := int(log2p(p))
-	for s := 0; s < steps; s++ {
-		for h := 0; h < 1<<s && h < p; h++ {
-			t := h + 1<<s
-			if t >= p {
-				continue
-			}
-			msgs = append(msgs, netMsg{
-				Src: (root + h) % p, Dst: (root + t) % p, Bytes: bytes, Round: s,
-			})
-		}
-	}
-	return msgs
-}

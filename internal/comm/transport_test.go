@@ -49,18 +49,8 @@ func exerciseAll(c *Comm, out [][]int64) {
 	red := Allreduce(c, []int64{r, r * r, 7}, 8, SumI64)
 	digest = append(digest, red...)
 
-	sc := ExclusiveScan(c, r+1, 0, 8, SumI64)
-	digest = append(digest, sc)
-
 	gat := Allgather(c, []int64{r, r + p}, 8)
 	digest = append(digest, gat...)
-
-	var root []int64
-	if c.Rank() == 2%c.Size() {
-		root = []int64{42, 43, 44}
-	}
-	bc := Bcast(c, 2%c.Size(), root, 8)
-	digest = append(digest, bc...)
 
 	send := make([][]int64, c.Size())
 	for dst := range send {

@@ -25,7 +25,7 @@ func workload(seed int64) func(c *comm.Comm) error {
 			send[dst] = make([]int64, rng.Intn(8))
 		}
 		_ = comm.Alltoallv(c, send, 8, comm.AlltoallvOptions{StageWidth: 2})
-		_ = comm.ExclusiveScan(c, int64(c.Rank()), 0, 8, comm.SumI64)
+		_ = comm.AllreduceScalar(c, int64(c.Rank()), 8, comm.SumI64)
 		c.Barrier()
 		return nil
 	}

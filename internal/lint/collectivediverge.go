@@ -17,8 +17,8 @@ package lint
 //
 // Uniform conditions — values every rank computes identically, including
 // collective results — never taint, so idiomatic patterns (rank-conditional
-// data prep before a Bcast, loops to c.Size(), convergence loops bounded by
-// an Allreduce result) stay silent.
+// data prep before an Allgather, loops to c.Size(), convergence loops
+// bounded by an Allreduce result) stay silent.
 
 import (
 	"go/ast"
@@ -36,7 +36,7 @@ var CollectiveDiverge = &Analyzer{
 // Barrier method). The facade re-exports resolve to the same objects.
 var collectiveFuncs = map[string]bool{
 	"Allreduce": true, "AllreduceScalar": true, "Allgather": true,
-	"Bcast": true, "Alltoallv": true, "ExclusiveScan": true, "Barrier": true,
+	"Alltoallv": true, "Barrier": true,
 }
 
 // collectiveCall returns the collective's name if call is one.

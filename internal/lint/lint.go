@@ -11,7 +11,10 @@
 //     (costaccounting),
 //
 // plus apihygiene, which keeps the PR-3 performance work (generic sorts,
-// memoized curves, structured panics) from regressing.
+// memoized curves, structured panics, rank order) from regressing, and four
+// concurrency-protocol rules: lockorder, condwait, goroutineleak and
+// unboundedgrowth. Each rule keeps its place by catching a defect nothing
+// else in CI catches (DESIGN.md, "Static invariants").
 //
 // Each analyzer walks the typed AST of one package and reports Diagnostics.
 // A diagnostic can be suppressed — with an audit trail — by a

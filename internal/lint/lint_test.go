@@ -282,8 +282,8 @@ func TestSuppressions(t *testing.T) {
 
 func TestLockOrderFixtures(t *testing.T) {
 	res := checkFixture(t, "lockbad")
-	if n := ruleCount(res, "lockorder"); n != 6 {
-		t.Errorf("lockbad: %d lockorder findings, want 6 (both edges of three cycles)", n)
+	if n := ruleCount(res, "lockorder"); n != 8 {
+		t.Errorf("lockbad: %d lockorder findings, want 8 (both edges of four cycles)", n)
 	}
 	var viaCall int
 	for _, d := range res.Diagnostics {
@@ -299,8 +299,8 @@ func TestLockOrderFixtures(t *testing.T) {
 
 func TestCondWaitFixtures(t *testing.T) {
 	res := checkFixture(t, "condbad")
-	if n := ruleCount(res, "condwait"); n != 4 {
-		t.Errorf("condbad: %d condwait findings, want 4", n)
+	if n := ruleCount(res, "condwait"); n != 5 {
+		t.Errorf("condbad: %d condwait findings, want 5", n)
 	}
 	checkSilent(t, "condok")
 }
@@ -310,8 +310,8 @@ func TestCondWaitFixtures(t *testing.T) {
 // verdicts stand alone.
 func TestGoroutineLeakFixtures(t *testing.T) {
 	res := checkFixture(t, "leakbad/internal/net")
-	if n := ruleCount(res, "goroutineleak"); n != 3 {
-		t.Errorf("leakbad: %d goroutineleak findings, want 3", n)
+	if n := ruleCount(res, "goroutineleak"); n != 4 {
+		t.Errorf("leakbad: %d goroutineleak findings, want 4", n)
 	}
 	for _, d := range res.Diagnostics {
 		if d.Rule != "goroutineleak" {

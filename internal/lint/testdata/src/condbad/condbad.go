@@ -51,3 +51,21 @@ func (b *box) closureWait() func() {
 		}
 	}
 }
+
+// flight is the singleflight-follower shape the rule was kept for: one
+// cond serves every pending entry, so a broadcast for another entry wakes
+// this follower with its own entry still pending, and the if lets it go.
+type flight struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	pending map[string]bool
+}
+
+func (f *flight) follow(key string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.pending[key] {
+		f.cond.Wait() // want "sync.Cond.Wait outside a for loop"
+	}
+	return !f.pending[key]
+}

@@ -20,3 +20,27 @@ func pokeNeighbor(c *comm.Comm, buf []float64) {
 func copyToPeer(c *comm.Comm, dst, src []float64) {
 	copy(dst[c.Rank()+1:], src) // want "copy into another rank's slot"
 }
+
+// dotBus is the inner-product shape the rule was kept for: each rank's
+// partial sum reaches every rank through channels, so the Allreduce it
+// replaced is never charged and no transcript pins the difference.
+var dotBus []chan float64
+
+func dot(c *comm.Comm, s float64) float64 {
+	if c.Rank() == 0 {
+		dotBus = make([]chan float64, c.Size())
+		for i := range dotBus {
+			dotBus[i] = make(chan float64, c.Size()) // want "make\(chan\) outside internal/comm"
+		}
+	}
+	c.Barrier()
+	for _, ch := range dotBus {
+		ch <- s // want "channel send outside internal/comm"
+	}
+	var total float64
+	for range dotBus {
+		total = comm.SumF64(total, <-dotBus[c.Rank()]) // want "channel receive outside internal/comm"
+	}
+	c.Barrier()
+	return total
+}

@@ -5,14 +5,14 @@ package divergeok
 
 import "optipart/internal/comm"
 
-// rootPrep prepares data on the root only; every rank reaches the Bcast.
+// rootPrep prepares data on the root only; every rank reaches the Allgather.
 func rootPrep(c *comm.Comm, vals []float64) []float64 {
 	if c.Rank() == 0 {
 		for i := range vals {
 			vals[i] = float64(i)
 		}
 	}
-	return comm.Bcast(c, 0, vals, 8)
+	return comm.Allgather(c, vals, 8)
 }
 
 // sizeLoop runs a collective a uniform number of times.

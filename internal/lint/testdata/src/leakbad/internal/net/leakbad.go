@@ -47,3 +47,24 @@ func nested(work []int) {
 		}
 	}()
 }
+
+// root.beat is the heartbeat shape the rule was kept for: the select lost
+// its stop arm, so closing the root stops the pings but never the loop.
+type root struct {
+	ticks <-chan struct{}
+	stop  chan struct{}
+	pings int
+}
+
+func (r *root) beat() {
+	for {
+		select {
+		case <-r.ticks:
+			r.pings++
+		}
+	}
+}
+
+func listen(r *root) {
+	go r.beat() // want "beat runs an unconditional loop \(line 60\) with no reachable exit"
+}

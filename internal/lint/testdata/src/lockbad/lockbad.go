@@ -79,3 +79,45 @@ func drain(name string) {
 	statsMu.Unlock()
 	logMu.Unlock()
 }
+
+// pool and configMu are the worker-pool shape the rule was kept for: a
+// region still running on a retired pool reads the active one under
+// configMu while holding its own mu, and resize holds configMu while stop
+// takes the retired pool's mu. No test interleaves the two.
+var configMu sync.Mutex
+
+var active *pool
+
+type pool struct {
+	mu      sync.Mutex
+	stopped bool
+	queued  int
+}
+
+func (p *pool) submit(t func()) {
+	p.mu.Lock()
+	if p.stopped {
+		configMu.Lock() // want "acquiring configMu while holding pool.mu"
+		next := active
+		configMu.Unlock()
+		p.mu.Unlock()
+		next.submit(t)
+		return
+	}
+	p.queued++
+	p.mu.Unlock()
+}
+
+func (p *pool) stop() {
+	p.mu.Lock()
+	p.stopped = true
+	p.mu.Unlock()
+}
+
+func resize(next *pool) {
+	configMu.Lock()
+	old := active
+	active = next
+	old.stop() // want "acquiring pool.mu while holding configMu \(via call to stop\)"
+	configMu.Unlock()
+}

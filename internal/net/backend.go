@@ -134,8 +134,10 @@ func decodeAbort(f *Frame) error {
 // Lock order: failMu and mu are never held together. failMu guards only
 // the failure funnel (failf, pending) and is always released before any
 // call that could take mu; mu guards the embedding side's step state. Keep
-// it that way — nesting them in either direction starts a lock-order cycle
-// (enforced by optipartlint's lockorder rule).
+// it that way: the world's fail callback re-enters Cancel, which takes mu,
+// so failing the world with mu held deadlocks. optipartlint's lockorder
+// rule reports the two nestings when both are written in this package; it
+// cannot follow the callback.
 type core struct {
 	rank, p  int // this side's rank (0 on the root) and the world size
 	opts     Options

@@ -121,10 +121,10 @@ func directQuality(sp *Splitters, keys []sfc.Key) Quality {
 	for r := 0; r < p; r++ {
 		q.N += work[r]
 		q.Ctot += bdy[r]
-		q.Wmax = comm.MaxI64(q.Wmax, work[r])
-		q.Wmin = comm.MinI64(q.Wmin, work[r])
-		q.Cmax = comm.MaxI64(q.Cmax, bdy[r])
-		q.Cmin = comm.MinI64(q.Cmin, bdy[r])
+		q.Wmax = max(q.Wmax, work[r])
+		q.Wmin = min(q.Wmin, work[r])
+		q.Cmax = max(q.Cmax, bdy[r])
+		q.Cmin = min(q.Cmin, bdy[r])
 	}
 	return q
 }

@@ -21,10 +21,6 @@ import (
 var reachKeep = map[string]string{
 	"internal/octree.SurfaceArea": "ROADMAP item 2's surface-to-volume oracle (arXiv:2106.12856) measures with it; a reference tests compare against",
 	"internal/net.DecodeFrame":    "the fuzz entry: FuzzDecodeFrame drives it and ReadFrame side by side over the one header parser",
-	"internal/comm.Bcast":         "MPI substrate: lint fixtures divergebad/divergeok and the collective-mismatch tests ride on it",
-	"internal/comm.ExclusiveScan": "MPI substrate: the checked-runtime mismatch tests ride on it",
-	"internal/comm.MaxI64":        "MPI substrate: the reduction operator the Allreduce tests of comm, net and fault use",
-	"internal/comm.MinI64":        "MPI substrate: the reduction operator the Allreduce tests of comm and net use",
 }
 
 // knobKeep is the allow-list of TestKnobCensus: option fields that no
