@@ -13,7 +13,8 @@ package comm
 // meeting at a poisonable barrier, kept byte-for-byte identical to the
 // pre-seam runtime so golden transcripts do not move. internal/net
 // implements the same contract over real sockets, one OS process per rank,
-// with the deposits and results serialized into checksummed wire frames.
+// with the deposits and results written in their fixed-layout wire form
+// (codec.go) into checksummed frames.
 //
 // Backends outside this package manipulate the world only through
 // StepState's exported methods; the closures a StepState carries (compute,
@@ -21,16 +22,17 @@ package comm
 // backend reproduces the in-process arithmetic exactly: compute still runs
 // once, on rank 0, over every rank's deposit.
 
-import "encoding/gob"
+import "fmt"
 
 // Transport carries the deposit/exchange/collect protocol of one SPMD
 // world. Implementations must unblock every pending Step when the world
 // fails (Cancel) and surface peer death as a structured error through the
 // fail callback bound at run start.
 type Transport interface {
-	// Wire reports whether steps leave the process, i.e. whether deposits
-	// and scratch values must survive serialization. The in-process
-	// backend returns false and moves everything through shared memory.
+	// Wire reports whether steps leave the process, i.e. whether each
+	// collective must attach the wire codec of its deposit and scratch
+	// values. The in-process backend returns false and moves everything
+	// through shared memory.
 	Wire() bool
 	// Bind attaches a world at run start. fail reports an asynchronous
 	// world failure (a dead peer, an exhausted reconnect budget) into the
@@ -62,6 +64,7 @@ type StepState struct {
 	op        string
 	elemBytes int
 	deposit   any
+	codec     valueCodec // wire form of the deposit and scratch; nil in process
 	compute   func() float64
 	consume   func(scratch any) any
 }
@@ -72,24 +75,48 @@ func (s *StepState) Op() string { return s.op }
 // ElemBytes returns the collective's element size, part of its signature.
 func (s *StepState) ElemBytes() int { return s.elemBytes }
 
-// Deposit returns the calling rank's contribution.
-func (s *StepState) Deposit() any { return s.deposit }
-
 // LocalClock returns the calling rank's virtual clock.
 func (s *StepState) LocalClock() float64 { return s.c.w.clocks[s.c.rank] }
 
 // LocalPhase returns the calling rank's current phase label.
 func (s *StepState) LocalPhase() string { return s.c.w.phases[s.c.rank] }
 
-// SetRemote installs a peer rank's deposit, clock, and phase into the
-// world, making the rank visible to the compute closure exactly as if it
-// had deposited through shared memory. Rank 0 of a remote world calls this
-// for every peer before ComputeCost.
-func (s *StepState) SetRemote(rank int, clock float64, phase string, deposit any) {
+// AppendDeposit appends the wire form of the calling rank's contribution
+// to dst (nothing for a collective that carries no value, like Barrier).
+func (s *StepState) AppendDeposit(dst []byte) []byte {
+	if s.codec == nil {
+		return dst
+	}
+	return s.codec.appendValue(dst, s.deposit, false)
+}
+
+// SetRemoteBytes decodes a peer rank's deposit from its wire form and
+// installs it into the world with the rank's clock and phase, making the
+// rank visible to the compute closure exactly as if it had deposited
+// through shared memory. Rank 0 of a remote world calls this for every
+// peer before ComputeCost. A malformed deposit is an error and leaves the
+// world untouched.
+func (s *StepState) SetRemoteBytes(rank int, clock float64, phase string, b []byte) error {
+	v, err := s.decode(b, false)
+	if err != nil {
+		return err
+	}
 	w := s.c.w
-	w.slots[rank] = deposit
+	w.slots[rank] = v
 	w.clocks[rank] = clock
 	w.phases[rank] = phase
+	return nil
+}
+
+// decode reads the wire form of a deposit, or of the scratch aggregate.
+func (s *StepState) decode(b []byte, scratch bool) (any, error) {
+	if s.codec != nil {
+		return s.codec.decodeValue(b, scratch)
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("comm: %s carries no value, got %d bytes", s.op, len(b))
+	}
+	return nil, nil
 }
 
 // SetLocalDeposit posts the calling rank's own deposit into its slot.
@@ -107,12 +134,25 @@ func (s *StepState) ComputeCost() float64 {
 	return cost
 }
 
-// Scratch returns the aggregate the compute closure left for consumers.
-func (s *StepState) Scratch() any { return s.c.w.scratch }
+// AppendScratch appends the wire form of the aggregate the compute closure
+// left for consumers to dst.
+func (s *StepState) AppendScratch(dst []byte) []byte {
+	if s.codec == nil {
+		return dst
+	}
+	return s.codec.appendValue(dst, s.c.w.scratch, true)
+}
 
-// SetScratch installs the aggregate on a rank that received it from the
-// computing rank, so Consume can run locally.
-func (s *StepState) SetScratch(v any) { s.c.w.scratch = v }
+// SetScratchBytes decodes the aggregate a rank received from the computing
+// rank and installs it, so Consume can run locally.
+func (s *StepState) SetScratchBytes(b []byte) error {
+	v, err := s.decode(b, true)
+	if err != nil {
+		return err
+	}
+	s.c.w.scratch = v
+	return nil
+}
 
 // FinishStep advances every rank's clock under BSP semantics — the step
 // starts when the last deposited clock arrives and costs the same
@@ -241,18 +281,3 @@ func (t *inprocTransport) Depart(rank int) { t.barrier.depart(rank) }
 func (t *inprocTransport) Cancel(error) { t.barrier.poison() }
 
 func (t *inprocTransport) Generation() uint64 { return t.barrier.generation() }
-
-// wireTypes registers the concrete deposit/scratch types of a collective
-// with encoding/gob so a serializing backend (internal/net) can move them
-// between processes. Every rank runs the same generic collective code, so
-// both encoder and decoder register the same names before the first frame
-// flies. In-process worlds skip registration entirely. gob.Register is
-// idempotent for an identical type.
-func wireTypes(c *Comm, vals ...any) {
-	if !c.w.transport.Wire() {
-		return
-	}
-	for _, v := range vals {
-		gob.Register(v)
-	}
-}

@@ -10,9 +10,8 @@ package comm
 // associative, commutative reduction) and returns the combined slice on
 // every rank. All ranks must pass slices of the same length.
 func Allreduce[T any](c *Comm, vals []T, elemBytes int, op func(a, b T) T) []T {
-	wireTypes(c, []T(nil))
 	m := float64(len(vals) * elemBytes)
-	out := c.sync("allreduce", elemBytes, vals, func() float64 {
+	out := c.sync("allreduce", elemBytes, vals, wireCodec[T](c, "allreduce", 1, 1), func() float64 {
 		w := c.w
 		res := make([]T, len(vals))
 		copy(res, w.slots[0].([]T))
@@ -53,8 +52,7 @@ func AllreduceScalar[T any](c *Comm, val T, elemBytes int, op func(a, b T) T) T 
 // Allgather concatenates every rank's slice in rank order and returns a copy
 // on every rank. Slices may have different lengths.
 func Allgather[T any](c *Comm, vals []T, elemBytes int) []T {
-	wireTypes(c, []T(nil))
-	out := c.sync("allgather", elemBytes, vals, func() float64 {
+	out := c.sync("allgather", elemBytes, vals, wireCodec[T](c, "allgather", 1, 1), func() float64 {
 		w := c.w
 		var total int
 		for r := 0; r < w.p; r++ {
@@ -125,8 +123,7 @@ func Alltoallv[T any](c *Comm, send [][]T, elemBytes int, opts AlltoallvOptions)
 	if width <= 0 {
 		width = 1
 	}
-	wireTypes(c, [][]T(nil), [][][]T(nil))
-	out := c.sync("alltoallv", elemBytes, send, func() float64 {
+	out := c.sync("alltoallv", elemBytes, send, wireCodec[T](c, "alltoallv", 2, 3), func() float64 {
 		all := make([][][]T, w.p)
 		for r := 0; r < w.p; r++ {
 			all[r] = w.slots[r].([][]T)

@@ -278,13 +278,15 @@ func log2p(p int) float64 {
 // consume runs on every rank while all ranks are still inside the step, so
 // it may safely read data owned by other ranks; anything it returns must be
 // a copy, because deposited buffers belong to their owners again as soon as
-// sync returns.
+// sync returns. codec is the wire form of the deposit and of the scratch
+// aggregate compute leaves, which a wire transport moves as bytes; it is
+// nil in process and for collectives that carry no value.
 //
 // The preamble (sequence counting, signature posting, kill hooks) runs
 // here, on the calling rank, for every backend; the synchronization itself —
 // barrier-and-shared-memory in process, framed sockets across processes — is
 // the transport's Step.
-func (c *Comm) sync(op string, elemBytes int, deposit any, compute func() float64, consume func(scratch any) any) any {
+func (c *Comm) sync(op string, elemBytes int, deposit any, codec valueCodec, compute func() float64, consume func(scratch any) any) any {
 	w := c.w
 	seq := w.seqs[c.rank]
 	w.seqs[c.rank]++
@@ -297,7 +299,7 @@ func (c *Comm) sync(op string, elemBytes int, deposit any, compute func() float6
 	}
 	return w.transport.Step(&StepState{
 		c: c, op: op, elemBytes: elemBytes,
-		deposit: deposit, compute: compute, consume: consume,
+		deposit: deposit, codec: codec, compute: compute, consume: consume,
 	})
 }
 
@@ -335,7 +337,7 @@ func (w *World) fail(err error) {
 // Barrier synchronizes all ranks, charging the latency of a log2(p)-deep
 // synchronization tree.
 func (c *Comm) Barrier() {
-	c.sync("barrier", 0, nil, func() float64 {
+	c.sync("barrier", 0, nil, nil, func() float64 {
 		w := c.w
 		if w.net != nil {
 			// Barrier messages are header-only, but headers drop too.

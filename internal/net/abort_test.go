@@ -116,3 +116,25 @@ func runAbortWorld(t *testing.T, p int, sock string, model comm.CostModel,
 	}
 	return errs
 }
+
+// TestUnsupportedElemFailsOnEveryRank: on a 2-rank unix-socket world, a
+// collective over a struct with no wire form fails at entry on every rank
+// with the same *comm.UsageError — no rank blocks waiting for a deposit
+// that was never sent, and nothing undecodable reaches the wire.
+func TestUnsupportedElemFailsOnEveryRank(t *testing.T) {
+	const p = 2
+	type pair struct{ A, B int64 }
+	program := func(c *comm.Comm) error {
+		comm.Allreduce(c, []int64{1}, 8, comm.SumI64)
+		comm.AllreduceScalar(c, pair{1, int64(c.Rank())}, 16, func(x, y pair) pair { return pair{x.A + y.A, x.B + y.B} })
+		return nil
+	}
+	sock := filepath.Join(t.TempDir(), "u.sock")
+	errs := runAbortWorld(t, p, sock, comm.CostModel{}, program)
+	for rank := 0; rank < p; rank++ {
+		var ue *comm.UsageError
+		if !errors.As(errs[rank], &ue) || ue.Op != "allreduce" {
+			t.Fatalf("rank %d: got %v, want a *comm.UsageError from allreduce", rank, errs[rank])
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package net
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	stdnet "net"
@@ -22,109 +20,21 @@ var ErrPeerDead = errors.New("net: peer heartbeat timed out")
 // noSeq marks "no step in flight" in resume requests.
 const noSeq = ^uint64(0)
 
-// gob-encoded frame bodies. A fresh encoder per frame keeps the streams
-// stateless, so a reconnected connection needs no codec resync.
-type helloBody struct {
-	Rank   int
-	P      int
-	Resume uint64 // seq of the first result the worker is still owed; noSeq if none
-	Inc    uint64 // incarnation number; respawned replacements join with a higher one
-}
-
-type welcomeBody struct {
-	P          int
-	Tc, Ts, Tw float64 // the world's (possibly calibrated) cost model
-}
-
-type depositBody struct {
-	ElemBytes int
-	Clock     float64
-	Phase     string
-	Value     any
-}
-
-type resultBody struct {
-	End     float64
-	Scratch any
-}
-
-// wireFailure is the flattened form of the comm error vocabulary, so a
-// failure detected on one process is reconstructed as the same structured
-// type on every other.
-type wireFailure struct {
-	Kind       string // "rank", "link", "mismatch", "abandoned", "shutdown", "generic"
-	Rank       int
-	Op         string
-	Phase      string
-	Collective int
-	Src, Dst   int
-	Seq        uint64
-	Attempts   int
-	Cap        int
-	Step       int
-	Calls      []comm.SigCall
-	Waiter     int
-	Departed   []int
-	Msg        string
-}
-
-// encodeFrame encodes f with the gob encoding of v as its payload.
-func encodeFrame(f Frame, v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	f.Payload = buf.Bytes()
-	return AppendFrame(nil, &f)
-}
-
-func decodeBody(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
-}
-
-// abortFrame is the one fAbort encoder: err flattened to its wire form,
-// sent from rank src.
+// abortFrame is the one fAbort encoder: err in its wire form, sent from
+// rank src.
 func abortFrame(src int, err error) ([]byte, error) {
-	wf := wireFailure{Kind: "generic", Msg: fmt.Sprint(err)}
-	switch e := err.(type) {
-	case *comm.RankFailure:
-		wf = wireFailure{Kind: "rank", Rank: e.Rank, Op: e.Op, Phase: e.Phase,
-			Collective: e.Collective, Msg: fmt.Sprint(e.Err)}
-	case *comm.LinkFailure:
-		wf = wireFailure{Kind: "link", Src: e.Src, Dst: e.Dst, Op: e.Op,
-			Seq: e.Seq, Attempts: e.Attempts, Cap: e.Cap}
-	case *comm.MismatchError:
-		wf = wireFailure{Kind: "mismatch", Step: e.Step, Calls: e.Calls}
-	case *comm.AbandonedError:
-		wf = wireFailure{Kind: "abandoned", Waiter: e.Waiter, Op: e.Op, Departed: e.Departed}
-	case *ShutdownError:
-		wf = wireFailure{Kind: "shutdown", Msg: e.Reason}
-	}
-	return encodeFrame(Frame{Type: fAbort, Src: int32(src)}, &wf)
+	return appendFrame(nil, &Frame{Type: fAbort, Src: int32(src)},
+		func(b []byte) []byte { return appendFailure(b, err, false) })
 }
 
 // decodeAbort is the one fAbort decoder: the frame's failure rebuilt as
 // the structured type the sender failed with.
 func decodeAbort(f *Frame) error {
-	var wf wireFailure
-	if err := decodeBody(f.Payload, &wf); err != nil {
+	failure, err := decodeFailure(f.Payload)
+	if err != nil {
 		return fmt.Errorf("net: rank %d sent an undecodable abort: %w", f.Src, err)
 	}
-	switch wf.Kind {
-	case "rank":
-		return &comm.RankFailure{Rank: wf.Rank, Op: wf.Op, Phase: wf.Phase,
-			Collective: wf.Collective, Err: errors.New(wf.Msg)}
-	case "link":
-		return &comm.LinkFailure{Src: wf.Src, Dst: wf.Dst, Op: wf.Op,
-			Seq: wf.Seq, Attempts: wf.Attempts, Cap: wf.Cap}
-	case "mismatch":
-		return &comm.MismatchError{Step: wf.Step, Calls: wf.Calls}
-	case "abandoned":
-		return &comm.AbandonedError{Waiter: wf.Waiter, Op: wf.Op, Departed: wf.Departed}
-	case "shutdown":
-		return &ShutdownError{Reason: wf.Msg}
-	}
-	return errors.New(wf.Msg)
+	return failure
 }
 
 // core is the half of the rank-0 star protocol Root and Worker share: the
@@ -234,8 +144,8 @@ func (c *core) Bind(fail func(error)) {
 func (c *core) Generation() uint64 { return c.gen.Load() }
 
 // depositMsg is one worker deposit parked in the root's inbox, payload
-// still encoded: it is decoded inside Step, after the root's own collective
-// entry has registered the value's concrete type with gob.
+// still encoded: it is decoded inside Step, whose collective knows the
+// value's element type.
 type depositMsg struct {
 	seq     uint64
 	op      string
@@ -377,7 +287,8 @@ func (r *Root) broadcast(frame []byte) {
 // into their rank programs (they block in Dial until the welcome carrying
 // the model arrives).
 func (r *Root) Announce(model comm.CostModel) {
-	welcome, err := encodeFrame(Frame{Type: fWelcome}, &welcomeBody{P: r.p, Tc: model.Tc, Ts: model.Ts, Tw: model.Tw})
+	welcome, err := appendFrame(nil, &Frame{Type: fWelcome},
+		welcomeBody{P: r.p, Tc: model.Tc, Ts: model.Ts, Tw: model.Tw}.append)
 	if err != nil {
 		return
 	}
@@ -440,8 +351,8 @@ func (r *Root) admit(conn stdnet.Conn) {
 		conn.Close()
 		return
 	}
-	var hb helloBody
-	if decodeBody(f.Payload, &hb) != nil || hb.Rank < 1 || hb.Rank >= r.p || hb.P != r.p {
+	hb, err := decodeHello(f.Payload)
+	if err != nil || hb.Rank < 1 || hb.Rank >= r.p || hb.P != r.p {
 		conn.Close()
 		return
 	}
@@ -644,21 +555,23 @@ func (r *Root) Step(st *comm.StepState) any {
 		}
 	}
 	for rank := 1; rank < r.p; rank++ {
-		var db depositBody
-		if err := decodeBody(deposits[rank].payload, &db); err != nil {
-			st.Abort(fmt.Errorf("net: rank %d deposit for %s undecodable: %w", rank, st.Op(), err))
-		}
-		if db.ElemBytes != st.ElemBytes() {
+		db, err := decodeDeposit(deposits[rank].payload)
+		if err == nil && db.ElemBytes != st.ElemBytes() {
 			st.Abort(r.mismatch(st, deposits))
 		}
-		st.SetRemote(rank, db.Clock, db.Phase, db.Value)
+		if err == nil {
+			err = st.SetRemoteBytes(rank, db.Clock, db.Phase, db.Value)
+		}
+		if err != nil {
+			st.Abort(fmt.Errorf("net: rank %d deposit for %s undecodable: %w", rank, st.Op(), err))
+		}
 	}
 	st.SetLocalDeposit()
 	cost := st.ComputeCost()
 	end := st.FinishStep(cost)
 
-	frame, err := encodeFrame(Frame{Type: fResult, Seq: seq, Op: st.Op()},
-		&resultBody{End: end, Scratch: st.Scratch()})
+	frame, err := appendFrame(nil, &Frame{Type: fResult, Seq: seq, Op: st.Op()},
+		func(b []byte) []byte { return st.AppendScratch(resultBody{End: end}.append(b)) })
 	if err != nil {
 		st.Abort(fmt.Errorf("net: result for %s unencodable: %w", st.Op(), err))
 	}
@@ -693,8 +606,7 @@ func (r *Root) mismatch(st *comm.StepState, deposits []*depositMsg) error {
 	calls[0] = comm.SigCall{Rank: 0, Op: st.Op(), ElemBytes: st.ElemBytes()}
 	for rank := 1; rank < r.p; rank++ {
 		calls[rank] = comm.SigCall{Rank: rank, Op: deposits[rank].op}
-		var db depositBody
-		if decodeBody(deposits[rank].payload, &db) == nil {
+		if db, err := decodeDeposit(deposits[rank].payload); err == nil {
 			calls[rank].ElemBytes = db.ElemBytes
 		}
 	}
@@ -821,8 +733,8 @@ func (w *Worker) dial(first int, giveUp func(attempt int) bool, join func(stdnet
 }
 
 func (w *Worker) hello(conn stdnet.Conn, resume uint64) error {
-	frame, err := encodeFrame(Frame{Type: fHello, Src: int32(w.rank)},
-		&helloBody{Rank: w.rank, P: w.p, Resume: resume, Inc: w.inc})
+	frame, err := appendFrame(nil, &Frame{Type: fHello, Src: int32(w.rank)},
+		helloBody{Rank: w.rank, P: w.p, Resume: resume, Inc: w.inc}.append)
 	if err != nil {
 		return err
 	}
@@ -850,8 +762,8 @@ func (w *Worker) awaitWelcome(conn stdnet.Conn) (comm.CostModel, error) {
 			}
 			continue
 		}
-		var wb welcomeBody
-		if err := decodeBody(f.Payload, &wb); err != nil {
+		wb, err := decodeWelcome(f.Payload)
+		if err != nil {
 			return comm.CostModel{}, err
 		}
 		if wb.P != w.p {
@@ -964,12 +876,10 @@ func (w *Worker) Cancel(reason error) {
 // install the scratch and the authoritative end clock, consume.
 func (w *Worker) Step(st *comm.StepState) any {
 	seq := w.gen.Load()
-	frame, err := encodeFrame(Frame{Type: fDeposit, Src: int32(w.rank), Seq: seq, Op: st.Op()},
-		&depositBody{
-			ElemBytes: st.ElemBytes(),
-			Clock:     st.LocalClock(),
-			Phase:     st.LocalPhase(),
-			Value:     st.Deposit(),
+	frame, err := appendFrame(nil, &Frame{Type: fDeposit, Src: int32(w.rank), Seq: seq, Op: st.Op()},
+		func(b []byte) []byte {
+			head := depositBody{ElemBytes: st.ElemBytes(), Clock: st.LocalClock(), Phase: st.LocalPhase()}
+			return st.AppendDeposit(head.append(b))
 		})
 	if err != nil {
 		st.Abort(fmt.Errorf("net: rank %d deposit for %s unencodable: %w", w.rank, st.Op(), err))
@@ -998,11 +908,13 @@ func (w *Worker) Step(st *comm.StepState) any {
 	w.pendingDep = nil
 	w.mu.Unlock()
 
-	var res resultBody
-	if err := decodeBody(rf.Payload, &res); err != nil {
+	res, err := decodeResult(rf.Payload)
+	if err == nil {
+		err = st.SetScratchBytes(res.Scratch)
+	}
+	if err != nil {
 		st.Abort(fmt.Errorf("net: rank %d result for %s undecodable: %w", w.rank, st.Op(), err))
 	}
-	st.SetScratch(res.Scratch)
 	st.ApplyClock(res.End)
 	w.gen.Add(1)
 	return st.Consume()

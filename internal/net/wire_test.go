@@ -78,6 +78,17 @@ func TestDecodeFrameRejects(t *testing.T) {
 			t.Fatalf("got %v, want ErrFrameMagic", err)
 		}
 	})
+	t.Run("badversion", func(t *testing.T) {
+		// A frame of the gob-bodied version 1 is refused from its header.
+		mut := append([]byte(nil), valid...)
+		mut[4] = 1
+		if _, err := DecodeFrame(mut); !errors.Is(err, ErrFrameVersion) {
+			t.Fatalf("got %v, want ErrFrameVersion", err)
+		}
+		if _, err := ReadFrame(bytes.NewReader(mut)); !errors.Is(err, ErrFrameVersion) {
+			t.Fatalf("ReadFrame: got %v, want ErrFrameVersion", err)
+		}
+	})
 	t.Run("trailing", func(t *testing.T) {
 		if _, err := DecodeFrame(append(append([]byte(nil), valid...), 0)); !errors.Is(err, ErrFrameTrailing) {
 			t.Fatalf("got %v, want ErrFrameTrailing", err)

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"encoding/binary"
+
 	"optipart/internal/comm"
 	"optipart/internal/psort"
 	"optipart/internal/sfc"
@@ -15,10 +17,6 @@ import (
 // splitters — gets a Splitters value that EvaluateQuality, ghost
 // construction, and the performance model can consume. Collective.
 func SplittersFromDistribution(c *comm.Comm, curve *sfc.Curve, local []sfc.Key) *Splitters {
-	type firstKey struct {
-		N   int64
-		Key sfc.Key
-	}
 	me := firstKey{N: int64(len(local))}
 	if len(local) > 0 {
 		me.Key = local[0]
@@ -36,4 +34,24 @@ func SplittersFromDistribution(c *comm.Comm, curve *sfc.Curve, local []sfc.Key) 
 		seps[r-1] = cur
 	}
 	return &Splitters{Curve: curve, Seps: seps}
+}
+
+// firstKey is one rank's share of SplittersFromDistribution's gather: its
+// element count and, when it holds any, its first key.
+type firstKey struct {
+	N   int64
+	Key sfc.Key
+}
+
+// AppendElem appends f's wire form (comm.Elem): N little-endian, then the
+// key's own.
+func (f firstKey) AppendElem(dst []byte) []byte {
+	return f.Key.AppendElem(binary.LittleEndian.AppendUint64(dst, uint64(f.N)))
+}
+
+// ReadElem sets f from the wire form at the front of src and returns the
+// rest of src.
+func (f *firstKey) ReadElem(src []byte) []byte {
+	f.N = int64(binary.LittleEndian.Uint64(src))
+	return f.Key.ReadElem(src[8:])
 }

@@ -154,3 +154,26 @@ func TestSplittersFromDistributionDuplicateBoundary(t *testing.T) {
 		}
 	})
 }
+
+// TestFirstKeyWireRoundTrip: the element a wire world gathers in
+// SplittersFromDistribution survives its 21-byte wire form at both ends of
+// the key and count ranges.
+func TestFirstKeyWireRoundTrip(t *testing.T) {
+	for _, in := range []firstKey{
+		{},
+		{N: -1, Key: sfc.Key{X: 1, Y: 2, Z: 3, Level: 1}},
+		{N: 1<<63 - 1, Key: sfc.Key{X: 1<<32 - 1, Y: 1<<32 - 1, Z: 1<<32 - 1, Level: sfc.MaxLevel}},
+	} {
+		enc := in.AppendElem([]byte{0xee})[1:]
+		if len(enc) != 21 {
+			t.Fatalf("%+v: %d wire bytes, want 21", in, len(enc))
+		}
+		var got firstKey
+		if rest := got.ReadElem(append(enc, 0xee)); len(rest) != 1 || rest[0] != 0xee {
+			t.Fatalf("%+v: ReadElem left %x, want the one byte after the element", in, rest)
+		}
+		if got != in {
+			t.Fatalf("round trip: got %+v, want %+v", got, in)
+		}
+	}
+}

@@ -16,6 +16,7 @@
 package sfc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -29,6 +30,30 @@ const MaxLevel = 30
 type Key struct {
 	X, Y, Z uint32
 	Level   uint8
+}
+
+// keyWireBytes is the size of a key's wire form: X, Y and Z little-endian,
+// then Level.
+const keyWireBytes = 13
+
+// AppendElem appends k's wire form to dst: the fixed-size element encoding
+// (comm.Elem) a wire transport moves collectives over keys in.
+func (k Key) AppendElem(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, k.X)
+	dst = binary.LittleEndian.AppendUint32(dst, k.Y)
+	dst = binary.LittleEndian.AppendUint32(dst, k.Z)
+	return append(dst, k.Level)
+}
+
+// ReadElem sets k from the wire form at the front of src, which holds at
+// least keyWireBytes bytes, and returns the rest of src.
+func (k *Key) ReadElem(src []byte) []byte {
+	_ = src[keyWireBytes-1]
+	k.X = binary.LittleEndian.Uint32(src)
+	k.Y = binary.LittleEndian.Uint32(src[4:])
+	k.Z = binary.LittleEndian.Uint32(src[8:])
+	k.Level = src[12]
+	return src[keyWireBytes:]
 }
 
 // RootKey is the whole domain: level 0, anchor at the origin.

@@ -7,7 +7,8 @@
 # Stages: go vet; gofmt -l; go build; optipartlint (run, then its -json
 # report parsed back); allocgate (//alloc:zero contracts, then its report);
 # a 10 s fuzz smoke each of internal/sfc's FuzzRankWithSpan, FuzzRankOrder
-# and FuzzCompareConsistent;
+# and FuzzCompareConsistent and internal/net's FuzzDecodeFrame and
+# FuzzDecodeBodies;
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
 # lint, and service; the benchmark spine's quick run with its exact
 # metrics compared against scripts/spine_quick_baseline.json and its
@@ -69,6 +70,15 @@ echo "==> fuzz smoke: FuzzRankWithSpan, FuzzRankOrder, FuzzCompareConsistent (10
 # every other check leans on, against its own invariants.
 for target in FuzzRankWithSpan FuzzRankOrder FuzzCompareConsistent; do
     go test ./internal/sfc -run '^$' -fuzz "^$target\$" -fuzztime 10s
+done
+
+echo "==> fuzz smoke: FuzzDecodeFrame, FuzzDecodeBodies (10 s each)"
+# The wire transport's trust boundary: every byte a peer sends passes the
+# frame decoder, then a body decoder or comm's collective-value decoders.
+# Each must reject or decode, never panic, and never allocate more than its
+# input bounds.
+for target in FuzzDecodeFrame FuzzDecodeBodies; do
+    go test ./internal/net -run '^$' -fuzz "^$target\$" -fuzztime 10s
 done
 
 echo "==> go test -race -shuffle=on $* ./..."
