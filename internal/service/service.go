@@ -7,14 +7,18 @@
 // heavy campaign cannot starve a light one.
 //
 // The request path is built to allocate nothing in the steady state when it
-// hits the cache: request keys are copied into a per-request psort.Arena
+// hits the cache. A request whose keys are already canonical (an AMR client
+// that keeps its mesh in curve order) is digested as sent and served without
+// ranking a key: its as-sent digest is the canonical digest, and an
+// element-wise match against the cached copy proves the input canonical.
+// Any other request has its keys copied into a per-request psort.Arena
 // drawn from a bounded freelist, sorted with TreeSortArena (the arena owns
 // every working column), linearized in place, digested inline, and looked
-// up under a value-typed 128-bit key; the cached response is returned by
-// pointer and the LRU touch is two pointer swaps on an intrusive list.
-// Digest collisions cannot corrupt results: every lookup verifies the
-// canonical octree element-wise against the cached copy (octree.SoA) before
-// trusting the entry.
+// up under a value-typed 128-bit key. Either way the cached response is
+// returned by pointer and the LRU touch is two pointer swaps on an
+// intrusive list. Digest collisions cannot corrupt results: every lookup
+// verifies the canonical octree element-wise against the cached copy
+// (octree.SoA) before trusting the entry.
 package service
 
 import (
@@ -53,7 +57,8 @@ func HandleFromWords(hi, lo uint64) Handle { return Handle{hi: hi, lo: lo} }
 // may contain duplicates and ancestor/descendant pairs; the service
 // canonicalizes them (sort along the curve, linearize) before hashing, so
 // two requests for the same octree are the same request no matter how the
-// caller happened to order or pad the key stream.
+// caller happened to order or pad the key stream. Keys already in canonical
+// form (curve-sorted, linear) hit the cache without being ranked.
 type Request struct {
 	// Tenant is the fairness-accounting identity (a campaign, a client, a
 	// load class). Empty means "default". Admission charges each completed
@@ -222,10 +227,12 @@ func (s *Service) Metrics() Metrics {
 	return m
 }
 
-// Do canonicalizes the request, serves it from the cache when possible
-// (hit=true, zero allocations in the steady state), and otherwise computes
-// the partition under fair admission and caches the result. The returned
-// Response is shared: callers must not mutate it.
+// Do serves the request from the cache when possible (hit=true, zero
+// allocations in the steady state), and otherwise computes the partition
+// under fair admission and caches the result. Canonical input hits on the
+// digest of its keys as sent, without ranking them; any other input is
+// canonicalized first. The returned Response is shared: callers must not
+// mutate it.
 //
 // The cache-hit path allocates nothing: every allocation of a miss lives in
 // lead (the pending entry) or below admitAndCompute (the computation
@@ -245,9 +252,29 @@ func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 		req.Horizon = 0
 	}
 
+	// Canonical input digests as sent to its canonical digest. The cached
+	// keys are canonical, so a match proves the input was, and the answer is
+	// the one the canonicalizing path below would return. Anything else —
+	// a miss, a pending entry, a closed service, permuted or padded input,
+	// a collision — falls through to that path.
+	d := digestRequest(&req, req.Keys)
+	s.mu.Lock()
+	if e, ok := s.entries[d]; ok && !s.closed && e.done && e.err == nil && e.keys.EqualKeys(req.Keys) {
+		s.metrics.Requests++
+		r := s.hitLocked(e, false)
+		s.mu.Unlock()
+		return r, true, nil
+	}
+	s.mu.Unlock()
+
+	// Keys equal to a cached canonical octree are valid; everything else is
+	// checked before it reaches the curve.
+	if err := validateKeys(&req); err != nil {
+		return nil, false, err
+	}
 	a := s.getArena()
 	canon, curve := canonicalize(&req, a)
-	d := digestRequest(&req, canon)
+	d = digestRequest(&req, canon)
 
 	s.mu.Lock()
 	if s.closed {
@@ -287,16 +314,8 @@ func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 		return nil, false, err
 	}
 	if e.keys.EqualKeys(canon) {
-		if e.inLRU {
-			s.lruTouch(e)
-		}
-		if waited {
-			s.metrics.Coalesced++
-		} else {
-			s.metrics.Hits++
-		}
+		r := s.hitLocked(e, waited)
 		s.putArenaLocked(a)
-		r := &e.resp
 		s.mu.Unlock()
 		return r, true, nil
 	}
@@ -311,6 +330,23 @@ func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 	}
 	s.putArena(a)
 	return r, false, cerr
+}
+
+// hitLocked serves a done, verified entry: it touches the LRU, counts a hit
+// (or a coalesced wait on an in-flight leader), and returns the shared
+// response. Called with s.mu held.
+//
+//alloc:zero
+func (s *Service) hitLocked(e *entry, waited bool) *Response {
+	if e.inLRU {
+		s.lruTouch(e)
+	}
+	if waited {
+		s.metrics.Coalesced++
+	} else {
+		s.metrics.Hits++
+	}
+	return &e.resp
 }
 
 // resolvePriorLocked looks the request's Prior handle up in the cache and
@@ -398,6 +434,12 @@ func validate(req *Request) error {
 	if req.Horizon < 0 {
 		return fmt.Errorf("service: horizon %g < 0", req.Horizon)
 	}
+	return nil
+}
+
+// validateKeys checks every key against the request's dimension. It runs
+// after the canonical fast path and before canonicalize.
+func validateKeys(req *Request) error {
 	// Keys arrive from outside the process (ServeConn): an out-of-range
 	// level or anchor would otherwise reach the curve's shifts and panic.
 	for i, k := range req.Keys {

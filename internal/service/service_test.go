@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -32,6 +33,32 @@ func baseRequest(keys []sfc.Key) Request {
 		Mode:      partition.EqualWork,
 		Machine:   machine.Clemson32(),
 	}
+}
+
+// canonicalKeys draws n keys of a linear octree in curve order: exactly the
+// form the service caches, so a request carrying them can hit as sent.
+func canonicalKeys(t testing.TB, seed int64, n int) []sfc.Key {
+	t.Helper()
+	keys := octree.Linearize(sfc.NewCurve(sfc.Hilbert, 3), testKeys(seed, 2*n))
+	if len(keys) < n {
+		t.Fatalf("seed %d linearized to %d keys, need %d", seed, len(keys), n)
+	}
+	// Any prefix of a linear octree is still linear.
+	return keys[:n:n]
+}
+
+// doProbe runs s.Do(req) on an emptied arena freelist and also reports
+// whether the call canonicalized: that path takes an arena and returns it
+// to the freelist, the as-sent fast path never touches one.
+func doProbe(s *Service, req Request) (resp *Response, hit, canonicalized bool, err error) {
+	s.mu.Lock()
+	s.arenas = s.arenas[:0]
+	s.mu.Unlock()
+	resp, hit, err = s.Do(req)
+	s.mu.Lock()
+	canonicalized = len(s.arenas) > 0
+	s.mu.Unlock()
+	return resp, hit, canonicalized, err
 }
 
 func TestServiceBasic(t *testing.T) {
@@ -235,6 +262,60 @@ func FuzzDigestCanonicalization(f *testing.F) {
 	})
 }
 
+// FuzzServiceCanonicalHit: after a random stream primes the cache, its
+// canonical form hits through the as-sent fast path and a shuffled,
+// duplicated copy hits through the canonicalizing path, both returning the
+// primed response; the canonical form asking for one more rank misses.
+func FuzzServiceCanonicalHit(f *testing.F) {
+	f.Add(int64(1), uint16(100))
+	f.Add(int64(99), uint16(2000))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
+		if n == 0 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		keys := octree.RandomKeys(rng, int(n%4096)+1, 3, octree.Uniform, 1, 12)
+		s := New(Config{})
+		defer s.Close()
+		req := baseRequest(keys)
+		r0, _, err := s.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		canon := octree.Linearize(sfc.NewCurve(req.CurveKind, req.Dim), append([]sfc.Key(nil), keys...))
+		padded := append([]sfc.Key(nil), canon...)
+		rng.Shuffle(len(padded), func(i, j int) { padded[i], padded[j] = padded[j], padded[i] })
+		for i := 0; i < len(canon)/4+1; i++ {
+			padded = append(padded, canon[rng.Intn(len(canon))])
+		}
+		creq, preq := req, req
+		creq.Keys, preq.Keys = canon, padded
+		for _, tc := range []struct {
+			name          string
+			req           Request
+			canonicalized bool
+		}{
+			{"canonical", creq, false},
+			{"shuffled and duplicated", preq, true},
+		} {
+			r, hit, canonicalized, err := doProbe(s, tc.req)
+			if err != nil || !hit || r != r0 {
+				t.Fatalf("%s: hit=%v err=%v shared=%v", tc.name, hit, err, r == r0)
+			}
+			if canonicalized != tc.canonicalized {
+				t.Fatalf("%s: canonicalized=%v, want %v", tc.name, canonicalized, tc.canonicalized)
+			}
+		}
+
+		more := creq
+		more.Ranks++
+		if _, hit, err := s.Do(more); err != nil || hit {
+			t.Fatalf("Ranks+1: hit=%v err=%v, want a miss", hit, err)
+		}
+	})
+}
+
 // TestSingleflight: N concurrent identical requests compute exactly once.
 func TestSingleflight(t *testing.T) {
 	s := New(Config{Slots: 4})
@@ -268,6 +349,43 @@ func TestSingleflight(t *testing.T) {
 			t.Fatal("singleflight returned distinct responses")
 		}
 	}
+
+	// Canonical keys while the leader is still computing: the as-sent
+	// digest finds a pending entry, so each follower falls through and
+	// waits on it. Holding the only slot keeps the leader in admission
+	// until every request is parked.
+	cs := New(Config{Slots: 1})
+	defer cs.Close()
+	if !cs.queue.Acquire("blocker") {
+		t.Fatal("acquire on a fresh queue failed")
+	}
+	creq := baseRequest(canonicalKeys(t, 5, 8000))
+	cresps := make([]*Response, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, _, err := cs.Do(creq)
+			if err != nil {
+				t.Errorf("canonical Do: %v", err)
+				return
+			}
+			cresps[i] = r
+		}(i)
+	}
+	for cs.Metrics().Requests < n {
+		runtime.Gosched()
+	}
+	cs.queue.Release("blocker", 0)
+	wg.Wait()
+	if m := cs.Metrics(); m.Misses != 1 || m.Coalesced != n-1 || m.Hits != 0 {
+		t.Fatalf("canonical followers of a pending leader: %+v, want 1 miss and %d coalesced", m, n-1)
+	}
+	for i := 1; i < n; i++ {
+		if cresps[i] != cresps[0] {
+			t.Fatal("canonical singleflight returned distinct responses")
+		}
+	}
 }
 
 // TestZeroAllocCacheHit: the steady-state hit path allocates nothing —
@@ -291,6 +409,35 @@ func TestZeroAllocCacheHit(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("cache-hit path allocates %.1f objects per request, want 0", allocs)
+	}
+}
+
+// TestZeroAllocCanonicalHit: a hit on canonical input is served from its
+// as-sent digest and allocates nothing at any size. Above psort's parallel
+// cutoff (1<<14 keys) the canonicalizing hit allocates on a multi-core host,
+// so the large case also fails if the fast path stops firing.
+func TestZeroAllocCanonicalHit(t *testing.T) {
+	for _, n := range []int{2000, 40000} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			s := New(Config{})
+			defer s.Close()
+			req := baseRequest(canonicalKeys(t, 6, n))
+			if _, _, err := s.Do(req); err != nil {
+				t.Fatal(err)
+			}
+			if _, hit, canonicalized, err := doProbe(s, req); !hit || canonicalized || err != nil {
+				t.Fatalf("hit=%v canonicalized=%v err=%v, want a fast hit", hit, canonicalized, err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				_, hit, err := s.Do(req)
+				if !hit || err != nil {
+					t.Fatalf("hit=%v err=%v", hit, err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("canonical cache hit allocates %.1f objects per request, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -392,6 +539,98 @@ func TestCollisionVerification(t *testing.T) {
 		if r1.Counts[i] != r2.Counts[i] {
 			t.Fatal("collision recompute placement diverged")
 		}
+	}
+}
+
+// TestCollisionVerificationCanonical: the same tampering behind a canonical
+// request, whose as-sent digest finds the entry directly. The fast path must
+// verify the keys too, and fall through to the collision handling.
+func TestCollisionVerificationCanonical(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	req := baseRequest(canonicalKeys(t, 14, 1500))
+	r1, _, err := s.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	for _, e := range s.entries {
+		e.keys.X[0] ^= 1
+	}
+	s.mu.Unlock()
+
+	r2, hit, err := s.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit {
+		t.Fatal("verification failure still reported a hit")
+	}
+	if m := s.Metrics(); m.Collisions != 1 {
+		t.Fatalf("collisions = %d, want 1", m.Collisions)
+	}
+	if r2 == r1 || r2.NumKeys != r1.NumKeys || len(r2.Counts) != len(r1.Counts) {
+		t.Fatal("collision recompute diverged")
+	}
+	for i := range r1.Counts {
+		if r1.Counts[i] != r2.Counts[i] {
+			t.Fatal("collision recompute placement diverged")
+		}
+	}
+}
+
+// TestCanonicalHitPaths: a canonical request hits through the fast path,
+// a permuted and duplicated copy of it through the canonicalizing path, and
+// both return the one cached response.
+func TestCanonicalHitPaths(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	canon := canonicalKeys(t, 16, 3000)
+	req := baseRequest(canon)
+	r1, hit, err := s.Do(req)
+	if err != nil || hit {
+		t.Fatalf("prime: hit=%v err=%v", hit, err)
+	}
+
+	rng := rand.New(rand.NewSource(16))
+	padded := append([]sfc.Key(nil), canon...)
+	rng.Shuffle(len(padded), func(i, j int) { padded[i], padded[j] = padded[j], padded[i] })
+	padded = append(padded, canon[:100]...)
+	preq := req
+	preq.Keys = padded
+
+	for _, tc := range []struct {
+		name          string
+		req           Request
+		canonicalized bool
+	}{
+		{"canonical", req, false},
+		{"permuted and duplicated", preq, true},
+	} {
+		r, hit, canonicalized, err := doProbe(s, tc.req)
+		if err != nil || !hit || r != r1 {
+			t.Fatalf("%s: hit=%v err=%v shared=%v", tc.name, hit, err, r == r1)
+		}
+		if canonicalized != tc.canonicalized {
+			t.Fatalf("%s: canonicalized=%v, want %v", tc.name, canonicalized, tc.canonicalized)
+		}
+	}
+	if m := s.Metrics(); m.Misses != 1 || m.Hits != 2 || m.Requests != 3 {
+		t.Fatalf("metrics = %+v, want 1 miss and 2 hits of 3 requests", m)
+	}
+}
+
+// TestCanonicalHitAfterClose: a cached canonical request after Close is
+// ErrClosed, not a hit.
+func TestCanonicalHitAfterClose(t *testing.T) {
+	s := New(Config{})
+	req := baseRequest(canonicalKeys(t, 17, 500))
+	if _, _, err := s.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if r, hit, err := s.Do(req); err != ErrClosed || hit || r != nil {
+		t.Fatalf("Do after Close: hit=%v err=%v, want ErrClosed", hit, err)
 	}
 }
 
@@ -604,6 +843,45 @@ func TestZeroAllocCacheHitWarm(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm cache-hit path allocates %.1f objects per request, want 0", allocs)
+	}
+}
+
+// TestZeroAllocCanonicalHitWarm: a warm (Prior-carrying) request on
+// canonical keys hits through the fast path and allocates nothing, on both
+// sides of psort's parallel cutoff.
+func TestZeroAllocCanonicalHitWarm(t *testing.T) {
+	for _, n := range []int{2000, 40000} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			s := New(Config{})
+			defer s.Close()
+			cold := baseRequest(canonicalKeys(t, 60, n))
+			cold.Mode = partition.ModelDriven
+			cold.Machine = machine.Titan()
+			r1, _, err := s.Do(cold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := cold
+			warm.Prior = r1.Handle
+			warm.Horizon = 25
+			r2, hit, err := s.Do(warm)
+			if err != nil || hit {
+				t.Fatalf("warm prime: hit=%v err=%v", hit, err)
+			}
+			r, hit, canonicalized, err := doProbe(s, warm)
+			if !hit || canonicalized || err != nil || r != r2 {
+				t.Fatalf("hit=%v canonicalized=%v err=%v shared=%v, want a fast hit", hit, canonicalized, err, r == r2)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				_, hit, err := s.Do(warm)
+				if !hit || err != nil {
+					t.Fatalf("hit=%v err=%v", hit, err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("warm canonical cache hit allocates %.1f objects per request, want 0", allocs)
+			}
+		})
 	}
 }
 

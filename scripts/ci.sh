@@ -7,8 +7,9 @@
 # Stages: go vet; gofmt -l; go build; optipartlint (run, then its -json
 # report parsed back); allocgate (//alloc:zero contracts, then its report);
 # a 10 s fuzz smoke each of internal/sfc's FuzzRankWithSpan, FuzzRankOrder
-# and FuzzCompareConsistent and internal/net's FuzzDecodeFrame and
-# FuzzDecodeBodies;
+# and FuzzCompareConsistent, internal/net's FuzzDecodeFrame and
+# FuzzDecodeBodies, and internal/service's FuzzDigestCanonicalization and
+# FuzzServiceCanonicalHit;
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
 # lint, and service; the benchmark spine's quick run with its exact
 # metrics compared against scripts/spine_quick_baseline.json and its
@@ -79,6 +80,15 @@ echo "==> fuzz smoke: FuzzDecodeFrame, FuzzDecodeBodies (10 s each)"
 # input bounds.
 for target in FuzzDecodeFrame FuzzDecodeBodies; do
     go test ./internal/net -run '^$' -fuzz "^$target\$" -fuzztime 10s
+done
+
+echo "==> fuzz smoke: FuzzDigestCanonicalization, FuzzServiceCanonicalHit (10 s each)"
+# The cache's identity: any ordering or padding of one octree digests alike
+# after canonicalization, and at the Service level its canonical form hits
+# as sent while a shuffled, duplicated copy hits through canonicalization,
+# both returning the one cached response.
+for target in FuzzDigestCanonicalization FuzzServiceCanonicalHit; do
+    go test ./internal/service -run '^$' -fuzz "^$target\$" -fuzztime 10s
 done
 
 echo "==> go test -race -shuffle=on $* ./..."
