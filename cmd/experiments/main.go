@@ -7,7 +7,6 @@
 //	experiments -list
 //	experiments -run fig7
 //	experiments -run faults   # rank-failure recovery campaign
-//	experiments -run repart -repart-steps 20 -refine-frac 0.012
 //	experiments -run all -quick
 package main
 
@@ -32,21 +31,11 @@ func main() {
 		loss    = flag.Float64("loss", 0, "per-frame drop rate in [0,1] on every link, overlaid on the losses sweep (same validation as cmd/optipart)")
 		corrupt = flag.Float64("corrupt", 0, "per-frame corruption rate in [0,1] on every link, overlaid on the losses sweep")
 		retry   = flag.Int("retry", 0, "retransmit cap per message before the link is declared dead (0 = default)")
-		rsteps  = flag.Int("repart-steps", 0, "override the repart experiment's campaign length (0 = experiment default; overrides relax the default-shape assertions)")
-		rfrac   = flag.Float64("refine-frac", 0, "override the repart experiment's per-leaf refinement fraction, in (0,1) (0 = experiment default)")
 	)
 	flag.Parse()
 
 	if *workers < 1 {
 		fmt.Fprintf(os.Stderr, "error: -workers %d: need at least one worker\n", *workers)
-		os.Exit(1)
-	}
-	if *rsteps < 0 {
-		fmt.Fprintf(os.Stderr, "error: -repart-steps %d: must be >= 0\n", *rsteps)
-		os.Exit(1)
-	}
-	if *rfrac < 0 || *rfrac >= 1 {
-		fmt.Fprintf(os.Stderr, "error: -refine-frac %g: must be in [0,1)\n", *rfrac)
 		os.Exit(1)
 	}
 	optipart.SetWorkers(*workers)
@@ -69,10 +58,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{
-		Out: os.Stdout, Quick: *quick, Seed: *seed, Net: net,
-		RepartSteps: *rsteps, RefineFrac: *rfrac,
-	}
+	cfg := experiments.Config{Out: os.Stdout, Quick: *quick, Seed: *seed, Net: net}
 	if err := experiments.Run(*run, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)

@@ -28,14 +28,6 @@ type Config struct {
 	// ladder with the requested point, so custom loss sweeps no longer
 	// need the one-shot cmd/optipart CLI.
 	Net fault.LossFlags
-
-	// RepartSteps and RefineFrac override the repart experiment's campaign
-	// length and per-step refinement fraction (-repart-steps/-refine-frac).
-	// Zero keeps the experiment's defaults; a non-zero override relaxes the
-	// default-parameter assertions the same way a Net overlay does for the
-	// losses sweep.
-	RepartSteps int
-	RefineFrac  float64
 }
 
 // Runner is one experiment driver.

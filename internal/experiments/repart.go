@@ -56,19 +56,6 @@ func repartExperiment(cfg Config) error {
 	if cfg.Quick {
 		p, seeds, depth, steps = 8, 300, 7, 10
 	}
-	// -repart-steps/-refine-frac overlays replace the campaign shape; the
-	// default-parameter assertions below assume the stock front, so a custom
-	// shape keeps only the structural checks (like a Net overlay in losses).
-	custom := false
-	if cfg.RepartSteps > 0 {
-		steps = cfg.RepartSteps
-		custom = true
-	}
-	if cfg.RefineFrac > 0 {
-		refineFrac = cfg.RefineFrac
-		custom = true
-	}
-
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	start := octree.Balance21(octree.AdaptiveMesh(rng, seeds, 3, octree.Normal, depth)).WithCurve(curve).Leaves
@@ -204,14 +191,11 @@ func repartExperiment(cfg Config) error {
 			inc.wallSec, scr.wallSec, smp.wallSec)
 	}
 
-	// Structural checks that hold for any campaign shape.
+	// Every strategy priced its placements.
 	for _, str := range strategies {
 		if str.cumTp <= 0 {
 			return fmt.Errorf("repart: %s accumulated non-positive Tp", str.name)
 		}
-	}
-	if custom {
-		return nil
 	}
 	// The front genuinely shifts load: from-scratch repartitioning moves
 	// data on most steps, so the comparison below is not vacuous.

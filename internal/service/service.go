@@ -411,6 +411,12 @@ func (s *Service) lead(d digest128, req Request, curve *sfc.Curve, canon []sfc.K
 	return &e.resp, false, nil
 }
 
+// maxRanks bounds Request.Ranks. A miss runs a world of Ranks goroutines
+// whose exchange buffers grow with Ranks², so one request for a million
+// ranks would exhaust the host's memory. At 1024 ranks a miss of a few
+// thousand keys peaks near 0.8 GB, which two slots can afford.
+const maxRanks = 1024
+
 func validate(req *Request) error {
 	if len(req.Keys) == 0 {
 		return errors.New("service: empty key set")
@@ -428,8 +434,8 @@ func validate(req *Request) error {
 	default:
 		return fmt.Errorf("service: unknown mode %v", req.Mode)
 	}
-	if req.Ranks < 1 {
-		return fmt.Errorf("service: ranks %d < 1", req.Ranks)
+	if req.Ranks < 1 || req.Ranks > maxRanks {
+		return fmt.Errorf("service: ranks %d not in [1, %d]", req.Ranks, maxRanks)
 	}
 	if req.Horizon < 0 {
 		return fmt.Errorf("service: horizon %g < 0", req.Horizon)

@@ -109,6 +109,7 @@ func TestServiceValidation(t *testing.T) {
 		{Keys: nil, Dim: 3, Ranks: 2, CurveKind: sfc.Morton},
 		{Keys: keys, Dim: 4, Ranks: 2, CurveKind: sfc.Morton},
 		{Keys: keys, Dim: 3, Ranks: 0, CurveKind: sfc.Morton},
+		{Keys: keys, Dim: 3, Ranks: maxRanks + 1, CurveKind: sfc.Morton},
 	} {
 		if _, _, err := s.Do(req); err == nil {
 			t.Fatalf("Do(%+v) accepted invalid request", req)
@@ -1012,6 +1013,13 @@ func TestServeConnSurvivesInvalidKey(t *testing.T) {
 	unknownKind.CurveKind = 7
 	if resp := roundTrip(unknownKind); !strings.Contains(resp.Err, "unknown curve kind") {
 		t.Fatalf("unknown curve kind over the wire: Err = %q", resp.Err)
+	}
+	// A request for a million ranks would size a world past the host's
+	// memory; it must be refused before any world is spawned.
+	huge := baseRequest(good)
+	huge.Ranks = 1 << 20
+	if resp := roundTrip(huge); !strings.Contains(resp.Err, fmt.Sprintf("ranks %d not in [1, %d]", huge.Ranks, maxRanks)) {
+		t.Fatalf("ranks 1<<20 over the wire: Err = %q", resp.Err)
 	}
 	if resp := roundTrip(baseRequest(good)); resp.Err != "" || len(resp.Seps) != 3 {
 		t.Fatalf("valid request after a rejected one: %+v", resp)

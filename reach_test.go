@@ -19,7 +19,7 @@ import (
 // "Kept without a production caller" table and carries that row's reason.
 // A method is keyed as "pkg.Type.Method".
 var reachKeep = map[string]string{
-	"internal/octree.SurfaceArea": "ROADMAP item 2's surface-to-volume oracle (arXiv:2106.12856) measures with it; a reference tests compare against",
+	"internal/octree.SurfaceArea": "ROADMAP item 5's surface-to-volume oracle (arXiv:2106.12856) measures with it; a reference tests compare against",
 	"internal/net.DecodeFrame":    "the fuzz entry: FuzzDecodeFrame drives it and ReadFrame side by side over the one header parser",
 }
 

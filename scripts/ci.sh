@@ -8,8 +8,8 @@
 # report parsed back); allocgate (//alloc:zero contracts, then its report);
 # a 10 s fuzz smoke each of internal/sfc's FuzzRankWithSpan, FuzzRankOrder
 # and FuzzCompareConsistent, internal/net's FuzzDecodeFrame and
-# FuzzDecodeBodies, and internal/service's FuzzDigestCanonicalization and
-# FuzzServiceCanonicalHit;
+# FuzzDecodeBodies, internal/service's FuzzDigestCanonicalization and
+# FuzzServiceCanonicalHit, and internal/ckpt's FuzzDecodeSnapshot;
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
 # lint, and service; the benchmark spine's quick run with its exact
 # metrics compared against scripts/spine_quick_baseline.json and its
@@ -90,6 +90,12 @@ echo "==> fuzz smoke: FuzzDigestCanonicalization, FuzzServiceCanonicalHit (10 s 
 for target in FuzzDigestCanonicalization FuzzServiceCanonicalHit; do
     go test ./internal/service -run '^$' -fuzz "^$target\$" -fuzztime 10s
 done
+
+echo "==> fuzz smoke: FuzzDecodeSnapshot (10 s)"
+# The on-disk trust boundary: a checkpoint file is read back from storage
+# nothing vouches for. The decoder must reject or decode, never panic or
+# over-allocate, and whatever it accepts must re-encode to the same bytes.
+go test ./internal/ckpt -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s
 
 echo "==> go test -race -shuffle=on $* ./..."
 go test -race -shuffle=on "$@" ./...
