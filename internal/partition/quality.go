@@ -156,10 +156,11 @@ func fillColumns(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi []sfc.Rank128) 
 	}
 }
 
-// scanCounts is the local pass of Algorithm 2, shared by the collective
-// evaluator and the serial Repartitioner: it fills counts, laid out as
-// [work per partition | boundary octants per partition], for elements under
-// the p-1 separator ranks sepRanks. ranks, lo and hi are the elements' cached
+// scanCounts is the local pass of Algorithm 2 for input in any order, run
+// by the collective evaluator and every selector rung (the serial
+// Repartitioner's curve-ordered columns count by range, countRange): it
+// fills counts, laid out as [work per partition | boundary octants per
+// partition], for elements under the p-1 separator ranks sepRanks. ranks, lo and hi are the elements' cached
 // columns (ranks[i], lo[i], hi[i] = curve.RankWithSpan(keys[i])).
 //
 // The element's own owner is a hint carried from the previous element, with

@@ -274,28 +274,194 @@ func TestRepartitionerStepMatchesEvolver(t *testing.T) {
 // TestRepartitionerStepMatchesRebuild: the warm Step over a delta and a
 // cold Rebuild over the same mesh and prior must adopt the identical
 // placement — what makes partition.rebuild_ms a fair cold comparison for
-// partition.step_ms in the benchmark spine.
+// partition.step_ms in the benchmark spine. Step prices rungs from its
+// count memo, carried across the delta; Rebuild counts from scratch. Six
+// steps of a growing mesh under engineConfig come first, then 60-step
+// moving-front campaigns on both curves.
 func TestRepartitionerStepMatchesRebuild(t *testing.T) {
 	curve := sfc.NewCurve(sfc.Hilbert, 3)
 	ev := octree.NewEvolver(curve, 13, repartMesh(curve, 6, 350, 6))
-	warm := NewRepartitioner(engineConfig(curve, 8))
-	warm.Seed(ev.Leaves())
+	e := NewRepartitioner(engineConfig(curve, 8))
+	e.Seed(ev.Leaves())
 	for step := 0; step < 6; step++ {
-		prior := warm.Splitters()
-		d := ev.Step(0.07, 0.08)
-		got := warm.Step(d)
-		cold := NewRepartitioner(engineConfig(curve, 8))
-		want := cold.Rebuild(ev.Leaves(), prior)
-		if got != want {
-			t.Fatalf("step %d: Step %+v != Rebuild %+v", step, got, want)
+		if err := stepMatchesRebuild(e, ev, 0.07, 0.08); err != nil {
+			t.Fatalf("growing mesh step %d: %v", step, err)
 		}
-		ws, cs := warm.Splitters(), cold.Splitters()
-		for i := range ws.Seps {
-			if ws.Seps[i] != cs.Seps[i] {
-				t.Fatalf("step %d: adopted separators diverge at %d", step, i)
+	}
+	for _, kind := range []sfc.Kind{sfc.Hilbert, sfc.Morton} {
+		for _, p := range []int{2, 8, 16} {
+			curve := sfc.NewCurve(kind, 3)
+			e, ev := frontCampaign(curve, p, 13, repartMesh(curve, 6, 350, 6))
+			e.Seed(ev.Leaves())
+			for step := 0; step < 60; step++ {
+				refine, coarsen := campaignFracs(step, e.Len())
+				if err := stepMatchesRebuild(e, ev, refine, coarsen); err != nil {
+					t.Fatalf("%v p=%d step %d: %v", kind, p, step, err)
+				}
 			}
 		}
 	}
+}
+
+// frontCampaign returns an engine and an evolver over mesh driven by a
+// moving refinement front, under a horizon short enough that some steps
+// re-aim the placement: the count memo is then carried across both kept
+// and moved adoptions.
+func frontCampaign(curve *sfc.Curve, p int, seed int64, mesh []sfc.Key) (*Repartitioner, *octree.Evolver) {
+	ev := octree.NewEvolver(curve, seed, mesh)
+	ev.RefineBias, ev.CoarsenBias = octree.FrontBias(curve.Dim, 4, 6, 0.25)
+	return NewRepartitioner(RepartConfig{Curve: curve, P: p, Machine: machine.Titan(), Tol: 0.03, Horizon: 50}), ev
+}
+
+// campaignFracs returns the refine and coarsen fractions of a campaign's
+// step: refine-only, coarsen-only, no-op and mixed deltas in turn, steered
+// to keep an n-leaf mesh within a few thousand leaves.
+func campaignFracs(step, n int) (refine, coarsen float64) {
+	r, c := 0.03, 0.2
+	if n > 4000 {
+		r = 0.003
+	}
+	if n < 2000 {
+		c = 0.01
+	}
+	switch step % 4 {
+	case 0:
+		return r, 0
+	case 1:
+		return 0, c
+	case 2:
+		return 0, 0
+	}
+	return r, c
+}
+
+// stepMatchesRebuild advances ev by one step, applies its delta to e, and
+// fails unless the result and adopted separators equal a cold Rebuild's
+// over the same mesh and prior, and the reported Quality equals a full
+// recount (fullQuality).
+func stepMatchesRebuild(e *Repartitioner, ev *octree.Evolver, refine, coarsen float64) error {
+	prior := e.Splitters()
+	got := e.Step(ev.Step(refine, coarsen))
+	cold := NewRepartitioner(e.cfg)
+	want := cold.Rebuild(ev.Leaves(), prior)
+	if got != want {
+		return fmt.Errorf("Step %+v != Rebuild %+v", got, want)
+	}
+	ws, cs := e.Splitters(), cold.Splitters()
+	for i := range ws.Seps {
+		if ws.Seps[i] != cs.Seps[i] {
+			return fmt.Errorf("adopted separators diverge at %d", i)
+		}
+	}
+	if q := fullQuality(e); got.Quality != q {
+		return fmt.Errorf("reported quality %+v, full recount %+v", got.Quality, q)
+	}
+	return nil
+}
+
+// fullQuality recounts the engine's adopted placement from scratch: fresh
+// rank and span columns of its keys, each separator snapped to the first
+// element at or after it (the positions the engine prices), and the
+// any-order scanCounts over the whole mesh.
+func fullQuality(e *Repartitioner) Quality {
+	keys := e.Keys()
+	ranks := make([]sfc.Rank128, len(keys))
+	lo := make([]sfc.Rank128, len(keys))
+	hi := make([]sfc.Rank128, len(keys))
+	fillColumns(e.cfg.Curve, keys, ranks, lo, hi)
+	seps := make([]sfc.Rank128, e.cfg.P-1)
+	for r := range seps {
+		seps[r] = sfc.MaxRank128
+		if pos := sfc.LowerBound(ranks, e.sepRanks[r]); pos < len(keys) {
+			seps[r] = ranks[pos]
+		}
+	}
+	counts := make([]int64, 2*e.cfg.P)
+	scanCounts(ranks, lo, hi, seps, counts)
+	return foldQuality(counts)
+}
+
+// TestRepartitionerMemoMatchesScan pins the count memo against a full
+// Algorithm 2 pass: after every Seed, Step and Rebuild of one long-lived
+// engine, the reported Quality equals fullQuality. The campaign cycles
+// refine-only, coarsen-only, no-op and mixed deltas and re-ingests through
+// Rebuild every seventh step, which must drop the memo the steps built.
+// It covers both curves, p from 1 to 16, and a mesh smaller than p.
+func TestRepartitionerMemoMatchesScan(t *testing.T) {
+	steps := 300
+	if testing.Short() {
+		steps = 50
+	}
+	for _, kind := range []sfc.Kind{sfc.Hilbert, sfc.Morton} {
+		curve := sfc.NewCurve(kind, 3)
+		// The tiny mesh is the root refined once: 8 leaves, fewer than
+		// p = 16 until the front refines it.
+		grow := octree.NewEvolver(curve, 1, []sfc.Key{sfc.RootKey})
+		grow.Step(1, 0)
+		meshes := []struct {
+			name string
+			keys []sfc.Key
+		}{{"tiny", grow.Leaves()}, {"adaptive", repartMesh(curve, 3, 60, 5)}}
+		for _, mesh := range meshes {
+			for _, p := range []int{1, 2, 7, 16} {
+				e, ev := frontCampaign(curve, p, 7, mesh.keys)
+				moved := 0
+				check := func(when string, res StepResult) {
+					t.Helper()
+					if !res.Kept {
+						moved++
+					}
+					if q := fullQuality(e); res.Quality != q {
+						t.Fatalf("%v %s p=%d %s (n=%d): reported quality %+v, full recount %+v",
+							kind, mesh.name, p, when, e.Len(), res.Quality, q)
+					}
+				}
+				check("seed", e.Seed(ev.Leaves()))
+				moved = 0 // a cold Seed never keeps a prior
+				for step := 0; step < steps; step++ {
+					if step%7 == 6 {
+						prior := e.Splitters()
+						ev.Step(campaignFracs(step, e.Len()))
+						check(fmt.Sprintf("rebuild %d", step), e.Rebuild(ev.Leaves(), prior))
+						continue
+					}
+					check(fmt.Sprintf("step %d", step), e.Step(ev.Step(campaignFracs(step, e.Len()))))
+				}
+				if mesh.name == "adaptive" && p > 1 && moved == 0 {
+					t.Errorf("%v p=%d: no step re-aimed the placement; the campaign should exercise both outcomes", kind, p)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRepartitionerStep drives short moving-front campaigns from fuzzed
+// mesh and evolver seeds, partition count and refine/coarsen fractions
+// (the mesh seed's low bit picks the curve), and requires every Step to
+// adopt what a cold Rebuild adopts, with its Quality equal to a full
+// recount.
+func FuzzRepartitionerStep(f *testing.F) {
+	f.Add(int64(3), int64(7), uint8(7), uint8(40), uint8(60))
+	f.Add(int64(4), int64(1), uint8(16), uint8(0), uint8(255))
+	f.Add(int64(5), int64(2), uint8(2), uint8(255), uint8(0))
+	f.Add(int64(6), int64(9), uint8(1), uint8(10), uint8(10))
+	f.Add(int64(0), int64(0), uint8(40), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, meshSeed, evSeed int64, p, refine, coarsen uint8) {
+		kind := sfc.Hilbert
+		if meshSeed&1 != 0 {
+			kind = sfc.Morton
+		}
+		curve := sfc.NewCurve(kind, 3)
+		e, ev := frontCampaign(curve, 1+int(p)%32, evSeed, repartMesh(curve, meshSeed, 30, 5))
+		if res := e.Seed(ev.Leaves()); res.Quality != fullQuality(e) {
+			t.Fatalf("seed: reported quality %+v, full recount %+v", res.Quality, fullQuality(e))
+		}
+		for step := 0; step < 4; step++ {
+			if err := stepMatchesRebuild(e, ev, float64(refine)/2550, float64(coarsen)/510); err != nil {
+				t.Fatalf("step %d (n=%d): %v", step, e.Len(), err)
+			}
+		}
+	})
 }
 
 // TestRepartitionerAgreesWithCollective pins the arithmetic the serial

@@ -54,9 +54,12 @@ type StepResult struct {
 // subtrees while every unchanged element keeps its cached curve rank and
 // span — and warm-starts the next placement from the previous one,
 // trading residual imbalance against migration through
-// machine.PredictRepartition. The Step path performs no steady-state
-// allocations: columns live on a pooled psort.Arena and all selection
-// scratch is sized once per (p, n) high-water mark.
+// machine.PredictRepartition. Each partition's work and boundary count is
+// memoized by its rank bracket and kept exact across a delta, so a Step
+// scans only the partitions whose bracket a rung moves, not the mesh. The
+// Step path performs no steady-state allocations: columns live on a
+// pooled psort.Arena and all selection scratch is sized once per (p, n)
+// high-water mark.
 //
 // A Repartitioner is not safe for concurrent use.
 type Repartitioner struct {
@@ -74,7 +77,16 @@ type Repartitioner struct {
 	// Selection scratch, sized once for p.
 	aPos, bPos, bestPos []int         // p+1 position arrays
 	candRanks           []sfc.Rank128 // p-1 candidate separator ranks
-	counts              []int64       // 2p quality counters
+	bestCounts          []int64       // counts of the best rung so far
+
+	// The count memo: counts holds the 2p [work | boundary] counts of the
+	// current mesh under the separator ranks memoRanks. scanQuality
+	// recounts only the partitions whose bracket differs from the memo's,
+	// and applyDelta adjusts counts leaf by leaf, so the memo stays exact
+	// across Steps. ingest invalidates it.
+	memoRanks []sfc.Rank128 // p-1
+	counts    []int64
+	memoOK    bool
 }
 
 // NewRepartitioner builds an engine for the given configuration.
@@ -87,16 +99,18 @@ func NewRepartitioner(cfg RepartConfig) *Repartitioner {
 	}
 	p := cfg.P
 	return &Repartitioner{
-		cfg:       cfg,
-		obj:       newObjective(cfg.Machine, 0, 0, cfg.Tol, cfg.Horizon),
-		arena:     &psort.Arena{},
-		seps:      make([]sfc.Key, p-1),
-		sepRanks:  make([]sfc.Rank128, p-1),
-		aPos:      make([]int, p+1),
-		bPos:      make([]int, p+1),
-		bestPos:   make([]int, p+1),
-		candRanks: make([]sfc.Rank128, p-1),
-		counts:    make([]int64, 2*p),
+		cfg:        cfg,
+		obj:        newObjective(cfg.Machine, 0, 0, cfg.Tol, cfg.Horizon),
+		arena:      &psort.Arena{},
+		seps:       make([]sfc.Key, p-1),
+		sepRanks:   make([]sfc.Rank128, p-1),
+		aPos:       make([]int, p+1),
+		bPos:       make([]int, p+1),
+		bestPos:    make([]int, p+1),
+		candRanks:  make([]sfc.Rank128, p-1),
+		bestCounts: make([]int64, 2*p),
+		memoRanks:  make([]sfc.Rank128, p-1),
+		counts:     make([]int64, 2*p),
 	}
 }
 
@@ -143,8 +157,10 @@ func (e *Repartitioner) Rebuild(keys []sfc.Key, prior *Splitters) StepResult {
 // Step applies one refine/coarsen delta to the cached mesh and warm-starts
 // the next placement from the previous one. Only refined children and
 // coarsened parents are re-ranked; every other element's cached rank is
-// copied. This is the zero-steady-state-allocation path of the online AMR
-// loop.
+// copied in runs. Its cost follows the delta: each edited leaf adjusts the
+// count memo, and a rung rescans only the partitions whose bracket moved,
+// plus one bulk copy of the columns. This is the
+// zero-steady-state-allocation path of the online AMR loop.
 //
 //alloc:zero once the arena columns and scratch are warm; growth past a size high-water mark is the cold path.
 func (e *Repartitioner) Step(delta octree.Delta) StepResult {
@@ -166,6 +182,7 @@ func (e *Repartitioner) ingest(keys []sfc.Key) {
 	copy(ks, keys)
 	psort.TreeSortArena(curve, ks, e.arena)
 	e.n = len(octree.LinearizeSorted(ks))
+	e.memoOK = false
 	e.keys, e.ranks = e.arena.Columns(e.n)
 	e.lo, e.hi = e.arena.Spans(e.n)
 	// Size the scratch span pair now, as the sort sized the key and rank
@@ -175,8 +192,9 @@ func (e *Repartitioner) ingest(keys []sfc.Key) {
 }
 
 // applyDelta merges the surviving elements into the scratch columns,
-// re-ranking and re-spanning only what the delta touched, then adopts the
-// scratch columns.
+// copying each untouched run between delta events in bulk and re-ranking
+// and re-spanning only what the delta touched, then adopts the scratch
+// columns. Every removed and added leaf adjusts the count memo.
 //
 //alloc:zero once the alt columns are warm.
 func (e *Repartitioner) applyDelta(delta octree.Delta) {
@@ -184,34 +202,48 @@ func (e *Repartitioner) applyDelta(delta octree.Delta) {
 	nch := curve.NumChildren()
 	nk, nr := e.arena.AltColumns(delta.NewLen) //alloc:escape alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
 	nlo, nhi := e.arena.AltSpans(delta.NewLen) //alloc:escape alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
-	w, ri, ci := 0, 0, 0
-	for i := 0; i < e.n; {
+	w, i, ri, ci := 0, 0, 0, 0
+	for {
+		next := e.n
+		if ci < len(delta.Coarsened) {
+			next = delta.Coarsened[ci]
+		}
+		if ri < len(delta.Refined) && delta.Refined[ri] < next {
+			next = delta.Refined[ri]
+		}
+		copy(nk[w:], e.keys[i:next])
+		copy(nr[w:], e.ranks[i:next])
+		copy(nlo[w:], e.lo[i:next])
+		copy(nhi[w:], e.hi[i:next])
+		w += next - i
+		i = next
+		if i == e.n {
+			break
+		}
 		if ci < len(delta.Coarsened) && delta.Coarsened[ci] == i {
+			for j := i; j < i+nch; j++ {
+				e.adjust(e.ranks[j], e.lo[j], e.hi[j], -1)
+			}
 			parent := e.keys[i].Parent()
 			nk[w] = parent
 			nr[w], nlo[w], nhi[w] = curve.RankWithSpan(parent)
+			e.adjust(nr[w], nlo[w], nhi[w], 1)
 			w++
 			i += nch
 			ci++
 			continue
 		}
-		if ri < len(delta.Refined) && delta.Refined[ri] == i {
-			st := curve.StateAt(e.keys[i])
-			for pos := 0; pos < nch; pos++ {
-				child := e.keys[i].Child(curve.ChildAt(st, pos)) //alloc:escape Key.Child's max-level panic is inlined here; the Evolver never refines a max-level leaf
-				nk[w] = child
-				nr[w], nlo[w], nhi[w] = curve.RankWithSpan(child)
-				w++
-			}
-			i++
-			ri++
-			continue
+		e.adjust(e.ranks[i], e.lo[i], e.hi[i], -1)
+		st := curve.StateAt(e.keys[i])
+		for pos := 0; pos < nch; pos++ {
+			child := e.keys[i].Child(curve.ChildAt(st, pos)) //alloc:escape Key.Child's max-level panic is inlined here; the Evolver never refines a max-level leaf
+			nk[w] = child
+			nr[w], nlo[w], nhi[w] = curve.RankWithSpan(child)
+			e.adjust(nr[w], nlo[w], nhi[w], 1)
+			w++
 		}
-		nk[w] = e.keys[i]
-		nr[w] = e.ranks[i]
-		nlo[w], nhi[w] = e.lo[i], e.hi[i]
-		w++
 		i++
+		ri++
 	}
 	if w != delta.NewLen {
 		//alloc:escape corrupt-delta panic path, never taken in a correct loop
@@ -221,6 +253,22 @@ func (e *Repartitioner) applyDelta(delta octree.Delta) {
 	e.n = delta.NewLen
 	e.keys, e.ranks = e.arena.Columns(delta.NewLen) //alloc:escape column growth is a once-per-high-water-mark cold path; warm arenas reslice
 	e.lo, e.hi = e.arena.Spans(delta.NewLen)        //alloc:escape column growth is a once-per-high-water-mark cold path; warm arenas reslice
+}
+
+// adjust moves one leaf, with cached rank and neighbour span lo, hi, into
+// (d = 1) or out of (d = -1) the count memo: the partition whose memo
+// bracket holds the rank gains or loses its work, and its boundary count
+// when the span leaves that bracket (scanCounts' test). On an invalid memo
+// it is harmless, since the next scan recounts every partition.
+//
+//alloc:zero
+func (e *Repartitioner) adjust(rank, lo, hi sfc.Rank128, d int64) {
+	o := sfc.UpperBound(e.memoRanks, rank)
+	lower, upper := bracket(e.memoRanks, o)
+	e.counts[o] += d
+	if lo.Less(lower) || !hi.Less(upper) {
+		e.counts[e.cfg.P+o] += d
+	}
 }
 
 // selectPlacement runs the slack-halving ladder: at each rung, separators
@@ -265,6 +313,7 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 		// Rung zero: keep the prior placement verbatim; it moves nothing.
 		q := e.scanQuality(e.aPos)
 		copy(e.bestPos, e.aPos)
+		copy(e.bestCounts, e.counts)
 		res = StepResult{Quality: q, Predicted: e.obj.tp(q), Objective: e.obj.j(q, 0), Rounds: 1, Kept: true}
 	}
 	for {
@@ -279,6 +328,7 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 		if !haveBest || j < res.Objective {
 			haveBest = true
 			copy(e.bestPos, e.bPos)
+			copy(e.bestCounts, e.counts)
 			res.Quality = q
 			res.Predicted = e.obj.tp(q)
 			res.MovedElements = moved
@@ -295,17 +345,18 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 		slack /= 2
 	}
 
-	// Adopt the winner. A kept prior stays verbatim (its separator keys may
-	// be octant boundaries that are no longer element keys); a moved
-	// placement re-derives separators from element positions.
+	// Adopt the winner, and leave its counts in the memo for the next
+	// Step. A kept prior stays verbatim (its separator keys may be octant
+	// boundaries that are no longer element keys); a moved placement
+	// re-derives separators from element positions.
+	e.posRanks(e.bestPos, e.memoRanks)
+	copy(e.counts, e.bestCounts)
 	if !res.Kept {
+		copy(e.sepRanks, e.memoRanks)
 		for r := 1; r < p; r++ {
-			if e.bestPos[r] >= e.n {
-				e.seps[r-1] = InfKey
-				e.sepRanks[r-1] = sfc.MaxRank128
-			} else {
+			e.seps[r-1] = InfKey
+			if e.bestPos[r] < e.n {
 				e.seps[r-1] = e.keys[e.bestPos[r]]
-				e.sepRanks[r-1] = e.ranks[e.bestPos[r]]
 			}
 		}
 	}
@@ -392,21 +443,63 @@ func (e *Repartitioner) clampPos(r int) {
 	}
 }
 
-// scanQuality is the serial Algorithm 2: scanCounts and foldQuality over
-// the whole mesh's cached columns under the candidate positions, whose
-// separator ranks are the cached ranks of the elements they point at.
+// scanQuality is the serial Algorithm 2 over the engine's columns, which
+// are in curve order with distinct ranks. Under positions pos, partition r
+// is therefore exactly the elements [pos[r], pos[r+1]): its work is the
+// range's length, and its bracket is [ranks[pos[r]], ranks[pos[r+1]]),
+// zero before the first partition and MaxRank128 at or past n — the
+// brackets scanCounts derives from the same separator ranks. Only the
+// boundary test scans (countRange), and only for partitions whose bracket
+// differs from the memo's; the memo then holds pos's counts.
 //
 //alloc:zero
 func (e *Repartitioner) scanQuality(pos []int) Quality {
+	p := e.cfg.P
+	e.posRanks(pos, e.candRanks)
+	for r := 0; r < p; r++ {
+		lower, upper := bracket(e.candRanks, r)
+		if e.memoOK {
+			if ml, mu := bracket(e.memoRanks, r); ml == lower && mu == upper {
+				continue
+			}
+		}
+		e.counts[r] = int64(pos[r+1] - pos[r])
+		e.counts[p+r] = countRange(e.lo[pos[r]:pos[r+1]], e.hi[pos[r]:pos[r+1]], lower, upper)
+	}
+	copy(e.memoRanks, e.candRanks)
+	e.memoOK = true
+	return foldQuality(e.counts)
+}
+
+// posRanks fills seps with the separator ranks of positions pos: the
+// cached rank of the element each separator points at, MaxRank128 at or
+// past n.
+//
+//alloc:zero
+func (e *Repartitioner) posRanks(pos []int, seps []sfc.Rank128) {
 	for r := 1; r < e.cfg.P; r++ {
 		if pos[r] >= e.n {
-			e.candRanks[r-1] = sfc.MaxRank128
+			seps[r-1] = sfc.MaxRank128
 		} else {
-			e.candRanks[r-1] = e.ranks[pos[r]]
+			seps[r-1] = e.ranks[pos[r]]
 		}
 	}
-	scanCounts(e.ranks, e.lo, e.hi, e.candRanks, e.counts)
-	return foldQuality(e.counts)
+}
+
+// countRange counts the boundary octants among one partition's elements,
+// given their neighbour spans lo, hi and the partition's bracket
+// [lower, upper): scanCounts' two compares, without its owner search.
+//
+//alloc:zero
+func countRange(lo, hi []sfc.Rank128, lower, upper sfc.Rank128) int64 {
+	hi = hi[:len(lo)]
+	var b int64
+	for i := range lo {
+		if lo[i].Less(lower) || !hi[i].Less(upper) {
+			b++
+		}
+	}
+	return b
 }
 
 // movedBetween counts the elements whose owner differs between the

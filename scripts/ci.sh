@@ -9,7 +9,8 @@
 # a 10 s fuzz smoke each of internal/sfc's FuzzRankWithSpan, FuzzRankOrder
 # and FuzzCompareConsistent, internal/net's FuzzDecodeFrame and
 # FuzzDecodeBodies, internal/service's FuzzDigestCanonicalization and
-# FuzzServiceCanonicalHit, and internal/ckpt's FuzzDecodeSnapshot;
+# FuzzServiceCanonicalHit, internal/ckpt's FuzzDecodeSnapshot, and
+# internal/partition's FuzzRepartitionerStep;
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
 # lint, and service; the benchmark spine's quick run with its exact
 # metrics compared against scripts/spine_quick_baseline.json and its
@@ -96,6 +97,13 @@ echo "==> fuzz smoke: FuzzDecodeSnapshot (10 s)"
 # nothing vouches for. The decoder must reject or decode, never panic or
 # over-allocate, and whatever it accepts must re-encode to the same bytes.
 go test ./internal/ckpt -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s
+
+echo "==> fuzz smoke: FuzzRepartitionerStep (10 s)"
+# The serial engine's count memo: short campaigns from fuzzed seeds,
+# partition counts and refine/coarsen fractions, where every Step must
+# adopt what a cold Rebuild adopts and report the Quality a full
+# Algorithm 2 recount gives.
+go test ./internal/partition -run '^$' -fuzz '^FuzzRepartitionerStep$' -fuzztime 10s
 
 echo "==> go test -race -shuffle=on $* ./..."
 go test -race -shuffle=on "$@" ./...
