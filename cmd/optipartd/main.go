@@ -18,8 +18,8 @@
 // clients connect and exchange gob WireRequest/WireResponse pairs; the
 // service canonicalizes and content-hashes each octree, serves repeats from
 // its cache, coalesces concurrent identical requests, and schedules misses
-// across -slots execution slots fairly per tenant. Drive it with
-// `loadgen -connect`.
+// across -slots execution slots fairly per tenant. SIGTERM/SIGINT drains
+// it: idle connections close and in-flight requests finish.
 //
 // The driver demos both failure policies. Under -on-failure=degrade (the
 // default) phase 1 hard-kills the victim mid-campaign, which must surface
@@ -126,7 +126,9 @@ func main() {
 
 	switch {
 	case *serve != "":
-		err = serveMain(*serve, *slots, *cacheKeys)
+		stop := make(chan os.Signal, 1)
+		signal.Notify(stop, syscall.SIGTERM, syscall.SIGINT)
+		err = serveMain(*serve, *slots, *cacheKeys, stop)
 	case *launch:
 		installRootSignals()
 		err = driverMain(pr, *p, *kill, *socket, *deadline, *calibrate, policy, *ckptDir)

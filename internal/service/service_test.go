@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -1028,4 +1030,62 @@ func TestServeConnSurvivesInvalidKey(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("ServeConn: %v", err)
 	}
+}
+
+// gobRequest is the gob stream a client writes for one request: the type
+// descriptor, then the value.
+func gobRequest(tb testing.TB, req Request) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	wr := FromRequest(req)
+	if err := gob.NewEncoder(&buf).Encode(&wr); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzServeConn: whatever bytes a client sends, ServeConn returns without
+// panicking, and the Service it served still answers a valid request on a
+// fresh stream.
+func FuzzServeConn(f *testing.F) {
+	keys := testKeys(80, 64)
+	valid := gobRequest(f, baseRequest(keys))
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	// The level-255 key that panicked canonicalize with a negative shift
+	// before validateKeys existed.
+	f.Add(gobRequest(f, baseRequest(append([]sfc.Key{{Level: 255}}, keys...))))
+	// The curve kind that panicked the Rank hot loop before validate
+	// checked it.
+	kind := baseRequest(keys)
+	kind.CurveKind = 7
+	f.Add(gobRequest(f, kind))
+	ranks := baseRequest(keys)
+	ranks.Ranks = maxRanks + 1
+	f.Add(gobRequest(f, ranks))
+
+	s := New(Config{Slots: 1})
+	f.Cleanup(s.Close)
+	probe := gobRequest(f, baseRequest(testKeys(81, 64)))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		_ = ServeConn(s, readWriter{bytes.NewReader(stream), io.Discard})
+
+		var out bytes.Buffer
+		if err := ServeConn(s, readWriter{bytes.NewReader(probe), &out}); err != nil {
+			t.Fatalf("ServeConn on a valid request: %v", err)
+		}
+		var resp WireResponse
+		if err := gob.NewDecoder(&out).Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Err != "" {
+			t.Fatalf("valid request after fuzzed stream %x: Err = %q", stream, resp.Err)
+		}
+	})
+}
+
+// readWriter is an in-memory connection: requests in, responses out.
+type readWriter struct {
+	io.Reader
+	io.Writer
 }

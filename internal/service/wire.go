@@ -13,9 +13,8 @@ import (
 
 // WireRequest is the gob form of a Request: machines travel by name (both
 // ends share the machine table) and enums travel as ints. It is the
-// protocol spoken by `optipartd -serve` and `loadgen -connect`: a client
-// writes WireRequests and reads WireResponses over one connection,
-// strictly alternating.
+// protocol `optipartd -serve` speaks: a client writes WireRequests and
+// reads WireResponses over one connection, strictly alternating.
 type WireRequest struct {
 	Tenant       string
 	Keys         []sfc.Key

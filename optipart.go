@@ -416,8 +416,8 @@ func SampleSort(c *Comm, local []Key, curve *Curve) []Key {
 // requests race (singleflight), and admitted to a bounded set of execution
 // slots in least-attained-service order per tenant so heavy campaigns
 // cannot starve light ones. The steady-state cache-hit path allocates
-// nothing. Serve it over sockets with `optipartd -serve` and drive load
-// with `loadgen`.
+// nothing. Serve it over sockets with `optipartd -serve`, or embed it and
+// call Do.
 type (
 	PartitionService    = service.Service
 	ServiceConfig       = service.Config

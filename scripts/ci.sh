@@ -8,8 +8,9 @@
 # report parsed back); allocgate (//alloc:zero contracts, then its report);
 # a 10 s fuzz smoke each of internal/sfc's FuzzRankWithSpan, FuzzRankOrder
 # and FuzzCompareConsistent, internal/net's FuzzDecodeFrame and
-# FuzzDecodeBodies, internal/service's FuzzDigestCanonicalization and
-# FuzzServiceCanonicalHit, internal/ckpt's FuzzDecodeSnapshot, and
+# FuzzDecodeBodies, internal/service's FuzzDigestCanonicalization,
+# FuzzServiceCanonicalHit and FuzzServeConn, internal/ckpt's
+# FuzzDecodeSnapshot, and
 # internal/partition's FuzzRepartitionerStep;
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
 # lint, and service; the benchmark spine's quick run with its exact
@@ -17,9 +18,9 @@
 # partition.step_allocs required to be 0; the repart
 # transcript at -workers 1 and GOMAXPROCS against its golden; the full
 # repart campaign and its built-in assertions; then the smokes: optipartd
-# multi-process (kill and recover), optipartd self-healing (restore), the
-# partitioning service (in-process and over a unix socket), and the chaos
-# harness on five fixed seeds.
+# multi-process (kill and recover), optipartd self-healing (restore), and
+# the chaos harness on five fixed seeds. The -serve daemon's wire loop is
+# cmd/optipartd's TestServeDrain, run by the suite-wide -race pass.
 #
 # The comm runtime is a shared-memory stand-in for MPI: every collective is
 # goroutines racing through a barrier, which is exactly the code the race
@@ -83,12 +84,14 @@ for target in FuzzDecodeFrame FuzzDecodeBodies; do
     go test ./internal/net -run '^$' -fuzz "^$target\$" -fuzztime 10s
 done
 
-echo "==> fuzz smoke: FuzzDigestCanonicalization, FuzzServiceCanonicalHit (10 s each)"
+echo "==> fuzz smoke: FuzzDigestCanonicalization, FuzzServiceCanonicalHit, FuzzServeConn (10 s each)"
 # The cache's identity: any ordering or padding of one octree digests alike
 # after canonicalization, and at the Service level its canonical form hits
 # as sent while a shuffled, duplicated copy hits through canonicalization,
-# both returning the one cached response.
-for target in FuzzDigestCanonicalization FuzzServiceCanonicalHit; do
+# both returning the one cached response. Then the service's trust
+# boundary: whatever bytes a client sends, ServeConn returns without
+# panicking and the Service still answers a valid request.
+for target in FuzzDigestCanonicalization FuzzServiceCanonicalHit FuzzServeConn; do
     go test ./internal/service -run '^$' -fuzz "^$target\$" -fuzztime 10s
 done
 
@@ -224,36 +227,6 @@ grep -q "supervisor: respawned rank" "$restorelog"
 grep -q "restoring from epoch" "$restorelog"
 grep -q "digest matches fault-free golden" "$restorelog"
 rm -rf "$smokedir"
-
-echo "==> partitioning-service load smoke (in-process, then -serve over a unix socket)"
-# In-process first: short hit+miss sweep, the hit mix must actually hit.
-svcdir=$(mktemp -d)
-go build -o "$svcdir/loadgen" ./cmd/loadgen
-go build -o "$svcdir/optipartd" ./cmd/optipartd
-"$svcdir/loadgen" -duration 300ms -conc 1,2 -n 2000 -octrees 4 >"$svcdir/inproc.txt"
-grep -q 'mix=hit/conc=1.*1\.000 hit-rate' "$svcdir/inproc.txt"
-grep -q 'mix=miss/conc=1.*0\.000 hit-rate' "$svcdir/inproc.txt"
-# Then the wire path: a live `optipartd -serve` on a private unix socket,
-# driven by `loadgen -connect`, drained with SIGTERM.
-"$svcdir/optipartd" -serve "unix:$svcdir/svc.sock" -slots 2 >"$svcdir/serve.log" 2>&1 &
-servepid=$!
-for i in $(seq 1 50); do
-    [ -S "$svcdir/svc.sock" ] && break
-    sleep 0.1
-done
-if ! "$svcdir/loadgen" -connect "unix:$svcdir/svc.sock" -duration 300ms \
-        -conc 1,2 -n 2000 -octrees 4 >"$svcdir/wire.txt"; then
-    echo "loadgen -connect smoke failed:" >&2
-    cat "$svcdir/serve.log" >&2
-    kill "$servepid" 2>/dev/null || true
-    rm -rf "$svcdir"
-    exit 1
-fi
-grep -q 'mix=hit/conc=2.*1\.000 hit-rate' "$svcdir/wire.txt"
-kill -TERM "$servepid"
-wait "$servepid"
-grep -q 'served .* requests' "$svcdir/serve.log"
-rm -rf "$svcdir"
 
 echo "==> chaos harness smoke (5 fixed seeds, quick sizes, short deadline)"
 # Each seed draws a distinct kill/drain/loss/straggler schedule; every one
