@@ -18,7 +18,6 @@ import (
 
 	"optipart"
 	"optipart/internal/experiments"
-	"optipart/internal/fault"
 )
 
 func main() {
@@ -28,9 +27,6 @@ func main() {
 		quick   = flag.Bool("quick", false, "use small problem sizes (smoke test)")
 		seed    = flag.Int64("seed", 0, "RNG seed (0 = default)")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool width shared by all ranks (1 forces the serial paths; transcripts are identical at every width)")
-		loss    = flag.Float64("loss", 0, "per-frame drop rate in [0,1] on every link, overlaid on the losses sweep (same validation as cmd/optipart)")
-		corrupt = flag.Float64("corrupt", 0, "per-frame corruption rate in [0,1] on every link, overlaid on the losses sweep")
-		retry   = flag.Int("retry", 0, "retransmit cap per message before the link is declared dead (0 = default)")
 	)
 	flag.Parse()
 
@@ -39,12 +35,6 @@ func main() {
 		os.Exit(1)
 	}
 	optipart.SetWorkers(*workers)
-
-	net := fault.LossFlags{Loss: *loss, Corrupt: *corrupt, Retry: *retry}
-	if err := net.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
 
 	if *list || *run == "" {
 		fmt.Println("available experiments:")
@@ -58,7 +48,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Out: os.Stdout, Quick: *quick, Seed: *seed, Net: net}
+	cfg := experiments.Config{Out: os.Stdout, Quick: *quick, Seed: *seed}
 	if err := experiments.Run(*run, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)

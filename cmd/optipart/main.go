@@ -7,7 +7,6 @@
 //	optipart -p 64 -n 200000 -machine Clemson-32 -curve hilbert -mode optipart
 //	optipart -p 64 -n 200000 -mode flexible -tol 0.3
 //	optipart -p 64 -n 200000 -kill 3@40 -straggler 5@2.5,1.5
-//	optipart -p 64 -n 200000 -loss 0.1 -corrupt 0.02 -retry 8
 //	optipart -p 16 -n 100000 -machine Titan -repart-steps 12 -refine-frac 0.008
 //
 // -repart-steps runs the online AMR loop instead of a single partition:
@@ -20,11 +19,7 @@
 // -kill and -straggler run the partition under the checked fault-injected
 // runtime: a killed rank tears the world down with a structured error
 // instead of hanging it, and stragglers stretch the affected ranks'
-// modeled time. -loss and -corrupt route the collectives through the
-// reliable transport over an unreliable wire: frames drop or corrupt at
-// the given per-frame rates, retries stretch the modeled time and are
-// reported, and a link that exhausts the -retry cap fails the run with a
-// structured link error.
+// modeled time.
 package main
 
 import (
@@ -60,9 +55,6 @@ func main() {
 		trace    = flag.Bool("trace", false, "print an ASCII timeline of the run (compute vs collective per rank)")
 		kill     = flag.String("kill", "", "kill a rank at its k-th collective, as rank@k (uses the checked runtime)")
 		strag    = flag.String("straggler", "", "degrade a rank, as rank@tcmult[,twmult] (uses the checked runtime)")
-		loss     = flag.Float64("loss", 0, "per-frame drop rate in [0,1] on every link (uses the reliable transport)")
-		corrupt  = flag.Float64("corrupt", 0, "per-frame corruption rate in [0,1] on every link (uses the reliable transport)")
-		retry    = flag.Int("retry", 0, "retransmit cap per message before the link is declared dead (0 = default)")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool width shared by all ranks (1 forces the serial paths; results are identical at every width)")
 		rsteps   = flag.Int("repart-steps", 0, "run an online AMR loop: evolve an adaptive mesh this many refine/coarsen steps under a moving front and repartition incrementally each step (0 = single-shot partition)")
 		rfrac    = flag.Float64("refine-frac", 0.008, "per-leaf refinement fraction per step, in (0,1) (coarsening drains at 1.25x behind the front; only with -repart-steps)")
@@ -87,14 +79,14 @@ func main() {
 		fatal(fmt.Errorf("-refine-frac %g: must be in (0,1)", *rfrac))
 	}
 	if *rsteps > 0 {
-		if *kill != "" || *strag != "" || *loss != 0 || *corrupt != 0 || *retry != 0 {
+		if *kill != "" || *strag != "" {
 			fatal(fmt.Errorf("-repart-steps does not combine with the fault-injection flags; use `experiments -run faults` for failure campaigns"))
 		}
 		runRepartLoop(*p, *n, m, curve, kind, d, *seed, *rsteps, *rfrac, *tol, *alpha)
 		return
 	}
 
-	plan, err := buildPlan(*p, *kill, *strag, *loss, *corrupt, *retry, *seed)
+	plan, err := buildPlan(*p, *kill, *strag)
 	if err != nil {
 		fatal(err)
 	}
@@ -118,10 +110,6 @@ func main() {
 			tr = &optipart.Trace{}
 		}
 		opts := comm.CheckedOptions{Hooks: plan.Hooks(), Trace: tr}
-		if !plan.Net.Empty() {
-			opts.Net = plan.Net.Injector()
-			opts.Transport = plan.Net.Transport
-		}
 		st, err = comm.RunCheckedOpts(*p, m.CostModel(), opts,
 			func(c *optipart.Comm) error { body(c); return nil })
 		if err != nil {
@@ -152,11 +140,6 @@ func main() {
 	table.Add("Cmax (boundary octants)", res.Quality.Cmax)
 	table.Add("total boundary octants", res.Quality.Ctot)
 	table.Add("predicted app step (s), Eq. (3)", res.Predicted)
-	if st.Retransmits != nil {
-		table.Add("retransmitted frames", st.TotalRetransmits())
-		table.Add("retransmitted bytes", st.TotalRetryBytes())
-		table.Add("duplicate frames", st.TotalDuplicates())
-	}
 	table.Fprint(os.Stdout)
 
 	if tr != nil {
@@ -237,12 +220,12 @@ func runRepartLoop(p, n int, m optipart.Machine, curve *optipart.Curve, kind opt
 		cumMoved, float64(cumMoved)*float64(optipart.GhostPayloadBytes)/(1<<20), optipart.GhostPayloadBytes)
 }
 
-// buildPlan builds and validates the fault plan from the -kill ("rank@k"),
-// -straggler ("rank@tcmult[,twmult]"), -loss, -corrupt, and -retry flags.
-// Every argument is range-checked against the world size here so a typo
-// fails with a usable message before any goroutines start, instead of
-// panicking or silently never matching.
-func buildPlan(p int, kill, strag string, loss, corrupt float64, retry int, seed int64) (*fault.Plan, error) {
+// buildPlan builds and validates the fault plan from the -kill ("rank@k")
+// and -straggler ("rank@tcmult[,twmult]") flags. Every argument is
+// range-checked against the world size here so a typo fails with a usable
+// message before any goroutines start, instead of panicking or silently
+// never matching.
+func buildPlan(p int, kill, strag string) (*fault.Plan, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("-p %d: need at least one rank", p)
 	}
@@ -287,11 +270,6 @@ func buildPlan(p int, kill, strag string, loss, corrupt float64, retry int, seed
 		}
 		plan.Stragglers = append(plan.Stragglers, s)
 	}
-	np, err := fault.LossFlags{Loss: loss, Corrupt: corrupt, Retry: retry}.Plan(seed, p)
-	if err != nil {
-		return nil, err
-	}
-	plan.Net = np
 	return plan, nil
 }
 

@@ -9,7 +9,7 @@ import (
 
 // TestBuildPlanValid covers the shapes each flag accepts.
 func TestBuildPlanValid(t *testing.T) {
-	plan, err := buildPlan(8, "3@40", "5@2.5,1.5", 0.1, 0.02, 6, 1)
+	plan, err := buildPlan(8, "3@40", "5@2.5,1.5")
 	if err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
@@ -20,18 +20,9 @@ func TestBuildPlanValid(t *testing.T) {
 	if s.Rank != 5 || s.TcMult != 2.5 || s.TwMult != 1.5 {
 		t.Fatalf("straggler misparsed: %+v", s)
 	}
-	if plan.Net == nil || plan.Net.Empty() {
-		t.Fatalf("loss flags produced no NetPlan")
-	}
-	if got := plan.Net.Transport.MaxRetries; got != 6 {
-		t.Fatalf("retry cap misparsed: %d", got)
-	}
-	if err := plan.Net.Validate(8); err != nil {
-		t.Fatalf("built NetPlan invalid: %v", err)
-	}
 
 	// Straggler with tc multiplier only.
-	plan, err = buildPlan(8, "", "2@3", 0, 0, 0, 1)
+	plan, err = buildPlan(8, "", "2@3")
 	if err != nil {
 		t.Fatalf("tc-only straggler rejected: %v", err)
 	}
@@ -40,7 +31,7 @@ func TestBuildPlanValid(t *testing.T) {
 	}
 
 	// No fault flags at all: an empty plan, so main takes the plain Run path.
-	plan, err = buildPlan(8, "", "", 0, 0, 0, 1)
+	plan, err = buildPlan(8, "", "")
 	if err != nil || !plan.Empty() {
 		t.Fatalf("flagless plan not empty: %+v, %v", plan, err)
 	}
@@ -51,34 +42,27 @@ func TestBuildPlanValid(t *testing.T) {
 // silently ignored fault.
 func TestBuildPlanRejects(t *testing.T) {
 	cases := []struct {
-		name          string
-		kill, strag   string
-		loss, corrupt float64
-		retry         int
-		frag          string
+		name        string
+		kill, strag string
+		frag        string
 	}{
-		{"kill rank too high", "8@10", "", 0, 0, 0, "out of range [0,8)"},
-		{"kill rank negative", "-1@10", "", 0, 0, 0, "out of range [0,8)"},
-		{"kill negative collective", "2@-3", "", 0, 0, 0, "must be >= 0"},
-		{"kill missing @", "2", "", 0, 0, 0, "want rank@value"},
-		{"kill bad index", "2@x", "", 0, 0, 0, "bad collective index"},
-		{"straggler rank too high", "", "9@2", 0, 0, 0, "out of range [0,8)"},
-		{"straggler zero mult", "", "2@0", 0, 0, 0, "must be > 0"},
-		{"straggler negative tw", "", "2@2,-1", 0, 0, 0, "must be > 0"},
-		{"straggler bad mult", "", "2@fast", 0, 0, 0, "bad tc multiplier"},
-		{"loss above one", "", "", 1.5, 0, 0, "must be in [0,1]"},
-		{"loss negative", "", "", -0.1, 0, 0, "must be in [0,1]"},
-		{"corrupt above one", "", "", 0, 2, 0, "must be in [0,1]"},
-		{"retry negative", "", "", 0.1, 0, -1, "must be >= 0"},
-		{"retry without loss", "", "", 0, 0, 4, "needs -loss or -corrupt"},
+		{"kill rank too high", "8@10", "", "out of range [0,8)"},
+		{"kill rank negative", "-1@10", "", "out of range [0,8)"},
+		{"kill negative collective", "2@-3", "", "must be >= 0"},
+		{"kill missing @", "2", "", "want rank@value"},
+		{"kill bad index", "2@x", "", "bad collective index"},
+		{"straggler rank too high", "", "9@2", "out of range [0,8)"},
+		{"straggler zero mult", "", "2@0", "must be > 0"},
+		{"straggler negative tw", "", "2@2,-1", "must be > 0"},
+		{"straggler bad mult", "", "2@fast", "bad tc multiplier"},
 	}
 	for _, tc := range cases {
-		_, err := buildPlan(8, tc.kill, tc.strag, tc.loss, tc.corrupt, tc.retry, 1)
+		_, err := buildPlan(8, tc.kill, tc.strag)
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("%s: buildPlan = %v, want error containing %q", tc.name, err, tc.frag)
 		}
 	}
-	if _, err := buildPlan(0, "", "", 0, 0, 0, 1); err == nil {
+	if _, err := buildPlan(0, "", ""); err == nil {
 		t.Errorf("p=0 accepted")
 	}
 }

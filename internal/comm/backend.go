@@ -159,7 +159,7 @@ func (s *StepState) SetScratchBytes(b []byte) error {
 // everywhere — charging each rank's phase and trace. It returns the common
 // end time the backend must deliver to every peer.
 func (s *StepState) FinishStep(cost float64) float64 {
-	return s.c.w.advanceClocks(s.op, cost, 0)
+	return s.c.w.advanceClocks(s.op, cost)
 }
 
 // ApplyClock sets the calling rank's clock to the step-end time the
@@ -197,9 +197,8 @@ func (s *StepState) Abort(err error) {
 }
 
 // advanceClocks applies the BSP clock update of one step: the step starts
-// at the latest deposited clock, costs the same on every rank, and retry
-// seconds (unreliable-transport retransmissions) stretch it uniformly.
-func (w *World) advanceClocks(op string, cost, retry float64) float64 {
+// at the latest deposited clock and costs the same on every rank.
+func (w *World) advanceClocks(op string, cost float64) float64 {
 	start := 0.0
 	for _, t := range w.clocks {
 		if t > start {
@@ -208,23 +207,17 @@ func (w *World) advanceClocks(op string, cost, retry float64) float64 {
 	}
 	end := start + cost
 	for i := range w.clocks {
-		dt := end + retry - w.clocks[i]
+		dt := end - w.clocks[i]
 		if w.trace != nil {
 			w.trace.add(Event{
 				Rank: i, Phase: w.phases[i], Op: op,
 				Start: w.clocks[i], End: end,
 			})
-			if retry > 0 {
-				w.trace.add(Event{
-					Rank: i, Phase: w.phases[i], Op: "retransmit",
-					Start: end, End: end + retry,
-				})
-			}
 		}
-		w.clocks[i] = end + retry
+		w.clocks[i] = end
 		w.phaseTime[i][w.phases[i]] += dt
 	}
-	return end + retry
+	return end
 }
 
 // inprocTransport is the default backend: the original shared-memory world.
@@ -245,8 +238,7 @@ func (t *inprocTransport) Bind(fail func(error)) {
 }
 
 // Step is the original sync body: deposit under a barrier, compute on rank
-// 0 (including the simulated unreliable-network delivery when a NetInjector
-// is installed), consume on every rank, release under a final barrier.
+// 0, consume on every rank, release under a final barrier.
 func (t *inprocTransport) Step(st *StepState) any {
 	c := st.c
 	w := t.w
@@ -254,21 +246,9 @@ func (t *inprocTransport) Step(st *StepState) any {
 	t.barrier.wait(c.rank)
 	if c.rank == 0 {
 		w.verifySigs() // does not return on mismatch
-		cost := st.ComputeCost()
-		// Replay the step's logical messages through the unreliable
-		// network: retries stretch the step, a dead link fails the world.
-		var retry float64
-		if w.net != nil {
-			var nerr error
-			retry, nerr = w.netStep(st.op)
-			if nerr != nil {
-				w.fail(nerr)
-				panic(worldAbort{})
-			}
-		}
 		// BSP semantics: the step starts when the last rank arrives and
 		// costs the same on every rank.
-		w.advanceClocks(st.op, cost, retry)
+		w.advanceClocks(st.op, st.ComputeCost())
 	}
 	t.barrier.wait(c.rank)
 	out := st.Consume()

@@ -39,16 +39,6 @@ type CheckedOptions struct {
 	Hooks Hooks
 	// Trace, when non-nil, records the run's timeline as in RunTraced.
 	Trace *Trace
-	// Net, when non-nil, routes every collective's logical messages through
-	// the unreliable-network transport (transport.go): messages carry
-	// checksums and sequence numbers, losses are retried with timeout and
-	// backoff, and a dead link escalates to a *LinkFailure. With a nil
-	// Net the delivery path is skipped entirely; with a Net that injects
-	// nothing the run is bit-identical to one without a Net.
-	Net NetInjector
-	// Transport tunes reliable delivery when Net is set; the zero value
-	// means defaults.
-	Transport TransportOptions
 }
 
 // RunChecked executes f on p ranks like Run, but returns the world's

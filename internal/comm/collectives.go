@@ -32,9 +32,6 @@ func Allreduce[T any](c *Comm, vals []T, elemBytes int, op func(a, b T) T) []T {
 			w.bytesSent[i] += int64(m) * int64(steps)
 			w.msgsSent[i] += int64(steps)
 		}
-		if w.net != nil {
-			w.pendingMsgs = netTree(w.pendingMsgs[:0], w.p, int64(m))
-		}
 		return (w.model.Ts + w.model.Tw*m) * steps
 	}, func(scratch any) any {
 		res := make([]T, len(scratch.([]T)))
@@ -69,19 +66,6 @@ func Allgather[T any](c *Comm, vals []T, elemBytes int) []T {
 			own := len(w.slots[i].([]T)) * elemBytes
 			w.bytesSent[i] += int64(total*elemBytes - own)
 			w.msgsSent[i] += int64(steps)
-		}
-		if w.net != nil {
-			// Runs single-threaded on rank 0 between the deposit and consume
-			// barriers, so the World-level scratch needs no locking. Layout:
-			// [0:p] per-rank contributions, [p:2p+1] their prefix sums.
-			if cap(w.i64Scratch) < 2*w.p+1 {
-				w.i64Scratch = make([]int64, 2*w.p+1)
-			}
-			contrib := w.i64Scratch[:w.p]
-			for r := 0; r < w.p; r++ {
-				contrib[r] = int64(len(w.slots[r].([]T)) * elemBytes)
-			}
-			w.pendingMsgs = netAllgather(w.pendingMsgs[:0], w.p, contrib, w.i64Scratch[w.p:2*w.p+1])
 		}
 		return w.model.Ts*steps + w.model.Tw*m
 	}, func(scratch any) any {
@@ -129,9 +113,6 @@ func Alltoallv[T any](c *Comm, send [][]T, elemBytes int, opts AlltoallvOptions)
 			all[r] = w.slots[r].([][]T)
 		}
 		w.scratch = all
-		if w.net != nil {
-			w.pendingMsgs = w.pendingMsgs[:0]
-		}
 		var cost float64
 		if opts.Sparse {
 			var maxMsgs, maxBytes int64
@@ -144,11 +125,6 @@ func Alltoallv[T any](c *Comm, send [][]T, elemBytes int, opts AlltoallvOptions)
 					if n := int64(len(all[r][dst]) * elemBytes); n > 0 {
 						msgs++
 						bytes += n
-						if w.net != nil {
-							// One concurrent non-blocking round: retry
-							// delays combine as the max across messages.
-							w.pendingMsgs = append(w.pendingMsgs, netMsg{Src: r, Dst: dst, Bytes: n})
-						}
 					}
 				}
 				w.msgsSent[r] += msgs
@@ -164,7 +140,6 @@ func Alltoallv[T any](c *Comm, send [][]T, elemBytes int, opts AlltoallvOptions)
 		}
 		// Stages over destination offsets 1..p-1 (offset 0 is the local
 		// copy, which costs no network time).
-		stage := 0
 		for lo := 1; lo < w.p; lo += width {
 			hi := lo + width
 			if hi > w.p {
@@ -180,9 +155,6 @@ func Alltoallv[T any](c *Comm, send [][]T, elemBytes int, opts AlltoallvOptions)
 					if n > 0 {
 						bytes += n
 						w.msgsSent[r]++
-						if w.net != nil {
-							w.pendingMsgs = append(w.pendingMsgs, netMsg{Src: r, Dst: dst, Bytes: n, Round: stage})
-						}
 					}
 				}
 				w.bytesSent[r] += bytes
@@ -196,7 +168,6 @@ func Alltoallv[T any](c *Comm, send [][]T, elemBytes int, opts AlltoallvOptions)
 			if active {
 				cost += w.model.Ts + w.model.Tw*float64(stageMax)
 			}
-			stage++
 		}
 		return cost
 	}, func(scratch any) any {

@@ -94,20 +94,6 @@ type World struct {
 	sigs  []sig // per-rank signature of the collective being entered
 	seqs  []int // per-rank count of collectives entered
 
-	// Unreliable-transport state (transport.go), active when net is
-	// non-nil. All of it is touched only on rank 0 between the deposit and
-	// consume barriers, the same window as the byte accounting above.
-	net         NetInjector
-	netOpts     TransportOptions
-	netSeq      []uint64  // per directed (src,dst) link message sequence counter
-	retrans     []int64   // per-rank retransmission count
-	retryBytes  []int64   // per-rank retransmitted bytes
-	dups        []int64   // per-rank duplicate deliveries discarded (receiver side)
-	pendingMsgs []netMsg  // logical messages of the collective step in flight
-	pktScratch  []int     // reusable frame-index buffer for deliver
-	roundsBuf   []float64 // reusable per-round delay buffer for netStep
-	i64Scratch  []int64   // reusable int64 scratch (allgather contributions, prefix sums)
-
 	statusMu sync.Mutex
 	status   []rankStatus // watchdog-visible mirror of sigs/seqs/phases
 
@@ -151,10 +137,9 @@ func runOptions(trace *Trace) CheckedOptions {
 }
 
 // newWorld allocates and arms a p-rank world: the clocks and accounting, the
-// collective-signature and watchdog-status arrays, the failure latch, and
-// the simulated unreliable network when opts.Net is set. t is the wire
-// transport of a single-rank process (RunRank); nil means all p ranks meet
-// at an in-process barrier.
+// collective-signature and watchdog-status arrays, and the failure latch. t
+// is the wire transport of a single-rank process (RunRank); nil means all p
+// ranks meet at an in-process barrier.
 func newWorld(p int, model CostModel, opts CheckedOptions, t Transport) *World {
 	w := &World{
 		trace:     opts.Trace,
@@ -182,14 +167,6 @@ func newWorld(p int, model CostModel, opts CheckedOptions, t Transport) *World {
 		w.transport = &inprocTransport{w: w, barrier: newBarrier(p)}
 	}
 	w.transport.Bind(w.fail)
-	if opts.Net != nil {
-		w.net = opts.Net
-		w.netOpts = opts.Transport.withDefaults()
-		w.netSeq = make([]uint64, p*p)
-		w.retrans = make([]int64, p)
-		w.retryBytes = make([]int64, p)
-		w.dups = make([]int64, p)
-	}
 	return w
 }
 
@@ -338,11 +315,6 @@ func (w *World) fail(err error) {
 // synchronization tree.
 func (c *Comm) Barrier() {
 	c.sync("barrier", 0, nil, nil, func() float64 {
-		w := c.w
-		if w.net != nil {
-			// Barrier messages are header-only, but headers drop too.
-			w.pendingMsgs = netTree(w.pendingMsgs[:0], w.p, 0)
-		}
-		return w.model.Ts * log2p(w.p)
+		return c.w.model.Ts * log2p(c.w.p)
 	}, nil)
 }

@@ -146,25 +146,24 @@ func (e *StallError) Error() string {
 		e.Stall, len(e.Stuck), strings.Join(parts, "; "))
 }
 
-// LinkFailure reports that the reliable transport gave up on one directed
-// link: Attempts transmissions of the same logical message (sequence Seq on
-// link Src→Dst, inside collective Op) were all dropped or corrupted, so the
-// link is declared dead and the world is torn down instead of retrying
-// forever. This is the escalation point from transient loss to machine
-// fault: a campaign that catches a *LinkFailure treats the unreachable rank
-// like a killed one — evict it and re-enter the recovery-by-repartition
-// path (see the faults experiment) — rather than hanging on a wire that
-// will never carry the message.
+// LinkFailure reports that a wire worker lost its connection to the root
+// and exhausted its reconnect budget: rank Src re-dialed rank Dst Attempts
+// times without getting back in, so the link is declared dead and the world
+// is torn down instead of redialing forever. This is the escalation point
+// from a broken connection to machine fault: a campaign that catches a
+// *LinkFailure treats the unreachable rank like a killed one — evict it
+// and re-enter the recovery-by-repartition path (see the faults
+// experiment) — rather than hanging on a wire that will never come back.
 type LinkFailure struct {
 	Src, Dst int
-	Op       string // the collective whose message exhausted its budget
-	Seq      uint64 // the message's sequence number on the Src→Dst link
-	Attempts int    // transmissions attempted, including the original
-	Cap      int    // the retransmit cap that was exhausted
+	Op       string // the last collective the worker entered
+	Seq      uint64 // the collective sequence the worker was awaiting; all ones between collectives
+	Attempts int    // redials attempted
+	Cap      int    // the redial cap that was exhausted
 }
 
 func (e *LinkFailure) Error() string {
-	return fmt.Sprintf("comm: link %d→%d dead: %s message seq %d lost after %d attempts (retransmit cap %d)",
+	return fmt.Sprintf("comm: link %d→%d dead: %s at collective seq %d, reconnect failed after %d redials (cap %d)",
 		e.Src, e.Dst, e.Op, e.Seq, e.Attempts, e.Cap)
 }
 

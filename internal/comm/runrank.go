@@ -14,15 +14,9 @@ import "fmt"
 // whenever a peer is slow. A failure detected by the transport (dead peer,
 // exhausted reconnect budget) surfaces as the returned error exactly as a
 // local rank panic would.
-//
-// opts.Net must be nil: the simulated unreliable network models loss on
-// top of the in-process backend and cannot compose with a real wire.
 func RunRank(rank, p int, model CostModel, t Transport, opts CheckedOptions, f func(c *Comm) error) (*Stats, error) {
 	if p < 1 || rank < 0 || rank >= p {
 		return nil, &UsageError{Op: "run", Msg: fmt.Sprintf("RunRank with rank=%d p=%d", rank, p)}
-	}
-	if opts.Net != nil {
-		return nil, &UsageError{Op: "run", Msg: "RunRank cannot inject a simulated Net over a wire transport"}
 	}
 	w := newWorld(p, model, opts, t)
 	done := make(chan struct{})

@@ -12,13 +12,6 @@ type Stats struct {
 	BytesSent  []int64              // per-rank bytes placed on the network
 	MsgsSent   []int64              // per-rank message count
 
-	// Transport accounting, nil unless the run used the unreliable-network
-	// delivery path (transport.go). Retransmitted and duplicated bytes are
-	// also folded into BytesSent/MsgsSent — these break out the waste.
-	Retransmits []int64 // per-rank retransmitted message count
-	RetryBytes  []int64 // per-rank retransmitted bytes
-	Duplicates  []int64 // per-rank duplicate deliveries discarded (receiver side)
-
 	// Recovery is the self-healing layer's accounting, nil unless the run
 	// rode a transport or harness that repairs failures (wire Restore
 	// policy, chaos harness). It is attached by the driver after the run:
@@ -49,18 +42,13 @@ func (r RecoveryStats) MTTR() time.Duration {
 }
 
 func newStats(w *World) *Stats {
-	s := &Stats{
+	return &Stats{
 		P:          w.p,
 		Clocks:     w.clocks,
 		PhaseTimes: w.phaseTime,
 		BytesSent:  w.bytesSent,
 		MsgsSent:   w.msgsSent,
-
-		Retransmits: w.retrans,
-		RetryBytes:  w.retryBytes,
-		Duplicates:  w.dups,
 	}
-	return s
 }
 
 // Time returns the modeled parallel runtime: the maximum rank clock.
@@ -101,22 +89,4 @@ func (s *Stats) TotalMsgs() int64 {
 		m += v
 	}
 	return m
-}
-
-// TotalRetransmits returns the total retransmitted-message count across
-// ranks; zero for runs without the unreliable transport.
-func (s *Stats) TotalRetransmits() int64 { return sumI64(s.Retransmits) }
-
-// TotalRetryBytes returns the total retransmitted bytes across ranks.
-func (s *Stats) TotalRetryBytes() int64 { return sumI64(s.RetryBytes) }
-
-// TotalDuplicates returns the total duplicate deliveries discarded.
-func (s *Stats) TotalDuplicates() int64 { return sumI64(s.Duplicates) }
-
-func sumI64(vs []int64) int64 {
-	var t int64
-	for _, v := range vs {
-		t += v
-	}
-	return t
 }

@@ -15,30 +15,30 @@ import (
 
 func init() {
 	register("chaos",
-		"seeded chaos harness: kills, drains, loss, and stragglers against the checkpoint/restore campaign", chaosExperiment)
+		"seeded chaos harness: kills, drains, and stragglers against the checkpoint/restore campaign", chaosExperiment)
 }
 
 // chaosExperiment drives the self-healing campaign through a seeded
 // multi-outage schedule and checks hard invariants after every attempt:
 //
-//   - every failure is structured (*RankFailure, *AbandonedError, or
-//     *LinkFailure) — never a hang (the runtime's stall watchdog ends a
-//     wedged attempt with a *StallError, which fails the harness) and
-//     never an unexplained error;
+//   - every failure is structured (*RankFailure or *AbandonedError) —
+//     never a hang (the runtime's stall watchdog ends a wedged attempt
+//     with a *StallError, which fails the harness) and never an
+//     unexplained error;
 //   - the campaign, restored from its latest checkpoint after each outage,
 //     finishes with a digest bit-identical to a fault-free golden run;
 //   - the schedule is a pure function of the seed, so a failing sequence
 //     replays exactly.
 //
 // One ChaosPlan composes hard kills (a rank dies at a collective), clean
-// drains (a rank leaves at a step boundary), always-on link loss routed
-// through the reliable transport, and straggler time-dilation. Each
-// campaign attempt arms the next scheduled event; checkpoints mean each
-// restore resumes from the last durable epoch rather than from scratch.
+// drains (a rank leaves at a step boundary), and always-on straggler
+// time-dilation. Each campaign attempt arms the next scheduled event;
+// checkpoints mean each restore resumes from the last durable epoch rather
+// than from scratch.
 func chaosExperiment(cfg Config) error {
 	paperNote(cfg,
 		"not in the paper: chaos testing of the self-healing extension — §3's repartitioning loop made checkpointed and fault-operative",
-		"checkpointed refinement campaign on the Clemson-32 model under a seeded kill/drain/loss/straggler schedule; restore from MemStore after every outage")
+		"checkpointed refinement campaign on the Clemson-32 model under a seeded kill/drain/straggler schedule; restore from MemStore after every outage")
 
 	m := machine.Clemson32()
 	p, steps, perRank, events := 6, 6, 120, 4
@@ -77,15 +77,11 @@ func chaosExperiment(cfg Config) error {
 		return fmt.Errorf("chaos: fault-free golden campaign failed: %w", err)
 	}
 
-	loss := cfg.Net
-	if loss.Empty() {
-		loss = fault.LossFlags{Loss: 0.002, Retry: 8}
-	}
 	// Drains are bounded to steps-1 so a drain always leaves work undone:
 	// a rank leaving after the final step would complete the campaign anyway.
 	plan, err := fault.RandomChaosPlan(cfg.Seed, p, fault.ChaosOptions{
 		Events: events, MaxCollective: totalColl, MaxStep: steps - 1,
-		Stragglers: 1, MaxMult: 3, Loss: loss,
+		Stragglers: 1, MaxMult: 3,
 	})
 	if err != nil {
 		return err
@@ -93,8 +89,8 @@ func chaosExperiment(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "world: %d ranks, %d steps (%d octants/rank/step), checkpoint every %d steps\n",
 		p, steps, perRank, copts.Every)
 	fmt.Fprintf(cfg.Out, "golden: digest %016x over %d collectives\n", golden, totalColl)
-	fmt.Fprintf(cfg.Out, "schedule (seed %d): %d events, %d straggler(s), loss %.3g%%\n",
-		cfg.Seed, len(plan.Events), len(plan.Stragglers), loss.Loss*100)
+	fmt.Fprintf(cfg.Out, "schedule (seed %d): %d events, %d straggler(s)\n",
+		cfg.Seed, len(plan.Events), len(plan.Stragglers))
 	for i, ev := range plan.Events {
 		unit := "collective"
 		if ev.Kind == fault.ChaosDrain {
@@ -129,7 +125,7 @@ func chaosExperiment(cfg Config) error {
 				return !ev.Drains(c.Rank(), step)
 			}
 		}
-		fp := &fault.Plan{Stragglers: plan.Stragglers, Net: plan.Net}
+		fp := &fault.Plan{Stragglers: plan.Stragglers}
 		if ev != nil && ev.Kind == fault.ChaosKill {
 			fp.Kills = []fault.Kill{{Rank: ev.Rank, AtCollective: ev.At}}
 		}
@@ -168,7 +164,6 @@ func chaosExperiment(cfg Config) error {
 		// across worker widths. The victim ranks themselves are seeded.
 		var rf *comm.RankFailure
 		var ab *comm.AbandonedError
-		var lf *comm.LinkFailure
 		switch {
 		case errors.As(runErr, &rf):
 			fmt.Fprintf(cfg.Out, "attempt %d: structured failure: rank %d killed at its collective %d\n",
@@ -176,9 +171,6 @@ func chaosExperiment(cfg Config) error {
 		case errors.As(runErr, &ab):
 			fmt.Fprintf(cfg.Out, "attempt %d: structured failure: rank(s) %v drained, survivors abandoned\n",
 				attempt, ab.Departed)
-		case errors.As(runErr, &lf):
-			fmt.Fprintf(cfg.Out, "attempt %d: structured failure: link %d->%d dead after %d attempts\n",
-				attempt, lf.Src, lf.Dst, lf.Attempts)
 		default:
 			return fmt.Errorf("chaos: attempt %d failed WITHOUT a structured error: %w", attempt, runErr)
 		}

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-
-	"optipart/internal/fault"
 )
 
 // Config controls an experiment run.
@@ -22,12 +20,6 @@ type Config struct {
 	Seed int64
 	// Quick shrinks problem sizes for use in tests and smoke runs.
 	Quick bool
-	// Net overlays an unreliable network (-loss/-corrupt/-retry, validated
-	// by fault.LossFlags) on the experiments that run worlds over the
-	// lossy transport: the losses sweep replaces its default drop-rate
-	// ladder with the requested point, so custom loss sweeps no longer
-	// need the one-shot cmd/optipart CLI.
-	Net fault.LossFlags
 }
 
 // Runner is one experiment driver.

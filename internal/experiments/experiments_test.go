@@ -120,7 +120,7 @@ func TestRunUnknown(t *testing.T) {
 }
 
 func TestNamesComplete(t *testing.T) {
-	want := []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "headline", "faults", "losses", "chaos", "repart"}
+	want := []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "headline", "faults", "chaos", "repart"}
 	have := strings.Join(Names(), ",")
 	for _, n := range want {
 		if !strings.Contains(have, n) {

@@ -10,7 +10,7 @@ import (
 // spans a whole self-healing campaign: each time the world dies and is
 // restored from its latest checkpoint, the next event in the schedule is
 // armed. One seed reproduces the entire sequence — kills, clean drains,
-// lossy links, stragglers — so a chaos failure found in CI replays exactly.
+// stragglers — so a chaos failure found in CI replays exactly.
 
 // ChaosKind enumerates the event types a chaos schedule composes.
 type ChaosKind int
@@ -46,13 +46,11 @@ type ChaosEvent struct {
 }
 
 // ChaosPlan is a deterministic multi-outage schedule plus the always-on
-// background degradations (stragglers, lossy links) every attempt runs
-// under.
+// stragglers every attempt runs under.
 type ChaosPlan struct {
 	Seed       int64
 	Events     []ChaosEvent
 	Stragglers []Straggler
-	Net        *NetPlan
 }
 
 // Attempt returns the event armed for the i-th campaign attempt, or nil
@@ -85,8 +83,6 @@ type ChaosOptions struct {
 	// MaxMult bounds straggler multipliers in [1, MaxMult]; values <= 1
 	// mean 4x, a typical thermally-throttled core.
 	MaxMult float64
-	// Loss, when non-empty, adds an unreliable network under every attempt.
-	Loss LossFlags
 }
 
 // RandomChaosPlan draws a deterministic chaos schedule for a p-rank world:
@@ -128,13 +124,6 @@ func RandomChaosPlan(seed int64, p int, opts ChaosOptions) (*ChaosPlan, error) {
 			TcMult: 1 + rng.Float64()*(maxMult-1),
 			TwMult: 1 + rng.Float64()*(maxMult-1),
 		})
-	}
-	if !opts.Loss.Empty() {
-		np, err := opts.Loss.Plan(seed, p)
-		if err != nil {
-			return nil, err
-		}
-		plan.Net = np
 	}
 	return plan, nil
 }

@@ -9,8 +9,7 @@ import (
 )
 
 func TestRandomChaosPlanDeterministic(t *testing.T) {
-	opts := ChaosOptions{Events: 5, MaxCollective: 40, MaxStep: 6, Stragglers: 2,
-		Loss: LossFlags{Loss: 0.01, Retry: 4}}
+	opts := ChaosOptions{Events: 5, MaxCollective: 40, MaxStep: 6, Stragglers: 2}
 	a, err := RandomChaosPlan(99, 8, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -50,10 +50,6 @@ type Straggler struct {
 type Plan struct {
 	Kills      []Kill
 	Stragglers []Straggler
-	// Net, when non-nil and non-empty, routes every collective's traffic
-	// through the unreliable-network transport under this plan's loss
-	// characteristics (see NetPlan).
-	Net *NetPlan
 }
 
 // Killed is the error a scheduled Kill raises inside the victim rank; it
@@ -70,7 +66,7 @@ func (k *Killed) Error() string {
 
 // Empty reports whether the plan injects nothing.
 func (p *Plan) Empty() bool {
-	return p == nil || (len(p.Kills) == 0 && len(p.Stragglers) == 0 && p.Net.Empty())
+	return p == nil || (len(p.Kills) == 0 && len(p.Stragglers) == 0)
 }
 
 // Hooks compiles the plan into the runtime's intercept points. The result
@@ -124,19 +120,8 @@ func mulDefault(m float64) float64 {
 
 // Run executes f on p ranks under the machine model with the plan's faults
 // injected, returning the (possibly partial) stats and the first failure.
-// When the plan carries a NetPlan, the run's collectives go through the
-// reliable transport over the plan's lossy network: retries stretch the
-// modeled time and a persistently dead link surfaces as *comm.LinkFailure.
 func Run(p int, model comm.CostModel, plan *Plan, f func(c *comm.Comm) error) (*comm.Stats, error) {
-	opts := comm.CheckedOptions{Hooks: plan.Hooks()}
-	if plan != nil && !plan.Net.Empty() {
-		if err := plan.Net.Validate(p); err != nil {
-			return nil, err
-		}
-		opts.Net = plan.Net.Injector()
-		opts.Transport = plan.Net.Transport
-	}
-	return comm.RunCheckedOpts(p, model, opts, f)
+	return comm.RunCheckedOpts(p, model, comm.CheckedOptions{Hooks: plan.Hooks()}, f)
 }
 
 // pick draws n distinct ranks from [0, p).

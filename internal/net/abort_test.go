@@ -138,3 +138,76 @@ func TestUnsupportedElemFailsOnEveryRank(t *testing.T) {
 		}
 	}
 }
+
+// TestReconnectBudgetRaisesLinkFailure: on a 2-rank unix-socket world, the
+// root goes away while the worker waits in its first allreduce. The worker
+// re-dials DefaultMaxRetries times, finds nothing listening, and fails its
+// world with a *comm.LinkFailure naming the link, the collective and the
+// exhausted budget — not a hang and not a silent nil.
+func TestReconnectBudgetRaisesLinkFailure(t *testing.T) {
+	const p = 2
+	sock := filepath.Join(t.TempDir(), "l.sock")
+	opts := fastOpts()
+	root, err := NewRoot("unix:"+sock, p, opts)
+	if err != nil {
+		t.Fatalf("NewRoot: %v", err)
+	}
+	defer root.Close()
+	type dialed struct {
+		wk  *Worker
+		err error
+	}
+	ready := make(chan dialed, 1)
+	done := make(chan error, 1)
+	go func() {
+		wk, err := Dial("unix:"+sock, 1, p, opts)
+		ready <- dialed{wk, err}
+		if err != nil {
+			return
+		}
+		defer wk.Close()
+		_, err = comm.RunRank(1, p, wk.Model(), wk, comm.CheckedOptions{}, func(c *comm.Comm) error {
+			comm.Allreduce(c, []int64{1}, 8, comm.SumI64)
+			return nil
+		})
+		done <- err
+	}()
+	if err := root.WaitReady(10 * time.Second); err != nil {
+		t.Fatalf("WaitReady: %v", err)
+	}
+	root.Announce(comm.CostModel{})
+	d := <-ready
+	if d.err != nil {
+		t.Fatalf("Dial: %v", d.err)
+	}
+	// Close the root only once the worker is blocked in the allreduce, so
+	// the failure names that step.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		d.wk.mu.Lock()
+		awaiting := d.wk.awaiting
+		d.wk.mu.Unlock()
+		if awaiting == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("worker never entered its allreduce")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	root.Close()
+
+	select {
+	case err := <-done:
+		var lf *comm.LinkFailure
+		if !errors.As(err, &lf) {
+			t.Fatalf("got %v, want *comm.LinkFailure", err)
+		}
+		want := comm.LinkFailure{Src: 1, Dst: 0, Op: "allreduce", Seq: 0,
+			Attempts: DefaultMaxRetries, Cap: DefaultMaxRetries}
+		if *lf != want {
+			t.Fatalf("got %+v, want %+v", *lf, want)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker hung after the root went away")
+	}
+}

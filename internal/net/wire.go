@@ -33,8 +33,7 @@ import (
 	"optipart/internal/par"
 )
 
-// Frame format, evolving the PR 2 simulated-transport packet into a real
-// wire encoding. The header is big-endian.
+// Frame format. The header is big-endian.
 //
 //	offset  size  field
 //	0       4     magic "OPTP"
@@ -47,8 +46,7 @@ import (
 //	24      ...   op name, then payload
 //	...     8     FNV-1a checksum of everything above
 //
-// The checksum is the same FNV-1a the simulated transport stamps on its
-// packets; here it guards against torn or corrupted frames on a real
+// The FNV-1a checksum guards against torn or corrupted frames on a real
 // socket, and the decoder treats any mismatch as a hard protocol error
 // (the connection is beyond trusting — reconnect, do not resync).
 const (

@@ -156,29 +156,6 @@ type (
 	Straggler   = fault.Straggler
 )
 
-// Unreliable-network transport. A NetPlan attached to a FaultPlan routes
-// every collective through a checksummed, acknowledged transport over a
-// lossy wire: seeded per-frame drop/corrupt/duplicate/delay injection per
-// directed link (LinkFault), reliable delivery by retransmission with
-// exponential backoff, and retransmission costs charged to the machine
-// model (Stats.Retransmits / Stats.RetryBytes). A link whose message
-// exhausts the TransportOptions retransmit cap fails the world with a
-// structured *LinkFailure — the trigger for recovery-by-repartition on the
-// survivors. See `experiments -run losses` for the drop-rate sweep built
-// on top.
-type (
-	NetPlan          = fault.NetPlan
-	LinkFault        = fault.LinkFault
-	LinkFailure      = comm.LinkFailure
-	TransportOptions = comm.TransportOptions
-)
-
-// UniformLoss is the common NetPlan: every link drops frames at dropRate
-// and corrupts them at corruptRate, deterministically in the seed.
-func UniformLoss(seed int64, dropRate, corruptRate float64) *NetPlan {
-	return fault.UniformLoss(seed, dropRate, corruptRate)
-}
-
 // RunChecked executes f on p ranks like Run, but returns the world's
 // failure instead of panicking with it.
 func RunChecked(p int, m Machine, f func(c *Comm) error) (*Stats, error) {
@@ -198,13 +175,15 @@ func RunWithFaults(p int, m Machine, plan *FaultPlan, f func(c *Comm) error) (*S
 // (bit-identical to the golden transcripts), while the wire backend
 // (internal/net) runs each rank in its own OS process over unix or TCP
 // sockets — length-prefixed checksummed frames, reconnect with exponential
-// backoff that escalates to *LinkFailure, and heartbeat failure detection
-// that surfaces genuinely dead peers as *RankFailure. A WireRoot listens
-// and hosts rank 0; each WireWorker process dials in, learns the cost
-// model from the root's welcome, and joins the world via RunRank. See
+// backoff that escalates to a structured *LinkFailure — the trigger for
+// recovery-by-repartition on the survivors — and heartbeat failure
+// detection that surfaces genuinely dead peers as *RankFailure. A WireRoot
+// listens and hosts rank 0; each WireWorker process dials in, learns the
+// cost model from the root's welcome, and joins the world via RunRank. See
 // cmd/optipartd for the ready-made worker/driver binary.
 type (
 	CostModel        = comm.CostModel
+	LinkFailure      = comm.LinkFailure
 	Transport        = comm.Transport
 	CheckedOptions   = comm.CheckedOptions
 	WireOptions      = wnet.Options
@@ -258,7 +237,6 @@ type (
 	ChaosPlan       = fault.ChaosPlan
 	ChaosEvent      = fault.ChaosEvent
 	ChaosOptions    = fault.ChaosOptions
-	LossFlags       = fault.LossFlags
 )
 
 // Failure policies for WireOptions.OnFailure.

@@ -229,7 +229,7 @@ grep -q "digest matches fault-free golden" "$restorelog"
 rm -rf "$smokedir"
 
 echo "==> chaos harness smoke (5 fixed seeds, quick sizes, short deadline)"
-# Each seed draws a distinct kill/drain/loss/straggler schedule; every one
+# Each seed draws a distinct kill/drain/straggler schedule; every one
 # must end in a campaign whose digest matches its fault-free golden. timeout
 # guards the gate itself: a wedged harness fails fast instead of hanging CI.
 for seed in 1 2 3 4 5; do
