@@ -226,5 +226,5 @@ func (s *selector) descend(visit func(cand *Splitters, q Quality) bool) {
 // quality is EvaluateQuality of sp over the selector's elements, reusing
 // the rank and span columns it already holds.
 func (s *selector) quality(sp *Splitters) Quality {
-	return evaluateQuality(s.c, s.curve, s.ranks, s.lo, s.hi, sp)
+	return evaluateQuality(s.c, s.curve, s.local, s.ranks, s.lo, s.hi, sp)
 }

@@ -206,6 +206,82 @@ func TestEvaluateQualityMatchesDirectCount(t *testing.T) {
 	}
 }
 
+// TestSelectorRungsMatchExactSpans is the rung-level oracle for the span
+// boxes: every rung descend visits must price the same Quality as
+// scanCounts over columns built directly with RankWithSpan for the same
+// separators, and after each rung every span column entry is either the
+// exact span or a box (IsSpanBox) that contains it. Raw keys at levels
+// 2–18 make many boxes straddle a bracket; the 2:1-balanced mesh is the
+// linear octree the applications partition. Both curves, p in {1, 2, 7,
+// 16}; each rank holds every p-th key of the sorted mesh, so the local
+// runs interleave along the curve.
+func TestSelectorRungsMatchExactSpans(t *testing.T) {
+	var refined, boxes int
+	for _, kind := range []sfc.Kind{sfc.Hilbert, sfc.Morton} {
+		curve := sfc.NewCurve(kind, 3)
+		raw := octree.RandomKeys(rand.New(rand.NewSource(4200)), 6000, 3, octree.Normal, 2, 18)
+		psort.TreeSort(curve, raw)
+		meshes := []struct {
+			name string
+			keys []sfc.Key
+		}{{"raw", raw}, {"balanced", repartMesh(curve, 4201, 30, 6)}}
+		for _, mesh := range meshes {
+			for _, p := range []int{1, 2, 7, 16} {
+				rungs := make([]int, p)
+				comm.Run(p, comm.CostModel{}, func(c *comm.Comm) {
+					var local []sfc.Key
+					for i := c.Rank(); i < len(mesh.keys); i += p {
+						local = append(local, mesh.keys[i])
+					}
+					ranks := make([]sfc.Rank128, len(local))
+					lo := make([]sfc.Rank128, len(local))
+					hi := make([]sfc.Rank128, len(local))
+					for i, k := range local {
+						ranks[i], lo[i], hi[i] = curve.RankWithSpan(k)
+					}
+					a := psort.GetArena()
+					defer psort.PutArena(a)
+					sel := newSelector(c, curve, local, nil, a, 0)
+					sel.descend(func(cand *Splitters, q Quality) bool {
+						counts := make([]int64, 2*p)
+						scanCounts(curve, local, ranks, lo, hi, cand.ranks(), counts)
+						if want := foldQuality(comm.Allreduce(c, counts, 8, comm.SumI64)); q != want {
+							t.Errorf("%v %s p=%d rung %d: selector prices %+v, exact spans %+v", kind, mesh.name, p, rungs[c.Rank()], q, want)
+						}
+						// Every rank keeps descending after a failure, so the
+						// collectives stay matched; one report per rung.
+						for i := range local {
+							exact := !sfc.IsSpanBox(sel.lo[i])
+							if exact && (sel.lo[i] != lo[i] || sel.hi[i] != hi[i]) ||
+								!exact && (lo[i].Less(sel.lo[i]) || sel.hi[i].Less(hi[i])) {
+								t.Errorf("%v %s p=%d: element %d holds (%v, %v), exact span (%v, %v)", kind, mesh.name, p, i, sel.lo[i], sel.hi[i], lo[i], hi[i])
+								break
+							}
+						}
+						rungs[c.Rank()]++
+						return true
+					})
+					if c.Rank() == 0 {
+						for i := range local {
+							if sfc.IsSpanBox(sel.lo[i]) {
+								boxes++
+							} else if local[i].Level > 0 {
+								refined++
+							}
+						}
+					}
+				})
+				if rungs[0] == 0 {
+					t.Errorf("%v %s p=%d: descend visited no rung", kind, mesh.name, p)
+				}
+			}
+		}
+	}
+	if refined == 0 || boxes == 0 {
+		t.Errorf("rank 0 ended with %d refined spans and %d boxes: the oracle saw only one kind", refined, boxes)
+	}
+}
+
 // TestPartitionQualityMatchesDirectCount: Partition prices its rungs from
 // the selector's cached rank and span columns; the adopted placement's
 // quality must equal the direct Owner count of its splitters, at a per-rank

@@ -116,15 +116,15 @@ func EvaluateQuality(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, sp *Splitt
 	defer psort.PutArena(a)
 	ranks := a.Ranks(len(local))
 	lo, hi := a.Spans(len(local))
-	fillColumns(curve, local, ranks, lo, hi)
-	return evaluateQuality(c, curve, ranks, lo, hi, sp)
+	fillColumns(curve, local, ranks, lo, hi, true)
+	return evaluateQuality(c, curve, local, ranks, lo, hi, sp)
 }
 
 // evaluateQuality is EvaluateQuality over the cached columns of the local
 // elements (see scanCounts).
-func evaluateQuality(c *comm.Comm, curve *sfc.Curve, ranks, lo, hi []sfc.Rank128, sp *Splitters) Quality {
+func evaluateQuality(c *comm.Comm, curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi []sfc.Rank128, sp *Splitters) Quality {
 	counts := make([]int64, 2*sp.P())
-	scanCounts(ranks, lo, hi, sp.ranks(), counts)
+	scanCounts(curve, keys, ranks, lo, hi, sp.ranks(), counts)
 	// The modeled cost is the pass the paper's implementation pays: each
 	// element touched 1+2·dim times. Cached columns make only the simulator
 	// faster.
@@ -132,27 +132,44 @@ func evaluateQuality(c *comm.Comm, curve *sfc.Curve, ranks, lo, hi []sfc.Rank128
 	return foldQuality(comm.Allreduce(c, counts, 8, comm.SumI64))
 }
 
-// fillColumns computes the cached scan columns of keys with one
-// sfc.RankWithSpan call per key: lo[i], hi[i] are the lowest and highest
-// rank among keys[i]'s face neighbours and, when ranks is non-nil, ranks[i]
-// = curve.Rank(keys[i]). A span depends on the key alone, not on the mesh
-// or the separators, so every scan reuses it. Large inputs chunk across
-// the pool; every slot has one writer, so the columns are identical at
-// every pool width.
-func fillColumns(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi []sfc.Rank128) {
-	fill := func(from, to int) {
+// fillColumns fills the cached scan columns of keys for the collective
+// selector and EvaluateQuality: ranks[i] = curve.Rank(keys[i]) when rank
+// is set (otherwise the caller's sort wrote it), and lo[i], hi[i] = the box
+// curve.SpanBox derives from that rank with a few mask operations. A box
+// contains the exact neighbour span, so it settles every element whose box
+// sits inside its owner's bracket; scanCounts refines the rest in place.
+// Large inputs chunk across the pool; every slot has one writer, so the
+// columns are identical at every pool width.
+func fillColumns(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi []sfc.Rank128, rank bool) {
+	fillChunks(len(keys), func(from, to int) {
 		for i := from; i < to; i++ {
-			r, l, h := curve.RankWithSpan(keys[i])
-			if ranks != nil {
-				ranks[i] = r
+			if rank {
+				ranks[i] = curve.Rank(keys[i])
 			}
-			lo[i], hi[i] = l, h
+			lo[i], hi[i] = curve.SpanBox(keys[i], ranks[i])
 		}
-	}
-	if par.Workers() > 1 && len(keys) >= parCutoff {
-		par.For(len(keys), parGrain, fill)
+	})
+}
+
+// fillSpans fills the serial Repartitioner's columns with one
+// sfc.RankWithSpan call per key: ranks[i] and the exact span lo[i], hi[i].
+// The engine keeps exact spans because its count memo and range counts
+// compare every span it touches, over thousands of steps that reuse them.
+func fillSpans(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi []sfc.Rank128) {
+	fillChunks(len(keys), func(from, to int) {
+		for i := from; i < to; i++ {
+			ranks[i], lo[i], hi[i] = curve.RankWithSpan(keys[i])
+		}
+	})
+}
+
+// fillChunks runs fill over [0, n), chunked across the pool when n is
+// large enough to pay for it.
+func fillChunks(n int, fill func(from, to int)) {
+	if par.Workers() > 1 && n >= parCutoff {
+		par.For(n, parGrain, fill)
 	} else {
-		fill(0, len(keys))
+		fill(0, n)
 	}
 }
 
@@ -160,22 +177,27 @@ func fillColumns(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi []sfc.Rank128) 
 // by the collective evaluator and every selector rung (the serial
 // Repartitioner's curve-ordered columns count by range, countRange): it
 // fills counts, laid out as [work per partition | boundary octants per
-// partition], for elements under the p-1 separator ranks sepRanks. ranks, lo and hi are the elements' cached
-// columns (ranks[i], lo[i], hi[i] = curve.RankWithSpan(keys[i])).
+// partition], for elements under the p-1 separator ranks sepRanks. keys,
+// ranks, lo and hi are the elements and their cached columns: ranks[i] =
+// curve.Rank(keys[i]), and lo[i], hi[i] either the exact neighbour span
+// (curve.RankWithSpan) or a box around it (curve.SpanBox).
 //
 // The element's own owner is a hint carried from the previous element, with
 // the owner's separator bracket [lower, upper), and searched again only when
 // the rank leaves the bracket, so the walk is O(1) per element over elements
 // in curve order and still exact over unsorted ones. The boundary test is two
-// compares against the bracket: no Rank call and no neighbour search. Owners
-// are monotone in rank, so an element is a boundary octant exactly when
-// lo < lower or hi >= upper: some neighbour then ranks outside the bracket,
-// and if none does, every neighbour shares the element's owner. The root's
-// sentinels (MaxRank128, zero) never fire, since no rank is below zero and
-// upper > Rank(root) >= 0.
+// compares against the bracket. Owners are monotone in rank, so an element
+// is a boundary octant exactly when its span has lo < lower or hi >= upper:
+// some neighbour then ranks outside the bracket, and if none does, every
+// neighbour shares the element's owner. A box inside the bracket settles
+// the element as interior; a box that straddles it is refined, the first
+// time, to the exact span with one RankWithSpan call and stored in place,
+// so every later rung compares the exact span. The root's sentinels
+// (MaxRank128, zero) never fire, since no rank is below zero and upper >
+// Rank(root) >= 0.
 //
 //alloc:zero
-func scanCounts(ranks, lo, hi, sepRanks []sfc.Rank128, counts []int64) {
+func scanCounts(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi, sepRanks []sfc.Rank128, counts []int64) {
 	p := len(sepRanks) + 1
 	clear(counts)
 	owner := 0
@@ -186,9 +208,16 @@ func scanCounts(ranks, lo, hi, sepRanks []sfc.Rank128, counts []int64) {
 			lower, upper = bracket(sepRanks, owner)
 		}
 		counts[owner]++
-		if lo[i].Less(lower) || !hi[i].Less(upper) {
-			counts[p+owner]++
+		if !lo[i].Less(lower) && hi[i].Less(upper) {
+			continue
 		}
+		if sfc.IsSpanBox(lo[i]) {
+			_, lo[i], hi[i] = curve.RankWithSpan(keys[i])
+			if !lo[i].Less(lower) && hi[i].Less(upper) {
+				continue
+			}
+		}
+		counts[p+owner]++
 	}
 }
 

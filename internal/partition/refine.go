@@ -37,15 +37,16 @@ type bucket struct {
 // Each element's curve rank is linearized once, at construction, so the
 // per-round bucket classification is a handful of binary searches over
 // integers instead of a tree-walking scan, and a bucket's count is the
-// length of the index range the searches delimit. The element's
-// neighbour span (sfc.Curve.RankWithSpan) is cached next to it, so every
-// rung's quality scan is two compares per element.
+// length of the index range the searches delimit. A box around the
+// element's neighbour span (sfc.Curve.SpanBox) is cached next to it, and
+// refined to the exact span the first time a rung's bracket cuts it, so
+// every rung's quality scan is two compares per element.
 type selector struct {
 	c       *comm.Comm
 	curve   *sfc.Curve
 	local   []sfc.Key     // sorted along the curve
 	ranks   []sfc.Rank128 // ranks[i] = curve.Rank(local[i])
-	lo, hi  []sfc.Rank128 // local[i]'s neighbour span, from curve.RankWithSpan
+	lo, hi  []sfc.Rank128 // local[i]'s neighbour span or a box around it (see scanCounts)
 	buckets []bucket
 	targets []int64 // ideal global splitter ranks r·N/p, r = 1..p-1
 	n       int64   // global element count
@@ -63,13 +64,11 @@ func newSelector(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, ranks []sfc.Ra
 	if s.kmax <= 0 {
 		s.kmax = c.Size()
 	}
-	var unranked []sfc.Rank128 // the rank column fillColumns must fill, if any
 	if ranks == nil {
 		s.ranks = a.Ranks(len(local))
-		unranked = s.ranks
 	}
 	s.lo, s.hi = a.Spans(len(local))
-	fillColumns(curve, local, unranked, s.lo, s.hi)
+	fillColumns(curve, local, s.ranks, s.lo, s.hi, ranks == nil)
 	s.start()
 	return s
 }

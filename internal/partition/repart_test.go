@@ -360,7 +360,8 @@ func stepMatchesRebuild(e *Repartitioner, ev *octree.Evolver, refine, coarsen fl
 }
 
 // fullQuality recounts the engine's adopted placement from scratch: fresh
-// rank and span columns of its keys, each separator snapped to the first
+// rank and exact span columns of its keys, from RankWithSpan directly and
+// not through either column fill, each separator snapped to the first
 // element at or after it (the positions the engine prices), and the
 // any-order scanCounts over the whole mesh.
 func fullQuality(e *Repartitioner) Quality {
@@ -368,7 +369,9 @@ func fullQuality(e *Repartitioner) Quality {
 	ranks := make([]sfc.Rank128, len(keys))
 	lo := make([]sfc.Rank128, len(keys))
 	hi := make([]sfc.Rank128, len(keys))
-	fillColumns(e.cfg.Curve, keys, ranks, lo, hi)
+	for i, k := range keys {
+		ranks[i], lo[i], hi[i] = e.cfg.Curve.RankWithSpan(k)
+	}
 	seps := make([]sfc.Rank128, e.cfg.P-1)
 	for r := range seps {
 		seps[r] = sfc.MaxRank128
@@ -377,7 +380,7 @@ func fullQuality(e *Repartitioner) Quality {
 		}
 	}
 	counts := make([]int64, 2*e.cfg.P)
-	scanCounts(ranks, lo, hi, seps, counts)
+	scanCounts(e.cfg.Curve, keys, ranks, lo, hi, seps, counts)
 	return foldQuality(counts)
 }
 

@@ -174,8 +174,8 @@ func (e *Repartitioner) Step(delta octree.Delta) StepResult {
 
 // ingest copies keys into the arena's key column, sorts them along the
 // curve, linearizes duplicates and ancestor pairs out in place
-// (octree.LinearizeSorted), and fills every survivor's rank and neighbour
-// span with fillColumns.
+// (octree.LinearizeSorted), and fills every survivor's rank and exact
+// neighbour span with fillSpans.
 func (e *Repartitioner) ingest(keys []sfc.Key) {
 	curve := e.cfg.Curve
 	ks := e.arena.Keys(len(keys))
@@ -188,7 +188,7 @@ func (e *Repartitioner) ingest(keys []sfc.Key) {
 	// Size the scratch span pair now, as the sort sized the key and rank
 	// scratch pair, so the first Step reslices instead of allocating.
 	e.arena.AltSpans(e.n)
-	fillColumns(curve, e.keys, e.ranks, e.lo, e.hi)
+	fillSpans(curve, e.keys, e.ranks, e.lo, e.hi)
 }
 
 // applyDelta merges the surviving elements into the scratch columns,

@@ -18,11 +18,14 @@ import (
 // TreeSort entry point draws arenas from a process-wide pool. Growth is
 // bounded — Trim releases any column that one outsized sort inflated past
 // MaxArenaKeys, so an arena (pooled or per-request) can never pin more than
-// ~16 MiB of working set for the process lifetime.
+// its eight 16-byte columns at the cap, about 64 MiB, for the process
+// lifetime.
 //
 // Two more rank columns, lo and hi, ride along for the partitioner: each
-// element's lowest and highest same-size face-neighbour rank, the cached
-// input of every Algorithm 2 scan. A sort never touches them.
+// element's neighbour span, the lowest and highest same-size
+// face-neighbour rank, or a box around it that the first Algorithm 2 scan
+// to need it refines in place (partition's scanCounts). A sort never
+// touches them.
 //
 // An Arena is not safe for concurrent use; the parallel sort paths share it
 // only through the disjoint chunk writes of internal/par.
@@ -36,8 +39,9 @@ type Arena struct {
 }
 
 // MaxArenaKeys caps the per-column capacity an Arena retains after Trim:
-// 2^19 elements × 32 B across the rank+key columns = 16 MiB, the same bound
-// the retired pair pool enforced (maxPooledPairs). A sort larger than this
+// 2^19 elements × 16 B per column, 8 MiB a column and 64 MiB across all
+// eight. The key and rank pair alone keep the 16 MiB bound the retired
+// pair pool enforced (maxPooledPairs). A sort larger than this
 // still works — the columns grow for its duration — but Trim hands the
 // oversized backing arrays to the collector instead of pinning them.
 const MaxArenaKeys = 1 << 19
@@ -45,8 +49,11 @@ const MaxArenaKeys = 1 << 19
 // growCap is the capacity a column gets when it must grow to hold n:
 // 25% headroom, so a mesh that creeps a few percent per timestep (the AMR
 // steady state) does not reallocate the alternating column pairs on every
-// other step.
-func growCap(n int) int { return n + n/4 }
+// other step. The headroom stops at MaxArenaKeys for any n within it, so
+// Trim keeps every column sized for a bounded sort; past the bound,
+// MaxArenaKeys-n wraps to a huge uint and the full quarter applies. The
+// one expression keeps the column accessors inlinable.
+func growCap(n int) int { return n + int(min(uint(n/4), uint(MaxArenaKeys-n))) }
 
 // grow ensures every column holds at least n elements. The columns are
 // checked individually: SwapAlt exchanges primary and scratch pairs, so

@@ -180,6 +180,23 @@ func TestArenaCapacityBounded(t *testing.T) {
 	}
 }
 
+// TestArenaTrimKeepsBoundedColumns: a column sized for at most
+// MaxArenaKeys elements survives Trim, headroom and all, so an arena that
+// serves sorts up to the bound is not reallocated on every use; one sized
+// past the bound is dropped.
+func TestArenaTrimKeepsBoundedColumns(t *testing.T) {
+	for _, n := range []int{psort.MaxArenaKeys - 1, psort.MaxArenaKeys, psort.MaxArenaKeys + 1} {
+		var a psort.Arena
+		inflate(&a, n)
+		a.Trim()
+		for i, c := range columnCaps(&a) {
+			if kept := c != 0; kept != (n <= psort.MaxArenaKeys) {
+				t.Errorf("n=%d: column %d has cap %d after Trim", n, i, c)
+			}
+		}
+	}
+}
+
 // inflate grows every column of a to n elements.
 func inflate(a *psort.Arena, n int) {
 	a.Columns(n)

@@ -12,6 +12,11 @@ import "math/bits"
 // is the element's with bit a flipped. So no neighbour is ranked from the
 // root: the element's own walk supplies the shared digit prefix, and each
 // neighbour only walks its short tail, typically two levels.
+//
+// The same prefix bounds the span before any walk: every neighbour lies in
+// k's ancestor one level above the shallowest divergence, so that
+// ancestor's rank range, a mask of Rank(k), is a box around the span.
+// Most elements are interior, and the box alone settles them (SpanBox).
 
 // RankWithSpan returns Rank(k) together with the lowest and highest rank
 // among k's same-size face neighbours, or the sentinels (MaxRank128, zero)
@@ -31,6 +36,49 @@ func (c *Curve) RankWithSpan(k Key) (r, lo, hi Rank128) {
 	}
 	return c.hilbertRankWithSpan(k)
 }
+
+// SpanBox returns a box around k's neighbour span, derived from r =
+// Rank(k) without a walk: the rank range [lo, hi] of k's ancestor at level
+// tmin-1, where tmin is the shallowest divergence level among k's in-domain
+// face neighbours (see hilbertRankWithSpan). Every such neighbour shares
+// k's curve digits above tmin, on either curve, so it ranks inside the
+// box, and so does k. The box's lo keeps a zero level field, which no exact
+// span's lo carries: a neighbour ranks with level k.Level >= 1, and a key
+// with no neighbours has the sentinel MaxRank128. IsSpanBox tells the two
+// apart. A level-0 key gets those exact sentinels.
+//
+//alloc:zero
+func (c *Curve) SpanBox(k Key, r Rank128) (lo, hi Rank128) {
+	level := int(k.Level)
+	if level == 0 {
+		return MaxRank128, Rank128{}
+	}
+	low := uint(MaxLevel - level)
+	coord := [3]uint32{k.X, k.Y, k.Z}
+	run := 0 // the longest run over long neighbours in the domain
+	for a := 0; a < c.Dim; a++ {
+		u := coord[a] >> low
+		if n := bits.TrailingZeros32(u ^ -(u & 1)); n < level {
+			run = max(run, n)
+		}
+	}
+	// Digits below the ancestor's, levels tmin..MaxLevel, and the level
+	// field: at most Dim·MaxLevel+rankLevelBits = 95 bits.
+	w := uint(c.Dim)*(low+uint(run)+1) + rankLevelBits
+	var m Rank128
+	if w >= 64 {
+		m = Rank128{Hi: 1<<(w-64) - 1, Lo: ^uint64(0)}
+	} else {
+		m = Rank128{Lo: 1<<w - 1}
+	}
+	return Rank128{Hi: r.Hi &^ m.Hi, Lo: r.Lo &^ m.Lo}, r.or(m)
+}
+
+// IsSpanBox reports whether lo, the low end of a neighbour span, is
+// SpanBox's box rather than an exact span: its level field is zero.
+//
+//alloc:zero
+func IsSpanBox(lo Rank128) bool { return lo.Lo&(1<<rankLevelBits-1) == 0 }
 
 // hilbertRankWithSpan sorts each axis's two faces by the parity of k's
 // coordinate c on it. The short neighbour (c-1 for odd c, c+1 for even)

@@ -135,8 +135,9 @@ func FuzzRankWithSpan(f *testing.F) {
 	})
 }
 
-// BenchmarkRankWithSpan prices the kernel against Rank alone on a 3-D
-// Hilbert mesh of random keys at levels 2–18.
+// BenchmarkRankWithSpan prices the kernel against Rank alone, and against
+// the box SpanBox derives from a known rank, on a 3-D Hilbert mesh of
+// random keys at levels 2–18.
 func BenchmarkRankWithSpan(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	c := NewCurve(Hilbert, 3)
@@ -152,6 +153,19 @@ func BenchmarkRankWithSpan(b *testing.B) {
 		}
 		_ = sink
 	})
+	ranks := make([]Rank128, len(keys))
+	for i, k := range keys {
+		ranks[i] = c.Rank(k)
+	}
+	b.Run("SpanBox", func(b *testing.B) {
+		var sink Rank128
+		for i := 0; i < b.N; i++ {
+			j := i & (len(keys) - 1)
+			lo, hi := c.SpanBox(keys[j], ranks[j])
+			sink = sink.or(lo).or(hi)
+		}
+		_ = sink
+	})
 	b.Run("RankWithSpan", func(b *testing.B) {
 		var sink Rank128
 		for i := 0; i < b.N; i++ {
@@ -159,5 +173,98 @@ func BenchmarkRankWithSpan(b *testing.B) {
 			sink = sink.or(r).or(lo).or(hi)
 		}
 		_ = sink
+	})
+}
+
+// checkSpanBox fails unless SpanBox(k, Rank(k)) is the rank range of k's
+// deepest ancestor that holds every face neighbour: its lo that ancestor's
+// rank with a zero level field, its hi the rank of the ancestor's last
+// descendant at MaxLevel with an all-ones level field. So the box contains
+// RankWithSpan's span and Rank(k), and IsSpanBox tells it from the exact
+// span. A level-0 key gets the exact sentinels.
+func checkSpanBox(t *testing.T, c *Curve, k Key) {
+	t.Helper()
+	r, spanLo, spanHi := c.RankWithSpan(k)
+	lo, hi := c.SpanBox(k, r)
+	if IsSpanBox(spanLo) {
+		t.Fatalf("%v dim=%d %v: exact span lo %v reads as a box", c.Kind, c.Dim, k, spanLo)
+	}
+	if k.Level == 0 {
+		if lo != MaxRank128 || hi != (Rank128{}) {
+			t.Fatalf("%v dim=%d root: box (%v, %v), want the sentinels", c.Kind, c.Dim, lo, hi)
+		}
+		return
+	}
+	if !IsSpanBox(lo) {
+		t.Fatalf("%v dim=%d %v: box lo %v carries a level", c.Kind, c.Dim, k, lo)
+	}
+	if spanLo.Less(lo) || hi.Less(spanHi) || r.Less(lo) || hi.Less(r) {
+		t.Fatalf("%v dim=%d %v: box (%v, %v) misses span (%v, %v) or rank %v", c.Kind, c.Dim, k, lo, hi, spanLo, spanHi, r)
+	}
+	level := k.Level - 1
+	for ; level > 0; level-- {
+		anc := k.Ancestor(level)
+		holds := true
+		for _, n := range faceNeighbors(k, c.Dim) {
+			holds = holds && n.Ancestor(level) == anc
+		}
+		if holds {
+			break
+		}
+	}
+	anc := k.Ancestor(level)
+	last := anc
+	for last.Level < MaxLevel {
+		last = last.Child(c.ChildAt(c.StateAt(last), c.NumChildren()-1))
+	}
+	wantLo, wantHi := c.Rank(anc), c.Rank(last)
+	wantLo.Lo &^= 1<<rankLevelBits - 1
+	wantHi.Lo |= 1<<rankLevelBits - 1
+	if lo != wantLo || hi != wantHi {
+		t.Fatalf("%v dim=%d %v: box (%v, %v), want level-%d ancestor's (%v, %v)", c.Kind, c.Dim, k, lo, hi, level, wantLo, wantHi)
+	}
+}
+
+// TestSpanBoxContainsSpan checks SpanBox against the ancestor oracle on
+// the edge keys and on random keys at every level, for both curves and
+// both dimensions.
+func TestSpanBoxContainsSpan(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, kind := range []Kind{Morton, Hilbert} {
+		for _, dim := range []int{2, 3} {
+			c := NewCurve(kind, dim)
+			for _, k := range spanEdgeKeys(dim) {
+				checkSpanBox(t, c, k)
+			}
+			for level := 0; level <= MaxLevel; level++ {
+				for trial := 0; trial < 200; trial++ {
+					k := clampKey(rng.Uint32(), rng.Uint32(), rng.Uint32(), uint8(level))
+					if dim == 2 {
+						k.Z = 0
+					}
+					checkSpanBox(t, c, k)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSpanBox fuzzes SpanBox against the ancestor oracle over raw key
+// material, both curves and both dimensions.
+func FuzzSpanBox(f *testing.F) {
+	for _, dim := range []int{2, 3} {
+		for _, k := range spanEdgeKeys(dim) {
+			f.Add(k.X, k.Y, k.Z, k.Level, dim == 3, dim == 2)
+		}
+	}
+	f.Fuzz(func(t *testing.T, x, y, z uint32, level uint8, hilbert, twoD bool) {
+		kind, dim := Morton, 3
+		if hilbert {
+			kind = Hilbert
+		}
+		if twoD {
+			dim, z = 2, 0
+		}
+		checkSpanBox(t, NewCurve(kind, dim), clampKey(x, y, z, level))
 	})
 }

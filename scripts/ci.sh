@@ -6,8 +6,8 @@
 #
 # Stages: go vet; gofmt -l; go build; optipartlint (run, then its -json
 # report parsed back); allocgate (//alloc:zero contracts, then its report);
-# a 10 s fuzz smoke each of internal/sfc's FuzzRankWithSpan, FuzzRankOrder
-# and FuzzCompareConsistent, internal/net's FuzzDecodeFrame and
+# a 10 s fuzz smoke each of internal/sfc's FuzzRankWithSpan, FuzzSpanBox,
+# FuzzRankOrder and FuzzCompareConsistent, internal/net's FuzzDecodeFrame and
 # FuzzDecodeBodies, internal/service's FuzzDigestCanonicalization,
 # FuzzServiceCanonicalHit and FuzzServeConn, internal/ckpt's
 # FuzzDecodeSnapshot, and
@@ -66,12 +66,13 @@ trap 'rm -f "$lintreport" "$allocreport"' EXIT
 go run ./cmd/allocgate -json ./... >"$allocreport"
 go run ./cmd/allocgate -check "$allocreport"
 
-echo "==> fuzz smoke: FuzzRankWithSpan, FuzzRankOrder, FuzzCompareConsistent (10 s each)"
+echo "==> fuzz smoke: FuzzRankWithSpan, FuzzSpanBox, FuzzRankOrder, FuzzCompareConsistent (10 s each)"
 # The curve kernels' oracles, run past their seed corpora: the neighbour-span
-# kernel against ranks of explicitly built face neighbours, rank order
-# against the tree-walking Compare, and Compare itself, the reference order
-# every other check leans on, against its own invariants.
-for target in FuzzRankWithSpan FuzzRankOrder FuzzCompareConsistent; do
+# kernel against ranks of explicitly built face neighbours, the span box
+# against the deepest ancestor holding those neighbours, rank order against
+# the tree-walking Compare, and Compare itself, the reference order every
+# other check leans on, against its own invariants.
+for target in FuzzRankWithSpan FuzzSpanBox FuzzRankOrder FuzzCompareConsistent; do
     go test ./internal/sfc -run '^$' -fuzz "^$target\$" -fuzztime 10s
 done
 
