@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -13,9 +14,9 @@ import (
 type RepartOptions struct {
 	Options
 
-	// Prior is the placement the data currently lives under. Nil derives it
-	// from the current distribution via SplittersFromDistribution — the
-	// PR 1 seam that gives any distributed sort a warm-startable placement.
+	// Prior is the placement the data currently lives under. It is
+	// required: nil panics, like a prior of the wrong size. A caller holding
+	// only a distribution derives it with SplittersFromDistribution.
 	Prior *Splitters
 
 	// Horizon is the migration knob of machine.PredictRepartition (0 means
@@ -48,13 +49,20 @@ type RepartResult struct {
 // unchanged mesh the descent reproduces the prior placement, so the call
 // keeps it and moves nothing.
 //
-// local must be each rank's current elements; the prior placement (given
-// or derived) describes where they live, which is what the moved-bytes
-// term charges against. Collective.
+// local must be each rank's current elements; opts.Prior describes where
+// they live, which is what the moved-bytes term charges against.
+// Collective.
 func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResult {
 	obj := newObjective(opts.Machine, opts.Alpha, opts.PayloadBytes, opts.Tol, opts.Horizon)
 	curve := opts.Curve
 	p := c.Size()
+	prior := opts.Prior
+	if prior == nil {
+		panic(errors.New("partition: Repartition needs a prior placement"))
+	}
+	if prior.P() != p {
+		panic(fmt.Errorf("partition: prior placement has %d partitions, world has %d", prior.P(), p))
+	}
 
 	// One pooled arena holds both selectors' columns for the whole call.
 	a := psort.GetArena()
@@ -71,14 +79,6 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	}
 
 	c.SetPhase("splitter")
-	prior := opts.Prior
-	if prior == nil {
-		prior = SplittersFromDistribution(c, curve, local)
-	}
-	if prior.P() != p {
-		panic(fmt.Errorf("partition: prior placement has %d partitions, world has %d", prior.P(), p))
-	}
-
 	sel := newSelector(c, curve, local, ranks, a, opts.MaxSplitters)
 
 	// Rung zero: keep the prior placement verbatim. Its quality is the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"optipart/internal/comm"
@@ -68,7 +69,7 @@ func TestRepartitionStableMeshKeepsPlacement(t *testing.T) {
 	}
 }
 
-func TestRepartitionNilPriorUsesDistribution(t *testing.T) {
+func TestRepartitionDerivedPriorMovesNothing(t *testing.T) {
 	curve := sfc.NewCurve(sfc.Morton, 3)
 	mesh := repartMesh(curve, 2, 300, 6)
 	p := 4
@@ -78,11 +79,27 @@ func TestRepartitionNilPriorUsesDistribution(t *testing.T) {
 		res := Partition(c, blockOf(mesh, p, c.Rank()), opts)
 		// The exchanged distribution IS the prior; deriving it via
 		// SplittersFromDistribution must find nothing to move.
-		rr := Repartition(c, res.Local, RepartOptions{Options: repartBase(curve)})
+		prior := SplittersFromDistribution(c, curve, res.Local)
+		rr := Repartition(c, res.Local, RepartOptions{Options: repartBase(curve), Prior: prior})
 		if rr.MovedElements != 0 {
-			t.Errorf("rank %d: nil-prior repartition of a fresh distribution moved %d elements",
+			t.Errorf("rank %d: repartition of a fresh distribution against its derived prior moved %d elements",
 				c.Rank(), rr.MovedElements)
 		}
+	})
+}
+
+// TestRepartitionNilPriorPanics: every warm start names its prior; a nil
+// one is a partition error, like a prior of the wrong size.
+func TestRepartitionNilPriorPanics(t *testing.T) {
+	curve := sfc.NewCurve(sfc.Morton, 3)
+	mesh := repartMesh(curve, 2, 300, 6)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "partition: Repartition needs a prior placement") {
+			t.Fatalf("nil prior: recovered %v, want the partition error", r)
+		}
+	}()
+	comm.Run(2, comm.CostModel{}, func(c *comm.Comm) {
+		Repartition(c, blockOf(mesh, 2, c.Rank()), RepartOptions{Options: repartBase(curve)})
 	})
 }
 

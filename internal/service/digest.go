@@ -95,15 +95,6 @@ func digestRequest(req *Request, canon []sfc.Key) digest128 {
 	d.word(math.Float64bits(req.Machine.Tc))
 	d.word(math.Float64bits(req.Machine.Ts))
 	d.word(math.Float64bits(req.Machine.Tw))
-	if !req.Prior.IsZero() {
-		// Chain the prior placement's digest and the horizon in, so a warm
-		// answer is keyed on (prior placement, new octree) and can never
-		// shadow the cold answer for the same octree. Cold requests fold
-		// nothing here — their digests are unchanged by the chaining.
-		d.word(req.Prior.hi)
-		d.word(req.Prior.lo)
-		d.word(math.Float64bits(req.Horizon))
-	}
 	d.word(uint64(len(canon)))
 	for _, k := range canon {
 		d.word(uint64(k.X) | uint64(k.Y)<<32)

@@ -24,6 +24,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"optipart/internal/comm"
@@ -36,22 +37,6 @@ import (
 
 // ErrClosed is returned by Do after Close.
 var ErrClosed = errors.New("service: closed")
-
-// Handle names a placement the service has computed: the content digest of
-// the request that produced it, returned in Response.Handle. A client
-// running an online AMR loop passes the previous step's handle back as
-// Request.Prior to get migration-aware incremental repartitioning. The zero
-// Handle means "no prior".
-type Handle struct{ hi, lo uint64 }
-
-// IsZero reports whether h names no placement.
-func (h Handle) IsZero() bool { return h == Handle{} }
-
-// Words exposes the handle for wire transport.
-func (h Handle) Words() (hi, lo uint64) { return h.hi, h.lo }
-
-// HandleFromWords rebuilds a handle received over the wire.
-func HandleFromWords(hi, lo uint64) Handle { return Handle{hi: hi, lo: lo} }
 
 // Request describes one partitioning job. Keys may arrive in any order and
 // may contain duplicates and ancestor/descendant pairs; the service
@@ -73,29 +58,11 @@ type Request struct {
 
 	Ranks int            // number of partitions p
 	Mode  partition.Mode // EqualWork, FlexibleTolerance, or ModelDriven
-	Tol   float64        // FlexibleTolerance slack, fraction of N/p
+	Tol   float64        // FlexibleTolerance slack, fraction of N/p; ignored in the other modes
 
 	Machine      machine.Machine
 	Alpha        float64 // 0 means machine.DefaultAlpha
 	PayloadBytes int     // 0 means machine.GhostPayloadBytes
-
-	// Prior optionally names the placement the keys currently live under —
-	// the Handle of an earlier Response. A non-zero Prior switches the
-	// compute path to incremental migration-aware repartitioning
-	// (partition.Repartition): the prior placement seeds selection, and
-	// movement is charged at the machine's tw per byte, so the response may
-	// keep the prior placement when rebalancing does not pay for itself.
-	// Mode is ignored on this path — incremental repartitioning is
-	// inherently model-driven. If the named placement has been evicted
-	// from the cache, the request falls back to a cold computation
-	// (Metrics.PriorMisses counts these). The cache key chains on the
-	// handle, so warm answers never shadow cold ones.
-	Prior Handle
-	// Horizon is the number of application steps the new placement must
-	// survive for migration to pay for itself (0 means
-	// machine.DefaultHorizon). Only meaningful with a non-zero Prior; it
-	// is normalized to 0 otherwise so cold digests stay canonical.
-	Horizon float64
 }
 
 // Response is a computed (or cached) partition. Cached responses are shared
@@ -113,17 +80,6 @@ type Response struct {
 	Predicted   float64
 	Rounds      int
 	AchievedTol float64
-
-	// Handle names this placement for a follow-up Request.Prior.
-	Handle Handle
-	// MovedElements/MovedBytes are the migration bill of a warm
-	// (Prior-seeded) computation: elements whose owner changed from the
-	// prior placement, and bytes = elements × payload. Zero on cold paths.
-	MovedElements int64
-	MovedBytes    int64
-	// KeptSeps counts separators inherited verbatim from the prior
-	// placement on a warm computation.
-	KeptSeps int
 }
 
 // Metrics is a snapshot of the service counters.
@@ -134,10 +90,6 @@ type Metrics struct {
 	Misses     uint64 // computed (leader of a singleflight group)
 	Collisions uint64 // digest matched but octree differed; computed uncached
 	Evictions  uint64 // entries evicted by the key-count bound
-	// PriorMisses counts requests whose Prior handle no longer resolved to
-	// a cached placement (evicted, errored, or wrong world size); each fell
-	// back to a cold computation.
-	PriorMisses uint64
 
 	CachedEntries int // current cache population
 	CachedKeys    int // current total canonical keys held by the cache
@@ -246,10 +198,8 @@ func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 	if req.Tenant == "" {
 		req.Tenant = "default"
 	}
-	if req.Prior.IsZero() {
-		// Horizon without a prior cannot change the answer; zeroing it
-		// keeps the cold digest canonical.
-		req.Horizon = 0
+	if req.Mode != partition.FlexibleTolerance {
+		req.Tol = 0 // unread, so requests differing only in Tol share an entry
 	}
 
 	// Canonical input digests as sent to its canonical digest. The cached
@@ -286,13 +236,9 @@ func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 
 	e, ok := s.entries[d]
 	if !ok {
-		// Singleflight leader: lead publishes the pending entry (the one
-		// heap allocation of a miss), computes, and fills it. Called with
-		// s.mu held; returns with it released. The prior placement is
-		// resolved under the same critical section, so the splitters the
-		// computation seeds from cannot be evicted out from under it.
-		prior := s.resolvePriorLocked(&req)
-		return s.lead(d, req, curve, canon, a, prior)
+		// Singleflight leader: lead publishes the pending entry (a miss's
+		// one heap allocation), computes, fills it and releases s.mu.
+		return s.lead(d, req, curve, canon, a)
 	}
 	waited := false
 	if !e.done {
@@ -322,12 +268,8 @@ func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 	// Same digest, different octree: a genuine 128-bit collision.
 	// Compute uncached so neither request corrupts the other.
 	s.metrics.Collisions++
-	prior := s.resolvePriorLocked(&req)
 	s.mu.Unlock()
-	r, cerr := s.admitAndCompute(req, curve, canon, prior)
-	if cerr == nil {
-		r.Handle = Handle(d)
-	}
+	r, cerr := s.admitAndCompute(req, curve, canon)
 	s.putArena(a)
 	return r, false, cerr
 }
@@ -349,43 +291,22 @@ func (s *Service) hitLocked(e *entry, waited bool) *Response {
 	return &e.resp
 }
 
-// resolvePriorLocked looks the request's Prior handle up in the cache and
-// returns the placement to seed from, or nil for a cold computation when
-// the handle no longer resolves (evicted, errored, or a different world
-// size). Called with s.mu held.
-func (s *Service) resolvePriorLocked(req *Request) *partition.Splitters {
-	if req.Prior.IsZero() {
-		return nil
-	}
-	e, ok := s.entries[digest128(req.Prior)]
-	if ok && e.done && e.err == nil && e.resp.Splitters != nil && e.resp.Splitters.P() == req.Ranks {
-		if e.inLRU {
-			// Seeding from a placement is a use: keep it warm.
-			s.lruTouch(e)
-		}
-		return e.resp.Splitters
-	}
-	s.metrics.PriorMisses++
-	return nil
-}
-
 // lead is the singleflight-leader slow path: it publishes a pending entry
 // under the caller's critical section (so concurrent identical requests
 // become followers, not second leaders), releases the lock, computes under
 // fair admission, and fills the entry. Called with s.mu held; returns with
 // it released.
-func (s *Service) lead(d digest128, req Request, curve *sfc.Curve, canon []sfc.Key, a *psort.Arena, prior *partition.Splitters) (*Response, bool, error) {
+func (s *Service) lead(d digest128, req Request, curve *sfc.Curve, canon []sfc.Key, a *psort.Arena) (*Response, bool, error) {
 	e := &entry{digest: d}
 	s.entries[d] = e
 	s.metrics.Misses++
 	s.mu.Unlock()
 
-	r, cerr := s.admitAndCompute(req, curve, canon, prior)
+	r, cerr := s.admitAndCompute(req, curve, canon)
 
 	s.mu.Lock()
 	e.err = cerr
 	if cerr == nil {
-		r.Handle = Handle(d)
 		e.resp = *r
 		e.keys.AppendKeys(canon)
 		e.nkeys = len(canon)
@@ -437,8 +358,16 @@ func validate(req *Request) error {
 	if req.Ranks < 1 || req.Ranks > maxRanks {
 		return fmt.Errorf("service: ranks %d not in [1, %d]", req.Ranks, maxRanks)
 	}
-	if req.Horizon < 0 {
-		return fmt.Errorf("service: horizon %g < 0", req.Horizon)
+	// The model inputs: a NaN Alpha makes every rung's Tp NaN, and a
+	// negative payload rewards boundary surface.
+	if !(req.Tol >= 0 && req.Tol <= math.MaxFloat64) {
+		return fmt.Errorf("service: tol %g is not finite and >= 0", req.Tol)
+	}
+	if !(req.Alpha >= 0 && req.Alpha <= math.MaxFloat64) {
+		return fmt.Errorf("service: alpha %g is not finite and >= 0", req.Alpha)
+	}
+	if req.PayloadBytes < 0 {
+		return fmt.Errorf("service: payload bytes %d < 0", req.PayloadBytes)
 	}
 	return nil
 }
@@ -477,30 +406,24 @@ func canonicalize(req *Request, a *psort.Arena) ([]sfc.Key, *sfc.Curve) {
 // allocates freely, but admission itself must not.
 //
 //alloc:zero admission only
-func (s *Service) admitAndCompute(req Request, curve *sfc.Curve, canon []sfc.Key, prior *partition.Splitters) (*Response, error) {
+func (s *Service) admitAndCompute(req Request, curve *sfc.Curve, canon []sfc.Key) (*Response, error) {
 	if !s.queue.Acquire(req.Tenant) {
 		return nil, ErrClosed
 	}
 	defer s.queue.Release(req.Tenant, uint64(len(canon)))
-	return compute(req, curve, canon, prior)
+	return compute(req, curve, canon)
 }
 
 // compute runs one p-rank SPMD partitioning world over the canonical
-// octree. Each rank takes a contiguous block of the (already curve-sorted)
-// canonical keys; blocks are disjoint subslices, so the world sorts and
-// evaluates in place without copying. On the cold path blocks are equal
-// splits; on the warm path each rank's block is its range under the prior
-// placement — the distribution the moved-bytes term charges against.
-func compute(req Request, curve *sfc.Curve, canon []sfc.Key, prior *partition.Splitters) (*Response, error) {
+// octree. Each rank takes an equal contiguous block of the (already
+// curve-sorted) canonical keys; blocks are disjoint subslices, so the world
+// sorts and evaluates in place without copying.
+func compute(req Request, curve *sfc.Curve, canon []sfc.Key) (*Response, error) {
 	p := req.Ranks
 	var resp Response
-	var priorRanges []int
-	if prior != nil {
-		priorRanges = prior.Ranges(canon)
-	}
 	opts := partition.Options{
 		Curve:        curve,
-		Mode:         req.Mode, // the warm path prices rungs by J and ignores it
+		Mode:         req.Mode,
 		Tol:          req.Tol,
 		Machine:      req.Machine,
 		Alpha:        req.Alpha,
@@ -508,17 +431,9 @@ func compute(req Request, curve *sfc.Curve, canon []sfc.Key, prior *partition.Sp
 		SkipExchange: true,
 	}
 	_, err := comm.RunChecked(p, req.Machine.CostModel(), func(c *comm.Comm) error {
-		var res *partition.Result
-		var rr *partition.RepartResult // non-nil on the warm path only
-		if prior != nil {
-			local := canon[priorRanges[c.Rank()]:priorRanges[c.Rank()+1]]
-			rr = partition.Repartition(c, local, partition.RepartOptions{Options: opts, Prior: prior, Horizon: req.Horizon})
-			res = &rr.Result
-		} else {
-			lo := len(canon) * c.Rank() / p
-			hi := len(canon) * (c.Rank() + 1) / p
-			res = partition.Partition(c, canon[lo:hi], opts)
-		}
+		lo := len(canon) * c.Rank() / p
+		hi := len(canon) * (c.Rank() + 1) / p
+		res := partition.Partition(c, canon[lo:hi], opts)
 		if c.Rank() == 0 {
 			resp = Response{
 				Splitters:   res.Splitters,
@@ -526,9 +441,6 @@ func compute(req Request, curve *sfc.Curve, canon []sfc.Key, prior *partition.Sp
 				Predicted:   res.Predicted,
 				Rounds:      res.Rounds,
 				AchievedTol: res.AchievedTol,
-			}
-			if rr != nil {
-				resp.MovedElements, resp.MovedBytes, resp.KeptSeps = rr.MovedElements, rr.MovedBytes, rr.KeptSeps
 			}
 		}
 		return nil

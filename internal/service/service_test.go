@@ -5,9 +5,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -103,19 +105,61 @@ func TestServiceBasic(t *testing.T) {
 	}
 }
 
+// TestServiceValidation: a malformed request is an error naming the field
+// at fault. Before validate checked the model inputs, a NaN Alpha walked
+// ModelDriven's whole ladder to a NaN Predicted and a negative payload
+// rewarded boundary surface.
 func TestServiceValidation(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
 	keys := testKeys(2, 10)
-	for _, req := range []Request{
-		{Keys: nil, Dim: 3, Ranks: 2, CurveKind: sfc.Morton},
-		{Keys: keys, Dim: 4, Ranks: 2, CurveKind: sfc.Morton},
-		{Keys: keys, Dim: 3, Ranks: 0, CurveKind: sfc.Morton},
-		{Keys: keys, Dim: 3, Ranks: maxRanks + 1, CurveKind: sfc.Morton},
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		edit func(*Request)
+		want string
+	}{
+		{func(r *Request) { r.Keys = nil }, "empty key set"},
+		{func(r *Request) { r.Dim = 4 }, "dim 4"},
+		{func(r *Request) { r.Ranks = 0 }, "ranks 0"},
+		{func(r *Request) { r.Ranks = maxRanks + 1 }, "ranks 1025"},
+		{func(r *Request) { r.Tol = -0.1 }, "tol -0.1"},
+		{func(r *Request) { r.Tol = nan }, "tol NaN"},
+		{func(r *Request) { r.Tol = inf }, "tol +Inf"},
+		{func(r *Request) { r.Alpha = -1 }, "alpha -1"},
+		{func(r *Request) { r.Alpha = nan }, "alpha NaN"},
+		{func(r *Request) { r.Alpha = -inf }, "alpha -Inf"},
+		{func(r *Request) { r.PayloadBytes = -8 }, "payload bytes -8"},
 	} {
-		if _, _, err := s.Do(req); err == nil {
-			t.Fatalf("Do(%+v) accepted invalid request", req)
+		req := Request{Keys: keys, Dim: 3, Ranks: 2, CurveKind: sfc.Morton, Mode: partition.ModelDriven}
+		tc.edit(&req)
+		if _, _, err := s.Do(req); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Do error = %v, want it to name %q", err, tc.want)
 		}
+	}
+	if m := s.Metrics(); m.Requests != 0 {
+		t.Fatalf("rejected requests moved the counters: %+v", m)
+	}
+}
+
+// TestServiceTolSharesModelDrivenEntry: Partition reads Tol only under
+// FlexibleTolerance, so a ModelDriven request with Tol 0.3 is the question
+// one with Tol 0 asked, and hits its entry.
+func TestServiceTolSharesModelDrivenEntry(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	req := baseRequest(testKeys(7, 2000))
+	req.Mode = partition.ModelDriven
+	r0, hit, err := s.Do(req)
+	if err != nil || hit {
+		t.Fatalf("prime: hit=%v err=%v", hit, err)
+	}
+	req.Tol = 0.3
+	r, hit, err := s.Do(req)
+	if err != nil || !hit || r != r0 {
+		t.Fatalf("Tol 0.3: hit=%v err=%v shared=%v, want the Tol 0 entry", hit, err, r == r0)
+	}
+	if m := s.Metrics(); m.Misses != 1 || m.CachedEntries != 1 {
+		t.Fatalf("metrics = %+v, want one miss and one entry", m)
 	}
 }
 
@@ -164,11 +208,9 @@ func TestDigestFieldSensitivity(t *testing.T) {
 		"dim":     func(r *Request) { r.Dim = 2 },
 		"ranks":   func(r *Request) { r.Ranks = 5 },
 		"mode":    func(r *Request) { r.Mode = partition.ModelDriven },
-		"tol":     func(r *Request) { r.Tol = 0.25 },
 		"alpha":   func(r *Request) { r.Alpha = 16 },
 		"payload": func(r *Request) { r.PayloadBytes = 512 },
 		"machine": func(r *Request) { r.Machine = machine.Titan() },
-		"prior":   func(r *Request) { r.Prior = HandleFromWords(1, 2) },
 	}
 	for name, mutate := range mutations {
 		r := base
@@ -183,12 +225,29 @@ func TestDigestFieldSensitivity(t *testing.T) {
 	if digestRequest(&r, canon) != d0 {
 		t.Fatal("tenant changed the digest")
 	}
-	// With a prior set, the horizon is part of the question.
-	w1, w2 := base, base
-	w1.Prior, w2.Prior = HandleFromWords(1, 2), HandleFromWords(1, 2)
-	w2.Horizon = 80
-	if digestRequest(&w1, canon) == digestRequest(&w2, canon) {
-		t.Fatal("horizon did not change a warm digest")
+	// Tol is part of the question under FlexibleTolerance, the one mode
+	// that reads it ...
+	flex := base
+	flex.Mode = partition.FlexibleTolerance
+	flexTol := flex
+	flexTol.Tol = 0.25
+	if digestRequest(&flex, canon) == digestRequest(&flexTol, canon) {
+		t.Fatal("mutating tol under FlexibleTolerance did not change the digest")
+	}
+	// ... and Do zeroes it in the others, so there it does not split the
+	// cache.
+	s := New(Config{})
+	defer s.Close()
+	for _, mode := range []partition.Mode{partition.EqualWork, partition.ModelDriven} {
+		r := base
+		r.Mode = mode
+		if _, _, err := s.Do(r); err != nil {
+			t.Fatal(err)
+		}
+		r.Tol = 0.25
+		if _, hit, err := s.Do(r); err != nil || !hit {
+			t.Fatalf("%v: Tol 0.25 after Tol 0: hit=%v err=%v, want a hit", mode, hit, err)
+		}
 	}
 
 	// Any single key field flips it too.
@@ -687,226 +746,6 @@ func TestServiceConcurrentMixed(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServiceWarmRepartition drives a two-step online loop: a cold request
-// names its placement via Response.Handle, the next step's octree passes it
-// back as Prior, and the warm response carries the migration bill.
-func TestServiceWarmRepartition(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	curve := sfc.NewCurve(sfc.Hilbert, 3)
-	ev := octree.NewEvolver(curve, 7, octree.Linearize(curve, testKeys(40, 4000)))
-
-	cold := baseRequest(append([]sfc.Key(nil), ev.Leaves()...))
-	cold.Mode = partition.ModelDriven
-	cold.Machine = machine.Titan()
-	r1, hit, err := s.Do(cold)
-	if err != nil || hit {
-		t.Fatalf("cold Do: hit=%v err=%v", hit, err)
-	}
-	if r1.Handle.IsZero() {
-		t.Fatal("cold response has a zero handle")
-	}
-	if r1.MovedElements != 0 || r1.MovedBytes != 0 {
-		t.Fatalf("cold response reports movement: %d elements", r1.MovedElements)
-	}
-
-	ev.Step(0.05, 0.05)
-	warm := cold
-	warm.Keys = append([]sfc.Key(nil), ev.Leaves()...)
-	warm.Prior = r1.Handle
-	warm.Horizon = 50
-	r2, hit, err := s.Do(warm)
-	if err != nil || hit {
-		t.Fatalf("warm Do: hit=%v err=%v", hit, err)
-	}
-	if r2.Handle.IsZero() || r2.Handle == r1.Handle {
-		t.Fatal("warm response handle missing or aliases the prior")
-	}
-	if r2.Splitters.P() != warm.Ranks {
-		t.Fatalf("warm splitters P = %d, want %d", r2.Splitters.P(), warm.Ranks)
-	}
-	if r2.MovedBytes != r2.MovedElements*machine.GhostPayloadBytes {
-		t.Fatalf("moved bytes %d != %d elements x default payload", r2.MovedBytes, r2.MovedElements)
-	}
-	if r2.MovedElements == 0 {
-		// Kept the prior placement: the separators must be inherited.
-		for i, sep := range r2.Splitters.Seps {
-			if sep != r1.Splitters.Seps[i] {
-				t.Fatal("no movement reported but separators changed")
-			}
-		}
-	}
-	if m := s.Metrics(); m.PriorMisses != 0 {
-		t.Fatalf("prior resolved from cache but PriorMisses = %d", m.PriorMisses)
-	}
-
-	// The warm answer is cached under the chained digest: a repeat is a hit
-	// sharing the same response, and the cold digest for the same octree is
-	// a distinct entry.
-	r2b, hit, err := s.Do(warm)
-	if err != nil || !hit || r2b != r2 {
-		t.Fatalf("warm repeat: hit=%v err=%v shared=%v", hit, err, r2b == r2)
-	}
-	coldAgain := warm
-	coldAgain.Prior = Handle{}
-	coldAgain.Horizon = 0
-	r3, hit, err := s.Do(coldAgain)
-	if err != nil || hit {
-		t.Fatalf("cold request after warm: hit=%v err=%v (want miss)", hit, err)
-	}
-	if r3.Handle == r2.Handle {
-		t.Fatal("cold and warm answers share a digest")
-	}
-
-	// Chaining continues: the warm handle seeds the next step.
-	ev.Step(0.05, 0.05)
-	warm3 := warm
-	warm3.Keys = append([]sfc.Key(nil), ev.Leaves()...)
-	warm3.Prior = r2.Handle
-	if _, hit, err := s.Do(warm3); err != nil || hit {
-		t.Fatalf("third step: hit=%v err=%v", hit, err)
-	}
-}
-
-// TestServicePriorEvictionFallsBack: a stale handle (its placement evicted)
-// must not fail the request — it computes cold and counts a PriorMiss.
-func TestServicePriorEvictionFallsBack(t *testing.T) {
-	curve := sfc.NewCurve(sfc.Hilbert, 3)
-	const na = 1000
-	mk := func(seed int64) Request {
-		keys := octree.Linearize(curve, testKeys(seed, 1600))
-		if len(keys) < na {
-			t.Fatalf("seed %d linearized to %d keys, need %d", seed, len(keys), na)
-		}
-		r := baseRequest(keys[:na])
-		r.Mode = partition.ModelDriven
-		r.Machine = machine.Titan()
-		return r
-	}
-	s := New(Config{MaxCachedKeys: 2 * na})
-	defer s.Close()
-
-	a := mk(50)
-	ra, _, err := s.Do(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two more distinct octrees push a's placement out of the cache.
-	// (Re-requesting a here would re-cache it and defeat the test.)
-	for seed := int64(51); seed <= 52; seed++ {
-		if _, _, err := s.Do(mk(seed)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m := s.Metrics(); m.Evictions == 0 {
-		t.Fatalf("eviction bound not exercised: %+v", m)
-	}
-
-	warm := mk(53)
-	warm.Prior = ra.Handle
-	r, hit, err := s.Do(warm)
-	if err != nil || hit {
-		t.Fatalf("stale-prior Do: hit=%v err=%v", hit, err)
-	}
-	if r.MovedElements != 0 || r.KeptSeps != 0 {
-		t.Fatalf("cold fallback reports warm accounting: moved=%d kept=%d", r.MovedElements, r.KeptSeps)
-	}
-	if m := s.Metrics(); m.PriorMisses == 0 {
-		t.Fatalf("stale prior not counted: %+v", m)
-	}
-}
-
-// TestZeroAllocCacheHitWarm: the hit path with a Prior handle folds three
-// more words into the digest and must stay allocation-free.
-func TestZeroAllocCacheHitWarm(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	cold := baseRequest(testKeys(60, 2000))
-	cold.Mode = partition.ModelDriven
-	cold.Machine = machine.Titan()
-	r1, _, err := s.Do(cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := cold
-	warm.Keys = append([]sfc.Key(nil), cold.Keys...)
-	warm.Prior = r1.Handle
-	warm.Horizon = 25
-	if _, _, err := s.Do(warm); err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, _ := s.Do(warm); !hit {
-		t.Fatal("warmup not a hit")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		_, hit, err := s.Do(warm)
-		if !hit || err != nil {
-			t.Fatalf("hit=%v err=%v", hit, err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm cache-hit path allocates %.1f objects per request, want 0", allocs)
-	}
-}
-
-// TestZeroAllocCanonicalHitWarm: a warm (Prior-carrying) request on
-// canonical keys hits through the fast path and allocates nothing, on both
-// sides of psort's parallel cutoff.
-func TestZeroAllocCanonicalHitWarm(t *testing.T) {
-	for _, n := range []int{2000, 40000} {
-		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			s := New(Config{})
-			defer s.Close()
-			cold := baseRequest(canonicalKeys(t, 60, n))
-			cold.Mode = partition.ModelDriven
-			cold.Machine = machine.Titan()
-			r1, _, err := s.Do(cold)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm := cold
-			warm.Prior = r1.Handle
-			warm.Horizon = 25
-			r2, hit, err := s.Do(warm)
-			if err != nil || hit {
-				t.Fatalf("warm prime: hit=%v err=%v", hit, err)
-			}
-			r, hit, canonicalized, err := doProbe(s, warm)
-			if !hit || canonicalized || err != nil || r != r2 {
-				t.Fatalf("hit=%v canonicalized=%v err=%v shared=%v, want a fast hit", hit, canonicalized, err, r == r2)
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				_, hit, err := s.Do(warm)
-				if !hit || err != nil {
-					t.Fatalf("hit=%v err=%v", hit, err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("warm canonical cache hit allocates %.1f objects per request, want 0", allocs)
-			}
-		})
-	}
-}
-
-// TestWirePriorRoundTrip: the handle and migration fields survive the wire
-// forms in both directions.
-func TestWirePriorRoundTrip(t *testing.T) {
-	req := baseRequest(testKeys(70, 50))
-	req.Prior = HandleFromWords(0xdeadbeef, 0xfeedface)
-	req.Horizon = 12.5
-	wr := FromRequest(req)
-	if wr.PriorHi != 0xdeadbeef || wr.PriorLo != 0xfeedface || wr.Horizon != 12.5 {
-		t.Fatalf("wire request dropped the prior: %+v", wr)
-	}
-	back, err := wr.ToRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Prior != req.Prior || back.Horizon != req.Horizon {
-		t.Fatalf("round trip changed the prior: %+v", back)
-	}
-}
-
 // TestServiceRejectsInvalidKeys: a key a client can put on the wire that is
 // not an octant of the 30-level grid is an error naming its index, never a
 // panic, and the request leaves no trace in the counters or the cache.
@@ -1032,6 +871,68 @@ func TestServeConnSurvivesInvalidKey(t *testing.T) {
 	}
 }
 
+// TestServeConnIgnoresRetiredWarmFields: a client built for the protocol
+// that carried a prior placement still sends PriorHi, PriorLo and Horizon.
+// gob skips the fields WireRequest lacks, so it is served the cold answer,
+// which is what it got when its prior had been evicted, and its repeat hits.
+func TestServeConnIgnoresRetiredWarmFields(t *testing.T) {
+	type oldWireRequest struct {
+		Tenant       string
+		Keys         []sfc.Key
+		CurveKind    int
+		Dim          int
+		Ranks        int
+		Mode         int
+		Tol          float64
+		Alpha        float64
+		PayloadBytes int
+		MachineName  string
+
+		PriorHi, PriorLo uint64
+		Horizon          float64
+	}
+	req := baseRequest(testKeys(72, 2000))
+	req.Mode = partition.ModelDriven
+	old := oldWireRequest{
+		Tenant: req.Tenant, Keys: req.Keys, CurveKind: int(req.CurveKind), Dim: req.Dim,
+		Ranks: req.Ranks, Mode: int(req.Mode), MachineName: req.Machine.Name,
+		PriorHi: 0xdeadbeef, PriorLo: 0xfeedface, Horizon: 50,
+	}
+	var stream bytes.Buffer
+	enc := gob.NewEncoder(&stream)
+	for i := 0; i < 2; i++ {
+		if err := enc.Encode(&old); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := New(Config{})
+	defer s.Close()
+	var out bytes.Buffer
+	if err := ServeConn(s, readWriter{&stream, &out}); err != nil {
+		t.Fatalf("ServeConn: %v", err)
+	}
+	direct := New(Config{})
+	defer direct.Close()
+	want, _, err := direct.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := gob.NewDecoder(&out)
+	for i, wantHit := range []bool{false, true} {
+		var resp WireResponse
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if resp.Err != "" || resp.Hit != wantHit {
+			t.Fatalf("response %d: Err = %q, hit = %v, want no error and hit = %v", i, resp.Err, resp.Hit, wantHit)
+		}
+		if !slices.Equal(resp.Seps, want.Splitters.Seps) {
+			t.Fatalf("response %d: separators differ from a direct Do of the same keys", i)
+		}
+	}
+}
+
 // gobRequest is the gob stream a client writes for one request: the type
 // descriptor, then the value.
 func gobRequest(tb testing.TB, req Request) []byte {
@@ -1080,6 +981,84 @@ func FuzzServeConn(f *testing.F) {
 		}
 		if resp.Err != "" {
 			t.Fatalf("valid request after fuzzed stream %x: Err = %q", stream, resp.Err)
+		}
+	})
+}
+
+// fuzzRanks maps a fuzzed byte to a rank count: 1-8, or one of the values
+// validate must refuse. A large in-range count is never drawn, since a miss
+// at 1024 ranks sizes a world near 0.8 GB.
+func fuzzRanks(b uint8) int {
+	n := int(b) % 12
+	if n < 8 {
+		return n + 1
+	}
+	return [...]int{0, -1, maxRanks + 1, 1 << 20}[n-8]
+}
+
+// fuzzKeys decodes raw as keys in their 13-byte wire form (sfc.Key's
+// ReadElem), at most 512 of them.
+func fuzzKeys(raw []byte) []sfc.Key {
+	const kb = 13
+	keys := make([]sfc.Key, min(len(raw)/kb, 512))
+	for i := range keys {
+		raw = keys[i].ReadElem(raw)
+	}
+	return keys
+}
+
+// FuzzServiceDo: whatever request a client builds — keys, curve kind, dim,
+// mode, Tol, Alpha, payload and ranks — Service.Do returns a response or an
+// error and never panics, and a response is a placement of the canonical
+// octree over the requested ranks. The seeds send the keys of a cached
+// octree with different scalar fields, so they reach the canonical fast
+// path as well as validation and the compute path.
+func FuzzServiceDo(f *testing.F) {
+	s := New(Config{Slots: 1, MaxCachedKeys: 1 << 14})
+	f.Cleanup(s.Close)
+	cached := canonicalKeys(f, 90, 256)
+	if _, _, err := s.Do(baseRequest(cached)); err != nil {
+		f.Fatal(err)
+	}
+	var raw []byte
+	for _, k := range cached {
+		raw = k.AppendElem(raw)
+	}
+	h, eq, md, ft := uint8(sfc.Hilbert), uint8(partition.EqualWork), uint8(partition.ModelDriven), uint8(partition.FlexibleTolerance)
+	f.Add(raw, h, uint8(3), eq, 0.0, 0.0, int32(0), uint8(3))    // the cached request: a fast hit
+	f.Add(raw, h, uint8(3), eq, 0.3, 0.0, int32(0), uint8(3))    // an unread Tol: still a fast hit
+	f.Add(raw, h, uint8(3), md, 0.0, 16.0, int32(512), uint8(7)) // a ModelDriven miss
+	f.Add(raw, h, uint8(3), ft, 0.25, 0.0, int32(0), uint8(0))   // a FlexibleTolerance miss
+	f.Add(raw, h, uint8(3), md, 0.0, math.NaN(), int32(0), uint8(3))
+	f.Add(raw, h, uint8(3), eq, math.Inf(1), 0.0, int32(-8), uint8(3))
+	f.Add(raw, h, uint8(2), eq, 0.0, 0.0, int32(0), uint8(3))              // 3-D keys at dim 2
+	f.Add(raw, uint8(7), uint8(3), uint8(9), 0.0, 0.0, int32(0), uint8(8)) // unknown kind and mode, ranks 0
+	f.Add(raw, h, uint8(3), eq, 0.0, 0.0, int32(0), uint8(11))             // ranks 1<<20
+	f.Add([]byte("not a key stream"), h, uint8(3), eq, 0.0, 0.0, int32(0), uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, kind, dim, mode uint8, tol, alpha float64, payload int32, ranks uint8) {
+		req := Request{
+			Tenant:       "fuzz",
+			Keys:         fuzzKeys(raw),
+			CurveKind:    sfc.Kind(int8(kind)),
+			Dim:          int(int8(dim)),
+			Ranks:        fuzzRanks(ranks),
+			Mode:         partition.Mode(int8(mode)),
+			Tol:          tol,
+			Machine:      machine.Clemson32(),
+			Alpha:        alpha,
+			PayloadBytes: int(payload),
+		}
+		resp, _, err := s.Do(req)
+		if err != nil {
+			return
+		}
+		sum := 0
+		for _, c := range resp.Counts {
+			sum += c
+		}
+		if resp.Splitters.P() != req.Ranks || len(resp.Counts) != req.Ranks || sum != resp.NumKeys {
+			t.Fatalf("response of P %d, %d counts summing to %d, for %d ranks over %d keys",
+				resp.Splitters.P(), len(resp.Counts), sum, req.Ranks, resp.NumKeys)
 		}
 	})
 }

@@ -14,7 +14,9 @@ import (
 // WireRequest is the gob form of a Request: machines travel by name (both
 // ends share the machine table) and enums travel as ints. It is the
 // protocol `optipartd -serve` speaks: a client writes WireRequests and
-// reads WireResponses over one connection, strictly alternating.
+// reads WireResponses over one connection, strictly alternating. gob skips
+// fields the receiver lacks, so a client that still sends the retired
+// warm-start fields is served the cold answer.
 type WireRequest struct {
 	Tenant       string
 	Keys         []sfc.Key
@@ -26,11 +28,6 @@ type WireRequest struct {
 	Alpha        float64
 	PayloadBytes int
 	MachineName  string
-
-	// PriorHi/PriorLo carry an optional placement handle (both zero = no
-	// prior) and Horizon its migration knob — the warm repartitioning path.
-	PriorHi, PriorLo uint64
-	Horizon          float64
 }
 
 // WireResponse is the gob form of a Response plus the hit flag and a
@@ -46,14 +43,6 @@ type WireResponse struct {
 	Predicted   float64
 	Rounds      int
 	AchievedTol float64
-
-	// HandleHi/HandleLo name the placement for a follow-up request's
-	// PriorHi/PriorLo; MovedElements/MovedBytes and KeptSeps are the warm
-	// path's migration accounting (zero on cold computations).
-	HandleHi, HandleLo uint64
-	MovedElements      int64
-	MovedBytes         int64
-	KeptSeps           int
 }
 
 // ToRequest resolves the wire form into a service Request.
@@ -73,14 +62,12 @@ func (w *WireRequest) ToRequest() (Request, error) {
 		Alpha:        w.Alpha,
 		PayloadBytes: w.PayloadBytes,
 		Machine:      m,
-		Prior:        HandleFromWords(w.PriorHi, w.PriorLo),
-		Horizon:      w.Horizon,
 	}, nil
 }
 
 // FromRequest renders a Request into its wire form.
 func FromRequest(req Request) WireRequest {
-	wr := WireRequest{
+	return WireRequest{
 		Tenant:       req.Tenant,
 		Keys:         req.Keys,
 		CurveKind:    int(req.CurveKind),
@@ -91,10 +78,7 @@ func FromRequest(req Request) WireRequest {
 		Alpha:        req.Alpha,
 		PayloadBytes: req.PayloadBytes,
 		MachineName:  req.Machine.Name,
-		Horizon:      req.Horizon,
 	}
-	wr.PriorHi, wr.PriorLo = req.Prior.Words()
-	return wr
 }
 
 // ServeConn runs the request/response loop for one client connection until
@@ -120,19 +104,15 @@ func ServeConn(s *Service, conn io.ReadWriter) error {
 			resp, hit, err = s.Do(req)
 			if err == nil {
 				out = WireResponse{
-					Hit:           hit,
-					Seps:          resp.Splitters.Seps,
-					Counts:        resp.Counts,
-					NumKeys:       resp.NumKeys,
-					Quality:       resp.Quality,
-					Predicted:     resp.Predicted,
-					Rounds:        resp.Rounds,
-					AchievedTol:   resp.AchievedTol,
-					MovedElements: resp.MovedElements,
-					MovedBytes:    resp.MovedBytes,
-					KeptSeps:      resp.KeptSeps,
+					Hit:         hit,
+					Seps:        resp.Splitters.Seps,
+					Counts:      resp.Counts,
+					NumKeys:     resp.NumKeys,
+					Quality:     resp.Quality,
+					Predicted:   resp.Predicted,
+					Rounds:      resp.Rounds,
+					AchievedTol: resp.AchievedTol,
 				}
-				out.HandleHi, out.HandleLo = resp.Handle.Words()
 			}
 		}
 		if err != nil {

@@ -352,7 +352,8 @@ type (
 const DefaultHorizon = machine.DefaultHorizon
 
 // Repartition incrementally repartitions local (each rank's current
-// elements) against the prior placement in opts.Prior. Collective.
+// elements) against the prior placement in opts.Prior, which is required.
+// Collective.
 func Repartition(c *Comm, local []Key, opts RepartOptions) *RepartResult {
 	return partition.Repartition(c, local, opts)
 }
@@ -393,9 +394,9 @@ func SampleSort(c *Comm, local []Key, curve *Curve) []Key {
 // 128-bit digest with exact-match verification, coalesced when identical
 // requests race (singleflight), and admitted to a bounded set of execution
 // slots in least-attained-service order per tenant so heavy campaigns
-// cannot starve light ones. The steady-state cache-hit path allocates
-// nothing. Serve it over sockets with `optipartd -serve`, or embed it and
-// call Do.
+// cannot starve light ones. A miss is a cold Partition (warm starts run in
+// process: Repartition, Repartitioner); a hit allocates nothing. Serve it
+// over sockets with `optipartd -serve`, or embed it and call Do.
 type (
 	PartitionService    = service.Service
 	ServiceConfig       = service.Config
@@ -404,12 +405,7 @@ type (
 	ServiceMetrics      = service.Metrics
 	ServiceWireRequest  = service.WireRequest
 	ServiceWireResponse = service.WireResponse
-	ServiceHandle       = service.Handle
 )
-
-// ServiceHandleFromWords reconstructs a prior-placement handle from its two
-// words, e.g. off the wire (WireResponse.HandleHi/HandleLo).
-func ServiceHandleFromWords(hi, lo uint64) ServiceHandle { return service.HandleFromWords(hi, lo) }
 
 // ErrServiceClosed is returned by PartitionService.Do after Close.
 var ErrServiceClosed = service.ErrClosed

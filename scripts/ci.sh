@@ -9,7 +9,7 @@
 # a 10 s fuzz smoke each of internal/sfc's FuzzRankWithSpan, FuzzSpanBox,
 # FuzzRankOrder and FuzzCompareConsistent, internal/net's FuzzDecodeFrame and
 # FuzzDecodeBodies, internal/service's FuzzDigestCanonicalization,
-# FuzzServiceCanonicalHit and FuzzServeConn, internal/ckpt's
+# FuzzServiceCanonicalHit, FuzzServeConn and FuzzServiceDo, internal/ckpt's
 # FuzzDecodeSnapshot, and
 # internal/partition's FuzzRepartitionerStep;
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
@@ -85,14 +85,15 @@ for target in FuzzDecodeFrame FuzzDecodeBodies; do
     go test ./internal/net -run '^$' -fuzz "^$target\$" -fuzztime 10s
 done
 
-echo "==> fuzz smoke: FuzzDigestCanonicalization, FuzzServiceCanonicalHit, FuzzServeConn (10 s each)"
+echo "==> fuzz smoke: FuzzDigestCanonicalization, FuzzServiceCanonicalHit, FuzzServeConn, FuzzServiceDo (10 s each)"
 # The cache's identity: any ordering or padding of one octree digests alike
 # after canonicalization, and at the Service level its canonical form hits
 # as sent while a shuffled, duplicated copy hits through canonicalization,
 # both returning the one cached response. Then the service's trust
 # boundary: whatever bytes a client sends, ServeConn returns without
-# panicking and the Service still answers a valid request.
-for target in FuzzDigestCanonicalization FuzzServiceCanonicalHit FuzzServeConn; do
+# panicking and the Service still answers a valid request; whatever
+# Request a client builds, Do answers or refuses it without panicking.
+for target in FuzzDigestCanonicalization FuzzServiceCanonicalHit FuzzServeConn FuzzServiceDo; do
     go test ./internal/service -run '^$' -fuzz "^$target\$" -fuzztime 10s
 done
 
