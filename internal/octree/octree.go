@@ -59,7 +59,19 @@ func Linearize(curve *sfc.Curve, keys []sfc.Key) []sfc.Key {
 // the input's backing array. Callers that sorted with psort.TreeSortArena
 // get a fully allocation-free canonicalization path.
 func LinearizeSorted(keys []sfc.Key) []sfc.Key {
-	out := keys[:0]
+	keys, _ = LinearizeSortedRanks(keys, nil)
+	return keys
+}
+
+// LinearizeSortedRanks is LinearizeSorted that compacts the keys' rank
+// column in step with them, so a caller that sorted with
+// psort.TreeSortArena keeps ranks[i] = curve.Rank(keys[i]) for the
+// survivors without ranking them again. ranks is nil or as long as keys; a
+// nil column stays nil.
+//
+//alloc:zero
+func LinearizeSortedRanks(keys []sfc.Key, ranks []sfc.Rank128) ([]sfc.Key, []sfc.Rank128) {
+	n := 0
 	for i, k := range keys {
 		if i+1 < len(keys) {
 			next := keys[i+1]
@@ -67,9 +79,16 @@ func LinearizeSorted(keys []sfc.Key) []sfc.Key {
 				continue
 			}
 		}
-		out = append(out, k)
+		keys[n] = k
+		if ranks != nil {
+			ranks[n] = ranks[i]
+		}
+		n++
 	}
-	return out
+	if ranks != nil {
+		ranks = ranks[:n]
+	}
+	return keys[:n], ranks
 }
 
 // IsLinear reports whether keys are sorted and contain no duplicate or

@@ -109,16 +109,35 @@ type Result struct {
 // holds exactly its partition, sorted along the curve. It must be called
 // collectively by all ranks.
 func Partition(c *comm.Comm, local []sfc.Key, opts Options) *Result {
-	obj := newObjective(opts.Machine, opts.Alpha, opts.PayloadBytes, opts.Tol, 0)
-	curve := opts.Curve
-
 	// The call holds one pooled arena: the sort leaves its rank column
 	// aligned with the sorted elements, and the selector reuses it next to
 	// the span columns, instead of ranking local a second time.
 	a := psort.GetArena()
 	defer psort.PutArena(a)
+	ranks, _ := psort.TreeSortArena(opts.Curve, local, a)
+	return partitionSorted(c, local, ranks, a, opts)
+}
+
+// PartitionSorted is Partition over elements the caller has already sorted
+// along opts.Curve, with their rank column: ranks[i] = opts.Curve.Rank(local[i]).
+// It skips the sort but charges the same modeled local sort, so its Result
+// and modeled costs equal Partition's on the same sorted block. The service
+// calls it with blocks of its canonical octree, ranked once when it was
+// canonicalized. It must be called collectively by all ranks.
+func PartitionSorted(c *comm.Comm, local []sfc.Key, ranks []sfc.Rank128, opts Options) *Result {
+	a := psort.GetArena()
+	defer psort.PutArena(a)
+	return partitionSorted(c, local, ranks, a, opts)
+}
+
+// partitionSorted is the core behind both doors: the modeled local sort,
+// which both pay whether or not the host sorted, then splitter selection
+// over the sorted elements and their rank column, with the selector's span
+// columns drawn from a, then the exchange.
+func partitionSorted(c *comm.Comm, local []sfc.Key, ranks []sfc.Rank128, a *psort.Arena, opts Options) *Result {
+	obj := newObjective(opts.Machine, opts.Alpha, opts.PayloadBytes, opts.Tol, 0)
+	curve := opts.Curve
 	c.SetPhase("local sort")
-	ranks, _ := psort.TreeSortArena(curve, local, a)
 	c.Compute(psort.LocalSortCost(len(local), curve.Dim)) // ChargeLocalSort's charge
 
 	c.SetPhase("splitter")

@@ -2,6 +2,8 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"optipart/internal/comm"
@@ -27,6 +29,62 @@ func runPartition(t *testing.T, p, perRank int, kind sfc.Kind, opts Options) []*
 		results[c.Rank()] = Partition(c, local, opts)
 	})
 	return results
+}
+
+// TestPartitionSortedMatchesPartition: on curve-sorted blocks with their
+// rank column, PartitionSorted returns what Partition returns on the same
+// blocks — elements after the exchange, separators, quality, prediction,
+// rounds and achieved tolerance — and its world the same modeled clocks,
+// phase times, messages and bytes, so skipping the sort skips no charge.
+// Both curves, 2-D and 3-D, every mode, and p in {1, 3, 8}.
+func TestPartitionSortedMatchesPartition(t *testing.T) {
+	m := machine.Wisconsin8()
+	for _, kind := range []sfc.Kind{sfc.Morton, sfc.Hilbert} {
+		for _, dim := range []int{2, 3} {
+			curve := sfc.NewCurve(kind, dim)
+			rng := rand.New(rand.NewSource(int64(41 + dim)))
+			keys := octree.RandomKeys(rng, 2400, dim, octree.Normal, 2, 12)
+			psort.TreeSort(curve, keys) // sorted, duplicates kept
+			ranks := make([]sfc.Rank128, len(keys))
+			for i, k := range keys {
+				ranks[i] = curve.Rank(k)
+			}
+			for _, mode := range []Mode{EqualWork, FlexibleTolerance, ModelDriven} {
+				opts := Options{Curve: curve, Mode: mode, Tol: 0.2, Machine: m}
+				for _, p := range []int{1, 3, 8} {
+					run := func(sorted bool) ([]*Result, *comm.Stats) {
+						res := make([]*Result, p)
+						stats, err := comm.RunChecked(p, m.CostModel(), func(c *comm.Comm) error {
+							lo, hi := len(keys)*c.Rank()/p, len(keys)*(c.Rank()+1)/p
+							block := slices.Clone(keys[lo:hi])
+							if sorted {
+								res[c.Rank()] = PartitionSorted(c, block, ranks[lo:hi], opts)
+							} else {
+								res[c.Rank()] = Partition(c, block, opts)
+							}
+							return nil
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res, stats
+					}
+					want, wantStats := run(false)
+					got, gotStats := run(true)
+					for r := range want {
+						w, g := want[r], got[r]
+						if !slices.Equal(g.Local, w.Local) || !slices.Equal(g.Splitters.Seps, w.Splitters.Seps) ||
+							g.Quality != w.Quality || g.Predicted != w.Predicted || g.Rounds != w.Rounds || g.AchievedTol != w.AchievedTol {
+							t.Fatalf("%v dim=%d %v p=%d rank %d: PartitionSorted %+v, Partition %+v", kind, dim, mode, p, r, g, w)
+						}
+					}
+					if !reflect.DeepEqual(gotStats, wantStats) {
+						t.Fatalf("%v dim=%d %v p=%d: PartitionSorted stats %+v, Partition %+v", kind, dim, mode, p, gotStats, wantStats)
+					}
+				}
+			}
+		}
+	}
 }
 
 func checkDistribution(t *testing.T, results []*Result, kind sfc.Kind, wantN int) {

@@ -241,7 +241,7 @@ func TestSelectorRungsMatchExactSpans(t *testing.T) {
 					}
 					a := psort.GetArena()
 					defer psort.PutArena(a)
-					sel := newSelector(c, curve, local, nil, a, 0)
+					sel := newSelector(c, curve, local, ranks, a, 0)
 					sel.descend(func(cand *Splitters, q Quality) bool {
 						counts := make([]int64, 2*p)
 						scanCounts(curve, local, ranks, lo, hi, cand.ranks(), counts)

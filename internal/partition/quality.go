@@ -134,7 +134,8 @@ func evaluateQuality(c *comm.Comm, curve *sfc.Curve, keys []sfc.Key, ranks, lo, 
 
 // fillColumns fills the cached scan columns of keys for the collective
 // selector and EvaluateQuality: ranks[i] = curve.Rank(keys[i]) when rank
-// is set (otherwise the caller's sort wrote it), and lo[i], hi[i] = the box
+// is set, which only EvaluateQuality does (the selector's callers hold the
+// rank column already), and lo[i], hi[i] = the box
 // curve.SpanBox derives from that rank with a few mask operations. A box
 // contains the exact neighbour span, so it settles every element whose box
 // sits inside its owner's bracket; scanCounts refines the rest in place.

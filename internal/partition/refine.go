@@ -55,20 +55,17 @@ type selector struct {
 	offsBuf []int // reused flat offset scratch for splitChunk
 }
 
-// newSelector builds a selector over the sorted local elements. ranks is
-// their rank column when the caller holds one (the sort's); nil ranks them
-// here, into a's rank column. Either way the span columns come from a, so
-// the selector's columns live exactly as long as the caller holds a.
+// newSelector builds a selector over the sorted local elements and their
+// rank column, ranks (the sort's, or the caller's of PartitionSorted). The
+// span columns come from a, so the selector's columns live exactly as long
+// as the caller holds a and ranks.
 func newSelector(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, ranks []sfc.Rank128, a *psort.Arena, kmax int) *selector {
 	s := &selector{c: c, curve: curve, local: local, ranks: ranks, kmax: kmax}
 	if s.kmax <= 0 {
 		s.kmax = c.Size()
 	}
-	if ranks == nil {
-		s.ranks = a.Ranks(len(local))
-	}
 	s.lo, s.hi = a.Spans(len(local))
-	fillColumns(curve, local, s.ranks, s.lo, s.hi, ranks == nil)
+	fillColumns(curve, local, ranks, s.lo, s.hi, false)
 	s.start()
 	return s
 }

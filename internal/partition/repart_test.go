@@ -630,7 +630,8 @@ func walkOnlyJ(c *comm.Comm, local []sfc.Key, opts RepartOptions) float64 {
 	obj := newObjective(opts.Machine, opts.Alpha, opts.PayloadBytes, opts.Tol, opts.Horizon)
 	a := psort.GetArena()
 	defer psort.PutArena(a)
-	sel := newSelector(c, opts.Curve, local, nil, a, opts.MaxSplitters)
+	ranks, _ := psort.TreeSortArena(opts.Curve, local, a)
+	sel := newSelector(c, opts.Curve, local, ranks, a, opts.MaxSplitters)
 	best := obj.j(sel.quality(opts.Prior), 0)
 	walkT := math.Inf(1)
 	sel.descend(func(cand *Splitters, q Quality) bool {

@@ -223,7 +223,7 @@ func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 		return nil, false, err
 	}
 	a := s.getArena()
-	canon, curve := canonicalize(&req, a)
+	canon, ranks, curve := canonicalize(&req, a)
 	d = digestRequest(&req, canon)
 
 	s.mu.Lock()
@@ -238,7 +238,7 @@ func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 	if !ok {
 		// Singleflight leader: lead publishes the pending entry (a miss's
 		// one heap allocation), computes, fills it and releases s.mu.
-		return s.lead(d, req, curve, canon, a)
+		return s.lead(d, req, curve, canon, ranks, a)
 	}
 	waited := false
 	if !e.done {
@@ -269,7 +269,7 @@ func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 	// Compute uncached so neither request corrupts the other.
 	s.metrics.Collisions++
 	s.mu.Unlock()
-	r, cerr := s.admitAndCompute(req, curve, canon)
+	r, cerr := s.admitAndCompute(req, curve, canon, ranks)
 	s.putArena(a)
 	return r, false, cerr
 }
@@ -296,13 +296,13 @@ func (s *Service) hitLocked(e *entry, waited bool) *Response {
 // become followers, not second leaders), releases the lock, computes under
 // fair admission, and fills the entry. Called with s.mu held; returns with
 // it released.
-func (s *Service) lead(d digest128, req Request, curve *sfc.Curve, canon []sfc.Key, a *psort.Arena) (*Response, bool, error) {
+func (s *Service) lead(d digest128, req Request, curve *sfc.Curve, canon []sfc.Key, ranks []sfc.Rank128, a *psort.Arena) (*Response, bool, error) {
 	e := &entry{digest: d}
 	s.entries[d] = e
 	s.metrics.Misses++
 	s.mu.Unlock()
 
-	r, cerr := s.admitAndCompute(req, curve, canon)
+	r, cerr := s.admitAndCompute(req, curve, canon, ranks)
 
 	s.mu.Lock()
 	e.err = cerr
@@ -387,17 +387,20 @@ func validateKeys(req *Request) error {
 
 // canonicalize copies the request keys into the arena, sorts them along the
 // curve, and strips duplicates and ancestors — the canonical linear octree
-// that content-addresses the request. Allocation-free once the arena is
+// that content-addresses the request — together with its rank column,
+// compacted in step with the keys, which a miss's world partitions without
+// ranking a key again. Both live in a. Allocation-free once the arena is
 // warm; sfc.NewCurve memoizes the curve. A bigger octree than the arena has
 // seen allocates once and is waived below.
 //
 //alloc:zero warm-path contract
-func canonicalize(req *Request, a *psort.Arena) ([]sfc.Key, *sfc.Curve) {
+func canonicalize(req *Request, a *psort.Arena) ([]sfc.Key, []sfc.Rank128, *sfc.Curve) {
 	curve := sfc.NewCurve(req.CurveKind, req.Dim)
 	keys := a.Keys(len(req.Keys)) //alloc:escape arena column growth is a once-per-high-water-mark cold path; warm arenas reslice
 	copy(keys, req.Keys)
-	psort.TreeSortArena(curve, keys, a)
-	return octree.LinearizeSorted(keys), curve
+	ranks, _ := psort.TreeSortArena(curve, keys, a)
+	keys, ranks = octree.LinearizeSortedRanks(keys, ranks)
+	return keys, ranks, curve
 }
 
 // admitAndCompute waits for a fair execution slot, runs the partitioning
@@ -406,19 +409,20 @@ func canonicalize(req *Request, a *psort.Arena) ([]sfc.Key, *sfc.Curve) {
 // allocates freely, but admission itself must not.
 //
 //alloc:zero admission only
-func (s *Service) admitAndCompute(req Request, curve *sfc.Curve, canon []sfc.Key) (*Response, error) {
+func (s *Service) admitAndCompute(req Request, curve *sfc.Curve, canon []sfc.Key, ranks []sfc.Rank128) (*Response, error) {
 	if !s.queue.Acquire(req.Tenant) {
 		return nil, ErrClosed
 	}
 	defer s.queue.Release(req.Tenant, uint64(len(canon)))
-	return compute(req, curve, canon)
+	return compute(req, curve, canon, ranks)
 }
 
 // compute runs one p-rank SPMD partitioning world over the canonical
-// octree. Each rank takes an equal contiguous block of the (already
-// curve-sorted) canonical keys; blocks are disjoint subslices, so the world
-// sorts and evaluates in place without copying.
-func compute(req Request, curve *sfc.Curve, canon []sfc.Key) (*Response, error) {
+// octree and its rank column. Each rank takes an equal contiguous block of
+// the (already curve-sorted) canonical keys and the matching block of
+// ranks; blocks are disjoint subslices, so the world partitions in place
+// without copying, sorting or ranking (partition.PartitionSorted).
+func compute(req Request, curve *sfc.Curve, canon []sfc.Key, ranks []sfc.Rank128) (*Response, error) {
 	p := req.Ranks
 	var resp Response
 	opts := partition.Options{
@@ -433,7 +437,7 @@ func compute(req Request, curve *sfc.Curve, canon []sfc.Key) (*Response, error) 
 	_, err := comm.RunChecked(p, req.Machine.CostModel(), func(c *comm.Comm) error {
 		lo := len(canon) * c.Rank() / p
 		hi := len(canon) * (c.Rank() + 1) / p
-		res := partition.Partition(c, canon[lo:hi], opts)
+		res := partition.PartitionSorted(c, canon[lo:hi], ranks[lo:hi], opts)
 		if c.Rank() == 0 {
 			resp = Response{
 				Splitters:   res.Splitters,

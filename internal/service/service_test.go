@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"optipart/internal/comm"
 	"optipart/internal/machine"
 	"optipart/internal/octree"
 	"optipart/internal/partition"
@@ -283,7 +284,7 @@ func FuzzDigestCanonicalization(f *testing.F) {
 		canonicalDigest := func(ks []sfc.Key) digest128 {
 			r := req
 			r.Keys = ks
-			canon, _ := canonicalize(&r, &a)
+			canon, _, _ := canonicalize(&r, &a)
 			d := digestRequest(&r, canon)
 			// canon aliases the arena; consume the digest before reuse.
 			return d
@@ -1007,12 +1008,39 @@ func fuzzKeys(raw []byte) []sfc.Key {
 	return keys
 }
 
+// directPartition is the oracle of a computed response: a world of
+// partition.Partition, which sorts and ranks its blocks itself, over the
+// octree.Linearize of a copy of the request keys, and the counts its
+// splitters induce there.
+func directPartition(req Request) (res *partition.Result, counts []int) {
+	curve := sfc.NewCurve(req.CurveKind, req.Dim)
+	canon := octree.Linearize(curve, append([]sfc.Key(nil), req.Keys...))
+	p := req.Ranks
+	opts := partition.Options{Curve: curve, Mode: req.Mode, Tol: req.Tol, Machine: req.Machine,
+		Alpha: req.Alpha, PayloadBytes: req.PayloadBytes, SkipExchange: true}
+	comm.Run(p, req.Machine.CostModel(), func(c *comm.Comm) {
+		r := partition.Partition(c, canon[len(canon)*c.Rank()/p:len(canon)*(c.Rank()+1)/p], opts)
+		if c.Rank() == 0 {
+			res = r
+		}
+	})
+	ranges := res.Splitters.Ranges(canon)
+	for r := 0; r < p; r++ {
+		counts = append(counts, ranges[r+1]-ranges[r])
+	}
+	return res, counts
+}
+
 // FuzzServiceDo: whatever request a client builds — keys, curve kind, dim,
 // mode, Tol, Alpha, payload and ranks — Service.Do returns a response or an
 // error and never panics, and a response is a placement of the canonical
-// octree over the requested ranks. The seeds send the keys of a cached
-// octree with different scalar fields, so they reach the canonical fast
-// path as well as validation and the compute path.
+// octree over the requested ranks. A computed response (a miss) equals
+// directPartition's, so the rank column the service carries from
+// canonicalization into its world is the one a fresh sort would produce.
+// The seeds send the keys of a cached octree with different scalar fields,
+// so they reach the canonical fast path as well as validation and the
+// compute path, and the same keys permuted, with duplicates and with
+// ancestors, so canonicalization compacts the rank column.
 func FuzzServiceDo(f *testing.F) {
 	s := New(Config{Slots: 1, MaxCachedKeys: 1 << 14})
 	f.Cleanup(s.Close)
@@ -1035,6 +1063,27 @@ func FuzzServiceDo(f *testing.F) {
 	f.Add(raw, uint8(7), uint8(3), uint8(9), 0.0, 0.0, int32(0), uint8(8)) // unknown kind and mode, ranks 0
 	f.Add(raw, h, uint8(3), eq, 0.0, 0.0, int32(0), uint8(11))             // ranks 1<<20
 	f.Add([]byte("not a key stream"), h, uint8(3), eq, 0.0, 0.0, int32(0), uint8(3))
+	// Reversed, with every fourth key sent twice: a miss under 6 ranks.
+	var dup []byte
+	for i := len(cached) - 1; i >= 0; i-- {
+		dup = cached[i].AppendElem(dup)
+		if i%4 == 0 {
+			dup = cached[i].AppendElem(dup)
+		}
+	}
+	f.Add(dup, h, uint8(3), eq, 0.0, 0.0, int32(0), uint8(5))
+	// Every eighth key preceded by its grandparent, which linearization
+	// drops: a ModelDriven miss.
+	var anc []byte
+	for i, k := range cached {
+		if i%8 == 0 && k.Level >= 2 {
+			anc = k.Ancestor(k.Level - 2).AppendElem(anc)
+		}
+		anc = k.AppendElem(anc)
+	}
+	f.Add(anc, h, uint8(3), md, 0.0, 0.0, int32(0), uint8(2))
+	// Both, on the Morton curve in FlexibleTolerance.
+	f.Add(append(anc, dup[:13*40]...), uint8(sfc.Morton), uint8(3), ft, 0.2, 0.0, int32(0), uint8(7))
 	f.Fuzz(func(t *testing.T, raw []byte, kind, dim, mode uint8, tol, alpha float64, payload int32, ranks uint8) {
 		req := Request{
 			Tenant:       "fuzz",
@@ -1048,9 +1097,19 @@ func FuzzServiceDo(f *testing.F) {
 			Alpha:        alpha,
 			PayloadBytes: int(payload),
 		}
-		resp, _, err := s.Do(req)
+		resp, hit, err := s.Do(req)
 		if err != nil {
 			return
+		}
+		if !hit {
+			res, counts := directPartition(req)
+			if !slices.Equal(resp.Splitters.Seps, res.Splitters.Seps) || resp.Quality != res.Quality ||
+				resp.Predicted != res.Predicted || resp.Rounds != res.Rounds ||
+				resp.AchievedTol != res.AchievedTol || !slices.Equal(resp.Counts, counts) {
+				t.Fatalf("computed response (seps %v, %+v, Tp %g, %d rounds, tol %g, counts %v) differs from a direct partition (seps %v, %+v, Tp %g, %d rounds, tol %g, counts %v)",
+					resp.Splitters.Seps, resp.Quality, resp.Predicted, resp.Rounds, resp.AchievedTol, resp.Counts,
+					res.Splitters.Seps, res.Quality, res.Predicted, res.Rounds, res.AchievedTol, counts)
+			}
 		}
 		sum := 0
 		for _, c := range resp.Counts {

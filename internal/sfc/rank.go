@@ -121,7 +121,8 @@ const RankDigits = 12
 // position digit is the child label itself, so the padded index is exactly
 // the interleave of the (masked) anchor coordinates. Hilbert ranks descend
 // the key's levels through the fused posNext state table, one L1 load per
-// level.
+// level, reading each level's label from that same interleave
+// (hilbertDigits).
 func (c *Curve) Rank(k Key) Rank128 {
 	if c.Kind == Morton {
 		// Mask below-resolution anchor bits so non-canonical keys rank the
@@ -140,75 +141,51 @@ func (c *Curve) Rank(k Key) Rank128 {
 			Lo: m<<rankLevelBits | uint64(k.Level),
 		}
 	}
-	if c.Dim == 3 {
-		return c.hilbertRank3(k)
-	}
-	return c.hilbertRank2(k)
+	hi, lo, _ := c.hilbertDigits(k, int(k.Level))
+	r := Rank128{Hi: hi, Lo: lo}.shl(uint(c.Dim*(MaxLevel-int(k.Level)) + rankLevelBits))
+	r.Lo |= uint64(k.Level)
+	return r
 }
 
-// hilbertRank3 walks the key's levels through the fused posNext table. The
-// first 21 levels (63 digit bits) accumulate in a single word; only deeper
-// keys pay for double-word shifts.
-func (c *Curve) hilbertRank3(k Key) Rank128 {
+// hilbertDigits descends k's levels 1..n through the fused posNext table and
+// returns their position digits, right-aligned in two words, and the table
+// row below level n: the state there times 8, ready to OR with a label.
+//
+// The labels come from one bit interleave of the anchor, the part1by2
+// spread of Morton ranks (part1by1 in 2-D), aligned so that level 1's label
+// is the word's top Dim bits (descend). In 2-D the whole descent fits one
+// word. In 3-D the word holds anchor bits 29..9, levels 1..21; a deeper key
+// descends on through a second interleave of bits 8..0 and joins the two
+// digit words once. It is the one Hilbert descent of Rank and of
+// RankWithSpan's shared prefix.
+//
+//alloc:zero
+func (c *Curve) hilbertDigits(k Key, n int) (hi, lo uint64, row uint8) {
 	tbl := (*[256]uint8)(c.posNext)
-	level := int(k.Level)
-	n := level
-	if n > 21 {
-		n = 21
+	if c.Dim == 2 {
+		lo, row = descend(tbl, (part1by1(uint64(k.X))|part1by1(uint64(k.Y))<<1)<<4, 0, n, 2)
+		return 0, lo, row
 	}
-	var w uint64
-	s := uint32(0)
-	for t := 1; t <= n; t++ {
-		shift := MaxLevel - t
-		label := (k.X>>shift)&1 | (k.Y>>shift)&1<<1 | (k.Z>>shift)&1<<2
-		e := tbl[(s<<3|label)&255]
-		w = w<<3 | uint64(e&7)
-		s = uint32(e >> 3)
+	lo, row = descend(tbl, (part1by2(uint64(k.X>>9))|part1by2(uint64(k.Y>>9))<<1|part1by2(uint64(k.Z>>9))<<2)<<1, 0, min(n, 21), 3)
+	if n <= 21 {
+		return 0, lo, row
 	}
-	hi, lo := uint64(0), w
-	for t := 22; t <= level; t++ {
-		shift := MaxLevel - t
-		label := (k.X>>shift)&1 | (k.Y>>shift)&1<<1 | (k.Z>>shift)&1<<2
-		e := tbl[(s<<3|label)&255]
-		hi = hi<<3 | lo>>61
-		lo = lo<<3 | uint64(e&7)
-		s = uint32(e >> 3)
-	}
-	pad := uint(3*(MaxLevel-level) + rankLevelBits)
-	if pad >= 64 {
-		hi = lo << (pad - 64)
-		lo = 0
-	} else {
-		hi = hi<<pad | lo>>(64-pad)
-		lo <<= pad
-	}
-	lo |= uint64(k.Level)
-	return Rank128{Hi: hi, Lo: lo}
+	var d uint64
+	d, row = descend(tbl, (part1by2(uint64(k.X&0x1FF))|part1by2(uint64(k.Y&0x1FF))<<1|part1by2(uint64(k.Z&0x1FF))<<2)<<37, row, n-21, 3)
+	s := uint(3*(n-21)) & 63
+	return lo >> (64 - s), lo<<s | d, row
 }
 
-// hilbertRank2 is the 2-D descent: at most 60 digit bits, so the whole index
-// accumulates in one word.
-func (c *Curve) hilbertRank2(k Key) Rank128 {
-	tbl := (*[256]uint8)(c.posNext)
-	var w uint64
-	s := uint32(0)
-	for t := 1; t <= int(k.Level); t++ {
-		shift := MaxLevel - t
-		label := (k.X>>shift)&1 | (k.Y>>shift)&1<<1
-		e := tbl[(s<<3|label)&255]
-		w = w<<2 | uint64(e&7)
-		s = uint32(e >> 3)
+// descend walks n levels down from table row row, reading each level's
+// child label from the top dim bits of the label word m, and returns the
+// levels' digits and the row below them. A level costs one shift of m and
+// one load; the state stays pre-shifted as the row e&^7.
+func descend(tbl *[256]uint8, m uint64, row uint8, n int, dim uint) (digits uint64, _ uint8) {
+	for t := 0; t < n; t++ {
+		e := tbl[row|uint8(m>>(64-dim))]
+		digits, row, m = digits<<dim|uint64(e&7), e&^7, m<<dim
 	}
-	pad := uint(2*(MaxLevel-int(k.Level)) + rankLevelBits)
-	var hi, lo uint64
-	if pad >= 64 {
-		hi = w << (pad - 64) // only level 0 pads past 64, and then w == 0
-	} else {
-		hi = w >> (64 - pad)
-		lo = w << pad
-	}
-	lo |= uint64(k.Level)
-	return Rank128{Hi: hi, Lo: lo}
+	return digits, row
 }
 
 // morton3 interleaves three 30-bit coordinates into the 90-bit Morton word

@@ -37,12 +37,20 @@ func (r Rank128) Compare(o Rank128) int {
 // TestRankMatchesCompare is the defining invariant of linearized ranks:
 // integer order over Rank must agree exactly with the tree-walking Compare,
 // for both curves, both dimensions, and arbitrary (including maximally deep)
-// levels.
+// levels, on random keys and on every pair of seamKeys.
 func TestRankMatchesCompare(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, kind := range []Kind{Morton, Hilbert} {
 		for _, dim := range []int{2, 3} {
 			c := NewCurve(kind, dim)
+			seam := seamKeys(dim)
+			for _, a := range seam {
+				for _, b := range seam {
+					if got, want := c.Rank(a).Compare(c.Rank(b)), c.Compare(a, b); got != want {
+						t.Fatalf("%v dim=%d: Rank order %d != Compare %d for seam keys %v vs %v", kind, dim, got, want, a, b)
+					}
+				}
+			}
 			for trial := 0; trial < 20000; trial++ {
 				a := randomKeyAnyLevel(rng, dim)
 				b := randomKeyAnyLevel(rng, dim)
@@ -65,17 +73,17 @@ func TestRankMatchesCompare(t *testing.T) {
 
 // TestRankAgreesWithIndex checks that for levels shallow enough for Index,
 // the rank is exactly the index padded to MaxLevel digits with the level
-// appended — i.e. Rank is the natural 128-bit extension of Index.
+// appended — i.e. Rank is the natural 128-bit extension of Index. Besides
+// random keys it walks every level Index reaches (0–21 in 3-D, 0–30 in
+// 2-D) with the anchors of anchorEdgeKeys, so a label read one level off
+// shows at the level it starts.
 func TestRankAgreesWithIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, kind := range []Kind{Morton, Hilbert} {
 		for _, dim := range []int{2, 3} {
 			c := NewCurve(kind, dim)
-			for trial := 0; trial < 5000; trial++ {
-				k := randomKeyAnyLevel(rng, dim)
-				if int(k.Level)*dim > 64 {
-					continue
-				}
+			check := func(k Key) {
+				t.Helper()
 				idx := c.Index(k)
 				pad := uint(dim*(MaxLevel-int(k.Level)) + rankLevelBits)
 				var want Rank128
@@ -89,8 +97,54 @@ func TestRankAgreesWithIndex(t *testing.T) {
 					t.Fatalf("%v dim=%d: Rank(%v) = %v, want %v (index %d)", kind, dim, k, got, want, idx)
 				}
 			}
+			for level := 0; level*dim <= 64 && level <= MaxLevel; level++ {
+				for _, k := range anchorEdgeKeys(dim, uint8(level)) {
+					check(k)
+				}
+			}
+			for trial := 0; trial < 5000; trial++ {
+				if k := randomKeyAnyLevel(rng, dim); int(k.Level)*dim <= 64 {
+					check(k)
+				}
+			}
 		}
 	}
+}
+
+// anchorEdgeKeys returns the deterministic keys of one level whose anchors
+// are all zeros, all ones, and all ones on one axis at a time, so every
+// child label of a Hilbert descent takes its extreme values.
+func anchorEdgeKeys(dim int, level uint8) []Key {
+	ones := uint32(1<<MaxLevel-1) &^ lowMask(MaxLevel-int(level))
+	keys := []Key{{Level: level}, {X: ones, Y: ones, Level: level}, {X: ones, Level: level}, {Y: ones, Level: level}}
+	if dim == 3 {
+		keys[1].Z = ones
+		keys = append(keys, Key{Z: ones, Level: level})
+	}
+	return keys
+}
+
+// seamKeys are the keys where a 3-D Hilbert rank switches from its first
+// interleave word (levels 1..21) to its second (22..30): keys at levels
+// 20–23 and 30 whose anchors differ only in the bits levels 21 and 22 read,
+// with their parents and the edge anchors of the same levels.
+func seamKeys(dim int) []Key {
+	var keys []Key
+	for _, level := range []uint8{20, 21, 22, 23, MaxLevel} {
+		keys = append(keys, anchorEdgeKeys(dim, level)...)
+		for _, bit := range []uint32{1 << 9, 1 << 8, 1<<9 | 1<<8} {
+			for axis := 0; axis < dim; axis++ {
+				anchor := [3]uint32{0x2AAAAAAA, 0x15555555, 0x33333333}
+				anchor[axis] ^= bit
+				k := clampKey(anchor[0], anchor[1], anchor[2], level)
+				if dim == 2 {
+					k.Z = 0
+				}
+				keys = append(keys, k, k.Ancestor(level-1))
+			}
+		}
+	}
+	return keys
 }
 
 // TestRankSentinel checks that no valid key reaches the +infinity rank.

@@ -116,18 +116,11 @@ func (c *Curve) hilbertRankWithSpan(k Key) (r, lo, hi Rank128) {
 	}
 	tmin := level - run
 
-	// k's digits above tmin, accumulated in two words.
+	// k's digits above tmin: Rank's own descent, stopped short.
+	phi, plo, row := c.hilbertDigits(k, tmin-1)
+	prefix := Rank128{Hi: phi, Lo: plo}
 	tbl := (*[256]uint8)(c.posNext)
-	var prefix Rank128
-	s := uint32(0)
-	for t := 1; t < tmin; t++ {
-		shift := MaxLevel - t
-		label := (k.X>>shift)&1 | (k.Y>>shift)&1<<1 | (k.Z>>shift)&1<<2
-		e := tbl[(s<<3|label)&255]
-		prefix.Hi = prefix.Hi<<dim | prefix.Lo>>(64-dim)
-		prefix.Lo = prefix.Lo<<dim | uint64(e&7)
-		s = uint32(e >> 3)
-	}
+	s := uint32(row >> 3)
 
 	// Levels tmin..level-1 for k (chain 0) and its long neighbours (chains
 	// 1..3, one per axis), each from k's state at tmin. Words hold up to
