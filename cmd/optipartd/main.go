@@ -17,9 +17,9 @@
 // -serve runs the long-lived partitioning service (see internal/service):
 // clients connect and exchange gob WireRequest/WireResponse pairs; the
 // service canonicalizes and content-hashes each octree, serves repeats from
-// its cache, coalesces concurrent identical requests, and schedules misses
-// across -slots execution slots fairly per tenant. SIGTERM/SIGINT drains
-// it: idle connections close and in-flight requests finish.
+// its cache, coalesces concurrent identical requests, and admits misses to
+// -slots execution slots in arrival order. SIGTERM/SIGINT drains it: idle
+// connections close and in-flight requests finish.
 //
 // The driver demos both failure policies. Under -on-failure=degrade (the
 // default) phase 1 hard-kills the victim mid-campaign, which must surface

@@ -16,7 +16,7 @@ import (
 // transport's grammar, so tcp::port is loopback), serve client connections
 // until a signal arrives on stop, and print the final cache metrics to
 // stderr. Every client shares one Service, so concurrent campaigns share
-// its cache, its singleflight groups, and its fair admission slots.
+// its cache, its singleflight groups, and its admission slots.
 func serveMain(endpoint string, slots, cacheKeys int, stop <-chan os.Signal) error {
 	network, addr, err := wnet.SplitEndpoint(endpoint)
 	if err != nil {

@@ -39,7 +39,6 @@ func dialService(t *testing.T, path string) *wireClient {
 // its cache.
 func (c *wireClient) do(keys []optipart.Key) (hit bool, err error) {
 	wr := service.FromRequest(optipart.ServiceRequest{
-		Tenant:    "serve-test",
 		Keys:      keys,
 		CurveKind: optipart.Hilbert,
 		Dim:       3,

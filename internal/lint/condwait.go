@@ -2,7 +2,7 @@ package lint
 
 // condwait pins the condition-variable protocol every hand-rolled monitor
 // in this repo relies on (internal/par's pool, internal/net's Root/Worker
-// steps, internal/service's singleflight, internal/alloc's fair queue):
+// steps, internal/service's singleflight and admission):
 //
 //	mu.Lock()
 //	for !predicate() {

@@ -3,7 +3,7 @@ package lint
 // lockorder builds the package-spanning lock-acquisition graph and reports
 // potential deadlock cycles. PRs 5-8 grew hand-rolled mutex protocols
 // (internal/par's pool, internal/net's double-mutex Root/Worker,
-// internal/service's cache, internal/alloc's fair queue); each is safe only
+// internal/service's cache and admission); each is safe only
 // while every code path acquires its locks in one consistent order, and
 // nothing enforced that until now.
 //

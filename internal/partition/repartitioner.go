@@ -143,7 +143,7 @@ func (e *Repartitioner) Seed(keys []sfc.Key) StepResult {
 // exactly the placement Step would have adopted for the same mesh and
 // prior. Its one caller outside the tests is the benchmark spine, which
 // times it as partition.rebuild_ms, the cold route Step is compared
-// against; the service's warm path runs the collective Repartition.
+// against; the service runs a cold PartitionSorted instead.
 func (e *Repartitioner) Rebuild(keys []sfc.Key, prior *Splitters) StepResult {
 	if prior.P() != e.cfg.P {
 		panic(fmt.Errorf("partition: Rebuild prior has %d partitions, engine has %d", prior.P(), e.cfg.P))

@@ -1,10 +1,9 @@
-// Package service turns the partitioner into a long-lived,
-// multi-tenant facility: concurrent partitioning campaigns submit requests
-// to one Service, which canonicalizes each octree, memoizes results by
-// content hash, coalesces concurrent identical requests into a single
-// computation (singleflight), and admits cache misses to the shared
-// execution slots in least-attained-service order (FairQueue) so a
-// heavy campaign cannot starve a light one.
+// Package service turns the partitioner into a long-lived facility:
+// concurrent partitioning campaigns submit requests to one Service, which
+// canonicalizes each octree, memoizes results by content hash, coalesces
+// concurrent identical requests into a single computation (singleflight),
+// and admits cache misses to a fixed number of execution slots in arrival
+// order.
 //
 // The request path is built to allocate nothing in the steady state when it
 // hits the cache. A request whose keys are already canonical (an AMR client
@@ -45,12 +44,6 @@ var ErrClosed = errors.New("service: closed")
 // caller happened to order or pad the key stream. Keys already in canonical
 // form (curve-sorted, linear) hit the cache without being ranked.
 type Request struct {
-	// Tenant is the fairness-accounting identity (a campaign, a client, a
-	// load class). Empty means "default". Admission charges each completed
-	// miss to its tenant; waiting tenants with the least attained service
-	// are granted slots first.
-	Tenant string
-
 	Keys []sfc.Key
 
 	CurveKind sfc.Kind
@@ -97,8 +90,8 @@ type Metrics struct {
 
 // Config sizes a Service.
 type Config struct {
-	// Slots is the number of concurrent partition computations admitted
-	// (cache hits bypass admission). 0 means 2.
+	// Slots is the number of concurrent partition computations admitted,
+	// in arrival order (cache hits bypass admission). 0 means 2.
 	Slots int
 	// MaxCachedKeys bounds the cache by total canonical keys across
 	// entries; the least-recently-used entries are evicted past it. An
@@ -124,12 +117,18 @@ type entry struct {
 }
 
 // Service is the long-lived partitioning facility. Safe for concurrent use.
+// One mutex guards everything below it, and one cond serves both the
+// singleflight followers and the requests waiting for an execution slot.
 type Service struct {
-	cfg   Config
-	queue *FairQueue
+	cfg Config
 
 	mu   sync.Mutex
 	cond *sync.Cond
+
+	// Admission: a miss takes the next ticket and runs once fewer than
+	// Slots earlier tickets are unreleased.
+	tickets  uint64
+	released uint64
 
 	entries    map[digest128]*entry
 	lruHead    *entry // most recently used
@@ -152,7 +151,6 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:     cfg,
-		queue:   NewFairQueue(cfg.Slots),
 		entries: map[digest128]*entry{},
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -165,7 +163,6 @@ func (s *Service) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	s.queue.Close()
 	s.cond.Broadcast()
 }
 
@@ -181,7 +178,7 @@ func (s *Service) Metrics() Metrics {
 
 // Do serves the request from the cache when possible (hit=true, zero
 // allocations in the steady state), and otherwise computes the partition
-// under fair admission and caches the result. Canonical input hits on the
+// in an execution slot and caches the result. Canonical input hits on the
 // digest of its keys as sent, without ranking them; any other input is
 // canonicalized first. The returned Response is shared: callers must not
 // mutate it.
@@ -194,9 +191,6 @@ func (s *Service) Metrics() Metrics {
 func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 	if err := validate(&req); err != nil {
 		return nil, false, err
-	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
 	}
 	if req.Mode != partition.FlexibleTolerance {
 		req.Tol = 0 // unread, so requests differing only in Tol share an entry
@@ -293,8 +287,8 @@ func (s *Service) hitLocked(e *entry, waited bool) *Response {
 
 // lead is the singleflight-leader slow path: it publishes a pending entry
 // under the caller's critical section (so concurrent identical requests
-// become followers, not second leaders), releases the lock, computes under
-// fair admission, and fills the entry. Called with s.mu held; returns with
+// become followers, not second leaders), releases the lock, computes in an
+// execution slot, and fills the entry. Called with s.mu held; returns with
 // it released.
 func (s *Service) lead(d digest128, req Request, curve *sfc.Curve, canon []sfc.Key, ranks []sfc.Rank128, a *psort.Arena) (*Response, bool, error) {
 	e := &entry{digest: d}
@@ -403,18 +397,49 @@ func canonicalize(req *Request, a *psort.Arena) ([]sfc.Key, []sfc.Rank128, *sfc.
 	return keys, ranks, curve
 }
 
-// admitAndCompute waits for a fair execution slot, runs the partitioning
-// world, and charges the tenant for the canonical keys processed. The
+// admitAndCompute runs the partitioning world in an execution slot. The
 // contract covers its own lines only: the partitioning world below compute
 // allocates freely, but admission itself must not.
 //
 //alloc:zero admission only
 func (s *Service) admitAndCompute(req Request, curve *sfc.Curve, canon []sfc.Key, ranks []sfc.Rank128) (*Response, error) {
-	if !s.queue.Acquire(req.Tenant) {
-		return nil, ErrClosed
+	if err := s.admit(); err != nil {
+		return nil, err
 	}
-	defer s.queue.Release(req.Tenant, uint64(len(canon)))
+	defer s.release()
 	return compute(req, curve, canon, ranks)
+}
+
+// admit waits for one of the Config.Slots execution slots. Requests are
+// admitted in arrival order: each takes the next ticket and waits while
+// Slots earlier tickets are still unreleased. A request waiting when the
+// service closes, or arriving after, gets ErrClosed; slots already granted
+// stay valid and are released as usual.
+//
+//alloc:zero
+func (s *Service) admit() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.tickets
+	s.tickets++
+	for t >= s.released+uint64(s.cfg.Slots) && !s.closed {
+		s.cond.Wait()
+	}
+	if s.closed {
+		return ErrClosed
+	}
+	return nil
+}
+
+// release frees the slot admit granted and wakes the waiters, the oldest
+// of which takes it.
+//
+//alloc:zero
+func (s *Service) release() {
+	s.mu.Lock()
+	s.released++
+	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
 // compute runs one p-rank SPMD partitioning world over the canonical

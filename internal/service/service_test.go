@@ -30,7 +30,6 @@ func testKeys(seed int64, n int) []sfc.Key {
 
 func baseRequest(keys []sfc.Key) Request {
 	return Request{
-		Tenant:    "t",
 		Keys:      keys,
 		CurveKind: sfc.Hilbert,
 		Dim:       3,
@@ -219,12 +218,6 @@ func TestDigestFieldSensitivity(t *testing.T) {
 		if digestRequest(&r, canon) == d0 {
 			t.Fatalf("mutating %s did not change the digest", name)
 		}
-	}
-	// Tenant is accounting identity, not content: it must NOT change it.
-	r := base
-	r.Tenant = "other"
-	if digestRequest(&r, canon) != d0 {
-		t.Fatal("tenant changed the digest")
 	}
 	// Tol is part of the question under FlexibleTolerance, the one mode
 	// that reads it ...
@@ -419,8 +412,8 @@ func TestSingleflight(t *testing.T) {
 	// until every request is parked.
 	cs := New(Config{Slots: 1})
 	defer cs.Close()
-	if !cs.queue.Acquire("blocker") {
-		t.Fatal("acquire on a fresh queue failed")
+	if err := cs.admit(); err != nil {
+		t.Fatalf("admit on a fresh service: %v", err)
 	}
 	creq := baseRequest(canonicalKeys(t, 5, 8000))
 	cresps := make([]*Response, n)
@@ -439,7 +432,7 @@ func TestSingleflight(t *testing.T) {
 	for cs.Metrics().Requests < n {
 		runtime.Gosched()
 	}
-	cs.queue.Release("blocker", 0)
+	cs.release()
 	wg.Wait()
 	if m := cs.Metrics(); m.Misses != 1 || m.Coalesced != n-1 || m.Hits != 0 {
 		t.Fatalf("canonical followers of a pending leader: %+v, want 1 miss and %d coalesced", m, n-1)
@@ -706,8 +699,7 @@ func TestServiceClosed(t *testing.T) {
 	}
 }
 
-// TestServiceConcurrentMixed drives distinct octrees from multiple tenants
-// concurrently; every response must be internally consistent and every
+// TestServiceConcurrentMixed drives distinct octrees concurrently; every response must be internally consistent and every
 // repeat identical. Run under -race in CI.
 func TestServiceConcurrentMixed(t *testing.T) {
 	s := New(Config{Slots: 2})
@@ -715,7 +707,6 @@ func TestServiceConcurrentMixed(t *testing.T) {
 	reqs := make([]Request, 4)
 	for i := range reqs {
 		reqs[i] = baseRequest(testKeys(int64(20+i), 4000+500*i))
-		reqs[i].Tenant = string(rune('a' + i%2))
 	}
 	want := make([]*Response, len(reqs))
 	for i, r := range reqs {
@@ -872,11 +863,12 @@ func TestServeConnSurvivesInvalidKey(t *testing.T) {
 	}
 }
 
-// TestServeConnIgnoresRetiredWarmFields: a client built for the protocol
-// that carried a prior placement still sends PriorHi, PriorLo and Horizon.
-// gob skips the fields WireRequest lacks, so it is served the cold answer,
-// which is what it got when its prior had been evicted, and its repeat hits.
-func TestServeConnIgnoresRetiredWarmFields(t *testing.T) {
+// TestServeConnIgnoresRetiredFields: a client built for the protocol that
+// carried a tenant name and a prior placement still sends Tenant, PriorHi,
+// PriorLo and Horizon. gob skips the fields WireRequest lacks, so it is
+// served the cold answer of a direct Do, which is what it got when its
+// prior had been evicted, and its repeat hits.
+func TestServeConnIgnoresRetiredFields(t *testing.T) {
 	type oldWireRequest struct {
 		Tenant       string
 		Keys         []sfc.Key
@@ -895,7 +887,7 @@ func TestServeConnIgnoresRetiredWarmFields(t *testing.T) {
 	req := baseRequest(testKeys(72, 2000))
 	req.Mode = partition.ModelDriven
 	old := oldWireRequest{
-		Tenant: req.Tenant, Keys: req.Keys, CurveKind: int(req.CurveKind), Dim: req.Dim,
+		Tenant: "campaign-7", Keys: req.Keys, CurveKind: int(req.CurveKind), Dim: req.Dim,
 		Ranks: req.Ranks, Mode: int(req.Mode), MachineName: req.Machine.Name,
 		PriorHi: 0xdeadbeef, PriorLo: 0xfeedface, Horizon: 50,
 	}
@@ -1086,7 +1078,6 @@ func FuzzServiceDo(f *testing.F) {
 	f.Add(append(anc, dup[:13*40]...), uint8(sfc.Morton), uint8(3), ft, 0.2, 0.0, int32(0), uint8(7))
 	f.Fuzz(func(t *testing.T, raw []byte, kind, dim, mode uint8, tol, alpha float64, payload int32, ranks uint8) {
 		req := Request{
-			Tenant:       "fuzz",
 			Keys:         fuzzKeys(raw),
 			CurveKind:    sfc.Kind(int8(kind)),
 			Dim:          int(int8(dim)),

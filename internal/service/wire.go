@@ -15,10 +15,9 @@ import (
 // ends share the machine table) and enums travel as ints. It is the
 // protocol `optipartd -serve` speaks: a client writes WireRequests and
 // reads WireResponses over one connection, strictly alternating. gob skips
-// fields the receiver lacks, so a client that still sends the retired
-// warm-start fields is served the cold answer.
+// fields the receiver lacks, so a client that still sends a retired field
+// (its tenant name, a warm-start prior) is served the cold answer.
 type WireRequest struct {
-	Tenant       string
 	Keys         []sfc.Key
 	CurveKind    int
 	Dim          int
@@ -52,7 +51,6 @@ func (w *WireRequest) ToRequest() (Request, error) {
 		return Request{}, fmt.Errorf("service: %w", err)
 	}
 	return Request{
-		Tenant:       w.Tenant,
 		Keys:         w.Keys,
 		CurveKind:    sfc.Kind(w.CurveKind),
 		Dim:          w.Dim,
@@ -68,7 +66,6 @@ func (w *WireRequest) ToRequest() (Request, error) {
 // FromRequest renders a Request into its wire form.
 func FromRequest(req Request) WireRequest {
 	return WireRequest{
-		Tenant:       req.Tenant,
 		Keys:         req.Keys,
 		CurveKind:    int(req.CurveKind),
 		Dim:          req.Dim,

@@ -393,8 +393,7 @@ func SampleSort(c *Comm, local []Key, curve *Curve) []Key {
 // (sorted, linearized) into content-addressed octrees, memoized under a
 // 128-bit digest with exact-match verification, coalesced when identical
 // requests race (singleflight), and admitted to a bounded set of execution
-// slots in least-attained-service order per tenant so heavy campaigns
-// cannot starve light ones. A miss is a cold Partition (warm starts run in
+// slots in arrival order. A miss is a cold Partition (warm starts run in
 // process: Repartition, Repartitioner); a hit allocates nothing. Serve it
 // over sockets with `optipartd -serve`, or embed it and call Do.
 type (
@@ -418,15 +417,6 @@ func NewService(cfg ServiceConfig) *PartitionService { return service.New(cfg) }
 func ServeServiceConn(s *PartitionService, conn io.ReadWriter) error {
 	return service.ServeConn(s, conn)
 }
-
-// FairQueue is the service's admission scheduler, exported for schedulers
-// built outside the service: a bounded pool of execution slots granted to
-// competing tenants in least-attained-service order, FIFO within a tenant,
-// with deterministic tie-breaks.
-type FairQueue = service.FairQueue
-
-// NewFairQueue builds a fair admission queue with the given slot count.
-func NewFairQueue(slots int) *FairQueue { return service.NewFairQueue(slots) }
 
 // Ghost is a rank's halo layer; CommMatrix is the communication matrix M of
 // §5.5.

@@ -123,9 +123,11 @@ go test -race -shuffle=on -count=1 ./internal/lint
 
 echo "==> service dedicated race pass"
 # The service layer is the one place concurrent client goroutines share
-# mutable state on purpose (cache map, LRU, arena freelist, fair queue), so
-# it gets its own -race pass on top of the suite-wide one.
+# mutable state on purpose (cache map, LRU, arena freelist, admission), so
+# it gets its own -race pass on top of the suite-wide one. Admission and
+# singleflight wait on one cond, so their tests run five more times.
 go test -race -shuffle=on -count=1 ./internal/service
+go test -race -count=5 -run 'Admission|Singleflight|ConcurrentMixed' ./internal/service
 
 echo "==> benchmark spine: quick run, exact metrics against scripts/spine_quick_baseline.json"
 # The one bench harness (benchmark/, BENCHMARK.json) is the gate. The quick
