@@ -7,7 +7,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -36,7 +35,7 @@ func driverMain(pr program, p int, kill, sockDir string, deadline time.Duration,
 	fmt.Printf("phase 1: %d ranks, victim rank %d exits at its collective %d\n", p, l.victim, l.at)
 	ep1 := l.endpoint("phase1")
 	var procs []*exec.Cmd
-	_, _, _, err = runRoot(rootRun{pr: pr, endpoint: ep1, p: p, calibrate: calibrate, spawned: func() {
+	_, _, err = runRoot(rootRun{pr: pr, endpoint: ep1, p: p, calibrate: calibrate, spawned: func() {
 		for r := 1; r < p; r++ {
 			cmd := l.worker(ep1, r, p, l.hardkillFor(r))
 			if serr := cmd.Start(); serr != nil && err == nil {
@@ -73,7 +72,7 @@ func driverMain(pr program, p int, kill, sockDir string, deadline time.Duration,
 	ep2 := l.endpoint("phase2")
 	procs = procs[:0]
 	var spawnErr error
-	st, res, _, err := runRoot(rootRun{pr: pr, endpoint: ep2, p: survivors, spawned: func() {
+	st, out, err := runRoot(rootRun{pr: pr, endpoint: ep2, p: survivors, spawned: func() {
 		for r := 1; r < survivors; r++ {
 			cmd := l.worker(ep2, r, survivors, -1)
 			if serr := cmd.Start(); serr != nil && spawnErr == nil {
@@ -101,7 +100,7 @@ func driverMain(pr program, p int, kill, sockDir string, deadline time.Duration,
 	fmt.Printf("phase 2: recovery on %d survivors completed in %v\n",
 		survivors, time.Since(start).Round(time.Millisecond))
 	fmt.Println()
-	printResult(os.Stdout, pr, survivors, st, res)
+	pr.report(os.Stdout, survivors, st, out)
 	return nil
 }
 
@@ -127,12 +126,16 @@ func restoreDriver(pr program, p int, kill, sockDir string, deadline time.Durati
 
 	// The fault-free golden digest, computed in-process under the same
 	// machine model: the self-healed wire campaign must reproduce it.
-	copts, err := pr.campaignOpts(p)
+	m, _, _, _, err := pr.parse()
 	if err != nil {
 		return err
 	}
-	var golden uint64
-	if _, err := optipart.RunChecked(p, copts.Machine, pr.campaignBody(copts, optipart.FreshCampaign(), &golden)); err != nil {
+	var golden outcome
+	body, err := pr.rankBody(p, fresh(), &golden)
+	if err != nil {
+		return err
+	}
+	if _, err := optipart.RunChecked(p, m, body); err != nil {
 		return fmt.Errorf("fault-free golden campaign: %w", err)
 	}
 
@@ -199,7 +202,7 @@ func restoreDriver(pr program, p int, kill, sockDir string, deadline time.Durati
 	start := time.Now()
 	timer := guard(deadline, "restore")
 	var spawnErr error
-	st, _, digest, err := runRoot(rootRun{
+	st, out, err := runRoot(rootRun{
 		pr: pr, endpoint: ep, p: p, calibrate: calibrate, ckptDir: ckptDir,
 		wopts: optipart.WireOptions{OnFailure: optipart.Restore},
 		spawned: func() {
@@ -244,35 +247,13 @@ func restoreDriver(pr program, p int, kill, sockDir string, deadline time.Durati
 	if respawns.Load() < 1 {
 		return fmt.Errorf("restore campaign completed but the supervisor never respawned a worker (was the kill schedule reachable?)")
 	}
-	if digest != golden {
-		return fmt.Errorf("restored campaign digest %016x != fault-free golden %016x", digest, golden)
+	if out.digest != golden.digest {
+		return fmt.Errorf("restored campaign digest %016x != fault-free golden %016x", out.digest, golden.digest)
 	}
 	fmt.Printf("restore: campaign completed in %v; digest matches fault-free golden (%016x)\n",
-		time.Since(start).Round(time.Millisecond), digest)
-	printRecovery(st)
+		time.Since(start).Round(time.Millisecond), out.digest)
+	printRecovery(os.Stdout, st)
 	return nil
-}
-
-// parseKill parses the driver's -kill rank@k. Rank 0 is the driver process
-// itself, so the victim must be one of the spawned workers.
-func parseKill(s string, p int) (rank, at int, err error) {
-	i := strings.IndexByte(s, '@')
-	if i < 0 {
-		return 0, 0, fmt.Errorf("-kill %q: want rank@k", s)
-	}
-	if rank, err = strconv.Atoi(s[:i]); err != nil {
-		return 0, 0, fmt.Errorf("-kill %q: bad rank: %w", s, err)
-	}
-	if rank < 1 || rank >= p {
-		return 0, 0, fmt.Errorf("-kill %q: rank %d out of range [1,%d) (rank 0 is the driver)", s, rank, p)
-	}
-	if at, err = strconv.Atoi(s[i+1:]); err != nil {
-		return 0, 0, fmt.Errorf("-kill %q: bad collective index: %w", s, err)
-	}
-	if at < 0 {
-		return 0, 0, fmt.Errorf("-kill %q: collective index must be >= 0", s)
-	}
-	return rank, at, nil
 }
 
 // launcher is the scaffold both -launch drivers share: the binary they
@@ -285,13 +266,14 @@ type launcher struct {
 	victim, at int
 }
 
-// newLauncher resolves the victim from -kill (default: the last rank, at
-// its collective 3), this binary, and the socket directory; with none given
-// it makes a temp dir that cleanup removes.
+// newLauncher resolves the victim from -kill (a worker, since rank 0 is the
+// driver process itself; default: the last rank, at its collective 3), this
+// binary, and the socket directory; with none given it makes a temp dir
+// that cleanup removes.
 func newLauncher(pr program, p int, kill, sockDir string) (l *launcher, cleanup func(), err error) {
 	l = &launcher{pr: pr, sockDir: sockDir, victim: p - 1, at: 3}
 	if kill != "" {
-		if l.victim, l.at, err = parseKill(kill, p); err != nil {
+		if l.victim, l.at, err = parseKill(kill, 1, p); err != nil {
 			return nil, nil, err
 		}
 	}

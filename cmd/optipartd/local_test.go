@@ -1,13 +1,60 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"optipart"
 )
 
-// TestBuildPlanValid covers the shapes each flag accepts.
+// localProgram is a small local run of the default program.
+var localProgram = program{n: 20000, seed: 1, machineName: "Clemson-32", curveName: "hilbert",
+	modeName: "optipart", distName: "normal", tol: 0.3, alpha: optipart.DefaultAlpha}
+
+// TestLocalRun drives the local mode's run function on a healthy 8-rank
+// world: it prints the header and the full partition quality table.
+func TestLocalRun(t *testing.T) {
+	plan, err := buildPlan(8, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := runLocal(&out, localProgram, 8, plan, false); err != nil {
+		t.Fatalf("healthy local run failed: %v", err)
+	}
+	for _, want := range []string{
+		"machine Clemson-32 | curve Hilbert | mode optipart | 20000 elements on 8 ranks",
+		"# partition quality", "achieved tolerance", "total boundary octants",
+		"predicted app step (s), Eq. (3)",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("local run output lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestLocalKill: -kill 3@5 on a local world tears it down with a
+// *RankFailure naming rank 3, and the run prints the failure instead of a
+// table.
+func TestLocalKill(t *testing.T) {
+	plan, err := buildPlan(8, "3@5", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = runLocal(&out, localProgram, 8, plan, false)
+	var rf *optipart.RankFailure
+	if !errors.As(err, &rf) || rf.Rank != 3 {
+		t.Fatalf("local run with -kill 3@5: err = %v, want *RankFailure naming rank 3", err)
+	}
+	if !strings.Contains(out.String(), "world failed:") || strings.Contains(out.String(), "partition quality") {
+		t.Errorf("failed local run printed:\n%s", out.String())
+	}
+}
+
+// TestBuildPlanValid covers the shapes each fault flag accepts.
 func TestBuildPlanValid(t *testing.T) {
 	plan, err := buildPlan(8, "3@40", "5@2.5,1.5")
 	if err != nil {
@@ -30,16 +77,16 @@ func TestBuildPlanValid(t *testing.T) {
 		t.Fatalf("tc-only straggler misparsed: %+v", s)
 	}
 
-	// No fault flags at all: an empty plan, so main takes the plain Run path.
+	// No fault flags at all: an empty plan, so the run has no hooks and no
+	// stall watchdog.
 	plan, err = buildPlan(8, "", "")
 	if err != nil || !plan.Empty() {
 		t.Fatalf("flagless plan not empty: %+v, %v", plan, err)
 	}
 }
 
-// TestBuildPlanRejects covers the satellite requirement: out-of-range or
-// malformed fault arguments exit with a clear error, not a panic or a
-// silently ignored fault.
+// TestBuildPlanRejects: out-of-range or malformed fault arguments exit
+// with a clear error, not a panic or a silently ignored fault.
 func TestBuildPlanRejects(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -49,9 +96,10 @@ func TestBuildPlanRejects(t *testing.T) {
 		{"kill rank too high", "8@10", "", "out of range [0,8)"},
 		{"kill rank negative", "-1@10", "", "out of range [0,8)"},
 		{"kill negative collective", "2@-3", "", "must be >= 0"},
-		{"kill missing @", "2", "", "want rank@value"},
+		{"kill missing @", "2", "", "want rank@k"},
 		{"kill bad index", "2@x", "", "bad collective index"},
 		{"straggler rank too high", "", "9@2", "out of range [0,8)"},
+		{"straggler missing @", "", "2", "want rank@tcmult[,twmult]"},
 		{"straggler zero mult", "", "2@0", "must be > 0"},
 		{"straggler negative tw", "", "2@2,-1", "must be > 0"},
 		{"straggler bad mult", "", "2@fast", "bad tc multiplier"},
@@ -67,9 +115,8 @@ func TestBuildPlanRejects(t *testing.T) {
 	}
 }
 
-// TestValidateWorkers covers the -workers satellite: the flag is
-// range-checked in the buildPlan style, failing with a usable message
-// before any goroutines start.
+// TestValidateWorkers: -workers is range-checked in the buildPlan style,
+// failing with a usable message before any rank starts.
 func TestValidateWorkers(t *testing.T) {
 	for _, w := range []int{1, 2, 7, 64, maxWorkers} {
 		if err := validateWorkers(w); err != nil {
@@ -88,26 +135,6 @@ func TestValidateWorkers(t *testing.T) {
 		err := validateWorkers(tc.w)
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("validateWorkers(%d) = %v, want error containing %q", tc.w, err, tc.frag)
-		}
-	}
-}
-
-// TestParseNamesRejectsUnknown: every name flag goes through its type's
-// parser, so a misspelt curve is an error, not a silent Hilbert.
-func TestParseNamesRejectsUnknown(t *testing.T) {
-	if _, kind, mode, d, err := parseNames("clemson-32", "Morton", "flexible", "lognormal"); err != nil ||
-		kind != optipart.Morton || mode != optipart.FlexibleTolerance || d != optipart.LogNormal {
-		t.Fatalf("documented spellings: %v, %v, %v, %v", kind, mode, d, err)
-	}
-	cases := []struct{ machine, curve, mode, dist, frag string }{
-		{"Clemson-32", "hilbrt", "optipart", "normal", "unknown curve"},
-		{"Cray", "hilbert", "optipart", "normal", "unknown machine"},
-		{"Clemson-32", "hilbert", "greedy", "normal", "unknown mode"},
-		{"Clemson-32", "hilbert", "optipart", "cauchy", "unknown distribution"},
-	}
-	for _, tc := range cases {
-		if _, _, _, _, err := parseNames(tc.machine, tc.curve, tc.mode, tc.dist); err == nil || !strings.Contains(err.Error(), tc.frag) {
-			t.Errorf("parseNames(%q, %q, %q, %q) = %v, want error containing %q", tc.machine, tc.curve, tc.mode, tc.dist, err, tc.frag)
 		}
 	}
 }

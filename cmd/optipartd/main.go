@@ -1,69 +1,72 @@
-// Command optipartd runs one rank of a real multi-process optipart world:
-// every rank is an OS process, collectives travel over unix or TCP sockets
-// (length-prefixed checksummed frames, reconnect with backoff, heartbeat
-// failure detection), and a dead process surfaces to the survivors as a
-// structured *optipart.RankFailure instead of a hang.
+// Command optipartd runs the optipart rank program on a local world of
+// in-process ranks, or as one rank of a real multi-process world: every
+// rank an OS process, collectives over unix or TCP sockets (checksummed
+// frames, reconnect with backoff, heartbeat failure detection), and a dead
+// process surfacing to the survivors as a structured *optipart.RankFailure
+// instead of a hang.
 //
-// Four modes:
+// Five modes:
 //
+//	optipartd -p 8 -n 20000 -kill 3@5                  # local: p in-process ranks
 //	optipartd -listen unix:/tmp/opt.sock -p 4         # root: hosts rank 0
 //	optipartd -connect unix:/tmp/opt.sock -rank 2 -p 4 # worker: one rank
 //	optipartd -launch -p 4 -kill 2@3                   # driver: full demo
 //	optipartd -serve unix:/tmp/svc.sock -slots 2       # partition service
 //
+// With no wire mode flag the program runs locally and prints the partition
+// quality (with -steps, the campaign digest). Only there, -straggler
+// degrades a rank, -trace prints an ASCII timeline, -workers sizes the
+// shared worker pool, and -repart-steps runs the online AMR loop instead:
+// the mesh evolves under a moving front and each step is repartitioned
+// incrementally from the previous placement.
+//
 // Every endpoint is unix:/path.sock or tcp:host:port, parsed by one
 // grammar; tcp::port binds or dials loopback, never every interface.
 //
 // -serve runs the long-lived partitioning service (see internal/service):
-// clients connect and exchange gob WireRequest/WireResponse pairs; the
-// service canonicalizes and content-hashes each octree, serves repeats from
-// its cache, coalesces concurrent identical requests, and admits misses to
-// -slots execution slots in arrival order. SIGTERM/SIGINT drains it: idle
-// connections close and in-flight requests finish.
+// clients exchange gob WireRequest/WireResponse pairs; the service
+// canonicalizes and content-hashes each octree, serves repeats from its
+// cache, coalesces concurrent identical requests, and admits misses to
+// -slots execution slots in arrival order. SIGTERM/SIGINT drains it.
 //
 // The driver demos both failure policies. Under -on-failure=degrade (the
 // default) phase 1 hard-kills the victim mid-campaign, which must surface
 // as a *RankFailure naming it, and phase 2 repartitions the same workload
 // onto the p-1 survivors within -deadline. Under -on-failure=restore the
-// world instead self-heals: rank 0 runs a checkpointed multi-step campaign
-// (-steps), snapshotting the settled placement to -ckpt each step; a
-// supervisor watches the worker processes and respawns the dead one under a
+// world self-heals: rank 0 runs a checkpointed -steps campaign, saving
+// each step to -ckpt; a supervisor respawns the dead worker under a
 // backoff budget; the replacement restores from the latest snapshot,
-// rejoins with a higher incarnation number, is replayed the results it
-// missed, and the campaign must finish with the exact digest of a
-// fault-free run.
+// rejoins with a higher incarnation, is replayed the results it missed,
+// and the campaign must finish with the exact digest of a fault-free run.
 //
-// -calibrate makes the root measure ts/tw over the live links and tc from
-// a local memory sweep (optipart.CalibrateOptions) and announce the
-// measured model in place of the machine table's constants. The measured
-// model drives the world's BSP clocks; the partition's model-driven
-// tolerance decisions keep using the -machine table on every rank, so all
-// ranks decide identically.
+// -calibrate announces ts/tw measured over the live links and tc from a
+// local memory sweep in place of the machine table's constants. They drive
+// the BSP clocks only: model-driven tolerance decisions keep using the
+// -machine table on every rank, so all ranks decide identically.
 //
-// A worker receiving SIGTERM drains gracefully: it announces its departure
-// to the root, closes the link, and exits 0. A root (or driver) receiving
-// SIGTERM/SIGINT announces an orderly shutdown to every worker — they exit
-// 0 on the structured *ShutdownError — and the driver reaps its children
-// before exiting.
+// On SIGTERM a worker announces its departure, closes the link and exits
+// 0; a root or driver announces an orderly shutdown (workers exit 0 on the
+// structured *ShutdownError) and the driver reaps its children.
 //
-// main.go holds the flags and signal handling, rank.go the rank program
-// every process runs (root and worker modes), launch.go the two -launch
+// main.go holds the flags, the rank@k parser and signal handling, rank.go
+// the rank program every mode runs and its result printer (with the root
+// and worker modes), local.go the local mode, launch.go the two -launch
 // drivers, and serve.go the -serve daemon.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"optipart"
-	"optipart/internal/stats"
 )
 
 func main() {
@@ -73,7 +76,7 @@ func main() {
 		rank      = flag.Int("rank", 0, "worker mode: this process's rank (1 <= rank < p)")
 		p         = flag.Int("p", 4, "number of ranks in the world")
 		launch    = flag.Bool("launch", false, "driver mode: host rank 0, spawn p-1 local workers, kill one, recover")
-		kill      = flag.String("kill", "", "driver mode: victim as rank@k — rank exits at its k-th collective (default last rank@3)")
+		kill      = flag.String("kill", "", "local and driver mode: kill rank@k at its k-th collective (driver: a worker process, default last rank@3; local: in process, no default)")
 		deadline  = flag.Duration("deadline", 60*time.Second, "driver mode: recovery phase must complete within this budget")
 		socket    = flag.String("socket", "", "driver mode: directory for the rendezvous sockets (default: a temp dir)")
 		calibrate = flag.Bool("calibrate", false, "root/driver mode: measure ts/tw/tc over the live transport and announce the measured model")
@@ -93,9 +96,15 @@ func main() {
 		machine  = flag.String("machine", "Clemson-32", "machine model: Titan, Stampede, Clemson-32, Wisconsin-8")
 		curveArg = flag.String("curve", "hilbert", "space-filling curve: morton or hilbert")
 		mode     = flag.String("mode", "optipart", "partitioning mode: equal, flexible, optipart")
-		tol      = flag.Float64("tol", 0.3, "tolerance for -mode flexible")
+		tol      = flag.Float64("tol", 0.3, "tolerance for -mode flexible and the incremental keep window of -repart-steps")
 		dist     = flag.String("dist", "normal", "element distribution: uniform, normal, lognormal")
 		alpha    = flag.Float64("alpha", optipart.DefaultAlpha, "memory accesses per unit work (application model)")
+
+		strag   = flag.String("straggler", "", "local mode: degrade a rank, as rank@tcmult[,twmult]")
+		trace   = flag.Bool("trace", false, "local mode: print an ASCII timeline of the run (compute vs collective per rank)")
+		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "local mode: worker-pool width shared by all ranks (1 forces the serial paths; results are identical at every width)")
+		rsteps  = flag.Int("repart-steps", 0, "local mode: run the online AMR loop for this many refine/coarsen steps under a moving front, repartitioning incrementally each step (0 = the rank program)")
+		rfrac   = flag.Float64("refine-frac", 0.008, "local mode: per-leaf refinement fraction per step of -repart-steps, in (0,1) (coarsening drains at 1.25x behind the front)")
 	)
 	flag.Parse()
 
@@ -119,9 +128,31 @@ func main() {
 	if *steps < 0 {
 		fatal(fmt.Errorf("-steps %d: refinement steps cannot be negative (0 means the classic single-partition body)", *steps))
 	}
+	if err := validateWorkers(*workers); err != nil {
+		fatal(err)
+	}
+	if *rsteps < 0 {
+		fatal(fmt.Errorf("-repart-steps %d: must be >= 0", *rsteps))
+	}
+	if *rfrac <= 0 || *rfrac >= 1 {
+		fatal(fmt.Errorf("-refine-frac %g: must be in (0,1)", *rfrac))
+	}
+	if *rsteps > 0 && (*kill != "" || *strag != "" || *steps > 0) {
+		fatal(fmt.Errorf("-repart-steps runs its own loop: it does not combine with -steps or the fault-injection flags (see `experiments -run faults`)"))
+	}
 	policy, err := optipart.ParseFailurePolicy(*onFailure)
 	if err != nil {
 		fatal(err)
+	}
+	if *serve != "" || *launch || *listen != "" || *connect != "" {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "straggler", "trace", "workers", "repart-steps", "refine-frac":
+				fatal(fmt.Errorf("-%s runs only in local mode (no -serve, -launch, -listen or -connect)", f.Name))
+			}
+		})
+	} else {
+		optipart.SetWorkers(*workers)
 	}
 
 	switch {
@@ -137,8 +168,13 @@ func main() {
 		err = rootMain(pr, *listen, *p, *calibrate, policy, *ckptDir)
 	case *connect != "":
 		err = workerMain(pr, *connect, *rank, *p, *hardkill, *ckptDir, *incarnation)
+	case *rsteps > 0:
+		err = runRepartLoop(os.Stdout, pr, *p, *rsteps, *rfrac)
 	default:
-		err = errors.New("pick a mode: -serve, -launch, -listen, or -connect (see -help)")
+		var plan *optipart.FaultPlan
+		if plan, err = buildPlan(*p, *kill, *strag); err == nil {
+			err = runLocal(os.Stdout, pr, *p, plan, *trace)
+		}
 	}
 	if err != nil {
 		fatal(err)
@@ -171,26 +207,38 @@ func installRootSignals() {
 	}()
 }
 
-func printRecovery(st *optipart.Stats) {
-	if st == nil || st.Recovery == nil {
-		return
+// parseRankAt parses the rank@value form -kill and -straggler share,
+// range-checking the rank against [lo,p) so a typo fails with a usable
+// message before any rank starts. what names the value in the error.
+func parseRankAt(name, s, what string, lo, p int) (rank int, value string, err error) {
+	r, value, ok := strings.Cut(s, "@")
+	if !ok {
+		return 0, "", fmt.Errorf("-%s %q: want rank@%s", name, s, what)
 	}
-	r := st.Recovery
-	fmt.Printf("recovery: deaths=%d rejoins=%d redials=%d restored=%dB mttr=%v\n",
-		r.Deaths, r.Rejoins, r.Redials, r.RestoredBytes, r.MTTR().Round(time.Millisecond))
+	if rank, err = strconv.Atoi(r); err != nil {
+		return 0, "", fmt.Errorf("-%s %q: bad rank: %w", name, s, err)
+	}
+	if rank < lo || rank >= p {
+		return 0, "", fmt.Errorf("-%s %q: rank %d out of range [%d,%d)", name, s, rank, lo, p)
+	}
+	return rank, value, nil
 }
 
-func printResult(w *os.File, pr program, p int, st *optipart.Stats, res *optipart.Result) {
-	fmt.Fprintf(w, "machine %s | curve %s | mode %s | %d elements on %d ranks\n\n",
-		pr.machineName, strings.ToLower(pr.curveName), strings.ToLower(pr.modeName), pr.n, p)
-	table := stats.NewTable("partition quality", "metric", "value")
-	table.Add("modeled partition time (s)", st.Time())
-	table.Add("refinement rounds", res.Rounds)
-	table.Add("Wmax", res.Quality.Wmax)
-	table.Add("load imbalance λ", res.Quality.LoadImbalance())
-	table.Add("Cmax (boundary octants)", res.Quality.Cmax)
-	table.Add("predicted app step (s), Eq. (3)", res.Predicted)
-	table.Fprint(w)
+// parseKill parses -kill rank@k against the ranks [lo,p) that can die: lo
+// is 1 under -launch, where rank 0 is the driver process itself, and 0 on
+// a local world.
+func parseKill(s string, lo, p int) (rank, at int, err error) {
+	rank, k, err := parseRankAt("kill", s, "k", lo, p)
+	if err != nil {
+		return 0, 0, err
+	}
+	if at, err = strconv.Atoi(k); err != nil {
+		return 0, 0, fmt.Errorf("-kill %q: bad collective index: %w", s, err)
+	}
+	if at < 0 {
+		return 0, 0, fmt.Errorf("-kill %q: collective index must be >= 0", s)
+	}
+	return rank, at, nil
 }
 
 func fatal(err error) {

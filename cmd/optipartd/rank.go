@@ -1,8 +1,10 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -16,6 +18,7 @@ import (
 	"optipart/internal/octree"
 	"optipart/internal/partition"
 	"optipart/internal/sfc"
+	"optipart/internal/stats"
 )
 
 // program is the rank program every process runs: the same flags must reach
@@ -30,25 +33,15 @@ type program struct {
 }
 
 func (pr program) parse() (optipart.Machine, *optipart.Curve, optipart.Mode, optipart.Distribution, error) {
-	var zero optipart.Machine
-	m, err := machine.ByName(pr.machineName)
-	if err != nil {
-		return zero, nil, 0, 0, err
-	}
-	kind, err := sfc.ParseKind(pr.curveName)
-	if err != nil {
-		return zero, nil, 0, 0, err
-	}
-	pmode, err := partition.ParseMode(pr.modeName)
-	if err != nil {
-		return zero, nil, 0, 0, err
-	}
-	d, err := octree.ParseDistribution(pr.distName)
-	if err != nil {
-		return zero, nil, 0, 0, err
+	m, errM := machine.ByName(pr.machineName)
+	kind, errK := sfc.ParseKind(pr.curveName)
+	pmode, errP := partition.ParseMode(pr.modeName)
+	d, errD := octree.ParseDistribution(pr.distName)
+	if err := cmp.Or(errM, errK, errP, errD); err != nil {
+		return optipart.Machine{}, nil, 0, 0, err
 	}
 	if pr.n < 1 {
-		return zero, nil, 0, 0, fmt.Errorf("-n %d: need at least one element", pr.n)
+		return optipart.Machine{}, nil, 0, 0, fmt.Errorf("-n %d: need at least one element", pr.n)
 	}
 	return m, optipart.NewCurve(kind, 3), pmode, d, nil
 }
@@ -68,9 +61,30 @@ func (pr program) forward() []string {
 	}
 }
 
-// body builds the classic single-partition rank function for a p-rank
-// world. When out is non-nil, rank 0 stores its partition result there.
-func (pr program) body(p int, out **optipart.Result) (func(c *optipart.Comm) error, error) {
+// outcome is what rank 0 of the program reports: the partition result of
+// the single-partition body, or the final digest of the -steps campaign.
+type outcome struct {
+	res    *optipart.Result
+	digest uint64
+}
+
+// entry is where a rank enters the -steps campaign: at resume, its restart
+// state, and, when store is non-nil, saving each checkpoint there and
+// telling root once it is durable so the root can prune its replay log.
+type entry struct {
+	resume optipart.CampaignResume
+	store  *optipart.SnapshotStore
+	root   *optipart.WireRoot
+}
+
+// fresh is the start of a brand-new campaign that saves no checkpoints.
+func fresh() entry { return entry{resume: optipart.FreshCampaign()} }
+
+// rankBody builds the rank function of the program for a p-rank world: the
+// classic single partition or, with -steps, the campaign entered at e. It
+// is the one rank body of every mode (local, root, worker, and the restore
+// driver's golden). When out is non-nil, rank 0 reports into it.
+func (pr program) rankBody(p int, e entry, out *outcome) (func(c *optipart.Comm) error, error) {
 	m, curve, pmode, d, err := pr.parse()
 	if err != nil {
 		return nil, err
@@ -79,6 +93,28 @@ func (pr program) body(p int, out **optipart.Result) (func(c *optipart.Comm) err
 	if perRank < 1 {
 		return nil, fmt.Errorf("-n %d spread over %d ranks leaves empty ranks", pr.n, p)
 	}
+	if pr.steps > 0 {
+		copts := optipart.CampaignOptions{
+			Steps: pr.steps, PerRank: perRank, Seed: pr.seed,
+			Kind: curve.Kind, Dim: 3,
+			Mode: pmode, Tol: pr.tol, Machine: m, Alpha: pr.alpha,
+			Dist: d, MinLevel: 2, MaxLevel: 18,
+			Every: 1,
+		}
+		if e.store != nil {
+			copts.Saver, copts.Checkpointer = e.store, e.root
+		}
+		return func(c *optipart.Comm) error {
+			r, err := optipart.RunCampaign(c, e.resume, copts)
+			if err != nil {
+				return err
+			}
+			if c.Rank() == 0 && out != nil {
+				out.digest = r.Digest
+			}
+			return nil
+		}, nil
+	}
 	return func(c *optipart.Comm) error {
 		rng := rand.New(rand.NewSource(pr.seed + int64(c.Rank())))
 		local := optipart.RandomKeys(rng, perRank, 3, d, 2, 18)
@@ -86,45 +122,51 @@ func (pr program) body(p int, out **optipart.Result) (func(c *optipart.Comm) err
 			Curve: curve, Mode: pmode, Tol: pr.tol, Machine: m, Alpha: pr.alpha,
 		})
 		if c.Rank() == 0 && out != nil {
-			*out = r
+			out.res = r
 		}
 		return nil
 	}, nil
 }
 
-// campaignOpts renders the program into checkpointed-campaign options
-// (Saver/Checkpointer are wired in by the caller that owns them).
-func (pr program) campaignOpts(p int) (optipart.CampaignOptions, error) {
-	m, curve, pmode, d, err := pr.parse()
-	if err != nil {
-		return optipart.CampaignOptions{}, err
-	}
-	perRank := pr.n / p
-	if perRank < 1 {
-		return optipart.CampaignOptions{}, fmt.Errorf("-n %d spread over %d ranks leaves empty ranks", pr.n, p)
-	}
-	return optipart.CampaignOptions{
-		Steps: pr.steps, PerRank: perRank, Seed: pr.seed,
-		Kind: curve.Kind, Dim: 3,
-		Mode: pmode, Tol: pr.tol, Machine: m, Alpha: pr.alpha,
-		Dist: d, MinLevel: 2, MaxLevel: 18,
-		Every: 1,
-	}, nil
+// header prints a run's first line from the parsed names (every mode parses
+// the program before it runs), so -curve HILBERT and hilbert print alike.
+func (pr program) header(w io.Writer, p int) {
+	m, curve, pmode, _, _ := pr.parse()
+	fmt.Fprintf(w, "machine %s | curve %v | mode %v | %d elements on %d ranks\n\n",
+		m.Name, curve.Kind, pmode, pr.n, p)
 }
 
-// campaignBody wraps RunCampaign as a rank function; rank 0 reports the
-// final digest through digestOut when non-nil.
-func (pr program) campaignBody(copts optipart.CampaignOptions, res optipart.CampaignResume, digestOut *uint64) func(c *optipart.Comm) error {
-	return func(c *optipart.Comm) error {
-		out, err := optipart.RunCampaign(c, res, copts)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 && digestOut != nil {
-			*digestOut = out.Digest
-		}
-		return nil
+// report is the one result printer of local and wire runs: the campaign's
+// digest and recovery accounting, or the partition quality table.
+func (pr program) report(w io.Writer, p int, st *optipart.Stats, out outcome) {
+	if pr.steps > 0 {
+		fmt.Fprintf(w, "campaign: %d steps completed, digest %016x\n", pr.steps, out.digest)
+		printRecovery(w, st)
+		return
 	}
+	pr.header(w, p)
+	res := out.res
+	table := stats.NewTable("partition quality", "metric", "value")
+	table.Add("modeled partition time (s)", st.Time())
+	table.Add("refinement rounds", res.Rounds)
+	table.Add("achieved tolerance", res.AchievedTol)
+	table.Add("Wmax", res.Quality.Wmax)
+	table.Add("Wmin", res.Quality.Wmin)
+	table.Add("load imbalance λ", res.Quality.LoadImbalance())
+	table.Add("Cmax (boundary octants)", res.Quality.Cmax)
+	table.Add("total boundary octants", res.Quality.Ctot)
+	table.Add("predicted app step (s), Eq. (3)", res.Predicted)
+	table.Fprint(w)
+}
+
+// printRecovery prints the wire transport's recovery accounting, if any.
+func printRecovery(w io.Writer, st *optipart.Stats) {
+	if st == nil || st.Recovery == nil {
+		return
+	}
+	r := st.Recovery
+	fmt.Fprintf(w, "recovery: deaths=%d rejoins=%d redials=%d restored=%dB mttr=%v\n",
+		r.Deaths, r.Rejoins, r.Redials, r.RestoredBytes, r.MTTR().Round(time.Millisecond))
 }
 
 // workerMain runs one non-root rank: dial (or rejoin, when respawned with
@@ -155,56 +197,40 @@ func workerMain(pr program, endpoint string, rank, p, hardkill int, ckptDir stri
 		os.Exit(0)
 	}()
 
-	var body func(c *optipart.Comm) error
-	res := optipart.FreshCampaign()
+	resume := optipart.FreshCampaign()
 	var resumeSeq uint64 = optipart.ResumeNone
-	if pr.steps > 0 {
-		copts, err := pr.campaignOpts(p)
-		if err != nil {
-			return err
-		}
-		if inc > 0 {
-			// Respawned incarnation: restore from the latest snapshot; with
-			// none saved yet, replay the whole world from seq 0 (the root's
-			// replay log is complete until its first Checkpoint prune).
-			resumeSeq = 0
-			if ckptDir != "" {
-				store, err := optipart.NewSnapshotStore(ckptDir)
-				if err != nil {
+	if pr.steps > 0 && inc > 0 {
+		// Respawned incarnation: restore from the latest snapshot; with
+		// none saved yet, replay the whole world from seq 0 (the root's
+		// replay log is complete until its first Checkpoint prune).
+		resumeSeq = 0
+		if ckptDir != "" {
+			store, err := optipart.NewSnapshotStore(ckptDir)
+			if err != nil {
+				return err
+			}
+			snap, err := store.Latest()
+			if err != nil {
+				return err
+			}
+			if snap != nil {
+				if resume, err = optipart.ResumeCampaign(snap, rank); err != nil {
 					return err
 				}
-				snap, err := store.Latest()
-				if err != nil {
-					return err
-				}
-				if snap != nil {
-					if res, err = optipart.ResumeCampaign(snap, rank); err != nil {
-						return err
-					}
-					resumeSeq = snap.Seq
-					fmt.Fprintf(os.Stderr, "optipartd: rank %d: incarnation %d restoring from epoch %d (seq %d)\n",
-						rank, inc, snap.Epoch, snap.Seq)
-				} else {
-					fmt.Fprintf(os.Stderr, "optipartd: rank %d: incarnation %d found no snapshot; replaying from the start\n", rank, inc)
-				}
+				resumeSeq = snap.Seq
+				fmt.Fprintf(os.Stderr, "optipartd: rank %d: incarnation %d restoring from epoch %d (seq %d)\n",
+					rank, inc, snap.Epoch, snap.Seq)
+			} else {
+				fmt.Fprintf(os.Stderr, "optipartd: rank %d: incarnation %d found no snapshot; replaying from the start\n", rank, inc)
 			}
 		}
-		body = pr.campaignBody(copts, res, nil)
-	} else {
-		var err error
-		body, err = pr.body(p, nil)
-		if err != nil {
-			return err
-		}
+	}
+	body, err := pr.rankBody(p, entry{resume: resume}, nil)
+	if err != nil {
+		return err
 	}
 
-	var wk *optipart.WireWorker
-	var err error
-	if inc > 0 {
-		wk, err = optipart.DialRootResume(endpoint, rank, p, resumeSeq, inc, optipart.WireOptions{})
-	} else {
-		wk, err = optipart.DialRoot(endpoint, rank, p, optipart.WireOptions{})
-	}
+	wk, err := optipart.DialRootResume(endpoint, rank, p, resumeSeq, inc, optipart.WireOptions{})
 	if err != nil {
 		return err
 	}
@@ -231,7 +257,7 @@ func workerMain(pr program, endpoint string, rank, p, hardkill int, ckptDir stri
 
 // rootMain hosts rank 0 against externally launched workers.
 func rootMain(pr program, endpoint string, p int, calibrate bool, policy optipart.FailurePolicy, ckptDir string) error {
-	st, res, digest, err := runRoot(rootRun{
+	st, out, err := runRoot(rootRun{
 		pr: pr, endpoint: endpoint, p: p, calibrate: calibrate,
 		wopts: optipart.WireOptions{OnFailure: policy}, ckptDir: ckptDir,
 	})
@@ -243,12 +269,7 @@ func rootMain(pr program, endpoint string, p int, calibrate bool, policy optipar
 		}
 		return err
 	}
-	if pr.steps > 0 {
-		fmt.Printf("campaign: %d steps completed, digest %016x\n", pr.steps, digest)
-		printRecovery(st)
-		return nil
-	}
-	printResult(os.Stdout, pr, p, st, res)
+	pr.report(os.Stdout, p, st, out)
 	return nil
 }
 
@@ -269,14 +290,14 @@ type rootRun struct {
 // assemble, optionally calibrates, and runs rank 0 of the program (the
 // classic body, or the checkpointed campaign when -steps > 0). The returned
 // stats carry the transport's recovery accounting.
-func runRoot(rr rootRun) (*optipart.Stats, *optipart.Result, uint64, error) {
+func runRoot(rr rootRun) (*optipart.Stats, outcome, error) {
 	m, _, _, _, err := rr.pr.parse()
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, outcome{}, err
 	}
 	rt, err := optipart.ListenRoot(rr.endpoint, rr.p, rr.wopts)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, outcome{}, err
 	}
 	defer rt.Close()
 	activeRoot.Store(rt)
@@ -285,41 +306,30 @@ func runRoot(rr rootRun) (*optipart.Stats, *optipart.Result, uint64, error) {
 		rr.spawned()
 	}
 	if err := rt.WaitReady(30 * time.Second); err != nil {
-		return nil, nil, 0, err
+		return nil, outcome{}, err
 	}
 	model := m.CostModel()
 	if rr.calibrate {
 		measured, err := rt.Calibrate(optipart.CalibrateOptions{})
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, outcome{}, err
 		}
 		fmt.Printf("calibrated: tc=%.3g ts=%.3g tw=%.3g (machine table: tc=%.3g ts=%.3g tw=%.3g)\n",
 			measured.Tc, measured.Ts, measured.Tw, model.Tc, model.Ts, model.Tw)
 		model = measured
 	}
 	rt.Announce(model)
-	var res *optipart.Result
-	var digest uint64
-	var body func(c *optipart.Comm) error
-	if rr.pr.steps > 0 {
-		copts, err := rr.pr.campaignOpts(rr.p)
-		if err != nil {
-			return nil, nil, 0, err
+	e := fresh()
+	if rr.pr.steps > 0 && rr.ckptDir != "" {
+		if e.store, err = optipart.NewSnapshotStore(rr.ckptDir); err != nil {
+			return nil, outcome{}, err
 		}
-		if rr.ckptDir != "" {
-			store, err := optipart.NewSnapshotStore(rr.ckptDir)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			copts.Saver = store
-			copts.Checkpointer = rt
-		}
-		body = rr.pr.campaignBody(copts, optipart.FreshCampaign(), &digest)
-	} else {
-		body, err = rr.pr.body(rr.p, &res)
-		if err != nil {
-			return nil, nil, 0, err
-		}
+		e.root = rt
+	}
+	var out outcome
+	body, err := rr.pr.rankBody(rr.p, e, &out)
+	if err != nil {
+		return nil, outcome{}, err
 	}
 	st, err := optipart.RunRank(0, rr.p, model, rt, optipart.CheckedOptions{}, body)
 	if st != nil {
@@ -327,8 +337,8 @@ func runRoot(rr rootRun) (*optipart.Stats, *optipart.Result, uint64, error) {
 		st.Recovery = &rec
 	}
 	if err != nil {
-		return st, nil, 0, err
+		return st, outcome{}, err
 	}
 	rt.Drain(5 * time.Second)
-	return st, res, digest, nil
+	return st, out, nil
 }

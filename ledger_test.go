@@ -89,3 +89,55 @@ func goLines(t *testing.T, path string, dir bool) int {
 	}
 	return n
 }
+
+// docsNamingTests are the documents whose backticked test names must exist.
+var docsNamingTests = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
+// TestDocsNameDeclaredTests keeps the docs honest about the suite: every
+// TestX, FuzzX, BenchmarkX and ExampleX named inside backticks (inline or
+// fenced) in docsNamingTests is declared in some _test.go of the module. A
+// glob form such as `Benchmark*` names no one test and is skipped.
+func TestDocsNameDeclaredTests(t *testing.T) {
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range decl.FindAllSubmatch(b, -1) {
+				declared[string(m[1])] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)\w*\**`)
+	code := regexp.MustCompile("(?s)```.*?```|`[^`]+`")
+	for _, doc := range docsNamingTests {
+		b, err := os.ReadFile(filepath.FromSlash(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range code.FindAllString(string(b), -1) {
+			for _, n := range name.FindAllString(span, -1) {
+				if strings.HasSuffix(n, "*") || declared[n] {
+					continue
+				}
+				if n == "Test" || n == "Fuzz" || n == "Benchmark" || n == "Example" {
+					continue // the bare word, as in "an `Example` test"
+				}
+				t.Errorf("%s names %s in backticks, but no _test.go declares it", doc, n)
+			}
+		}
+	}
+}

@@ -19,7 +19,7 @@ import (
 // "Kept without a production caller" table and carries that row's reason.
 // A method is keyed as "pkg.Type.Method".
 var reachKeep = map[string]string{
-	"internal/octree.SurfaceArea": "ROADMAP item 5's surface-to-volume oracle (arXiv:2106.12856) measures with it; a reference tests compare against",
+	"internal/octree.SurfaceArea": "ROADMAP item 7's surface-to-volume oracle (arXiv:2106.12856) measures with it; a reference tests compare against",
 	"internal/net.DecodeFrame":    "the fuzz entry: FuzzDecodeFrame drives it and ReadFrame side by side over the one header parser",
 }
 
@@ -28,7 +28,6 @@ var reachKeep = map[string]string{
 // reason names the caller or test that needs a second value. A field is
 // keyed as "pkg.Struct.Field".
 var knobKeep = map[string]string{
-	"internal/comm.CheckedOptions.StallTimeout": "comm's own Run passes -1 (no watchdog under the panicking wrapper); TestWatchdogReportsStuckRanks sets 150 ms",
 	"internal/comm.AlltoallvOptions.StageWidth": "the §3.1 ablation: TestStagedCostLowerThanBurstMax and comm's width sweeps run widths 1..p-1",
 	"internal/partition.Options.MaxSplitters":   "the paper's k ≤ p (§3.1): TestMaxSplittersStagingChangesNothing stages at k = 2",
 	"internal/net.Options.HeartbeatInterval":    "net's failure-detection tests ping every 5-20 ms so a death is declared in well under a second",

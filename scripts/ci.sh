@@ -18,7 +18,8 @@
 # partition.step_allocs required to be 0; the repart
 # transcript at -workers 1 and GOMAXPROCS against its golden; the full
 # repart campaign and its built-in assertions; then the smokes: optipartd
-# multi-process (kill and recover), optipartd self-healing (restore), and
+# local mode (one in-process run), optipartd multi-process (kill and
+# recover), optipartd self-healing (restore), and
 # the chaos harness on five fixed seeds. The -serve daemon's wire loop is
 # cmd/optipartd's TestServeDrain, run by the suite-wide -race pass.
 #
@@ -203,6 +204,10 @@ echo "==> optipartd multi-process smoke (4 ranks, kill one, recover)"
 # CI job.
 smokedir=$(mktemp -d)
 go build -o "$smokedir/optipartd" ./cmd/optipartd
+# The same binary with no wire mode flag runs the local (in-process) mode:
+# this covers its dispatch and flag wiring end to end.
+"$smokedir/optipartd" -p 8 -n 20000 >"$smokedir/local.log"
+grep -q "predicted app step" "$smokedir/local.log"
 smokelog="$smokedir/smoke.log"
 if ! "$smokedir/optipartd" -launch -p 4 -n 6000 -kill 2@3 -deadline 90s \
         -socket "$smokedir" >"$smokelog" 2>&1; then
