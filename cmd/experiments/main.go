@@ -16,8 +16,8 @@ import (
 	"os"
 	"runtime"
 
-	"optipart"
 	"optipart/internal/experiments"
+	"optipart/internal/par"
 )
 
 func main() {
@@ -34,7 +34,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "error: -workers %d: need at least one worker\n", *workers)
 		os.Exit(1)
 	}
-	optipart.SetWorkers(*workers)
+	par.SetWorkers(*workers)
 
 	if *list || *run == "" {
 		fmt.Println("available experiments:")

@@ -7,12 +7,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 
-	"optipart"
+	"optipart/internal/comm"
+	"optipart/internal/machine"
 	"optipart/internal/octree"
 	"optipart/internal/partition"
 	"optipart/internal/sfc"
@@ -33,19 +35,21 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkFlags(*dim, *seeds, *depth, *svgP, *svgOut); err != nil {
+		fatal(err)
+	}
 	kind, d, err := parseNames(*curveN, *dist)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
-	tree := optipart.AdaptiveMesh(rng, *seeds, *dim, d, uint8(*depth))
+	tree := octree.AdaptiveMesh(rng, *seeds, *dim, d, uint8(*depth))
 	raw := tree.Len()
 	if *balance {
-		tree = optipart.Balance21(tree)
+		tree = octree.Balance21(tree)
 	}
-	tree = tree.WithCurve(optipart.NewCurve(kind, *dim))
+	tree = tree.WithCurve(sfc.NewCurve(kind, *dim))
 
 	fmt.Printf("mesh: %d leaves (%d before balancing), dim=%d, dist=%s, depth<=%d, %v order\n\n",
 		tree.Len(), raw, *dim, d, *depth, kind)
@@ -67,21 +71,17 @@ func main() {
 		octree.IsComplete(tree.Curve, tree.Leaves), octree.IsBalanced21(tree))
 
 	if *svgOut != "" {
-		if *dim != 2 {
-			fmt.Fprintln(os.Stderr, "error: -svg requires -dim 2")
-			os.Exit(1)
-		}
 		var sp *partition.Splitters
 		if *svgP > 1 {
-			optipart.Run(*svgP, optipart.Titan(), func(c *optipart.Comm) {
-				var local []optipart.Key
+			comm.Run(*svgP, machine.Titan().CostModel(), func(c *comm.Comm) {
+				var local []sfc.Key
 				for i, k := range tree.Leaves {
 					if i%*svgP == c.Rank() {
 						local = append(local, k)
 					}
 				}
-				res := optipart.Partition(c, local, optipart.Options{
-					Curve: tree.Curve, Mode: optipart.EqualWork, Machine: optipart.Titan(), SkipExchange: true,
+				res := partition.Partition(c, local, partition.Options{
+					Curve: tree.Curve, Mode: partition.EqualWork, Machine: machine.Titan(), SkipExchange: true,
 				})
 				if c.Rank() == 0 {
 					sp = res.Splitters
@@ -90,21 +90,44 @@ func main() {
 		}
 		f, err := os.Create(*svgOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			fatal(err)
 		}
-		defer f.Close()
-		if err := renderSVG(f, tree.Curve, tree.Leaves, sp, svgOptions{DrawCurve: true}); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+		// A short write can surface only at Close, so its error counts too.
+		if err := errors.Join(renderSVG(f, tree.Curve, tree.Leaves, sp, svgOptions{DrawCurve: true}), f.Close()); err != nil {
+			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *svgOut)
 	}
 }
 
+// checkFlags range-checks the numeric flags before any work, the way
+// optipartd's buildPlan checks its fault flags: a bad value is a one-line
+// error, not a panic deep in the curve code or a refinement that never
+// ends.
+func checkFlags(dim, seeds, depth, svgP int, svg string) error {
+	switch {
+	case dim != 2 && dim != 3:
+		return fmt.Errorf("-dim %d: want 2 or 3", dim)
+	case seeds < 1:
+		return fmt.Errorf("-seeds %d: need at least one seed point", seeds)
+	case depth < 1 || depth > sfc.MaxLevel:
+		return fmt.Errorf("-depth %d: want a level in [1,%d]", depth, sfc.MaxLevel)
+	case svgP < 0:
+		return fmt.Errorf("-svg-p %d: cannot be negative (0 draws no partition)", svgP)
+	case svg != "" && dim != 2:
+		return fmt.Errorf("-svg requires -dim 2")
+	}
+	return nil
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "error:", err)
+	os.Exit(1)
+}
+
 // parseNames resolves the -curve and -dist flags through their types' one
 // parsers.
-func parseNames(curveName, distName string) (optipart.CurveKind, optipart.Distribution, error) {
+func parseNames(curveName, distName string) (sfc.Kind, octree.Distribution, error) {
 	kind, err := sfc.ParseKind(curveName)
 	if err != nil {
 		return 0, 0, err

@@ -12,14 +12,16 @@ import (
 	"syscall"
 	"time"
 
-	"optipart"
+	"optipart/internal/comm"
+	"optipart/internal/fault"
+	wnet "optipart/internal/net"
 )
 
 // driverMain demos the selected failure policy: degrade is the
 // recovery-by-repartition two-phase demo, restore is the self-healing
 // supervised campaign.
-func driverMain(pr program, p int, kill, sockDir string, deadline time.Duration, calibrate bool, policy optipart.FailurePolicy, ckptDir string) error {
-	if policy == optipart.Restore {
+func driverMain(pr program, p int, kill, sockDir string, deadline time.Duration, calibrate bool, policy wnet.Policy, ckptDir string) error {
+	if policy == wnet.Restore {
 		return restoreDriver(pr, p, kill, sockDir, deadline, calibrate, ckptDir)
 	}
 	if p < 3 {
@@ -50,12 +52,12 @@ func driverMain(pr program, p int, kill, sockDir string, deadline time.Duration,
 	if err == nil {
 		return fmt.Errorf("phase 1 completed despite the scheduled death of rank %d", l.victim)
 	}
-	var se *optipart.ShutdownError
+	var se *wnet.ShutdownError
 	if errors.As(err, &se) {
 		fmt.Printf("driver: interrupted during phase 1; workers reaped\n")
 		return nil
 	}
-	var rf *optipart.RankFailure
+	var rf *comm.RankFailure
 	if !errors.As(err, &rf) {
 		return fmt.Errorf("phase 1 failed without a structured RankFailure: %w", err)
 	}
@@ -135,7 +137,7 @@ func restoreDriver(pr program, p int, kill, sockDir string, deadline time.Durati
 	if err != nil {
 		return err
 	}
-	if _, err := optipart.RunChecked(p, m, body); err != nil {
+	if _, err := comm.RunChecked(p, m.CostModel(), body); err != nil {
 		return fmt.Errorf("fault-free golden campaign: %w", err)
 	}
 
@@ -146,7 +148,7 @@ func restoreDriver(pr program, p int, kill, sockDir string, deadline time.Durati
 		return l.worker(ep, rank, p, hardkill, "-ckpt", ckptDir, "-incarnation", strconv.FormatUint(inc, 10))
 	}
 
-	budget := &optipart.RespawnBudget{MaxRespawns: 3, Base: 100 * time.Millisecond, Max: 2 * time.Second}
+	budget := &fault.RespawnBudget{MaxRespawns: 3, Base: 100 * time.Millisecond, Max: 2 * time.Second}
 	var done atomic.Bool
 	var respawns atomic.Int64
 	var reapMu sync.Mutex
@@ -204,7 +206,7 @@ func restoreDriver(pr program, p int, kill, sockDir string, deadline time.Durati
 	var spawnErr error
 	st, out, err := runRoot(rootRun{
 		pr: pr, endpoint: ep, p: p, calibrate: calibrate, ckptDir: ckptDir,
-		wopts: optipart.WireOptions{OnFailure: optipart.Restore},
+		wopts: wnet.Options{OnFailure: wnet.Restore},
 		spawned: func() {
 			for r := 1; r < p; r++ {
 				cmd := spawn(r, l.hardkillFor(r), 0)
@@ -237,7 +239,7 @@ func restoreDriver(pr program, p int, kill, sockDir string, deadline time.Durati
 		return spawnErr
 	}
 	if err != nil {
-		var se *optipart.ShutdownError
+		var se *wnet.ShutdownError
 		if errors.As(err, &se) {
 			fmt.Printf("driver: interrupted; workers drained and reaped\n")
 			return nil

@@ -7,8 +7,12 @@ import (
 	"strconv"
 	"strings"
 
-	"optipart"
 	"optipart/internal/comm"
+	"optipart/internal/fault"
+	"optipart/internal/machine"
+	"optipart/internal/octree"
+	"optipart/internal/partition"
+	"optipart/internal/sfc"
 	"optipart/internal/stats"
 )
 
@@ -16,7 +20,7 @@ import (
 // checked runtime, with the fault plan's hooks and, when trace is set, a
 // timeline, and prints the result to w. A world the plan kills prints its
 // failure and the modeled time at teardown, and returns the failure.
-func runLocal(w io.Writer, pr program, p int, plan *optipart.FaultPlan, trace bool) error {
+func runLocal(w io.Writer, pr program, p int, plan *fault.Plan, trace bool) error {
 	m, _, _, _, err := pr.parse()
 	if err != nil {
 		return err
@@ -26,14 +30,14 @@ func runLocal(w io.Writer, pr program, p int, plan *optipart.FaultPlan, trace bo
 	if err != nil {
 		return err
 	}
-	opts := optipart.CheckedOptions{Hooks: plan.Hooks()}
+	opts := comm.CheckedOptions{Hooks: plan.Hooks()}
 	if plan.Empty() {
-		// As optipart.Run: no stall watchdog, because a healthy rank may
+		// As comm.Run: no stall watchdog, because a healthy rank may
 		// compute longer than its timeout between two collectives.
 		opts.StallTimeout = -1
 	}
 	if trace {
-		opts.Trace = &optipart.Trace{}
+		opts.Trace = &comm.Trace{}
 	}
 	st, err := comm.RunCheckedOpts(p, m.CostModel(), opts, body)
 	if err != nil {
@@ -65,9 +69,9 @@ func runRepartLoop(w io.Writer, pr program, p, steps int, refineFrac float64) er
 		return err
 	}
 	rng := rand.New(rand.NewSource(pr.seed))
-	tree := optipart.Balance21(optipart.AdaptiveMesh(rng, max(pr.n/64, 1), 3, d, 8)).WithCurve(curve)
-	ev := optipart.NewEvolver(curve, pr.seed+1, tree.Leaves)
-	ev.RefineBias, ev.CoarsenBias = optipart.FrontBias(3, 2, 8, 0.1)
+	tree := octree.Balance21(octree.AdaptiveMesh(rng, max(pr.n/64, 1), 3, d, 8)).WithCurve(curve)
+	ev := octree.NewEvolver(curve, pr.seed+1, tree.Leaves)
+	ev.RefineBias, ev.CoarsenBias = octree.FrontBias(3, 2, 8, 0.1)
 	// Coarsening drains slightly faster than refinement feeds so the mesh
 	// stays near its seed size while the resolution peak marches.
 	coarsenFrac := refineFrac * 1.25
@@ -76,12 +80,12 @@ func runRepartLoop(w io.Writer, pr program, p, steps int, refineFrac float64) er
 	// matvecs between regrids (same setting as `experiments -run repart`).
 	const horizon = 240.0
 
-	mesh := append([]optipart.Key(nil), ev.Leaves()...)
-	var sp *optipart.Splitters
-	optipart.Run(p, m, func(c *optipart.Comm) {
+	mesh := append([]sfc.Key(nil), ev.Leaves()...)
+	var sp *partition.Splitters
+	comm.Run(p, m.CostModel(), func(c *comm.Comm) {
 		lo, hi := c.Rank()*len(mesh)/p, (c.Rank()+1)*len(mesh)/p
-		res := optipart.Partition(c, append([]optipart.Key(nil), mesh[lo:hi]...), optipart.Options{
-			Curve: curve, Mode: optipart.ModelDriven, Machine: m, Alpha: pr.alpha, SkipExchange: true,
+		res := partition.Partition(c, append([]sfc.Key(nil), mesh[lo:hi]...), partition.Options{
+			Curve: curve, Mode: partition.ModelDriven, Machine: m, Alpha: pr.alpha, SkipExchange: true,
 		})
 		if c.Rank() == 0 {
 			sp = res.Splitters
@@ -98,11 +102,11 @@ func runRepartLoop(w io.Writer, pr program, p, steps int, refineFrac float64) er
 		ev.Step(refineFrac, coarsenFrac)
 		mesh = append(mesh[:0], ev.Leaves()...)
 		ranges := sp.Ranges(mesh)
-		var rr *optipart.RepartResult
-		st := optipart.Run(p, m, func(c *optipart.Comm) {
-			local := append([]optipart.Key(nil), mesh[ranges[c.Rank()]:ranges[c.Rank()+1]]...)
-			r := optipart.Repartition(c, local, optipart.RepartOptions{
-				Options: optipart.Options{Curve: curve, Machine: m, Tol: pr.tol, Alpha: pr.alpha, SkipExchange: true},
+		var rr *partition.RepartResult
+		st := comm.Run(p, m.CostModel(), func(c *comm.Comm) {
+			local := append([]sfc.Key(nil), mesh[ranges[c.Rank()]:ranges[c.Rank()+1]]...)
+			r := partition.Repartition(c, local, partition.RepartOptions{
+				Options: partition.Options{Curve: curve, Machine: m, Tol: pr.tol, Alpha: pr.alpha, SkipExchange: true},
 				Prior:   sp,
 				Horizon: horizon,
 			})
@@ -119,7 +123,7 @@ func runRepartLoop(w io.Writer, pr program, p, steps int, refineFrac float64) er
 	}
 	table.Fprint(w)
 	fmt.Fprintf(w, "\ncumulative moved: %d elements (%.1f MB at %d B ghost payload)\n",
-		cumMoved, float64(cumMoved)*float64(optipart.GhostPayloadBytes)/(1<<20), optipart.GhostPayloadBytes)
+		cumMoved, float64(cumMoved)*float64(machine.GhostPayloadBytes)/(1<<20), machine.GhostPayloadBytes)
 	return nil
 }
 
@@ -127,24 +131,24 @@ func runRepartLoop(w io.Writer, pr program, p, steps int, refineFrac float64) er
 // (rank@tcmult[,twmult]), range-checking every argument against the world
 // size before any rank starts, instead of panicking or silently never
 // matching.
-func buildPlan(p int, kill, strag string) (*optipart.FaultPlan, error) {
+func buildPlan(p int, kill, strag string) (*fault.Plan, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("-p %d: need at least one rank", p)
 	}
-	plan := &optipart.FaultPlan{}
+	plan := &fault.Plan{}
 	if kill != "" {
 		rank, at, err := parseKill(kill, 0, p)
 		if err != nil {
 			return nil, err
 		}
-		plan.Kills = append(plan.Kills, optipart.FaultKill{Rank: rank, AtCollective: at})
+		plan.Kills = append(plan.Kills, fault.Kill{Rank: rank, AtCollective: at})
 	}
 	if strag != "" {
 		rank, mults, err := parseRankAt("straggler", strag, "tcmult[,twmult]", 0, p)
 		if err != nil {
 			return nil, err
 		}
-		s := optipart.Straggler{Rank: rank, TcMult: 1, TwMult: 1}
+		s := fault.Straggler{Rank: rank, TcMult: 1, TwMult: 1}
 		tc, tw, hasTw := strings.Cut(mults, ",")
 		if s.TcMult, err = strconv.ParseFloat(tc, 64); err != nil {
 			return nil, fmt.Errorf("-straggler %q: bad tc multiplier: %w", strag, err)

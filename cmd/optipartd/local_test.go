@@ -6,12 +6,13 @@ import (
 	"strings"
 	"testing"
 
-	"optipart"
+	"optipart/internal/comm"
+	"optipart/internal/machine"
 )
 
 // localProgram is a small local run of the default program.
 var localProgram = program{n: 20000, seed: 1, machineName: "Clemson-32", curveName: "hilbert",
-	modeName: "optipart", distName: "normal", tol: 0.3, alpha: optipart.DefaultAlpha}
+	modeName: "optipart", distName: "normal", tol: 0.3, alpha: machine.DefaultAlpha}
 
 // TestLocalRun drives the local mode's run function on a healthy 8-rank
 // world: it prints the header and the full partition quality table.
@@ -45,7 +46,7 @@ func TestLocalKill(t *testing.T) {
 	}
 	var out bytes.Buffer
 	err = runLocal(&out, localProgram, 8, plan, false)
-	var rf *optipart.RankFailure
+	var rf *comm.RankFailure
 	if !errors.As(err, &rf) || rf.Rank != 3 {
 		t.Fatalf("local run with -kill 3@5: err = %v, want *RankFailure naming rank 3", err)
 	}

@@ -2,7 +2,7 @@
 // in-process ranks, or as one rank of a real multi-process world: every
 // rank an OS process, collectives over unix or TCP sockets (checksummed
 // frames, reconnect with backoff, heartbeat failure detection), and a dead
-// process surfacing to the survivors as a structured *optipart.RankFailure
+// process surfacing to the survivors as a structured *comm.RankFailure
 // instead of a hang.
 //
 // Five modes:
@@ -66,7 +66,10 @@ import (
 	"syscall"
 	"time"
 
-	"optipart"
+	"optipart/internal/fault"
+	"optipart/internal/machine"
+	wnet "optipart/internal/net"
+	"optipart/internal/par"
 )
 
 func main() {
@@ -91,14 +94,14 @@ func main() {
 		ckptDir     = flag.String("ckpt", "", "campaign mode: directory for checkpoint snapshots (driver default: <socket dir>/ckpt)")
 		incarnation = flag.Uint64("incarnation", 0, "worker mode: incarnation number of a respawned worker (0 = fresh; >0 restores from -ckpt)")
 
-		n        = flag.Int("n", 100000, "total number of elements across all ranks")
-		seed     = flag.Int64("seed", 1, "RNG seed (rank r draws from seed+r)")
-		machine  = flag.String("machine", "Clemson-32", "machine model: Titan, Stampede, Clemson-32, Wisconsin-8")
-		curveArg = flag.String("curve", "hilbert", "space-filling curve: morton or hilbert")
-		mode     = flag.String("mode", "optipart", "partitioning mode: equal, flexible, optipart")
-		tol      = flag.Float64("tol", 0.3, "tolerance for -mode flexible and the incremental keep window of -repart-steps")
-		dist     = flag.String("dist", "normal", "element distribution: uniform, normal, lognormal")
-		alpha    = flag.Float64("alpha", optipart.DefaultAlpha, "memory accesses per unit work (application model)")
+		n          = flag.Int("n", 100000, "total number of elements across all ranks")
+		seed       = flag.Int64("seed", 1, "RNG seed (rank r draws from seed+r)")
+		machineArg = flag.String("machine", "Clemson-32", "machine model: Titan, Stampede, Clemson-32, Wisconsin-8")
+		curveArg   = flag.String("curve", "hilbert", "space-filling curve: morton or hilbert")
+		mode       = flag.String("mode", "optipart", "partitioning mode: equal, flexible, optipart")
+		tol        = flag.Float64("tol", 0.3, "tolerance for -mode flexible and the incremental keep window of -repart-steps")
+		dist       = flag.String("dist", "normal", "element distribution: uniform, normal, lognormal")
+		alpha      = flag.Float64("alpha", machine.DefaultAlpha, "memory accesses per unit work (application model)")
 
 		strag   = flag.String("straggler", "", "local mode: degrade a rank, as rank@tcmult[,twmult]")
 		trace   = flag.Bool("trace", false, "local mode: print an ASCII timeline of the run (compute vs collective per rank)")
@@ -109,7 +112,7 @@ func main() {
 	flag.Parse()
 
 	pr := program{
-		n: *n, seed: *seed, machineName: *machine, curveName: *curveArg,
+		n: *n, seed: *seed, machineName: *machineArg, curveName: *curveArg,
 		modeName: *mode, distName: *dist, tol: *tol, alpha: *alpha,
 		steps: *steps,
 	}
@@ -140,7 +143,7 @@ func main() {
 	if *rsteps > 0 && (*kill != "" || *strag != "" || *steps > 0) {
 		fatal(fmt.Errorf("-repart-steps runs its own loop: it does not combine with -steps or the fault-injection flags (see `experiments -run faults`)"))
 	}
-	policy, err := optipart.ParseFailurePolicy(*onFailure)
+	policy, err := wnet.ParsePolicy(*onFailure)
 	if err != nil {
 		fatal(err)
 	}
@@ -152,7 +155,7 @@ func main() {
 			}
 		})
 	} else {
-		optipart.SetWorkers(*workers)
+		par.SetWorkers(*workers)
 	}
 
 	switch {
@@ -171,7 +174,7 @@ func main() {
 	case *rsteps > 0:
 		err = runRepartLoop(os.Stdout, pr, *p, *rsteps, *rfrac)
 	default:
-		var plan *optipart.FaultPlan
+		var plan *fault.Plan
 		if plan, err = buildPlan(*p, *kill, *strag); err == nil {
 			err = runLocal(os.Stdout, pr, *p, plan, *trace)
 		}
@@ -185,7 +188,7 @@ func main() {
 // so the signal handler can announce an orderly shutdown; stopping tells
 // the supervisor the operator asked us to go down and deaths are expected.
 var (
-	activeRoot atomic.Pointer[optipart.WireRoot]
+	activeRoot atomic.Pointer[wnet.Root]
 	stopping   atomic.Bool
 )
 

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"optipart"
+	"optipart/internal/octree"
+	"optipart/internal/partition"
+	"optipart/internal/sfc"
 )
 
 // TestParseKill covers the one rank@k parser of -kill in both modes: under
@@ -78,7 +80,7 @@ func TestParseNamesRejectsUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("documented spellings rejected: %v", err)
 	}
-	if m.Name != "Clemson-32" || curve.Kind != optipart.Morton || mode != optipart.FlexibleTolerance || d != optipart.LogNormal {
+	if m.Name != "Clemson-32" || curve.Kind != sfc.Morton || mode != partition.FlexibleTolerance || d != octree.LogNormal {
 		t.Fatalf("documented spellings: %s, %v, %v, %v", m.Name, curve.Kind, mode, d)
 	}
 	cases := []struct{ machine, curve, mode, dist, frag string }{

@@ -13,8 +13,11 @@ import (
 	"syscall"
 	"time"
 
-	"optipart"
+	"optipart/internal/ckpt"
+	"optipart/internal/comm"
+	"optipart/internal/fault"
 	"optipart/internal/machine"
+	wnet "optipart/internal/net"
 	"optipart/internal/octree"
 	"optipart/internal/partition"
 	"optipart/internal/sfc"
@@ -32,18 +35,18 @@ type program struct {
 	steps                                      int
 }
 
-func (pr program) parse() (optipart.Machine, *optipart.Curve, optipart.Mode, optipart.Distribution, error) {
+func (pr program) parse() (machine.Machine, *sfc.Curve, partition.Mode, octree.Distribution, error) {
 	m, errM := machine.ByName(pr.machineName)
 	kind, errK := sfc.ParseKind(pr.curveName)
 	pmode, errP := partition.ParseMode(pr.modeName)
 	d, errD := octree.ParseDistribution(pr.distName)
 	if err := cmp.Or(errM, errK, errP, errD); err != nil {
-		return optipart.Machine{}, nil, 0, 0, err
+		return machine.Machine{}, nil, 0, 0, err
 	}
 	if pr.n < 1 {
-		return optipart.Machine{}, nil, 0, 0, fmt.Errorf("-n %d: need at least one element", pr.n)
+		return machine.Machine{}, nil, 0, 0, fmt.Errorf("-n %d: need at least one element", pr.n)
 	}
-	return m, optipart.NewCurve(kind, 3), pmode, d, nil
+	return m, sfc.NewCurve(kind, 3), pmode, d, nil
 }
 
 // forward renders the program back into flags for a spawned worker.
@@ -64,7 +67,7 @@ func (pr program) forward() []string {
 // outcome is what rank 0 of the program reports: the partition result of
 // the single-partition body, or the final digest of the -steps campaign.
 type outcome struct {
-	res    *optipart.Result
+	res    *partition.Result
 	digest uint64
 }
 
@@ -72,19 +75,19 @@ type outcome struct {
 // state, and, when store is non-nil, saving each checkpoint there and
 // telling root once it is durable so the root can prune its replay log.
 type entry struct {
-	resume optipart.CampaignResume
-	store  *optipart.SnapshotStore
-	root   *optipart.WireRoot
+	resume ckpt.Resume
+	store  *ckpt.Store
+	root   *wnet.Root
 }
 
 // fresh is the start of a brand-new campaign that saves no checkpoints.
-func fresh() entry { return entry{resume: optipart.FreshCampaign()} }
+func fresh() entry { return entry{resume: ckpt.Fresh()} }
 
 // rankBody builds the rank function of the program for a p-rank world: the
 // classic single partition or, with -steps, the campaign entered at e. It
 // is the one rank body of every mode (local, root, worker, and the restore
 // driver's golden). When out is non-nil, rank 0 reports into it.
-func (pr program) rankBody(p int, e entry, out *outcome) (func(c *optipart.Comm) error, error) {
+func (pr program) rankBody(p int, e entry, out *outcome) (func(c *comm.Comm) error, error) {
 	m, curve, pmode, d, err := pr.parse()
 	if err != nil {
 		return nil, err
@@ -94,7 +97,7 @@ func (pr program) rankBody(p int, e entry, out *outcome) (func(c *optipart.Comm)
 		return nil, fmt.Errorf("-n %d spread over %d ranks leaves empty ranks", pr.n, p)
 	}
 	if pr.steps > 0 {
-		copts := optipart.CampaignOptions{
+		copts := ckpt.CampaignOptions{
 			Steps: pr.steps, PerRank: perRank, Seed: pr.seed,
 			Kind: curve.Kind, Dim: 3,
 			Mode: pmode, Tol: pr.tol, Machine: m, Alpha: pr.alpha,
@@ -104,8 +107,8 @@ func (pr program) rankBody(p int, e entry, out *outcome) (func(c *optipart.Comm)
 		if e.store != nil {
 			copts.Saver, copts.Checkpointer = e.store, e.root
 		}
-		return func(c *optipart.Comm) error {
-			r, err := optipart.RunCampaign(c, e.resume, copts)
+		return func(c *comm.Comm) error {
+			r, err := ckpt.RunCampaign(c, e.resume, copts)
 			if err != nil {
 				return err
 			}
@@ -115,10 +118,10 @@ func (pr program) rankBody(p int, e entry, out *outcome) (func(c *optipart.Comm)
 			return nil
 		}, nil
 	}
-	return func(c *optipart.Comm) error {
+	return func(c *comm.Comm) error {
 		rng := rand.New(rand.NewSource(pr.seed + int64(c.Rank())))
-		local := optipart.RandomKeys(rng, perRank, 3, d, 2, 18)
-		r := optipart.Partition(c, local, optipart.Options{
+		local := octree.RandomKeys(rng, perRank, 3, d, 2, 18)
+		r := partition.Partition(c, local, partition.Options{
 			Curve: curve, Mode: pmode, Tol: pr.tol, Machine: m, Alpha: pr.alpha,
 		})
 		if c.Rank() == 0 && out != nil {
@@ -138,7 +141,7 @@ func (pr program) header(w io.Writer, p int) {
 
 // report is the one result printer of local and wire runs: the campaign's
 // digest and recovery accounting, or the partition quality table.
-func (pr program) report(w io.Writer, p int, st *optipart.Stats, out outcome) {
+func (pr program) report(w io.Writer, p int, st *comm.Stats, out outcome) {
 	if pr.steps > 0 {
 		fmt.Fprintf(w, "campaign: %d steps completed, digest %016x\n", pr.steps, out.digest)
 		printRecovery(w, st)
@@ -160,7 +163,7 @@ func (pr program) report(w io.Writer, p int, st *optipart.Stats, out outcome) {
 }
 
 // printRecovery prints the wire transport's recovery accounting, if any.
-func printRecovery(w io.Writer, st *optipart.Stats) {
+func printRecovery(w io.Writer, st *comm.Stats) {
 	if st == nil || st.Recovery == nil {
 		return
 	}
@@ -182,7 +185,7 @@ func workerMain(pr program, endpoint string, rank, p, hardkill int, ckptDir stri
 	// is still assembling (the dial blocks until the root's welcome) also
 	// exits 0 instead of dying on the default disposition.
 	var drainMu sync.Mutex
-	var drainWk *optipart.WireWorker
+	var drainWk *wnet.Worker
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM)
 	go func() {
@@ -197,15 +200,15 @@ func workerMain(pr program, endpoint string, rank, p, hardkill int, ckptDir stri
 		os.Exit(0)
 	}()
 
-	resume := optipart.FreshCampaign()
-	var resumeSeq uint64 = optipart.ResumeNone
+	resume := ckpt.Fresh()
+	var resumeSeq uint64 = wnet.ResumeNone
 	if pr.steps > 0 && inc > 0 {
 		// Respawned incarnation: restore from the latest snapshot; with
 		// none saved yet, replay the whole world from seq 0 (the root's
 		// replay log is complete until its first Checkpoint prune).
 		resumeSeq = 0
 		if ckptDir != "" {
-			store, err := optipart.NewSnapshotStore(ckptDir)
+			store, err := ckpt.NewStore(ckptDir)
 			if err != nil {
 				return err
 			}
@@ -214,7 +217,7 @@ func workerMain(pr program, endpoint string, rank, p, hardkill int, ckptDir stri
 				return err
 			}
 			if snap != nil {
-				if resume, err = optipart.ResumeCampaign(snap, rank); err != nil {
+				if resume, err = ckpt.ResumeFrom(snap, rank); err != nil {
 					return err
 				}
 				resumeSeq = snap.Seq
@@ -230,7 +233,7 @@ func workerMain(pr program, endpoint string, rank, p, hardkill int, ckptDir stri
 		return err
 	}
 
-	wk, err := optipart.DialRootResume(endpoint, rank, p, resumeSeq, inc, optipart.WireOptions{})
+	wk, err := wnet.DialResume(endpoint, rank, p, resumeSeq, inc, wnet.Options{})
 	if err != nil {
 		return err
 	}
@@ -239,12 +242,12 @@ func workerMain(pr program, endpoint string, rank, p, hardkill int, ckptDir stri
 	drainWk = wk
 	drainMu.Unlock()
 
-	var opts optipart.CheckedOptions
+	var opts comm.CheckedOptions
 	if hardkill >= 0 {
-		opts.Hooks = optipart.HardKill{Rank: rank, AtCollective: hardkill}.Hooks(nil)
+		opts.Hooks = fault.HardKill{Rank: rank, AtCollective: hardkill}.Hooks(nil)
 	}
-	if _, err := optipart.RunRank(rank, p, wk.Model(), wk, opts, body); err != nil {
-		var se *optipart.ShutdownError
+	if _, err := comm.RunRank(rank, p, wk.Model(), wk, opts, body); err != nil {
+		var se *wnet.ShutdownError
 		if errors.As(err, &se) {
 			fmt.Fprintf(os.Stderr, "optipartd: rank %d: %v; exiting cleanly\n", rank, err)
 			return nil
@@ -256,13 +259,13 @@ func workerMain(pr program, endpoint string, rank, p, hardkill int, ckptDir stri
 }
 
 // rootMain hosts rank 0 against externally launched workers.
-func rootMain(pr program, endpoint string, p int, calibrate bool, policy optipart.FailurePolicy, ckptDir string) error {
+func rootMain(pr program, endpoint string, p int, calibrate bool, policy wnet.Policy, ckptDir string) error {
 	st, out, err := runRoot(rootRun{
 		pr: pr, endpoint: endpoint, p: p, calibrate: calibrate,
-		wopts: optipart.WireOptions{OnFailure: policy}, ckptDir: ckptDir,
+		wopts: wnet.Options{OnFailure: policy}, ckptDir: ckptDir,
 	})
 	if err != nil {
-		var se *optipart.ShutdownError
+		var se *wnet.ShutdownError
 		if errors.As(err, &se) {
 			fmt.Printf("root: shut down cleanly: %v\n", err)
 			return nil
@@ -282,7 +285,7 @@ type rootRun struct {
 	// spawned, when non-nil, runs after the socket exists (the driver hooks
 	// its worker launches in here).
 	spawned func()
-	wopts   optipart.WireOptions
+	wopts   wnet.Options
 	ckptDir string
 }
 
@@ -290,12 +293,12 @@ type rootRun struct {
 // assemble, optionally calibrates, and runs rank 0 of the program (the
 // classic body, or the checkpointed campaign when -steps > 0). The returned
 // stats carry the transport's recovery accounting.
-func runRoot(rr rootRun) (*optipart.Stats, outcome, error) {
+func runRoot(rr rootRun) (*comm.Stats, outcome, error) {
 	m, _, _, _, err := rr.pr.parse()
 	if err != nil {
 		return nil, outcome{}, err
 	}
-	rt, err := optipart.ListenRoot(rr.endpoint, rr.p, rr.wopts)
+	rt, err := wnet.NewRoot(rr.endpoint, rr.p, rr.wopts)
 	if err != nil {
 		return nil, outcome{}, err
 	}
@@ -310,7 +313,7 @@ func runRoot(rr rootRun) (*optipart.Stats, outcome, error) {
 	}
 	model := m.CostModel()
 	if rr.calibrate {
-		measured, err := rt.Calibrate(optipart.CalibrateOptions{})
+		measured, err := rt.Calibrate(wnet.CalibrateOptions{})
 		if err != nil {
 			return nil, outcome{}, err
 		}
@@ -321,7 +324,7 @@ func runRoot(rr rootRun) (*optipart.Stats, outcome, error) {
 	rt.Announce(model)
 	e := fresh()
 	if rr.pr.steps > 0 && rr.ckptDir != "" {
-		if e.store, err = optipart.NewSnapshotStore(rr.ckptDir); err != nil {
+		if e.store, err = ckpt.NewStore(rr.ckptDir); err != nil {
 			return nil, outcome{}, err
 		}
 		e.root = rt
@@ -331,7 +334,7 @@ func runRoot(rr rootRun) (*optipart.Stats, outcome, error) {
 	if err != nil {
 		return nil, outcome{}, err
 	}
-	st, err := optipart.RunRank(0, rr.p, model, rt, optipart.CheckedOptions{}, body)
+	st, err := comm.RunRank(0, rr.p, model, rt, comm.CheckedOptions{}, body)
 	if st != nil {
 		rec := rt.Recovery()
 		st.Recovery = &rec

@@ -8,8 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"optipart"
 	wnet "optipart/internal/net"
+	"optipart/internal/service"
 )
 
 // serveMain runs the partitioning service: bind the endpoint (the wire
@@ -30,7 +30,7 @@ func serveMain(endpoint string, slots, cacheKeys int, stop <-chan os.Signal) err
 	if err != nil {
 		return err
 	}
-	svc := optipart.NewService(optipart.ServiceConfig{Slots: slots, MaxCachedKeys: cacheKeys})
+	svc := service.New(service.Config{Slots: slots, MaxCachedKeys: cacheKeys})
 
 	fmt.Printf("optipartd: serving partition requests on %s (slots=%d)\n", endpoint, slots)
 	err = serve(ln, svc, stop)
@@ -48,7 +48,7 @@ func serveMain(endpoint string, slots, cacheKeys int, stop <-chan os.Signal) err
 // client idling between requests cannot hold the drain open, while a
 // request already being computed still writes its response. serve returns
 // once every connection has closed.
-func serve(ln net.Listener, svc *optipart.PartitionService, stop <-chan os.Signal) error {
+func serve(ln net.Listener, svc *service.Service, stop <-chan os.Signal) error {
 	var (
 		mu    sync.Mutex
 		conns = map[net.Conn]bool{}
@@ -88,7 +88,7 @@ func serve(ln net.Listener, svc *optipart.PartitionService, stop <-chan os.Signa
 		go func() {
 			defer wg.Done()
 			// Only the drain sets a deadline, so a timeout is no client error.
-			if err := optipart.ServeServiceConn(svc, conn); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+			if err := service.ServeConn(svc, conn); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
 				fmt.Fprintf(os.Stderr, "optipartd: client %v: %v\n", conn.RemoteAddr(), err)
 			}
 			mu.Lock()

@@ -13,8 +13,11 @@ import (
 	"testing"
 	"time"
 
-	"optipart"
+	"optipart/internal/machine"
+	"optipart/internal/octree"
+	"optipart/internal/partition"
 	"optipart/internal/service"
+	"optipart/internal/sfc"
 )
 
 // wireClient speaks the service's gob protocol over one connection: write a
@@ -37,14 +40,14 @@ func dialService(t *testing.T, path string) *wireClient {
 
 // do sends one request and reports whether the service answered it from
 // its cache.
-func (c *wireClient) do(keys []optipart.Key) (hit bool, err error) {
-	wr := service.FromRequest(optipart.ServiceRequest{
+func (c *wireClient) do(keys []sfc.Key) (hit bool, err error) {
+	wr := service.FromRequest(service.Request{
 		Keys:      keys,
-		CurveKind: optipart.Hilbert,
+		CurveKind: sfc.Hilbert,
 		Dim:       3,
 		Ranks:     4,
-		Mode:      optipart.ModelDriven,
-		Machine:   optipart.Clemson32(),
+		Mode:      partition.ModelDriven,
+		Machine:   machine.Clemson32(),
 	})
 	if err := c.enc.Encode(&wr); err != nil {
 		return false, err
@@ -74,7 +77,7 @@ func TestServeDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := optipart.NewService(optipart.ServiceConfig{Slots: 2})
+	svc := service.New(service.Config{Slots: 2})
 	defer svc.Close()
 	stop := make(chan os.Signal, 1)
 	served := make(chan error, 1)
@@ -83,9 +86,9 @@ func TestServeDrain(t *testing.T) {
 	idle := dialService(t, path)
 
 	rng := rand.New(rand.NewSource(1))
-	octrees := make([][]optipart.Key, 5)
+	octrees := make([][]sfc.Key, 5)
 	for i := range octrees {
-		octrees[i] = optipart.RandomKeys(rng, 2000, 3, optipart.Normal, 2, 14)
+		octrees[i] = octree.RandomKeys(rng, 2000, 3, octree.Normal, 2, 14)
 	}
 	clients := []*wireClient{dialService(t, path), dialService(t, path)}
 	sent := 0

@@ -7,14 +7,22 @@ import (
 	"runtime"
 	"testing"
 
-	"optipart"
+	"optipart/internal/comm"
+	"optipart/internal/fault"
+	"optipart/internal/machine"
+	"optipart/internal/mesh"
+	"optipart/internal/octree"
+	"optipart/internal/par"
+	"optipart/internal/partition"
+	"optipart/internal/psort"
+	"optipart/internal/sfc"
 )
 
 // TestModeledCostEquivalence pins the simulator's modeled accounting to the
 // values produced by the seed implementation, before the linearized-rank and
 // radix-sort rewrite of the hot paths. The scenario deliberately crosses
 // every optimized subsystem in one run — TreeSort and splitter refinement
-// (Partition), ownership lookup (BuildGhost), sample bucketing (SampleSort)
+// (Partition), ownership lookup (mesh.Build), sample bucketing (SampleSort)
 // — through the checked runtime with an empty fault plan.
 //
 // The constants below were captured with this exact scenario before the
@@ -35,19 +43,19 @@ func TestModeledCostEquivalence(t *testing.T) {
 
 	for _, w := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			prev := optipart.SetWorkers(w)
-			defer optipart.SetWorkers(prev)
+			prev := par.SetWorkers(w)
+			defer par.SetWorkers(prev)
 
-			curve := optipart.NewCurve(optipart.Hilbert, 3)
-			m := optipart.Clemson32()
-			stats, err := optipart.RunWithFaults(8, m, &optipart.FaultPlan{}, func(c *optipart.Comm) error {
+			curve := sfc.NewCurve(sfc.Hilbert, 3)
+			m := machine.Clemson32()
+			stats, err := fault.Run(8, m.CostModel(), &fault.Plan{}, func(c *comm.Comm) error {
 				rng := rand.New(rand.NewSource(int64(c.Rank()) + 100))
-				local := optipart.RandomKeys(rng, 2000, 3, optipart.Normal, 2, 12)
-				res := optipart.Partition(c, local, optipart.Options{
-					Curve: curve, Mode: optipart.ModelDriven, Machine: m,
+				local := octree.RandomKeys(rng, 2000, 3, octree.Normal, 2, 12)
+				res := partition.Partition(c, local, partition.Options{
+					Curve: curve, Mode: partition.ModelDriven, Machine: m,
 				})
-				optipart.BuildGhost(c, res.Local, res.Splitters)
-				optipart.SampleSort(c, optipart.RandomKeys(rng, 500, 3, optipart.LogNormal, 2, 10), curve)
+				mesh.Build(c, res.Local, res.Splitters)
+				psort.SampleSort(c, octree.RandomKeys(rng, 500, 3, octree.LogNormal, 2, 10), curve)
 				return nil
 			})
 			if err != nil {

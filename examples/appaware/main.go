@@ -13,8 +13,12 @@ import (
 	"fmt"
 	"math/rand"
 
-	"optipart"
+	"optipart/internal/comm"
 	"optipart/internal/fem"
+	"optipart/internal/machine"
+	"optipart/internal/octree"
+	"optipart/internal/partition"
+	"optipart/internal/sfc"
 )
 
 const ranks = 48
@@ -22,31 +26,31 @@ const ranks = 48
 var tols = []float64{0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5}
 
 func main() {
-	curve := optipart.NewCurve(optipart.Hilbert, 3)
-	mesh := optipart.Balance21(optipart.AdaptiveMesh(
-		rand.New(rand.NewSource(9)), 2000, 3, optipart.Normal, 8)).WithCurve(curve)
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	mesh := octree.Balance21(octree.AdaptiveMesh(
+		rand.New(rand.NewSource(9)), 2000, 3, octree.Normal, 8)).WithCurve(curve)
 	kernels := []fem.Kernel{fem.HighOrder(), fem.Wave(), fem.Laplacian(), fem.MultiSpecies()}
 
-	for _, m := range []optipart.Machine{optipart.Titan(), optipart.Clemson32()} {
+	for _, m := range []machine.Machine{machine.Titan(), machine.Clemson32()} {
 		fmt.Printf("mesh: %d elements on %d ranks, machine %s\n", mesh.Len(), ranks, m.Name)
 
 		// Brute-force the tolerance sweep once; the partitions are kernel-
 		// independent, only the model's pricing differs.
-		qualities := make([]optipart.Quality, len(tols))
+		qualities := make([]partition.Quality, len(tols))
 		for i, tol := range tols {
-			var q optipart.Quality
-			optipart.Run(ranks, m, func(c *optipart.Comm) {
-				var local []optipart.Key
+			var q partition.Quality
+			comm.Run(ranks, m.CostModel(), func(c *comm.Comm) {
+				var local []sfc.Key
 				for j, k := range mesh.Leaves {
 					if j%ranks == c.Rank() {
 						local = append(local, k)
 					}
 				}
-				mode := optipart.FlexibleTolerance
+				mode := partition.FlexibleTolerance
 				if tol == 0 {
-					mode = optipart.EqualWork
+					mode = partition.EqualWork
 				}
-				res := optipart.Partition(c, local, optipart.Options{
+				res := partition.Partition(c, local, partition.Options{
 					Curve: curve, Mode: mode, Tol: tol, Machine: m, SkipExchange: true,
 				})
 				if c.Rank() == 0 {

@@ -11,32 +11,36 @@ import (
 	"fmt"
 	"math/rand"
 
-	"optipart"
+	"optipart/internal/comm"
+	"optipart/internal/machine"
+	"optipart/internal/octree"
+	"optipart/internal/partition"
+	"optipart/internal/sfc"
 )
 
 const ranks = 48
 
 func main() {
-	curve := optipart.NewCurve(optipart.Hilbert, 3)
-	mesh := optipart.Balance21(optipart.AdaptiveMesh(
-		rand.New(rand.NewSource(5)), 2000, 3, optipart.Normal, 8)).WithCurve(curve)
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	mesh := octree.Balance21(octree.AdaptiveMesh(
+		rand.New(rand.NewSource(5)), 2000, 3, octree.Normal, 8)).WithCurve(curve)
 	fmt.Printf("one mesh (%d elements), four machines, OptiPart on %d ranks\n\n", mesh.Len(), ranks)
 	fmt.Printf("%-12s %12s %10s %8s %8s %14s\n",
 		"machine", "tw/tc ratio", "achieved", "λ", "Cmax", "predicted (s)")
 
-	for _, m := range []optipart.Machine{
-		optipart.Titan(), optipart.Stampede(), optipart.Clemson32(), optipart.Wisconsin8(),
+	for _, m := range []machine.Machine{
+		machine.Titan(), machine.Stampede(), machine.Clemson32(), machine.Wisconsin8(),
 	} {
-		var res *optipart.Result
-		optipart.Run(ranks, m, func(c *optipart.Comm) {
-			var local []optipart.Key
+		var res *partition.Result
+		comm.Run(ranks, m.CostModel(), func(c *comm.Comm) {
+			var local []sfc.Key
 			for i, k := range mesh.Leaves {
 				if i%ranks == c.Rank() {
 					local = append(local, k)
 				}
 			}
-			r := optipart.Partition(c, local, optipart.Options{
-				Curve: curve, Mode: optipart.ModelDriven, Machine: m,
+			r := partition.Partition(c, local, partition.Options{
+				Curve: curve, Mode: partition.ModelDriven, Machine: m,
 			})
 			if c.Rank() == 0 {
 				res = r

@@ -10,7 +10,13 @@ import (
 	"fmt"
 	"math/rand"
 
-	"optipart"
+	"optipart/internal/comm"
+	"optipart/internal/fem"
+	"optipart/internal/machine"
+	"optipart/internal/octree"
+	"optipart/internal/partition"
+	"optipart/internal/power"
+	"optipart/internal/sfc"
 )
 
 const (
@@ -20,15 +26,15 @@ const (
 )
 
 func main() {
-	m := optipart.Clemson32()
-	curve := optipart.NewCurve(optipart.Hilbert, 3)
-	mesh := optipart.Balance21(optipart.AdaptiveMesh(
-		rand.New(rand.NewSource(7)), seeds, 3, optipart.Normal, depth)).WithCurve(curve)
+	m := machine.Clemson32()
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	mesh := octree.Balance21(octree.AdaptiveMesh(
+		rand.New(rand.NewSource(7)), seeds, 3, octree.Normal, depth)).WithCurve(curve)
 	fmt.Printf("mesh: %d elements, 2:1 balanced, Hilbert-ordered\n", mesh.Len())
 	fmt.Printf("machine: %s\n\n", m)
 
-	baseline := solve(m, curve, mesh, optipart.EqualWork)
-	opti := solve(m, curve, mesh, optipart.ModelDriven)
+	baseline := solve(m, curve, mesh, partition.EqualWork)
+	opti := solve(m, curve, mesh, partition.ModelDriven)
 
 	fmt.Printf("%-22s %14s %14s\n", "", "equal-work", "OptiPart")
 	fmt.Printf("%-22s %14d %14d\n", "CG iterations", baseline.iters, opti.iters)
@@ -49,24 +55,24 @@ type outcome struct {
 	cmax     int64
 }
 
-func solve(m optipart.Machine, curve *optipart.Curve, mesh *optipart.Tree, mode optipart.Mode) outcome {
+func solve(m machine.Machine, curve *sfc.Curve, mesh *octree.Tree, mode partition.Mode) outcome {
 	var out outcome
-	st := optipart.Run(ranks, m, func(c *optipart.Comm) {
-		var local []optipart.Key
+	st := comm.Run(ranks, m.CostModel(), func(c *comm.Comm) {
+		var local []sfc.Key
 		for i, k := range mesh.Leaves {
 			if i%ranks == c.Rank() {
 				local = append(local, k)
 			}
 		}
-		res := optipart.Partition(c, local, optipart.Options{
+		res := partition.Partition(c, local, partition.Options{
 			Curve: curve, Mode: mode, Machine: m,
 		})
-		prob := optipart.SetupPoisson(c, res.Local, res.Splitters)
+		prob := fem.Setup(c, res.Local, res.Splitters)
 
 		// Right-hand side: unit source scaled by cell volume.
 		b := prob.NewVector()
 		for i, k := range res.Local {
-			h := float64(k.Size()) / float64(uint32(1)<<optipart.MaxLevel)
+			h := float64(k.Size()) / float64(uint32(1)<<sfc.MaxLevel)
 			b[i] = h * h * h
 		}
 		_, iters, rel := prob.CG(c, b, 1e-8, 500)
@@ -81,6 +87,6 @@ func solve(m optipart.Machine, curve *optipart.Curve, mesh *optipart.Tree, mode 
 	for r := 0; r < ranks; r++ {
 		busy[r] = st.PhaseTimes[r]["compute"]
 	}
-	out.energy = optipart.MeasureEnergy(m, busy, st.Time(), rand.New(rand.NewSource(11))).TotalEnergy()
+	out.energy = power.Measure(power.JobFromRankTimes(m, busy, st.Time()), rand.New(rand.NewSource(11))).TotalEnergy()
 	return out
 }

@@ -8,26 +8,30 @@ import (
 	"fmt"
 	"math/rand"
 
-	"optipart"
+	"optipart/internal/comm"
+	"optipart/internal/machine"
+	"optipart/internal/octree"
+	"optipart/internal/partition"
+	"optipart/internal/sfc"
 )
 
 func main() {
 	const p = 16 // ranks
-	curve := optipart.NewCurve(optipart.Hilbert, 3)
-	m := optipart.Clemson32()
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	m := machine.Clemson32()
 
-	var res *optipart.Result
-	st := optipart.Run(p, m, func(c *optipart.Comm) {
+	var res *partition.Result
+	st := comm.Run(p, m.CostModel(), func(c *comm.Comm) {
 		// Every rank starts with 20k random octants (normal distribution,
 		// the paper's default workload).
 		rng := rand.New(rand.NewSource(int64(100 + c.Rank())))
-		local := optipart.RandomKeys(rng, 20000, 3, optipart.Normal, 2, 18)
+		local := octree.RandomKeys(rng, 20000, 3, octree.Normal, 2, 18)
 
 		// OptiPart: the machine model decides how much load imbalance to
 		// trade for smaller partition boundaries.
-		r := optipart.Partition(c, local, optipart.Options{
+		r := partition.Partition(c, local, partition.Options{
 			Curve:   curve,
-			Mode:    optipart.ModelDriven,
+			Mode:    partition.ModelDriven,
 			Machine: m,
 		})
 		if c.Rank() == 0 {

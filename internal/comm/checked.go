@@ -7,11 +7,10 @@ import (
 )
 
 // This file is the front door of the runtime: RunCheckedOpts starts every
-// in-process world (Run, RunTraced and RunChecked are wrappers over it;
-// RunRank is its one-rank-per-process sibling over a wire transport). A
-// world never behaves like an MPI job whose rank died without the others
-// noticing; it has the behavior production MPI runtimes are required to
-// have:
+// in-process world (Run and RunChecked are wrappers over it; RunRank is its
+// one-rank-per-process sibling over a wire transport). A world never
+// behaves like an MPI job whose rank died without the others noticing; it
+// has the behavior production MPI runtimes are required to have:
 //
 //   - every rank goroutine is recovered, so a panic becomes a structured
 //     RankFailure naming the rank, its last op, and its phase;
@@ -37,7 +36,10 @@ type CheckedOptions struct {
 	StallTimeout time.Duration
 	// Hooks intercept the runtime for fault injection (internal/fault).
 	Hooks Hooks
-	// Trace, when non-nil, records the run's timeline as in RunTraced.
+	// Trace, when non-nil, records the run's timeline: every compute
+	// charge and every collective becomes a span. It costs memory
+	// proportional to the number of events; use it for understanding runs,
+	// not for large campaigns.
 	Trace *Trace
 }
 

@@ -114,26 +114,16 @@ type Comm struct {
 // that cannot fail: the world's failure — a rank panic (*RankFailure
 // wrapping the panic value), ranks calling different collectives
 // (*MismatchError, *AbandonedError), an API misuse (*UsageError) — is
-// re-panicked on the caller's goroutine instead of being returned.
+// re-panicked on the caller's goroutine instead of being returned. Run
+// starts no stall watchdog, because a body may legitimately spend longer
+// than DefaultStallTimeout in real local computation between two
+// collectives and must not be killed for it.
 func Run(p int, model CostModel, f func(c *Comm)) *Stats {
-	return mustRun(p, model, nil, f)
-}
-
-// mustRun is the body Run and RunTraced share.
-func mustRun(p int, model CostModel, trace *Trace, f func(c *Comm)) *Stats {
-	stats, err := RunCheckedOpts(p, model, runOptions(trace), func(c *Comm) error { f(c); return nil })
+	stats, err := RunCheckedOpts(p, model, CheckedOptions{StallTimeout: -1}, func(c *Comm) error { f(c); return nil })
 	if err != nil {
 		panic(err)
 	}
 	return stats
-}
-
-// runOptions are the options Run and RunTraced pass to RunCheckedOpts: no
-// stall watchdog, because a body running under Run may legitimately spend
-// longer than DefaultStallTimeout in real local computation between two
-// collectives and must not be killed for it.
-func runOptions(trace *Trace) CheckedOptions {
-	return CheckedOptions{StallTimeout: -1, Trace: trace}
 }
 
 // newWorld allocates and arms a p-rank world: the clocks and accounting, the

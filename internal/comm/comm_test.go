@@ -1,9 +1,10 @@
 package comm
 
 import (
+	"bytes"
 	"errors"
 	"math"
-	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -300,11 +301,34 @@ func TestRunCountsCollectives(t *testing.T) {
 }
 
 // TestRunStartsNoWatchdog: a body under Run may compute for longer than
-// DefaultStallTimeout between collectives, so Run must disable the stall
-// watchdog (and ask for nothing else).
+// DefaultStallTimeout between collectives, so Run must not start the stall
+// watchdog. RunChecked, which does start it, shows the probe can see one.
 func TestRunStartsNoWatchdog(t *testing.T) {
-	trace := &Trace{}
-	if got, want := runOptions(trace), (CheckedOptions{StallTimeout: -1, Trace: trace}); !reflect.DeepEqual(got, want) {
-		t.Errorf("runOptions = %+v, want %+v", got, want)
+	// within reports whether the goroutine dump shows a watchdog (or, with
+	// want false, shows none) at some point before wait runs out.
+	within := func(want bool, wait time.Duration) bool {
+		buf := make([]byte, 1<<20)
+		for end := time.Now().Add(wait); ; time.Sleep(time.Millisecond) {
+			if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*World).watchdog")) == want {
+				return true
+			}
+			if time.Now().After(end) {
+				return false
+			}
+		}
+	}
+	var seen bool
+	if _, err := RunChecked(1, CostModel{}, func(c *Comm) error { seen = within(true, 5*time.Second); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !seen {
+		t.Fatal("RunChecked started no watchdog the probe could see")
+	}
+	if !within(false, 5*time.Second) {
+		t.Fatal("RunChecked's watchdog outlived its world")
+	}
+	Run(1, CostModel{}, func(c *Comm) { seen = within(true, 100*time.Millisecond) })
+	if seen {
+		t.Error("Run started the stall watchdog")
 	}
 }

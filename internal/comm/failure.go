@@ -12,7 +12,7 @@ import (
 // MPI programs are not allowed to hang when one rank dies or misbehaves;
 // neither is a world. Every way a run can go wrong maps to one of these
 // types, returned by RunChecked/RunCheckedOpts/RunRank and re-panicked on
-// the caller's goroutine by Run/RunTraced:
+// the caller's goroutine by Run:
 //
 //   - RankFailure: a rank panicked or returned an error. The world is
 //     poisoned so every survivor unblocks instead of waiting forever.

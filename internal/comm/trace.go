@@ -32,7 +32,7 @@ func (t *Trace) add(e Event) {
 		return // zero-cost spans add noise, not information
 	}
 	t.mu.Lock()
-	//lint:ignore unboundedgrowth tracing is documented as memory proportional to events (see RunTraced): a Trace lives for one diagnostic run, not for service traffic
+	//lint:ignore unboundedgrowth tracing is documented as memory proportional to events (see CheckedOptions.Trace): a Trace lives for one diagnostic run, not for service traffic
 	t.events = append(t.events, e)
 	t.mu.Unlock()
 }
@@ -49,15 +49,6 @@ func (t *Trace) Events() []Event {
 		return cmp.Compare(a.Rank, b.Rank)
 	})
 	return out
-}
-
-// RunTraced is Run with event recording: every compute charge and every
-// collective becomes a timeline span. Tracing costs memory proportional to
-// the number of events; use it for understanding runs, not for large
-// campaigns.
-func RunTraced(p int, model CostModel, f func(c *Comm)) (*Stats, *Trace) {
-	trace := &Trace{}
-	return mustRun(p, model, trace, f), trace
 }
 
 // RenderTimeline writes an ASCII Gantt chart of the trace: one row per

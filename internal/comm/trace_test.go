@@ -6,9 +6,20 @@ import (
 	"testing"
 )
 
+// runTraced is Run with a timeline recorded through CheckedOptions.Trace.
+func runTraced(t *testing.T, p int, model CostModel, f func(c *Comm)) (*Stats, *Trace) {
+	t.Helper()
+	trace := &Trace{}
+	stats, err := RunCheckedOpts(p, model, CheckedOptions{StallTimeout: -1, Trace: trace}, func(c *Comm) error { f(c); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats, trace
+}
+
 func TestRunTracedRecordsSpans(t *testing.T) {
 	model := CostModel{Tc: 1e-9, Ts: 1e-5, Tw: 1e-8}
-	stats, trace := RunTraced(4, model, func(c *Comm) {
+	stats, trace := runTraced(t, 4, model, func(c *Comm) {
 		c.SetPhase("work")
 		c.Compute(1 << 20)
 		_ = Allreduce(c, []int64{1}, 8, SumI64)
@@ -54,7 +65,7 @@ func TestUntracedRunRecordsNothing(t *testing.T) {
 
 func TestRenderTimeline(t *testing.T) {
 	model := CostModel{Tc: 1e-9, Ts: 1e-4}
-	_, trace := RunTraced(3, model, func(c *Comm) {
+	_, trace := runTraced(t, 3, model, func(c *Comm) {
 		c.Compute(int64(1+c.Rank()) << 22)
 		c.Barrier()
 	})

@@ -135,7 +135,7 @@ func checkHygieneCall(p *Pass, call *ast.CallExpr, loopDepth int) {
 		}
 		return
 	}
-	if name == "NewCurve" && loopDepth > 0 && (pkg == "optipart" || isSfcPkg(pkg)) {
+	if name == "NewCurve" && loopDepth > 0 && isSfcPkg(pkg) {
 		p.Report(call.Pos(), "NewCurve inside a loop: construction is memoized but each call takes the memo lock — hoist the curve out of the loop")
 	}
 }

@@ -33,7 +33,7 @@ var CollectiveDiverge = &Analyzer{
 }
 
 // collectiveFuncs are the comm collectives (package functions and the
-// Barrier method). The facade re-exports resolve to the same objects.
+// Barrier method).
 var collectiveFuncs = map[string]bool{
 	"Allreduce": true, "AllreduceScalar": true, "Allgather": true,
 	"Alltoallv": true, "Barrier": true,

@@ -283,10 +283,10 @@ func isLintPkg(path string) bool {
 	return strings.Contains(path, "internal/lint") && !strings.Contains(path, "lintfixture")
 }
 
-// isLibraryPkg reports whether path is library code (the root facade or
-// anything under internal/), as opposed to cmd/ and examples/ drivers,
-// which may legitimately touch wall clocks and print in map order.
+// isLibraryPkg reports whether path is library code (anything under
+// internal/), as opposed to cmd/ and examples/ drivers, which may
+// legitimately touch wall clocks and print in map order.
 func isLibraryPkg(path string) bool {
 	return !strings.Contains(path, "/cmd/") && !strings.Contains(path, "/examples/") &&
-		(strings.Contains(path, "/internal/") || !strings.Contains(path, "/"))
+		strings.Contains(path, "/internal/")
 }

@@ -2,6 +2,9 @@ package optipart_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -93,13 +96,14 @@ func goLines(t *testing.T, path string, dir bool) int {
 // docsNamingTests are the documents whose backticked test names must exist.
 var docsNamingTests = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
-// TestDocsNameDeclaredTests keeps the docs honest about the suite: every
-// TestX, FuzzX, BenchmarkX and ExampleX named inside backticks (inline or
-// fenced) in docsNamingTests is declared in some _test.go of the module. A
-// glob form such as `Benchmark*` names no one test and is skipped.
-func TestDocsNameDeclaredTests(t *testing.T) {
-	declared := map[string]bool{}
-	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
+// codeSpans matches what the docs put inside backticks: a fenced block or
+// an inline span.
+var codeSpans = regexp.MustCompile("(?s)```.*?```|`[^`]+`")
+
+// walkGo calls visit on every .go file of the module outside testdata and
+// dot directories.
+func walkGo(t *testing.T, visit func(path string) error) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -107,6 +111,24 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
 			return filepath.SkipDir
 		}
+		if strings.HasSuffix(path, ".go") {
+			return visit(path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDocsNameDeclaredTests keeps the docs honest about the suite: every
+// TestX, FuzzX, BenchmarkX and ExampleX named inside backticks (inline or
+// fenced) in docsNamingTests is declared in some _test.go of the module. A
+// glob form such as `Benchmark*` names no one test and is skipped.
+func TestDocsNameDeclaredTests(t *testing.T) {
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
+	walkGo(t, func(path string) error {
 		if strings.HasSuffix(path, "_test.go") {
 			b, err := os.ReadFile(path)
 			if err != nil {
@@ -118,17 +140,13 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	name := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)\w*\**`)
-	code := regexp.MustCompile("(?s)```.*?```|`[^`]+`")
 	for _, doc := range docsNamingTests {
 		b, err := os.ReadFile(filepath.FromSlash(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, span := range code.FindAllString(string(b), -1) {
+		for _, span := range codeSpans.FindAllString(string(b), -1) {
 			for _, n := range name.FindAllString(span, -1) {
 				if strings.HasSuffix(n, "*") || declared[n] {
 					continue
@@ -137,6 +155,67 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 					continue // the bare word, as in "an `Example` test"
 				}
 				t.Errorf("%s names %s in backticks, but no _test.go declares it", doc, n)
+			}
+		}
+	}
+}
+
+// TestDocsNameDeclaredAPI keeps the docs honest about the code: every
+// `pkg.Name` and `pkg.Type.Member` inside backticks in docsNamingTests,
+// where pkg is the name of a package in this module or the module path,
+// names a package-level identifier or a method that pkg declares in a
+// non-test file (`fem.Dot` is short for `fem.Problem.Dot`; for
+// pkg.Type.Member, the type is checked). Only an exported Name counts: a
+// lowercase one is a metric or a file (`partition.step_ms`, `main.go`).
+// internal/net is package net, so this would also check a standard-library
+// net identifier; the docs name none.
+func TestDocsNameDeclaredAPI(t *testing.T) {
+	// package name → its declared names; the module path declares none.
+	declared := map[string]map[string]bool{"optipart": {}}
+	fset := token.NewFileSet()
+	walkGo(t, func(path string) error {
+		if strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		names := declared[f.Name.Name]
+		if names == nil {
+			names = map[string]bool{}
+			declared[f.Name.Name] = names
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				names[d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	ref := regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	for _, doc := range docsNamingTests {
+		b, err := os.ReadFile(filepath.FromSlash(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpans.FindAllString(string(b), -1) {
+			for _, m := range ref.FindAllStringSubmatch(span, -1) {
+				if names, ok := declared[m[1]]; ok && !names[m[2]] {
+					t.Errorf("%s names %s.%s in backticks, but package %s declares no %s", doc, m[1], m[2], m[1], m[2])
+				}
 			}
 		}
 	}

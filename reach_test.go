@@ -14,8 +14,8 @@ import (
 )
 
 // reachKeep is the allow-list of TestInternalReachability: functions, types
-// and methods under internal/ that no command, example, facade export or
-// initializer reaches, kept on purpose. Every entry is a row of DESIGN.md's
+// and methods under internal/ that no command, example or initializer
+// reaches, kept on purpose. Every entry is a row of DESIGN.md's
 // "Kept without a production caller" table and carries that row's reason.
 // A method is keyed as "pkg.Type.Method".
 var reachKeep = map[string]string{
@@ -66,10 +66,9 @@ var loadModule = sync.OnceValues(func() (loadedModule, error) {
 // TestInternalReachability is the gate under DESIGN.md's rent ledger: every
 // package-level func and type, and every method, declared in a non-test file
 // under internal/ must be reachable from a root, or be listed in reachKeep
-// with its reason. Roots are every main and init, every package-level var,
-// and every exported name of the root facade package. An edge is any use of
-// a package-level object or a method inside a declaration. A method is
-// reached when a reached declaration selects it (x.M or T.M), or when its
+// with its reason. Roots are every main and init and every package-level
+// var. An edge is any use of a package-level object or a method inside a
+// declaration. A method is reached when a reached declaration selects it (x.M or T.M), or when its
 // receiver type is reached and its name is a method of an interface type
 // declared in the module, of error, or of an interface type declared by a
 // standard-library package the module imports (interfaceMethodNames):
@@ -131,14 +130,6 @@ func TestInternalReachability(t *testing.T) {
 							}
 						}
 					}
-				}
-			}
-		}
-		if pkg.Path == loader.ModPath {
-			scope := pkg.Types.Scope()
-			for _, name := range scope.Names() {
-				if o := scope.Lookup(name); o.Exported() {
-					roots = append(roots, o)
 				}
 			}
 		}

@@ -30,6 +30,21 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Every stage writes its reports, logs, binaries and sockets under one work
+# directory, removed on any exit.
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+# expect LOG LINE fails the gate unless LOG holds LINE, printing the log and
+# the missing line first.
+expect() {
+    if ! grep -q "$2" "$1"; then
+        echo "$1 lacks the expected line: $2" >&2
+        cat "$1" >&2
+        exit 1
+    fi
+}
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -48,10 +63,8 @@ echo "==> optipartlint ./..."
 go run ./cmd/optipartlint ./...
 
 echo "==> optipartlint -json report parses"
-lintreport=$(mktemp)
-trap 'rm -f "$lintreport"' EXIT
-go run ./cmd/optipartlint -json ./... >"$lintreport"
-go run ./cmd/optipartlint -check "$lintreport"
+go run ./cmd/optipartlint -json ./... >"$work/lint.json"
+go run ./cmd/optipartlint -check "$work/lint.json"
 go run ./cmd/optipartlint -listignores ./... >/dev/null
 
 echo "==> allocgate ./... (compiler-verified //alloc:zero contracts)"
@@ -62,10 +75,8 @@ echo "==> allocgate ./... (compiler-verified //alloc:zero contracts)"
 go run ./cmd/allocgate ./...
 
 echo "==> allocgate -json report parses"
-allocreport=$(mktemp)
-trap 'rm -f "$lintreport" "$allocreport"' EXIT
-go run ./cmd/allocgate -json ./... >"$allocreport"
-go run ./cmd/allocgate -check "$allocreport"
+go run ./cmd/allocgate -json ./... >"$work/alloc.json"
+go run ./cmd/allocgate -check "$work/alloc.json"
 
 echo "==> fuzz smoke: FuzzRankWithSpan, FuzzSpanBox, FuzzRankOrder, FuzzCompareConsistent (10 s each)"
 # The curve kernels' oracles, run past their seed corpora: the neighbour-span
@@ -140,52 +151,43 @@ echo "==> benchmark spine: quick run, exact metrics against scripts/spine_quick_
 # that legitimately changes a placement regenerates the baseline with
 #   bash benchmark/run.sh -quick >scripts/spine_quick_baseline.json
 # and says so in CHANGES.md.
-spinedir=$(mktemp -d)
-if ! bash benchmark/run.sh -quick >"$spinedir/quick.json" 2>"$spinedir/quick.log"; then
+if ! bash benchmark/run.sh -quick >"$work/quick.json" 2>"$work/quick.log"; then
     echo "benchmark -quick failed:" >&2
-    cat "$spinedir/quick.log" >&2
-    rm -rf "$spinedir"
+    cat "$work/quick.log" >&2
     exit 1
 fi
-bash benchmark/run.sh -compare scripts/spine_quick_baseline.json "$spinedir/quick.json" >"$spinedir/compare.txt" || true
-cat "$spinedir/compare.txt"
-if [ ! -s "$spinedir/compare.txt" ] ||
-        grep -Eq 'changed|failed ops|only in the new run|^note: the runs differ|^compare:' "$spinedir/compare.txt"; then
+bash benchmark/run.sh -compare scripts/spine_quick_baseline.json "$work/quick.json" >"$work/compare.txt" || true
+cat "$work/compare.txt"
+if [ ! -s "$work/compare.txt" ] ||
+        grep -Eq 'changed|failed ops|only in the new run|^note: the runs differ|^compare:' "$work/compare.txt"; then
     echo "spine: exact metrics or failed-op share differ from scripts/spine_quick_baseline.json" >&2
-    rm -rf "$spinedir"
     exit 1
 fi
 # Repartitioner.Step's zero-allocation contract, read from the number the
 # spine itself reports (TestRepartitionerStepZeroAlloc guards the same
 # contract inside the suite). A missing metric fails too.
-stepallocs=$(grep -Eo '"partition\.step_allocs":\{"value":[^,}]*' "$spinedir/quick.json" | sed 's/.*"value"://')
+stepallocs=$(grep -Eo '"partition\.step_allocs":\{"value":[^,}]*' "$work/quick.json" | sed 's/.*"value"://')
 if [ "$stepallocs" != "0" ]; then
     echo "spine: partition.step_allocs is ${stepallocs:-missing}, want 0" >&2
-    rm -rf "$spinedir"
     exit 1
 fi
-rm -rf "$spinedir"
 
 echo "==> repart transcript bit-identical at -workers 1 and GOMAXPROCS, and to its golden"
 # The incremental repartitioning campaign must not depend on worker-pool
 # width: the quick transcript is compared byte-for-byte between the serial
 # path and the host's full width, then against the committed golden.
-repartdir=$(mktemp -d)
-go run ./cmd/experiments -run repart -quick -workers 1 >"$repartdir/w1.txt"
-go run ./cmd/experiments -run repart -quick >"$repartdir/wmax.txt"
-if ! cmp -s "$repartdir/w1.txt" "$repartdir/wmax.txt"; then
+go run ./cmd/experiments -run repart -quick -workers 1 >"$work/w1.txt"
+go run ./cmd/experiments -run repart -quick >"$work/wmax.txt"
+if ! cmp -s "$work/w1.txt" "$work/wmax.txt"; then
     echo "repart transcript differs between -workers 1 and GOMAXPROCS:" >&2
-    diff "$repartdir/w1.txt" "$repartdir/wmax.txt" >&2 || true
-    rm -rf "$repartdir"
+    diff "$work/w1.txt" "$work/wmax.txt" >&2 || true
     exit 1
 fi
-if ! cmp -s "$repartdir/w1.txt" internal/experiments/testdata/golden/repart.golden; then
+if ! cmp -s "$work/w1.txt" internal/experiments/testdata/golden/repart.golden; then
     echo "repart transcript diverges from the committed golden:" >&2
-    diff internal/experiments/testdata/golden/repart.golden "$repartdir/w1.txt" >&2 || true
-    rm -rf "$repartdir"
+    diff internal/experiments/testdata/golden/repart.golden "$work/w1.txt" >&2 || true
     exit 1
 fi
-rm -rf "$repartdir"
 
 echo "==> repart full campaign (its built-in headline assertions are the gate)"
 # The quick transcript cannot see Repartition's merge rung: without it the
@@ -202,40 +204,34 @@ echo "==> optipartd multi-process smoke (4 ranks, kill one, recover)"
 # detected by heartbeat), and must finish the repartition onto the 3
 # survivors within the deadline — a hang here is a failed gate, not a stuck
 # CI job.
-smokedir=$(mktemp -d)
-go build -o "$smokedir/optipartd" ./cmd/optipartd
+go build -o "$work/optipartd" ./cmd/optipartd
 # The same binary with no wire mode flag runs the local (in-process) mode:
 # this covers its dispatch and flag wiring end to end.
-"$smokedir/optipartd" -p 8 -n 20000 >"$smokedir/local.log"
-grep -q "predicted app step" "$smokedir/local.log"
-smokelog="$smokedir/smoke.log"
-if ! "$smokedir/optipartd" -launch -p 4 -n 6000 -kill 2@3 -deadline 90s \
-        -socket "$smokedir" >"$smokelog" 2>&1; then
+"$work/optipartd" -p 8 -n 20000 >"$work/local.log"
+expect "$work/local.log" "predicted app step"
+if ! "$work/optipartd" -launch -p 4 -n 6000 -kill 2@3 -deadline 90s \
+        -socket "$work" >"$work/smoke.log" 2>&1; then
     echo "optipartd smoke failed:" >&2
-    cat "$smokelog" >&2
-    rm -rf "$smokedir"
+    cat "$work/smoke.log" >&2
     exit 1
 fi
-grep -q "structured failure as expected" "$smokelog"
-grep -q "recovery on 3 survivors completed" "$smokelog"
+expect "$work/smoke.log" "structured failure as expected"
+expect "$work/smoke.log" "recovery on 3 survivors completed"
 
 echo "==> optipartd self-healing smoke (restore policy: kill, respawn, resume)"
 # Same hermetic setup, -on-failure=restore: the victim hard-exits mid-campaign,
 # the supervisor respawns it under the backoff budget, the replacement restores
 # from the newest checkpoint, and the finished campaign's digest must be
 # byte-identical to the fault-free golden the driver computes up front.
-restorelog="$smokedir/restore.log"
-if ! "$smokedir/optipartd" -launch -p 3 -n 3000 -steps 4 -on-failure=restore \
-        -kill 2@30 -deadline 90s -socket "$smokedir" >"$restorelog" 2>&1; then
+if ! "$work/optipartd" -launch -p 3 -n 3000 -steps 4 -on-failure=restore \
+        -kill 2@30 -deadline 90s -socket "$work" >"$work/restore.log" 2>&1; then
     echo "optipartd restore smoke failed:" >&2
-    cat "$restorelog" >&2
-    rm -rf "$smokedir"
+    cat "$work/restore.log" >&2
     exit 1
 fi
-grep -q "supervisor: respawned rank" "$restorelog"
-grep -q "restoring from epoch" "$restorelog"
-grep -q "digest matches fault-free golden" "$restorelog"
-rm -rf "$smokedir"
+expect "$work/restore.log" "supervisor: respawned rank"
+expect "$work/restore.log" "restoring from epoch"
+expect "$work/restore.log" "digest matches fault-free golden"
 
 echo "==> chaos harness smoke (5 fixed seeds, quick sizes, short deadline)"
 # Each seed draws a distinct kill/drain/straggler schedule; every one
