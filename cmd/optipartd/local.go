@@ -19,7 +19,9 @@ import (
 // runLocal runs the rank program on a world of p in-process ranks under the
 // checked runtime, with the fault plan's hooks and, when trace is set, a
 // timeline, and prints the result to w. A world the plan kills prints its
-// failure and the modeled time at teardown, and returns the failure.
+// failure and the modeled time at teardown, and returns the failure. A fired
+// kill always fails the world, so a plan with a kill whose world succeeds
+// prints the report and returns an error: the run ended before the kill.
 func runLocal(w io.Writer, pr program, p int, plan *fault.Plan, trace bool) error {
 	m, _, _, _, err := pr.parse()
 	if err != nil {
@@ -52,6 +54,10 @@ func runLocal(w io.Writer, pr program, p int, plan *fault.Plan, trace bool) erro
 	if opts.Trace != nil {
 		fmt.Fprintln(w)
 		comm.RenderTimeline(w, opts.Trace, p, 100)
+	}
+	if len(plan.Kills) > 0 {
+		k := plan.Kills[0]
+		return fmt.Errorf("-kill %d@%d never fired: the run ended before rank %d's collective %d", k.Rank, k.AtCollective, k.Rank, k.AtCollective)
 	}
 	return nil
 }

@@ -38,7 +38,8 @@ func TestLocalRun(t *testing.T) {
 
 // TestLocalKill: -kill 3@5 on a local world tears it down with a
 // *RankFailure naming rank 3, and the run prints the failure instead of a
-// table.
+// table. A -kill past the run's last collective never fires: the run prints
+// its table and still fails, naming the -kill.
 func TestLocalKill(t *testing.T) {
 	plan, err := buildPlan(8, "3@5", "")
 	if err != nil {
@@ -52,6 +53,18 @@ func TestLocalKill(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "world failed:") || strings.Contains(out.String(), "partition quality") {
 		t.Errorf("failed local run printed:\n%s", out.String())
+	}
+
+	if plan, err = buildPlan(8, "3@100000", ""); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	err = runLocal(&out, localProgram, 8, plan, false)
+	if err == nil || !strings.Contains(err.Error(), "-kill 3@100000 never fired") {
+		t.Fatalf("local run with -kill 3@100000: err = %v, want a never-fired error", err)
+	}
+	if !strings.Contains(out.String(), "partition quality") {
+		t.Errorf("unfired kill run printed no table:\n%s", out.String())
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -44,7 +45,8 @@ func TestParseKill(t *testing.T) {
 
 // TestProgramParse covers the shared rank-program flags: every process in
 // the world parses the same strings, so a typo must fail identically and
-// early everywhere.
+// early everywhere. The model inputs -tol and -alpha are refused unless
+// finite and >= 0, with the service's rule and wording.
 func TestProgramParse(t *testing.T) {
 	good := program{n: 1000, seed: 7, machineName: "Titan", curveName: "Morton",
 		modeName: "flexible", distName: "uniform", tol: 0.2, alpha: 8}
@@ -60,6 +62,11 @@ func TestProgramParse(t *testing.T) {
 		{func(p *program) { p.modeName = "greedy" }, "unknown mode"},
 		{func(p *program) { p.distName = "cauchy" }, "unknown distribution"},
 		{func(p *program) { p.n = 0 }, "at least one element"},
+		{func(p *program) { p.alpha = math.NaN() }, "-alpha NaN is not finite and >= 0"},
+		{func(p *program) { p.alpha = math.Inf(1) }, "-alpha +Inf is not finite and >= 0"},
+		{func(p *program) { p.alpha = -50 }, "-alpha -50 is not finite and >= 0"},
+		{func(p *program) { p.tol = math.NaN() }, "-tol NaN is not finite and >= 0"},
+		{func(p *program) { p.tol = -0.1 }, "-tol -0.1 is not finite and >= 0"},
 	}
 	for _, tc := range cases {
 		pr := good

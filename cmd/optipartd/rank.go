@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -45,6 +46,13 @@ func (pr program) parse() (machine.Machine, *sfc.Curve, partition.Mode, octree.D
 	}
 	if pr.n < 1 {
 		return machine.Machine{}, nil, 0, 0, fmt.Errorf("-n %d: need at least one element", pr.n)
+	}
+	// The model inputs, refused as the service's validate refuses them.
+	if !(pr.tol >= 0 && pr.tol <= math.MaxFloat64) {
+		return machine.Machine{}, nil, 0, 0, fmt.Errorf("-tol %g is not finite and >= 0", pr.tol)
+	}
+	if !(pr.alpha >= 0 && pr.alpha <= math.MaxFloat64) {
+		return machine.Machine{}, nil, 0, 0, fmt.Errorf("-alpha %g is not finite and >= 0", pr.alpha)
 	}
 	return m, sfc.NewCurve(kind, 3), pmode, d, nil
 }

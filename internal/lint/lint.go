@@ -10,11 +10,11 @@
 //   - cost accounting: every byte moved is charged to comm.Stats
 //     (costaccounting),
 //
-// plus apihygiene, which keeps the PR-3 performance work (generic sorts,
+// plus apihygiene, which keeps the performance decisions (generic sorts,
 // memoized curves, structured panics, rank order) from regressing, and four
 // concurrency-protocol rules: lockorder, condwait, goroutineleak and
-// unboundedgrowth. Each rule keeps its place by catching a defect nothing
-// else in CI catches (DESIGN.md, "Static invariants").
+// unboundedgrowth. Each rule keeps its place by catching a mutation nothing
+// else in CI catches (the rule table in DESIGN.md's "Static invariants").
 //
 // Each analyzer walks the typed AST of one package and reports Diagnostics.
 // A diagnostic can be suppressed — with an audit trail — by a

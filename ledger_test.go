@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // TestLedgerInventory keeps DESIGN.md's rent ledger and the tree in step:
@@ -93,7 +94,8 @@ func goLines(t *testing.T, path string, dir bool) int {
 	return n
 }
 
-// docsNamingTests are the documents whose backticked test names must exist.
+// docsNamingTests are the documents whose backticked test and API names
+// must exist and whose DESIGN.md section citations must resolve.
 var docsNamingTests = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
 
 // codeSpans matches what the docs put inside backticks: a fenced block or
@@ -219,4 +221,84 @@ func TestDocsNameDeclaredAPI(t *testing.T) {
 			}
 		}
 	}
+}
+
+// docBudgets bounds the bytes of the two documents that describe the
+// system as it is.
+var docBudgets = map[string]int{"DESIGN.md": 48000, ".claude/skills/verify/SKILL.md": 6000}
+
+// Section citations, matched once whitespace is collapsed so that a citation
+// may wrap across lines: one or more quoted names, capitalised as headings
+// are, before `section(s) of DESIGN.md` or `in DESIGN.md`, or after
+// `DESIGN.md`, `DESIGN.md's` or `DESIGN.md,`.
+const quotedNames = `((?:"[A-Z][^"]{0,60}"(?:,| and| or)? ?)+)`
+
+var (
+	citeBefore    = regexp.MustCompile(quotedNames + "(?:sections? (?:of|in)|in) `?DESIGN\\.md")
+	citeAfter     = regexp.MustCompile("DESIGN\\.md`?(?:'s|,)? " + quotedNames)
+	quotedName    = regexp.MustCompile(`"([^"]+)"`)
+	prCitation    = regexp.MustCompile(`\bPR[ -]?[0-9]+`)
+	designHeading = regexp.MustCompile(`(?m)^#{2,3} (.+)$`)
+)
+
+// TestDocsCiteDesignSections keeps DESIGN.md's cross-references and its
+// size honest. Every quoted section name that one of docsNamingTests or a
+// Go comment cites as a DESIGN.md section (as in `"name" section of
+// DESIGN.md`) must start a ## or ### heading, followed by the heading's end
+// or a character that is not a letter or digit. DESIGN.md and the skill
+// must stay within docBudgets and cite no pull request by number.
+func TestDocsCiteDesignSections(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := designHeading.FindAllStringSubmatch(string(design), -1)
+	resolves := func(name string) bool {
+		for _, h := range headings {
+			if rest, ok := strings.CutPrefix(h[1], name); ok && (rest == "" || !unicode.IsLetter(rune(rest[0])) && !unicode.IsDigit(rune(rest[0]))) {
+				return true
+			}
+		}
+		return false
+	}
+	check := func(where, text string) {
+		text = strings.Join(strings.Fields(text), " ")
+		for _, re := range []*regexp.Regexp{citeBefore, citeAfter} {
+			for _, m := range re.FindAllStringSubmatch(text, -1) {
+				for _, q := range quotedName.FindAllStringSubmatch(m[1], -1) {
+					if !resolves(q[1]) {
+						t.Errorf("%s cites DESIGN.md section %q, which no ## or ### heading starts", where, q[1])
+					}
+				}
+			}
+		}
+	}
+	for _, doc := range docsNamingTests {
+		b, err := os.ReadFile(filepath.FromSlash(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(doc, string(b))
+		budget, ok := docBudgets[doc]
+		if !ok {
+			continue
+		}
+		if len(b) > budget {
+			t.Errorf("%s is %d bytes, over its budget of %d", doc, len(b), budget)
+		}
+		for _, pr := range prCitation.FindAllString(string(b), -1) {
+			t.Errorf("%s cites %q: describe the system, and leave its history to CHANGES.md and git", doc, pr)
+		}
+	}
+	fset := token.NewFileSet()
+	walkGo(t, func(path string) error {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			check(fset.Position(cg.Pos()).String(), cg.Text())
+		}
+		return nil
+	})
 }

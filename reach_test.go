@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -15,9 +17,9 @@ import (
 
 // reachKeep is the allow-list of TestInternalReachability: functions, types
 // and methods under internal/ that no command, example or initializer
-// reaches, kept on purpose. Every entry is a row of DESIGN.md's
-// "Kept without a production caller" table and carries that row's reason.
-// A method is keyed as "pkg.Type.Method".
+// reaches, kept on purpose. Every entry is a row of the reachKeep table in
+// DESIGN.md's "Rent ledger" (TestKeepListsHaveDesignRows) and carries that
+// row's reason. A method is keyed as "pkg.Type.Method".
 var reachKeep = map[string]string{
 	"internal/octree.SurfaceArea": "ROADMAP item 7's surface-to-volume oracle (arXiv:2106.12856) measures with it; a reference tests compare against",
 	"internal/net.DecodeFrame":    "the fuzz entry: FuzzDecodeFrame drives it and ReadFrame side by side over the one header parser",
@@ -42,6 +44,57 @@ const (
 	maxReachKeep = 16
 	maxKnobKeep  = 14
 )
+
+// TestKeepListsHaveDesignRows keeps reachKeep and knobKeep one to one with
+// their DESIGN.md tables: each row's first backticked name is a key without
+// its internal/ prefix, and each key has exactly one row.
+func TestKeepListsHaveDesignRows(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstName := regexp.MustCompile("^\\| `([^`]+)`")
+	for _, list := range []struct {
+		heading string
+		keep    map[string]string
+	}{
+		{"**Kept without a production caller**", reachKeep},
+		{"**Kept knobs**", knobKeep},
+	} {
+		_, after, ok := strings.Cut(string(design), "\n"+list.heading)
+		if !ok {
+			t.Errorf("DESIGN.md has no %s table", list.heading)
+			continue
+		}
+		// The table is the first run of lines that start with "|".
+		rows := map[string]int{}
+		inTable := false
+		for _, line := range strings.Split(after, "\n") {
+			if !strings.HasPrefix(line, "|") {
+				if inTable {
+					break
+				}
+				continue
+			}
+			inTable = true
+			if m := firstName.FindStringSubmatch(line); m != nil {
+				rows[m[1]]++
+			}
+		}
+		for name, n := range rows {
+			if _, ok := list.keep["internal/"+name]; !ok {
+				t.Errorf("DESIGN.md's %s table has a row for %s, which is no key of its allow-list", list.heading, name)
+			} else if n != 1 {
+				t.Errorf("DESIGN.md's %s table has %d rows for %s, want 1", list.heading, n, name)
+			}
+		}
+		for key := range list.keep {
+			if rows[strings.TrimPrefix(key, "internal/")] == 0 {
+				t.Errorf("%s has no row in DESIGN.md's %s table", key, list.heading)
+			}
+		}
+	}
+}
 
 // loadedModule is the type-checked, non-test view of the whole module.
 type loadedModule struct {

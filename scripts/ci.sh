@@ -45,6 +45,15 @@ expect() {
     fi
 }
 
+# refuse CMD... fails the gate if CMD exits zero, printing its output.
+refuse() {
+    if out=$("$@" 2>&1); then
+        echo "expected a non-zero exit from: $*" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+}
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -209,6 +218,10 @@ go build -o "$work/optipartd" ./cmd/optipartd
 # this covers its dispatch and flag wiring end to end.
 "$work/optipartd" -p 8 -n 20000 >"$work/local.log"
 expect "$work/local.log" "predicted app step"
+# A kill past the run's last collective never fires, and a non-finite model
+# input is refused: both must fail the run.
+refuse "$work/optipartd" -p 8 -n 20000 -kill 3@100000
+refuse "$work/optipartd" -p 8 -n 2000 -alpha NaN
 if ! "$work/optipartd" -launch -p 4 -n 6000 -kill 2@3 -deadline 90s \
         -socket "$work" >"$work/smoke.log" 2>&1; then
     echo "optipartd smoke failed:" >&2
