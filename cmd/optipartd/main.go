@@ -15,10 +15,8 @@
 //
 // With no wire mode flag the program runs locally and prints the partition
 // quality (with -steps, the campaign digest). Only there, -straggler
-// degrades a rank, -trace prints an ASCII timeline, -workers sizes the
-// shared worker pool, and -repart-steps runs the online AMR loop instead:
-// the mesh evolves under a moving front and each step is repartitioned
-// incrementally from the previous placement.
+// degrades a rank, -trace prints an ASCII timeline, and -workers sizes the
+// shared worker pool.
 //
 // Every endpoint is unix:/path.sock or tcp:host:port, parsed by one
 // grammar; tcp::port binds or dials loopback, never every interface.
@@ -99,15 +97,13 @@ func main() {
 		machineArg = flag.String("machine", "Clemson-32", "machine model: Titan, Stampede, Clemson-32, Wisconsin-8")
 		curveArg   = flag.String("curve", "hilbert", "space-filling curve: morton or hilbert")
 		mode       = flag.String("mode", "optipart", "partitioning mode: equal, flexible, optipart")
-		tol        = flag.Float64("tol", 0.3, "tolerance for -mode flexible and the incremental keep window of -repart-steps")
+		tol        = flag.Float64("tol", 0.3, "tolerance for -mode flexible")
 		dist       = flag.String("dist", "normal", "element distribution: uniform, normal, lognormal")
 		alpha      = flag.Float64("alpha", machine.DefaultAlpha, "memory accesses per unit work (application model)")
 
 		strag   = flag.String("straggler", "", "local mode: degrade a rank, as rank@tcmult[,twmult]")
 		trace   = flag.Bool("trace", false, "local mode: print an ASCII timeline of the run (compute vs collective per rank)")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "local mode: worker-pool width shared by all ranks (1 forces the serial paths; results are identical at every width)")
-		rsteps  = flag.Int("repart-steps", 0, "local mode: run the online AMR loop for this many refine/coarsen steps under a moving front, repartitioning incrementally each step (0 = the rank program)")
-		rfrac   = flag.Float64("refine-frac", 0.008, "local mode: per-leaf refinement fraction per step of -repart-steps, in (0,1) (coarsening drains at 1.25x behind the front)")
 	)
 	flag.Parse()
 
@@ -134,15 +130,6 @@ func main() {
 	if err := validateWorkers(*workers); err != nil {
 		fatal(err)
 	}
-	if *rsteps < 0 {
-		fatal(fmt.Errorf("-repart-steps %d: must be >= 0", *rsteps))
-	}
-	if *rfrac <= 0 || *rfrac >= 1 {
-		fatal(fmt.Errorf("-refine-frac %g: must be in (0,1)", *rfrac))
-	}
-	if *rsteps > 0 && (*kill != "" || *strag != "" || *steps > 0) {
-		fatal(fmt.Errorf("-repart-steps runs its own loop: it does not combine with -steps or the fault-injection flags (see `experiments -run faults`)"))
-	}
 	policy, err := wnet.ParsePolicy(*onFailure)
 	if err != nil {
 		fatal(err)
@@ -150,7 +137,7 @@ func main() {
 	if *serve != "" || *launch || *listen != "" || *connect != "" {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "straggler", "trace", "workers", "repart-steps", "refine-frac":
+			case "straggler", "trace", "workers":
 				fatal(fmt.Errorf("-%s runs only in local mode (no -serve, -launch, -listen or -connect)", f.Name))
 			}
 		})
@@ -171,8 +158,6 @@ func main() {
 		err = rootMain(pr, *listen, *p, *calibrate, policy, *ckptDir)
 	case *connect != "":
 		err = workerMain(pr, *connect, *rank, *p, *hardkill, *ckptDir, *incarnation)
-	case *rsteps > 0:
-		err = runRepartLoop(os.Stdout, pr, *p, *rsteps, *rfrac)
 	default:
 		var plan *fault.Plan
 		if plan, err = buildPlan(*p, *kill, *strag); err == nil {

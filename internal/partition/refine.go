@@ -66,24 +66,23 @@ func newSelector(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, ranks []sfc.Ra
 	}
 	s.lo, s.hi = a.Spans(len(local))
 	fillColumns(curve, local, ranks, s.lo, s.hi, false)
+	s.n = comm.AllreduceScalar(c, int64(len(local)), 8, comm.SumI64)
 	s.start()
 	return s
 }
 
-// restart returns a selector over the same elements and cached columns
-// with a fresh bucket tree. Like newSelector it sums the global element
-// count with one reduction.
+// restart returns a selector over the same elements, cached columns and
+// global count with a fresh bucket tree. It issues no reduction.
 func (s *selector) restart() *selector {
-	t := &selector{c: s.c, curve: s.curve, local: s.local, ranks: s.ranks, lo: s.lo, hi: s.hi, kmax: s.kmax}
+	t := &selector{c: s.c, curve: s.curve, local: s.local, ranks: s.ranks, lo: s.lo, hi: s.hi, kmax: s.kmax, n: s.n}
 	t.start()
 	return t
 }
 
-// start sums the global element count and sets up the root bucket and the
-// ideal splitter ranks.
+// start sets up the root bucket over the global count n and the ideal
+// splitter ranks.
 func (s *selector) start() {
 	p := s.c.Size()
-	s.n = comm.AllreduceScalar(s.c, int64(len(s.local)), 8, comm.SumI64)
 	s.buckets = []bucket{{
 		key:   sfc.RootKey,
 		state: s.curve.RootState(),
@@ -317,9 +316,21 @@ func (s *selector) snap() *Splitters {
 	return &Splitters{Curve: s.curve, Seps: seps}
 }
 
-// boundaryKeyNear returns the separator key of the boundary nearest to
-// global rank g.
-func (s *selector) boundaryKeyNear(g int64) sfc.Key {
+// bounds returns the p+1 global range boundaries of snap's placement: 0,
+// the start of each target's nearest boundary, and n. Buckets are the same
+// on every rank, so it issues no reduction.
+func (s *selector) bounds() []int {
+	out := make([]int, len(s.targets)+2)
+	for i, g := range s.targets {
+		_, out[i+1] = s.boundaryNear(g)
+	}
+	out[len(out)-1] = int(s.n)
+	return out
+}
+
+// boundaryNear returns the boundary nearest to global rank g: the start key
+// and global start of its bucket, or InfKey and n for the end.
+func (s *selector) boundaryNear(g int64) (sfc.Key, int) {
 	b, inside := s.locate(g)
 	if inside {
 		if left, right := s.buckets[b].sides(g); left > right {
@@ -327,9 +338,16 @@ func (s *selector) boundaryKeyNear(g int64) sfc.Key {
 		}
 	}
 	if b < len(s.buckets) {
-		return s.buckets[b].key
+		return s.buckets[b].key, int(s.buckets[b].start)
 	}
-	return InfKey
+	return InfKey, int(s.n)
+}
+
+// boundaryKeyNear returns the separator key of the boundary nearest to
+// global rank g.
+func (s *selector) boundaryKeyNear(g int64) sfc.Key {
+	k, _ := s.boundaryNear(g)
+	return k
 }
 
 // achievedTolerance returns the worst relative deviation of the snapped

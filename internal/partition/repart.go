@@ -30,13 +30,9 @@ type RepartOptions struct {
 type RepartResult struct {
 	Result
 
-	// MovedElements/MovedBytes count elements whose owner changed from the
-	// prior placement to the adopted one (bytes = elements × PayloadBytes).
+	// MovedElements counts the elements whose owner changed from the prior
+	// placement to the adopted one.
 	MovedElements int64
-	MovedBytes    int64
-	MigrationCost float64 // machine.MigrationCost(MovedBytes)
-	Objective     float64 // horizon·Tp + MigrationCost of the adopted placement
-	KeptSeps      int     // separators inherited verbatim from the prior placement
 }
 
 // Repartition is the incremental, migration-aware counterpart of Partition
@@ -47,7 +43,8 @@ type RepartResult struct {
 // J = horizon·Tp + tw·movedBytes, adopting a rebalance only when the model
 // says the moved bytes pay for themselves within the horizon. On an
 // unchanged mesh the descent reproduces the prior placement, so the call
-// keeps it and moves nothing.
+// keeps it and moves nothing. Every candidate is priced from its p+1
+// global range boundaries, and only the prior's cost a reduction.
 //
 // local must be each rank's current elements; opts.Prior describes where
 // they live, which is what the moved-bytes term charges against.
@@ -82,36 +79,32 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	sel := newSelector(c, curve, local, ranks, a, opts.MaxSplitters)
 
 	// Rung zero: keep the prior placement verbatim. Its quality is the
-	// baseline objective; it moves nothing.
-	best := prior
-	bestQ := sel.quality(prior)
+	// baseline objective; it moves nothing. Its range boundaries in the new
+	// element order are what every other candidate's moved count is
+	// measured against.
+	best, bestQ := prior, sel.quality(prior)
 	bestTp, bestJ := obj.tp(bestQ), obj.j(bestQ, 0)
-	var bestMoved int64
-	// consider prices cand, of quality q, against the prior placement and,
-	// when adoptable, adopts it if it beats the best J seen.
-	consider := func(cand *Splitters, q Quality, adoptable bool) (tp, j float64) {
-		moved := MovedElements(c, local, prior, cand)
+	priorB := priorBounds(c, sel, prior)
+	bestB, bestMoved := priorB, int64(0)
+	// consider prices cand, of quality q and boundaries b, and, when
+	// adoptable, adopts it if it beats the best J seen.
+	consider := func(cand *Splitters, b []int, q Quality, adoptable bool) (tp, j float64) {
+		moved := movedBetween(priorB, b, int(sel.n))
 		tp, j = obj.tp(q), obj.j(q, moved)
 		if adoptable && j < bestJ {
-			best, bestQ, bestTp, bestJ, bestMoved = cand, q, tp, j, moved
+			best, bestB, bestQ, bestTp, bestJ, bestMoved = cand, b, q, tp, j, moved
 		}
 		return tp, j
 	}
 
-	// Global positions of the prior separators in the new element order,
-	// and from them the violated targets: separators farther than the
-	// tolerance slack from their ideal rank r·N/p.
+	// The violated targets: separators farther than the tolerance slack
+	// from their ideal rank r·N/p.
 	slack0 := int64(obj.tol * sel.grain())
-	priorPos := priorPositions(c, sel, prior)
 	allTargets := sel.targets
 	violated := make([]int64, 0, len(allTargets))
 	violatedIdx := make([]int, 0, len(allTargets))
 	for r, g := range allTargets {
-		dev := priorPos[r] - g
-		if dev < 0 {
-			dev = -dev
-		}
-		if dev > slack0 {
+		if d := int64(priorB[r+1]) - g; max(d, -d) > slack0 {
 			violated = append(violated, g)
 			violatedIdx = append(violatedIdx, r)
 		}
@@ -130,12 +123,12 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 					break
 				}
 			}
-			cand := mergeSeps(curve, prior, sel, violated, violatedIdx)
+			cand, b := mergeSeps(curve, prior, priorB, sel, violated, violatedIdx)
 			q := sel.quality(cand)
 			// A candidate that empties a rank is never adopted while
 			// refinement can still place its separators better.
 			emptied := slack > 0 && q.emptiesRank(p)
-			if _, j := consider(cand, q, !emptied); !emptied && j > bestJ {
+			if _, j := consider(cand, b, q, !emptied); !emptied && j > bestJ {
 				slack = 0 // worse than the best seen: stop after this rung
 			}
 			if slack == 0 {
@@ -154,17 +147,17 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	// targets, and separators snapped to deep boundaries carry more surface
 	// than the octant-aligned coarse rungs from-scratch refinement walks
 	// through — the rungs where Algorithm 3 finds its optimum. The fresh
-	// tree reuses sel's rank and span columns. Every rung competes on J
-	// against both the kept prior and the violated-only merges above, so a
-	// re-aim is adopted only when its movement pays for itself within the
-	// horizon.
+	// tree reuses sel's rank and span columns and global count. Every rung
+	// competes on J against both the kept prior and the violated-only merges
+	// above, so a re-aim is adopted only when its movement pays for itself
+	// within the horizon.
 	walk := sel.restart()
 	walkT := math.Inf(1)
 	walk.descend(func(cand *Splitters, q Quality) bool {
 		if q.emptiesRank(p) {
 			return true
 		}
-		tp, _ := consider(cand, q, true)
+		tp, _ := consider(cand, walk.bounds(), q, true)
 		if tp > walkT {
 			// Same stop as Algorithm 3: further balancing costs more
 			// surface than it saves in load.
@@ -174,31 +167,16 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 		return true
 	})
 	sel.rounds += walk.rounds
-	// A kept prior's realized tolerance is already known from priorPos; an
-	// adopted candidate (always a fresh Splitters) pays one more reduction.
-	achieved := worstDevOf(priorPos, allTargets, sel.grain())
-	if best != prior {
-		achieved = achievedTolOf(c, sel, best)
-	}
 	res := &RepartResult{
 		Result: Result{
 			Splitters:   best,
 			Quality:     bestQ,
 			Predicted:   bestTp,
 			Rounds:      sel.rounds,
-			AchievedTol: achieved,
+			AchievedTol: worstDevOf(bestB, allTargets, sel.grain()),
 		},
 		MovedElements: bestMoved,
-		MovedBytes:    bestMoved * int64(obj.payload),
-		Objective:     bestJ,
 	}
-	res.MigrationCost = obj.m.MigrationCost(res.MovedBytes)
-	for i, sep := range best.Seps {
-		if sep == prior.Seps[i] {
-			res.KeptSeps++ // inherited verbatim; all p-1 when the prior is kept
-		}
-	}
-
 	if opts.SkipExchange {
 		return res
 	}
@@ -206,10 +184,10 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	return res
 }
 
-// priorPositions returns the global rank-space position of each prior
-// separator in the new element order: an Allreduce over per-rank counts of
-// local elements before the separator.
-func priorPositions(c *comm.Comm, sel *selector, prior *Splitters) []int64 {
+// priorBounds returns the p+1 global range boundaries of the prior
+// placement in the new element order: an Allreduce over per-rank counts of
+// local elements before each separator.
+func priorBounds(c *comm.Comm, sel *selector, prior *Splitters) []int {
 	// Every element ranks below MaxRank128, so an InfKey separator lands at
 	// len(sel.ranks) without a special case.
 	seps := prior.ranks()
@@ -218,57 +196,51 @@ func priorPositions(c *comm.Comm, sel *selector, prior *Splitters) []int64 {
 		pos[i] = int64(sfc.LowerBound(sel.ranks, sr))
 	}
 	c.Compute(int64(len(seps)) * psort.KeyBytes)
-	return comm.Allreduce(c, pos, 8, comm.SumI64)
+	b := make([]int, len(seps)+2)
+	for i, v := range comm.Allreduce(c, pos, 8, comm.SumI64) {
+		b[i+1] = int(v)
+	}
+	b[len(b)-1] = int(sel.n)
+	return b
 }
 
-// worstDevOf returns the worst deviation of the given positions from their
-// targets, in units of the grain.
-func worstDevOf(pos, targets []int64, grain float64) float64 {
+// worstDevOf returns the worst deviation of the inner boundaries b[1:p]
+// from their targets, in units of the grain.
+func worstDevOf(b []int, targets []int64, grain float64) float64 {
 	if grain == 0 {
 		return 0
 	}
 	var worst int64
 	for i, g := range targets {
-		d := pos[i] - g
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
+		d := int64(b[i+1]) - g
+		worst = max(worst, d, -d)
 	}
 	return float64(worst) / grain
 }
 
-// achievedTolOf measures the adopted placement's realized tolerance from
-// its range boundaries, using the same global-position reduction as
-// priorPositions.
-func achievedTolOf(c *comm.Comm, sel *selector, sp *Splitters) float64 {
-	pos := priorPositions(c, sel, sp)
-	return worstDevOf(pos, sel.targets, sel.grain())
-}
-
-// mergeSeps assembles a candidate placement: violated separators snap to
-// the refined boundary nearest their target, all others keep their prior
-// key. A monotone clamp (by curve rank) repairs any inversion where a kept
-// separator and a freshly snapped neighbor cross.
-func mergeSeps(curve *sfc.Curve, prior *Splitters, sel *selector, violated []int64, violatedIdx []int) *Splitters {
+// mergeSeps assembles a candidate placement and its range boundaries:
+// violated separators snap to the refined boundary nearest their target,
+// all others keep their prior key and boundary. A monotone clamp (by curve
+// rank) repairs any inversion where a kept separator and a freshly snapped
+// neighbor cross, copying the left separator and its boundary.
+func mergeSeps(curve *sfc.Curve, prior *Splitters, priorB []int, sel *selector, violated []int64, violatedIdx []int) (*Splitters, []int) {
 	out := make([]sfc.Key, len(prior.Seps))
 	copy(out, prior.Seps)
+	b := append([]int(nil), priorB...)
 	for i, r := range violatedIdx {
-		out[r] = sel.boundaryKeyNear(violated[i])
+		out[r], b[r+1] = sel.boundaryNear(violated[i])
 	}
 	prev := sfc.Rank128{}
 	havePrev := false
 	for i, sep := range out {
 		kr := sepRank(curve, sep)
 		if havePrev && kr.Less(prev) {
-			out[i] = out[i-1]
+			out[i], b[i+1] = out[i-1], b[i]
 			kr = prev
 		}
 		prev, havePrev = kr, true
 	}
-	return &Splitters{Curve: curve, Seps: out}
+	return &Splitters{Curve: curve, Seps: out}, b
 }
 
 // MovedElements counts, collectively, the elements whose owner differs

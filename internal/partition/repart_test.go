@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,7 +45,6 @@ func TestRepartitionStableMeshKeepsPlacement(t *testing.T) {
 	mesh := repartMesh(curve, 1, 400, 6)
 	p := 8
 	moved := make([]int64, p)
-	kept := make([]int, p)
 	comm.Run(p, comm.CostModel{}, func(c *comm.Comm) {
 		res := Partition(c, blockOf(mesh, p, c.Rank()), repartBase(curve))
 		// Same mesh again, prior placement given: nothing is violated.
@@ -52,7 +52,6 @@ func TestRepartitionStableMeshKeepsPlacement(t *testing.T) {
 		local := append([]sfc.Key(nil), mesh[ranges[c.Rank()]:ranges[c.Rank()+1]]...)
 		rr := Repartition(c, local, RepartOptions{Options: repartBase(curve), Prior: res.Splitters})
 		moved[c.Rank()] = rr.MovedElements
-		kept[c.Rank()] = rr.KeptSeps
 		for i, sep := range rr.Splitters.Seps {
 			if sep != res.Splitters.Seps[i] {
 				t.Errorf("rank %d: separator %d changed on a stable mesh", c.Rank(), i)
@@ -62,9 +61,6 @@ func TestRepartitionStableMeshKeepsPlacement(t *testing.T) {
 	for r := 0; r < p; r++ {
 		if moved[r] != 0 {
 			t.Fatalf("rank %d: stable mesh moved %d elements, want 0", r, moved[r])
-		}
-		if kept[r] != p-1 {
-			t.Fatalf("rank %d: kept %d separators, want %d", r, kept[r], p-1)
 		}
 	}
 }
@@ -202,6 +198,37 @@ func TestMovedElementsMatchesOwnerScan(t *testing.T) {
 			if got := MovedElements(c, local, tc.from, tc.to); got != tc.want {
 				t.Errorf("rank %d, %s: MovedElements = %d, want %d", c.Rank(), tc.name, got, tc.want)
 			}
+		}
+	})
+}
+
+// TestMergeSepsClampCopiesBoundary drives mergeSeps into its monotone
+// clamp: the prior's first separator sits far right of the second target,
+// which is re-aimed, so the snapped second separator crosses it. The clamped
+// candidate's boundaries must still be its global Ranges.
+func TestMergeSepsClampCopiesBoundary(t *testing.T) {
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	mesh := repartMesh(curve, 1, 200, 6)
+	const p = 3
+	n := len(mesh)
+	prior := &Splitters{Curve: curve, Seps: []sfc.Key{mesh[n*9/10], mesh[n*19/20]}}
+	comm.Run(p, comm.CostModel{}, func(c *comm.Comm) {
+		local := blockOf(mesh, p, c.Rank())
+		a := psort.GetArena()
+		defer psort.PutArena(a)
+		ranks, _ := psort.TreeSortArena(curve, local, a)
+		sel := newSelector(c, curve, local, ranks, a, 0)
+		priorB := priorBounds(c, sel, prior)
+		violated := []int64{sel.targets[1]}
+		sel.targets = violated
+		for sel.refineRound(0) {
+		}
+		cand, b := mergeSeps(curve, prior, priorB, sel, violated, []int{1})
+		if cand.Seps[1] != cand.Seps[0] {
+			t.Errorf("rank %d: the re-aimed separator did not cross the kept one; the clamp never fired", c.Rank())
+		}
+		if want := cand.Ranges(mesh); !slices.Equal(b, want) {
+			t.Errorf("rank %d: merged boundaries %v, the candidate's Ranges give %v", c.Rank(), b, want)
 		}
 	})
 }
@@ -654,7 +681,10 @@ func walkOnlyJ(c *comm.Comm, local []sfc.Key, opts RepartOptions) float64 {
 // some step's adopted placement is a merge — its J is strictly below the
 // kept prior's and every descent rung's — and no step's J is above what
 // the walk alone would reach. Without the merge phase the quick repart
-// transcript keeps its placements; this campaign does not.
+// transcript keeps its placements; this campaign does not. The campaign
+// also adopts descent rungs, so at every step the moved count and the
+// achieved tolerance, both derived from range boundaries without a
+// reduction, are checked against recounts over the whole mesh.
 func TestRepartitionMergeRungAdopted(t *testing.T) {
 	const p, steps = 8, 10
 	m := machine.Titan()
@@ -676,7 +706,7 @@ func TestRepartitionMergeRungAdopted(t *testing.T) {
 		}
 	})
 
-	var merged []int
+	var merged, descended []int
 	for step := 1; step <= steps; step++ {
 		ev.Step(0.008, 0.010)
 		mesh := ev.Leaves()
@@ -685,27 +715,49 @@ func TestRepartitionMergeRungAdopted(t *testing.T) {
 			Prior:   sp,
 			Horizon: 240,
 		}
-		var next *Splitters
-		var j, walkJ float64
+		var rr *RepartResult
+		var walkJ float64
 		comm.Run(p, m.CostModel(), func(c *comm.Comm) {
 			rg := sp.Ranges(mesh)
 			local := append([]sfc.Key(nil), mesh[rg[c.Rank()]:rg[c.Rank()+1]]...)
-			rr := Repartition(c, local, opts)
+			r := Repartition(c, local, opts)
 			wj := walkOnlyJ(c, local, opts)
 			if c.Rank() == 0 {
-				next, j, walkJ = rr.Splitters, rr.Objective, wj
+				rr, walkJ = r, wj
 			}
 		})
+		next := rr.Splitters
+		var moved int64
+		for _, k := range mesh {
+			if sp.Owner(k) != next.Owner(k) {
+				moved++
+			}
+		}
+		if rr.MovedElements != moved {
+			t.Fatalf("step %d: MovedElements = %d, an owner recount gives %d", step, rr.MovedElements, moved)
+		}
+		var worst int
+		for r, pos := range next.Ranges(mesh)[1:p] {
+			d := pos - (r+1)*len(mesh)/p
+			worst = max(worst, d, -d)
+		}
+		if tol := float64(worst) / (float64(len(mesh)) / p); rr.AchievedTol != tol {
+			t.Fatalf("step %d: AchievedTol = %g, a recount from the adopted ranges gives %g", step, rr.AchievedTol, tol)
+		}
+		obj := newObjective(opts.Machine, opts.Alpha, opts.PayloadBytes, opts.Tol, opts.Horizon)
+		j := obj.j(rr.Quality, rr.MovedElements)
 		if j > walkJ {
 			t.Fatalf("step %d: Repartition's J %.6g is worse than the walk alone (%.6g)", step, j, walkJ)
 		}
 		if j < walkJ {
 			merged = append(merged, step)
+		} else if moved > 0 {
+			descended = append(descended, step)
 		}
 		sp = next
 	}
-	if len(merged) == 0 {
-		t.Fatalf("no step of the campaign adopted a merged candidate")
+	if len(merged) == 0 || len(descended) == 0 {
+		t.Fatalf("merged candidates adopted at steps %v, descent rungs at %v: the campaign should adopt both", merged, descended)
 	}
-	t.Logf("merged candidates adopted at steps %v", merged)
+	t.Logf("merged candidates adopted at steps %v, descent rungs at %v", merged, descended)
 }

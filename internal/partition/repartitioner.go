@@ -40,10 +40,8 @@ type StepResult struct {
 	// which has no prior). Bytes are elements × machine.GhostPayloadBytes.
 	MovedElements int64
 	MovedBytes    int64
-	MigrationCost float64 // machine.MigrationCost(MovedBytes)
-	Objective     float64 // horizon·Tp + MigrationCost of the adopted placement
-	Rounds        int     // candidate placements priced by the ladder
-	Kept          bool    // the prior placement was kept verbatim
+	Rounds        int  // candidate placements priced by the ladder
+	Kept          bool // the prior placement was kept verbatim
 }
 
 // Repartitioner is the serial incremental repartitioning engine: one
@@ -292,7 +290,7 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 		}
 		e.bPos[0] = 0
 		q := e.scanQuality(e.bPos)
-		return StepResult{Quality: q, Predicted: e.obj.tp(q), Objective: e.obj.j(q, 0), Kept: warm}
+		return StepResult{Quality: q, Predicted: e.obj.tp(q), Kept: warm}
 	}
 
 	// Prior positions: where the current separators fall in the new mesh.
@@ -308,13 +306,15 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 	}
 
 	res := StepResult{}
+	var bestJ float64
 	haveBest := warm
 	if warm {
 		// Rung zero: keep the prior placement verbatim; it moves nothing.
 		q := e.scanQuality(e.aPos)
 		copy(e.bestPos, e.aPos)
 		copy(e.bestCounts, e.counts)
-		res = StepResult{Quality: q, Predicted: e.obj.tp(q), Objective: e.obj.j(q, 0), Rounds: 1, Kept: true}
+		res = StepResult{Quality: q, Predicted: e.obj.tp(q), Rounds: 1, Kept: true}
+		bestJ = e.obj.j(q, 0)
 	}
 	for {
 		e.buildCandidate(slack, warm)
@@ -325,7 +325,7 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 		}
 		j := e.obj.j(q, moved)
 		res.Rounds++
-		if !haveBest || j < res.Objective {
+		if !haveBest || j < bestJ {
 			haveBest = true
 			copy(e.bestPos, e.bPos)
 			copy(e.bestCounts, e.counts)
@@ -333,10 +333,9 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 			res.Predicted = e.obj.tp(q)
 			res.MovedElements = moved
 			res.MovedBytes = moved * int64(e.obj.payload)
-			res.MigrationCost = e.obj.m.MigrationCost(res.MovedBytes)
-			res.Objective = j
 			res.Kept = false
-		} else if j > res.Objective {
+			bestJ = j
+		} else if j > bestJ {
 			break // refining further costs more than it saves
 		}
 		if slack == 0 {
@@ -512,13 +511,7 @@ func countRange(lo, hi []sfc.Rank128, lower, upper sfc.Rank128) int64 {
 func movedBetween(aPos, bPos []int, n int) int64 {
 	var kept int64
 	for r := 0; r+1 < len(aPos); r++ {
-		lo, hi := aPos[r], aPos[r+1]
-		if bPos[r] > lo {
-			lo = bPos[r]
-		}
-		if bPos[r+1] < hi {
-			hi = bPos[r+1]
-		}
+		lo, hi := max(aPos[r], bPos[r]), min(aPos[r+1], bPos[r+1])
 		if hi > lo {
 			kept += int64(hi - lo)
 		}
