@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"optipart/internal/comm"
 	"optipart/internal/par"
@@ -26,34 +25,22 @@ import (
 )
 
 // SnapshotVersion is the current encoding version. Decoders reject other
-// versions rather than guessing at layouts.
-const SnapshotVersion = 1
+// versions (comm.ErrVersion) rather than guessing at layouts.
+const SnapshotVersion = 2
 
 const (
 	snapMagic = "OCKP"
-	keyBytes  = 13 // X, Y, Z uint32 + Level uint8, the packed sfc.Key
+	keyBytes  = 13 // sfc.Key's wire form, and DigestFold's packing of it
 
-	// fixedLen is the byte length of everything before the splitter and
-	// placement sections: magic(4) + version(1) + epoch(4) + seq(8) + p(4) +
-	// kind(1) + dim(1) + model(24) + digest(8) + nseps(4).
-	fixedLen    = 4 + 1 + 4 + 8 + 4 + 1 + 1 + 24 + 8 + 4
-	checksumLen = 8
-
-	// MaxSnapshotRanks bounds the rank count a decoder will believe; real
-	// worlds are far smaller, and the cap keeps a corrupt header from
-	// provoking a giant allocation.
+	// MaxSnapshotRanks bounds the rank count a snapshot may hold; real
+	// worlds are far smaller.
 	MaxSnapshotRanks = 1 << 16
 )
 
-// Decode errors. All are wrapped with context; match with errors.Is.
-var (
-	ErrSnapshotShort    = errors.New("ckpt: snapshot truncated")
-	ErrSnapshotMagic    = errors.New("ckpt: bad snapshot magic")
-	ErrSnapshotVersion  = errors.New("ckpt: unsupported snapshot version")
-	ErrSnapshotChecksum = errors.New("ckpt: snapshot checksum mismatch")
-	ErrSnapshotTrailing = errors.New("ckpt: trailing bytes after snapshot")
-	ErrSnapshotRange    = errors.New("ckpt: snapshot field out of range")
-)
+// ErrSnapshotRange is a snapshot field outside its range. A snapshot that
+// does not decode fails with the byte layer's errors instead (comm.ErrShort,
+// ErrMagic, ErrVersion, ErrChecksum, ErrTrailing); match with errors.Is.
+var ErrSnapshotRange = errors.New("ckpt: snapshot field out of range")
 
 // Snapshot is the complete campaign state at one checkpoint boundary. It is
 // identical on every rank at the moment it is taken; only rank 0 persists
@@ -95,33 +82,24 @@ func DigestFold(d uint64, step int, placement [][]sfc.Key) uint64 {
 		binary.BigEndian.PutUint64(buf[:8], uint64(len(keys)))
 		d = par.FNV1a(d, buf[:8])
 		for _, k := range keys {
-			putKey(buf[:], k)
+			// A hash input, not a wire form: the packing is fixed so that
+			// every digest stays fixed.
+			binary.BigEndian.PutUint32(buf[0:4], k.X)
+			binary.BigEndian.PutUint32(buf[4:8], k.Y)
+			binary.BigEndian.PutUint32(buf[8:12], k.Z)
+			buf[12] = k.Level
 			d = par.FNV1a(d, buf[:])
 		}
 	}
 	return d
 }
 
-func putKey(dst []byte, k sfc.Key) {
-	binary.BigEndian.PutUint32(dst[0:4], k.X)
-	binary.BigEndian.PutUint32(dst[4:8], k.Y)
-	binary.BigEndian.PutUint32(dst[8:12], k.Z)
-	dst[12] = k.Level
-}
-
-func getKey(src []byte) sfc.Key {
-	return sfc.Key{
-		X:     binary.BigEndian.Uint32(src[0:4]),
-		Y:     binary.BigEndian.Uint32(src[4:8]),
-		Z:     binary.BigEndian.Uint32(src[8:12]),
-		Level: src[12],
-	}
-}
-
-// EncodeSnapshot renders s in the versioned wire form: a fixed header,
-// big-endian fields, 13-byte packed keys, and an FNV-1a trailer over
-// everything before it. Encoding is deterministic: the same Snapshot always
-// yields the same bytes.
+// EncodeSnapshot renders s in the versioned wire form, in the byte layer's
+// fields (comm's bytes.go): the magic and version; epoch, seq, curve kind
+// and dim, the model's tc, ts and tw, and the digest; the splitters, then
+// the list of rank sections, each a list of keys in sfc.Key's wire form;
+// and the seal. Encoding is deterministic: the same Snapshot always yields
+// the same bytes.
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	if s.P <= 0 || s.P > MaxSnapshotRanks {
 		return nil, fmt.Errorf("%w: p=%d", ErrSnapshotRange, s.P)
@@ -129,120 +107,70 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	if len(s.Placement) != s.P {
 		return nil, fmt.Errorf("%w: %d placements for p=%d", ErrSnapshotRange, len(s.Placement), s.P)
 	}
-	if s.Epoch < 0 || s.Epoch > math.MaxUint32 {
+	if s.Epoch < 0 {
 		return nil, fmt.Errorf("%w: epoch=%d", ErrSnapshotRange, s.Epoch)
 	}
-	n := fixedLen + keyBytes*len(s.Seps) + checksumLen
-	for _, keys := range s.Placement {
-		n += 4 + keyBytes*len(keys)
-	}
-	buf := make([]byte, 0, n)
-	buf = append(buf, snapMagic...)
-	buf = append(buf, SnapshotVersion)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(s.Epoch))
-	buf = binary.BigEndian.AppendUint64(buf, s.Seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(s.P))
+	buf := append([]byte(snapMagic), SnapshotVersion)
+	buf = binary.LittleEndian.AppendUint64(comm.AppendInt(buf, s.Epoch), s.Seq)
 	buf = append(buf, byte(s.Kind), byte(s.Dim))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Model.Tc))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Model.Ts))
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.Model.Tw))
-	buf = binary.BigEndian.AppendUint64(buf, s.Digest)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Seps)))
-	var kb [keyBytes]byte
-	for _, k := range s.Seps {
-		putKey(kb[:], k)
-		buf = append(buf, kb[:]...)
-	}
+	buf = comm.AppendFloat(comm.AppendFloat(comm.AppendFloat(buf, s.Model.Tc), s.Model.Ts), s.Model.Tw)
+	buf = appendKeys(binary.LittleEndian.AppendUint64(buf, s.Digest), s.Seps)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Placement)))
 	for _, keys := range s.Placement {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(keys)))
-		for _, k := range keys {
-			putKey(kb[:], k)
-			buf = append(buf, kb[:]...)
-		}
+		buf = appendKeys(buf, keys)
 	}
-	buf = binary.BigEndian.AppendUint64(buf, par.FNV1a(par.FNVOffset64, buf))
-	return buf, nil
+	return comm.Seal(buf, 0), nil
+}
+
+func appendKeys(dst []byte, keys []sfc.Key) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
+	for _, k := range keys {
+		dst = k.AppendElem(dst)
+	}
+	return dst
 }
 
 // DecodeSnapshot parses one encoded snapshot. It never panics on corrupt
-// input and never allocates more than the input length can justify: every
-// count is validated against the bytes remaining before the slice backing
-// it is allocated, and the checksum is verified before any parsing.
+// input and never allocates more than the input length can justify: it
+// reads with comm.Reader, which checks every count against the bytes left
+// before the slice backing it is allocated, and it believes no count
+// before the seal is verified.
 func DecodeSnapshot(buf []byte) (*Snapshot, error) {
-	if len(buf) < fixedLen+checksumLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrSnapshotShort, len(buf))
+	body, sealErr := comm.Unseal(buf)
+	if err := comm.CheckHeader(body, snapMagic, SnapshotVersion); err != nil {
+		return nil, err
 	}
-	if string(buf[:4]) != snapMagic {
-		return nil, ErrSnapshotMagic
+	d := comm.NewReader(body[len(snapMagic)+1:])
+	s := &Snapshot{Epoch: d.Int(), Seq: d.U64(), Kind: sfc.Kind(d.U8()), Dim: int(d.U8()),
+		Model:  comm.CostModel{Tc: d.Float(), Ts: d.Float(), Tw: d.Float()},
+		Digest: d.U64()}
+	// The fixed fields are read ahead of the seal, so a buffer too short to
+	// hold them reads as truncated rather than as corrupt.
+	d.Fail(sealErr)
+	s.Seps = readKeys(&d)
+	s.Placement = make([][]sfc.Key, d.Count(4))
+	for r := range s.Placement {
+		s.Placement[r] = readKeys(&d)
 	}
-	if buf[4] != SnapshotVersion {
-		return nil, fmt.Errorf("%w: %d", ErrSnapshotVersion, buf[4])
+	if err := d.End(); err != nil {
+		return nil, err
 	}
-	body, trailer := buf[:len(buf)-checksumLen], buf[len(buf)-checksumLen:]
-	if got, want := par.FNV1a(par.FNVOffset64, body), binary.BigEndian.Uint64(trailer); got != want {
-		return nil, fmt.Errorf("%w: got %016x want %016x", ErrSnapshotChecksum, got, want)
-	}
-	s := &Snapshot{
-		Epoch: int(binary.BigEndian.Uint32(buf[5:9])),
-		Seq:   binary.BigEndian.Uint64(buf[9:17]),
-		P:     int(binary.BigEndian.Uint32(buf[17:21])),
-		Kind:  sfc.Kind(buf[21]),
-		Dim:   int(buf[22]),
-		Model: comm.CostModel{
-			Tc: math.Float64frombits(binary.BigEndian.Uint64(buf[23:31])),
-			Ts: math.Float64frombits(binary.BigEndian.Uint64(buf[31:39])),
-			Tw: math.Float64frombits(binary.BigEndian.Uint64(buf[39:47])),
-		},
-		Digest: binary.BigEndian.Uint64(buf[47:55]),
-	}
-	if s.P <= 0 || s.P > MaxSnapshotRanks {
-		return nil, fmt.Errorf("%w: p=%d", ErrSnapshotRange, s.P)
-	}
-	off := fixedLen - 4
-	nseps := int(binary.BigEndian.Uint32(body[off : off+4]))
-	off += 4
-	keys, off, err := decodeKeys(body, off, nseps)
-	if err != nil {
-		return nil, fmt.Errorf("splitters: %w", err)
-	}
-	s.Seps = keys
-	// Each remaining rank section needs at least its 4-byte count, so p
-	// itself is bounded by the bytes left before the placement headers are
-	// allocated.
-	if len(body)-off < 4*s.P {
-		return nil, fmt.Errorf("%w: %d bytes left for %d rank sections", ErrSnapshotShort, len(body)-off, s.P)
-	}
-	s.Placement = make([][]sfc.Key, s.P)
-	for r := 0; r < s.P; r++ {
-		if len(body)-off < 4 {
-			return nil, fmt.Errorf("rank %d: %w", r, ErrSnapshotShort)
-		}
-		count := int(binary.BigEndian.Uint32(body[off : off+4]))
-		off += 4
-		if keys, off, err = decodeKeys(body, off, count); err != nil {
-			return nil, fmt.Errorf("rank %d: %w", r, err)
-		}
-		s.Placement[r] = keys
-	}
-	if off != len(body) {
-		return nil, fmt.Errorf("%w: %d bytes", ErrSnapshotTrailing, len(body)-off)
+	if s.P = len(s.Placement); s.P == 0 || s.P > MaxSnapshotRanks || s.Epoch < 0 {
+		return nil, fmt.Errorf("%w: p=%d, epoch=%d", ErrSnapshotRange, s.P, s.Epoch)
 	}
 	return s, nil
 }
 
-// decodeKeys reads count packed keys starting at off, validating count
-// against the bytes available before allocating.
-func decodeKeys(body []byte, off, count int) ([]sfc.Key, int, error) {
-	if count < 0 || count > (len(body)-off)/keyBytes {
-		return nil, off, fmt.Errorf("%w: %d keys in %d bytes", ErrSnapshotShort, count, len(body)-off)
+// readKeys reads a list of keys in sfc.Key's wire form; an empty list is nil.
+func readKeys(d *comm.Reader) []sfc.Key {
+	n := d.Count(keyBytes)
+	if n == 0 {
+		return nil
 	}
-	if count == 0 {
-		return nil, off, nil
-	}
-	keys := make([]sfc.Key, count)
+	keys := make([]sfc.Key, n)
+	src := d.Take(n * keyBytes)
 	for i := range keys {
-		keys[i] = getKey(body[off : off+keyBytes])
-		off += keyBytes
+		src = keys[i].ReadElem(src)
 	}
-	return keys, off, nil
+	return keys
 }

@@ -2,8 +2,10 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"optipart/internal/comm"
@@ -84,6 +86,28 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// The offset of the splitter count: the magic and version, then epoch,
+// seq, kind, dim, the model's three floats and the digest.
+const sepsCountAt = 4 + 1 + 8 + 8 + 1 + 1 + 24 + 8
+
+// reseal replaces buf's seal with a valid one, so that a forged field
+// reaches the reader instead of dying at the checksum.
+func reseal(buf []byte) []byte {
+	return comm.Seal(bytes.Clone(buf[:len(buf)-8]), 0)
+}
+
+// forgeCount overwrites the uint32 count at off in an encoding of s and
+// reseals it.
+func forgeCount(tb testing.TB, s *Snapshot, off int, count uint32) []byte {
+	tb.Helper()
+	buf, err := EncodeSnapshot(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(buf[off:], count)
+	return reseal(buf)
+}
+
 func TestDecodeSnapshotRejects(t *testing.T) {
 	good, err := EncodeSnapshot(testSnapshot(t, 7, 4))
 	if err != nil {
@@ -95,27 +119,49 @@ func TestDecodeSnapshotRejects(t *testing.T) {
 			t.Fatalf("%s: got %v, want %v", name, err, want)
 		}
 	}
-	check("empty", nil, ErrSnapshotShort)
-	check("truncated header", good[:20], ErrSnapshotShort)
-	check("truncated body", good[:len(good)-9], ErrSnapshotChecksum)
+	check("empty", nil, comm.ErrShort)
+	check("truncated header", good[:20], comm.ErrShort)
+	check("truncated body", good[:len(good)-9], comm.ErrChecksum)
 
 	bad := bytes.Clone(good)
 	bad[0] = 'X'
-	check("magic", bad, ErrSnapshotMagic)
+	check("magic", bad, comm.ErrMagic)
 
 	bad = bytes.Clone(good)
 	bad[4] = 99
-	check("version", bad, ErrSnapshotVersion)
+	check("version", bad, comm.ErrVersion)
+
+	// A version-1 snapshot, from before the byte layer, is refused from its
+	// header even though its seal holds.
+	bad = bytes.Clone(good)
+	bad[4] = 1
+	check("version 1", reseal(bad), comm.ErrVersion)
 
 	bad = bytes.Clone(good)
 	bad[len(bad)/2] ^= 1
-	check("flipped body bit", bad, ErrSnapshotChecksum)
+	check("flipped body bit", bad, comm.ErrChecksum)
 
 	bad = bytes.Clone(good)
 	bad[len(bad)-1] ^= 1
-	check("flipped trailer bit", bad, ErrSnapshotChecksum)
+	check("flipped trailer bit", bad, comm.ErrChecksum)
 
-	check("trailing garbage", append(bytes.Clone(good), 0), ErrSnapshotChecksum)
+	check("trailing garbage", append(bytes.Clone(good), 0), comm.ErrChecksum)
+	check("resealed trailing garbage", reseal(append(bytes.Clone(good), 0)), comm.ErrTrailing)
+
+	// Forged counts under a valid seal are refused by the reader before
+	// anything is allocated for them.
+	snap := testSnapshot(t, 7, 4)
+	ranksAt := sepsCountAt + 4 + keyBytes*len(snap.Seps)
+	check("forged splitter count", forgeCount(t, snap, sepsCountAt, 1<<30), comm.ErrShort)
+	check("forged rank-section count", forgeCount(t, snap, ranksAt, 1<<30), comm.ErrShort)
+	check("forged key count", forgeCount(t, snap, ranksAt+4, 1<<30), comm.ErrShort)
+
+	none, err := EncodeSnapshot(&Snapshot{P: 1, Placement: make([][]sfc.Key, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	none = comm.Seal(binary.LittleEndian.AppendUint32(none[:sepsCountAt+4], 0), 0)
+	check("no rank sections", none, ErrSnapshotRange)
 }
 
 func TestEncodeSnapshotRejects(t *testing.T) {
@@ -161,10 +207,12 @@ func mustEncodeSnap(f *testing.F, s *Snapshot) []byte {
 }
 
 // FuzzDecodeSnapshot asserts the checkpoint decoder's safety contract on
-// arbitrary input, mirroring FuzzDecodeFrame: it may reject, but it must
-// never panic, never over-allocate (every count is validated against the
-// remaining bytes before allocation), must reject bad checksums, and
-// anything it accepts must re-encode to the identical bytes.
+// arbitrary input, mirroring FuzzDecodeBodies: it may reject, but it must
+// never panic, never allocate more than a small multiple of its input
+// (every count is checked against the bytes left before allocation), must
+// reject bad checksums, and anything it accepts must re-encode to the
+// identical bytes. The last seeds forge counts under a valid seal, so
+// that they reach the reader.
 func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("OCKP"))
@@ -175,9 +223,20 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	corrupt := mustEncodeSnap(f, testSnapshot(f, 13, 2))
 	corrupt[len(corrupt)-3] ^= 0x40
 	f.Add(corrupt)
+	snap := testSnapshot(f, 17, 3)
+	ranksAt := sepsCountAt + 4 + keyBytes*len(snap.Seps)
+	f.Add(forgeCount(f, snap, sepsCountAt, 1<<20))
+	f.Add(forgeCount(f, snap, ranksAt, 1<<20))
+	f.Add(forgeCount(f, snap, ranksAt+4, 1<<20))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		snap, err := DecodeSnapshot(data)
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+64<<10); grew > bound {
+			t.Fatalf("decoding %d bytes allocated %d, over %d", len(data), grew, bound)
+		}
 		if err != nil {
 			return
 		}

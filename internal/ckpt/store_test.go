@@ -1,9 +1,13 @@
 package ckpt
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"optipart/internal/comm"
 )
 
 func TestStoreSaveLatest(t *testing.T) {
@@ -80,6 +84,27 @@ func TestStoreLatestSkipsCorrupt(t *testing.T) {
 	}
 	if _, err := st.Latest(); err == nil {
 		t.Fatal("all-corrupt store: want error")
+	}
+
+	// A store holding only a snapshot of an older version has no usable
+	// snapshot, and says why.
+	old, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Save(good); err != nil {
+		t.Fatal(err)
+	}
+	name1 = filepath.Join(old.Dir, snapName(1))
+	if buf, err = os.ReadFile(name1); err != nil {
+		t.Fatal(err)
+	}
+	buf[4] = 1
+	if err := os.WriteFile(name1, reseal(buf), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Latest(); !errors.Is(err, comm.ErrVersion) || !strings.Contains(err.Error(), "no usable snapshot") {
+		t.Fatalf("version-1 store: got %v, want no usable snapshot wrapping comm.ErrVersion", err)
 	}
 }
 

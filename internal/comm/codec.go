@@ -10,14 +10,13 @@ package comm
 //	int64, float64  8 bytes, little-endian (a float64 as its IEEE-754 bits)
 //	an Elem         the bytes its AppendElem writes (sfc.Key: 13)
 //
-// Decoding checks every count against the bytes left before it allocates,
-// so a forged count cannot make it allocate more than a small multiple of
-// its input, and it rejects trailing bytes. In-process worlds build no
-// codec and accept any T.
+// Decoding reads through the byte layer's Reader (bytes.go), which checks
+// every count against the bytes left before it allocates, so a forged count
+// cannot make it allocate more than a small multiple of its input, and it
+// rejects trailing bytes. In-process worlds build no codec and accept any T.
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -34,9 +33,6 @@ type Elem interface {
 	// least the bytes AppendElem writes, and returns the rest of src.
 	ReadElem(src []byte) []byte
 }
-
-// errValueShort is a value whose declared counts overrun its bytes.
-var errValueShort = errors.New("comm: wire value truncated")
 
 // valueCodec is the wire form a collective attaches to its StepState: the
 // deposit and the scratch aggregate, each written and read whole.
@@ -166,70 +162,36 @@ func (k *codec[T]) decodeValue(src []byte, scratch bool) (any, error) {
 	if scratch {
 		depth = k.scratch
 	}
+	d := NewReader(src)
 	var v any
-	var err error
 	switch depth {
 	case 1:
-		v, src, err = k.decodeRun(src)
+		v = k.decodeRun(&d)
 	case 2:
-		v, src, err = k.decodeRuns(src)
+		v = k.decodeRuns(&d)
 	default:
-		var n int
-		if n, src, err = readCount(src, 4); err != nil {
-			return nil, err
-		}
-		all := make([][][]T, n)
+		all := make([][][]T, d.Count(4))
 		for i := range all {
-			if all[i], src, err = k.decodeRuns(src); err != nil {
-				return nil, err
-			}
+			all[i] = k.decodeRuns(&d)
 		}
 		v = all
 	}
-	if err == nil && len(src) != 0 {
-		err = fmt.Errorf("comm: %d trailing bytes after a wire value", len(src))
-	}
-	if err != nil {
+	if err := d.End(); err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
-func (k *codec[T]) decodeRun(src []byte) ([]T, []byte, error) {
-	n, src, err := readCount(src, k.size)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals := make([]T, n)
-	k.get(src[:n*k.size], vals)
-	return vals, src[n*k.size:], nil
+func (k *codec[T]) decodeRun(d *Reader) []T {
+	vals := make([]T, d.Count(k.size))
+	k.get(d.Take(len(vals)*k.size), vals)
+	return vals
 }
 
-func (k *codec[T]) decodeRuns(src []byte) ([][]T, []byte, error) {
-	n, src, err := readCount(src, 4)
-	if err != nil {
-		return nil, nil, err
-	}
-	runs := make([][]T, n)
+func (k *codec[T]) decodeRuns(d *Reader) [][]T {
+	runs := make([][]T, d.Count(4))
 	for i := range runs {
-		if runs[i], src, err = k.decodeRun(src); err != nil {
-			return nil, nil, err
-		}
+		runs[i] = k.decodeRun(d)
 	}
-	return runs, src, nil
-}
-
-// readCount reads a uint32 count off the front of src and checks that
-// count items, each taking at least each bytes, fit in what is left, so
-// the caller may allocate count items.
-func readCount(src []byte, each int) (int, []byte, error) {
-	if len(src) < 4 {
-		return 0, nil, errValueShort
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	src = src[4:]
-	if n*each > len(src) {
-		return 0, nil, fmt.Errorf("%w: %d items of %d bytes in %d", errValueShort, n, each, len(src))
-	}
-	return n, src, nil
+	return runs
 }

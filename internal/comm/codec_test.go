@@ -90,8 +90,8 @@ func TestCodecRejects(t *testing.T) {
 	}
 	// A count the bytes cannot hold is refused before anything is allocated.
 	forged := []byte{0xff, 0xff, 0xff, 0x7f}
-	if _, err := k.decodeValue(forged, true); !errors.Is(err, errValueShort) {
-		t.Fatalf("forged count: got %v, want errValueShort", err)
+	if _, err := k.decodeValue(forged, true); !errors.Is(err, ErrShort) {
+		t.Fatalf("forged count: got %v, want ErrShort", err)
 	}
 }
 

@@ -111,7 +111,10 @@ func runAbortWorld(t *testing.T, p int, sock string, model comm.CostModel,
 	root.Drain(5 * time.Second)
 	root.Close()
 	for len(errs) < p {
-		o := <-done
+		o, err := await("a worker's outcome", done)
+		if err != nil {
+			t.Fatal(err)
+		}
 		errs[o.rank] = o.err
 	}
 	return errs
@@ -176,7 +179,10 @@ func TestReconnectBudgetRaisesLinkFailure(t *testing.T) {
 		t.Fatalf("WaitReady: %v", err)
 	}
 	root.Announce(comm.CostModel{})
-	d := <-ready
+	d, err := await("the worker's dial", ready)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d.err != nil {
 		t.Fatalf("Dial: %v", d.err)
 	}
@@ -196,18 +202,17 @@ func TestReconnectBudgetRaisesLinkFailure(t *testing.T) {
 	}
 	root.Close()
 
-	select {
-	case err := <-done:
-		var lf *comm.LinkFailure
-		if !errors.As(err, &lf) {
-			t.Fatalf("got %v, want *comm.LinkFailure", err)
-		}
-		want := comm.LinkFailure{Src: 1, Dst: 0, Op: "allreduce", Seq: 0,
-			Attempts: DefaultMaxRetries, Cap: DefaultMaxRetries}
-		if *lf != want {
-			t.Fatalf("got %+v, want %+v", *lf, want)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("worker hung after the root went away")
+	werr, err := await("the worker to fail after the root went away", done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lf *comm.LinkFailure
+	if !errors.As(werr, &lf) {
+		t.Fatalf("got %v, want *comm.LinkFailure", werr)
+	}
+	want := comm.LinkFailure{Src: 1, Dst: 0, Op: "allreduce", Seq: 0,
+		Attempts: DefaultMaxRetries, Cap: DefaultMaxRetries}
+	if *lf != want {
+		t.Fatalf("got %+v, want %+v", *lf, want)
 	}
 }

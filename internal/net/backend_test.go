@@ -25,6 +25,38 @@ func fastOpts() Options {
 	}
 }
 
+// testWait bounds every wait in this package's tests. Each world here
+// finishes in well under a second, so a wait that outlasts it is a world
+// that never will: the test fails in seconds, naming the wait, instead of
+// hanging until go test's own timeout.
+const testWait = 15 * time.Second
+
+// await is the one wait of this package's tests: it returns what ch
+// delivers, or an error naming what once testWait has passed. Call it from
+// any goroutine; the test's own goroutine uses wait.
+func await[T any](what string, ch <-chan T) (T, error) {
+	select {
+	case v := <-ch:
+		return v, nil
+	case <-time.After(testWait):
+		var zero T
+		return zero, fmt.Errorf("timed out after %v waiting for %s", testWait, what)
+	}
+}
+
+// wait fails tb unless wg is done within testWait.
+func wait(tb testing.TB, what string, wg *sync.WaitGroup) {
+	tb.Helper()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	if _, err := await(what, done); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 type rankResult struct {
 	seps  []sfc.Key
 	local []sfc.Key
@@ -95,7 +127,7 @@ func runWireWorld(t *testing.T, p int, sock string, model comm.CostModel, opts O
 	_, err = comm.RunRank(0, p, model, root, comm.CheckedOptions{}, program)
 	record(0, err)
 	root.Drain(5 * time.Second)
-	wg.Wait()
+	wait(t, "the worker ranks to return", &wg)
 	return errs
 }
 
@@ -263,7 +295,7 @@ func TestWorkerDeathSurfacesRankFailure(t *testing.T) {
 	root.Announce(model)
 	_, rootErr := comm.RunRank(0, p, model, root, comm.CheckedOptions{}, partProgram(seed, n, &out))
 	record(0, rootErr)
-	wg.Wait()
+	wait(t, "the worker ranks to return", &wg)
 
 	for _, rank := range []int{0, 1, 3} {
 		var rf *comm.RankFailure
@@ -344,7 +376,7 @@ func TestCalibrateProducesUsableModel(t *testing.T) {
 		t.Fatalf("root run: %v", err)
 	}
 	root.Drain(5 * time.Second)
-	wg.Wait()
+	wait(t, "the calibrated worker to return", &wg)
 	if dialErr != nil {
 		t.Fatalf("worker: %v", dialErr)
 	}

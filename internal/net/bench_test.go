@@ -74,7 +74,9 @@ func BenchmarkRecoveryDegrade(b *testing.B) {
 		if _, err := comm.RunRank(0, 2, comm.CostModel{}, rt, comm.CheckedOptions{}, recoveryBody(64)); err == nil {
 			b.Fatal("degrade world completed despite worker kill")
 		}
-		<-done
+		if _, err := await("the killed worker to return", done); err != nil {
+			b.Fatal(err)
+		}
 		total += time.Since(killAt)
 		rt.Close()
 	}
@@ -97,7 +99,11 @@ func BenchmarkRecoveryRestore(b *testing.B) {
 		wg.Add(2)
 		go func() { // replacement incarnation: resume from seq 0 (full replay)
 			defer wg.Done()
-			rank := <-respawn
+			rank, err := await("a rank death to respawn", respawn)
+			if err != nil {
+				b.Error(err)
+				return
+			}
 			wk, err := DialResume(ep, rank, 2, 0, 1, benchRecoveryOpts())
 			if err != nil {
 				b.Error(err)
@@ -132,7 +138,7 @@ func BenchmarkRecoveryRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 		rt.Drain(5 * time.Second)
-		wg.Wait()
+		wait(b, "both incarnations to return", &wg)
 		total += rt.Recovery().Downtime
 		rt.Close()
 	}

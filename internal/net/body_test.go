@@ -46,9 +46,9 @@ func TestFailureRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("abortFrame: %v", err)
 			}
-			f, err := DecodeFrame(buf)
+			f, err := readOne(buf)
 			if err != nil {
-				t.Fatalf("DecodeFrame: %v", err)
+				t.Fatalf("ReadFrame: %v", err)
 			}
 			if got := decodeAbort(f); !reflect.DeepEqual(got, want) {
 				t.Fatalf("got %#v, want %#v", got, want)
@@ -194,9 +194,9 @@ func FuzzDecodeBodies(f *testing.F) {
 	}
 	const abort = 4
 	f.Add(uint8(abort), appendFailure(nil, &comm.AbandonedError{Op: "barrier", Departed: []int{1, 2}}, false))
-	f.Add(uint8(abort), append(appendString(appendInt([]byte{failAbandoned}, 0), "barrier"), forged...))
+	f.Add(uint8(abort), append(comm.AppendString(comm.AppendInt([]byte{failAbandoned}, 0), "barrier"), forged...))
 	f.Add(uint8(abort), appendFailure(nil, &comm.MismatchError{Step: 1, Calls: []comm.SigCall{{Rank: 0, Op: "barrier"}}}, false))
-	f.Add(uint8(abort), append(appendInt([]byte{failMismatch}, 1), forged...))
+	f.Add(uint8(abort), append(comm.AppendInt([]byte{failMismatch}, 1), forged...))
 
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		dec := decs[int(which)%len(decs)]

@@ -120,7 +120,11 @@ func TestRestoreRejoinCompletesCampaign(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rank := <-respawn
+		rank, err := await("a rank death to respawn", respawn)
+		if err != nil {
+			record("respawn", err)
+			return
+		}
 		snap, err := mem.Latest()
 		if err != nil || snap == nil {
 			record("respawn", fmt.Errorf("no checkpoint to restore: %v", err))
@@ -177,7 +181,7 @@ func TestRestoreRejoinCompletesCampaign(t *testing.T) {
 		return err
 	}())
 	rt.Drain(5 * time.Second)
-	wg.Wait()
+	wait(t, "the workers and the respawned rank to return", &wg)
 
 	for who, err := range errs {
 		if err != nil {
@@ -244,7 +248,9 @@ func TestWaitReadyJoinTimeout(t *testing.T) {
 		t.Fatalf("Missing %v, want [2 3]", jt.Missing)
 	}
 	rt.Close()
-	<-done
+	if _, err := await("the early worker to return", done); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestShutdownDeliversStructuredError: the root's orderly shutdown surfaces
@@ -295,7 +301,7 @@ func TestShutdownDeliversStructuredError(t *testing.T) {
 		rt.Shutdown("test interrupt")
 	}()
 	_, rootErr := comm.RunRank(0, p, comm.CostModel{}, rt, comm.CheckedOptions{}, endless)
-	wg.Wait()
+	wait(t, "the shut-down workers to return", &wg)
 
 	var se *ShutdownError
 	if !errors.As(rootErr, &se) {

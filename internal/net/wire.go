@@ -26,11 +26,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 
 	"optipart/internal/comm"
-	"optipart/internal/par"
 )
 
 // Frame format. The header is big-endian.
@@ -46,9 +44,11 @@ import (
 //	24      ...   op name, then payload
 //	...     8     FNV-1a checksum of everything above
 //
-// The FNV-1a checksum guards against torn or corrupted frames on a real
-// socket, and the decoder treats any mismatch as a hard protocol error
-// (the connection is beyond trusting — reconnect, do not resync).
+// The magic and version are checked by comm.CheckHeader, and the checksum
+// is the byte layer's seal (comm.Seal, comm.Unseal). It guards against torn
+// or corrupted frames on a real socket, and ReadFrame treats any mismatch
+// as a hard protocol error (the connection is beyond trusting — reconnect,
+// do not resync).
 const (
 	frameMagic   = "OPTP"
 	frameVersion = 2
@@ -85,15 +85,11 @@ type Frame struct {
 	Payload []byte
 }
 
-// Frame decode errors.
+// Frame errors of net's own; the rest are the byte layer's (comm.ErrShort,
+// ErrMagic, ErrVersion, ErrChecksum).
 var (
-	ErrFrameShort    = errors.New("net: frame truncated")
-	ErrFrameMagic    = errors.New("net: bad frame magic")
-	ErrFrameVersion  = errors.New("net: unsupported frame version")
 	ErrFrameType     = errors.New("net: unknown frame type")
 	ErrFrameOversize = errors.New("net: frame length exceeds cap")
-	ErrFrameChecksum = errors.New("net: frame checksum mismatch")
-	ErrFrameTrailing = errors.New("net: trailing bytes after frame")
 )
 
 // AppendFrame encodes f onto dst and returns the extended slice.
@@ -125,74 +121,7 @@ func appendFrame(dst []byte, f *Frame, body func([]byte) []byte) ([]byte, error)
 		return dst[:start], fmt.Errorf("%w: payload %d bytes", ErrFrameOversize, payLen)
 	}
 	binary.BigEndian.PutUint32(dst[start+20:], uint32(payLen))
-	return binary.BigEndian.AppendUint64(dst, par.FNV1a(par.FNVOffset64, dst[start:])), nil
-}
-
-// DecodeFrame decodes exactly one frame from buf, rejecting truncated,
-// oversized, bit-flipped, and trailing-garbage inputs. It never panics and
-// never allocates more than the declared (capped) lengths; the returned
-// frame's Op and Payload are copies, safe to retain after buf is reused.
-func DecodeFrame(buf []byte) (*Frame, error) {
-	f, n, err := decodeFramePrefix(buf)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(buf) {
-		return nil, fmt.Errorf("%w: %d of %d bytes", ErrFrameTrailing, n, len(buf))
-	}
-	return f, nil
-}
-
-// parseFrameHeader is the one place a frame header is checked: magic,
-// version, type range, and the two declared lengths against their caps.
-// hdr must hold at least headerLen bytes. It returns the frame with its
-// fixed fields filled and the lengths of the op and payload that follow.
-func parseFrameHeader(hdr []byte) (f Frame, opLen, payLen int, err error) {
-	if string(hdr[0:4]) != frameMagic {
-		return f, 0, 0, ErrFrameMagic
-	}
-	if hdr[4] != frameVersion {
-		return f, 0, 0, fmt.Errorf("%w: %d", ErrFrameVersion, hdr[4])
-	}
-	f.Type = hdr[5]
-	if f.Type < fHello || f.Type > fShutdown {
-		return f, 0, 0, fmt.Errorf("%w: %d", ErrFrameType, f.Type)
-	}
-	opLen = int(binary.BigEndian.Uint16(hdr[6:8]))
-	f.Src = int32(binary.BigEndian.Uint32(hdr[8:12]))
-	f.Seq = binary.BigEndian.Uint64(hdr[12:20])
-	payLen = int(binary.BigEndian.Uint32(hdr[20:24]))
-	if opLen > MaxFrameOp {
-		return f, 0, 0, fmt.Errorf("%w: op %d bytes", ErrFrameOversize, opLen)
-	}
-	if payLen > MaxFramePayload {
-		return f, 0, 0, fmt.Errorf("%w: payload %d bytes", ErrFrameOversize, payLen)
-	}
-	return f, opLen, payLen, nil
-}
-
-// decodeFramePrefix decodes one frame from the front of buf, returning the
-// frame and the number of bytes it occupied.
-func decodeFramePrefix(buf []byte) (*Frame, int, error) {
-	if len(buf) < headerLen {
-		return nil, 0, fmt.Errorf("%w: %d header bytes", ErrFrameShort, len(buf))
-	}
-	f, opLen, payLen, err := parseFrameHeader(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	total := headerLen + opLen + payLen + checksumLen
-	if len(buf) < total {
-		return nil, 0, fmt.Errorf("%w: %d of %d bytes", ErrFrameShort, len(buf), total)
-	}
-	body := buf[:total-checksumLen]
-	want := binary.BigEndian.Uint64(buf[total-checksumLen : total])
-	if par.FNV1a(par.FNVOffset64, body) != want {
-		return nil, 0, ErrFrameChecksum
-	}
-	f.Op = string(buf[headerLen : headerLen+opLen])
-	f.Payload = append([]byte(nil), buf[headerLen+opLen:headerLen+opLen+payLen]...)
-	return &f, total, nil
+	return comm.Seal(dst, start), nil
 }
 
 // smallFrame is the buffer a frame is encoded into, and the one ReadFrame
@@ -201,36 +130,48 @@ func decodeFramePrefix(buf []byte) (*Frame, int, error) {
 // written, and read, with one allocation for header and body together.
 const smallFrame = 256
 
-// ReadFrame reads exactly one frame from r. The header is read first so the
-// body allocation is bounded by the (capped) declared lengths; the checksum
-// is verified before the frame is returned. Errors from r pass through, so
-// deadline expiry surfaces as the connection's timeout error. The frame's
-// Payload aliases the buffer the frame was read into.
+// ReadFrame reads exactly one frame from r, the one frame decoder. The
+// header is read and checked first (magic, version, type range, and the
+// two declared lengths against their caps), so the body allocation is
+// bounded by the capped lengths; the checksum is verified before the frame
+// is returned. Errors from r pass through, so deadline expiry surfaces as
+// the connection's timeout error. The frame's Payload aliases the buffer
+// the frame was read into.
 func ReadFrame(r io.Reader) (*Frame, error) {
 	buf := make([]byte, headerLen, smallFrame)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	f, opLen, payLen, err := parseFrameHeader(buf)
-	if err != nil {
+	if err := comm.CheckHeader(buf, frameMagic, frameVersion); err != nil {
 		return nil, err
+	}
+	f := Frame{Type: buf[5], Src: int32(binary.BigEndian.Uint32(buf[8:12])),
+		Seq: binary.BigEndian.Uint64(buf[12:20])}
+	if f.Type < fHello || f.Type > fShutdown {
+		return nil, fmt.Errorf("%w: %d", ErrFrameType, f.Type)
+	}
+	opLen := int(binary.BigEndian.Uint16(buf[6:8]))
+	payLen := int(binary.BigEndian.Uint32(buf[20:24]))
+	if opLen > MaxFrameOp || payLen > MaxFramePayload {
+		return nil, fmt.Errorf("%w: op %d, payload %d bytes", ErrFrameOversize, opLen, payLen)
 	}
 	total := headerLen + opLen + payLen + checksumLen
 	buf = slices.Grow(buf, total-headerLen)[:total]
 	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
 		return nil, err
 	}
-	if par.FNV1a(par.FNVOffset64, buf[:total-checksumLen]) != binary.BigEndian.Uint64(buf[total-checksumLen:]) {
-		return nil, ErrFrameChecksum
+	if _, err := comm.Unseal(buf); err != nil {
+		return nil, err
 	}
 	f.Op = string(buf[headerLen : headerLen+opLen])
 	f.Payload = buf[headerLen+opLen : total-checksumLen]
 	return &f, nil
 }
 
-// Frame bodies. Each body kind has one fixed layout, little-endian: an int
-// is 8 bytes (int64), a float64 its IEEE-754 bits, a string or a list a
-// uint32 count followed by its bytes or items. Collective values are
+// Frame bodies. Each body kind has one fixed layout in the byte layer's
+// fields (comm's bytes.go): an int is 8 bytes, a float64 its IEEE-754
+// bits, a string or a list a uint32 count followed by its bytes or items,
+// all little-endian. Collective values are
 // comm's own wire form (comm.StepState's AppendDeposit and AppendScratch),
 // the rest of their body.
 //
@@ -248,9 +189,9 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 //	  usage      op, msg string
 //	  generic    msg string
 //
-// Decoders check every declared count against the bytes left before they
-// allocate, and reject trailing bytes; any byte string decodes to a value
-// or an error, never a panic (FuzzDecodeBodies).
+// Decoders read with comm.Reader, which checks every declared count against
+// the bytes left before they allocate and rejects trailing bytes; any byte
+// string decodes to a value or an error, never a panic (FuzzDecodeBodies).
 
 // helloBody is a worker's join request.
 type helloBody struct {
@@ -261,14 +202,14 @@ type helloBody struct {
 }
 
 func (h helloBody) append(dst []byte) []byte {
-	dst = appendInt(appendInt(dst, h.Rank), h.P)
+	dst = comm.AppendInt(comm.AppendInt(dst, h.Rank), h.P)
 	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(dst, h.Resume), h.Inc)
 }
 
 func decodeHello(b []byte) (helloBody, error) {
-	d := body{b: b}
-	h := helloBody{Rank: d.int(), P: d.int(), Resume: d.u64(), Inc: d.u64()}
-	return h, d.end()
+	d := comm.NewReader(b)
+	h := helloBody{Rank: d.Int(), P: d.Int(), Resume: d.U64(), Inc: d.U64()}
+	return h, d.End()
 }
 
 // welcomeBody admits the workers and carries the world's (possibly
@@ -279,13 +220,13 @@ type welcomeBody struct {
 }
 
 func (w welcomeBody) append(dst []byte) []byte {
-	return appendFloat(appendFloat(appendFloat(appendInt(dst, w.P), w.Tc), w.Ts), w.Tw)
+	return comm.AppendFloat(comm.AppendFloat(comm.AppendFloat(comm.AppendInt(dst, w.P), w.Tc), w.Ts), w.Tw)
 }
 
 func decodeWelcome(b []byte) (welcomeBody, error) {
-	d := body{b: b}
-	w := welcomeBody{P: d.int(), Tc: d.float(), Ts: d.float(), Tw: d.float()}
-	return w, d.end()
+	d := comm.NewReader(b)
+	w := welcomeBody{P: d.Int(), Tc: d.Float(), Ts: d.Float(), Tw: d.Float()}
+	return w, d.End()
 }
 
 // depositBody is a worker's contribution to one collective step. Value is
@@ -299,14 +240,14 @@ type depositBody struct {
 }
 
 func (p depositBody) append(dst []byte) []byte {
-	return append(appendString(appendFloat(appendInt(dst, p.ElemBytes), p.Clock), p.Phase), p.Value...)
+	return append(comm.AppendString(comm.AppendFloat(comm.AppendInt(dst, p.ElemBytes), p.Clock), p.Phase), p.Value...)
 }
 
 func decodeDeposit(b []byte) (depositBody, error) {
-	d := body{b: b}
-	p := depositBody{ElemBytes: d.int(), Clock: d.float(), Phase: d.str()}
-	p.Value = d.rest()
-	return p, d.err
+	d := comm.NewReader(b)
+	p := depositBody{ElemBytes: d.Int(), Clock: d.Float(), Phase: d.Str()}
+	p.Value = d.Rest()
+	return p, d.End()
 }
 
 // resultBody is the root's answer to one collective step: the step's end
@@ -318,14 +259,14 @@ type resultBody struct {
 }
 
 func (r resultBody) append(dst []byte) []byte {
-	return append(appendFloat(dst, r.End), r.Scratch...)
+	return append(comm.AppendFloat(dst, r.End), r.Scratch...)
 }
 
 func decodeResult(b []byte) (resultBody, error) {
-	d := body{b: b}
-	r := resultBody{End: d.float()}
-	r.Scratch = d.rest()
-	return r, d.err
+	d := comm.NewReader(b)
+	r := resultBody{End: d.Float()}
+	r.Scratch = d.Rest()
+	return r, d.End()
 }
 
 // Failure kinds of the abort body.
@@ -351,171 +292,81 @@ func appendFailure(dst []byte, err error, nested bool) []byte {
 			break
 		}
 		dst = append(dst, failRank)
-		dst = appendString(appendString(appendInt(dst, e.Rank), e.Op), e.Phase)
-		return appendFailure(appendInt(dst, e.Collective), e.Err, true)
+		dst = comm.AppendString(comm.AppendString(comm.AppendInt(dst, e.Rank), e.Op), e.Phase)
+		return appendFailure(comm.AppendInt(dst, e.Collective), e.Err, true)
 	case *comm.LinkFailure:
-		dst = appendString(appendInt(appendInt(append(dst, failLink), e.Src), e.Dst), e.Op)
-		return appendInt(appendInt(binary.LittleEndian.AppendUint64(dst, e.Seq), e.Attempts), e.Cap)
+		dst = comm.AppendString(comm.AppendInt(comm.AppendInt(append(dst, failLink), e.Src), e.Dst), e.Op)
+		return comm.AppendInt(comm.AppendInt(binary.LittleEndian.AppendUint64(dst, e.Seq), e.Attempts), e.Cap)
 	case *comm.MismatchError:
-		dst = appendInt(append(dst, failMismatch), e.Step)
+		dst = comm.AppendInt(append(dst, failMismatch), e.Step)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Calls)))
 		for _, c := range e.Calls {
-			dst = appendInt(appendString(appendInt(dst, c.Rank), c.Op), c.ElemBytes)
+			dst = comm.AppendInt(comm.AppendString(comm.AppendInt(dst, c.Rank), c.Op), c.ElemBytes)
 		}
 		return dst
 	case *comm.AbandonedError:
-		dst = appendString(appendInt(append(dst, failAbandoned), e.Waiter), e.Op)
+		dst = comm.AppendString(comm.AppendInt(append(dst, failAbandoned), e.Waiter), e.Op)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Departed)))
 		for _, r := range e.Departed {
-			dst = appendInt(dst, r)
+			dst = comm.AppendInt(dst, r)
 		}
 		return dst
 	case *ShutdownError:
-		return appendString(append(dst, failShutdown), e.Reason)
+		return comm.AppendString(append(dst, failShutdown), e.Reason)
 	case *comm.UsageError:
-		return appendString(appendString(append(dst, failUsage), e.Op), e.Msg)
+		return comm.AppendString(comm.AppendString(append(dst, failUsage), e.Op), e.Msg)
 	}
-	return appendString(append(dst, failGeneric), fmt.Sprint(err))
+	return comm.AppendString(append(dst, failGeneric), fmt.Sprint(err))
 }
 
 // decodeFailure rebuilds the failure appendFailure wrote; err reports a
 // body that is not one.
 func decodeFailure(b []byte) (failure, err error) {
-	d := body{b: b}
-	failure = d.failure(false)
-	return failure, d.end()
+	d := comm.NewReader(b)
+	failure = readFailure(&d, false)
+	return failure, d.End()
 }
 
-func (d *body) failure(nested bool) error {
-	switch kind := d.u8(); kind {
+// readFailure reads one failure of appendFailure's wire form off d.
+func readFailure(d *comm.Reader, nested bool) error {
+	switch kind := d.U8(); kind {
 	case failGeneric:
-		return errors.New(d.str())
+		return errors.New(d.Str())
 	case failRank:
 		if nested {
-			d.fail(errors.New("net: rank failure nested in a rank failure"))
+			d.Fail(errors.New("net: rank failure nested in a rank failure"))
 			return nil
 		}
-		e := &comm.RankFailure{Rank: d.int(), Op: d.str(), Phase: d.str(), Collective: d.int()}
-		e.Err = d.failure(true)
+		e := &comm.RankFailure{Rank: d.Int(), Op: d.Str(), Phase: d.Str(), Collective: d.Int()}
+		e.Err = readFailure(d, true)
 		return e
 	case failLink:
-		return &comm.LinkFailure{Src: d.int(), Dst: d.int(), Op: d.str(),
-			Seq: d.u64(), Attempts: d.int(), Cap: d.int()}
+		return &comm.LinkFailure{Src: d.Int(), Dst: d.Int(), Op: d.Str(),
+			Seq: d.U64(), Attempts: d.Int(), Cap: d.Int()}
 	case failMismatch:
-		e := &comm.MismatchError{Step: d.int()}
-		if n := d.count(20); n > 0 {
+		e := &comm.MismatchError{Step: d.Int()}
+		if n := d.Count(20); n > 0 {
 			e.Calls = make([]comm.SigCall, n)
 			for i := range e.Calls {
-				e.Calls[i] = comm.SigCall{Rank: d.int(), Op: d.str(), ElemBytes: d.int()}
+				e.Calls[i] = comm.SigCall{Rank: d.Int(), Op: d.Str(), ElemBytes: d.Int()}
 			}
 		}
 		return e
 	case failAbandoned:
-		e := &comm.AbandonedError{Waiter: d.int(), Op: d.str()}
-		if n := d.count(8); n > 0 {
+		e := &comm.AbandonedError{Waiter: d.Int(), Op: d.Str()}
+		if n := d.Count(8); n > 0 {
 			e.Departed = make([]int, n)
 			for i := range e.Departed {
-				e.Departed[i] = d.int()
+				e.Departed[i] = d.Int()
 			}
 		}
 		return e
 	case failShutdown:
-		return &ShutdownError{Reason: d.str()}
+		return &ShutdownError{Reason: d.Str()}
 	case failUsage:
-		return &comm.UsageError{Op: d.str(), Msg: d.str()}
+		return &comm.UsageError{Op: d.Str(), Msg: d.Str()}
 	default:
-		d.fail(fmt.Errorf("net: unknown failure kind %d", kind))
+		d.Fail(fmt.Errorf("net: unknown failure kind %d", kind))
 		return nil
 	}
-}
-
-// errBodyShort is a body whose fields or declared counts overrun it.
-var errBodyShort = errors.New("net: frame body truncated")
-
-// body reads a frame body front to back. The first read that fails
-// latches its error; every later read returns a zero value.
-type body struct {
-	b   []byte
-	err error
-}
-
-func (d *body) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-	d.b = nil
-}
-
-// take consumes the next n bytes, or fails the body.
-func (d *body) take(n int) []byte {
-	if d.err != nil || n > len(d.b) {
-		d.fail(errBodyShort)
-		return nil
-	}
-	p := d.b[:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *body) u8() byte {
-	if p := d.take(1); p != nil {
-		return p[0]
-	}
-	return 0
-}
-
-func (d *body) u64() uint64 {
-	if p := d.take(8); p != nil {
-		return binary.LittleEndian.Uint64(p)
-	}
-	return 0
-}
-
-func (d *body) int() int { return int(int64(d.u64())) }
-
-func (d *body) float() float64 { return math.Float64frombits(d.u64()) }
-
-// count reads a list or string length and checks that that many items,
-// each taking at least each bytes, fit in the bytes left, before anyone
-// allocates.
-func (d *body) count(each int) int {
-	p := d.take(4)
-	if p == nil {
-		return 0
-	}
-	n := int(binary.LittleEndian.Uint32(p))
-	if n*each > len(d.b) {
-		d.fail(fmt.Errorf("%w: %d items of %d bytes in %d", errBodyShort, n, each, len(d.b)))
-		return 0
-	}
-	return n
-}
-
-func (d *body) str() string { return string(d.take(d.count(1))) }
-
-// rest consumes and returns whatever is left.
-func (d *body) rest() []byte {
-	p := d.b
-	d.b = nil
-	return p
-}
-
-// end is the body's error, with trailing bytes an error too.
-func (d *body) end() error {
-	if d.err == nil && len(d.b) != 0 {
-		d.err = fmt.Errorf("net: %d trailing bytes after a frame body", len(d.b))
-	}
-	return d.err
-}
-
-func appendInt(dst []byte, v int) []byte {
-	return binary.LittleEndian.AppendUint64(dst, uint64(v))
-}
-
-func appendFloat(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-func appendString(dst []byte, s string) []byte {
-	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(s))), s...)
 }

@@ -3,8 +3,12 @@ package net
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+
+	"optipart/internal/comm"
 )
 
 func mustEncode(t testing.TB, f *Frame) []byte {
@@ -16,6 +20,17 @@ func mustEncode(t testing.TB, f *Frame) []byte {
 	return buf
 }
 
+// readOne reads exactly one frame from buf with ReadFrame, the one frame
+// decoder; bytes it leaves unread are comm.ErrTrailing.
+func readOne(buf []byte) (*Frame, error) {
+	r := bytes.NewReader(buf)
+	f, err := ReadFrame(r)
+	if err == nil && r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after a frame", comm.ErrTrailing, r.Len())
+	}
+	return f, err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []*Frame{
 		{Type: fHello, Src: 3, Seq: 0, Payload: []byte("hi")},
@@ -25,24 +40,15 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: fAbort, Src: -1, Payload: []byte{0}},
 	}
 	for _, want := range cases {
-		buf := mustEncode(t, want)
-		got, err := DecodeFrame(buf)
+		got, err := readOne(mustEncode(t, want))
 		if err != nil {
-			t.Fatalf("DecodeFrame(%q frame): %v", want.Op, err)
+			t.Fatalf("ReadFrame(%q frame): %v", want.Op, err)
 		}
 		if got.Type != want.Type || got.Src != want.Src || got.Seq != want.Seq || got.Op != want.Op {
 			t.Errorf("header round trip: got %+v want %+v", got, want)
 		}
 		if !bytes.Equal(got.Payload, want.Payload) {
 			t.Errorf("payload round trip mismatch for %q", want.Op)
-		}
-		// The streaming reader must agree with the buffer decoder.
-		rf, err := ReadFrame(bytes.NewReader(buf))
-		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
-		}
-		if rf.Type != want.Type || !bytes.Equal(rf.Payload, want.Payload) {
-			t.Errorf("ReadFrame disagrees with DecodeFrame for %q", want.Op)
 		}
 	}
 }
@@ -52,7 +58,7 @@ func TestDecodeFrameRejects(t *testing.T) {
 
 	t.Run("truncated", func(t *testing.T) {
 		for n := 0; n < len(valid); n++ {
-			if _, err := DecodeFrame(valid[:n]); err == nil {
+			if _, err := readOne(valid[:n]); err == nil {
 				t.Fatalf("truncation to %d bytes decoded", n)
 			}
 		}
@@ -61,9 +67,9 @@ func TestDecodeFrameRejects(t *testing.T) {
 		for i := range valid {
 			mut := append([]byte(nil), valid...)
 			mut[i] ^= 0x40
-			if f, err := DecodeFrame(mut); err == nil {
+			if f, err := readOne(mut); err == nil {
 				// A flip must never produce a silently different frame.
-				orig, _ := DecodeFrame(valid)
+				orig, _ := readOne(valid)
 				if f.Type != orig.Type || f.Src != orig.Src || f.Seq != orig.Seq ||
 					f.Op != orig.Op || !bytes.Equal(f.Payload, orig.Payload) {
 					t.Fatalf("bit flip at %d decoded to a different frame", i)
@@ -74,29 +80,27 @@ func TestDecodeFrameRejects(t *testing.T) {
 	t.Run("badmagic", func(t *testing.T) {
 		mut := append([]byte(nil), valid...)
 		mut[0] = 'X'
-		if _, err := DecodeFrame(mut); !errors.Is(err, ErrFrameMagic) {
-			t.Fatalf("got %v, want ErrFrameMagic", err)
+		if _, err := readOne(mut); !errors.Is(err, comm.ErrMagic) {
+			t.Fatalf("got %v, want comm.ErrMagic", err)
 		}
 	})
 	t.Run("badversion", func(t *testing.T) {
 		// A frame of the gob-bodied version 1 is refused from its header.
 		mut := append([]byte(nil), valid...)
 		mut[4] = 1
-		if _, err := DecodeFrame(mut); !errors.Is(err, ErrFrameVersion) {
-			t.Fatalf("got %v, want ErrFrameVersion", err)
-		}
-		if _, err := ReadFrame(bytes.NewReader(mut)); !errors.Is(err, ErrFrameVersion) {
-			t.Fatalf("ReadFrame: got %v, want ErrFrameVersion", err)
+		if _, err := readOne(mut); !errors.Is(err, comm.ErrVersion) {
+			t.Fatalf("got %v, want comm.ErrVersion", err)
 		}
 	})
 	t.Run("trailing", func(t *testing.T) {
-		if _, err := DecodeFrame(append(append([]byte(nil), valid...), 0)); !errors.Is(err, ErrFrameTrailing) {
-			t.Fatalf("got %v, want ErrFrameTrailing", err)
+		if _, err := readOne(append(append([]byte(nil), valid...), 0)); !errors.Is(err, comm.ErrTrailing) {
+			t.Fatalf("got %v, want comm.ErrTrailing", err)
 		}
 	})
 	t.Run("zerolength", func(t *testing.T) {
-		if _, err := DecodeFrame(nil); !errors.Is(err, ErrFrameShort) {
-			t.Fatalf("got %v, want ErrFrameShort", err)
+		// An empty stream is a closed connection, not a short frame.
+		if _, err := readOne(nil); !errors.Is(err, io.EOF) {
+			t.Fatalf("got %v, want io.EOF", err)
 		}
 	})
 	t.Run("oversize-encode", func(t *testing.T) {
@@ -109,22 +113,17 @@ func TestDecodeFrameRejects(t *testing.T) {
 		// rejected from the header alone, before any allocation.
 		mut := append([]byte(nil), valid...)
 		mut[20], mut[21], mut[22], mut[23] = 0xff, 0xff, 0xff, 0xff
-		if _, err := DecodeFrame(mut); !errors.Is(err, ErrFrameOversize) {
+		if _, err := readOne(mut); !errors.Is(err, ErrFrameOversize) {
 			t.Fatalf("got %v, want ErrFrameOversize", err)
-		}
-		if _, err := ReadFrame(bytes.NewReader(mut)); !errors.Is(err, ErrFrameOversize) {
-			t.Fatalf("ReadFrame: got %v, want ErrFrameOversize", err)
 		}
 	})
 }
 
-// FuzzDecodeFrame asserts the decoder's safety contract on arbitrary
-// input: it may reject, but it must never panic, never over-allocate
-// (the length caps bound every allocation), and anything it accepts must
-// re-encode to the identical bytes. Production reads frames with ReadFrame,
-// so every input goes through it too: the two decoders share one header
-// parser and must agree on accept/reject (ReadFrame leaves trailing bytes
-// unread, DecodeFrame rejects them) and on the frame.
+// FuzzDecodeFrame asserts the frame decoder's safety contract on
+// arbitrary input, read through ReadFrame as a connection would feed it: it
+// may reject, but it must never panic, never over-allocate (the length caps
+// bound every allocation), and any frame it accepts must re-encode to the
+// bytes it read, with bytes it left unread rejected as trailing.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("OPTP"))
@@ -136,17 +135,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frame, err := DecodeFrame(data)
-		streamed, rerr := ReadFrame(bytes.NewReader(data))
-		if (rerr == nil) != (err == nil || errors.Is(err, ErrFrameTrailing)) {
-			t.Fatalf("decoders disagree: DecodeFrame %v, ReadFrame %v", err, rerr)
-		}
+		frame, err := readOne(data)
 		if err != nil {
 			return
-		}
-		if streamed.Type != frame.Type || streamed.Src != frame.Src || streamed.Seq != frame.Seq ||
-			streamed.Op != frame.Op || !bytes.Equal(streamed.Payload, frame.Payload) {
-			t.Fatalf("frames differ: DecodeFrame %+v, ReadFrame %+v", frame, streamed)
 		}
 		re, err := AppendFrame(nil, frame)
 		if err != nil {

@@ -22,7 +22,6 @@ import (
 // row's reason. A method is keyed as "pkg.Type.Method".
 var reachKeep = map[string]string{
 	"internal/octree.SurfaceArea": "ROADMAP item 7's surface-to-volume oracle (arXiv:2106.12856) measures with it; a reference tests compare against",
-	"internal/net.DecodeFrame":    "the fuzz entry: FuzzDecodeFrame drives it and ReadFrame side by side over the one header parser",
 }
 
 // knobKeep is the allow-list of TestKnobCensus: option fields that no

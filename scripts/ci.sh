@@ -13,9 +13,11 @@
 # FuzzDecodeSnapshot, and
 # internal/partition's FuzzRepartitionerStep;
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
-# lint, and service; the benchmark spine's quick run with its exact
-# metrics compared against scripts/spine_quick_baseline.json and its
-# partition.step_allocs required to be 0; the repart
+# lint, and service; the mutant ledger (scripts/mutants.sh: under each
+# scripts/mutants/*.patch its named test must fail); the benchmark spine's
+# quick run with its exact metrics compared against
+# scripts/spine_quick_baseline.json and its partition.step_allocs required
+# to be 0; the repart
 # transcript at -workers 1 and GOMAXPROCS against its golden; the full
 # repart campaign and its built-in assertions, at -workers 1 and GOMAXPROCS
 # with the two transcripts compared; then the smokes: optipartd
@@ -150,6 +152,13 @@ echo "==> service dedicated race pass"
 # singleflight wait on one cond, so their tests run five more times.
 go test -race -shuffle=on -count=1 ./internal/service
 go test -race -count=5 -run 'Admission|Singleflight|ConcurrentMixed' ./internal/service
+
+echo "==> mutant ledger: scripts/mutants.sh"
+# Each patch under scripts/mutants/ plants one defect a test was written to
+# catch; the stage fails if that test still passes (the oracle has gone
+# blind) or the patch no longer applies (refresh it with the lines it
+# mutates). Tests run with -run under a timeout, never under -fuzz.
+./scripts/mutants.sh
 
 echo "==> benchmark spine: quick run, exact metrics against scripts/spine_quick_baseline.json"
 # The one bench harness (benchmark/, BENCHMARK.json) is the gate. The quick
