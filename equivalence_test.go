@@ -36,9 +36,9 @@ import (
 // wall-clock only.
 func TestModeledCostEquivalence(t *testing.T) {
 	const (
-		wantBytes    = 458128
-		wantMsgs     = 304
-		wantTimeBits = 0x3f71644dd4c1853e
+		wantBytes    = 455056
+		wantMsgs     = 280
+		wantTimeBits = 0x3f70c4d62abbe2bd
 	)
 
 	for _, w := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {

@@ -5,7 +5,7 @@ func Example() {
 	main()
 	// Output:
 	// partitioned 320000 elements across 16 ranks on the Clemson-32 model
-	//   modeled time:        0.0199 s
+	//   modeled time:        0.01928 s
 	//   refinement rounds:   5
 	//   achieved tolerance:  0.020
 	//   load imbalance λ:    1.040 (Wmax=20397, Wmin=19607)

@@ -11,10 +11,12 @@
 //     (costaccounting),
 //
 // plus apihygiene, which keeps the performance decisions (generic sorts,
-// memoized curves, structured panics, rank order) from regressing, and four
-// concurrency-protocol rules: lockorder, condwait, goroutineleak and
-// unboundedgrowth. Each rule keeps its place by catching a mutation nothing
-// else in CI catches (the rule table in DESIGN.md's "Static invariants").
+// memoized curves, structured panics, rank order) from regressing, four
+// concurrency-protocol rules (lockorder, condwait, goroutineleak and
+// unboundedgrowth), and alloczero, which holds every //alloc:zero function
+// to the compiler's escape analysis. Each rule keeps its place by catching
+// a mutation nothing else in CI catches (the rule table in DESIGN.md's
+// "Static invariants").
 //
 // Each analyzer walks the typed AST of one package and reports Diagnostics.
 // A diagnostic can be suppressed — with an audit trail — by a
@@ -23,7 +25,8 @@
 //
 // comment on the offending line or on its own line immediately above; the
 // reason is mandatory, and `optipartlint -listignores` prints every active
-// suppression for review.
+// suppression for review. A suppression that silences nothing is stale: it
+// is reported as a note, not a finding.
 package lint
 
 import (
@@ -35,13 +38,13 @@ import (
 	"strings"
 )
 
-// Diagnostic is one finding, positioned for editors and the -json output.
+// Diagnostic is one finding, positioned for editors.
 type Diagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
+	File    string
+	Line    int
+	Col     int
+	Rule    string
+	Message string
 }
 
 func (d Diagnostic) String() string {
@@ -50,11 +53,11 @@ func (d Diagnostic) String() string {
 
 // Suppression is one honored //lint:ignore directive.
 type Suppression struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`   // line of the directive comment
-	Target int    `json:"target"` // line whose diagnostics it silences
-	Rule   string `json:"rule"`
-	Reason string `json:"reason"`
+	File   string
+	Line   int // line of the directive comment
+	Target int // line whose diagnostics it silences
+	Rule   string
+	Reason string
 }
 
 func (s Suppression) String() string {
@@ -70,7 +73,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CollectiveDiverge, Nondeterminism, CostAccounting, APIHygiene, LockOrder, CondWait, GoroutineLeak, UnboundedGrowth}
+	return []*Analyzer{CollectiveDiverge, Nondeterminism, CostAccounting, APIHygiene, LockOrder, CondWait, GoroutineLeak, UnboundedGrowth, AllocZero}
 }
 
 // RuleNames returns the valid rule ids, for directive validation.
@@ -90,8 +93,10 @@ type Pass struct {
 	Info  *types.Info
 	Path  string // import path of the package under analysis
 
-	analyzer *Analyzer
-	diags    *[]Diagnostic
+	pkg       *Package
+	analyzer  *Analyzer
+	diags     *[]Diagnostic
+	contracts *int // //alloc:zero functions found, for the vacuous-run guard
 }
 
 // Report records a diagnostic at pos under the running analyzer's rule.
@@ -110,6 +115,8 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 type Result struct {
 	Diagnostics  []Diagnostic  // surviving (unsuppressed) findings, sorted
 	Suppressions []Suppression // honored directives, sorted
+	Stale        []Suppression // honored directives that silenced nothing
+	Contracts    int           // //alloc:zero functions checked
 }
 
 // directiveRule is the synthetic rule id for malformed //lint:ignore
@@ -120,15 +127,18 @@ const directiveRule = "lintdirective"
 // RunPackage runs every analyzer over pkg and resolves suppressions.
 func RunPackage(pkg *Package) Result {
 	var raw []Diagnostic
+	var contracts int
 	for _, a := range Analyzers() {
 		pass := &Pass{
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			Path:     pkg.Path,
-			analyzer: a,
-			diags:    &raw,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			Info:      pkg.Info,
+			Path:      pkg.Path,
+			pkg:       pkg,
+			analyzer:  a,
+			diags:     &raw,
+			contracts: &contracts,
 		}
 		a.Run(pass)
 	}
@@ -141,13 +151,15 @@ func RunPackage(pkg *Package) Result {
 		line int
 		rule string
 	}
-	byKey := map[supKey]bool{}
+	silenced := map[supKey]int{}
 	for _, s := range sups {
-		byKey[supKey{s.File, s.Target, s.Rule}] = true
+		silenced[supKey{s.File, s.Target, s.Rule}] = 0
 	}
 	var kept []Diagnostic
 	for _, d := range raw {
-		if d.Rule != directiveRule && byKey[supKey{d.File, d.Line, d.Rule}] {
+		k := supKey{d.File, d.Line, d.Rule}
+		if n, ok := silenced[k]; ok && d.Rule != directiveRule {
+			silenced[k] = n + 1
 			continue
 		}
 		kept = append(kept, d)
@@ -159,14 +171,41 @@ func RunPackage(pkg *Package) Result {
 		}
 		return a.Line - b.Line
 	})
-	return Result{Diagnostics: kept, Suppressions: sups}
+	var stale []Suppression
+	for _, s := range sups {
+		if silenced[supKey{s.File, s.Target, s.Rule}] == 0 {
+			stale = append(stale, s)
+		}
+	}
+	return Result{Diagnostics: kept, Suppressions: sups, Stale: stale, Contracts: contracts}
 }
 
 // Merge folds other into r.
 func (r *Result) Merge(other Result) {
 	r.Diagnostics = append(r.Diagnostics, other.Diagnostics...)
 	r.Suppressions = append(r.Suppressions, other.Suppressions...)
+	r.Stale = append(r.Stale, other.Stale...)
+	r.Contracts += other.Contracts
 	sortDiagnostics(r.Diagnostics)
+}
+
+// CheckModule runs the suite over every package of the module. A module
+// with no //alloc:zero contract is an error, not a pass: alloczero would
+// have checked nothing, which is also what a broken contract scan looks
+// like.
+func (l *Loader) CheckModule() (Result, error) {
+	var res Result
+	pkgs, err := l.LoadModule()
+	if err != nil {
+		return res, err
+	}
+	for _, pkg := range pkgs {
+		res.Merge(RunPackage(pkg))
+	}
+	if res.Contracts == 0 {
+		return res, fmt.Errorf("lint: no //alloc:zero contracts in module %s: alloczero would be vacuous", l.ModPath)
+	}
+	return res, nil
 }
 
 func sortDiagnostics(ds []Diagnostic) {

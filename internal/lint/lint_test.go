@@ -333,7 +333,7 @@ func TestUnboundedGrowthFixtures(t *testing.T) {
 // diagnostic across all fixtures against testdata/positions.golden. Run with
 // UPDATE_LINT_GOLDEN=1 to regenerate after editing fixtures.
 func TestFixturePositions(t *testing.T) {
-	fixtures := []string{"divergebad", "nondetbad", "costbad", "hygienebad", "parbad", "netbad", "suppress", "drainloop", "lockbad", "condbad", "leakbad/internal/net", "growthbad"}
+	fixtures := []string{"divergebad", "nondetbad", "costbad", "hygienebad", "parbad", "netbad", "suppress", "drainloop", "lockbad", "condbad", "leakbad/internal/net", "growthbad", "allocbad"}
 	l := fixtureLoader(t)
 	srcRoot := filepath.Join(l.ModRoot, "internal", "lint", "testdata", "src")
 	var lines []string
@@ -398,25 +398,22 @@ func skewed(c *comm.Comm, vals []float64) []float64 {
 	}
 }
 
-// TestModuleClean loads every package of the module and requires the suite
-// to pass — the same gate scripts/ci.sh runs via cmd/optipartlint.
+// TestModuleClean runs the suite, alloczero's -m build included, over every
+// package of the module and requires it to pass — the same gate
+// scripts/ci.sh runs via cmd/optipartlint. Removing any one waiver fails it.
 func TestModuleClean(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-module type-check is slow; skipped with -short")
+		t.Skip("full-module type-check and -m build are slow; skipped with -short")
 	}
-	l := fixtureLoader(t)
-	pkgs, err := l.LoadModule()
+	res, err := fixtureLoader(t).CheckModule()
 	if err != nil {
 		t.Fatal(err)
-	}
-	var res Result
-	for _, pkg := range pkgs {
-		res.Merge(RunPackage(pkg))
 	}
 	for _, d := range res.Diagnostics {
 		t.Errorf("module not lint-clean: %s", d)
 	}
-	for _, s := range res.Suppressions {
-		t.Logf("active suppression: %s", s)
+	for _, s := range res.Stale {
+		t.Errorf("stale suppression silences nothing: %s", s)
 	}
+	t.Logf("%d //alloc:zero contracts, %d active suppressions", res.Contracts, len(res.Suppressions))
 }

@@ -28,6 +28,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	loader *Loader
 }
 
 // Loader loads and type-checks packages of one module. It caches by import
@@ -40,6 +42,7 @@ type Loader struct {
 
 	cache  map[string]*Package
 	stdlib types.ImporterFrom
+	builds map[string]escapeBuild // alloczero's -m builds, by pattern
 }
 
 // NewLoader builds a loader for the module rooted at modRoot (the directory
@@ -65,6 +68,7 @@ func NewLoader(modRoot string) (*Loader, error) {
 		ModPath: modPath,
 		ModRoot: modRoot,
 		cache:   map[string]*Package{},
+		builds:  map[string]escapeBuild{},
 	}
 	l.stdlib = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 	return l, nil
@@ -146,7 +150,7 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	p := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info, loader: l}
 	l.cache[path] = p
 	return p, nil
 }

@@ -130,13 +130,18 @@ func appendFrame(dst []byte, f *Frame, body func([]byte) []byte) ([]byte, error)
 // written, and read, with one allocation for header and body together.
 const smallFrame = 256
 
+// readChunk is the most ReadFrame reserves for a body before any of it has
+// arrived; a body that fits is read with one allocation.
+const readChunk = 1 << 20
+
 // ReadFrame reads exactly one frame from r, the one frame decoder. The
 // header is read and checked first (magic, version, type range, and the
-// two declared lengths against their caps), so the body allocation is
-// bounded by the capped lengths; the checksum is verified before the frame
-// is returned. Errors from r pass through, so deadline expiry surfaces as
-// the connection's timeout error. The frame's Payload aliases the buffer
-// the frame was read into.
+// two declared lengths against their caps), and the body buffer grows
+// only as its bytes arrive; the checksum is verified before the frame is
+// returned. A stream that ends inside a frame is io.ErrUnexpectedEOF;
+// other errors from r pass through, so deadline expiry surfaces as the
+// connection's timeout error. The frame's Payload aliases the buffer the
+// frame was read into.
 func ReadFrame(r io.Reader) (*Frame, error) {
 	buf := make([]byte, headerLen, smallFrame)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -156,9 +161,21 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		return nil, fmt.Errorf("%w: op %d, payload %d bytes", ErrFrameOversize, opLen, payLen)
 	}
 	total := headerLen + opLen + payLen + checksumLen
-	buf = slices.Grow(buf, total-headerLen)[:total]
-	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
-		return nil, err
+	for len(buf) < total {
+		// A declared length is a claim until its bytes arrive: the buffer
+		// grows by at most what it already holds (readChunk at first), so
+		// a stalled peer cannot make it reserve MaxFramePayload.
+		n := min(total-len(buf), max(readChunk, len(buf)))
+		if cap(buf) < len(buf)+n {
+			buf = append(make([]byte, 0, len(buf)+n), buf...)
+		}
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+n]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more
+			}
+			return nil, err
+		}
+		buf = buf[:len(buf)+n]
 	}
 	if _, err := comm.Unseal(buf); err != nil {
 		return nil, err

@@ -2,9 +2,12 @@ package net
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -117,6 +120,31 @@ func TestDecodeFrameRejects(t *testing.T) {
 			t.Fatalf("got %v, want ErrFrameOversize", err)
 		}
 	})
+}
+
+// TestReadFrameGrowsWithArrivingBytes: a bare header declaring the largest
+// payload, then end of stream, is a truncated frame, and ReadFrame must not
+// reserve the declared 64 MiB for bytes that never came. Root.admit reads
+// every unchecked hello this way. The process-wide byte count is taken as
+// the least of five reads, so goroutines other tests left running do not
+// count against it.
+func TestReadFrameGrowsWithArrivingBytes(t *testing.T) {
+	hdr := mustEncode(t, &Frame{Type: fHello, Src: 1})[:headerLen]
+	binary.BigEndian.PutUint32(hdr[20:24], MaxFramePayload)
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadFrame(bytes.NewReader(hdr))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("got %v, want io.ErrUnexpectedEOF", err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 2<<20 {
+		t.Fatalf("ReadFrame allocated %d bytes for a header alone, want under 2 MiB", least)
+	}
 }
 
 // FuzzDecodeFrame asserts the frame decoder's safety contract on

@@ -143,10 +143,11 @@ func partitionSorted(c *comm.Comm, local []sfc.Key, ranks []sfc.Rank128, a *psor
 	c.SetPhase("splitter")
 	sel := newSelector(c, curve, local, ranks, a, opts.MaxSplitters)
 	var sp *Splitters
+	var q Quality
 	var achieved float64
 	switch opts.Mode {
 	case ModelDriven:
-		sp, achieved = runModelDriven(sel, &obj)
+		sp, q, achieved = runModelDriven(sel, &obj)
 	default:
 		slack := int64(0)
 		if opts.Mode == FlexibleTolerance {
@@ -155,16 +156,17 @@ func partitionSorted(c *comm.Comm, local []sfc.Key, ranks []sfc.Rank128, a *psor
 		for sel.refineRound(slack) {
 		}
 		sp = sel.snap()
+		q = sel.quality(sp)
 		achieved = sel.achievedTolerance()
 	}
 
 	res := &Result{
 		Splitters:   sp,
+		Quality:     q,
+		Predicted:   obj.tp(q),
 		Rounds:      sel.rounds,
 		AchievedTol: achieved,
 	}
-	res.Quality = sel.quality(sp)
-	res.Predicted = obj.tp(res.Quality)
 
 	if opts.SkipExchange {
 		return res
@@ -201,8 +203,10 @@ func exchange(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, sp *Splitters) []
 // tolerance) and descends one level per iteration; after each round the
 // model prices the induced partition, and the loop keeps the best partition
 // seen, stopping as soon as a round makes the prediction worse — the
-// "approaches the optimum from the right" behaviour of Figure 10.
-func runModelDriven(sel *selector, obj *objective) (best *Splitters, bestTol float64) {
+// "approaches the optimum from the right" behaviour of Figure 10. It
+// returns the adopted rung's Quality as descend priced it, so the caller
+// does not scan and reduce a second time.
+func runModelDriven(sel *selector, obj *objective) (best *Splitters, bestQ Quality, bestTol float64) {
 	var bestT float64
 	// A start so coarse that a rank owns nothing is never acceptable (the
 	// paper's tolerances keep every partition populated); refine past it,
@@ -214,11 +218,11 @@ func runModelDriven(sel *selector, obj *objective) (best *Splitters, bestTol flo
 			// The model says further balancing costs more than it saves.
 			return false
 		}
-		best, bestT, bestTol = cand, t, sel.achievedTolerance()
+		best, bestQ, bestT, bestTol = cand, q, t, sel.achievedTolerance()
 		populated = populated || !q.emptiesRank(sel.c.Size())
 		return true
 	})
-	return best, bestTol
+	return best, bestQ, bestTol
 }
 
 // descend is the walk of Algorithm 3 that Partition and Repartition share.

@@ -163,7 +163,7 @@ func (e *Repartitioner) Rebuild(keys []sfc.Key, prior *Splitters) StepResult {
 //alloc:zero once the arena columns and scratch are warm; growth past a size high-water mark is the cold path.
 func (e *Repartitioner) Step(delta octree.Delta) StepResult {
 	if delta.OldLen != e.n {
-		//alloc:escape mismatched-delta panic path, never taken in a correct loop
+		//lint:ignore alloczero mismatched-delta panic path, never taken in a correct loop
 		panic(fmt.Errorf("partition: Step delta against %d elements, engine holds %d", delta.OldLen, e.n))
 	}
 	e.applyDelta(delta)
@@ -198,8 +198,8 @@ func (e *Repartitioner) ingest(keys []sfc.Key) {
 func (e *Repartitioner) applyDelta(delta octree.Delta) {
 	curve := e.cfg.Curve
 	nch := curve.NumChildren()
-	nk, nr := e.arena.AltColumns(delta.NewLen) //alloc:escape alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
-	nlo, nhi := e.arena.AltSpans(delta.NewLen) //alloc:escape alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
+	nk, nr := e.arena.AltColumns(delta.NewLen) //lint:ignore alloczero alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
+	nlo, nhi := e.arena.AltSpans(delta.NewLen) //lint:ignore alloczero alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
 	w, i, ri, ci := 0, 0, 0, 0
 	for {
 		next := e.n
@@ -234,7 +234,7 @@ func (e *Repartitioner) applyDelta(delta octree.Delta) {
 		e.adjust(e.ranks[i], e.lo[i], e.hi[i], -1)
 		st := curve.StateAt(e.keys[i])
 		for pos := 0; pos < nch; pos++ {
-			child := e.keys[i].Child(curve.ChildAt(st, pos)) //alloc:escape Key.Child's max-level panic is inlined here; the Evolver never refines a max-level leaf
+			child := e.keys[i].Child(curve.ChildAt(st, pos)) //lint:ignore alloczero Key.Child's max-level panic is inlined here; the Evolver never refines a max-level leaf
 			nk[w] = child
 			nr[w], nlo[w], nhi[w] = curve.RankWithSpan(child)
 			e.adjust(nr[w], nlo[w], nhi[w], 1)
@@ -244,13 +244,13 @@ func (e *Repartitioner) applyDelta(delta octree.Delta) {
 		ri++
 	}
 	if w != delta.NewLen {
-		//alloc:escape corrupt-delta panic path, never taken in a correct loop
+		//lint:ignore alloczero corrupt-delta panic path, never taken in a correct loop
 		panic(fmt.Errorf("partition: delta replay produced %d elements, want %d", w, delta.NewLen))
 	}
 	e.arena.SwapAlt()
 	e.n = delta.NewLen
-	e.keys, e.ranks = e.arena.Columns(delta.NewLen) //alloc:escape column growth is a once-per-high-water-mark cold path; warm arenas reslice
-	e.lo, e.hi = e.arena.Spans(delta.NewLen)        //alloc:escape column growth is a once-per-high-water-mark cold path; warm arenas reslice
+	e.keys, e.ranks = e.arena.Columns(delta.NewLen) //lint:ignore alloczero column growth is a once-per-high-water-mark cold path; warm arenas reslice
+	e.lo, e.hi = e.arena.Spans(delta.NewLen)        //lint:ignore alloczero column growth is a once-per-high-water-mark cold path; warm arenas reslice
 }
 
 // adjust moves one leaf, with cached rank and neighbour span lo, hi, into

@@ -90,7 +90,7 @@ func (a *Arena) growKeys(n int) {
 //
 //alloc:zero once the column is warm; growth is the first-use cold path.
 func (a *Arena) Keys(n int) []sfc.Key {
-	a.growKeys(n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
+	a.growKeys(n) //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
 	return a.keys
 }
 
@@ -102,8 +102,8 @@ func (a *Arena) Keys(n int) []sfc.Key {
 //
 //alloc:zero once the columns are warm; growth is the first-use cold path.
 func (a *Arena) Columns(n int) ([]sfc.Key, []sfc.Rank128) {
-	a.growKeys(n)                  //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
-	a.ranks = growRank(a.ranks, n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
+	a.growKeys(n)                  //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
+	a.ranks = growRank(a.ranks, n) //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
 	return a.keys, a.ranks
 }
 
@@ -119,8 +119,8 @@ func (a *Arena) Ranks(n int) []sfc.Rank128 {
 //
 //alloc:zero once the columns are warm; growth is the first-use cold path.
 func (a *Arena) Spans(n int) (lo, hi []sfc.Rank128) {
-	a.lo = growRank(a.lo, n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
-	a.hi = growRank(a.hi, n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
+	a.lo = growRank(a.lo, n) //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
+	a.hi = growRank(a.hi, n) //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
 	return a.lo, a.hi
 }
 
@@ -132,10 +132,10 @@ func (a *Arena) Spans(n int) (lo, hi []sfc.Rank128) {
 //alloc:zero once the columns are warm; growth is the first-use cold path.
 func (a *Arena) AltColumns(n int) ([]sfc.Key, []sfc.Rank128) {
 	if cap(a.kAlt) < n {
-		a.kAlt = make([]sfc.Key, growCap(n)) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
+		a.kAlt = make([]sfc.Key, growCap(n)) //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
 	}
 	a.kAlt = a.kAlt[:n]
-	a.rAlt = growRank(a.rAlt, n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
+	a.rAlt = growRank(a.rAlt, n) //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
 	return a.kAlt, a.rAlt
 }
 
@@ -144,8 +144,8 @@ func (a *Arena) AltColumns(n int) ([]sfc.Key, []sfc.Rank128) {
 //
 //alloc:zero once the columns are warm; growth is the first-use cold path.
 func (a *Arena) AltSpans(n int) (lo, hi []sfc.Rank128) {
-	a.loAlt = growRank(a.loAlt, n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
-	a.hiAlt = growRank(a.hiAlt, n) //alloc:escape column growth runs once per size high-water mark; a warm arena reslices
+	a.loAlt = growRank(a.loAlt, n) //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
+	a.hiAlt = growRank(a.hiAlt, n) //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
 	return a.loAlt, a.hiAlt
 }
 

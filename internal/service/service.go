@@ -390,7 +390,7 @@ func validateKeys(req *Request) error {
 //alloc:zero warm-path contract
 func canonicalize(req *Request, a *psort.Arena) ([]sfc.Key, []sfc.Rank128, *sfc.Curve) {
 	curve := sfc.NewCurve(req.CurveKind, req.Dim)
-	keys := a.Keys(len(req.Keys)) //alloc:escape arena column growth is a once-per-high-water-mark cold path; warm arenas reslice
+	keys := a.Keys(len(req.Keys)) //lint:ignore alloczero arena column growth is a once-per-high-water-mark cold path; warm arenas reslice
 	copy(keys, req.Keys)
 	ranks, _ := psort.TreeSortArena(curve, keys, a)
 	keys, ranks = octree.LinearizeSortedRanks(keys, ranks)
@@ -558,7 +558,7 @@ func (s *Service) getArena() *psort.Arena {
 		s.arenas = s.arenas[:n-1]
 		return a
 	}
-	return new(psort.Arena) //alloc:escape freelist empty: startup, or more concurrent requests than Slots+2
+	return new(psort.Arena) //lint:ignore alloczero freelist empty: startup, or more concurrent requests than Slots+2
 }
 
 // putArena returns an arena to the freelist, trimming oversized columns so

@@ -4,10 +4,11 @@
 #   ./scripts/ci.sh          # every stage below, in order
 #   ./scripts/ci.sh -short   # same, with -short passed to the suite-wide test run
 #
-# Stages: go vet; gofmt -l; go build; optipartlint (run, then its -json
-# report parsed back); allocgate (//alloc:zero contracts, then its report);
-# a 10 s fuzz smoke each of internal/sfc's FuzzRankWithSpan, FuzzSpanBox,
-# FuzzRankOrder and FuzzCompareConsistent, internal/net's FuzzDecodeFrame and
+# Stages: go vet; gofmt -l; go build; optipartlint (its nine rules, the
+# compiler-verified //alloc:zero contracts among them, then its
+# -listignores audit); a 10 s fuzz smoke each of internal/sfc's
+# FuzzRankWithSpan, FuzzSpanBox, FuzzRankOrder and
+# FuzzCompareConsistent, internal/net's FuzzDecodeFrame and
 # FuzzDecodeBodies, internal/service's FuzzDigestCanonicalization,
 # FuzzServiceCanonicalHit, FuzzServeConn and FuzzServiceDo, internal/ckpt's
 # FuzzDecodeSnapshot, and
@@ -71,24 +72,14 @@ fi
 echo "==> go build ./..."
 go build ./...
 
-echo "==> optipartlint ./..."
+echo "==> optipartlint ./... (nine rules, //alloc:zero contracts included)"
+# alloczero re-runs escape analysis and fails if any heap allocation lands
+# inside an //alloc:zero function without a //lint:ignore alloczero waiver.
+# Its -m parser fails closed on toolchain drift, so a Go upgrade that
+# rewords -m output stops CI here instead of silently passing allocating
+# code. A whole-module run that finds no contract fails too.
 go run ./cmd/optipartlint ./...
-
-echo "==> optipartlint -json report parses"
-go run ./cmd/optipartlint -json ./... >"$work/lint.json"
-go run ./cmd/optipartlint -check "$work/lint.json"
 go run ./cmd/optipartlint -listignores ./... >/dev/null
-
-echo "==> allocgate ./... (compiler-verified //alloc:zero contracts)"
-# The gate re-runs escape analysis and fails if any heap allocation lands
-# inside an //alloc:zero function without an //alloc:escape waiver. The
-# parser fails closed on toolchain drift, so a Go upgrade that rewords -m
-# output stops CI here instead of silently passing allocating code.
-go run ./cmd/allocgate ./...
-
-echo "==> allocgate -json report parses"
-go run ./cmd/allocgate -json ./... >"$work/alloc.json"
-go run ./cmd/allocgate -check "$work/alloc.json"
 
 echo "==> fuzz smoke: FuzzRankWithSpan, FuzzSpanBox, FuzzRankOrder, FuzzCompareConsistent (10 s each)"
 # The curve kernels' oracles, run past their seed corpora: the neighbour-span
