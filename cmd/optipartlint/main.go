@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"optipart/internal/lint"
 )
@@ -67,10 +68,16 @@ func main() {
 }
 
 // run lints the requested patterns: "./..." (or nothing) means the whole
-// module; anything else is a package directory.
+// module; anything else is a package directory. Every file name in the
+// result is relative to the working directory, however the package was
+// named or reached.
 func run(patterns []string) (lint.Result, error) {
 	var result lint.Result
-	root, err := lint.FindModuleRoot(".")
+	cwd, err := os.Getwd()
+	if err != nil {
+		return result, err
+	}
+	root, err := lint.FindModuleRoot(cwd)
 	if err != nil {
 		return result, err
 	}
@@ -86,18 +93,46 @@ func run(patterns []string) (lint.Result, error) {
 		}
 	}
 	if wholeModule {
-		return loader.CheckModule()
+		result, err = loader.CheckModule()
+		relativize(&result, cwd)
+		return result, err
 	}
 	for _, pat := range patterns {
-		path, err := loader.ImportPathFor(pat)
+		// The loader names files by the directory it is given, so a named
+		// directory goes in absolute, as the directories of the packages
+		// it loads as dependencies do.
+		dir, err := filepath.Abs(pat)
 		if err != nil {
 			return result, err
 		}
-		pkg, err := loader.LoadDir(pat, path)
+		path, err := loader.ImportPathFor(dir)
+		if err != nil {
+			return result, err
+		}
+		pkg, err := loader.LoadDir(dir, path)
 		if err != nil {
 			return result, err
 		}
 		result.Merge(lint.RunPackage(pkg))
 	}
+	relativize(&result, cwd)
 	return result, nil
+}
+
+// relativize rewrites every file name in res relative to dir.
+func relativize(res *lint.Result, dir string) {
+	rel := func(file *string) {
+		if r, err := filepath.Rel(dir, *file); err == nil {
+			*file = r
+		}
+	}
+	for i := range res.Diagnostics {
+		rel(&res.Diagnostics[i].File)
+	}
+	for i := range res.Suppressions {
+		rel(&res.Suppressions[i].File)
+	}
+	for i := range res.Stale {
+		rel(&res.Stale[i].File)
+	}
 }

@@ -235,6 +235,7 @@ func collectSuppressions(pkg *Package) ([]Suppression, []Diagnostic) {
 	var sups []Suppression
 	var bad []Diagnostic
 	for _, f := range pkg.Files {
+		var lines map[int]bool // f's code lines, built at its first directive
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text, ok := strings.CutPrefix(c.Text, "//lint:ignore")
@@ -265,8 +266,11 @@ func collectSuppressions(pkg *Package) ([]Suppression, []Diagnostic) {
 					report(fmt.Sprintf("//lint:ignore %s without a reason: suppressions must say why", rule))
 					continue
 				}
+				if lines == nil {
+					lines = codeLines(pkg.Fset, f)
+				}
 				target := pos.Line
-				if !codeLines(pkg.Fset, f)[pos.Line] {
+				if !lines[pos.Line] {
 					target = pos.Line + 1 // standalone directive targets the next line
 				}
 				sups = append(sups, Suppression{
@@ -279,14 +283,9 @@ func collectSuppressions(pkg *Package) ([]Suppression, []Diagnostic) {
 	return sups, bad
 }
 
-// codeLineCache memoizes, per file, which lines carry code tokens (idents
-// and literals), distinguishing trailing directives from standalone ones.
-var codeLineCache = map[*ast.File]map[int]bool{}
-
+// codeLines reports which lines of f carry code tokens (idents and
+// literals), distinguishing trailing directives from standalone ones.
 func codeLines(fset *token.FileSet, f *ast.File) map[int]bool {
-	if m, ok := codeLineCache[f]; ok {
-		return m
-	}
 	m := map[int]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n.(type) {
@@ -295,7 +294,6 @@ func codeLines(fset *token.FileSet, f *ast.File) map[int]bool {
 		}
 		return true
 	})
-	codeLineCache[f] = m
 	return m
 }
 

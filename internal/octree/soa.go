@@ -40,15 +40,19 @@ func (s *SoA) AppendKeys(ks []sfc.Key) {
 // EqualKeys reports whether the stored sequence is element-wise equal to ks.
 // It is the cache's exact-match verification: a content-hash collision is
 // caught here instead of silently returning another octree's partition. The
-// comparison is allocation-free and scans each column densely.
+// comparison is allocation-free and scans each column densely. The columns
+// are resliced to len(ks) once, so the loop carries no bounds checks.
 //
 //alloc:zero
 func (s *SoA) EqualKeys(ks []sfc.Key) bool {
-	if s.Len() != len(ks) {
+	n := len(ks)
+	if s.Len() != n {
 		return false
 	}
-	for i, k := range ks {
-		if s.Level[i] != k.Level || s.X[i] != k.X || s.Y[i] != k.Y || s.Z[i] != k.Z {
+	xs, ys, zs, ls := s.X[:n], s.Y[:n], s.Z[:n], s.Level[:n]
+	for i := range ks {
+		k := &ks[i]
+		if ls[i] != k.Level || xs[i] != k.X || ys[i] != k.Y || zs[i] != k.Z {
 			return false
 		}
 	}

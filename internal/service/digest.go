@@ -74,6 +74,11 @@ func (d *digester) sum() digest128 {
 	return digest128{hi: mix(d.h1), lo: mix(d.h2)}
 }
 
+// keyWords packs a key into the two words the digest folds.
+func keyWords(k *sfc.Key) (lo, hi uint64) {
+	return uint64(k.X) | uint64(k.Y)<<32, uint64(k.Z) | uint64(k.Level)<<32
+}
+
 // digestRequest content-addresses a canonicalized request: every parameter
 // that can change the computed partition is folded in — the curve, the
 // partition count and mode, the tolerance, the machine's cost model and
@@ -96,9 +101,32 @@ func digestRequest(req *Request, canon []sfc.Key) digest128 {
 	d.word(math.Float64bits(req.Machine.Ts))
 	d.word(math.Float64bits(req.Machine.Tw))
 	d.word(uint64(len(canon)))
-	for _, k := range canon {
-		d.word(uint64(k.X) | uint64(k.Y)<<32)
-		d.word(uint64(k.Z) | uint64(k.Level)<<32)
+	// The keys fold into eight independent lanes, four per prime: key i's
+	// low word (X, Y) and high word (Z, Level) each go to the lanes of i's
+	// parity. One serial chain would wait out a multiply per word; the
+	// lanes' chains overlap. An odd-length octree's last key takes the even
+	// lanes alone. The lanes then fold into d in a fixed order, so every
+	// key and its position reach the digest. (Scalars, not an array: the
+	// compiler keeps only scalars in registers.)
+	a0, a1, a2, a3 := uint64(fnvOffset64), uint64(fnvOffset64), uint64(fnvOffset64), uint64(fnvOffset64)
+	b0, b1, b2, b3 := uint64(altOffset64), uint64(altOffset64), uint64(altOffset64), uint64(altOffset64)
+	ks := canon
+	for len(ks) >= 2 {
+		lo0, hi0 := keyWords(&ks[0])
+		lo1, hi1 := keyWords(&ks[1])
+		a0, b0 = (a0^lo0)*fnvPrime64, (b0^lo0)*altPrime64
+		a1, b1 = (a1^hi0)*fnvPrime64, (b1^hi0)*altPrime64
+		a2, b2 = (a2^lo1)*fnvPrime64, (b2^lo1)*altPrime64
+		a3, b3 = (a3^hi1)*fnvPrime64, (b3^hi1)*altPrime64
+		ks = ks[2:]
+	}
+	if len(ks) == 1 {
+		lo0, hi0 := keyWords(&ks[0])
+		a0, b0 = (a0^lo0)*fnvPrime64, (b0^lo0)*altPrime64
+		a1, b1 = (a1^hi0)*fnvPrime64, (b1^hi0)*altPrime64
+	}
+	for _, w := range [...]uint64{a0, a1, a2, a3, b0, b1, b2, b3} {
+		d.word(w)
 	}
 	return d.sum()
 }

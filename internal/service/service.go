@@ -201,15 +201,26 @@ func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 	// the one the canonicalizing path below would return. Anything else —
 	// a miss, a pending entry, a closed service, permuted or padded input,
 	// a collision — falls through to that path.
+	//
+	// The match is verified outside s.mu: a done entry's keys are never
+	// written again (eviction only unlinks the entry), so the read needs no
+	// lock, and a hit on an entry evicted meanwhile still returns that
+	// entry's own response.
 	d := digestRequest(&req, req.Keys)
 	s.mu.Lock()
-	if e, ok := s.entries[d]; ok && !s.closed && e.done && e.err == nil && e.keys.EqualKeys(req.Keys) {
-		s.metrics.Requests++
-		r := s.hitLocked(e, false)
-		s.mu.Unlock()
-		return r, true, nil
-	}
+	e, ok := s.entries[d]
+	ok = ok && e.done && e.err == nil
 	s.mu.Unlock()
+	if ok && e.keys.EqualKeys(req.Keys) {
+		s.mu.Lock()
+		if !s.closed {
+			s.metrics.Requests++
+			r := s.hitLocked(e, false)
+			s.mu.Unlock()
+			return r, true, nil
+		}
+		s.mu.Unlock()
+	}
 
 	// Keys equal to a cached canonical octree are valid; everything else is
 	// checked before it reaches the curve.
@@ -228,7 +239,7 @@ func (s *Service) Do(req Request) (resp *Response, hit bool, err error) {
 	}
 	s.metrics.Requests++
 
-	e, ok := s.entries[d]
+	e, ok = s.entries[d]
 	if !ok {
 		// Singleflight leader: lead publishes the pending entry (a miss's
 		// one heap allocation), computes, fills it and releases s.mu.

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"optipart/internal/comm"
@@ -244,17 +245,32 @@ func TestDigestFieldSensitivity(t *testing.T) {
 		}
 	}
 
-	// Any single key field flips it too.
-	for _, mutate := range []func(*sfc.Key){
-		func(k *sfc.Key) { k.X ^= 1 << 10 },
-		func(k *sfc.Key) { k.Y ^= 1 << 10 },
-		func(k *sfc.Key) { k.Z ^= 1 << 10 },
-		func(k *sfc.Key) { k.Level ^= 1 },
-	} {
-		mut := append([]sfc.Key(nil), canon...)
-		mutate(&mut[len(mut)/2])
-		if digestRequest(&base, mut) == d0 {
-			t.Fatal("mutating a key did not change the digest")
+	// Any single key field flips it too, wherever the key sits among the
+	// digest's lanes: at an even index, at an odd one, and as the tail key
+	// of an odd-length octree, which the even lanes take alone.
+	odd := canon[:(len(canon)-1)|1]
+	dOdd := digestRequest(&base, odd)
+	for _, i := range []int{len(odd) / 2 &^ 1, len(odd)/2 | 1, len(odd) - 1} {
+		for field, mutate := range map[string]func(*sfc.Key){
+			"X":     func(k *sfc.Key) { k.X ^= 1 << 10 },
+			"Y":     func(k *sfc.Key) { k.Y ^= 1 << 10 },
+			"Z":     func(k *sfc.Key) { k.Z ^= 1 << 10 },
+			"Level": func(k *sfc.Key) { k.Level ^= 1 },
+		} {
+			mut := slices.Clone(odd)
+			mutate(&mut[i])
+			if digestRequest(&base, mut) == dOdd {
+				t.Fatalf("mutating key %d of %d's %s did not change the digest", i, len(odd), field)
+			}
+		}
+	}
+	// So does swapping two adjacent keys, whether the pair shares a lane
+	// step (even, odd) or straddles two (odd, even).
+	for _, i := range []int{len(odd) / 2 &^ 1, len(odd)/2 | 1} {
+		mut := slices.Clone(odd)
+		mut[i], mut[i+1] = mut[i+1], mut[i]
+		if digestRequest(&base, mut) == dOdd {
+			t.Fatalf("swapping keys %d and %d did not change the digest", i, i+1)
 		}
 	}
 }
@@ -539,6 +555,106 @@ func TestEviction(t *testing.T) {
 	}
 	if _, hit, _ := s.Do(b); hit {
 		t.Fatal("b still cached after eviction")
+	}
+}
+
+// TestHitDuringEviction: canonical hits verify a cached octree outside the
+// service mutex while misses on other goroutines evict it. Several
+// goroutines request primed octrees, half as sent (the canonical fast path)
+// and half shuffled (the canonicalizing path), while another streams
+// distinct octrees through a cache that holds about two of them. Whatever
+// entry a request finds, or recomputes after an eviction, its response is
+// that octree's primed answer, and every counted request is counted once.
+// The unlocked verify is sound only because eviction never rewrites an
+// entry's keys, so the primed entries, evicted or not, must still hold
+// their octrees' keys at the end. Under -race, an eviction that rewrote
+// them would also race with a verify in flight.
+func TestHitDuringEviction(t *testing.T) {
+	const na = 600
+	s := New(Config{Slots: 2, MaxCachedKeys: 3*na + 100})
+	defer s.Close()
+	// Distinct sizes make each octree's response its own: NumKeys tells
+	// any two apart.
+	hot := make([]Request, 3)
+	primed := make([]*Response, len(hot))
+	for i := range hot {
+		hot[i] = baseRequest(canonicalKeys(t, int64(30+i), na+10*i))
+		r, _, err := s.Do(hot[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		primed[i] = r
+	}
+	// Distinct sizes also name each primed entry.
+	held := make(map[int]*entry, len(hot))
+	s.mu.Lock()
+	for _, e := range s.entries {
+		held[e.nkeys] = e
+	}
+	s.mu.Unlock()
+	same := func(a, b *Response) bool {
+		return a.NumKeys == b.NumKeys && slices.Equal(a.Counts, b.Counts) &&
+			slices.Equal(a.Splitters.Seps, b.Splitters.Seps)
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for it := 0; it < 20 || !stop.Load(); it++ {
+				i := (g + it) % len(hot)
+				req := hot[i]
+				if g%2 == 1 {
+					req.Keys = slices.Clone(req.Keys)
+					rng.Shuffle(len(req.Keys), func(a, b int) { req.Keys[a], req.Keys[b] = req.Keys[b], req.Keys[a] })
+				}
+				r, hit, err := s.Do(req)
+				if err != nil {
+					t.Errorf("octree %d: %v", i, err)
+					return
+				}
+				if !same(r, primed[i]) {
+					t.Errorf("octree %d: hit=%v returned another octree's response (%d keys, want %d)", i, hit, r.NumKeys, primed[i].NumKeys)
+					return
+				}
+			}
+		}(g)
+	}
+	for j := 0; j < 12; j++ {
+		if _, hit, err := s.Do(baseRequest(canonicalKeys(t, int64(100+j), na))); err != nil || hit {
+			t.Errorf("evicting octree %d: hit=%v err=%v, want a miss", j, hit, err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	m := s.Metrics()
+	if m.Evictions == 0 {
+		t.Fatalf("metrics = %+v: nothing was evicted", m)
+	}
+	if m.Requests != m.Hits+m.Misses+m.Coalesced+m.Collisions {
+		t.Fatalf("metrics = %+v: requests != hits + misses + coalesced + collisions", m)
+	}
+	evicted := 0
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range hot {
+		e := held[len(hot[i].Keys)]
+		if e == nil {
+			t.Fatalf("octree %d: no primed entry", i)
+		}
+		if s.entries[e.digest] != e {
+			evicted++
+		}
+		if !e.keys.EqualKeys(hot[i].Keys) {
+			t.Errorf("octree %d: its entry's keys were rewritten (evicted: %v)", i, s.entries[e.digest] != e)
+		}
+	}
+	if evicted == 0 {
+		t.Fatal("no primed entry was evicted")
 	}
 }
 

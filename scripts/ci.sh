@@ -140,9 +140,12 @@ echo "==> service dedicated race pass"
 # The service layer is the one place concurrent client goroutines share
 # mutable state on purpose (cache map, LRU, arena freelist, admission), so
 # it gets its own -race pass on top of the suite-wide one. Admission and
-# singleflight wait on one cond, so their tests run five more times.
+# singleflight wait on one cond, so their tests run five more times, and so
+# does TestHitDuringEviction: a canonical hit verifies the cached keys
+# outside the mutex while misses evict entries, and the race detector also
+# reports an eviction that writes keys a hit may still be reading.
 go test -race -shuffle=on -count=1 ./internal/service
-go test -race -count=5 -run 'Admission|Singleflight|ConcurrentMixed' ./internal/service
+go test -race -count=5 -run 'Admission|Singleflight|ConcurrentMixed|HitDuringEviction' ./internal/service
 
 echo "==> mutant ledger: scripts/mutants.sh"
 # Each patch under scripts/mutants/ plants one defect a test was written to
