@@ -20,6 +20,10 @@ import (
 	"optipart/internal/sfc"
 )
 
+// dialWait bounds how long a client retries a service that is not yet
+// accepting.
+const dialWait = 30 * time.Second
+
 // wireClient speaks the service's gob protocol over one connection: write a
 // WireRequest, read its WireResponse, strictly alternating.
 type wireClient struct {
@@ -28,11 +32,19 @@ type wireClient struct {
 	dec  *gob.Decoder
 }
 
+// dialService connects to the service listening at path. A daemon process
+// may still be binding it, so refused dials are retried for up to dialWait.
 func dialService(t *testing.T, path string) *wireClient {
 	t.Helper()
-	conn, err := net.Dial("unix", path)
+	var conn net.Conn
+	var err error
+	for until := time.Now().Add(dialWait); ; time.Sleep(20 * time.Millisecond) {
+		if conn, err = net.Dial("unix", path); err == nil || time.Now().After(until) {
+			break
+		}
+	}
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("the service at %s did not accept within %v: %v", path, dialWait, err)
 	}
 	t.Cleanup(func() { conn.Close() })
 	return &wireClient{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}

@@ -9,9 +9,6 @@ import (
 // each seed draws a different kill/drain/loss/straggler schedule, and every
 // one must end in a campaign whose digest matches its fault-free golden.
 func TestChaosManySeeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-seed chaos sweep skipped in -short")
-	}
 	for seed := int64(1); seed <= 5; seed++ {
 		var buf bytes.Buffer
 		if err := Run("chaos", Config{Out: &buf, Seed: seed, Quick: true}); err != nil {

@@ -61,16 +61,17 @@ func TestAllExperimentsQuick(t *testing.T) {
 // goldens, because the pool parallelizes host execution without touching a
 // single modeled quantity. (TestAllExperimentsQuick covers the default
 // width, which equals GOMAXPROCS; width 1 is the serial baseline the
-// goldens were recorded at.)
+// goldens were recorded at.) Under -short only the repart row at width 1
+// runs: the incremental campaign's serial path against its golden.
 func TestGoldenTranscriptsAcrossWorkerCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("worker-count transcript matrix is slow; skipped with -short")
-	}
 	if updateGolden {
 		t.Skip("goldens are recorded by TestAllExperimentsQuick")
 	}
 	for _, w := range []int{1, 2, 7} {
 		for _, name := range Names() {
+			if testing.Short() && (w != 1 || name != "repart") {
+				continue
+			}
 			t.Run(fmt.Sprintf("workers=%d/%s", w, name), func(t *testing.T) {
 				prev := par.SetWorkers(w)
 				defer par.SetWorkers(prev)

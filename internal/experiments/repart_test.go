@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
+
+	"optipart/internal/par"
 )
 
 // TestRepartSeedSweep runs the full-size repart campaign at seeds 1–5. At
@@ -25,5 +30,35 @@ func TestRepartSeedSweep(t *testing.T) {
 			t.Errorf("seed %d: incremental cumulative J %.6g above from-scratch %.6g", seed, inc.cumJ, scr.cumJ)
 		}
 		t.Logf("seed %d: cumulative Tp incremental/scratch = %.4f", seed, inc.cumTp/scr.cumTp)
+	}
+}
+
+// TestRepartFullAcrossWidths runs the full-size repart campaign at the
+// default seed. The quick transcript cannot see Repartition's merge rung:
+// only at full size does the campaign keep the prior at step 8, where its
+// cumulative Tp would fall behind from-scratch without that rung. Run's
+// built-in headline assertions (fewer moved elements, no worse cumulative
+// Tp than from-scratch) must hold at the serial width and at GOMAXPROCS,
+// and the two transcripts must be equal apart from the host wall time line.
+func TestRepartFullAcrossWidths(t *testing.T) {
+	transcript := func(w int) string {
+		prev := par.SetWorkers(w)
+		defer par.SetWorkers(prev)
+		var buf bytes.Buffer
+		if err := Run("repart", Config{Out: &buf}); err != nil {
+			t.Fatalf("full repart at workers=%d: %v\n%s", w, err, buf.String())
+		}
+		var kept strings.Builder
+		for _, line := range strings.SplitAfter(buf.String(), "\n") {
+			if !strings.HasPrefix(line, "host wall time") {
+				kept.WriteString(line)
+			}
+		}
+		return kept.String()
+	}
+	serial, wide := transcript(1), transcript(runtime.GOMAXPROCS(0))
+	if serial != wide {
+		t.Fatalf("full repart transcript differs between workers=1 and GOMAXPROCS\n--- workers=1 ---\n%s\n--- GOMAXPROCS ---\n%s",
+			firstDiffContext(serial, wide), firstDiffContext(wide, serial))
 	}
 }

@@ -357,6 +357,7 @@ func (r *Root) admit(conn stdnet.Conn) {
 		return
 	}
 	rank := hb.Rank
+	redial := true
 	r.mu.Lock()
 	switch {
 	case hb.Inc < r.inc[rank]:
@@ -374,7 +375,17 @@ func (r *Root) admit(conn stdnet.Conn) {
 			return
 		}
 		r.inc[rank] = hb.Inc
+		if !r.awaitingRejoin[rank] {
+			// The replacement beat the heartbeat to its predecessor's
+			// death (a supervisor respawns well inside HeartbeatTimeout):
+			// the death is booked here, dated from the last frame the
+			// predecessor sent, and no respawn is requested.
+			r.rec.Deaths++
+			r.awaitingRejoin[rank] = true
+			r.deathAt[rank] = r.mon.lastHeard(rank, time.Now())
+		}
 		r.completeRejoinLocked(rank)
+		redial = false
 	default:
 		if r.mon.Dead(rank) || r.done[rank] {
 			if r.opts.OnFailure != Restore || !r.awaitingRejoin[rank] {
@@ -397,7 +408,9 @@ func (r *Root) admit(conn stdnet.Conn) {
 		r.joined++
 	} else {
 		l.replace(conn)
-		r.rec.Redials++
+		if redial {
+			r.rec.Redials++
+		}
 	}
 	replay := r.loggedLocked(hb.Resume)
 	for _, buf := range replay {

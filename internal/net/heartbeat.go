@@ -85,6 +85,17 @@ func (m *Monitor) Revive(rank int) {
 	m.mu.Unlock()
 }
 
+// lastHeard returns the last instant rank was heard from, or now when it is
+// not tracked (never touched, revived, or already declared dead).
+func (m *Monitor) lastHeard(rank int, now time.Time) time.Time {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if seen, ok := m.lastSeen[rank]; ok {
+		return seen
+	}
+	return now
+}
+
 // Dead reports whether rank has been declared dead.
 func (m *Monitor) Dead(rank int) bool {
 	m.mu.Lock()

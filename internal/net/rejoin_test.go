@@ -34,12 +34,48 @@ func testCampaignOpts(steps int, saver ckpt.Saver, cp ckpt.Checkpointer) ckpt.Ca
 	}
 }
 
-// TestRestoreRejoinCompletesCampaign is the tentpole's wire-level
-// acceptance: a worker hard-dies mid-campaign under the Restore policy, a
-// replacement incarnation is spawned from the latest checkpoint, rejoins
-// with a higher incarnation number, is replayed forward, and the campaign
-// finishes with the exact digest of the fault-free run.
+// TestRestoreRejoinCompletesCampaign is the wire-level acceptance of the
+// Restore policy: a worker hard-dies mid-campaign, the heartbeat declares
+// it dead, and a replacement incarnation spawned from the latest checkpoint
+// rejoins with a higher incarnation number, is replayed forward, and the
+// campaign finishes with the exact digest of the fault-free run.
 func TestRestoreRejoinCompletesCampaign(t *testing.T) {
+	rec := restoreCampaign(t, false)
+	if rec.Deaths < 1 || rec.Rejoins < 1 {
+		t.Fatalf("recovery stats did not register the outage: %+v", rec)
+	}
+	if rec.Redials != 0 {
+		t.Fatalf("the replacement's admission was booked as a redial: %+v", rec)
+	}
+	if rec.MTTR() <= 0 {
+		t.Fatalf("MTTR not measured: %+v", rec)
+	}
+}
+
+// TestRestoreRejoinBeforeHeartbeat: a supervisor that respawns faster than
+// HeartbeatTimeout gets the replacement's hello to the root before the
+// heartbeat declares the predecessor dead. The outage is still exactly one
+// death and one rejoin, its downtime charged from the predecessor's last
+// frame, and no redial.
+func TestRestoreRejoinBeforeHeartbeat(t *testing.T) {
+	rec := restoreCampaign(t, true)
+	if rec.Deaths != 1 || rec.Rejoins != 1 || rec.Redials != 0 {
+		t.Fatalf("recovery = %+v, want deaths=1 rejoins=1 redials=0", rec)
+	}
+	if rec.MTTR() <= 0 {
+		t.Fatalf("MTTR not measured: %+v", rec)
+	}
+}
+
+// restoreCampaign runs a 4-rank checkpointed campaign under the Restore
+// policy in which rank 2 hard-dies inside step 1 and a replacement
+// incarnation rejoins from the latest checkpoint. The root's OnDeath
+// triggers the respawn; with early, the victim's own goroutine respawns it
+// at once and the heartbeat timeout is too long to fire first. It fails t
+// unless every rank finishes with the fault-free digest and the dead
+// incarnation is fenced off, and returns the root's recovery accounting.
+func restoreCampaign(t *testing.T, early bool) comm.RecoveryStats {
+	t.Helper()
 	const (
 		p      = 4
 		victim = 2
@@ -83,6 +119,10 @@ func TestRestoreRejoinCompletesCampaign(t *testing.T) {
 	opts := fastOpts()
 	opts.OnFailure = Restore
 	opts.OnDeath = func(rank int) { respawn <- rank }
+	if early {
+		opts.HeartbeatTimeout = 2 * testWait
+		opts.OnDeath = func(rank int) { t.Errorf("the heartbeat declared rank %d dead before its replacement joined", rank) }
+	}
 	sock := filepath.Join(t.TempDir(), "rj.sock")
 	ep := "unix:" + sock
 
@@ -166,6 +206,9 @@ func TestRestoreRejoinCompletesCampaign(t *testing.T) {
 			}
 			_, err = comm.RunRank(rank, p, wk.Model(), wk, ro, body(ckpt.Fresh()))
 			if rank == victim {
+				if early {
+					respawn <- rank
+				}
 				return // the first incarnation's failure is the point
 			}
 			record(fmt.Sprintf("rank%d", rank), err)
@@ -198,14 +241,8 @@ func TestRestoreRejoinCompletesCampaign(t *testing.T) {
 		}
 	}
 	rec := rt.Recovery()
-	if rec.Deaths < 1 || rec.Rejoins < 1 {
-		t.Fatalf("recovery stats did not register the outage: %+v", rec)
-	}
 	if rec.RestoredBytes <= 0 {
 		t.Fatalf("no replayed bytes recorded: %+v", rec)
-	}
-	if rec.MTTR() <= 0 {
-		t.Fatalf("MTTR not measured: %+v", rec)
 	}
 
 	// Zombie fence: the dead incarnation 0 cannot re-enter the world that
@@ -213,6 +250,7 @@ func TestRestoreRejoinCompletesCampaign(t *testing.T) {
 	if _, err := DialResume(ep, victim, p, ResumeNone, 0, fastOpts()); err == nil {
 		t.Fatal("zombie incarnation was readmitted")
 	}
+	return rec
 }
 
 // TestWaitReadyJoinTimeout asserts the rendezvous failure is structured and

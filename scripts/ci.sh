@@ -15,17 +15,17 @@
 # internal/partition's FuzzRepartitionerStep;
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
 # lint, and service; the mutant ledger (scripts/mutants.sh: under each
-# scripts/mutants/*.patch its named test must fail); the benchmark spine's
-# quick run with its exact metrics compared against
+# scripts/mutants/*.patch its named test must fail); and the benchmark
+# spine's quick run with its exact metrics compared against
 # scripts/spine_quick_baseline.json and its partition.step_allocs required
-# to be 0; the repart
-# transcript at -workers 1 and GOMAXPROCS against its golden; the full
-# repart campaign and its built-in assertions, at -workers 1 and GOMAXPROCS
-# with the two transcripts compared; then the smokes: optipartd
-# local mode (one in-process run), optipartd multi-process (kill and
-# recover), optipartd self-healing (restore), and
-# the chaos harness on five fixed seeds. The -serve daemon's wire loop is
-# cmd/optipartd's TestServeDrain, run by the suite-wide -race pass.
+# to be 0.
+#
+# Every check that runs a program for its behaviour is a Go test inside the
+# suite-wide pass: cmd/optipartd's process tests start each optipartd mode
+# (local, root and workers, both -launch drivers, -serve) as a process,
+# internal/experiments' TestRepartFullAcrossWidths runs the full repart
+# campaign at two pool widths, and TestChaosManySeeds the chaos harness on
+# five seeds.
 #
 # The comm runtime is a shared-memory stand-in for MPI: every collective is
 # goroutines racing through a barrier, which is exactly the code the race
@@ -34,29 +34,10 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# Every stage writes its reports, logs, binaries and sockets under one work
-# directory, removed on any exit.
+# The spine stage writes its reports and logs under one work directory,
+# removed on any exit.
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-
-# expect LOG LINE fails the gate unless LOG holds LINE, printing the log and
-# the missing line first.
-expect() {
-    if ! grep -q "$2" "$1"; then
-        echo "$1 lacks the expected line: $2" >&2
-        cat "$1" >&2
-        exit 1
-    fi
-}
-
-# refuse CMD... fails the gate if CMD exits zero, printing its output.
-refuse() {
-    if out=$("$@" 2>&1); then
-        echo "expected a non-zero exit from: $*" >&2
-        echo "$out" >&2
-        exit 1
-    fi
-}
 
 echo "==> go vet ./..."
 go vet ./...
@@ -184,89 +165,5 @@ if [ "$stepallocs" != "0" ]; then
     echo "spine: partition.step_allocs is ${stepallocs:-missing}, want 0" >&2
     exit 1
 fi
-
-echo "==> repart transcript bit-identical at -workers 1 and GOMAXPROCS, and to its golden"
-# The incremental repartitioning campaign must not depend on worker-pool
-# width: the quick transcript is compared byte-for-byte between the serial
-# path and the host's full width, then against the committed golden.
-go run ./cmd/experiments -run repart -quick -workers 1 >"$work/w1.txt"
-go run ./cmd/experiments -run repart -quick >"$work/wmax.txt"
-if ! cmp -s "$work/w1.txt" "$work/wmax.txt"; then
-    echo "repart transcript differs between -workers 1 and GOMAXPROCS:" >&2
-    diff "$work/w1.txt" "$work/wmax.txt" >&2 || true
-    exit 1
-fi
-if ! cmp -s "$work/w1.txt" internal/experiments/testdata/golden/repart.golden; then
-    echo "repart transcript diverges from the committed golden:" >&2
-    diff internal/experiments/testdata/golden/repart.golden "$work/w1.txt" >&2 || true
-    exit 1
-fi
-
-echo "==> repart full campaign (its built-in headline assertions are the gate), bit-identical at -workers 1 and GOMAXPROCS"
-# The quick transcript cannot see Repartition's merge rung: without it the
-# quick placements are unchanged, but the full campaign keeps the prior at
-# step 8 and its cumulative Tp falls behind from-scratch. The experiment
-# checks fewer moved elements and no worse cumulative Tp than from-scratch
-# at the default seed, and exits non-zero when either fails; the Tp half
-# holds only at some seeds, so TestRepartSeedSweep checks moved elements
-# and cumulative J at full size over seeds 1-5. The two transcripts must
-# match apart from the host wall time line.
-go run ./cmd/experiments -run repart -workers 1 >"$work/full-w1.txt"
-go run ./cmd/experiments -run repart >"$work/full-wmax.txt"
-grep -v '^host wall time' "$work/full-w1.txt" >"$work/full-w1.cmp"
-grep -v '^host wall time' "$work/full-wmax.txt" >"$work/full-wmax.cmp"
-if ! cmp -s "$work/full-w1.cmp" "$work/full-wmax.cmp"; then
-    echo "full repart transcript differs between -workers 1 and GOMAXPROCS:" >&2
-    diff "$work/full-w1.cmp" "$work/full-wmax.cmp" >&2 || true
-    exit 1
-fi
-
-echo "==> optipartd multi-process smoke (4 ranks, kill one, recover)"
-# Hermetic: workers rendezvous over unix sockets in a private temp dir, no
-# ports and no network assumptions. The driver hosts rank 0, spawns 3 worker
-# processes, hard-kills rank 2 at its 3rd collective (a real os.Exit,
-# detected by heartbeat), and must finish the repartition onto the 3
-# survivors within the deadline — a hang here is a failed gate, not a stuck
-# CI job.
-go build -o "$work/optipartd" ./cmd/optipartd
-# The same binary with no wire mode flag runs the local (in-process) mode:
-# this covers its dispatch and flag wiring end to end.
-"$work/optipartd" -p 8 -n 20000 >"$work/local.log"
-expect "$work/local.log" "predicted app step"
-# A kill past the run's last collective never fires, and a non-finite model
-# input is refused: both must fail the run.
-refuse "$work/optipartd" -p 8 -n 20000 -kill 3@100000
-refuse "$work/optipartd" -p 8 -n 2000 -alpha NaN
-if ! "$work/optipartd" -launch -p 4 -n 6000 -kill 2@3 -deadline 90s \
-        -socket "$work" >"$work/smoke.log" 2>&1; then
-    echo "optipartd smoke failed:" >&2
-    cat "$work/smoke.log" >&2
-    exit 1
-fi
-expect "$work/smoke.log" "structured failure as expected"
-expect "$work/smoke.log" "recovery on 3 survivors completed"
-
-echo "==> optipartd self-healing smoke (restore policy: kill, respawn, resume)"
-# Same hermetic setup, -on-failure=restore: the victim hard-exits mid-campaign,
-# the supervisor respawns it under the backoff budget, the replacement restores
-# from the newest checkpoint, and the finished campaign's digest must be
-# byte-identical to the fault-free golden the driver computes up front.
-if ! "$work/optipartd" -launch -p 3 -n 3000 -steps 4 -on-failure=restore \
-        -kill 2@30 -deadline 90s -socket "$work" >"$work/restore.log" 2>&1; then
-    echo "optipartd restore smoke failed:" >&2
-    cat "$work/restore.log" >&2
-    exit 1
-fi
-expect "$work/restore.log" "supervisor: respawned rank"
-expect "$work/restore.log" "restoring from epoch"
-expect "$work/restore.log" "digest matches fault-free golden"
-
-echo "==> chaos harness smoke (5 fixed seeds, quick sizes, short deadline)"
-# Each seed draws a distinct kill/drain/straggler schedule; every one
-# must end in a campaign whose digest matches its fault-free golden. timeout
-# guards the gate itself: a wedged harness fails fast instead of hanging CI.
-for seed in 1 2 3 4 5; do
-    timeout 120 go run ./cmd/experiments -run chaos -quick -seed "$seed" >/dev/null
-done
 
 echo "CI OK"
