@@ -94,6 +94,9 @@ type AlltoallvOptions struct {
 
 // Alltoallv delivers send[dst] from every rank to every destination and
 // returns recv with recv[src] holding the data this rank received from src.
+// The runs are views, in source order, of one allocation the receiver owns,
+// each capped at its own length, so appending to one never writes into the
+// next.
 // The exchange is staged: stage s moves data to destinations at rank offsets
 // s·width+1 .. (s+1)·width, bounding the number of in-flight messages, and
 // each stage is priced at ts + tw·(max bytes moved by any rank in the
@@ -172,11 +175,17 @@ func Alltoallv[T any](c *Comm, send [][]T, elemBytes int, opts AlltoallvOptions)
 		return cost
 	}, func(scratch any) any {
 		all := scratch.([][][]T)
-		recv := make([][]T, w.p)
+		var total int
 		for src := 0; src < w.p; src++ {
-			part := all[src][c.rank]
-			recv[src] = make([]T, len(part))
-			copy(recv[src], part)
+			total += len(all[src][c.rank])
+		}
+		flat := make([]T, total)
+		recv := make([][]T, w.p)
+		off := 0
+		for src := 0; src < w.p; src++ {
+			n := copy(flat[off:], all[src][c.rank])
+			recv[src] = flat[off : off+n : off+n]
+			off += n
 		}
 		return recv
 	})

@@ -82,23 +82,44 @@ func TestAlltoallv(t *testing.T) {
 }
 
 func TestAlltoallvBufferOwnership(t *testing.T) {
-	// Senders may reuse their buffers immediately after the call returns;
-	// receivers must hold private copies.
-	Run(3, CostModel{}, func(c *Comm) {
-		send := make([][]int64, 3)
-		for dst := range send {
-			send[dst] = []int64{int64(c.Rank())}
-		}
-		recv := Alltoallv(c, send, 8, AlltoallvOptions{})
-		for dst := range send {
-			send[dst][0] = -999 // stomp
-		}
-		c.Barrier()
-		for src := range recv {
-			if recv[src][0] != int64(src) {
-				t.Errorf("rank %d: recv from %d corrupted: %d", c.Rank(), src, recv[src][0])
+	t.Run("sender reuse", func(t *testing.T) {
+		// Senders may reuse their buffers immediately after the call
+		// returns; receivers must hold private copies.
+		Run(3, CostModel{}, func(c *Comm) {
+			send := make([][]int64, 3)
+			for dst := range send {
+				send[dst] = []int64{int64(c.Rank())}
 			}
-		}
+			recv := Alltoallv(c, send, 8, AlltoallvOptions{})
+			for dst := range send {
+				send[dst][0] = -999 // stomp
+			}
+			c.Barrier()
+			for src := range recv {
+				if recv[src][0] != int64(src) {
+					t.Errorf("rank %d: recv from %d corrupted: %d", c.Rank(), src, recv[src][0])
+				}
+			}
+		})
+	})
+	t.Run("append to a run", func(t *testing.T) {
+		// The runs share one receive allocation; each is capped at its
+		// own length, so appending to recv[0] reallocates instead of
+		// overwriting recv[1].
+		Run(3, CostModel{}, func(c *Comm) {
+			send := make([][]int64, 3)
+			for dst := range send {
+				send[dst] = []int64{int64(c.Rank()), int64(c.Rank())}
+			}
+			recv := Alltoallv(c, send, 8, AlltoallvOptions{})
+			grown := append(recv[0], -999, -999)
+			grown[0] = -999
+			for src := range recv {
+				if len(recv[src]) != 2 || recv[src][0] != int64(src) || recv[src][1] != int64(src) {
+					t.Errorf("rank %d: recv from %d reads %v after appending to recv[0], want [%d %d]", c.Rank(), src, recv[src], src, src)
+				}
+			}
+		})
 	})
 }
 

@@ -29,7 +29,7 @@ type RecoveryStats struct {
 	Rejoins       int           // replacement incarnations admitted back into the world
 	Redials       int           // connections re-admitted on an existing membership slot
 	RestoredBytes int64         // bytes replayed or re-read to bring a rank back (result log + snapshots)
-	Downtime      time.Duration // wall-clock death→rejoin, summed over rejoins
+	Downtime      time.Duration // wall-clock last frame→rejoin, summed over rejoins
 }
 
 // MTTR is the mean time to repair: average downtime per completed rejoin,

@@ -57,7 +57,8 @@ func (m *Monitor) Forget(rank int) {
 
 // Expired returns, in ascending rank order, the peers whose silence has
 // crossed the timeout as of now. Each peer is reported exactly once: after
-// being reported it is marked dead and a later Touch does not resurrect it.
+// being reported it is marked dead, it keeps its last-heard instant (the
+// start of the outage), and a later Touch does not resurrect it.
 func (m *Monitor) Expired(now time.Time) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -69,7 +70,6 @@ func (m *Monitor) Expired(now time.Time) []int {
 	}
 	for _, rank := range out {
 		m.dead[rank] = true
-		delete(m.lastSeen, rank)
 	}
 	slices.Sort(out)
 	return out
@@ -85,8 +85,8 @@ func (m *Monitor) Revive(rank int) {
 	m.mu.Unlock()
 }
 
-// lastHeard returns the last instant rank was heard from, or now when it is
-// not tracked (never touched, revived, or already declared dead).
+// lastHeard returns the last instant rank was heard from, declared dead or
+// not, or now when it is not tracked (never touched, or revived).
 func (m *Monitor) lastHeard(rank int, now time.Time) time.Time {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -66,7 +66,9 @@ func (r *Root) deathEventLocked(rank int) {
 		return
 	}
 	r.awaitingRejoin[rank] = true
-	r.deathAt[rank] = time.Now()
+	// The outage began at the rank's last frame, not at its detection: a
+	// heartbeat declares it a whole HeartbeatTimeout later.
+	r.deathAt[rank] = r.mon.lastHeard(rank, time.Now())
 	r.rec.Deaths++
 	rf := r.lostLocked(rank, fmt.Errorf("%w; no replacement within %v", ErrPeerDead, DefaultRejoinWait))
 	r.rejoinTimer[rank] = time.AfterFunc(DefaultRejoinWait, func() {

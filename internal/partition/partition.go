@@ -171,30 +171,44 @@ func partitionSorted(c *comm.Comm, local []sfc.Key, ranks []sfc.Rank128, a *psor
 	if opts.SkipExchange {
 		return res
 	}
-	res.Local = exchange(c, curve, local, sp)
+	res.Local = exchange(c, curve, local, ranks, a, sp)
 	return res
 }
 
 // exchange moves every element to its owner under sp and returns the rank's
-// elements after the exchange, sorted along the curve. The modeled charges
-// (the all-to-all at comm's default stage width of §3.1 plus a local sort of
-// the received runs) are exactly what Partition has always paid;
-// Repartition shares them so the two paths price data movement identically.
-func exchange(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, sp *Splitters) []sfc.Key {
+// elements after the exchange, sorted along the curve. local is sorted with
+// its rank column ranks. Each key crosses the one all-to-all with its rank,
+// packed in a's pairs column, and the receiver merges its p sorted runs by
+// the shipped ranks (psort.MergeRuns), so no key is ranked twice; across a
+// wire only the keys travel, and the receiver ranks them. The modeled
+// charges (the all-to-all at comm's default stage width of §3.1, KeyBytes
+// per element, plus a local sort of the received runs) are exactly what
+// Partition has always paid; Repartition shares them so the two paths price
+// data movement identically.
+func exchange(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, ranks []sfc.Rank128, a *psort.Arena, sp *Splitters) []sfc.Key {
 	c.SetPhase("all2all")
-	ranges := sp.Ranges(local)
-	send := make([][]sfc.Key, c.Size())
-	for r := 0; r < c.Size(); r++ {
-		send[r] = local[ranges[r]:ranges[r+1]]
+	pairs := a.Pairs(len(local))
+	for i, k := range local {
+		pairs[i] = psort.KeyRank{Key: k, Rank: ranks[i]}
+	}
+	seps := sp.ranks()
+	send := make([][]psort.KeyRank, c.Size())
+	from := 0
+	for r := range send {
+		to := partEnd(ranks, seps, from, r)
+		send[r] = pairs[from:to]
+		from = to
 	}
 	recv := comm.Alltoallv(c, send, psort.KeyBytes, comm.AlltoallvOptions{})
 
 	c.SetPhase("local sort")
-	var mine []sfc.Key
+	n := 0
 	for _, run := range recv {
-		mine = append(mine, run...)
+		n += len(run)
 	}
-	psort.ChargeLocalSort(c, curve, mine)
+	mine := make([]sfc.Key, n)
+	psort.MergeRuns(curve, recv, mine)
+	c.Compute(psort.LocalSortCost(n, curve.Dim)) // ChargeLocalSort's charge
 	return mine
 }
 
@@ -246,8 +260,29 @@ func (s *selector) descend(visit func(cand *Splitters, q Quality) bool) {
 	}
 }
 
-// quality is EvaluateQuality of sp over the selector's elements, reusing
-// the rank and span columns it already holds.
+// quality is Algorithm 2 of sp over the selector's elements, counted by
+// range over the columns it already holds (rangeCounts).
 func (s *selector) quality(sp *Splitters) Quality {
-	return evaluateQuality(s.c, s.curve, s.local, s.ranks, s.lo, s.hi, sp)
+	counts := make([]int64, 2*sp.P())
+	s.rangeCounts(sp.ranks(), counts)
+	return reduceQuality(s.c, s.curve, len(s.ranks), counts)
+}
+
+// rangeCounts is scanCounts over the selector's curve-ordered columns:
+// partition r's elements are one range, ending at the first rank at or
+// past separator r (partEnd), so its work is the range's length and only
+// the boundary test scans it (countRange), against the partition's fixed
+// bracket.
+//
+//alloc:zero
+func (s *selector) rangeCounts(seps []sfc.Rank128, counts []int64) {
+	p := len(seps) + 1
+	from := 0
+	for r := 0; r < p; r++ {
+		to := partEnd(s.ranks, seps, from, r)
+		lower, upper := bracket(seps, r)
+		counts[r] = int64(to - from)
+		counts[p+r] = countRange(s.curve, s.local[from:to], s.lo[from:to], s.hi[from:to], lower, upper)
+		from = to
+	}
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -207,14 +208,15 @@ func TestEvaluateQualityMatchesDirectCount(t *testing.T) {
 }
 
 // TestSelectorRungsMatchExactSpans is the rung-level oracle for the span
-// boxes: every rung descend visits must price the same Quality as
-// scanCounts over columns built directly with RankWithSpan for the same
-// separators, and after each rung every span column entry is either the
-// exact span or a box (IsSpanBox) that contains it. Raw keys at levels
-// 2–18 make many boxes straddle a bracket; the 2:1-balanced mesh is the
-// linear octree the applications partition. Both curves, p in {1, 2, 7,
-// 16}; each rank holds every p-th key of the sorted mesh, so the local
-// runs interleave along the curve.
+// boxes and the range counter: every rung descend visits must price the
+// same Quality as scanCounts over columns built directly with RankWithSpan
+// for the same separators, its local range counts must equal scanCounts'
+// over the selector's own columns, and after each rung every span column
+// entry is either the exact span or a box (IsSpanBox) that contains it.
+// Raw keys at levels 2–18 make many boxes straddle a bracket; the
+// 2:1-balanced mesh is the linear octree the applications partition. Both
+// curves, p in {1, 2, 7, 16}; each rank holds every p-th key of the sorted
+// mesh, so the local runs interleave along the curve.
 func TestSelectorRungsMatchExactSpans(t *testing.T) {
 	var refined, boxes int
 	for _, kind := range []sfc.Kind{sfc.Hilbert, sfc.Morton} {
@@ -243,6 +245,14 @@ func TestSelectorRungsMatchExactSpans(t *testing.T) {
 					defer psort.PutArena(a)
 					sel := newSelector(c, curve, local, ranks, a, 0)
 					sel.descend(func(cand *Splitters, q Quality) bool {
+						// The rung's range counts equal scanCounts on the
+						// selector's own columns.
+						byRange, byScan := make([]int64, 2*p), make([]int64, 2*p)
+						sel.rangeCounts(cand.ranks(), byRange)
+						scanCounts(curve, local, sel.ranks, sel.lo, sel.hi, cand.ranks(), byScan)
+						if !slices.Equal(byRange, byScan) {
+							t.Errorf("%v %s p=%d rank %d rung %d: range counts %v, scanCounts %v", kind, mesh.name, p, c.Rank(), rungs[c.Rank()], byRange, byScan)
+						}
 						counts := make([]int64, 2*p)
 						scanCounts(curve, local, ranks, lo, hi, cand.ranks(), counts)
 						if want := foldQuality(comm.Allreduce(c, counts, 8, comm.SumI64)); q != want {

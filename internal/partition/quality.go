@@ -117,18 +117,18 @@ func EvaluateQuality(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, sp *Splitt
 	ranks := a.Ranks(len(local))
 	lo, hi := a.Spans(len(local))
 	fillColumns(curve, local, ranks, lo, hi, true)
-	return evaluateQuality(c, curve, local, ranks, lo, hi, sp)
+	counts := make([]int64, 2*sp.P())
+	scanCounts(curve, local, ranks, lo, hi, sp.ranks(), counts)
+	return reduceQuality(c, curve, len(local), counts)
 }
 
-// evaluateQuality is EvaluateQuality over the cached columns of the local
-// elements (see scanCounts).
-func evaluateQuality(c *comm.Comm, curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi []sfc.Rank128, sp *Splitters) Quality {
-	counts := make([]int64, 2*sp.P())
-	scanCounts(curve, keys, ranks, lo, hi, sp.ranks(), counts)
-	// The modeled cost is the pass the paper's implementation pays: each
-	// element touched 1+2·dim times. Cached columns make only the simulator
-	// faster.
-	c.Compute(int64(len(ranks)) * int64(1+2*curve.Dim) * psort.KeyBytes)
+// reduceQuality charges the local pass of Algorithm 2 over n elements and
+// reduces the per-partition [work | boundary] counts to the global Quality.
+// The modeled cost is the pass the paper's implementation pays: each
+// element touched 1+2·dim times. Cached columns and range counts make only
+// the simulator faster.
+func reduceQuality(c *comm.Comm, curve *sfc.Curve, n int, counts []int64) Quality {
+	c.Compute(int64(n) * int64(1+2*curve.Dim) * psort.KeyBytes)
 	return foldQuality(comm.Allreduce(c, counts, 8, comm.SumI64))
 }
 
@@ -175,13 +175,14 @@ func fillChunks(n int, fill func(from, to int)) {
 }
 
 // scanCounts is the local pass of Algorithm 2 for input in any order, run
-// by the collective evaluator and every selector rung (the serial
-// Repartitioner's curve-ordered columns count by range, countRange): it
-// fills counts, laid out as [work per partition | boundary octants per
-// partition], for elements under the p-1 separator ranks sepRanks. keys,
-// ranks, lo and hi are the elements and their cached columns: ranks[i] =
-// curve.Rank(keys[i]), and lo[i], hi[i] either the exact neighbour span
-// (curve.RankWithSpan) or a box around it (curve.SpanBox).
+// by EvaluateQuality (curve-ordered columns count by range instead:
+// selector.rangeCounts and the Repartitioner's scanQuality, both through
+// countRange): it fills counts, laid out as [work per partition | boundary
+// octants per partition], for elements under the p-1 separator ranks
+// sepRanks. keys, ranks, lo and hi are the elements and their cached
+// columns: ranks[i] = curve.Rank(keys[i]), and lo[i], hi[i] either the
+// exact neighbour span (curve.RankWithSpan) or a box around it
+// (curve.SpanBox).
 //
 // The element's own owner is a hint carried from the previous element, with
 // the owner's separator bracket [lower, upper), and searched again only when
@@ -193,7 +194,7 @@ func fillChunks(n int, fill func(from, to int)) {
 // neighbour shares the element's owner. A box inside the bracket settles
 // the element as interior; a box that straddles it is refined, the first
 // time, to the exact span with one RankWithSpan call and stored in place,
-// so every later rung compares the exact span. The root's sentinels
+// so every later scan compares the exact span. The root's sentinels
 // (MaxRank128, zero) never fire, since no rank is below zero and upper >
 // Rank(root) >= 0.
 //
@@ -220,6 +221,30 @@ func scanCounts(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi, sepRanks []sfc.
 		}
 		counts[p+owner]++
 	}
+}
+
+// countRange counts the boundary octants among one partition's elements,
+// keys with their span columns lo, hi, under the partition's bracket
+// [lower, upper): scanCounts' boundary test, box refinement included,
+// without its owner search.
+//
+//alloc:zero
+func countRange(curve *sfc.Curve, keys []sfc.Key, lo, hi []sfc.Rank128, lower, upper sfc.Rank128) int64 {
+	lo, hi = lo[:len(keys)], hi[:len(keys)]
+	var b int64
+	for i := range keys {
+		if !lo[i].Less(lower) && hi[i].Less(upper) {
+			continue
+		}
+		if sfc.IsSpanBox(lo[i]) {
+			_, lo[i], hi[i] = curve.RankWithSpan(keys[i])
+			if !lo[i].Less(lower) && hi[i].Less(upper) {
+				continue
+			}
+		}
+		b++
+	}
+	return b
 }
 
 // bracket returns the rank range [lower, upper) that partition o owns under

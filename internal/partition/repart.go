@@ -180,7 +180,7 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	if opts.SkipExchange {
 		return res
 	}
-	res.Local = exchange(c, curve, local, best)
+	res.Local = exchange(c, curve, local, ranks, a, best)
 	return res
 }
 

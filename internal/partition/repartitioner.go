@@ -463,7 +463,7 @@ func (e *Repartitioner) scanQuality(pos []int) Quality {
 			}
 		}
 		e.counts[r] = int64(pos[r+1] - pos[r])
-		e.counts[p+r] = countRange(e.lo[pos[r]:pos[r+1]], e.hi[pos[r]:pos[r+1]], lower, upper)
+		e.counts[p+r] = countRange(e.cfg.Curve, e.keys[pos[r]:pos[r+1]], e.lo[pos[r]:pos[r+1]], e.hi[pos[r]:pos[r+1]], lower, upper)
 	}
 	copy(e.memoRanks, e.candRanks)
 	e.memoOK = true
@@ -483,22 +483,6 @@ func (e *Repartitioner) posRanks(pos []int, seps []sfc.Rank128) {
 			seps[r-1] = e.ranks[pos[r]]
 		}
 	}
-}
-
-// countRange counts the boundary octants among one partition's elements,
-// given their neighbour spans lo, hi and the partition's bracket
-// [lower, upper): scanCounts' two compares, without its owner search.
-//
-//alloc:zero
-func countRange(lo, hi []sfc.Rank128, lower, upper sfc.Rank128) int64 {
-	hi = hi[:len(lo)]
-	var b int64
-	for i := range lo {
-		if lo[i].Less(lower) || !hi[i].Less(upper) {
-			b++
-		}
-	}
-	return b
 }
 
 // movedBetween counts the elements whose owner differs between the

@@ -86,3 +86,17 @@ func (s *Splitters) Ranges(sorted []sfc.Key) []int {
 	}
 	return out
 }
+
+// partEnd returns the end of partition r's range within the ascending
+// ranks, given its start from: the first index at or past from whose rank
+// is at or past separator r, or len(ranks) for the last partition. Walking
+// r upward from 0 cuts the ranks at the separators in p-1 searches, each
+// narrowed to the ranks after the previous cut.
+//
+//alloc:zero
+func partEnd(ranks, seps []sfc.Rank128, from, r int) int {
+	if r == len(seps) {
+		return len(ranks)
+	}
+	return from + sfc.LowerBound(ranks[from:], seps[r])
+}

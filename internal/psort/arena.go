@@ -18,14 +18,14 @@ import (
 // TreeSort entry point draws arenas from a process-wide pool. Growth is
 // bounded — Trim releases any column that one outsized sort inflated past
 // MaxArenaKeys, so an arena (pooled or per-request) can never pin more than
-// its eight 16-byte columns at the cap, about 64 MiB, for the process
-// lifetime.
+// its columns at the cap, about 80 MiB, for the process lifetime.
 //
 // Two more rank columns, lo and hi, ride along for the partitioner: each
 // element's neighbour span, the lowest and highest same-size
 // face-neighbour rank, or a box around it that the first Algorithm 2 scan
 // to need it refines in place (partition's scanCounts). A sort never
-// touches them.
+// touches them, nor the pairs column, where the partition's exchange packs
+// each key with its rank for the all-to-all.
 //
 // An Arena is not safe for concurrent use; the parallel sort paths share it
 // only through the disjoint chunk writes of internal/par.
@@ -36,14 +36,16 @@ type Arena struct {
 	rAlt         []sfc.Rank128
 	lo, hi       []sfc.Rank128
 	loAlt, hiAlt []sfc.Rank128
+	pairs        []KeyRank
 }
 
 // MaxArenaKeys caps the per-column capacity an Arena retains after Trim:
-// 2^19 elements × 16 B per column, 8 MiB a column and 64 MiB across all
-// eight. The key and rank pair alone keep the 16 MiB bound the retired
-// pair pool enforced (maxPooledPairs). A sort larger than this
-// still works — the columns grow for its duration — but Trim hands the
-// oversized backing arrays to the collector instead of pinning them.
+// 2^19 elements, 8 MiB for each of the eight 16-byte key and rank columns
+// and 16 MiB for the 32-byte pairs. The key and rank pair alone keep the
+// 16 MiB bound the retired pair pool enforced (maxPooledPairs). A sort
+// larger than this still works — the columns grow for its duration — but
+// Trim hands the oversized backing arrays to the collector instead of
+// pinning them.
 const MaxArenaKeys = 1 << 19
 
 // growCap is the capacity a column gets when it must grow to hold n:
@@ -124,6 +126,17 @@ func (a *Arena) Spans(n int) (lo, hi []sfc.Rank128) {
 	return a.lo, a.hi
 }
 
+// Pairs returns the pairs column resized to n. The contents are undefined.
+//
+//alloc:zero once the column is warm; growth is the first-use cold path.
+func (a *Arena) Pairs(n int) []KeyRank {
+	if cap(a.pairs) < n {
+		a.pairs = make([]KeyRank, growCap(n)) //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
+	}
+	a.pairs = a.pairs[:n]
+	return a.pairs
+}
+
 // AltColumns returns the scratch key and rank columns resized to n. A
 // refine/coarsen step merges the surviving elements into the scratch pair,
 // then adopts it with SwapAlt — the double-buffering that lets unchanged
@@ -170,6 +183,7 @@ func (a *Arena) Trim() {
 	a.ranks, a.rAlt = trimmed(a.ranks), trimmed(a.rAlt)
 	a.lo, a.hi = trimmed(a.lo), trimmed(a.hi)
 	a.loAlt, a.hiAlt = trimmed(a.loAlt), trimmed(a.hiAlt)
+	a.pairs = trimmed(a.pairs)
 }
 
 // trimmed returns col, or nil when col's capacity exceeds MaxArenaKeys.

@@ -203,18 +203,19 @@ func inflate(a *psort.Arena, n int) {
 	a.AltColumns(n)
 	a.Spans(n)
 	a.AltSpans(n)
+	a.Pairs(n)
 }
 
 // columnCaps reads the capacity of every column of a through its accessors,
 // each resliced to length zero (the contents are undefined anyway): keys,
-// ranks, their scratch pair, then the two span columns and their scratch
-// pair.
+// ranks, their scratch pair, the two span columns and their scratch pair,
+// then the pairs column.
 func columnCaps(a *psort.Arena) []int {
 	keys, ranks := a.Columns(0)
 	kAlt, rAlt := a.AltColumns(0)
 	lo, hi := a.Spans(0)
 	loAlt, hiAlt := a.AltSpans(0)
-	return []int{cap(keys), cap(ranks), cap(kAlt), cap(rAlt), cap(lo), cap(hi), cap(loAlt), cap(hiAlt)}
+	return []int{cap(keys), cap(ranks), cap(kAlt), cap(rAlt), cap(lo), cap(hi), cap(loAlt), cap(hiAlt), cap(a.Pairs(0))}
 }
 
 // TestTreeSortArenaMatchesTreeSort: the arena entry point must produce the

@@ -54,23 +54,21 @@ func (c *Curve) SpanBox(k Key, r Rank128) (lo, hi Rank128) {
 		return MaxRank128, Rank128{}
 	}
 	low := uint(MaxLevel - level)
-	coord := [3]uint32{k.X, k.Y, k.Z}
-	run := 0 // the longest run over long neighbours in the domain
-	for a := 0; a < c.Dim; a++ {
-		u := coord[a] >> low
-		if n := bits.TrailingZeros32(u ^ -(u & 1)); n < level {
-			run = max(run, n)
+	// The longest run over long neighbours in the domain. A 2-D key's zero
+	// Z has no in-domain long neighbour (a run of 32), so every axis is
+	// read without a loop.
+	run := func(u uint32) uint {
+		u >>= low
+		n := uint(bits.TrailingZeros32(u ^ -(u & 1)))
+		if n >= uint(level) {
+			n = 0
 		}
+		return n
 	}
 	// Digits below the ancestor's, levels tmin..MaxLevel, and the level
 	// field: at most Dim·MaxLevel+rankLevelBits = 95 bits.
-	w := uint(c.Dim)*(low+uint(run)+1) + rankLevelBits
-	var m Rank128
-	if w >= 64 {
-		m = Rank128{Hi: 1<<(w-64) - 1, Lo: ^uint64(0)}
-	} else {
-		m = Rank128{Lo: 1<<w - 1}
-	}
+	w := uint(c.Dim)*(low+max(run(k.X), run(k.Y), run(k.Z))+1) + rankLevelBits
+	m := Rank128{Hi: 1<<(w-min(w, 64)) - 1, Lo: 1<<w - 1}
 	return Rank128{Hi: r.Hi &^ m.Hi, Lo: r.Lo &^ m.Lo}, r.or(m)
 }
 
@@ -99,18 +97,18 @@ func (c *Curve) hilbertRankWithSpan(k Key) (r, lo, hi Rank128) {
 	low := uint(MaxLevel - level) // anchor bit read at the last level
 
 	// flip[a] holds the anchor bits k's long neighbour on axis a differs
-	// in, and inside[a] is all ones when that neighbour lies in the domain.
-	// A 2-D key's third axis has neither neighbour.
+	// in, zero when that neighbour lies outside the domain: its chain then
+	// walks as k's own, and it folds as the short neighbour on the axis,
+	// which is in the domain, so it needs no mask. A 2-D key's third axis
+	// has neither neighbour.
 	coord := [3]uint32{k.X, k.Y, k.Z}
 	var flip [3]uint32
-	var inside [3]uint64
 	run := 0 // the longest run over long neighbours in the domain
 	for a := 0; a < c.Dim; a++ {
 		u := coord[a] >> low
 		n := bits.TrailingZeros32(u ^ -(u & 1))
 		if n < level {
 			flip[a] = (2<<n - 1) << low
-			inside[a] = ^uint64(0)
 			run = max(run, n)
 		}
 	}
@@ -148,31 +146,41 @@ func (c *Curve) hilbertRankWithSpan(k Key) (r, lo, hi Rank128) {
 	// The last level: every neighbour flips its axis's label bit there.
 	label := (k.X>>low)&1 | (k.Y>>low)&1<<1 | (k.Z>>low)&1<<2
 	digit := func(s, l uint32) uint64 { return uint64(tbl[(s<<3|l)&255] & 7) }
-	first := tmin // the first level the words hold
-	if spill < level {
-		first = spill
-	}
-	wbits := dim * uint(level-first+1)
-	tail := func(h, w, d uint64) Rank128 {
-		return Rank128{Hi: h >> (64 - wbits), Lo: h<<wbits | w<<dim | d}
-	}
-	lo, hi = MaxRank128, Rank128{}
-	fold := func(t Rank128, m uint64) {
-		lo = minRank(lo, Rank128{Hi: t.Hi | ^m, Lo: t.Lo | ^m})
-		hi = maxRank(hi, Rank128{Hi: t.Hi & m, Lo: t.Lo & m})
-	}
-	// Every short neighbour lies in the domain: c-1 >= 0 for odd c, and
-	// c+1 < 2^level for even c.
-	hs, ws, ss := [3]uint64{h1, h2, h3}, [3]uint64{w1, w2, w3}, [3]uint32{s1, s2, s3}
-	for a := 0; a < c.Dim; a++ {
-		bit := uint32(1) << a
-		fold(tail(h0, w0, digit(s0, label^bit)), ^uint64(0))
-		fold(tail(hs[a], ws[a], digit(ss[a], label^bit)), inside[a])
-	}
-
 	pad := dim*low + rankLevelBits
 	base := prefix.shl(dim*uint(level-tmin+1) + pad)
 	base.Lo |= uint64(k.Level)
+	// Every short neighbour lies in the domain: c-1 >= 0 for odd c, and
+	// c+1 < 2^level for even c.
+	ws, ss := [3]uint64{w1, w2, w3}, [3]uint32{s1, s2, s3}
+	if spill >= level {
+		// Nothing spilled: the tails, dim·(level-tmin+1) <= 63 bits, fold
+		// as plain words.
+		wlo, whi := ^uint64(0), uint64(0)
+		for a := 0; a < c.Dim; a++ {
+			bit := uint32(1) << a
+			t := w0<<dim | digit(s0, label^bit)
+			wlo, whi = min(wlo, t), max(whi, t)
+			t = ws[a]<<dim | digit(ss[a], label^bit)
+			wlo, whi = min(wlo, t), max(whi, t)
+		}
+		own := Rank128{Lo: w0<<dim | digit(s0, label)}
+		return base.or(own.shl(pad)), base.or(Rank128{Lo: wlo}.shl(pad)), base.or(Rank128{Lo: whi}.shl(pad))
+	}
+	// A longer tail keeps its digits from spill on in the w words and the
+	// ones above in the h words: fold 128-bit tails.
+	wbits := dim * uint(level-spill+1)
+	tail := func(h, w, d uint64) Rank128 {
+		return Rank128{Hi: h >> (64 - wbits), Lo: h<<wbits | w<<dim | d}
+	}
+	hs := [3]uint64{h1, h2, h3}
+	lo, hi = MaxRank128, Rank128{}
+	for a := 0; a < c.Dim; a++ {
+		bit := uint32(1) << a
+		t := tail(h0, w0, digit(s0, label^bit))
+		lo, hi = minRank(lo, t), maxRank(hi, t)
+		t = tail(hs[a], ws[a], digit(ss[a], label^bit))
+		lo, hi = minRank(lo, t), maxRank(hi, t)
+	}
 	own := tail(h0, w0, digit(s0, label))
 	return base.or(own.shl(pad)), base.or(lo.shl(pad)), base.or(hi.shl(pad))
 }

@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -113,6 +114,72 @@ func TestRankWithSpanRandom(t *testing.T) {
 			}
 		}
 	}
+}
+
+// longRunKey returns a random key of level 1..MaxLevel whose coordinate on
+// one random axis ends, at the key's level, in a run of equal bits of random
+// length 1..level, so its long neighbour on that axis diverges at any depth,
+// or, for a run of the whole level, lies outside the domain.
+func longRunKey(rng *rand.Rand, dim int) Key {
+	k := randomKeyAnyLevel(rng, dim)
+	for k.Level == 0 {
+		k = randomKeyAnyLevel(rng, dim)
+	}
+	level := int(k.Level)
+	run := 1 + rng.Intn(level)
+	c := [3]*uint32{&k.X, &k.Y, &k.Z}[rng.Intn(dim)]
+	low := MaxLevel - level
+	mask := lowMask(run) << low
+	*c &^= mask | lowMask(1)<<(low+run)
+	if rng.Intn(2) == 1 {
+		*c |= mask // a run of ones, then a zero
+	} else if run < level {
+		*c |= lowMask(1) << (low + run) // a run of zeros, then a one
+	}
+	return k
+}
+
+// TestSpanFoldMatchesNeighbourRanks checks the Hilbert kernel against the
+// exact ranks of every face neighbour on over a million keys, with the
+// long-neighbour runs of longRunKey forcing both folds: tails of at most 63
+// bits, folded in one word, and longer 3-D tails, folded with the spill. A
+// tail runs from the shallowest level at which an in-domain neighbour's
+// anchor differs from k's down to k's level.
+func TestSpanFoldMatchesNeighbourRanks(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	var oneWord, spill int
+	for _, tc := range []struct {
+		dim, long, random int
+	}{{3, 500_000, 250_000}, {2, 200_000, 100_000}} {
+		c := NewCurve(Hilbert, tc.dim)
+		for i := 0; i < tc.long+tc.random; i++ {
+			k := randomKeyAnyLevel(rng, tc.dim)
+			if i < tc.long {
+				k = longRunKey(rng, tc.dim)
+			}
+			wantLo, wantHi := MaxRank128, Rank128{}
+			tmin := int(k.Level)
+			for _, n := range faceNeighbors(k, tc.dim) {
+				r := c.Rank(n)
+				wantLo, wantHi = minRank(wantLo, r), maxRank(wantHi, r)
+				tmin = min(tmin, MaxLevel+1-bits.Len32(n.X^k.X|n.Y^k.Y|n.Z^k.Z))
+			}
+			if r, lo, hi := c.RankWithSpan(k); r != c.Rank(k) || lo != wantLo || hi != wantHi {
+				t.Fatalf("%d-D %v: RankWithSpan = (%v, %v, %v), want (%v, %v, %v)", tc.dim, k, r, lo, hi, c.Rank(k), wantLo, wantHi)
+			}
+			switch {
+			case k.Level == 0:
+			case tc.dim*(int(k.Level)-tmin+1) <= 63:
+				oneWord++
+			default:
+				spill++
+			}
+		}
+	}
+	if oneWord < 100_000 || spill < 10_000 {
+		t.Fatalf("%d keys took the one-word fold and %d the spill: both must be exercised", oneWord, spill)
+	}
+	t.Logf("%d one-word folds, %d spills", oneWord, spill)
 }
 
 // FuzzRankWithSpan fuzzes the kernel against the oracle over raw key
