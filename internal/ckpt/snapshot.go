@@ -1,4 +1,4 @@
-// Package ckpt provides versioned, FNV-checksummed, deterministic snapshots
+// Package ckpt provides versioned, CRC-sealed, deterministic snapshots
 // of campaign state — the world's per-rank placement, the splitters that
 // produced it, the octree epoch (completed refinement steps), and the
 // machine model — plus a restore path that puts a respawned worker in a
@@ -24,9 +24,10 @@ import (
 	"optipart/internal/sfc"
 )
 
-// SnapshotVersion is the current encoding version. Decoders reject other
-// versions (comm.ErrVersion) rather than guessing at layouts.
-const SnapshotVersion = 2
+// SnapshotVersion is the current encoding version: 3 is sealed with
+// CRC-32C, 2 was sealed with FNV-1a. Decoders reject other versions
+// (comm.ErrVersion) rather than guessing at layouts.
+const SnapshotVersion = 3
 
 const (
 	snapMagic = "OCKP"

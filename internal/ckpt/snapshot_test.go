@@ -10,6 +10,7 @@ import (
 
 	"optipart/internal/comm"
 	"optipart/internal/octree"
+	"optipart/internal/par"
 	"optipart/internal/sfc"
 )
 
@@ -93,7 +94,7 @@ const sepsCountAt = 4 + 1 + 8 + 8 + 1 + 1 + 24 + 8
 // reseal replaces buf's seal with a valid one, so that a forged field
 // reaches the reader instead of dying at the checksum.
 func reseal(buf []byte) []byte {
-	return comm.Seal(bytes.Clone(buf[:len(buf)-8]), 0)
+	return comm.Seal(bytes.Clone(buf[:len(buf)-comm.SealLen]), 0)
 }
 
 // forgeCount overwrites the uint32 count at off in an encoding of s and
@@ -136,6 +137,12 @@ func TestDecodeSnapshotRejects(t *testing.T) {
 	bad = bytes.Clone(good)
 	bad[4] = 1
 	check("version 1", reseal(bad), comm.ErrVersion)
+
+	// A version-2 snapshot, sealed with an 8-byte FNV-1a sum, is refused
+	// from its header too, not as a bad checksum.
+	bad = bytes.Clone(good[:len(good)-comm.SealLen])
+	bad[4] = 2
+	check("version 2", binary.BigEndian.AppendUint64(bad, par.FNV1a(par.FNVOffset64, bad)), comm.ErrVersion)
 
 	bad = bytes.Clone(good)
 	bad[len(bad)/2] ^= 1

@@ -6,7 +6,9 @@ package comm
 //	deposit  — each rank posts its contribution and its current clock;
 //	exchange — rank 0, seeing every deposit, runs the collective's compute
 //	           closure exactly once and advances the BSP clocks;
-//	collect  — every rank consumes its private copy of the result.
+//	collect  — every rank consumes its private copy of the result: the one
+//	           shared aggregate, or for the personal Alltoallv the rank's
+//	           own column of runs.
 //
 // A Transport is a backend that carries those movements. The default is the
 // in-process backend below — the original shared-memory world, goroutines
@@ -14,7 +16,9 @@ package comm
 // pre-seam runtime so golden transcripts do not move. internal/net
 // implements the same contract over real sockets, one OS process per rank,
 // with the deposits and results written in their fixed-layout wire form
-// (codec.go) into checksummed frames.
+// (codec.go) into sealed frames; there rank 0 forwards each Alltoallv run
+// as the bytes it arrived in to its one destination, and decodes only the
+// runs addressed to itself.
 //
 // Backends outside this package manipulate the world only through
 // StepState's exported methods; the closures a StepState carries (compute,
@@ -81,23 +85,31 @@ func (s *StepState) LocalClock() float64 { return s.c.w.clocks[s.c.rank] }
 // LocalPhase returns the calling rank's current phase label.
 func (s *StepState) LocalPhase() string { return s.c.w.phases[s.c.rank] }
 
+// Personal reports whether each rank's result is its own (Alltoallv's
+// column), so a remote backend writes each peer its own result; otherwise
+// one result serves every rank.
+func (s *StepState) Personal() bool { return s.codec != nil && s.codec.personal() }
+
 // AppendDeposit appends the wire form of the calling rank's contribution
-// to dst (nothing for a collective that carries no value, like Barrier).
+// to dst (nothing for a collective that carries no value, like Barrier). A
+// personal deposit's run to the calling rank itself is written empty: the
+// rank keeps it.
 func (s *StepState) AppendDeposit(dst []byte) []byte {
 	if s.codec == nil {
 		return dst
 	}
-	return s.codec.appendValue(dst, s.deposit, false)
+	return s.codec.appendValue(dst, s.deposit, s.c.rank)
 }
 
-// SetRemoteBytes decodes a peer rank's deposit from its wire form and
+// SetRemoteBytes reads a peer rank's deposit from its wire form and
 // installs it into the world with the rank's clock and phase, making the
 // rank visible to the compute closure exactly as if it had deposited
-// through shared memory. Rank 0 of a remote world calls this for every
-// peer before ComputeCost. A malformed deposit is an error and leaves the
-// world untouched.
+// through shared memory; a personal deposit is split into its p runs, not
+// decoded. Rank 0 of a remote world calls this for every peer before
+// ComputeCost. A malformed deposit is an error and leaves the world
+// untouched.
 func (s *StepState) SetRemoteBytes(rank int, clock float64, phase string, b []byte) error {
-	v, err := s.decode(b, false)
+	v, err := s.decode(b)
 	if err != nil {
 		return err
 	}
@@ -108,10 +120,10 @@ func (s *StepState) SetRemoteBytes(rank int, clock float64, phase string, b []by
 	return nil
 }
 
-// decode reads the wire form of a deposit, or of the scratch aggregate.
-func (s *StepState) decode(b []byte, scratch bool) (any, error) {
+// decode reads the wire form of a deposit or a result.
+func (s *StepState) decode(b []byte) (any, error) {
 	if s.codec != nil {
-		return s.codec.decodeValue(b, scratch)
+		return s.codec.decodeValue(b, s.c.w.p)
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("comm: %s carries no value, got %d bytes", s.op, len(b))
@@ -134,21 +146,31 @@ func (s *StepState) ComputeCost() float64 {
 	return cost
 }
 
-// AppendScratch appends the wire form of the aggregate the compute closure
-// left for consumers to dst.
-func (s *StepState) AppendScratch(dst []byte) []byte {
-	if s.codec == nil {
+// AppendResult appends the wire form of rank's result to dst: the
+// aggregate the compute closure left, the same for every rank, or for a
+// personal collective rank's column, in which the computing rank's own run
+// is encoded and every other run is spliced in as the bytes it arrived in.
+func (s *StepState) AppendResult(dst []byte, rank int) []byte {
+	switch {
+	case s.codec == nil:
 		return dst
+	case s.codec.personal():
+		return s.codec.appendColumn(dst, s.c.w.slots, rank)
 	}
-	return s.codec.appendValue(dst, s.c.w.scratch, true)
+	return s.codec.appendValue(dst, s.c.w.scratch, -1)
 }
 
-// SetScratchBytes decodes the aggregate a rank received from the computing
-// rank and installs it, so Consume can run locally.
-func (s *StepState) SetScratchBytes(b []byte) error {
-	v, err := s.decode(b, true)
+// SetResultBytes reads the result a rank received from the computing rank
+// and installs it, so Consume can run locally. A personal result's runs
+// stay in wire form until Consume decodes them, and its run from the rank
+// itself must be empty: the rank keeps that run.
+func (s *StepState) SetResultBytes(b []byte) error {
+	v, err := s.decode(b)
 	if err != nil {
 		return err
+	}
+	if col, ok := v.([]rawRun); ok && col[s.c.rank].n != 0 {
+		return fmt.Errorf("comm: %s result for rank %d carries %d elements of its own run", s.op, s.c.rank, col[s.c.rank].n)
 	}
 	s.c.w.scratch = v
 	return nil

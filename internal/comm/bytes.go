@@ -7,16 +7,16 @@ package comm
 // place. Fields are little-endian: an int is 8 bytes (int64), a float64 its
 // IEEE-754 bits, a string or a list a uint32 count followed by its bytes or
 // items. A versioned byte string starts with a magic and a version byte
-// (CheckHeader); a sealed one ends in the big-endian FNV-1a sum of all
-// before it (Seal, Unseal).
+// (CheckHeader); a sealed one ends in the big-endian CRC-32C (Castagnoli)
+// of all before it, 4 bytes (Seal, Unseal), which hash/crc32 sums with the
+// CPU's CRC instruction where there is one.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
-
-	"optipart/internal/par"
 )
 
 // The byte layer's errors, wrapped with context; match with errors.Is.
@@ -28,8 +28,11 @@ var (
 	ErrTrailing = errors.New("comm: trailing bytes")
 )
 
-// sealLen is the size of Seal's trailer.
-const sealLen = 8
+// SealLen is the size of Seal's trailer.
+const SealLen = 4
+
+// castagnoli is the CRC-32C table Seal and Unseal sum with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Reader reads a byte string front to back. The first read that fails
 // latches its error; every later read returns a zero value.
@@ -140,22 +143,22 @@ func CheckHeader(b []byte, magic string, version byte) error {
 	return nil
 }
 
-// Seal appends the FNV-1a sum of dst[start:], sealing the byte string that
+// Seal appends the CRC-32C of dst[start:], sealing the byte string that
 // starts there.
 func Seal(dst []byte, start int) []byte {
-	return binary.BigEndian.AppendUint64(dst, par.FNV1a(par.FNVOffset64, dst[start:]))
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // Unseal checks the seal of b and returns what it sums. The body is
 // returned when only the sum is wrong, so a caller may report a header
 // error ahead of the checksum.
 func Unseal(b []byte) ([]byte, error) {
-	if len(b) < sealLen {
+	if len(b) < SealLen {
 		return nil, fmt.Errorf("%w: %d bytes, no seal", ErrShort, len(b))
 	}
-	body := b[:len(b)-sealLen]
-	if got, want := par.FNV1a(par.FNVOffset64, body), binary.BigEndian.Uint64(b[len(body):]); got != want {
-		return body, fmt.Errorf("%w: got %016x want %016x", ErrChecksum, got, want)
+	body := b[:len(b)-SealLen]
+	if got, want := crc32.Checksum(body, castagnoli), binary.BigEndian.Uint32(b[len(body):]); got != want {
+		return body, fmt.Errorf("%w: got %08x want %08x", ErrChecksum, got, want)
 	}
 	return body, nil
 }

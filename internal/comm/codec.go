@@ -2,10 +2,11 @@ package comm
 
 // This file is the wire form of collective values. A wire transport moves
 // bytes, not Go values: each generic collective knows its element type T
-// and, on a wire world, attaches a codec for T to the StepState. A deposit
-// or a scratch aggregate is a slice of T nested one to three deep ([]T,
-// [][]T, [][][]T); each level is a little-endian uint32 count followed by
-// its items, and every element has one fixed size:
+// and, on a wire world, attaches a codec for T to the StepState. A value is
+// one run ([]T) or, for the personal Alltoallv, one run per rank ([][]T);
+// a run is a little-endian uint32 count followed by its elements, a list
+// of runs a uint32 count followed by its runs, and every element has one
+// fixed size:
 //
 //	int64, float64  8 bytes, little-endian (a float64 as its IEEE-754 bits)
 //	an Elem         the bytes its AppendElem writes (sfc.Key: 13)
@@ -13,7 +14,10 @@ package comm
 // Decoding reads through the byte layer's Reader (bytes.go), which checks
 // every count against the bytes left before it allocates, so a forged count
 // cannot make it allocate more than a small multiple of its input, and it
-// rejects trailing bytes. In-process worlds build no codec and accept any T.
+// rejects trailing bytes. A personal value's runs are split, not decoded:
+// the computing rank forwards each run as the bytes it arrived in, and
+// only the run's receiver decodes it. In-process worlds build no codec and
+// accept any T.
 
 import (
 	"encoding/binary"
@@ -34,37 +38,56 @@ type Elem interface {
 	ReadElem(src []byte) []byte
 }
 
-// valueCodec is the wire form a collective attaches to its StepState: the
-// deposit and the scratch aggregate, each written and read whole.
+// valueCodec is the wire form a collective attaches to its StepState. A
+// shared collective's deposit and result are one run ([]T), and every rank
+// gets the same result. A personal one's (Alltoallv's) are one run per
+// rank ([][]T): run d of a deposit is addressed to rank d, and each rank's
+// result is its own column, the runs every source addressed to it.
 type valueCodec interface {
-	appendValue(dst []byte, v any, scratch bool) []byte
-	decodeValue(src []byte, scratch bool) (any, error)
+	// personal reports whether the value is one run per rank.
+	personal() bool
+	// appendValue appends v's wire form to dst. A personal value's run
+	// addressed to skip is written empty: the sender keeps it.
+	appendValue(dst []byte, v any, skip int) []byte
+	// decodeValue reads a whole wire value: a shared value's []T, or a
+	// personal value's p runs, still in wire form ([]rawRun).
+	decodeValue(src []byte, p int) (any, error)
+	// appendColumn appends rank's column of a personal step: rank 0's run
+	// encoded from its deposit in slots, every other source's run spliced
+	// in as the bytes it arrived in, and rank's own run empty.
+	appendColumn(dst []byte, slots []any, rank int) []byte
+}
+
+// rawRun is one run of a personal value still in wire form: its element
+// count and the encoded elements, which alias the bytes it was read from.
+type rawRun struct {
+	n int
+	b []byte
 }
 
 // codec is valueCodec for one element type T: put and get move a run of
-// elements of size bytes each, and deposit and scratch are the nesting
-// depths of the two values (1 is []T, 2 [][]T, 3 [][][]T).
+// elements of size bytes each.
 type codec[T any] struct {
-	size             int
-	put              func(dst []byte, vals []T) []byte
-	get              func(src []byte, vals []T)
-	deposit, scratch int
+	size int
+	put  func(dst []byte, vals []T) []byte
+	get  func(src []byte, vals []T)
+	runs bool // personal: one run per rank
 }
 
-// wireCodec is the codec a collective over T attaches on a wire world,
-// whose deposit and scratch aggregate are nested deposit and scratch deep;
-// on an in-process world it is nil. A T with no wire form panics with a
-// *UsageError, on every rank alike, before the collective starts.
-func wireCodec[T any](c *Comm, op string, deposit, scratch int) valueCodec {
+// wireCodec is the codec a collective over T attaches on a wire world, a
+// personal one's with runs; on an in-process world it is nil. A T with no
+// wire form panics with a *UsageError, on every rank alike, before the
+// collective starts.
+func wireCodec[T any](c *Comm, op string, runs bool) valueCodec {
 	if !c.w.transport.Wire() {
 		return nil
 	}
-	return newCodec[T](op, deposit, scratch)
+	return newCodec[T](op, runs)
 }
 
 // newCodec builds wireCodec's codec for T, or panics with its *UsageError.
-func newCodec[T any](op string, deposit, scratch int) *codec[T] {
-	k := &codec[T]{deposit: deposit, scratch: scratch}
+func newCodec[T any](op string, runs bool) *codec[T] {
+	k := &codec[T]{runs: runs}
 	switch any((*T)(nil)).(type) {
 	case *int64:
 		k.size = 8
@@ -125,21 +148,19 @@ func readElems[T any](src []byte, vals []T) {
 	}
 }
 
-func (k *codec[T]) appendValue(dst []byte, v any, scratch bool) []byte {
-	depth := k.deposit
-	if scratch {
-		depth = k.scratch
-	}
-	switch depth {
-	case 1:
+func (k *codec[T]) personal() bool { return k.runs }
+
+func (k *codec[T]) appendValue(dst []byte, v any, skip int) []byte {
+	if !k.runs {
 		return k.appendRun(dst, v.([]T))
-	case 2:
-		return k.appendRuns(dst, v.([][]T))
 	}
-	all := v.([][][]T)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(all)))
-	for _, runs := range all {
-		dst = k.appendRuns(dst, runs)
+	runs := v.([][]T)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(runs)))
+	for d, vals := range runs {
+		if d == skip {
+			vals = nil
+		}
+		dst = k.appendRun(dst, vals)
 	}
 	return dst
 }
@@ -149,32 +170,13 @@ func (k *codec[T]) appendRun(dst []byte, vals []T) []byte {
 	return k.put(slices.Grow(dst, len(vals)*k.size), vals)
 }
 
-func (k *codec[T]) appendRuns(dst []byte, runs [][]T) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(runs)))
-	for _, vals := range runs {
-		dst = k.appendRun(dst, vals)
-	}
-	return dst
-}
-
-func (k *codec[T]) decodeValue(src []byte, scratch bool) (any, error) {
-	depth := k.deposit
-	if scratch {
-		depth = k.scratch
-	}
+func (k *codec[T]) decodeValue(src []byte, p int) (any, error) {
 	d := NewReader(src)
 	var v any
-	switch depth {
-	case 1:
+	if k.runs {
+		v = k.splitRuns(&d, p)
+	} else {
 		v = k.decodeRun(&d)
-	case 2:
-		v = k.decodeRuns(&d)
-	default:
-		all := make([][][]T, d.Count(4))
-		for i := range all {
-			all[i] = k.decodeRuns(&d)
-		}
-		v = all
 	}
 	if err := d.End(); err != nil {
 		return nil, err
@@ -188,10 +190,34 @@ func (k *codec[T]) decodeRun(d *Reader) []T {
 	return vals
 }
 
-func (k *codec[T]) decodeRuns(d *Reader) [][]T {
-	runs := make([][]T, d.Count(4))
+// splitRuns reads a personal value's p runs without decoding them; a run
+// count other than p, or a run longer than the bytes left, fails d.
+func (k *codec[T]) splitRuns(d *Reader, p int) []rawRun {
+	if n := d.Count(4); n != p {
+		d.Fail(fmt.Errorf("comm: %d runs for %d ranks", n, p))
+		return nil
+	}
+	runs := make([]rawRun, p)
 	for i := range runs {
-		runs[i] = k.decodeRun(d)
+		n := d.Count(k.size)
+		runs[i] = rawRun{n: n, b: d.Take(n * k.size)}
 	}
 	return runs
+}
+
+func (k *codec[T]) appendColumn(dst []byte, slots []any, rank int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(slots)))
+	for src := range slots {
+		if src == rank {
+			dst = binary.LittleEndian.AppendUint32(dst, 0) // rank keeps its own run
+			continue
+		}
+		if raw, ok := slots[src].([]rawRun); ok {
+			run := raw[rank]
+			dst = append(binary.LittleEndian.AppendUint32(dst, uint32(run.n)), run.b...)
+			continue
+		}
+		dst = k.appendRun(dst, slots[src].([][]T)[rank])
+	}
+	return dst
 }

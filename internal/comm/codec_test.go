@@ -4,38 +4,33 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"optipart/internal/sfc"
 )
 
-// roundTrip encodes v as the deposit (scratch false) or scratch value of k,
-// decodes it back, and checks that the decoded value encodes to the same
-// bytes. It returns the decoded value.
-func roundTrip[T any](t *testing.T, k *codec[T], v any, scratch bool) any {
+// roundTrip encodes v as a value of the shared codec k, decodes it back,
+// and checks that the decoded value encodes to the same bytes. It returns
+// the decoded value.
+func roundTrip[T any](t *testing.T, k *codec[T], v []T) []T {
 	t.Helper()
-	enc := k.appendValue(nil, v, scratch)
-	got, err := k.decodeValue(enc, scratch)
+	enc := k.appendValue(nil, v, -1)
+	got, err := k.decodeValue(enc, 1)
 	if err != nil {
 		t.Fatalf("decode %T: %v", v, err)
 	}
-	if re := k.appendValue(nil, got, scratch); !bytes.Equal(re, enc) {
+	if re := k.appendValue(nil, got, -1); !bytes.Equal(re, enc) {
 		t.Fatalf("%T re-encodes differently:\n in %x\nout %x", v, enc, re)
 	}
-	return got
+	return got.([]T)
 }
 
 func TestCodecRoundTrip(t *testing.T) {
 	t.Run("int64", func(t *testing.T) {
 		in := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}
-		got := roundTrip(t, newCodec[int64]("allreduce", 1, 1), in, false).([]int64)
-		if len(got) != len(in) {
+		if got := roundTrip(t, newCodec[int64]("allreduce", false), in); !slices.Equal(got, in) {
 			t.Fatalf("got %v, want %v", got, in)
-		}
-		for i := range in {
-			if got[i] != in[i] {
-				t.Fatalf("got %v, want %v", got, in)
-			}
 		}
 	})
 	t.Run("float64", func(t *testing.T) {
@@ -43,7 +38,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		// the IEEE-754 bits, not the value.
 		in := []float64{math.Copysign(0, -1), 0, math.Float64frombits(0x7ff8_0000_0000_0001),
 			math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64}
-		got := roundTrip(t, newCodec[float64]("allgather", 1, 1), in, false).([]float64)
+		got := roundTrip(t, newCodec[float64]("allgather", false), in)
 		if len(got) != len(in) {
 			t.Fatalf("got %v, want %v", got, in)
 		}
@@ -54,44 +49,71 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 	})
 	t.Run("sfc.Key", func(t *testing.T) {
-		// The deepest shape a collective moves: Alltoallv's [][][]T scratch.
+		// A personal value: rank 1's deposit at p = 3 leaves its own run
+		// empty, the computing rank splits it into runs without decoding
+		// them and splices them into each receiver's column, and the
+		// receiver decodes its run.
 		keys := []sfc.Key{{}, {X: math.MaxUint32, Y: math.MaxUint32, Z: math.MaxUint32, Level: sfc.MaxLevel}}
-		k := newCodec[sfc.Key]("alltoallv", 2, 3)
+		k := newCodec[sfc.Key]("alltoallv", true)
 		if k.size != 13 {
 			t.Fatalf("sfc.Key wire size %d, want 13", k.size)
 		}
-		in := [][][]sfc.Key{{keys, nil}, {{keys[1]}, keys}}
-		got := roundTrip(t, k, in, true).([][][]sfc.Key)
-		for i := range in {
-			for j := range in[i] {
-				if len(got[i][j]) != len(in[i][j]) {
-					t.Fatalf("got %v, want %v", got, in)
-				}
-				for n := range in[i][j] {
-					if got[i][j][n] != in[i][j][n] {
-						t.Fatalf("got %v, want %v", got, in)
-					}
-				}
-			}
+		dep := k.appendValue(nil, [][]sfc.Key{keys, keys, {keys[1]}}, 1)
+		v, err := k.decodeValue(dep, 3)
+		if err != nil {
+			t.Fatalf("split deposit: %v", err)
+		}
+		if raw := v.([]rawRun); raw[0].n != 2 || raw[1].n != 0 || raw[2].n != 1 {
+			t.Fatalf("split runs %+v, want lengths 2, 0, 1", raw)
+		}
+		slots := []any{[][]sfc.Key{nil, {keys[0]}, keys}, v, []rawRun{{}, {}, {}}}
+		col, err := k.decodeValue(k.appendColumn(nil, slots, 2), 3)
+		if err != nil {
+			t.Fatalf("column: %v", err)
+		}
+		runs := col.([]rawRun)
+		if runs[0].n != 2 || runs[1].n != 1 || runs[2].n != 0 {
+			t.Fatalf("rank 2's column %+v, want lengths 2, 1, 0", runs)
+		}
+		got := make([]sfc.Key, 3)
+		k.get(runs[0].b, got[:2])
+		k.get(runs[1].b, got[2:])
+		if want := append(slices.Clone(keys), keys[1]); !slices.Equal(got, want) {
+			t.Fatalf("rank 2 decoded %v, want %v", got, want)
 		}
 	})
 }
 
 func TestCodecRejects(t *testing.T) {
-	k := newCodec[int64]("alltoallv", 2, 3)
-	valid := k.appendValue(nil, [][]int64{{1, 2}, {3}}, false)
-	for n := 0; n < len(valid); n++ {
-		if _, err := k.decodeValue(valid[:n], false); err == nil {
-			t.Fatalf("truncation to %d bytes decoded", n)
+	shared := newCodec[int64]("allgather", false)
+	personal := newCodec[int64]("alltoallv", true)
+	for _, tc := range []struct {
+		k     valueCodec
+		valid []byte
+	}{
+		{shared, shared.appendValue(nil, []int64{1, 2, 3}, -1)},
+		{personal, personal.appendValue(nil, [][]int64{{1, 2}, {3}}, -1)},
+	} {
+		for n := 0; n < len(tc.valid); n++ {
+			if _, err := tc.k.decodeValue(tc.valid[:n], 2); err == nil {
+				t.Fatalf("truncation to %d bytes decoded", n)
+			}
+		}
+		if _, err := tc.k.decodeValue(append(tc.valid, 0), 2); err == nil {
+			t.Fatal("trailing byte decoded")
+		}
+		// A count the bytes cannot hold is refused before anything is
+		// allocated.
+		forged := []byte{0xff, 0xff, 0xff, 0x7f}
+		if _, err := tc.k.decodeValue(forged, 2); !errors.Is(err, ErrShort) {
+			t.Fatalf("forged count: got %v, want ErrShort", err)
 		}
 	}
-	if _, err := k.decodeValue(append(valid, 0), false); err == nil {
-		t.Fatal("trailing byte decoded")
-	}
-	// A count the bytes cannot hold is refused before anything is allocated.
-	forged := []byte{0xff, 0xff, 0xff, 0x7f}
-	if _, err := k.decodeValue(forged, true); !errors.Is(err, ErrShort) {
-		t.Fatalf("forged count: got %v, want ErrShort", err)
+	// A personal value holds exactly one run per rank.
+	for _, runs := range [][][]int64{{{1}}, {{1}, nil, {2}}} {
+		if _, err := personal.decodeValue(personal.appendValue(nil, runs, -1), 2); err == nil {
+			t.Fatalf("%d runs decoded for 2 ranks", len(runs))
+		}
 	}
 }
 
@@ -103,5 +125,5 @@ func TestCodecRefusesTypesWithoutWireForm(t *testing.T) {
 			t.Fatalf("recovered %v, want a *UsageError naming allreduce", err)
 		}
 	}()
-	newCodec[pair]("allreduce", 1, 1)
+	newCodec[pair]("allreduce", false)
 }

@@ -11,7 +11,7 @@ package comm
 // every rank. All ranks must pass slices of the same length.
 func Allreduce[T any](c *Comm, vals []T, elemBytes int, op func(a, b T) T) []T {
 	m := float64(len(vals) * elemBytes)
-	out := c.sync("allreduce", elemBytes, vals, wireCodec[T](c, "allreduce", 1, 1), func() float64 {
+	out := c.sync("allreduce", elemBytes, vals, wireCodec[T](c, "allreduce", false), func() float64 {
 		w := c.w
 		res := make([]T, len(vals))
 		copy(res, w.slots[0].([]T))
@@ -49,7 +49,7 @@ func AllreduceScalar[T any](c *Comm, val T, elemBytes int, op func(a, b T) T) T 
 // Allgather concatenates every rank's slice in rank order and returns a copy
 // on every rank. Slices may have different lengths.
 func Allgather[T any](c *Comm, vals []T, elemBytes int) []T {
-	out := c.sync("allgather", elemBytes, vals, wireCodec[T](c, "allgather", 1, 1), func() float64 {
+	out := c.sync("allgather", elemBytes, vals, wireCodec[T](c, "allgather", false), func() float64 {
 		w := c.w
 		var total int
 		for r := 0; r < w.p; r++ {
@@ -96,7 +96,9 @@ type AlltoallvOptions struct {
 // returns recv with recv[src] holding the data this rank received from src.
 // The runs are views, in source order, of one allocation the receiver owns,
 // each capped at its own length, so appending to one never writes into the
-// next.
+// next. recv[rank] is a copy of send[rank]: on a wire that run never
+// leaves the rank, and each other run crosses once, from its sender
+// through rank 0 to its one destination (the result is personal).
 // The exchange is staged: stage s moves data to destinations at rank offsets
 // s·width+1 .. (s+1)·width, bounding the number of in-flight messages, and
 // each stage is priced at ts + tw·(max bytes moved by any rank in the
@@ -110,12 +112,17 @@ func Alltoallv[T any](c *Comm, send [][]T, elemBytes int, opts AlltoallvOptions)
 	if width <= 0 {
 		width = 1
 	}
-	out := c.sync("alltoallv", elemBytes, send, wireCodec[T](c, "alltoallv", 2, 3), func() float64 {
-		all := make([][][]T, w.p)
-		for r := 0; r < w.p; r++ {
-			all[r] = w.slots[r].([][]T)
+	wire := wireCodec[T](c, "alltoallv", true)
+	out := c.sync("alltoallv", elemBytes, send, wire, func() float64 {
+		// The step is priced from run lengths alone, so rank 0 of a wire
+		// world never decodes a run it only forwards.
+		runBytes := func(src, dst int) int64 {
+			if raw, ok := w.slots[src].([]rawRun); ok {
+				return int64(raw[dst].n * elemBytes)
+			}
+			return int64(len(w.slots[src].([][]T)[dst]) * elemBytes)
 		}
-		w.scratch = all
+		w.scratch = nil
 		var cost float64
 		if opts.Sparse {
 			var maxMsgs, maxBytes int64
@@ -125,7 +132,7 @@ func Alltoallv[T any](c *Comm, send [][]T, elemBytes int, opts AlltoallvOptions)
 					if dst == r {
 						continue
 					}
-					if n := int64(len(all[r][dst]) * elemBytes); n > 0 {
+					if n := runBytes(r, dst); n > 0 {
 						msgs++
 						bytes += n
 					}
@@ -153,9 +160,7 @@ func Alltoallv[T any](c *Comm, send [][]T, elemBytes int, opts AlltoallvOptions)
 			for r := 0; r < w.p; r++ {
 				var bytes int64
 				for off := lo; off < hi; off++ {
-					dst := (r + off) % w.p
-					n := int64(len(all[r][dst]) * elemBytes)
-					if n > 0 {
+					if n := runBytes(r, (r+off)%w.p); n > 0 {
 						bytes += n
 						w.msgsSent[r]++
 					}
@@ -174,16 +179,37 @@ func Alltoallv[T any](c *Comm, send [][]T, elemBytes int, opts AlltoallvOptions)
 		}
 		return cost
 	}, func(scratch any) any {
-		all := scratch.([][][]T)
+		// This rank's run from src: its own from send; off the wire, a
+		// worker's from the column it was sent (scratch) and rank 0's from
+		// a peer's split deposit; in process, a view of src's deposit.
+		col, _ := scratch.([]rawRun)
+		run := func(src int) ([]T, rawRun) {
+			switch {
+			case src == c.rank:
+				return send[src], rawRun{}
+			case col != nil:
+				return nil, col[src]
+			}
+			if raw, ok := w.slots[src].([]rawRun); ok {
+				return nil, raw[c.rank]
+			}
+			return w.slots[src].([][]T)[c.rank], rawRun{}
+		}
 		var total int
 		for src := 0; src < w.p; src++ {
-			total += len(all[src][c.rank])
+			vals, raw := run(src)
+			total += len(vals) + raw.n
 		}
 		flat := make([]T, total)
 		recv := make([][]T, w.p)
 		off := 0
 		for src := 0; src < w.p; src++ {
-			n := copy(flat[off:], all[src][c.rank])
+			vals, raw := run(src)
+			n := copy(flat[off:], vals)
+			if raw.n > 0 {
+				n = raw.n
+				wire.(*codec[T]).get(raw.b, flat[off:off+n])
+			}
 			recv[src] = flat[off : off+n : off+n]
 			off += n
 		}

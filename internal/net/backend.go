@@ -169,12 +169,14 @@ type Root struct {
 	welcome []byte // the encoded fWelcome once Announce has fixed the model
 	step    uint64 // next collective index rank 0 will run
 
-	// resultLog holds encoded fResult frames by seq for reconnect and
-	// rejoin replay. Under Degrade it is pruned to the latest result (the
-	// PR 6 behavior); under Restore it retains everything since the last
-	// Checkpoint call, so a worker restored from that checkpoint can be
-	// replayed forward to the live step.
-	resultLog map[uint64][]byte
+	// resultLog holds encoded fResult frames by seq, one per rank ([0]
+	// unused), for reconnect and rejoin replay: a shared result is one
+	// frame every rank's entry holds, a personal one (Alltoallv) a frame
+	// per rank. Under Degrade it is pruned to the latest result; under
+	// Restore it retains everything since the last Checkpoint call, so a
+	// worker restored from that checkpoint can be replayed forward to the
+	// live step.
+	resultLog map[uint64][][]byte
 
 	// Membership epochs: inc[rank] is the accepted incarnation number.
 	// Hellos with a lower incarnation are zombies and fenced off; a higher
@@ -215,7 +217,7 @@ func NewRoot(endpoint string, p int, opts Options) (*Root, error) {
 		lastOp:         make([]string, p),
 		lastSeq:        make([]uint64, p),
 		done:           make([]bool, p),
-		resultLog:      make(map[uint64][]byte),
+		resultLog:      make(map[uint64][][]byte),
 		inc:            make([]uint64, p),
 		awaitingRejoin: make([]bool, p),
 		rejoinTimer:    make([]*time.Timer, p),
@@ -269,16 +271,19 @@ func (r *Root) WaitReady(timeout time.Duration) error {
 	return nil
 }
 
-// broadcast writes one encoded frame to every joined worker. A write error
-// is not a verdict on the rank: the worker may be mid-reconnect, and admit
-// replays what it is owed.
-func (r *Root) broadcast(frame []byte) {
+// broadcast writes one encoded frame to every joined worker.
+func (r *Root) broadcast(frame []byte) { r.send(func(int) []byte { return frame }) }
+
+// send writes frame(rank) to every joined worker. A write error is not a
+// verdict on the rank: the worker may be mid-reconnect, and admit replays
+// what it is owed.
+func (r *Root) send(frame func(rank int) []byte) {
 	r.mu.Lock()
 	links := append([]*link(nil), r.links...)
 	r.mu.Unlock()
-	for _, l := range links[1:] {
-		if l != nil {
-			l.writeRaw(frame)
+	for rank, l := range links {
+		if rank > 0 && l != nil {
+			l.writeRaw(frame(rank))
 		}
 	}
 }
@@ -412,7 +417,7 @@ func (r *Root) admit(conn stdnet.Conn) {
 			r.rec.Redials++
 		}
 	}
-	replay := r.loggedLocked(hb.Resume)
+	replay := r.loggedLocked(hb.Resume, rank)
 	for _, buf := range replay {
 		r.rec.RestoredBytes += int64(len(buf))
 	}
@@ -517,7 +522,9 @@ func (r *Root) Cancel(reason error) { r.cancel(reason, r.broadcast) }
 
 // Step runs one collective on the root: wait for every worker's deposit of
 // this step, verify the signatures, install the remote clocks and values,
-// run the compute closure, broadcast the result and end clock, consume.
+// run the compute closure, send every worker its result and the end clock,
+// consume. A shared result is one frame written to every worker; a
+// personal one (Alltoallv) is a frame per worker holding its own column.
 func (r *Root) Step(st *comm.StepState) any {
 	seq := r.step
 	r.mu.Lock()
@@ -583,14 +590,22 @@ func (r *Root) Step(st *comm.StepState) any {
 	cost := st.ComputeCost()
 	end := st.FinishStep(cost)
 
-	frame, err := appendFrame(nil, &Frame{Type: fResult, Seq: seq, Op: st.Op()},
-		func(b []byte) []byte { return st.AppendScratch(resultBody{End: end}.append(b)) })
-	if err != nil {
-		st.Abort(fmt.Errorf("net: result for %s unencodable: %w", st.Op(), err))
+	frames := make([][]byte, r.p)
+	for rank := 1; rank < r.p; rank++ {
+		if rank > 1 && !st.Personal() {
+			frames[rank] = frames[1]
+			continue
+		}
+		frame, err := appendFrame(nil, &Frame{Type: fResult, Seq: seq, Op: st.Op()},
+			func(b []byte) []byte { return st.AppendResult(resultBody{End: end}.append(b), rank) })
+		if err != nil {
+			st.Abort(fmt.Errorf("net: result for %s unencodable: %w", st.Op(), err))
+		}
+		frames[rank] = frame
 	}
 
 	r.mu.Lock()
-	r.resultLog[seq] = frame
+	r.resultLog[seq] = frames
 	if r.opts.OnFailure != Restore {
 		// Degrade worlds only ever replay the latest result to a
 		// reconnecting worker; Restore worlds keep the log back to the last
@@ -606,7 +621,7 @@ func (r *Root) Step(st *comm.StepState) any {
 	}
 	r.step = seq + 1
 	r.mu.Unlock()
-	r.broadcast(frame)
+	r.send(func(rank int) []byte { return frames[rank] })
 	r.gen.Add(1)
 	return st.Consume()
 }
@@ -886,7 +901,7 @@ func (w *Worker) Cancel(reason error) {
 
 // Step runs one collective on a worker: frame the deposit to the root,
 // block until the matching result arrives (or the world is cancelled),
-// install the scratch and the authoritative end clock, consume.
+// install the result and the authoritative end clock, consume.
 func (w *Worker) Step(st *comm.StepState) any {
 	seq := w.gen.Load()
 	frame, err := appendFrame(nil, &Frame{Type: fDeposit, Src: int32(w.rank), Seq: seq, Op: st.Op()},
@@ -923,7 +938,7 @@ func (w *Worker) Step(st *comm.StepState) any {
 
 	res, err := decodeResult(rf.Payload)
 	if err == nil {
-		err = st.SetScratchBytes(res.Scratch)
+		err = st.SetResultBytes(res.Value)
 	}
 	if err != nil {
 		st.Abort(fmt.Errorf("net: rank %d result for %s undecodable: %w", w.rank, st.Op(), err))

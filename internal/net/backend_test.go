@@ -90,6 +90,15 @@ func partProgram(seed int64, n int, out *sync.Map) func(c *comm.Comm) error {
 func runWireWorld(t *testing.T, p int, sock string, model comm.CostModel, opts Options,
 	program func(c *comm.Comm) error) map[int]error {
 	t.Helper()
+	_, errs := runWireRoot(t, p, sock, model, opts, program)
+	return errs
+}
+
+// runWireRoot is runWireWorld, and returns the closed Root too, so a test
+// may read what it logged.
+func runWireRoot(t *testing.T, p int, sock string, model comm.CostModel, opts Options,
+	program func(c *comm.Comm) error) (*Root, map[int]error) {
+	t.Helper()
 	root, err := NewRoot("unix:"+sock, p, opts)
 	if err != nil {
 		t.Fatalf("NewRoot: %v", err)
@@ -128,7 +137,7 @@ func runWireWorld(t *testing.T, p int, sock string, model comm.CostModel, opts O
 	record(0, err)
 	root.Drain(5 * time.Second)
 	wait(t, "the worker ranks to return", &wg)
-	return errs
+	return root, errs
 }
 
 // TestWireEquivalence is the acceptance check of the tentpole: the same

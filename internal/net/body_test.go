@@ -2,10 +2,12 @@ package net
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"optipart/internal/comm"
@@ -71,17 +73,17 @@ func TestBodyRoundTrip(t *testing.T) {
 	if got, err := decodeDeposit(d.append(nil)); err != nil || !reflect.DeepEqual(got, d) {
 		t.Errorf("deposit: got %+v, %v; want %+v", got, err, d)
 	}
-	r := resultBody{End: 9.5, Scratch: []byte{4, 5}}
+	r := resultBody{End: 9.5, Value: []byte{4, 5}}
 	if got, err := decodeResult(r.append(nil)); err != nil || !reflect.DeepEqual(got, r) {
 		t.Errorf("result: got %+v, %v; want %+v", got, err, r)
 	}
 }
 
 // capturedStep is one collective's StepState with the wire forms of its
-// deposit and scratch aggregate.
+// deposit and result.
 type capturedStep struct {
-	st               *comm.StepState
-	deposit, scratch []byte
+	st              *comm.StepState
+	deposit, result []byte
 }
 
 // captureTransport is a one-rank comm.Transport that reports a wire, so
@@ -97,7 +99,7 @@ func (t *captureTransport) Generation() uint64 { return uint64(len(t.steps)) }
 func (t *captureTransport) Step(st *comm.StepState) any {
 	st.SetLocalDeposit()
 	st.FinishStep(st.ComputeCost())
-	t.steps = append(t.steps, capturedStep{st, st.AppendDeposit(nil), st.AppendScratch(nil)})
+	t.steps = append(t.steps, capturedStep{st, st.AppendDeposit(nil), st.AppendResult(nil, 0)})
 	return st.Consume()
 }
 
@@ -133,7 +135,7 @@ type bodyDecoder struct {
 }
 
 // bodyDecoders are the five net bodies' decoders, then each captured
-// collective's deposit and scratch decoders.
+// collective's deposit and result decoders.
 func bodyDecoders(tb testing.TB) []bodyDecoder {
 	var (
 		hello   helloBody
@@ -154,7 +156,7 @@ func bodyDecoders(tb testing.TB) []bodyDecoder {
 		{"deposit", depositBody{ElemBytes: 8, Clock: 0.5, Phase: "main", Value: []byte{1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}}.append(nil),
 			func(b []byte) (err error) { deposit, err = decodeDeposit(b); return err },
 			func() []byte { return deposit.append(nil) }},
-		{"result", resultBody{End: 1.5, Scratch: []byte{0, 0, 0, 0}}.append(nil),
+		{"result", resultBody{End: 1.5, Value: []byte{0, 0, 0, 0}}.append(nil),
 			func(b []byte) (err error) { result, err = decodeResult(b); return err },
 			func() []byte { return result.append(nil) }},
 		{"abort", appendFailure(nil, rf, false),
@@ -166,7 +168,7 @@ func bodyDecoders(tb testing.TB) []bodyDecoder {
 		decs = append(decs,
 			bodyDecoder{name: st.Op() + "/deposit", seed: s.deposit,
 				decode: func(b []byte) error { return st.SetRemoteBytes(0, 0, "main", b) }},
-			bodyDecoder{name: st.Op() + "/scratch", seed: s.scratch, decode: st.SetScratchBytes})
+			bodyDecoder{name: st.Op() + "/result", seed: s.result, decode: st.SetResultBytes})
 	}
 	return decs
 }
@@ -197,6 +199,26 @@ func FuzzDecodeBodies(f *testing.F) {
 	f.Add(uint8(abort), append(comm.AppendString(comm.AppendInt([]byte{failAbandoned}, 0), "barrier"), forged...))
 	f.Add(uint8(abort), appendFailure(nil, &comm.MismatchError{Step: 1, Calls: []comm.SigCall{{Rank: 0, Op: "barrier"}}}, false))
 	f.Add(uint8(abort), append(comm.AppendInt([]byte{failMismatch}, 1), forged...))
+	// Alltoallv's deposit and result at p = 1 are one run each, split and
+	// not decoded: a run count other than p, and a run longer than the
+	// bytes left, must each be refused.
+	run := func(n uint32, elems int) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, n), make([]byte, elems*psort.KeyBytes)...)
+	}
+	runs := func(n uint32, rs ...[]byte) []byte {
+		return bytes.Join(append([][]byte{binary.LittleEndian.AppendUint32(nil, n)}, rs...), nil)
+	}
+	for i, d := range decs {
+		if !strings.HasPrefix(d.name, "alltoallv/") {
+			continue
+		}
+		for _, b := range [][]byte{
+			runs(1, run(2, 2)), runs(0), runs(2, run(0, 0), run(1, 1)),
+			runs(1, run(3, 2)), runs(1, run(1, 1), run(0, 0)), runs(1, run(0x0fffffff, 1)),
+		} {
+			f.Add(uint8(i), b)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		dec := decs[int(which)%len(decs)]

@@ -13,10 +13,10 @@ package net
 // checkpoint. The root replays every logged result frame at or after the
 // resume sequence; the replacement re-executes its rank program from the
 // checkpoint epoch, its deposits for already-completed steps are dropped
-// by the existing seq dedup, and the replayed results carry it forward
-// until it is depositing live. Checkpoint(seq) prunes the log: anything
-// below seq is recoverable from stable storage and can never be requested
-// again.
+// by the existing seq dedup, and the replayed results (its own column of
+// each Alltoallv) carry it forward until it is depositing live.
+// Checkpoint(seq) prunes the log: anything below seq is recoverable from
+// stable storage and can never be requested again.
 
 import (
 	"fmt"
@@ -101,9 +101,9 @@ func (r *Root) completeRejoinLocked(rank int) {
 	r.mon.Revive(rank)
 }
 
-// loggedLocked (r.mu held) returns the encoded result frames with seq ≥
+// loggedLocked (r.mu held) returns rank's encoded result frames with seq ≥
 // from in ascending seq order — the replay stream for a (re)joining worker.
-func (r *Root) loggedLocked(from uint64) [][]byte {
+func (r *Root) loggedLocked(from uint64, rank int) [][]byte {
 	if from == noSeq || len(r.resultLog) == 0 {
 		return nil
 	}
@@ -116,7 +116,7 @@ func (r *Root) loggedLocked(from uint64) [][]byte {
 	slices.Sort(seqs)
 	out := make([][]byte, len(seqs))
 	for i, s := range seqs {
-		out[i] = r.resultLog[s]
+		out[i] = r.resultLog[s][rank]
 	}
 	return out
 }

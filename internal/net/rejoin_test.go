@@ -37,8 +37,9 @@ func testCampaignOpts(steps int, saver ckpt.Saver, cp ckpt.Checkpointer) ckpt.Ca
 // TestRestoreRejoinCompletesCampaign is the wire-level acceptance of the
 // Restore policy: a worker hard-dies mid-campaign, the heartbeat declares
 // it dead, and a replacement incarnation spawned from the latest checkpoint
-// rejoins with a higher incarnation number, is replayed forward, and the
-// campaign finishes with the exact digest of the fault-free run. The
+// rejoins with a higher incarnation number, is replayed forward (its own
+// column of each Alltoallv, which another rank's would not decode to),
+// and the campaign finishes with the exact digest of the fault-free run. The
 // outage's downtime counts from the victim's last frame, as it does when the
 // replacement beats the heartbeat.
 func TestRestoreRejoinCompletesCampaign(t *testing.T) {
@@ -72,7 +73,8 @@ func TestRestoreRejoinBeforeHeartbeat(t *testing.T) {
 }
 
 // restoreCampaign runs a 4-rank checkpointed campaign under the Restore
-// policy in which rank 2 hard-dies inside step 1 and a replacement
+// policy in which rank 2 hard-dies at step 1's last collective, after the
+// step's exchange, and a replacement
 // incarnation rejoins from the latest checkpoint. The root's OnDeath
 // triggers the respawn; with early, the victim's own goroutine respawns it
 // at once and the heartbeat timeout is too long to fire first. It fails t
@@ -88,8 +90,8 @@ func restoreCampaign(t *testing.T, early bool) comm.RecoveryStats {
 	model := machine.Clemson32().CostModel()
 
 	// Fault-free golden, in-process: digest plus the per-step collective
-	// sequence numbers (to place the kill strictly inside step 1, after the
-	// step-0 checkpoint exists).
+	// sequence numbers (to place the kill inside step 1, after the step-0
+	// checkpoint exists).
 	var goldenDigest uint64
 	var seqAt []uint64
 	var seqMu sync.Mutex
@@ -117,7 +119,10 @@ func restoreCampaign(t *testing.T, early bool) comm.RecoveryStats {
 	if len(seqAt) != steps {
 		t.Fatalf("recorded %d step boundaries, want %d", len(seqAt), steps)
 	}
-	killSeq := int(seqAt[0]) + 2 // inside step 1
+	// The last collective of step 1, its placement gather: the replacement
+	// is replayed all of step 1's partition, whose Alltoallv result is a
+	// frame of each rank's own.
+	killSeq := int(seqAt[1]) - 1
 
 	respawn := make(chan int, p)
 	opts := fastOpts()

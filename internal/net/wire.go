@@ -35,14 +35,14 @@ import (
 //
 //	offset  size  field
 //	0       4     magic "OPTP"
-//	4       1     version (2)
+//	4       1     version (3; 2 was sealed with FNV-1a)
 //	5       1     type (fHello..fShutdown)
 //	6       2     op length (bytes of the collective op name)
 //	8       4     src rank (int32; the sender's rank id)
 //	12      8     seq (collective step index, or probe nonce)
 //	20      4     payload length
 //	24      ...   op name, then payload
-//	...     8     FNV-1a checksum of everything above
+//	...     4     CRC-32C checksum of everything above
 //
 // The magic and version are checked by comm.CheckHeader, and the checksum
 // is the byte layer's seal (comm.Seal, comm.Unseal). It guards against torn
@@ -51,9 +51,9 @@ import (
 // do not resync).
 const (
 	frameMagic   = "OPTP"
-	frameVersion = 2
+	frameVersion = 3
 	headerLen    = 24
-	checksumLen  = 8
+	checksumLen  = comm.SealLen
 
 	// MaxFrameOp and MaxFramePayload bound what the decoder will allocate,
 	// so a corrupted or hostile length field cannot OOM the process.
@@ -189,13 +189,14 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 // fields (comm's bytes.go): an int is 8 bytes, a float64 its IEEE-754
 // bits, a string or a list a uint32 count followed by its bytes or items,
 // all little-endian. Collective values are
-// comm's own wire form (comm.StepState's AppendDeposit and AppendScratch),
+// comm's own wire form (comm.StepState's AppendDeposit and AppendResult),
 // the rest of their body.
 //
 //	hello     rank, p int · resume, inc uint64
 //	welcome   p int · tc, ts, tw float64
 //	deposit   elemBytes int · clock float64 · phase string · value
-//	result    end float64 · scratch
+//	result    end float64 · value (the shared result, or for Alltoallv the
+//	          receiving rank's column, its own run empty)
 //	abort     one failure: a kind byte, then the kind's fields
 //	  rank       rank int · op, phase string · collective int · cause
 //	             (a failure of any other kind)
@@ -268,21 +269,20 @@ func decodeDeposit(b []byte) (depositBody, error) {
 }
 
 // resultBody is the root's answer to one collective step: the step's end
-// clock and the scratch aggregate's wire form, written like depositBody's
-// value.
+// clock and the result's wire form, written like depositBody's value.
 type resultBody struct {
-	End     float64
-	Scratch []byte
+	End   float64
+	Value []byte
 }
 
 func (r resultBody) append(dst []byte) []byte {
-	return append(comm.AppendFloat(dst, r.End), r.Scratch...)
+	return append(comm.AppendFloat(dst, r.End), r.Value...)
 }
 
 func decodeResult(b []byte) (resultBody, error) {
 	d := comm.NewReader(b)
 	r := resultBody{End: d.Float()}
-	r.Scratch = d.Rest()
+	r.Value = d.Rest()
 	return r, d.End()
 }
 

@@ -88,11 +88,14 @@ func TestDecodeFrameRejects(t *testing.T) {
 		}
 	})
 	t.Run("badversion", func(t *testing.T) {
-		// A frame of the gob-bodied version 1 is refused from its header.
-		mut := append([]byte(nil), valid...)
-		mut[4] = 1
-		if _, err := readOne(mut); !errors.Is(err, comm.ErrVersion) {
-			t.Fatalf("got %v, want comm.ErrVersion", err)
+		// A frame of the gob-bodied version 1, or of the FNV-sealed
+		// version 2, is refused from its header.
+		for _, v := range []byte{1, 2} {
+			mut := append([]byte(nil), valid...)
+			mut[4] = v
+			if _, err := readOne(mut); !errors.Is(err, comm.ErrVersion) {
+				t.Fatalf("version %d: got %v, want comm.ErrVersion", v, err)
+			}
 		}
 	})
 	t.Run("trailing", func(t *testing.T) {

@@ -18,9 +18,9 @@ const FNVOffset64 = 14695981039346656037
 const fnvPrime64 = 1099511628211
 
 // FNV1a folds the bytes of b into a running 64-bit FNV-1a sum; start a fresh
-// sum at FNVOffset64. It is the one byte checksum of the repository: the
-// wire frame and checkpoint trailers, and the snapshot digest, all fold
-// through it.
+// sum at FNVOffset64. It is the campaign digest's hash (ckpt.DigestFold),
+// whose values must not move; byte strings are sealed with CRC-32C
+// instead (comm.Seal), which sums at memory speed.
 func FNV1a[B ~string | ~[]byte](sum uint64, b B) uint64 {
 	for i := 0; i < len(b); i++ {
 		sum = (sum ^ uint64(b[i])) * fnvPrime64

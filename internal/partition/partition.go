@@ -180,7 +180,8 @@ func partitionSorted(c *comm.Comm, local []sfc.Key, ranks []sfc.Rank128, a *psor
 // its rank column ranks. Each key crosses the one all-to-all with its rank,
 // packed in a's pairs column, and the receiver merges its p sorted runs by
 // the shipped ranks (psort.MergeRuns), so no key is ranked twice; across a
-// wire only the keys travel, and the receiver ranks them. The modeled
+// wire only the keys travel, and the receiver ranks the runs that came from
+// other ranks, its own run keeping its ranks. The modeled
 // charges (the all-to-all at comm's default stage width of §3.1, KeyBytes
 // per element, plus a local sort of the received runs) are exactly what
 // Partition has always paid; Repartition shares them so the two paths price

@@ -14,7 +14,7 @@
 # FuzzDecodeSnapshot, and
 # internal/partition's FuzzRepartitionerStep;
 # go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
-# lint, and service; the mutant ledger (scripts/mutants.sh: under each
+# net, lint, and service; the mutant ledger (scripts/mutants.sh: under each
 # scripts/mutants/*.patch its named test must fail); and the benchmark
 # spine's quick run with its exact metrics compared against
 # scripts/spine_quick_baseline.json and its partition.step_allocs required
@@ -111,6 +111,13 @@ go test -race -shuffle=on "$@" ./...
 
 echo "==> par/comm/psort dedicated race pass"
 go test -race -shuffle=on -count=1 ./internal/par ./internal/comm ./internal/psort
+
+echo "==> net dedicated race pass"
+# Root.Step writes each step's result frames, one per worker for a personal
+# Alltoallv, into the log that admit replays to a reconnecting or rejoining
+# worker while the readers and the heartbeat loop run. The exchange, wire
+# and rejoin tests run three more times under the race detector.
+go test -race -count=3 -run 'Exchange|Wire|Restore|Rejoin' ./internal/net
 
 echo "==> lint dedicated race pass"
 # The analyzers themselves are exercised under the race detector with test
