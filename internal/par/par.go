@@ -12,19 +12,28 @@
 //
 // The pool deliberately uses no channels: internal/comm is the only package
 // allowed to move bytes between ranks, and the costaccounting lint rule
-// enforces that. Scheduling state is a mutex, a condition variable, and two
-// atomic counters.
+// enforces that. Scheduling state is a mutex, a condition variable, and per
+// region a job whose chunks are claimed by compare-and-swap. Jobs are
+// recycled and the deques keep their capacity, so a region allocates
+// nothing once the pool is warm.
 package par
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// task is one unit of schedulable work: a helper invocation of a job.
-type task func()
+// helper is one queued invitation to help a region: the job and the
+// generation of the region it was queued for. Once that region has finished
+// its job may be recycled to a later region, and the helper then does
+// nothing.
+type helper struct {
+	j   *job
+	gen uint32
+}
 
 // pool is a work-stealing scheduler with workers-1 background goroutines.
 // The caller of For/ForChunks is always the workers-th executor, so a
@@ -34,18 +43,18 @@ type pool struct {
 	workers int // total executors: the caller plus workers-1 goroutines
 
 	mu      sync.Mutex
-	cond    *sync.Cond // signaled when a task is queued or the pool stops
-	deques  [][]task   // one deque per background worker; owner pops LIFO, thieves steal FIFO
+	cond    *sync.Cond // signaled when a helper is queued or the pool stops
+	deques  [][]helper // one deque per background worker; owner pops LIFO, thieves steal FIFO
+	free    []*job     // finished jobs, reused by later regions
+	rr      int        // round-robin submission cursor
 	stopped bool
-
-	rr atomic.Uint32 // round-robin submission cursor
 }
 
 func newPool(workers int) *pool {
 	p := &pool{workers: workers}
 	if workers > 1 {
 		p.cond = sync.NewCond(&p.mu)
-		p.deques = make([][]task, workers-1)
+		p.deques = make([][]helper, workers-1)
 		for w := 0; w < workers-1; w++ {
 			go p.worker(w)
 		}
@@ -53,7 +62,7 @@ func newPool(workers int) *pool {
 	return p
 }
 
-// worker is the background executor loop: run own/stolen tasks until the
+// worker is the background executor loop: run own/stolen helpers until the
 // pool is stopped.
 func (p *pool) worker(self int) {
 	p.mu.Lock()
@@ -62,9 +71,9 @@ func (p *pool) worker(self int) {
 			p.mu.Unlock()
 			return
 		}
-		if t := p.takeLocked(self); t != nil {
+		if h, ok := p.takeLocked(self); ok {
 			p.mu.Unlock()
-			t()
+			h.j.help(h.gen)
 			p.mu.Lock()
 			continue
 		}
@@ -75,53 +84,47 @@ func (p *pool) worker(self int) {
 // takeLocked pops from self's deque tail (LIFO: freshest, cache-warm work)
 // and otherwise steals from the other deques' heads (FIFO: oldest, largest
 // remaining work first). Callers hold p.mu.
-func (p *pool) takeLocked(self int) task {
+func (p *pool) takeLocked(self int) (helper, bool) {
 	if d := p.deques[self]; len(d) > 0 {
-		t := d[len(d)-1]
 		p.deques[self] = d[:len(d)-1]
-		return t
+		return d[len(d)-1], true
 	}
 	for i := 1; i < len(p.deques); i++ {
-		v := (self + i) % len(p.deques)
-		if d := p.deques[v]; len(d) > 0 {
-			t := d[0]
-			p.deques[v] = d[1:]
-			return t
+		if h, ok := p.stealLocked((self + i) % len(p.deques)); ok {
+			return h, true
 		}
 	}
-	return nil
+	return helper{}, false
 }
 
-// tryTake steals one task for an external helper (a caller spinning in a
-// helping wait). Returns nil when every deque is empty.
-func (p *pool) tryTake() task {
-	if p.workers == 1 {
-		return nil
+// stealLocked takes the head of deque w. The rest shift down in place, so
+// the deque keeps its capacity and a warm pool queues without allocating;
+// a deque holds a handful of helpers. Callers hold p.mu.
+func (p *pool) stealLocked(w int) (helper, bool) {
+	d := p.deques[w]
+	if len(d) == 0 {
+		return helper{}, false
 	}
+	h := d[0]
+	p.deques[w] = d[:copy(d, d[1:])]
+	return h, true
+}
+
+// tryTake steals one helper for a caller spinning in a helping wait.
+func (p *pool) tryTake() (helper, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for w := range p.deques {
-		if d := p.deques[w]; len(d) > 0 {
-			t := d[0]
-			p.deques[w] = d[1:]
-			return t
+		if h, ok := p.stealLocked(w); ok {
+			return h, true
 		}
 	}
-	return nil
+	return helper{}, false
 }
 
-// submit queues t on the next deque round-robin and wakes one worker.
-func (p *pool) submit(t task) {
-	w := int(p.rr.Add(1)) % len(p.deques)
-	p.mu.Lock()
-	p.deques[w] = append(p.deques[w], t)
-	p.mu.Unlock()
-	p.cond.Signal()
-}
-
-// stop shuts the background workers down. Queued helper tasks may be
-// dropped; that is safe because helpers are optional accelerators — the job
-// submitter claims and completes every chunk itself if nobody helps.
+// stop shuts the background workers down. Queued helpers may be dropped;
+// that is safe because helpers are optional accelerators — the region's
+// caller claims and completes every chunk itself if nobody helps.
 func (p *pool) stop() {
 	if p.workers == 1 {
 		return
@@ -132,30 +135,72 @@ func (p *pool) stop() {
 	p.cond.Broadcast()
 }
 
-// job is one parallel region: chunks claimed by atomic fetch-add, completion
-// tracked by a second counter so the submitting goroutine can join with a
-// helping wait instead of blocking (a blocked join could deadlock nested
-// regions whose queued helpers never get a worker).
+// closedChunk is the claim index of a job between regions: at or past any
+// region's chunk count, so nothing can be claimed.
+const closedChunk = math.MaxUint32
+
+// cacheLine is the padding that keeps a job's two hot counters off each
+// other's cache line and off the region's read-mostly fields.
+const cacheLine = 64
+
+// maxFreeJobs bounds the pool's free list of finished jobs: one per region
+// that can be in flight at once (nested or concurrent), with room to spare.
+const maxFreeJobs = 64
+
+// job is one parallel region, recycled through the pool's free list.
+// state packs the region's generation (high 32 bits) with the next chunk to
+// claim (low 32 bits), and a chunk is claimed by a compare-and-swap of the
+// whole word, so a helper queued for an earlier region of the same job
+// claims nothing. Completion is a second counter, so the submitting
+// goroutine can join with a helping wait instead of blocking (a blocked
+// join could deadlock nested regions whose queued helpers never get a
+// worker). Every claim writes state and every chunk writes done, so each
+// has a cache line of its own: sharing one, they made a region of 32 chunks
+// of about 1 µs take 1.5× as long on a 2-core host.
 type job struct {
-	chunks int64
-	run    func(chunk int)
-	next   atomic.Int64 // next chunk index to claim
+	state  atomic.Uint64
+	_      [cacheLine - 8]byte
 	done   atomic.Int64 // chunks fully executed (including panicked ones)
+	_      [cacheLine - 8]byte
+	chunks atomic.Int64 // read by stale helpers while the next region is set up
+
+	// The region, written before state opens it and read only by a helper
+	// that has claimed one of its chunks.
+	n, grain int
+	body     func(chunk, lo, hi int)
 
 	panicMu  sync.Mutex
 	panicked bool
 	panicVal any
 }
 
-// help claims and runs chunks until none remain. Safe to call from any
-// goroutine, any number of times.
-func (j *job) help() {
+// start opens the job for a region of nc chunks and returns its
+// generation. It first moves state to the new generation with nothing
+// claimable, which retires every helper still queued for the last region,
+// and only then rewrites the region.
+func (j *job) start(n, grain, nc int, body func(chunk, lo, hi int)) uint32 {
+	gen := uint32(j.state.Load()>>32) + 1
+	j.state.Store(uint64(gen)<<32 | closedChunk)
+	j.n, j.grain, j.body = n, grain, body
+	j.chunks.Store(int64(nc))
+	j.done.Store(0)
+	j.panicked, j.panicVal = false, nil
+	j.state.Store(uint64(gen) << 32)
+	return gen
+}
+
+// help claims and runs chunks of region gen until none remain. Safe to
+// call from any goroutine, any number of times, and after the region ends.
+func (j *job) help(gen uint32) {
 	for {
-		c := j.next.Add(1) - 1
-		if c >= j.chunks {
+		s := j.state.Load()
+		c := int64(uint32(s))
+		if uint32(s>>32) != gen || c >= j.chunks.Load() {
 			return
 		}
-		j.runChunk(int(c))
+		if j.state.CompareAndSwap(s, s+1) {
+			j.runChunk(int(c))
+		}
 	}
 }
 
@@ -174,34 +219,54 @@ func (j *job) runChunk(c int) {
 			j.panicMu.Unlock()
 		}
 	}()
-	j.run(c)
+	lo, hi := chunkBounds(c, j.n, j.grain)
+	j.body(c, lo, hi)
 }
 
-// do runs chunks 0..nc-1 of run across the pool and the calling goroutine,
-// returning when all chunks have completed. A chunk panic is re-raised on
-// the caller's goroutine (with the original panic value, so the comm checked
-// runtime's rank-failure recovery still classifies it), not on a worker.
-func (p *pool) do(nc int, run func(chunk int)) {
-	j := &job{chunks: int64(nc), run: run}
-	helpers := p.workers - 1
-	if helpers > nc-1 {
-		helpers = nc - 1
+// do runs the nc chunks of body over [0, n) across the pool and the calling
+// goroutine, returning when all chunks have completed. A chunk panic is
+// re-raised on the caller's goroutine (with the original panic value, so
+// the comm checked runtime's rank-failure recovery still classifies it),
+// not on a worker.
+//
+//alloc:zero once the free list holds a job; the deques keep their capacity.
+func (p *pool) do(n, grain, nc int, body func(chunk, lo, hi int)) {
+	helpers := min(p.workers-1, nc-1)
+	p.mu.Lock()
+	var j *job
+	if k := len(p.free); k > 0 {
+		j, p.free = p.free[k-1], p.free[:k-1]
+	} else {
+		j = new(job) //lint:ignore alloczero free list empty: the first region, or more regions in flight than ever before
 	}
+	gen := j.start(n, grain, nc, body)
 	for h := 0; h < helpers; h++ {
-		p.submit(j.help)
+		p.rr = (p.rr + 1) % len(p.deques)
+		p.deques[p.rr] = append(p.deques[p.rr], helper{j, gen})
 	}
-	j.help()
+	p.mu.Unlock()
+	for h := 0; h < helpers; h++ {
+		p.cond.Signal()
+	}
+	j.help(gen)
 	// Helping wait: until every claimed chunk has finished, execute other
-	// queued work (possibly chunks of a nested region) instead of blocking.
-	for j.done.Load() < j.chunks {
-		if t := p.tryTake(); t != nil {
-			t()
+	// queued helpers (possibly of a nested region) instead of blocking.
+	for j.done.Load() < int64(nc) {
+		if h, ok := p.tryTake(); ok {
+			h.j.help(h.gen)
 		} else {
 			runtime.Gosched()
 		}
 	}
-	if j.panicked {
-		panic(j.panicVal)
+	panicked, val := j.panicked, j.panicVal
+	j.body, j.panicVal = nil, nil
+	p.mu.Lock()
+	if len(p.free) < maxFreeJobs {
+		p.free = append(p.free, j)
+	}
+	p.mu.Unlock()
+	if panicked {
+		panic(val)
 	}
 }
 
@@ -289,6 +354,12 @@ func For(n, grain int, body func(lo, hi int)) {
 
 // ForChunks is For with the chunk index exposed, for bodies that accumulate
 // into per-chunk slots (the building block of deterministic reductions).
+// A region allocates nothing once the pool is warm, so a caller that passes
+// a func value it built once (a method value bound at construction, say)
+// runs allocation-free; For's adapter closure is the caller's one
+// allocation.
+//
+//alloc:zero once the pool is warm (see do).
 func ForChunks(n, grain int, body func(chunk, lo, hi int)) {
 	if grain < 1 {
 		grain = 1
@@ -298,15 +369,12 @@ func ForChunks(n, grain int, body func(chunk, lo, hi int)) {
 		return
 	}
 	p := currentPool()
-	if nc == 1 || p.workers == 1 {
+	if nc == 1 || p.workers == 1 || int64(nc) >= closedChunk {
 		for c := 0; c < nc; c++ {
 			lo, hi := chunkBounds(c, n, grain)
 			body(c, lo, hi)
 		}
 		return
 	}
-	p.do(nc, func(c int) {
-		lo, hi := chunkBounds(c, n, grain)
-		body(c, lo, hi)
-	})
+	p.do(n, grain, nc, body)
 }

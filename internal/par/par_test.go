@@ -3,6 +3,7 @@ package par
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -199,4 +200,61 @@ func TestConcurrentRegions(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestForChunksZeroAlloc: once the pool is warm, a region whose body is a
+// func value built beforehand allocates nothing.
+func TestForChunksZeroAlloc(t *testing.T) {
+	atWorkers(t, 2, func() {
+		sums := make([]int64, NumChunks(1000, 10))
+		body := func(c, lo, hi int) { sums[c] += int64(hi - lo) }
+		ForChunks(1000, 10, body)
+		if allocs := testing.AllocsPerRun(100, func() { ForChunks(1000, 10, body) }); allocs != 0 {
+			t.Fatalf("warm ForChunks allocated %.1f times per region, want 0", allocs)
+		}
+	})
+}
+
+// TestStaleHelperClaimsNothing: a region reuses the finished job of the
+// previous one while that region's helper is still queued. The stale
+// helper must claim no chunk of the new region, and every index still runs
+// exactly once. The pool has no background worker, so the queue holds
+// exactly what the regions leave there.
+func TestStaleHelperClaimsNothing(t *testing.T) {
+	p := &pool{workers: 2, deques: make([][]helper, 1)}
+	p.cond = sync.NewCond(&p.mu)
+	const n = 8
+	var hits [n]int
+	p.do(n, 1, n, func(c, _, _ int) { hits[c]++ })
+
+	inStale := false
+	var stale, fresh helper
+	p.do(n, 1, n, func(c, _, _ int) {
+		if inStale {
+			t.Errorf("the previous region's helper claimed chunk %d", c)
+		}
+		hits[c]++
+		if c != 0 {
+			return
+		}
+		var ok bool
+		if stale, ok = p.tryTake(); !ok {
+			t.Fatal("the first region left no helper queued")
+		}
+		if fresh, ok = p.tryTake(); !ok {
+			t.Fatal("the second region queued no helper")
+		}
+		inStale = true
+		stale.j.help(stale.gen)
+		inStale = false
+		fresh.j.help(fresh.gen)
+	})
+	if stale.j != fresh.j || stale.gen == fresh.gen {
+		t.Fatalf("the second region did not reuse the first one's job under a new generation")
+	}
+	for c, h := range hits {
+		if h != 2 {
+			t.Errorf("chunk %d ran %d times over two regions, want 2", c, h)
+		}
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"optipart/internal/comm"
 	"optipart/internal/machine"
 	"optipart/internal/octree"
+	"optipart/internal/par"
 	"optipart/internal/psort"
 	"optipart/internal/sfc"
 )
@@ -604,6 +605,153 @@ func TestRepartitionerMovedAccounting(t *testing.T) {
 		if res.MovedBytes != want*int64(machine.GhostPayloadBytes) {
 			t.Fatalf("step %d: MovedBytes inconsistent", step)
 		}
+	}
+}
+
+// TestRepartitionerStepAcrossWidths pins the parallel Step: a 100-step
+// moving-front campaign that grows a 33k-leaf mesh (five merge chunks) to
+// 63k, under online-repart's horizon of 240 steps, reports the same
+// StepResult sequence and ends with the same keys and rank and span columns
+// under pool widths 1, 2 and 7. At every width each step's Quality equals a
+// full recount, so the count memo summed from the chunks' slices stays
+// exact.
+func TestRepartitionerStepAcrossWidths(t *testing.T) {
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	mesh := repartMesh(curve, 11, 300, 8)
+	if chunks := par.NumChunks(len(mesh), mergeGrain); chunks < 3 {
+		t.Fatalf("mesh of %d leaves spans %d merge chunks, want at least 3", len(mesh), chunks)
+	}
+	type run struct {
+		results       []StepResult
+		keys          []sfc.Key
+		ranks, lo, hi []sfc.Rank128
+		reaimed       int
+	}
+	campaign := func(w int) (out run) {
+		prev := par.SetWorkers(w)
+		defer par.SetWorkers(prev)
+		ev := octree.NewEvolver(curve, 21, mesh)
+		ev.RefineBias, ev.CoarsenBias = octree.FrontBias(curve.Dim, 4, 6, 0.25)
+		e := NewRepartitioner(RepartConfig{Curve: curve, P: 16, Machine: machine.Titan(), Tol: 0.03, Horizon: 240})
+		out.results = append(out.results, e.Seed(ev.Leaves()))
+		for step := 0; step < 100; step++ {
+			res := e.Step(ev.Step(0.002, 0.0025))
+			if q := fullQuality(e); res.Quality != q {
+				t.Fatalf("width %d step %d: reported quality %+v, full recount %+v", w, step, res.Quality, q)
+			}
+			if !res.Kept {
+				out.reaimed++
+			}
+			out.results = append(out.results, res)
+		}
+		out.keys = slices.Clone(e.Keys())
+		out.ranks, out.lo, out.hi = slices.Clone(e.ranks), slices.Clone(e.lo), slices.Clone(e.hi)
+		return out
+	}
+	want := campaign(1)
+	if want.reaimed == 0 {
+		t.Fatal("no step re-aimed the placement; the campaign should exercise both outcomes")
+	}
+	for _, w := range []int{2, 7} {
+		got := campaign(w)
+		if !slices.Equal(got.results, want.results) {
+			t.Fatalf("width %d: StepResult sequence differs from width 1", w)
+		}
+		if !slices.Equal(got.keys, want.keys) || !slices.Equal(got.ranks, want.ranks) ||
+			!slices.Equal(got.lo, want.lo) || !slices.Equal(got.hi, want.hi) {
+			t.Fatalf("width %d: columns differ from width 1", w)
+		}
+	}
+}
+
+// TestRepartitionerMergeStraddlingFamily coarsens sibling families that
+// straddle merge-chunk boundaries. A uniform level-5 mesh with its first
+// leaf refined puts families at 8m+7, so the ones at 8191 and 16383 cross
+// the nominal bounds 8192 and 16384; a third family and two refines sit in
+// other chunks. After the merge the columns must hold the expected leaves
+// with fresh ranks and spans, and the count memo must equal a full recount
+// under the memo's own brackets before any rung rescans; then the
+// placement's Quality must equal fullQuality.
+func TestRepartitionerMergeStraddlingFamily(t *testing.T) {
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	grow := octree.NewEvolver(curve, 1, []sfc.Key{sfc.RootKey})
+	for i := 0; i < 5; i++ {
+		grow.Step(1, 0)
+	}
+	e := NewRepartitioner(engineConfig(curve, 8))
+	e.Seed(grow.Leaves())
+	e.Step(octree.Delta{Refined: []int{0}, OldLen: e.Len(), NewLen: e.Len() + 7})
+
+	old := slices.Clone(e.Keys())
+	delta := octree.Delta{Refined: []int{12000, 20000}, Coarsened: []int{15, 8191, 16383}, OldLen: len(old)}
+	delta.NewLen = len(old) + 7*len(delta.Refined) - 7*len(delta.Coarsened)
+	var want []sfc.Key
+	for i := 0; i < len(old); i++ {
+		switch {
+		case slices.Contains(delta.Coarsened, i):
+			for j := i; j < i+8; j++ {
+				if old[j].Parent() != old[i].Parent() || old[j].Level != 5 {
+					t.Fatalf("leaves %d..%d are not one level-5 family", i, i+7)
+				}
+			}
+			want = append(want, old[i].Parent())
+			i += 7
+		case slices.Contains(delta.Refined, i):
+			for c := 0; c < 8; c++ {
+				want = append(want, old[i].Child(c))
+			}
+		default:
+			want = append(want, old[i])
+		}
+	}
+	slices.SortFunc(want, func(a, b sfc.Key) int {
+		ra, rb := curve.Rank(a), curve.Rank(b)
+		if ra.Less(rb) {
+			return -1
+		}
+		if rb.Less(ra) {
+			return 1
+		}
+		return 0
+	})
+
+	e.applyDelta(delta)
+	if !slices.Equal(e.Keys(), want) {
+		t.Fatal("merged keys differ from the expected leaves")
+	}
+	checkColumns(t, e, "merge")
+	recount := make([]int64, 2*e.cfg.P)
+	scanCounts(curve, e.keys, e.ranks, e.lo, e.hi, e.memoRanks, recount)
+	if !slices.Equal(e.counts, recount) {
+		t.Fatalf("count memo %v, full recount %v", e.counts, recount)
+	}
+	if res, q := e.selectPlacement(true), fullQuality(e); res.Quality != q {
+		t.Fatalf("reported quality %+v, full recount %+v", res.Quality, q)
+	}
+}
+
+// TestRepartitionerStepRejectsDeltaPastEnd: a delta whose element count
+// adds up but whose last refine or coarsened family lies past the mesh is
+// refused, not merged into a column with a stale tail.
+func TestRepartitionerStepRejectsDeltaPastEnd(t *testing.T) {
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	ev := octree.NewEvolver(curve, 3, repartMesh(curve, 3, 40, 4))
+	e := NewRepartitioner(engineConfig(curve, 4))
+	e.Seed(ev.Leaves())
+	n := e.Len()
+	for name, d := range map[string]octree.Delta{
+		"refine at n":       {Refined: []int{n}, OldLen: n, NewLen: n + 7},
+		"family past n":     {Coarsened: []int{n - 4}, OldLen: n, NewLen: n - 7},
+		"refine past n, 2x": {Refined: []int{0, n + 5}, OldLen: n, NewLen: n + 14},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "edits past the end") {
+					t.Fatalf("recovered %v, want a delta-past-the-end panic", r)
+				}
+			}()
+			e.Step(d)
+		})
 	}
 }
 

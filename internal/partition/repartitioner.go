@@ -2,11 +2,22 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 
 	"optipart/internal/machine"
 	"optipart/internal/octree"
+	"optipart/internal/par"
 	"optipart/internal/psort"
 	"optipart/internal/sfc"
+)
+
+const (
+	// mergeGrain is the nominal length, in old leaves, of one chunk of
+	// applyDelta's merge. maxMergeChunks caps the chunk count, so the
+	// per-chunk memo slices are sized once; past maxMergeChunks·mergeGrain
+	// leaves the chunks grow instead.
+	mergeGrain     = 8192
+	maxMergeChunks = 32
 )
 
 // RepartConfig parameterizes a serial Repartitioner.
@@ -85,6 +96,20 @@ type Repartitioner struct {
 	memoRanks []sfc.Rank128 // p-1
 	counts    []int64
 	memoOK    bool
+
+	// Step's two parallel regions. Their bodies are method values bound
+	// once, and their inputs travel in these fields, so neither region
+	// allocates. applyDelta's chunks write disjoint runs of the alt
+	// columns and their memo adjustments into their own 2p slice of
+	// chunkCounts; scanQuality's chunks each recount one partition of
+	// rescan under the positions scanPos.
+	applyFn, scanFn func(chunk, lo, hi int)
+	delta           octree.Delta
+	nk              []sfc.Key
+	nr, nlo, nhi    []sfc.Rank128
+	mergeLen        int
+	chunkCounts     []int64 // maxMergeChunks × 2p
+	rescan, scanPos []int
 }
 
 // NewRepartitioner builds an engine for the given configuration.
@@ -96,7 +121,7 @@ func NewRepartitioner(cfg RepartConfig) *Repartitioner {
 		panic(fmt.Errorf("partition: RepartConfig.P = %d, want >= 1", cfg.P))
 	}
 	p := cfg.P
-	return &Repartitioner{
+	e := &Repartitioner{
 		cfg:        cfg,
 		obj:        newObjective(cfg.Machine, 0, 0, cfg.Tol, cfg.Horizon),
 		arena:      &psort.Arena{},
@@ -110,6 +135,10 @@ func NewRepartitioner(cfg RepartConfig) *Repartitioner {
 		memoRanks:  make([]sfc.Rank128, p-1),
 		counts:     make([]int64, 2*p),
 	}
+	e.applyFn, e.scanFn = e.applyChunk, e.scanChunk
+	e.chunkCounts = make([]int64, maxMergeChunks*2*p)
+	e.rescan = make([]int, 0, p)
+	return e
 }
 
 // Len returns the current element count.
@@ -157,7 +186,10 @@ func (e *Repartitioner) Rebuild(keys []sfc.Key, prior *Splitters) StepResult {
 // coarsened parents are re-ranked; every other element's cached rank is
 // copied in runs. Its cost follows the delta: each edited leaf adjusts the
 // count memo, and a rung rescans only the partitions whose bracket moved,
-// plus one bulk copy of the columns. This is the
+// plus one bulk copy of the columns. The merge runs in chunks of about
+// mergeGrain leaves, and a rung's rescans one partition per chunk, on the
+// par pool; the chunk layout depends only on the delta and the mesh size, so
+// the result is the same at every pool width. This is the
 // zero-steady-state-allocation path of the online AMR loop.
 //
 //alloc:zero once the arena columns and scratch are warm; growth past a size high-water mark is the cold path.
@@ -192,60 +224,31 @@ func (e *Repartitioner) ingest(keys []sfc.Key) {
 // applyDelta merges the surviving elements into the scratch columns,
 // copying each untouched run between delta events in bulk and re-ranking
 // and re-spanning only what the delta touched, then adopts the scratch
-// columns. Every removed and added leaf adjusts the count memo.
+// columns. Every removed and added leaf adjusts the count memo. The old
+// mesh is merged in chunks (applyChunk) on the par pool, and the chunks'
+// memo adjustments are summed in chunk order after the join.
 //
 //alloc:zero once the alt columns are warm.
 func (e *Repartitioner) applyDelta(delta octree.Delta) {
-	curve := e.cfg.Curve
-	nch := curve.NumChildren()
-	nk, nr := e.arena.AltColumns(delta.NewLen) //lint:ignore alloczero alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
-	nlo, nhi := e.arena.AltSpans(delta.NewLen) //lint:ignore alloczero alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
-	w, i, ri, ci := 0, 0, 0, 0
-	for {
-		next := e.n
-		if ci < len(delta.Coarsened) {
-			next = delta.Coarsened[ci]
-		}
-		if ri < len(delta.Refined) && delta.Refined[ri] < next {
-			next = delta.Refined[ri]
-		}
-		copy(nk[w:], e.keys[i:next])
-		copy(nr[w:], e.ranks[i:next])
-		copy(nlo[w:], e.lo[i:next])
-		copy(nhi[w:], e.hi[i:next])
-		w += next - i
-		i = next
-		if i == e.n {
-			break
-		}
-		if ci < len(delta.Coarsened) && delta.Coarsened[ci] == i {
-			for j := i; j < i+nch; j++ {
-				e.adjust(e.ranks[j], e.lo[j], e.hi[j], -1)
-			}
-			parent := e.keys[i].Parent()
-			nk[w] = parent
-			nr[w], nlo[w], nhi[w] = curve.RankWithSpan(parent)
-			e.adjust(nr[w], nlo[w], nhi[w], 1)
-			w++
-			i += nch
-			ci++
-			continue
-		}
-		e.adjust(e.ranks[i], e.lo[i], e.hi[i], -1)
-		st := curve.StateAt(e.keys[i])
-		for pos := 0; pos < nch; pos++ {
-			child := e.keys[i].Child(curve.ChildAt(st, pos)) //lint:ignore alloczero Key.Child's max-level panic is inlined here; the Evolver never refines a max-level leaf
-			nk[w] = child
-			nr[w], nlo[w], nhi[w] = curve.RankWithSpan(child)
-			e.adjust(nr[w], nlo[w], nhi[w], 1)
-			w++
-		}
-		i++
-		ri++
-	}
-	if w != delta.NewLen {
+	nch := e.cfg.Curve.NumChildren()
+	// The count alone would pass a delta whose events run past the mesh:
+	// the last chunk would stop at n and leave stale keys at the tail.
+	r, c := delta.Refined, delta.Coarsened
+	if w := e.n + (nch-1)*(len(r)-len(c)); w != delta.NewLen || len(r) > 0 && r[len(r)-1] >= e.n || len(c) > 0 && c[len(c)-1]+nch > e.n {
 		//lint:ignore alloczero corrupt-delta panic path, never taken in a correct loop
-		panic(fmt.Errorf("partition: delta replay produced %d elements, want %d", w, delta.NewLen))
+		panic(fmt.Errorf("partition: delta replay over %d elements produces %d, want %d, or edits past the end", e.n, w, delta.NewLen))
+	}
+	e.nk, e.nr = e.arena.AltColumns(delta.NewLen) //lint:ignore alloczero alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
+	e.nlo, e.nhi = e.arena.AltSpans(delta.NewLen) //lint:ignore alloczero alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
+	e.delta = delta
+	e.mergeLen = max(mergeGrain, (e.n+maxMergeChunks-1)/maxMergeChunks)
+	nc := par.NumChunks(e.n, e.mergeLen)
+	par.ForChunks(nc, 1, e.applyFn)
+	p2 := 2 * e.cfg.P
+	for c := 0; c < nc; c++ {
+		for i, d := range e.chunkCounts[c*p2 : (c+1)*p2] {
+			e.counts[i] += d
+		}
 	}
 	e.arena.SwapAlt()
 	e.n = delta.NewLen
@@ -253,19 +256,101 @@ func (e *Repartitioner) applyDelta(delta octree.Delta) {
 	e.lo, e.hi = e.arena.Spans(delta.NewLen)        //lint:ignore alloczero column growth is a once-per-high-water-mark cold path; warm arenas reslice
 }
 
-// adjust moves one leaf, with cached rank and neighbour span lo, hi, into
-// (d = 1) or out of (d = -1) the count memo: the partition whose memo
-// bracket holds the rank gains or loses its work, and its boundary count
-// when the span leaves that bracket (scanCounts' test). On an invalid memo
-// it is harmless, since the next scan recounts every partition.
+// mergeBound returns the old position where merge chunk c starts:
+// c·mergeLen, moved to the end of a coarsened family that would straddle
+// it, so that one chunk replaces the whole family by its parent. A chunk
+// at or past the mesh starts at n.
 //
 //alloc:zero
-func (e *Repartitioner) adjust(rank, lo, hi sfc.Rank128, d int64) {
+func (e *Repartitioner) mergeBound(c int) int {
+	b := c * e.mergeLen
+	if b >= e.n {
+		return e.n
+	}
+	cs := e.delta.Coarsened
+	if i, _ := slices.BinarySearch(cs, b); i > 0 && cs[i-1]+e.cfg.Curve.NumChildren() > b {
+		b = cs[i-1] + e.cfg.Curve.NumChildren()
+	}
+	return b
+}
+
+// applyChunk merges the old positions [mergeBound(c), mergeBound(c+1)) into
+// the alt columns. Its first refine and coarsen events are found by binary
+// search, and each event before it changes the output position by nch−1
+// leaves, so it writes from i + (nch−1)·(refines − coarsens before i)
+// without knowing what any other chunk wrote. Its memo adjustments go to
+// its own 2p slice of chunkCounts.
+//
+//alloc:zero
+func (e *Repartitioner) applyChunk(c, _, _ int) {
+	curve := e.cfg.Curve
+	nch := curve.NumChildren()
+	d := &e.delta
+	nk, nr, nlo, nhi := e.nk, e.nr, e.nlo, e.nhi
+	i, end := e.mergeBound(c), e.mergeBound(c+1)
+	ri, _ := slices.BinarySearch(d.Refined, i)
+	ci, _ := slices.BinarySearch(d.Coarsened, i)
+	w := i + (nch-1)*(ri-ci)
+	adj := e.chunkCounts[2*e.cfg.P*c : 2*e.cfg.P*(c+1)]
+	clear(adj)
+	for {
+		next := end
+		if ci < len(d.Coarsened) && d.Coarsened[ci] < next {
+			next = d.Coarsened[ci]
+		}
+		if ri < len(d.Refined) && d.Refined[ri] < next {
+			next = d.Refined[ri]
+		}
+		copy(nk[w:], e.keys[i:next])
+		copy(nr[w:], e.ranks[i:next])
+		copy(nlo[w:], e.lo[i:next])
+		copy(nhi[w:], e.hi[i:next])
+		w += next - i
+		i = next
+		if i == end {
+			return
+		}
+		if ci < len(d.Coarsened) && d.Coarsened[ci] == i {
+			for j := i; j < i+nch; j++ {
+				e.adjust(adj, e.ranks[j], e.lo[j], e.hi[j], -1)
+			}
+			parent := e.keys[i].Parent()
+			nk[w] = parent
+			nr[w], nlo[w], nhi[w] = curve.RankWithSpan(parent)
+			e.adjust(adj, nr[w], nlo[w], nhi[w], 1)
+			w++
+			i += nch
+			ci++
+			continue
+		}
+		e.adjust(adj, e.ranks[i], e.lo[i], e.hi[i], -1)
+		st := curve.StateAt(e.keys[i])
+		for pos := 0; pos < nch; pos++ {
+			child := e.keys[i].Child(curve.ChildAt(st, pos)) //lint:ignore alloczero Key.Child's max-level panic is inlined here; the Evolver never refines a max-level leaf
+			nk[w] = child
+			nr[w], nlo[w], nhi[w] = curve.RankWithSpan(child)
+			e.adjust(adj, nr[w], nlo[w], nhi[w], 1)
+			w++
+		}
+		i++
+		ri++
+	}
+}
+
+// adjust moves one leaf, with cached rank and neighbour span lo, hi, into
+// (d = 1) or out of (d = -1) the 2p [work | boundary] counts dst, a merge
+// chunk's slice of chunkCounts: the partition whose memo bracket holds the
+// rank gains or loses its work, and its boundary count when the span
+// leaves that bracket (scanCounts' test). On an invalid memo it is
+// harmless, since the next scan recounts every partition.
+//
+//alloc:zero
+func (e *Repartitioner) adjust(dst []int64, rank, lo, hi sfc.Rank128, d int64) {
 	o := sfc.UpperBound(e.memoRanks, rank)
 	lower, upper := bracket(e.memoRanks, o)
-	e.counts[o] += d
+	dst[o] += d
 	if lo.Less(lower) || !hi.Less(upper) {
-		e.counts[e.cfg.P+o] += d
+		dst[e.cfg.P+o] += d
 	}
 }
 
@@ -449,25 +534,39 @@ func (e *Repartitioner) clampPos(r int) {
 // zero before the first partition and MaxRank128 at or past n — the
 // brackets scanCounts derives from the same separator ranks. Only the
 // boundary test scans (countRange), and only for partitions whose bracket
-// differs from the memo's; the memo then holds pos's counts.
+// differs from the memo's; the memo then holds pos's counts. Those
+// partitions are listed first, then counted one per chunk on the par pool.
 //
 //alloc:zero
 func (e *Repartitioner) scanQuality(pos []int) Quality {
 	p := e.cfg.P
 	e.posRanks(pos, e.candRanks)
+	e.rescan, e.scanPos = e.rescan[:0], pos
 	for r := 0; r < p; r++ {
-		lower, upper := bracket(e.candRanks, r)
 		if e.memoOK {
+			lower, upper := bracket(e.candRanks, r)
 			if ml, mu := bracket(e.memoRanks, r); ml == lower && mu == upper {
 				continue
 			}
 		}
 		e.counts[r] = int64(pos[r+1] - pos[r])
-		e.counts[p+r] = countRange(e.cfg.Curve, e.keys[pos[r]:pos[r+1]], e.lo[pos[r]:pos[r+1]], e.hi[pos[r]:pos[r+1]], lower, upper)
+		e.rescan = append(e.rescan, r)
 	}
+	par.ForChunks(len(e.rescan), 1, e.scanFn)
 	copy(e.memoRanks, e.candRanks)
 	e.memoOK = true
 	return foldQuality(e.counts)
+}
+
+// scanChunk recounts the boundary of partition rescan[c] under scanPos.
+// It writes only that partition's boundary count; the span columns it
+// refines (countRange) lie inside the partition's own range.
+//
+//alloc:zero
+func (e *Repartitioner) scanChunk(c, _, _ int) {
+	r, pos := e.rescan[c], e.scanPos
+	lower, upper := bracket(e.candRanks, r)
+	e.counts[e.cfg.P+r] = countRange(e.cfg.Curve, e.keys[pos[r]:pos[r+1]], e.lo[pos[r]:pos[r+1]], e.hi[pos[r]:pos[r+1]], lower, upper)
 }
 
 // posRanks fills seps with the separator ranks of positions pos: the

@@ -13,8 +13,8 @@
 # FuzzServiceCanonicalHit, FuzzServeConn and FuzzServiceDo, internal/ckpt's
 # FuzzDecodeSnapshot, and
 # internal/partition's FuzzRepartitionerStep;
-# go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort,
-# net, lint, and service; the mutant ledger (scripts/mutants.sh: under each
+# go test -race -shuffle=on ./...; dedicated race passes for par/comm/psort
+# (with the Repartitioner's tests), net, lint, and service; the mutant ledger (scripts/mutants.sh: under each
 # scripts/mutants/*.patch its named test must fail); and the benchmark
 # spine's quick run with its exact metrics compared against
 # scripts/spine_quick_baseline.json and its partition.step_allocs required
@@ -111,6 +111,10 @@ go test -race -shuffle=on "$@" ./...
 
 echo "==> par/comm/psort dedicated race pass"
 go test -race -shuffle=on -count=1 ./internal/par ./internal/comm ./internal/psort
+# Repartitioner.Step merges its columns and rescans partitions in chunks on
+# the pool, whose regions recycle their jobs; its tests run three more
+# times under the race detector.
+go test -race -count=3 -run Repartitioner ./internal/partition
 
 echo "==> net dedicated race pass"
 # Root.Step writes each step's result frames, one per worker for a personal
