@@ -4,11 +4,7 @@
 //
 //	collectivediverge  rank-conditional collectives (SPMD deadlock hazards)
 //	nondeterminism     wall clocks, global rand, map-order output, goroutines
-//	costaccounting     byte movement that bypasses comm.Stats
 //	apihygiene         reflection sorts, looped NewCurve, non-error panics
-//	lockorder          package-spanning lock-acquisition cycles (deadlocks)
-//	condwait           sync.Cond.Wait outside the canonical predicate loop
-//	goroutineleak      library goroutines with no reachable stop or join
 //	unboundedgrowth    long-lived fields that only ever grow
 //	alloczero          heap allocations inside //alloc:zero functions
 //

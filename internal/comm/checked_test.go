@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -28,6 +29,45 @@ func runCheckedTimed(t *testing.T, p int, opts CheckedOptions, f func(c *Comm) e
 		t.Fatal("checked run hung: the world was not torn down")
 		return nil, nil
 	}
+}
+
+// settleGoroutines fails t unless runtime.NumGoroutine falls back to base
+// within two seconds: every goroutine started since base was read has
+// returned.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines still running, want at most %d:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRunCheckedReleasesGoroutines: once RunChecked has returned, its rank
+// goroutines, its join and its stall watchdog have returned too, for a
+// world that completes and for one that fails. The watchdog ticks every
+// quarter of the stall timeout, so under a minute's timeout a watchdog
+// that outlived its world would still be running at the settle deadline.
+func TestRunCheckedReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	opts := CheckedOptions{StallTimeout: time.Minute}
+	for _, fail := range []bool{false, true} {
+		_, err := runCheckedTimed(t, 4, opts, func(c *Comm) error {
+			c.Barrier()
+			if fail && c.Rank() == 2 {
+				return errors.New("rank 2 gives up")
+			}
+			c.Barrier()
+			return nil
+		})
+		if (err != nil) != fail {
+			t.Fatalf("fail=%v: RunChecked returned %v", fail, err)
+		}
+	}
+	settleGoroutines(t, base)
 }
 
 // collectiveCalls exercises every collective once; used to drive the

@@ -80,6 +80,23 @@ func checkCurveOrder(p *Pass, sel *ast.SelectorExpr) {
 	}
 }
 
+// recvNamed returns the name of the method's receiver's named type ("" for
+// package functions).
+func recvNamed(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
+}
+
 // hygieneWalk visits calls under n, tracking how many enclosing loops each
 // call sits inside. Function literals restart the count: they run where
 // they are invoked, not where they are written.
@@ -116,7 +133,7 @@ func hygieneWalk(p *Pass, n ast.Node, loopDepth int) {
 }
 
 func checkHygieneCall(p *Pass, call *ast.CallExpr, loopDepth int) {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, isBuiltin := p.Info.Uses[id].(*types.Builtin); isBuiltin {
 			if b.Name() == "panic" && len(call.Args) == 1 && isLibraryPkg(p.Path) {
 				checkPanicArg(p, call)

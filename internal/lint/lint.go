@@ -1,22 +1,24 @@
 // Package lint is the analysis framework behind cmd/optipartlint: a
-// stdlib-only (go/parser + go/types, no x/tools) vet harness that enforces
-// the repo's three load-bearing disciplines as compile-time errors instead
-// of runtime surprises:
+// stdlib-only (go/parser + go/types, no x/tools) vet harness for the
+// hazards that no run-time check sees:
 //
-//   - SPMD: every rank executes the same collective sequence
-//     (collectivediverge),
-//   - determinism: golden transcripts are bit-reproducible
-//     (nondeterminism),
-//   - cost accounting: every byte moved is charged to comm.Stats
-//     (costaccounting),
+//   - collectivediverge: a collective under rank-dependent control flow,
+//     on a path no test runs (comm.RunChecked's MismatchError catches the
+//     ones that do run),
+//   - nondeterminism: wall clocks, global rand, goroutines and map-ordered
+//     output that golden transcripts would only catch on the run that
+//     flips,
+//   - apihygiene: the performance decisions (generic sorts, memoized
+//     curves, rank order) and structured panics, which no test times,
+//   - unboundedgrowth: long-lived state that only grows, which short
+//     tests never fill,
+//   - alloczero: every //alloc:zero function held to the compiler's
+//     escape analysis.
 //
-// plus apihygiene, which keeps the performance decisions (generic sorts,
-// memoized curves, structured panics, rank order) from regressing, four
-// concurrency-protocol rules (lockorder, condwait, goroutineleak and
-// unboundedgrowth), and alloczero, which holds every //alloc:zero function
-// to the compiler's escape analysis. Each rule keeps its place by catching
-// a mutation nothing else in CI catches (the rule table in DESIGN.md's
-// "Static invariants").
+// Each rule is kept by a committed mutant of production code that only
+// TestModuleClean kills (scripts/mutants/, the rule table in DESIGN.md's
+// "Static invariants"); a hazard that a behavioural test catches is left
+// to that test.
 //
 // Each analyzer walks the typed AST of one package and reports Diagnostics.
 // A diagnostic can be suppressed — with an audit trail — by a
@@ -73,7 +75,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CollectiveDiverge, Nondeterminism, CostAccounting, APIHygiene, LockOrder, CondWait, GoroutineLeak, UnboundedGrowth, AllocZero}
+	return []*Analyzer{CollectiveDiverge, Nondeterminism, APIHygiene, UnboundedGrowth, AllocZero}
 }
 
 // RuleNames returns the valid rule ids, for directive validation.
@@ -310,10 +312,10 @@ func isParPkg(path string) bool { return strings.HasSuffix(path, "internal/par")
 // isNetPkg matches internal/net, the real wire transport. Its sockets,
 // goroutines, deadlines, and wall clocks are the genuine article — the
 // package exists to move bytes between processes and to measure real time
-// (heartbeats, backoff, calibration) — so the simulation-purity rules
-// (costaccounting, nondeterminism) do not apply there. The seam keeps the
-// model honest anyway: everything internal/net carries re-enters the world
-// through comm.StepState, where the BSP clocks and Stats are charged.
+// (heartbeats, backoff, calibration) — so nondeterminism does not apply
+// there. The seam keeps the model honest anyway: everything internal/net
+// carries re-enters the world through comm.StepState, where the BSP clocks
+// and Stats are charged.
 func isNetPkg(path string) bool { return strings.HasSuffix(path, "internal/net") }
 
 func isLintPkg(path string) bool {

@@ -185,14 +185,6 @@ func TestNondeterminismFixtures(t *testing.T) {
 	checkSilent(t, "nondetok")
 }
 
-func TestCostAccountingFixtures(t *testing.T) {
-	res := checkFixture(t, "costbad")
-	if n := ruleCount(res, "costaccounting"); n < 3 {
-		t.Errorf("costbad: %d costaccounting findings, want at least 3", n)
-	}
-	checkSilent(t, "costok")
-}
-
 func TestAPIHygieneFixtures(t *testing.T) {
 	res := checkFixture(t, "hygienebad")
 	if n := ruleCount(res, "apihygiene"); n < 3 {
@@ -218,19 +210,14 @@ func TestParPoolExemption(t *testing.T) {
 	}
 }
 
-// TestNetExemption pins the internal/net carve-out of the simulation-purity
-// rules: the wire transport package may read wall clocks, spawn reader
-// goroutines, and move bytes through channels (no //lint:ignore needed),
-// while identical code anywhere else is flagged by nondeterminism and
-// costaccounting alike.
+// TestNetExemption pins the internal/net carve-out of nondeterminism: the
+// wire transport package may read wall clocks and spawn reader goroutines
+// (no //lint:ignore needed), while identical code anywhere else is flagged.
 func TestNetExemption(t *testing.T) {
 	checkSilent(t, "internal/net")
 	res := checkFixture(t, "netbad")
 	if n := ruleCount(res, "nondeterminism"); n < 3 {
 		t.Errorf("netbad: %d nondeterminism findings, want at least 3", n)
-	}
-	if n := ruleCount(res, "costaccounting"); n < 3 {
-		t.Errorf("netbad: %d costaccounting findings, want at least 3", n)
 	}
 }
 
@@ -280,47 +267,6 @@ func TestSuppressions(t *testing.T) {
 	}
 }
 
-func TestLockOrderFixtures(t *testing.T) {
-	res := checkFixture(t, "lockbad")
-	if n := ruleCount(res, "lockorder"); n != 8 {
-		t.Errorf("lockbad: %d lockorder findings, want 8 (both edges of four cycles)", n)
-	}
-	var viaCall int
-	for _, d := range res.Diagnostics {
-		if strings.Contains(d.Message, "via call to flush") {
-			viaCall++
-		}
-	}
-	if viaCall != 1 {
-		t.Errorf("lockbad: %d via-call findings, want exactly the register->flush edge", viaCall)
-	}
-	checkSilent(t, "lockok")
-}
-
-func TestCondWaitFixtures(t *testing.T) {
-	res := checkFixture(t, "condbad")
-	if n := ruleCount(res, "condwait"); n != 5 {
-		t.Errorf("condbad: %d condwait findings, want 5", n)
-	}
-	checkSilent(t, "condok")
-}
-
-// TestGoroutineLeakFixtures runs under a net-suffixed synthetic path so the
-// nondeterminism goroutine rule stays out of the way and the leak rule's
-// verdicts stand alone.
-func TestGoroutineLeakFixtures(t *testing.T) {
-	res := checkFixture(t, "leakbad/internal/net")
-	if n := ruleCount(res, "goroutineleak"); n != 4 {
-		t.Errorf("leakbad: %d goroutineleak findings, want 4", n)
-	}
-	for _, d := range res.Diagnostics {
-		if d.Rule != "goroutineleak" {
-			t.Errorf("leakbad: unexpected %s finding: %s", d.Rule, d)
-		}
-	}
-	checkSilent(t, "leakok/internal/net")
-}
-
 func TestUnboundedGrowthFixtures(t *testing.T) {
 	res := checkFixture(t, "growthbad")
 	if n := ruleCount(res, "unboundedgrowth"); n != 4 {
@@ -333,7 +279,7 @@ func TestUnboundedGrowthFixtures(t *testing.T) {
 // diagnostic across all fixtures against testdata/positions.golden. Run with
 // UPDATE_LINT_GOLDEN=1 to regenerate after editing fixtures.
 func TestFixturePositions(t *testing.T) {
-	fixtures := []string{"divergebad", "nondetbad", "costbad", "hygienebad", "parbad", "netbad", "suppress", "drainloop", "lockbad", "condbad", "leakbad/internal/net", "growthbad", "allocbad"}
+	fixtures := []string{"divergebad", "nondetbad", "hygienebad", "parbad", "netbad", "suppress", "drainloop", "growthbad", "allocbad"}
 	l := fixtureLoader(t)
 	srcRoot := filepath.Join(l.ModRoot, "internal", "lint", "testdata", "src")
 	var lines []string
@@ -364,9 +310,9 @@ func TestFixturePositions(t *testing.T) {
 	}
 }
 
-// TestSeededDivergenceDetected is the acceptance check from the issue: a
-// scratch package with a rank-conditional Allreduce must be flagged, so the
-// CI gate would fail on it.
+// TestSeededDivergenceDetected: a package written outside the fixture tree
+// with a rank-conditional Allreduce must be flagged, so the CI gate would
+// fail on it.
 func TestSeededDivergenceDetected(t *testing.T) {
 	dir := t.TempDir()
 	src := `package scratch
@@ -398,9 +344,16 @@ func skewed(c *comm.Comm, vals []float64) []float64 {
 	}
 }
 
+// maxSuppressions is the ratchet on the module's active //lint:ignore
+// directives: 20 alloczero, 2 collectivediverge, 5 nondeterminism and 5
+// unboundedgrowth. A change that needs one more waiver raises it, and says
+// why; a change that removes one lowers it.
+const maxSuppressions = 32
+
 // TestModuleClean runs the suite, alloczero's -m build included, over every
 // package of the module and requires it to pass — the same gate
-// scripts/ci.sh runs via cmd/optipartlint. Removing any one waiver fails it.
+// scripts/ci.sh runs via cmd/optipartlint. Removing any one waiver fails it,
+// and so does adding one past maxSuppressions.
 func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check and -m build are slow; skipped with -short")
@@ -414,6 +367,9 @@ func TestModuleClean(t *testing.T) {
 	}
 	for _, s := range res.Stale {
 		t.Errorf("stale suppression silences nothing: %s", s)
+	}
+	if n := len(res.Suppressions); n > maxSuppressions {
+		t.Errorf("%d active suppressions, more than the %d allowed: fix the findings instead, or raise maxSuppressions with a reason", n, maxSuppressions)
 	}
 	t.Logf("%d //alloc:zero contracts, %d active suppressions", res.Contracts, len(res.Suppressions))
 }

@@ -1,9 +1,9 @@
 // Package net is a fixture standing in for the real internal/net package:
-// its synthetic import path ends in internal/net, so the simulation-purity
-// rules (nondeterminism, costaccounting) must stay silent on the wall-clock
-// reads, channels, goroutines, and map-order accumulation below — a real
-// wire transport exists to move bytes and measure real time. The exemption
-// is rule logic, not a //lint:ignore directive.
+// its synthetic import path ends in internal/net, so nondeterminism must
+// stay silent on the wall-clock reads, goroutines, and map-order
+// accumulation below — a real wire transport exists to move bytes and
+// measure real time. The exemption is rule logic, not a //lint:ignore
+// directive.
 package net
 
 import (

@@ -89,19 +89,19 @@ func receiverObj(p *Pass, fd *ast.FuncDecl) types.Object {
 // returns nil: growth there dies with the call (or is someone else's field
 // to audit).
 func longLivedField(p *Pass, e ast.Expr, recv types.Object) types.Object {
-	switch x := unparen(e).(type) {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		fieldObj, ok := p.Info.Uses[x.Sel].(*types.Var)
 		if !ok || !fieldObj.IsField() {
 			return nil
 		}
-		base := unparen(x.X)
+		base := ast.Unparen(x.X)
 		for {
 			sel, ok := base.(*ast.SelectorExpr)
 			if !ok {
 				break
 			}
-			base = unparen(sel.X)
+			base = ast.Unparen(sel.X)
 		}
 		if id, ok := base.(*ast.Ident); ok {
 			obj := p.Info.Uses[id]
@@ -125,7 +125,7 @@ func isPackageVar(p *Pass, obj types.Object) bool {
 
 // sameField reports whether e resolves to obj (selector tail or ident).
 func sameField(p *Pass, e ast.Expr, obj types.Object) bool {
-	switch x := unparen(e).(type) {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		return p.Info.Uses[x.Sel] == obj
 	case *ast.Ident:
@@ -172,7 +172,7 @@ func collectGrowth(p *Pass, fd *ast.FuncDecl, recv types.Object, sites *[]growth
 			case *ast.AssignStmt:
 				checkGrowthAssign(p, x, recv, conds, sites, trimmed)
 			case *ast.IncDecStmt:
-				if idx, ok := unparen(x.X).(*ast.IndexExpr); ok {
+				if idx, ok := ast.Unparen(x.X).(*ast.IndexExpr); ok {
 					checkMapStore(p, idx, x.Pos(), recv, conds, sites)
 				}
 			case *ast.CallExpr:
@@ -181,7 +181,7 @@ func collectGrowth(p *Pass, fd *ast.FuncDecl, recv types.Object, sites *[]growth
 				// Reslicing an entry of a long-lived map (x.f[k][:0]) is the
 				// window-prune idiom: entries get rebuilt from a truncated
 				// base, so the map's contents are actively bounded.
-				if idx, ok := unparen(x.X).(*ast.IndexExpr); ok {
+				if idx, ok := ast.Unparen(x.X).(*ast.IndexExpr); ok {
 					if obj := longLivedField(p, idx.X, recv); obj != nil {
 						if _, isMap := obj.Type().Underlying().(*types.Map); isMap {
 							trimmed[obj] = true
@@ -197,7 +197,7 @@ func collectGrowth(p *Pass, fd *ast.FuncDecl, recv types.Object, sites *[]growth
 
 func checkGrowthAssign(p *Pass, as *ast.AssignStmt, recv types.Object, conds []ast.Expr, sites *[]growthSite, trimmed map[types.Object]bool) {
 	for i, lhs := range as.Lhs {
-		if idx, ok := unparen(lhs).(*ast.IndexExpr); ok {
+		if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
 			checkMapStore(p, idx, as.Pos(), recv, conds, sites)
 			continue
 		}
@@ -208,7 +208,7 @@ func checkGrowthAssign(p *Pass, as *ast.AssignStmt, recv types.Object, conds []a
 		if as.Tok != token.ASSIGN || i >= len(as.Rhs) {
 			continue
 		}
-		rhs := unparen(as.Rhs[i])
+		rhs := ast.Unparen(as.Rhs[i])
 		switch r := rhs.(type) {
 		case *ast.SliceExpr:
 			if sameField(p, r.X, obj) {
@@ -219,9 +219,9 @@ func checkGrowthAssign(p *Pass, as *ast.AssignStmt, recv types.Object, conds []a
 				trimmed[obj] = true
 			}
 		case *ast.CallExpr:
-			if id, ok := unparen(r.Fun).(*ast.Ident); ok && id.Name == "append" && len(r.Args) > 0 {
+			if id, ok := ast.Unparen(r.Fun).(*ast.Ident); ok && id.Name == "append" && len(r.Args) > 0 {
 				if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); isBuiltin {
-					first := unparen(r.Args[0])
+					first := ast.Unparen(r.Args[0])
 					if se, ok := first.(*ast.SliceExpr); ok && sameField(p, se.X, obj) {
 						trimmed[obj] = true // removal idiom: append(f[:i], f[i+1:]...)
 					} else if sameField(p, first, obj) && !lenGuarded(p, conds, obj) {
@@ -251,7 +251,7 @@ func checkMapStore(p *Pass, idx *ast.IndexExpr, pos token.Pos, recv types.Object
 
 // checkTrimCall credits delete(x.f, ...) and clear(x.f) as trim evidence.
 func checkTrimCall(p *Pass, call *ast.CallExpr, recv types.Object, trimmed map[types.Object]bool) {
-	id, ok := unparen(call.Fun).(*ast.Ident)
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || len(call.Args) == 0 {
 		return
 	}
@@ -279,7 +279,7 @@ func lenGuarded(p *Pass, conds []ast.Expr, obj types.Object) bool {
 			if !ok || len(call.Args) != 1 {
 				return true
 			}
-			id, ok := unparen(call.Fun).(*ast.Ident)
+			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 			if !ok || (id.Name != "len" && id.Name != "cap") {
 				return true
 			}

@@ -45,9 +45,9 @@ func decodeAbort(f *Frame) error {
 // the failure funnel (failf, pending) and is always released before any
 // call that could take mu; mu guards the embedding side's step state. Keep
 // it that way: the world's fail callback re-enters Cancel, which takes mu,
-// so failing the world with mu held deadlocks. optipartlint's lockorder
-// rule reports the two nestings when both are written in this package; it
-// cannot follow the callback.
+// so failing the world with mu held deadlocks.
+// TestWireWorldReleasesGoroutines fails the world through the heartbeat
+// and fails itself, within its wait, if that deadlock comes back.
 type core struct {
 	rank, p  int // this side's rank (0 on the root) and the world size
 	opts     Options

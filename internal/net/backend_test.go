@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -330,6 +331,174 @@ func TestWorkerDeathSurfacesRankFailure(t *testing.T) {
 		if _, ok := recovered.Load(rank); !ok {
 			t.Fatalf("recovery rank %d produced no result", rank)
 		}
+	}
+}
+
+// settleGoroutines fails t unless runtime.NumGoroutine falls back to base
+// within two seconds: every goroutine started since base was read has
+// returned.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines still running, want at most %d:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestWireWorldReleasesGoroutines: a worker dies mid-run without a word,
+// the root's heartbeat fails the world on every surviving rank, and once
+// Root and Workers are closed every goroutine they started (the accept and
+// heartbeat loops, the readers) has returned. Every rank runs on its own
+// goroutine, and the world must fail within a few seconds, ten heartbeat
+// timeouts; nothing here defers a Close: a world that never fails, or a
+// Close that blocks on a lock held forever, fails the test instead of
+// hanging it.
+func TestWireWorldReleasesGoroutines(t *testing.T) {
+	const p, victim = 3, 2
+	base := runtime.NumGoroutine()
+	opts := fastOpts()
+	sock := filepath.Join(t.TempDir(), "g.sock")
+	root, err := NewRoot("unix:"+sock, p, opts)
+	if err != nil {
+		t.Fatalf("NewRoot: %v", err)
+	}
+	program := func(c *comm.Comm) error {
+		for i := 0; i < 4; i++ {
+			comm.Allreduce(c, []int64{1}, 8, comm.SumI64)
+		}
+		return nil
+	}
+	type outcome struct {
+		rank int
+		err  error
+	}
+	done := make(chan outcome, p)
+	for rank := 1; rank < p; rank++ {
+		go func(rank int) {
+			wk, err := Dial("unix:"+sock, rank, p, opts)
+			if err == nil {
+				var ranOpts comm.CheckedOptions
+				if rank == victim {
+					// Sever the socket and unwind at the 2nd collective,
+					// like a SIGKILLed process: no goodbye frame.
+					ranOpts.Hooks = comm.Hooks{BeforeCollective: func(_ int, _ string, seq int) {
+						if seq == 2 {
+							wk.Close()
+							panic("simulated process death")
+						}
+					}}
+				}
+				_, err = comm.RunRank(rank, p, wk.Model(), wk, ranOpts, program)
+				wk.Close()
+			}
+			done <- outcome{rank, err}
+		}(rank)
+	}
+	if err := root.WaitReady(10 * time.Second); err != nil {
+		t.Fatalf("WaitReady: %v", err)
+	}
+	model := comm.CostModel{Tc: 2e-9, Ts: 5e-6, Tw: 1.5e-9}
+	root.Announce(model)
+	go func() {
+		_, err := comm.RunRank(0, p, model, root, comm.CheckedOptions{}, program)
+		done <- outcome{0, err}
+	}()
+	deadline := time.After(10 * opts.HeartbeatTimeout)
+	for i := 0; i < p; i++ {
+		var o outcome
+		select {
+		case o = <-done:
+		case <-deadline:
+			t.Fatalf("%d of %d ranks returned within %v of a worker's death", i, p, 10*opts.HeartbeatTimeout)
+		}
+		var rf *comm.RankFailure
+		if !errors.As(o.err, &rf) || rf.Rank != victim {
+			t.Fatalf("rank %d: got %v, want a *comm.RankFailure blaming rank %d", o.rank, o.err, victim)
+		}
+	}
+	root.Close()
+	settleGoroutines(t, base)
+}
+
+// TestWorkerStepIgnoresStaleResult: a result frame for a step the worker
+// has already finished, the replay noise a reconnect leaves, wakes the
+// worker's Step while it waits for the next result. Step must re-check and
+// go on waiting for its own step's result, not run on without one.
+func TestWorkerStepIgnoresStaleResult(t *testing.T) {
+	const p = 2
+	opts := fastOpts()
+	opts.OnFailure = Restore // the result log keeps every step
+	sock := filepath.Join(t.TempDir(), "s.sock")
+	root, err := NewRoot("unix:"+sock, p, opts)
+	if err != nil {
+		t.Fatalf("NewRoot: %v", err)
+	}
+	defer root.Close()
+	program := func(c *comm.Comm) error {
+		for i := int64(0); i < 2; i++ {
+			if got := comm.Allreduce(c, []int64{i}, 8, comm.SumI64); got[0] != 2*i {
+				return fmt.Errorf("allreduce %d summed to %d, want %d", i, got[0], 2*i)
+			}
+		}
+		return nil
+	}
+	dialed := make(chan *Worker, 1)
+	done := make(chan error, 1)
+	go func() {
+		wk, err := Dial("unix:"+sock, 1, p, opts)
+		dialed <- wk
+		if err == nil {
+			_, err = comm.RunRank(1, p, wk.Model(), wk, comm.CheckedOptions{}, program)
+			wk.Close()
+		}
+		done <- err
+	}()
+	if err := root.WaitReady(10 * time.Second); err != nil {
+		t.Fatalf("WaitReady: %v", err)
+	}
+	root.Announce(comm.CostModel{})
+	wk, err := await("the worker's dial", dialed)
+	if err != nil || wk == nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	// Before the root takes step 1, replay step 0's result to the worker
+	// once it is waiting for step 1's.
+	replay := comm.Hooks{BeforeCollective: func(_ int, _ string, seq int) {
+		if seq != 1 {
+			return
+		}
+		for deadline := time.Now().Add(testWait); ; {
+			wk.mu.Lock()
+			awaiting := wk.awaiting
+			wk.mu.Unlock()
+			if awaiting == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				panic(errors.New("the worker never waited for step 1"))
+			}
+			time.Sleep(time.Millisecond)
+		}
+		root.mu.Lock()
+		stale := root.resultLog[0][1]
+		link := root.links[1]
+		root.mu.Unlock()
+		link.writeRaw(stale)
+		time.Sleep(50 * time.Millisecond) // the worker reads it and wakes
+	}}
+	if _, err := comm.RunRank(0, p, comm.CostModel{}, root, comm.CheckedOptions{Hooks: replay}, program); err != nil {
+		t.Fatalf("rank 0: %v", err)
+	}
+	err, werr := await("the worker's outcome", done)
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	if err != nil {
+		t.Fatalf("rank 1: %v", err)
 	}
 }
 

@@ -10,12 +10,11 @@
 // Parallelism here changes host wall-clock only; the modeled machine
 // (comm.Stats bytes, messages, virtual time) is charged exactly as before.
 //
-// The pool deliberately uses no channels: internal/comm is the only package
-// allowed to move bytes between ranks, and the costaccounting lint rule
-// enforces that. Scheduling state is a mutex, a condition variable, and per
-// region a job whose chunks are claimed by compare-and-swap. Jobs are
-// recycled and the deques keep their capacity, so a region allocates
-// nothing once the pool is warm.
+// The pool deliberately uses no channels: bytes move between ranks only
+// through internal/comm, which charges them to Stats. Scheduling state is
+// a mutex, a condition variable, and per region a job whose chunks are
+// claimed by compare-and-swap. Jobs are recycled and the deques keep
+// their capacity, so a region allocates nothing once the pool is warm.
 package par
 
 import (

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // workerCounts is the ISSUE's matrix: serial, two, an odd prime, and
@@ -257,4 +258,88 @@ func TestStaleHelperClaimsNothing(t *testing.T) {
 			t.Errorf("chunk %d ran %d times over two regions, want 2", c, h)
 		}
 	}
+}
+
+// settleGoroutines fails t unless runtime.NumGoroutine falls back to base
+// within two seconds: every goroutine started since base was read has
+// returned.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines still running, want at most %d:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestSetWorkersReleasesWorkers: a pool that SetWorkers retires stops its
+// background workers. Shrinking back to one executor, which spawns no
+// worker, returns the process to the goroutine count it had before the
+// wide pool ran a region.
+func TestSetWorkersReleasesWorkers(t *testing.T) {
+	prev := SetWorkers(1)
+	defer SetWorkers(prev)
+	base := runtime.NumGoroutine()
+	SetWorkers(4)
+	var total atomic.Int64
+	For(1000, 10, func(lo, hi int) { total.Add(int64(hi - lo)) })
+	if total.Load() != 1000 {
+		t.Fatalf("For visited %d indices, want 1000", total.Load())
+	}
+	SetWorkers(1)
+	settleGoroutines(t, base)
+}
+
+// TestSetWorkersDuringRegions resizes the pool over and over while other
+// goroutines keep running regions on whichever pool is active. SetWorkers
+// holds configMu while it stops the retired pool, which takes that pool's
+// mu, so a region that took configMu under its pool's mu would deadlock
+// against it. Every region must finish, and finish right. The width is
+// restored only once they have: after a deadlock, SetWorkers would block.
+func TestSetWorkersDuringRegions(t *testing.T) {
+	prev := SetWorkers(2)
+	const regions, resizes = 2, 2000
+	var stop atomic.Bool
+	errs := make(chan error, regions)
+	for r := 0; r < regions; r++ {
+		go func() {
+			var err error
+			for !stop.Load() {
+				var total atomic.Int64
+				For(64, 1, func(lo, hi int) { total.Add(int64(hi - lo)) })
+				if got := total.Load(); got != 64 && err == nil {
+					err = fmt.Errorf("a region visited %d indices, want 64", got)
+				}
+			}
+			errs <- err
+		}()
+	}
+	resized := make(chan struct{})
+	go func() {
+		defer close(resized)
+		for i := 0; i < resizes; i++ {
+			SetWorkers(2 + i%2)
+		}
+	}()
+	deadline := time.After(3 * time.Second)
+	select {
+	case <-resized:
+	case <-deadline:
+		t.Fatalf("SetWorkers did not finish %d resizes against running regions: deadlock", resizes)
+	}
+	stop.Store(true)
+	for r := 0; r < regions; r++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-deadline:
+			t.Fatal("a region did not return after the resizes stopped: deadlock")
+		}
+	}
+	SetWorkers(prev)
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"optipart/internal/par"
 )
 
 // admissionDeadline bounds every wait in these tests, so a missing wake
@@ -132,9 +134,17 @@ func TestAdmissionOrder(t *testing.T) {
 }
 
 // TestAdmissionClose: Close wakes a request waiting for a slot, and its Do
-// returns ErrClosed; the slot granted before Close is still released.
+// returns ErrClosed; the slot granted before Close is still released. Once
+// every caller is answered, no goroutine the service started, the miss's
+// SPMD world included, is still running. The process-wide par pool is
+// started first: its workers outlive every service by design.
 func TestAdmissionClose(t *testing.T) {
+	par.Workers()
+	base := runtime.NumGoroutine()
 	s := New(Config{Slots: 1})
+	if _, hit, err := s.Do(baseRequest(testKeys(89, 500))); err != nil || hit {
+		t.Fatalf("first request: hit=%v err=%v, want a computed miss", hit, err)
+	}
 	if err := receive(t, admitAsync(s), "uncontended admit"); err != nil {
 		t.Fatalf("uncontended admit: %v", err)
 	}
@@ -143,7 +153,7 @@ func TestAdmissionClose(t *testing.T) {
 		_, _, err := s.Do(baseRequest(testKeys(90, 500)))
 		done <- err
 	}()
-	waitTickets(t, s, 2)
+	waitTickets(t, s, 3)
 	stillBlocked(t, done, "a miss behind the held slot")
 	s.Close()
 	if err := receive(t, done, "a waiting Do after Close"); err != ErrClosed {
@@ -153,6 +163,12 @@ func TestAdmissionClose(t *testing.T) {
 		t.Fatalf("admit after Close: %v, want ErrClosed", err)
 	}
 	s.release()
+	for deadline := time.Now().Add(admissionDeadline); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after Close, want at most %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestAdmissionContention floods three slots from many goroutines: every

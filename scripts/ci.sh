@@ -4,7 +4,7 @@
 #   ./scripts/ci.sh          # every stage below, in order
 #   ./scripts/ci.sh -short   # same, with -short passed to the suite-wide test run
 #
-# Stages: go vet; gofmt -l; go build; optipartlint (its nine rules, the
+# Stages: go vet; gofmt -l; go build; optipartlint (its five rules, the
 # compiler-verified //alloc:zero contracts among them, then its
 # -listignores audit); a 10 s fuzz smoke each of internal/sfc's
 # FuzzRankWithSpan, FuzzSpanBox, FuzzRankOrder and
@@ -53,7 +53,7 @@ fi
 echo "==> go build ./..."
 go build ./...
 
-echo "==> optipartlint ./... (nine rules, //alloc:zero contracts included)"
+echo "==> optipartlint ./... (five rules, //alloc:zero contracts included)"
 # alloczero re-runs escape analysis and fails if any heap allocation lands
 # inside an //alloc:zero function without a //lint:ignore alloczero waiver.
 # Its -m parser fails closed on toolchain drift, so a Go upgrade that
@@ -110,6 +110,9 @@ echo "==> go test -race -shuffle=on $* ./..."
 go test -race -shuffle=on "$@" ./...
 
 echo "==> par/comm/psort dedicated race pass"
+# Among them TestSetWorkersDuringRegions, which resizes the pool under
+# running regions, and the tests that wait for a retired pool's workers and
+# a returned world's goroutines to exit.
 go test -race -shuffle=on -count=1 ./internal/par ./internal/comm ./internal/psort
 # Repartitioner.Step merges its columns and rescans partitions in chunks on
 # the pool, whose regions recycle their jobs; its tests run three more
@@ -120,7 +123,9 @@ echo "==> net dedicated race pass"
 # Root.Step writes each step's result frames, one per worker for a personal
 # Alltoallv, into the log that admit replays to a reconnecting or rejoining
 # worker while the readers and the heartbeat loop run. The exchange, wire
-# and rejoin tests run three more times under the race detector.
+# and rejoin tests run three more times under the race detector, among them
+# TestWireWorldReleasesGoroutines: a silent worker's world fails through the
+# heartbeat, and every goroutine exits once Root and Workers close.
 go test -race -count=3 -run 'Exchange|Wire|Restore|Rejoin' ./internal/net
 
 echo "==> lint dedicated race pass"
