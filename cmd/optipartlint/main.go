@@ -2,11 +2,10 @@
 // tool (go/parser + go/types, no x/tools) enforcing the invariants the
 // runtime can only catch after the fact —
 //
-//	collectivediverge  rank-conditional collectives (SPMD deadlock hazards)
-//	nondeterminism     wall clocks, global rand, map-order output, goroutines
-//	apihygiene         reflection sorts, looped NewCurve, non-error panics
-//	unboundedgrowth    long-lived fields that only ever grow
-//	alloczero          heap allocations inside //alloc:zero functions
+//	nondeterminism   wall clocks, global rand, map-order output, goroutines
+//	apihygiene       reflection sorts, looped NewCurve, non-error panics
+//	unboundedgrowth  long-lived fields that only ever grow
+//	alloczero        heap allocations inside //alloc:zero functions
 //
 // Usage:
 //

@@ -146,9 +146,7 @@ func RunCampaign(c *comm.Comm, res Resume, opts CampaignOptions) (CampaignResult
 		// gathers run on every rank at every step so the collective schedule
 		// is uniform and restart-invariant.
 		c.SetPhase("checkpoint")
-		//lint:ignore collectivediverge the loop's only rank-dependent exit is the StepDone drain hook, a sanctioned divergence point: a drained rank leaves at a step boundary and the runtime reports the abandonment as a structured failure
 		counts := comm.Allgather(c, []int64{int64(len(local))}, 8)
-		//lint:ignore collectivediverge same drain-hook exit as the counts gather above; in fault-free runs every rank executes both gathers every step, so the schedule stays uniform and restart-invariant
 		flat := comm.Allgather(c, local, keyBytes)
 		placement, err := splitByCounts(flat, counts)
 		if err != nil {

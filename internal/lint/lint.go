@@ -2,9 +2,6 @@
 // stdlib-only (go/parser + go/types, no x/tools) vet harness for the
 // hazards that no run-time check sees:
 //
-//   - collectivediverge: a collective under rank-dependent control flow,
-//     on a path no test runs (comm.RunChecked's MismatchError catches the
-//     ones that do run),
 //   - nondeterminism: wall clocks, global rand, goroutines and map-ordered
 //     output that golden transcripts would only catch on the run that
 //     flips,
@@ -75,7 +72,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{CollectiveDiverge, Nondeterminism, APIHygiene, UnboundedGrowth, AllocZero}
+	return []*Analyzer{Nondeterminism, APIHygiene, UnboundedGrowth, AllocZero}
 }
 
 // RuleNames returns the valid rule ids, for directive validation.
@@ -328,4 +325,46 @@ func isLintPkg(path string) bool {
 func isLibraryPkg(path string) bool {
 	return !strings.Contains(path, "/cmd/") && !strings.Contains(path, "/examples/") &&
 		strings.Contains(path, "/internal/")
+}
+
+// calleeFunc resolves the *types.Func a call invokes, unwrapping generic
+// instantiation syntax; nil for builtins, conversions, and function values.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := call.Fun
+	for {
+		switch f := fun.(type) {
+		case *ast.ParenExpr:
+			fun = f.X
+			continue
+		case *ast.IndexExpr:
+			fun = f.X
+			continue
+		case *ast.IndexListExpr:
+			fun = f.X
+			continue
+		}
+		break
+	}
+	var obj types.Object
+	switch f := fun.(type) {
+	case *ast.Ident:
+		obj = info.Uses[f]
+	case *ast.SelectorExpr:
+		obj = info.Uses[f.Sel]
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// funcBodies returns the file's function declarations that have bodies,
+// each an independent analysis scope; the analyzers reach the literals
+// nested in a body through its walk.
+func funcBodies(f *ast.File) []*ast.FuncDecl {
+	var decls []*ast.FuncDecl
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+			decls = append(decls, fd)
+		}
+	}
+	return decls
 }

@@ -23,8 +23,8 @@ var (
 )
 
 // fixtureLoader returns one process-wide loader: the source importer
-// type-checks comm, sfc, and their stdlib dependencies exactly once across
-// all fixture tests.
+// type-checks sfc and its stdlib dependencies exactly once across all
+// fixture tests.
 func fixtureLoader(t *testing.T) *Loader {
 	t.Helper()
 	loaderOnce.Do(func() {
@@ -155,28 +155,6 @@ func ruleCount(res Result, rule string) int {
 	return n
 }
 
-func TestCollectiveDivergeFixtures(t *testing.T) {
-	res := checkFixture(t, "divergebad")
-	if n := ruleCount(res, "collectivediverge"); n < 3 {
-		t.Errorf("divergebad: %d collectivediverge findings, want at least 3", n)
-	}
-	checkSilent(t, "divergeok")
-}
-
-// TestDrainLoopFixture pins the checkpoint-campaign drain pattern from
-// internal/ckpt: a step loop whose only rank-dependent exit is the drain
-// hook passes the gate only with a reasoned //lint:ignore, and the same
-// loop without the directive keeps firing.
-func TestDrainLoopFixture(t *testing.T) {
-	res := checkFixture(t, "drainloop")
-	if n := ruleCount(res, "collectivediverge"); n != 1 {
-		t.Errorf("drainloop: %d collectivediverge findings, want exactly the undirected loop", n)
-	}
-	if len(res.Suppressions) != 1 || res.Suppressions[0].Rule != "collectivediverge" {
-		t.Errorf("drainloop: suppressions = %+v, want one honored collectivediverge directive", res.Suppressions)
-	}
-}
-
 func TestNondeterminismFixtures(t *testing.T) {
 	res := checkFixture(t, "nondetbad")
 	if n := ruleCount(res, "nondeterminism"); n < 3 {
@@ -279,7 +257,7 @@ func TestUnboundedGrowthFixtures(t *testing.T) {
 // diagnostic across all fixtures against testdata/positions.golden. Run with
 // UPDATE_LINT_GOLDEN=1 to regenerate after editing fixtures.
 func TestFixturePositions(t *testing.T) {
-	fixtures := []string{"divergebad", "nondetbad", "hygienebad", "parbad", "netbad", "suppress", "drainloop", "growthbad", "allocbad"}
+	fixtures := []string{"nondetbad", "hygienebad", "parbad", "netbad", "suppress", "growthbad", "allocbad"}
 	l := fixtureLoader(t)
 	srcRoot := filepath.Join(l.ModRoot, "internal", "lint", "testdata", "src")
 	var lines []string
@@ -310,45 +288,11 @@ func TestFixturePositions(t *testing.T) {
 	}
 }
 
-// TestSeededDivergenceDetected: a package written outside the fixture tree
-// with a rank-conditional Allreduce must be flagged, so the CI gate would
-// fail on it.
-func TestSeededDivergenceDetected(t *testing.T) {
-	dir := t.TempDir()
-	src := `package scratch
-
-import "optipart/internal/comm"
-
-func skewed(c *comm.Comm, vals []float64) []float64 {
-	if c.Rank()%2 == 0 {
-		return comm.Allreduce(c, vals, 8, comm.SumF64)
-	}
-	return vals
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "scratch.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l := fixtureLoader(t)
-	pkg, err := l.LoadDir(dir, fixturePrefix+"scratch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := RunPackage(pkg)
-	if n := ruleCount(res, "collectivediverge"); n != 1 {
-		t.Fatalf("seeded rank-conditional Allreduce: %d collectivediverge findings, want 1: %v", n, res.Diagnostics)
-	}
-	d := res.Diagnostics[0]
-	if !strings.Contains(d.Message, "Allreduce") {
-		t.Errorf("diagnostic %q should name the Allreduce", d.Message)
-	}
-}
-
 // maxSuppressions is the ratchet on the module's active //lint:ignore
-// directives: 20 alloczero, 2 collectivediverge, 5 nondeterminism and 5
-// unboundedgrowth. A change that needs one more waiver raises it, and says
-// why; a change that removes one lowers it.
-const maxSuppressions = 32
+// directives: 20 alloczero, 5 nondeterminism and 5 unboundedgrowth. A
+// change that needs one more waiver raises it, and says why; a change that
+// removes one lowers it.
+const maxSuppressions = 30
 
 // TestModuleClean runs the suite, alloczero's -m build included, over every
 // package of the module and requires it to pass — the same gate

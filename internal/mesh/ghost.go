@@ -6,8 +6,6 @@
 package mesh
 
 import (
-	"slices"
-
 	"optipart/internal/comm"
 	"optipart/internal/octree"
 	"optipart/internal/partition"
@@ -46,7 +44,7 @@ func Build(c *comm.Comm, local []sfc.Key, sp *partition.Splitters) *Ghost {
 	p := c.Size()
 	me := c.Rank()
 
-	sendSet := make([]map[int]bool, p) // dst -> set of local indices
+	g := &Ghost{Local: local, SendIDs: make([][]int, p), RecvCounts: make([]int64, p)}
 	for i, k := range local {
 		for _, f := range octree.Faces(curve.Dim) {
 			nk, ok := octree.FaceNeighbor(k, f)
@@ -54,28 +52,19 @@ func Build(c *comm.Comm, local []sfc.Key, sp *partition.Splitters) *Ghost {
 				continue
 			}
 			for _, dst := range neighborOwners(sp, nk, f, curve.Dim) {
-				if dst == me {
-					continue
+				// i ascends, so each list stays sorted and a repeat of i
+				// can only be its last entry.
+				if ids := g.SendIDs[dst]; dst != me && (len(ids) == 0 || ids[len(ids)-1] != i) {
+					g.SendIDs[dst] = append(ids, i)
 				}
-				if sendSet[dst] == nil {
-					sendSet[dst] = make(map[int]bool)
-				}
-				sendSet[dst][i] = true
 			}
 		}
 	}
 	// A pass over local elements examining each face: the bucketing cost.
 	c.Compute(int64(len(local)) * int64(2*curve.Dim) * psort.KeyBytes)
 
-	g := &Ghost{Local: local, SendIDs: make([][]int, p), RecvCounts: make([]int64, p)}
 	send := make([][]sfc.Key, p)
-	for dst := 0; dst < p; dst++ {
-		ids := make([]int, 0, len(sendSet[dst]))
-		for i := range sendSet[dst] {
-			ids = append(ids, i)
-		}
-		slices.Sort(ids)
-		g.SendIDs[dst] = ids
+	for dst, ids := range g.SendIDs {
 		keys := make([]sfc.Key, len(ids))
 		for j, i := range ids {
 			keys[j] = local[i]

@@ -99,6 +99,45 @@ func TestGhostSourcesCorrect(t *testing.T) {
 	})
 }
 
+// TestGhostWithEmptyRank runs Build and GatherMatrix with rank 0 holding
+// no elements, under the splitters SplittersFromDistribution derives, which
+// give an empty rank an empty range. Ranks 1 and 2 split the mesh. Rank 0
+// must still join every collective, which comm's collective check verifies.
+// It sends no ghost; it may receive unused ones, since the ancestors of the
+// first leaf sort before rank 1's separator and so map to rank 0.
+func TestGhostWithEmptyRank(t *testing.T) {
+	m, curve := testMesh(t, sfc.Hilbert)
+	half := len(m.Leaves) / 2
+	parts := [][]sfc.Key{nil, m.Leaves[:half], m.Leaves[half:]}
+	var mat *Matrix
+	_, err := comm.RunChecked(len(parts), comm.CostModel{}, func(c *comm.Comm) error {
+		local := parts[c.Rank()]
+		sp := partition.SplittersFromDistribution(c, curve, local)
+		g := Build(c, local, sp)
+		got := GatherMatrix(c, g)
+		if c.Rank() == 0 {
+			mat = got
+		}
+		for i, gk := range g.Ghosts {
+			if owner := sp.Owner(gk); g.GhostSrc[i] != owner || owner == c.Rank() {
+				t.Errorf("rank %d: ghost %v says src %d, owner is %d", c.Rank(), gk, g.GhostSrc[i], owner)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < mat.P; i++ {
+		if mat.At(i, 0) != 0 {
+			t.Errorf("empty rank 0 sends rank %d %d ghosts", i, mat.At(i, 0))
+		}
+	}
+	if mat.At(1, 2) == 0 || mat.At(2, 1) == 0 {
+		t.Errorf("ranks 1 and 2 share a boundary but M[1][2]=%d M[2][1]=%d", mat.At(1, 2), mat.At(2, 1))
+	}
+}
+
 func TestMatrixSymmetryOfSupport(t *testing.T) {
 	// If i needs data from j, then (face adjacency being symmetric) j needs
 	// data from i: the support of M is symmetric.

@@ -218,9 +218,10 @@ func exchange(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, ranks []sfc.Rank1
 // tolerance) and descends one level per iteration; after each round the
 // model prices the induced partition, and the loop keeps the best partition
 // seen, stopping as soon as a round makes the prediction worse — the
-// "approaches the optimum from the right" behaviour of Figure 10. It
-// returns the adopted rung's Quality as descend priced it, so the caller
-// does not scan and reduce a second time.
+// "approaches the optimum from the right" behaviour of Figure 10. A tie
+// keeps the earlier rung and walks on, as in Repartition and the
+// Repartitioner. It returns the adopted rung's Quality as descend priced
+// it, so the caller does not scan and reduce a second time.
 func runModelDriven(sel *selector, obj *objective) (best *Splitters, bestQ Quality, bestTol float64) {
 	var bestT float64
 	// A start so coarse that a rank owns nothing is never acceptable (the
@@ -229,9 +230,9 @@ func runModelDriven(sel *selector, obj *objective) (best *Splitters, bestQ Quali
 	populated := false
 	sel.descend(func(cand *Splitters, q Quality) bool {
 		t := obj.tp(q)
-		if populated && t > bestT {
-			// The model says further balancing costs more than it saves.
-			return false
+		if populated && t >= bestT {
+			// Past a worse rung, further balancing costs more than it saves.
+			return t == bestT
 		}
 		best, bestQ, bestT, bestTol = cand, q, t, sel.achievedTolerance()
 		populated = populated || !q.emptiesRank(sel.c.Size())

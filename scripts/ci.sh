@@ -4,7 +4,7 @@
 #   ./scripts/ci.sh          # every stage below, in order
 #   ./scripts/ci.sh -short   # same, with -short passed to the suite-wide test run
 #
-# Stages: go vet; gofmt -l; go build; optipartlint (its five rules, the
+# Stages: go vet; gofmt -l; go build; optipartlint (its four rules, the
 # compiler-verified //alloc:zero contracts among them, then its
 # -listignores audit); a 10 s fuzz smoke each of internal/sfc's
 # FuzzRankWithSpan, FuzzSpanBox, FuzzRankOrder and
@@ -53,7 +53,7 @@ fi
 echo "==> go build ./..."
 go build ./...
 
-echo "==> optipartlint ./... (five rules, //alloc:zero contracts included)"
+echo "==> optipartlint ./... (four rules, //alloc:zero contracts included)"
 # alloczero re-runs escape analysis and fails if any heap allocation lands
 # inside an //alloc:zero function without a //lint:ignore alloczero waiver.
 # Its -m parser fails closed on toolchain drift, so a Go upgrade that
