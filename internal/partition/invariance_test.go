@@ -146,3 +146,125 @@ func partitionWorld(locals [][]sfc.Key, opts Options) *Result {
 	})
 	return res
 }
+
+// TestRepartitionerNeverAboveKept holds the serial engine's ladder to its
+// guarantee along TestRepartitionerMachineScaleInvariance's campaign:
+// every Step adopts a J no worse than keeping the prior placement, whose J
+// is recounted from scratch (qualityUnder the prior separators, moving
+// nothing), and a kept Step reports exactly that J.
+func TestRepartitionerNeverAboveKept(t *testing.T) {
+	steps := 200
+	if testing.Short() {
+		steps = 50
+	}
+	for _, kind := range []sfc.Kind{sfc.Hilbert, sfc.Morton} {
+		curve := sfc.NewCurve(kind, 3)
+		e, ev := frontCampaign(curve, 8, 13, repartMesh(curve, 6, 350, 6))
+		e.Seed(ev.Leaves())
+		for step := 0; step < steps; step++ {
+			prior := slices.Clone(e.sepRanks)
+			res := e.Step(ev.Step(campaignFracs(step, e.Len())))
+			keptJ := e.obj.j(qualityUnder(e, prior), 0)
+			j := e.obj.j(res.Quality, res.MovedElements)
+			if j > keptJ || res.Kept && j != keptJ {
+				t.Fatalf("%v step %d: adopted J %.9g (kept %t), keeping the prior gives %.9g", kind, step, j, res.Kept, keptJ)
+			}
+		}
+	}
+}
+
+// TestRepartitionRelations holds the collective Repartition to the
+// relations TestPartitionModelDrivenRelations checks, at the same size, on
+// both curves, two machines and two kernels. The prior is Partition's
+// ModelDriven placement of a LogNormal mesh; the current mesh adds a
+// quarter as many Normal keys, a front at the centre, and each rank holds
+// its keys under the prior. The default kernel keeps the prior and the
+// compute-heavy one re-aims it. J = horizon·Tp + tw·payload·moved scales
+// like Tp, so:
+//   - (tc, ts, tw) × 4 keeps Splitters, Quality and MovedElements and
+//     scales Predicted by exactly 4;
+//   - α × 2 with tc ÷ 2, and tw × 2 with payload ÷ 2, keep the placement;
+//   - shuffling each rank's input keeps the placement.
+func TestRepartitionRelations(t *testing.T) {
+	const p = 16
+	perRank := 4096
+	if testing.Short() {
+		perRank /= 4
+	}
+	moved := 0
+	for _, kind := range []sfc.Kind{sfc.Hilbert, sfc.Morton} {
+		curve := sfc.NewCurve(kind, 3)
+		rng := rand.New(rand.NewSource(6400 + int64(kind)))
+		old := octree.RandomKeys(rng, p*perRank, 3, octree.LogNormal, 4, 16)
+		keys := append(slices.Clone(old), octree.RandomKeys(rng, p*perRank/4, 3, octree.Normal, 4, 16)...)
+		for _, m := range []machine.Machine{machine.Clemson32(), machine.Titan()} {
+			for _, app := range []struct {
+				alpha   float64
+				payload int
+			}{{machine.DefaultAlpha, machine.GhostPayloadBytes}, {512, 8}} {
+				base := Options{Curve: curve, Mode: ModelDriven, Machine: m, Alpha: app.alpha,
+					PayloadBytes: app.payload, SkipExchange: true}
+				even := make([][]sfc.Key, p)
+				for r := range even {
+					even[r] = old[r*perRank : (r+1)*perRank]
+				}
+				prior := partitionWorld(even, base).Splitters
+				held := make([][]sfc.Key, p)
+				for _, k := range keys {
+					o := prior.Owner(k)
+					held[o] = append(held[o], k)
+				}
+				shuffled := make([][]sfc.Key, p)
+				for r := range held {
+					shuffled[r] = slices.Clone(held[r])
+					rng.Shuffle(len(held[r]), func(i, j int) { shuffled[r][i], shuffled[r][j] = shuffled[r][j], shuffled[r][i] })
+				}
+				want := repartitionWorld(held, RepartOptions{Options: base, Prior: prior})
+				if want.MovedElements > 0 {
+					moved++
+				}
+				check := func(relation string, got *RepartResult, scale float64) {
+					t.Helper()
+					where := fmt.Sprintf("%v on %s, α %g, payload %d, %s", kind, m.Name, app.alpha, app.payload, relation)
+					if !slices.Equal(got.Splitters.Seps, want.Splitters.Seps) {
+						t.Fatalf("%s: the splitters move", where)
+					}
+					if got.Quality != want.Quality || got.MovedElements != want.MovedElements || got.Predicted != scale*want.Predicted {
+						t.Fatalf("%s: quality %+v moved %d predicted %g, want %+v, %d and %g × %g", where,
+							got.Quality, got.MovedElements, got.Predicted, want.Quality, want.MovedElements, scale, want.Predicted)
+					}
+				}
+				scaled := base
+				scaled.Machine.Tc *= 4
+				scaled.Machine.Ts *= 4
+				scaled.Machine.Tw *= 4
+				check("(tc, ts, tw) × 4", repartitionWorld(held, RepartOptions{Options: scaled, Prior: prior}), 4)
+				work := base
+				work.Alpha *= 2
+				work.Machine.Tc /= 2
+				check("α × 2 with tc ÷ 2", repartitionWorld(held, RepartOptions{Options: work, Prior: prior}), 1)
+				wire := base
+				wire.Machine.Tw *= 2
+				wire.PayloadBytes /= 2
+				check("tw × 2 with payload ÷ 2", repartitionWorld(held, RepartOptions{Options: wire, Prior: prior}), 1)
+				check("each rank's input shuffled", repartitionWorld(shuffled, RepartOptions{Options: base, Prior: prior}), 1)
+			}
+		}
+	}
+	if moved == 0 {
+		t.Errorf("no case re-aimed the prior; the relations should cover a moved placement")
+	}
+}
+
+// repartitionWorld runs Repartition on len(locals) ranks, rank r on a copy
+// of locals[r], and returns rank 0's result.
+func repartitionWorld(locals [][]sfc.Key, opts RepartOptions) *RepartResult {
+	var res *RepartResult
+	comm.Run(len(locals), comm.CostModel{}, func(c *comm.Comm) {
+		r := Repartition(c, slices.Clone(locals[c.Rank()]), opts)
+		if c.Rank() == 0 {
+			res = r
+		}
+	})
+	return res
+}

@@ -143,11 +143,11 @@ func partitionSorted(c *comm.Comm, local []sfc.Key, ranks []sfc.Rank128, a *psor
 	c.SetPhase("splitter")
 	sel := newSelector(c, curve, local, ranks, a, opts.MaxSplitters)
 	var sp *Splitters
+	var b []int
 	var q Quality
-	var achieved float64
 	switch opts.Mode {
 	case ModelDriven:
-		sp, q, achieved = runModelDriven(sel, &obj)
+		sp, b, q = runModelDriven(sel, &obj)
 	default:
 		slack := int64(0)
 		if opts.Mode == FlexibleTolerance {
@@ -155,9 +155,8 @@ func partitionSorted(c *comm.Comm, local []sfc.Key, ranks []sfc.Rank128, a *psor
 		}
 		for sel.refineRound(slack) {
 		}
-		sp = sel.snap()
+		sp, b = sel.snap()
 		q = sel.quality(sp)
-		achieved = sel.achievedTolerance()
 	}
 
 	res := &Result{
@@ -165,7 +164,7 @@ func partitionSorted(c *comm.Comm, local []sfc.Key, ranks []sfc.Rank128, a *psor
 		Quality:     q,
 		Predicted:   obj.tp(q),
 		Rounds:      sel.rounds,
-		AchievedTol: achieved,
+		AchievedTol: worstDevOf(b, sel.targets, sel.grain()),
 	}
 
 	if opts.SkipExchange {
@@ -213,41 +212,56 @@ func exchange(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, ranks []sfc.Rank1
 	return mine
 }
 
-// runModelDriven is the OptiPart loop of Algorithm 3. Refinement starts
-// from the coarse splitters produced by the first rounds (a high effective
-// tolerance) and descends one level per iteration; after each round the
-// model prices the induced partition, and the loop keeps the best partition
-// seen, stopping as soon as a round makes the prediction worse — the
-// "approaches the optimum from the right" behaviour of Figure 10. A tie
-// keeps the earlier rung and walks on, as in Repartition and the
-// Repartitioner. It returns the adopted rung's Quality as descend priced
-// it, so the caller does not scan and reduce a second time.
-func runModelDriven(sel *selector, obj *objective) (best *Splitters, bestQ Quality, bestTol float64) {
-	var bestT float64
-	// A start so coarse that a rank owns nothing is never acceptable (the
-	// paper's tolerances keep every partition populated); refine past it,
-	// adopting every rung until one is populated.
-	populated := false
-	sel.descend(func(cand *Splitters, q Quality) bool {
-		t := obj.tp(q)
-		if populated && t >= bestT {
-			// Past a worse rung, further balancing costs more than it saves.
-			return t == bestT
+// ladder is the one adoption and stop rule of every candidate walk
+// (Algorithm 3's "approach from the right", Figure 10): offer a rung's
+// priced value v, and the ladder says whether to adopt it and whether to
+// walk on. A rung is adopted when no earlier rung is as good, so of two
+// tied rungs the earlier is kept; the walk goes on unless v is worse than
+// the best. A rung that empties a rank (the paper's tolerances keep every
+// partition populated) is adopted only while nothing else is held, and it
+// never stops the walk.
+type ladder struct {
+	best float64
+	held bool // best is a rung that empties no rank
+}
+
+// offer reports whether to adopt a rung priced v, and whether to walk on.
+//
+//alloc:zero
+func (l *ladder) offer(v float64, empties bool) (adopt, more bool) {
+	if empties {
+		return !l.held, true
+	}
+	if !l.held || v < l.best {
+		l.best, l.held = v, true
+		return true, true
+	}
+	return false, v == l.best
+}
+
+// runModelDriven is the OptiPart loop of Algorithm 3: descend's rungs,
+// priced on Tp and adopted and stopped by a ladder. It returns the adopted
+// rung with its boundaries and its Quality as descend priced it, so the
+// caller does not scan and reduce a second time.
+func runModelDriven(sel *selector, obj *objective) (best *Splitters, bestB []int, bestQ Quality) {
+	var l ladder
+	sel.descend(func(cand *Splitters, b []int, q Quality) bool {
+		adopt, more := l.offer(obj.tp(q), q.emptiesRank(sel.c.Size()))
+		if adopt {
+			best, bestB, bestQ = cand, b, q
 		}
-		best, bestQ, bestT, bestTol = cand, q, t, sel.achievedTolerance()
-		populated = populated || !q.emptiesRank(sel.c.Size())
-		return true
+		return more
 	})
-	return best, bestQ, bestTol
+	return best, bestB, bestQ
 }
 
 // descend is the walk of Algorithm 3 that Partition and Repartition share.
 // It refines until every target has a boundary within half a grain (the
 // coarse starting point of line 2), then descends one level per rung,
-// handing visit each rung's snapped splitters and their quality. The walk
-// ends when visit returns false or nothing is left to refine; which rung
-// is adopted is the visitor's business.
-func (s *selector) descend(visit func(cand *Splitters, q Quality) bool) {
+// handing visit each rung's snapped splitters, their p+1 global boundaries
+// and their quality. The walk ends when visit returns false or nothing is
+// left to refine; which rung is adopted is the visitor's ladder's business.
+func (s *selector) descend(visit func(cand *Splitters, b []int, q Quality) bool) {
 	coarse := int64(s.grain() / 2)
 	for s.worstDeviation() > coarse {
 		if !s.refineRound(coarse) {
@@ -255,8 +269,8 @@ func (s *selector) descend(visit func(cand *Splitters, q Quality) bool) {
 		}
 	}
 	for {
-		cand := s.snap()
-		if !visit(cand, s.quality(cand)) || !s.refineRound(0) {
+		cand, b := s.snap()
+		if !visit(cand, b, s.quality(cand)) || !s.refineRound(0) {
 			return
 		}
 	}

@@ -350,3 +350,32 @@ func TestParseMode(t *testing.T) {
 		}
 	}
 }
+
+// TestLadderOffer pins the one adoption and stop rule every candidate walk
+// uses: each case offers its rungs in order and checks the ladder's
+// (adopt, more) answer for each.
+func TestLadderOffer(t *testing.T) {
+	type rung struct {
+		v           float64
+		empties     bool
+		adopt, more bool
+	}
+	for _, tc := range []struct {
+		name  string
+		rungs []rung
+	}{
+		{"the first rung is adopted", []rung{{5, false, true, true}}},
+		{"a better rung is adopted", []rung{{5, false, true, true}, {4, false, true, true}}},
+		{"a tie keeps the earlier rung and walks on", []rung{{5, false, true, true}, {5, false, false, true}, {4, false, true, true}}},
+		{"a worse rung stops the walk", []rung{{5, false, true, true}, {6, false, false, false}}},
+		{"a rank-emptying rung is adopted while nothing is held", []rung{{1, true, true, true}, {9, true, true, true}, {5, false, true, true}, {6, false, false, false}}},
+		{"a rank-emptying rung is never adopted past a held one, and never stops", []rung{{5, false, true, true}, {1, true, false, true}, {9, true, false, true}, {5, false, false, true}}},
+	} {
+		var l ladder
+		for i, r := range tc.rungs {
+			if adopt, more := l.offer(r.v, r.empties); adopt != r.adopt || more != r.more {
+				t.Errorf("%s: rung %d (v %g, empties %t): adopt %t, more %t; want %t, %t", tc.name, i, r.v, r.empties, adopt, more, r.adopt, r.more)
+			}
+		}
+	}
+}

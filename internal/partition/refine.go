@@ -305,27 +305,19 @@ func (s *selector) splitChunk(idxs []int) {
 	s.buckets = next
 }
 
-// snap fixes every target at its nearest available boundary and returns the
-// resulting separators. A boundary is the start key of a bucket, or InfKey
-// for the end of the sequence.
-func (s *selector) snap() *Splitters {
+// snap fixes every target at its nearest available boundary and returns
+// the resulting separators with their p+1 global range boundaries: 0, each
+// target's boundary, and n. A boundary is the start key of a bucket, or
+// InfKey for the end of the sequence. Buckets are the same on every rank,
+// so it issues no reduction.
+func (s *selector) snap() (*Splitters, []int) {
 	seps := make([]sfc.Key, len(s.targets))
+	b := make([]int, len(s.targets)+2)
 	for i, g := range s.targets {
-		seps[i] = s.boundaryKeyNear(g)
+		seps[i], b[i+1] = s.boundaryNear(g)
 	}
-	return &Splitters{Curve: s.curve, Seps: seps}
-}
-
-// bounds returns the p+1 global range boundaries of snap's placement: 0,
-// the start of each target's nearest boundary, and n. Buckets are the same
-// on every rank, so it issues no reduction.
-func (s *selector) bounds() []int {
-	out := make([]int, len(s.targets)+2)
-	for i, g := range s.targets {
-		_, out[i+1] = s.boundaryNear(g)
-	}
-	out[len(out)-1] = int(s.n)
-	return out
+	b[len(b)-1] = int(s.n)
+	return &Splitters{Curve: s.curve, Seps: seps}, b
 }
 
 // boundaryNear returns the boundary nearest to global rank g: the start key
@@ -341,20 +333,4 @@ func (s *selector) boundaryNear(g int64) (sfc.Key, int) {
 		return s.buckets[b].key, int(s.buckets[b].start)
 	}
 	return InfKey, int(s.n)
-}
-
-// boundaryKeyNear returns the separator key of the boundary nearest to
-// global rank g.
-func (s *selector) boundaryKeyNear(g int64) sfc.Key {
-	k, _ := s.boundaryNear(g)
-	return k
-}
-
-// achievedTolerance returns the worst relative deviation of the snapped
-// boundaries from the ideal ranks, in units of N/p.
-func (s *selector) achievedTolerance() float64 {
-	if s.grain() == 0 {
-		return 0
-	}
-	return float64(s.worstDeviation()) / s.grain()
 }

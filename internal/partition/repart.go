@@ -3,7 +3,6 @@ package partition
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"optipart/internal/comm"
 	"optipart/internal/psort"
@@ -83,18 +82,20 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	// element order are what every other candidate's moved count is
 	// measured against.
 	best, bestQ := prior, sel.quality(prior)
-	bestTp, bestJ := obj.tp(bestQ), obj.j(bestQ, 0)
 	priorB := priorBounds(c, sel, prior)
 	bestB, bestMoved := priorB, int64(0)
-	// consider prices cand, of quality q and boundaries b, and, when
-	// adoptable, adopts it if it beats the best J seen.
-	consider := func(cand *Splitters, b []int, q Quality, adoptable bool) (tp, j float64) {
+	var jl ladder
+	jl.offer(obj.j(bestQ, 0), false)
+	// offerJ prices cand, of quality q and boundaries b, on the J ladder,
+	// adopts it when the ladder does, and reports whether the ladder walks
+	// on.
+	offerJ := func(cand *Splitters, b []int, q Quality, empties bool) bool {
 		moved := movedBetween(priorB, b, int(sel.n))
-		tp, j = obj.tp(q), obj.j(q, moved)
-		if adoptable && j < bestJ {
-			best, bestB, bestQ, bestTp, bestJ, bestMoved = cand, b, q, tp, j, moved
+		adopt, more := jl.offer(obj.j(q, moved), empties)
+		if adopt {
+			best, bestB, bestQ, bestMoved = cand, b, q, moved
 		}
-		return tp, j
+		return more
 	}
 
 	// The violated targets: separators farther than the tolerance slack
@@ -127,11 +128,7 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 			q := sel.quality(cand)
 			// A candidate that empties a rank is never adopted while
 			// refinement can still place its separators better.
-			emptied := slack > 0 && q.emptiesRank(p)
-			if _, j := consider(cand, b, q, !emptied); !emptied && j > bestJ {
-				slack = 0 // worse than the best seen: stop after this rung
-			}
-			if slack == 0 {
+			if !offerJ(cand, b, q, slack > 0 && q.emptiesRank(p)) || slack == 0 {
 				break
 			}
 		}
@@ -152,26 +149,21 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	// above, so a re-aim is adopted only when its movement pays for itself
 	// within the horizon.
 	walk := sel.restart()
-	walkT := math.Inf(1)
-	walk.descend(func(cand *Splitters, q Quality) bool {
-		if q.emptiesRank(p) {
-			return true
-		}
-		tp, _ := consider(cand, walk.bounds(), q, true)
-		if tp > walkT {
-			// Same stop as Algorithm 3: further balancing costs more
-			// surface than it saves in load.
-			return false
-		}
-		walkT = tp
-		return true
+	var tl ladder
+	walk.descend(func(cand *Splitters, b []int, q Quality) bool {
+		empties := q.emptiesRank(p)
+		offerJ(cand, b, q, empties)
+		// Same stop as Algorithm 3, on Tp: further balancing costs more
+		// surface than it saves in load.
+		_, more := tl.offer(obj.tp(q), empties)
+		return more
 	})
 	sel.rounds += walk.rounds
 	res := &RepartResult{
 		Result: Result{
 			Splitters:   best,
 			Quality:     bestQ,
-			Predicted:   bestTp,
+			Predicted:   obj.tp(bestQ),
 			Rounds:      sel.rounds,
 			AchievedTol: worstDevOf(bestB, allTargets, sel.grain()),
 		},

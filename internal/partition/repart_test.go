@@ -404,12 +404,17 @@ func stepMatchesRebuild(e *Repartitioner, ev *octree.Evolver, refine, coarsen fl
 	return nil
 }
 
-// fullQuality recounts the engine's adopted placement from scratch: fresh
-// rank and exact span columns of its keys, from RankWithSpan directly and
-// not through either column fill, each separator snapped to the first
-// element at or after it (the positions the engine prices), and the
-// any-order scanCounts over the whole mesh.
-func fullQuality(e *Repartitioner) Quality {
+// fullQuality recounts the engine's adopted placement from scratch:
+// qualityUnder its separator ranks.
+func fullQuality(e *Repartitioner) Quality { return qualityUnder(e, e.sepRanks) }
+
+// qualityUnder recounts the placement of separator ranks sepRanks over the
+// engine's mesh from scratch: fresh rank and exact span columns of its
+// keys, from RankWithSpan directly and not through either column fill,
+// each separator snapped to the first element at or after it (the
+// positions the engine prices), and the any-order scanCounts over the
+// whole mesh.
+func qualityUnder(e *Repartitioner, sepRanks []sfc.Rank128) Quality {
 	keys := e.Keys()
 	ranks := make([]sfc.Rank128, len(keys))
 	lo := make([]sfc.Rank128, len(keys))
@@ -420,7 +425,7 @@ func fullQuality(e *Repartitioner) Quality {
 	seps := make([]sfc.Rank128, e.cfg.P-1)
 	for r := range seps {
 		seps[r] = sfc.MaxRank128
-		if pos := sfc.LowerBound(ranks, e.sepRanks[r]); pos < len(keys) {
+		if pos := sfc.LowerBound(ranks, sepRanks[r]); pos < len(keys) {
 			seps[r] = ranks[pos]
 		}
 	}
@@ -808,17 +813,17 @@ func walkOnlyJ(c *comm.Comm, local []sfc.Key, opts RepartOptions) float64 {
 	ranks, _ := psort.TreeSortArena(opts.Curve, local, a)
 	sel := newSelector(c, opts.Curve, local, ranks, a, opts.MaxSplitters)
 	best := obj.j(sel.quality(opts.Prior), 0)
-	walkT := math.Inf(1)
-	sel.descend(func(cand *Splitters, q Quality) bool {
+	minT := math.Inf(1)
+	sel.descend(func(cand *Splitters, _ []int, q Quality) bool {
 		if q.emptiesRank(c.Size()) {
 			return true
 		}
 		tp := obj.tp(q)
 		best = math.Min(best, obj.j(q, MovedElements(c, local, opts.Prior, cand)))
-		if tp > walkT {
+		if tp > minT {
 			return false
 		}
-		walkT = tp
+		minT = tp
 		return true
 	})
 	return best
@@ -827,9 +832,10 @@ func walkOnlyJ(c *comm.Comm, local []sfc.Key, opts RepartOptions) float64 {
 // TestRepartitionMergeRungAdopted pins the violated-separator merge rung:
 // on a small moving-front campaign (the shape of the repart experiment),
 // some step's adopted placement is a merge — its J is strictly below the
-// kept prior's and every descent rung's — and no step's J is above what
-// the walk alone would reach. Without the merge phase the quick repart
-// transcript keeps its placements; this campaign does not. The campaign
+// kept prior's and every descent rung's — and no step's J is above the
+// kept prior's or what the walk alone would reach. Without the merge phase
+// the quick repart transcript keeps its placements; this campaign does not.
+// The campaign
 // also adopts descent rungs, so at every step the moved count and the
 // achieved tolerance, both derived from range boundaries without a
 // reduction, are checked against recounts over the whole mesh.
@@ -894,6 +900,9 @@ func TestRepartitionMergeRungAdopted(t *testing.T) {
 		}
 		obj := newObjective(opts.Machine, opts.Alpha, opts.PayloadBytes, opts.Tol, opts.Horizon)
 		j := obj.j(rr.Quality, rr.MovedElements)
+		if priorJ := obj.j(directQuality(sp, mesh), 0); j > priorJ {
+			t.Fatalf("step %d: Repartition's J %.6g is worse than keeping the prior (%.6g)", step, j, priorJ)
+		}
 		if j > walkJ {
 			t.Fatalf("step %d: Repartition's J %.6g is worse than the walk alone (%.6g)", step, j, walkJ)
 		}

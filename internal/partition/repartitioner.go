@@ -358,9 +358,8 @@ func (e *Repartitioner) adjust(dst []int64, rank, lo, hi sfc.Rank128, d int64) {
 // whose deviation from the ideal grain exceeds the rung's slack move to
 // the coarsest octant boundary inside the slack window around their
 // target, and the candidate is priced by the migration-aware objective
-// J = horizon·Tp + MigrationCost (warm) or by Tp alone (cold). The ladder
-// keeps the best placement seen and stops at the first worsening rung —
-// the same approach-from-the-right rule as runModelDriven.
+// J = horizon·Tp + MigrationCost (warm) or by Tp alone (cold). A ladder,
+// offered the kept prior first when warm, adopts and stops the rungs.
 //
 //alloc:zero
 func (e *Repartitioner) selectPlacement(warm bool) StepResult {
@@ -391,15 +390,14 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 	}
 
 	res := StepResult{}
-	var bestJ float64
-	haveBest := warm
+	var l ladder
 	if warm {
 		// Rung zero: keep the prior placement verbatim; it moves nothing.
 		q := e.scanQuality(e.aPos)
 		copy(e.bestPos, e.aPos)
 		copy(e.bestCounts, e.counts)
 		res = StepResult{Quality: q, Predicted: e.obj.tp(q), Rounds: 1, Kept: true}
-		bestJ = e.obj.j(q, 0)
+		l.offer(e.obj.j(q, 0), false)
 	}
 	for {
 		e.buildCandidate(slack, warm)
@@ -408,10 +406,9 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 		if warm {
 			moved = movedBetween(e.aPos, e.bPos, e.n)
 		}
-		j := e.obj.j(q, moved)
 		res.Rounds++
-		if !haveBest || j < bestJ {
-			haveBest = true
+		adopt, more := l.offer(e.obj.j(q, moved), false)
+		if adopt {
 			copy(e.bestPos, e.bPos)
 			copy(e.bestCounts, e.counts)
 			res.Quality = q
@@ -419,11 +416,8 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 			res.MovedElements = moved
 			res.MovedBytes = moved * int64(e.obj.payload)
 			res.Kept = false
-			bestJ = j
-		} else if j > bestJ {
-			break // refining further costs more than it saves
 		}
-		if slack == 0 {
+		if !more || slack == 0 {
 			break
 		}
 		slack /= 2
