@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"optipart/internal/comm"
@@ -298,7 +299,7 @@ func (s *selector) rangeCounts(seps []sfc.Rank128, counts []int64) {
 		to := partEnd(s.ranks, seps, from, r)
 		lower, upper := bracket(seps, r)
 		counts[r] = int64(to - from)
-		counts[p+r] = countRange(s.curve, s.local[from:to], s.lo[from:to], s.hi[from:to], lower, upper)
+		counts[p+r] = countRange(s.curve, s.local[from:to], s.lo[from:to], s.hi[from:to], lower, upper, math.MaxInt64)
 		from = to
 	}
 }

@@ -152,14 +152,14 @@ func fillColumns(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi []sfc.Rank128, 
 	})
 }
 
-// fillSpans fills the serial Repartitioner's columns with one
-// sfc.RankWithSpan call per key: ranks[i] and the exact span lo[i], hi[i].
-// The engine keeps exact spans because its count memo and range counts
-// compare every span it touches, over thousands of steps that reuse them.
-func fillSpans(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi []sfc.Rank128) {
+// fillSpans fills the serial Repartitioner's span columns with one
+// sfc.RankWithSpan call per key: the exact span lo[i], hi[i]. The engine
+// keeps exact spans because its count memo and range counts compare every
+// span it touches, over thousands of steps that reuse them.
+func fillSpans(curve *sfc.Curve, keys []sfc.Key, lo, hi []sfc.Rank128) {
 	fillChunks(len(keys), func(from, to int) {
 		for i := from; i < to; i++ {
-			ranks[i], lo[i], hi[i] = curve.RankWithSpan(keys[i])
+			_, lo[i], hi[i] = curve.RankWithSpan(keys[i])
 		}
 	})
 }
@@ -226,10 +226,10 @@ func scanCounts(curve *sfc.Curve, keys []sfc.Key, ranks, lo, hi, sepRanks []sfc.
 // countRange counts the boundary octants among one partition's elements,
 // keys with their span columns lo, hi, under the partition's bracket
 // [lower, upper): scanCounts' boundary test, box refinement included,
-// without its owner search.
+// without its owner search. The count stops once it reaches limit.
 //
 //alloc:zero
-func countRange(curve *sfc.Curve, keys []sfc.Key, lo, hi []sfc.Rank128, lower, upper sfc.Rank128) int64 {
+func countRange(curve *sfc.Curve, keys []sfc.Key, lo, hi []sfc.Rank128, lower, upper sfc.Rank128, limit int64) int64 {
 	lo, hi = lo[:len(keys)], hi[:len(keys)]
 	var b int64
 	for i := range keys {
@@ -242,7 +242,9 @@ func countRange(curve *sfc.Curve, keys []sfc.Key, lo, hi []sfc.Rank128, lower, u
 				continue
 			}
 		}
-		b++
+		if b++; b >= limit {
+			break
+		}
 	}
 	return b
 }

@@ -262,17 +262,19 @@ func TestRepartitionerSeedInvariants(t *testing.T) {
 	}
 }
 
-// checkColumns fails unless the engine's cached rank and span columns equal
-// fresh ranks of its keys and of their face neighbours.
+// checkColumns fails unless the engine's key column is in strictly
+// increasing curve rank order, the order its separator searches assume,
+// and its cached span columns equal fresh ranks of the keys' face
+// neighbours.
 func checkColumns(t *testing.T, e *Repartitioner, when string) {
 	t.Helper()
 	curve := e.cfg.Curve
-	if len(e.ranks) != e.n || len(e.lo) != e.n || len(e.hi) != e.n {
-		t.Fatalf("%s: columns hold %d ranks and %d/%d spans for %d elements", when, len(e.ranks), len(e.lo), len(e.hi), e.n)
+	if len(e.keys) != e.n || len(e.lo) != e.n || len(e.hi) != e.n {
+		t.Fatalf("%s: columns hold %d keys and %d/%d spans for %d elements", when, len(e.keys), len(e.lo), len(e.hi), e.n)
 	}
 	for i, k := range e.Keys() {
-		if e.ranks[i] != curve.Rank(k) {
-			t.Fatalf("%s: cached rank %d stale", when, i)
+		if i > 0 && !curve.Rank(e.keys[i-1]).Less(curve.Rank(k)) {
+			t.Fatalf("%s: key %d does not follow key %d in curve order", when, i, i-1)
 		}
 		lo, hi := sfc.MaxRank128, sfc.Rank128{}
 		for _, f := range octree.Faces(curve.Dim) {
@@ -616,7 +618,7 @@ func TestRepartitionerMovedAccounting(t *testing.T) {
 // TestRepartitionerStepAcrossWidths pins the parallel Step: a 100-step
 // moving-front campaign that grows a 33k-leaf mesh (five merge chunks) to
 // 63k, under online-repart's horizon of 240 steps, reports the same
-// StepResult sequence and ends with the same keys and rank and span columns
+// StepResult sequence and ends with the same key and span columns
 // under pool widths 1, 2 and 7. At every width each step's Quality equals a
 // full recount, so the count memo summed from the chunks' slices stays
 // exact.
@@ -627,10 +629,10 @@ func TestRepartitionerStepAcrossWidths(t *testing.T) {
 		t.Fatalf("mesh of %d leaves spans %d merge chunks, want at least 3", len(mesh), chunks)
 	}
 	type run struct {
-		results       []StepResult
-		keys          []sfc.Key
-		ranks, lo, hi []sfc.Rank128
-		reaimed       int
+		results []StepResult
+		keys    []sfc.Key
+		lo, hi  []sfc.Rank128
+		reaimed int
 	}
 	campaign := func(w int) (out run) {
 		prev := par.SetWorkers(w)
@@ -650,7 +652,7 @@ func TestRepartitionerStepAcrossWidths(t *testing.T) {
 			out.results = append(out.results, res)
 		}
 		out.keys = slices.Clone(e.Keys())
-		out.ranks, out.lo, out.hi = slices.Clone(e.ranks), slices.Clone(e.lo), slices.Clone(e.hi)
+		out.lo, out.hi = slices.Clone(e.lo), slices.Clone(e.hi)
 		return out
 	}
 	want := campaign(1)
@@ -662,11 +664,104 @@ func TestRepartitionerStepAcrossWidths(t *testing.T) {
 		if !slices.Equal(got.results, want.results) {
 			t.Fatalf("width %d: StepResult sequence differs from width 1", w)
 		}
-		if !slices.Equal(got.keys, want.keys) || !slices.Equal(got.ranks, want.ranks) ||
-			!slices.Equal(got.lo, want.lo) || !slices.Equal(got.hi, want.hi) {
+		if !slices.Equal(got.keys, want.keys) || !slices.Equal(got.lo, want.lo) || !slices.Equal(got.hi, want.hi) {
 			t.Fatalf("width %d: columns differ from width 1", w)
 		}
 	}
+}
+
+// TestRepartitionerEarlyExitExact holds the warm walk's early exit to the
+// full walk it cuts short. Two engines follow one moving-front campaign of
+// 200 steps (50 under -short) on both curves at p = 16 under Titan, tol
+// 0.03 and horizon 240: one Steps, the other merges the same delta and
+// prices every rung in full (fullWalk). Every StepResult and every adopted
+// placement must be bit-equal, and the campaign must both re-aim the
+// placement and end walks on a strictly worse rung, the rungs the early
+// exit prunes.
+func TestRepartitionerEarlyExitExact(t *testing.T) {
+	steps := 200
+	if testing.Short() {
+		steps = 50
+	}
+	cfg := RepartConfig{P: 16, Machine: machine.Titan(), Tol: 0.03, Horizon: 240}
+	for _, kind := range []sfc.Kind{sfc.Hilbert, sfc.Morton} {
+		cfg.Curve = sfc.NewCurve(kind, 3)
+		ev := octree.NewEvolver(cfg.Curve, 5, repartMesh(cfg.Curve, 6, 350, 6))
+		ev.RefineBias, ev.CoarsenBias = octree.FrontBias(3, 4, 6, 0.25)
+		e, full := NewRepartitioner(cfg), NewRepartitioner(cfg)
+		e.Seed(ev.Leaves())
+		full.Seed(ev.Leaves())
+		reaimed, pruned := 0, 0
+		for step := 0; step < steps; step++ {
+			d := ev.Step(campaignFracs(step, e.Len()))
+			got := e.Step(d)
+			full.applyDelta(d)
+			want, lost := fullWalk(full)
+			if got != want || math.Float64bits(got.Predicted) != math.Float64bits(want.Predicted) {
+				t.Fatalf("%v step %d: Step adopts %+v, the full walk %+v", kind, step, got, want)
+			}
+			if !slices.Equal(e.Splitters().Seps, full.Splitters().Seps) {
+				t.Fatalf("%v step %d: adopted separators differ from the full walk's", kind, step)
+			}
+			if !got.Kept {
+				reaimed++
+			}
+			if lost {
+				pruned++
+			}
+		}
+		t.Logf("%v: %d of %d steps re-aimed; %d walks ended on a worse rung", kind, reaimed, steps, pruned)
+		if reaimed == 0 || pruned == 0 {
+			t.Errorf("%v: %d steps re-aimed and %d walks ended on a worse rung; the campaign should exercise both", kind, reaimed, pruned)
+		}
+	}
+}
+
+// fullWalk is selectPlacement's warm walk without the early exit, for an
+// engine of n >= p elements: every rung is scanned in full and priced,
+// adopted when strictly better than the best so far, walked past on a tie,
+// and the walk stops on the first strictly worse rung, which it reports.
+func fullWalk(e *Repartitioner) (res StepResult, lost bool) {
+	p := e.cfg.P
+	e.aPos[0], e.aPos[p] = 0, e.n
+	for r := 1; r < p; r++ {
+		e.aPos[r] = e.cfg.Curve.LowerBoundKeys(e.keys, e.sepRanks[r-1])
+	}
+	q, _ := e.scanQuality(e.aPos, math.MaxInt64)
+	copy(e.bestPos, e.aPos)
+	copy(e.bestCounts, e.counts)
+	res = StepResult{Quality: q, Predicted: e.obj.tp(q), Rounds: 1, Kept: true}
+	best := e.obj.j(q, 0)
+	for slack := int(e.obj.tol * (float64(e.n) / float64(p))); ; slack /= 2 {
+		e.buildCandidate(slack, true)
+		q, _ := e.scanQuality(e.bPos, math.MaxInt64)
+		moved := movedBetween(e.aPos, e.bPos, e.n)
+		res.Rounds++
+		if v := e.obj.j(q, moved); v < best {
+			best = v
+			copy(e.bestPos, e.bPos)
+			copy(e.bestCounts, e.counts)
+			res.Quality, res.Predicted, res.Kept = q, e.obj.tp(q), false
+			res.MovedElements, res.MovedBytes = moved, moved*int64(e.obj.payload)
+		} else if lost = v > best; lost {
+			break
+		}
+		if slack == 0 {
+			break
+		}
+	}
+	e.posRanks(e.bestPos, e.memoRanks)
+	copy(e.counts, e.bestCounts)
+	if !res.Kept {
+		copy(e.sepRanks, e.memoRanks)
+		for r := 1; r < p; r++ {
+			e.seps[r-1] = InfKey
+			if e.bestPos[r] < e.n {
+				e.seps[r-1] = e.keys[e.bestPos[r]]
+			}
+		}
+	}
+	return res, lost
 }
 
 // TestRepartitionerMergeStraddlingFamily coarsens sibling families that
@@ -725,8 +820,12 @@ func TestRepartitionerMergeStraddlingFamily(t *testing.T) {
 		t.Fatal("merged keys differ from the expected leaves")
 	}
 	checkColumns(t, e, "merge")
+	ranks := make([]sfc.Rank128, e.n)
+	for i, k := range e.keys {
+		ranks[i] = curve.Rank(k)
+	}
 	recount := make([]int64, 2*e.cfg.P)
-	scanCounts(curve, e.keys, e.ranks, e.lo, e.hi, e.memoRanks, recount)
+	scanCounts(curve, e.keys, ranks, e.lo, e.hi, e.memoRanks, recount)
 	if !slices.Equal(e.counts, recount) {
 		t.Fatalf("count memo %v, full recount %v", e.counts, recount)
 	}

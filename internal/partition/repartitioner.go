@@ -1,8 +1,11 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
+	"sync/atomic"
 
 	"optipart/internal/machine"
 	"optipart/internal/octree"
@@ -56,16 +59,18 @@ type StepResult struct {
 }
 
 // Repartitioner is the serial incremental repartitioning engine: one
-// address space holding the whole mesh as arena-backed key, rank and
+// address space holding the whole mesh as arena-backed key and
 // neighbour-span columns, repartitioned across timesteps of an AMR loop.
 // Seed ingests the first mesh and cold-starts a model-driven placement;
-// Step applies an octree.Delta — re-ranking only the refined and coarsened
-// subtrees while every unchanged element keeps its cached curve rank and
-// span — and warm-starts the next placement from the previous one,
-// trading residual imbalance against migration through
-// machine.PredictRepartition. Each partition's work and boundary count is
+// Step applies an octree.Delta — spanning only the refined and coarsened
+// subtrees while every unchanged element keeps its cached span — and
+// warm-starts the next placement from the previous one, trading residual
+// imbalance against migration through machine.PredictRepartition. Curve
+// ranks are computed where they are read: the p-sized separator searches
+// and the leaves a delta edits. Each partition's work and boundary count is
 // memoized by its rank bracket and kept exact across a delta, so a Step
-// scans only the partitions whose bracket a rung moves, not the mesh. The
+// scans only the partitions whose bracket a rung moves, not the mesh, and a
+// rung stops at the first partition that prices it above the best. The
 // Step path performs no steady-state allocations: columns live on a
 // pooled psort.Arena and all selection scratch is sized once per (p, n)
 // high-water mark.
@@ -76,7 +81,6 @@ type Repartitioner struct {
 	obj    objective // cfg's model knobs with the defaults filled
 	arena  *psort.Arena
 	keys   []sfc.Key     // current mesh, curve order
-	ranks  []sfc.Rank128 // ranks[i] = Curve.Rank(keys[i]), the warm cache
 	lo, hi []sfc.Rank128 // keys[i]'s neighbour span, from Curve.RankWithSpan
 	n      int
 
@@ -102,14 +106,17 @@ type Repartitioner struct {
 	// allocates. applyDelta's chunks write disjoint runs of the alt
 	// columns and their memo adjustments into their own 2p slice of
 	// chunkCounts; scanQuality's chunks each recount one partition of
-	// rescan under the positions scanPos.
+	// rescan under the positions scanPos, and once one reaches limit they
+	// set lost and the rest return unscanned.
 	applyFn, scanFn func(chunk, lo, hi int)
 	delta           octree.Delta
 	nk              []sfc.Key
-	nr, nlo, nhi    []sfc.Rank128
+	nlo, nhi        []sfc.Rank128
 	mergeLen        int
 	chunkCounts     []int64 // maxMergeChunks × 2p
 	rescan, scanPos []int
+	limit           int64
+	lost            atomic.Bool
 }
 
 // NewRepartitioner builds an engine for the given configuration.
@@ -183,7 +190,7 @@ func (e *Repartitioner) Rebuild(keys []sfc.Key, prior *Splitters) StepResult {
 
 // Step applies one refine/coarsen delta to the cached mesh and warm-starts
 // the next placement from the previous one. Only refined children and
-// coarsened parents are re-ranked; every other element's cached rank is
+// coarsened parents are spanned; every other element's cached span is
 // copied in runs. Its cost follows the delta: each edited leaf adjusts the
 // count memo, and a rung rescans only the partitions whose bracket moved,
 // plus one bulk copy of the columns. The merge runs in chunks of about
@@ -204,8 +211,8 @@ func (e *Repartitioner) Step(delta octree.Delta) StepResult {
 
 // ingest copies keys into the arena's key column, sorts them along the
 // curve, linearizes duplicates and ancestor pairs out in place
-// (octree.LinearizeSorted), and fills every survivor's rank and exact
-// neighbour span with fillSpans.
+// (octree.LinearizeSorted), and fills every survivor's exact neighbour
+// span with fillSpans. The sort's rank column is not kept.
 func (e *Repartitioner) ingest(keys []sfc.Key) {
 	curve := e.cfg.Curve
 	ks := e.arena.Keys(len(keys))
@@ -213,17 +220,17 @@ func (e *Repartitioner) ingest(keys []sfc.Key) {
 	psort.TreeSortArena(curve, ks, e.arena)
 	e.n = len(octree.LinearizeSorted(ks))
 	e.memoOK = false
-	e.keys, e.ranks = e.arena.Columns(e.n)
+	e.keys = e.arena.Keys(e.n)
 	e.lo, e.hi = e.arena.Spans(e.n)
-	// Size the scratch span pair now, as the sort sized the key and rank
-	// scratch pair, so the first Step reslices instead of allocating.
+	// Size the scratch span pair now, as the sort sized the key scratch,
+	// so the first Step reslices instead of allocating.
 	e.arena.AltSpans(e.n)
-	fillSpans(curve, e.keys, e.ranks, e.lo, e.hi)
+	fillSpans(curve, e.keys, e.lo, e.hi)
 }
 
 // applyDelta merges the surviving elements into the scratch columns,
-// copying each untouched run between delta events in bulk and re-ranking
-// and re-spanning only what the delta touched, then adopts the scratch
+// copying each untouched run between delta events in bulk and spanning
+// only what the delta touched, then adopts the scratch
 // columns. Every removed and added leaf adjusts the count memo. The old
 // mesh is merged in chunks (applyChunk) on the par pool, and the chunks'
 // memo adjustments are summed in chunk order after the join.
@@ -238,7 +245,7 @@ func (e *Repartitioner) applyDelta(delta octree.Delta) {
 		//lint:ignore alloczero corrupt-delta panic path, never taken in a correct loop
 		panic(fmt.Errorf("partition: delta replay over %d elements produces %d, want %d, or edits past the end", e.n, w, delta.NewLen))
 	}
-	e.nk, e.nr = e.arena.AltColumns(delta.NewLen) //lint:ignore alloczero alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
+	e.nk = e.arena.AltKeys(delta.NewLen)          //lint:ignore alloczero alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
 	e.nlo, e.nhi = e.arena.AltSpans(delta.NewLen) //lint:ignore alloczero alt-column growth is a once-per-high-water-mark cold path; warm arenas reslice
 	e.delta = delta
 	e.mergeLen = max(mergeGrain, (e.n+maxMergeChunks-1)/maxMergeChunks)
@@ -252,8 +259,8 @@ func (e *Repartitioner) applyDelta(delta octree.Delta) {
 	}
 	e.arena.SwapAlt()
 	e.n = delta.NewLen
-	e.keys, e.ranks = e.arena.Columns(delta.NewLen) //lint:ignore alloczero column growth is a once-per-high-water-mark cold path; warm arenas reslice
-	e.lo, e.hi = e.arena.Spans(delta.NewLen)        //lint:ignore alloczero column growth is a once-per-high-water-mark cold path; warm arenas reslice
+	e.keys = e.arena.Keys(delta.NewLen)      //lint:ignore alloczero column growth is a once-per-high-water-mark cold path; warm arenas reslice
+	e.lo, e.hi = e.arena.Spans(delta.NewLen) //lint:ignore alloczero column growth is a once-per-high-water-mark cold path; warm arenas reslice
 }
 
 // mergeBound returns the old position where merge chunk c starts:
@@ -286,7 +293,7 @@ func (e *Repartitioner) applyChunk(c, _, _ int) {
 	curve := e.cfg.Curve
 	nch := curve.NumChildren()
 	d := &e.delta
-	nk, nr, nlo, nhi := e.nk, e.nr, e.nlo, e.nhi
+	nk, nlo, nhi := e.nk, e.nlo, e.nhi
 	i, end := e.mergeBound(c), e.mergeBound(c+1)
 	ri, _ := slices.BinarySearch(d.Refined, i)
 	ci, _ := slices.BinarySearch(d.Coarsened, i)
@@ -302,7 +309,6 @@ func (e *Repartitioner) applyChunk(c, _, _ int) {
 			next = d.Refined[ri]
 		}
 		copy(nk[w:], e.keys[i:next])
-		copy(nr[w:], e.ranks[i:next])
 		copy(nlo[w:], e.lo[i:next])
 		copy(nhi[w:], e.hi[i:next])
 		w += next - i
@@ -312,24 +318,24 @@ func (e *Repartitioner) applyChunk(c, _, _ int) {
 		}
 		if ci < len(d.Coarsened) && d.Coarsened[ci] == i {
 			for j := i; j < i+nch; j++ {
-				e.adjust(adj, e.ranks[j], e.lo[j], e.hi[j], -1)
+				e.adjust(adj, curve.Rank(e.keys[j]), e.lo[j], e.hi[j], -1)
 			}
 			parent := e.keys[i].Parent()
-			nk[w] = parent
-			nr[w], nlo[w], nhi[w] = curve.RankWithSpan(parent)
-			e.adjust(adj, nr[w], nlo[w], nhi[w], 1)
+			r, lo, hi := curve.RankWithSpan(parent)
+			nk[w], nlo[w], nhi[w] = parent, lo, hi
+			e.adjust(adj, r, lo, hi, 1)
 			w++
 			i += nch
 			ci++
 			continue
 		}
-		e.adjust(adj, e.ranks[i], e.lo[i], e.hi[i], -1)
+		e.adjust(adj, curve.Rank(e.keys[i]), e.lo[i], e.hi[i], -1)
 		st := curve.StateAt(e.keys[i])
 		for pos := 0; pos < nch; pos++ {
 			child := e.keys[i].Child(curve.ChildAt(st, pos)) //lint:ignore alloczero Key.Child's max-level panic is inlined here; the Evolver never refines a max-level leaf
-			nk[w] = child
-			nr[w], nlo[w], nhi[w] = curve.RankWithSpan(child)
-			e.adjust(adj, nr[w], nlo[w], nhi[w], 1)
+			r, lo, hi := curve.RankWithSpan(child)
+			nk[w], nlo[w], nhi[w] = child, lo, hi
+			e.adjust(adj, r, lo, hi, 1)
 			w++
 		}
 		i++
@@ -337,7 +343,7 @@ func (e *Repartitioner) applyChunk(c, _, _ int) {
 	}
 }
 
-// adjust moves one leaf, with cached rank and neighbour span lo, hi, into
+// adjust moves one leaf, with rank and neighbour span lo, hi, into
 // (d = 1) or out of (d = -1) the 2p [work | boundary] counts dst, a merge
 // chunk's slice of chunkCounts: the partition whose memo bracket holds the
 // rank gains or loses its work, and its boundary count when the span
@@ -359,7 +365,9 @@ func (e *Repartitioner) adjust(dst []int64, rank, lo, hi sfc.Rank128, d int64) {
 // the coarsest octant boundary inside the slack window around their
 // target, and the candidate is priced by the migration-aware objective
 // J = horizon·Tp + MigrationCost (warm) or by Tp alone (cold). A ladder,
-// offered the kept prior first when warm, adopts and stops the rungs.
+// offered the kept prior first when warm, adopts and stops the rungs. A
+// warm candidate's scan stops at its loss limit, which proves the rung
+// strictly worse than the best: the ladder would stop there too.
 //
 //alloc:zero
 func (e *Repartitioner) selectPlacement(warm bool) StepResult {
@@ -373,14 +381,14 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 			e.bPos[i] = e.n
 		}
 		e.bPos[0] = 0
-		q := e.scanQuality(e.bPos)
+		q, _ := e.scanQuality(e.bPos, math.MaxInt64)
 		return StepResult{Quality: q, Predicted: e.obj.tp(q), Kept: warm}
 	}
 
 	// Prior positions: where the current separators fall in the new mesh.
 	e.aPos[0], e.aPos[p] = 0, e.n
 	for r := 1; r < p; r++ {
-		e.aPos[r] = sfc.LowerBound(e.ranks, e.sepRanks[r-1])
+		e.aPos[r] = e.cfg.Curve.LowerBoundKeys(e.keys, e.sepRanks[r-1])
 	}
 
 	grain := float64(e.n) / float64(p)
@@ -393,7 +401,7 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 	var l ladder
 	if warm {
 		// Rung zero: keep the prior placement verbatim; it moves nothing.
-		q := e.scanQuality(e.aPos)
+		q, _ := e.scanQuality(e.aPos, math.MaxInt64)
 		copy(e.bestPos, e.aPos)
 		copy(e.bestCounts, e.counts)
 		res = StepResult{Quality: q, Predicted: e.obj.tp(q), Rounds: 1, Kept: true}
@@ -401,12 +409,17 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 	}
 	for {
 		e.buildCandidate(slack, warm)
-		q := e.scanQuality(e.bPos)
 		var moved int64
+		limit := int64(math.MaxInt64)
 		if warm {
 			moved = movedBetween(e.aPos, e.bPos, e.n)
+			limit = e.lossLimit(l.best, moved)
 		}
+		q, ok := e.scanQuality(e.bPos, limit)
 		res.Rounds++
+		if !ok {
+			break
+		}
 		adopt, more := l.offer(e.obj.j(q, moved), false)
 		if adopt {
 			copy(e.bestPos, e.bPos)
@@ -439,6 +452,29 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 		}
 	}
 	return res
+}
+
+// lossLimit returns the smallest boundary count that prices the candidate
+// in bPos, moving moved elements, strictly above best. Its Wmax is
+// positional, and J never decreases as Cmax grows, so the search is exact;
+// no partition counts more boundary elements than its work, so Wmax+1
+// means no count loses.
+//
+//alloc:zero
+func (e *Repartitioner) lossLimit(best float64, moved int64) int64 {
+	var wmax int64
+	for r := 0; r < e.cfg.P; r++ {
+		wmax = max(wmax, int64(e.bPos[r+1]-e.bPos[r]))
+	}
+	lo, hi := int64(0), wmax+1
+	for lo < hi {
+		if mid := (lo + hi) / 2; e.obj.j(Quality{Wmax: wmax, Cmax: mid}, moved) > best {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // buildCandidate fills bPos with the rung's candidate placement: each
@@ -524,48 +560,67 @@ func (e *Repartitioner) clampPos(r int) {
 // scanQuality is the serial Algorithm 2 over the engine's columns, which
 // are in curve order with distinct ranks. Under positions pos, partition r
 // is therefore exactly the elements [pos[r], pos[r+1]): its work is the
-// range's length, and its bracket is [ranks[pos[r]], ranks[pos[r+1]]),
-// zero before the first partition and MaxRank128 at or past n — the
-// brackets scanCounts derives from the same separator ranks. Only the
-// boundary test scans (countRange), and only for partitions whose bracket
-// differs from the memo's; the memo then holds pos's counts. Those
-// partitions are listed first, then counted one per chunk on the par pool.
+// range's length, and its bracket is [Rank(keys[pos[r]]),
+// Rank(keys[pos[r+1]])), zero before the first partition and MaxRank128 at
+// or past n — the brackets scanCounts derives from the same separator
+// ranks. Only the boundary test scans (countRange), and only for
+// partitions whose bracket differs from the memo's; the memo then holds
+// pos's counts. Those partitions are listed first, then counted one per
+// chunk on the par pool, dearest memo count first. A partition that counts
+// limit boundary elements loses the rung: the scan reports false at once
+// and leaves the memo for the caller to restore.
 //
 //alloc:zero
-func (e *Repartitioner) scanQuality(pos []int) Quality {
+func (e *Repartitioner) scanQuality(pos []int, limit int64) (Quality, bool) {
 	p := e.cfg.P
 	e.posRanks(pos, e.candRanks)
-	e.rescan, e.scanPos = e.rescan[:0], pos
+	e.rescan, e.scanPos, e.limit = e.rescan[:0], pos, limit
 	for r := 0; r < p; r++ {
 		if e.memoOK {
 			lower, upper := bracket(e.candRanks, r)
 			if ml, mu := bracket(e.memoRanks, r); ml == lower && mu == upper {
+				if e.counts[p+r] >= limit {
+					return Quality{}, false
+				}
 				continue
 			}
 		}
 		e.counts[r] = int64(pos[r+1] - pos[r])
 		e.rescan = append(e.rescan, r)
 	}
+	slices.SortFunc(e.rescan, func(a, b int) int { return cmp.Or(cmp.Compare(e.counts[p+b], e.counts[p+a]), a-b) })
+	e.lost.Store(false)
 	par.ForChunks(len(e.rescan), 1, e.scanFn)
+	if e.lost.Load() {
+		return Quality{}, false
+	}
 	copy(e.memoRanks, e.candRanks)
 	e.memoOK = true
-	return foldQuality(e.counts)
+	return foldQuality(e.counts), true
 }
 
 // scanChunk recounts the boundary of partition rescan[c] under scanPos.
 // It writes only that partition's boundary count; the span columns it
-// refines (countRange) lie inside the partition's own range.
+// refines (countRange) lie inside the partition's own range. Once the rung
+// is lost, no count is written: the loser's stopped at the limit.
 //
 //alloc:zero
 func (e *Repartitioner) scanChunk(c, _, _ int) {
+	if e.lost.Load() {
+		return
+	}
 	r, pos := e.rescan[c], e.scanPos
 	lower, upper := bracket(e.candRanks, r)
-	e.counts[e.cfg.P+r] = countRange(e.cfg.Curve, e.keys[pos[r]:pos[r+1]], e.lo[pos[r]:pos[r+1]], e.hi[pos[r]:pos[r+1]], lower, upper)
+	b := countRange(e.cfg.Curve, e.keys[pos[r]:pos[r+1]], e.lo[pos[r]:pos[r+1]], e.hi[pos[r]:pos[r+1]], lower, upper, e.limit)
+	if b >= e.limit {
+		e.lost.Store(true)
+		return
+	}
+	e.counts[e.cfg.P+r] = b
 }
 
-// posRanks fills seps with the separator ranks of positions pos: the
-// cached rank of the element each separator points at, MaxRank128 at or
-// past n.
+// posRanks fills seps with the separator ranks of positions pos: the rank
+// of the element each separator points at, MaxRank128 at or past n.
 //
 //alloc:zero
 func (e *Repartitioner) posRanks(pos []int, seps []sfc.Rank128) {
@@ -573,7 +628,7 @@ func (e *Repartitioner) posRanks(pos []int, seps []sfc.Rank128) {
 		if pos[r] >= e.n {
 			seps[r-1] = sfc.MaxRank128
 		} else {
-			seps[r-1] = e.ranks[pos[r]]
+			seps[r-1] = e.cfg.Curve.Rank(e.keys[pos[r]])
 		}
 	}
 }

@@ -96,19 +96,6 @@ func (a *Arena) Keys(n int) []sfc.Key {
 	return a.keys
 }
 
-// Columns returns the arena-owned key and rank columns, both resized to n
-// and aligned index-for-index. This is the persistent element store of the
-// incremental repartitioner: keys[i] and ranks[i] describe one element, and
-// both survive across timesteps so warm starts reuse the cached ranks. The
-// contents beyond the previous length are undefined.
-//
-//alloc:zero once the columns are warm; growth is the first-use cold path.
-func (a *Arena) Columns(n int) ([]sfc.Key, []sfc.Rank128) {
-	a.growKeys(n)                  //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
-	a.ranks = growRank(a.ranks, n) //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
-	return a.keys, a.ranks
-}
-
 // Ranks returns the rank column alone resized to n, for a caller that ranks
 // keys it holds itself. The contents are undefined.
 func (a *Arena) Ranks(n int) []sfc.Rank128 {
@@ -137,23 +124,23 @@ func (a *Arena) Pairs(n int) []KeyRank {
 	return a.pairs
 }
 
-// AltColumns returns the scratch key and rank columns resized to n. A
-// refine/coarsen step merges the surviving elements into the scratch pair,
-// then adopts it with SwapAlt — the double-buffering that lets unchanged
-// elements keep their cached ranks without any in-place shifting.
+// AltKeys returns the scratch key column resized to n. A refine/coarsen
+// step of the incremental repartitioner merges the surviving elements into
+// the scratch columns, then adopts them with SwapAlt — the double-buffering
+// that lets unchanged elements keep their cached spans without any
+// in-place shifting.
 //
-//alloc:zero once the columns are warm; growth is the first-use cold path.
-func (a *Arena) AltColumns(n int) ([]sfc.Key, []sfc.Rank128) {
+//alloc:zero once the column is warm; growth is the first-use cold path.
+func (a *Arena) AltKeys(n int) []sfc.Key {
 	if cap(a.kAlt) < n {
 		a.kAlt = make([]sfc.Key, growCap(n)) //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
 	}
 	a.kAlt = a.kAlt[:n]
-	a.rAlt = growRank(a.rAlt, n) //lint:ignore alloczero column growth runs once per size high-water mark; a warm arena reslices
-	return a.kAlt, a.rAlt
+	return a.kAlt
 }
 
-// AltSpans is AltColumns for the lo and hi columns: their scratch pair,
-// resized to n, which SwapAlt adopts together with the element columns.
+// AltSpans is AltKeys for the lo and hi columns: their scratch pair,
+// resized to n, which SwapAlt adopts together with the key column.
 //
 //alloc:zero once the columns are warm; growth is the first-use cold path.
 func (a *Arena) AltSpans(n int) (lo, hi []sfc.Rank128) {
@@ -162,13 +149,13 @@ func (a *Arena) AltSpans(n int) (lo, hi []sfc.Rank128) {
 	return a.loAlt, a.hiAlt
 }
 
-// SwapAlt exchanges the primary and scratch columns, making the merge
-// output written through AltColumns and AltSpans the new element store.
+// SwapAlt exchanges the primary and scratch key and span columns, making
+// the merge output written through AltKeys and AltSpans the new element
+// store. The rank columns are the sort's and stay where they are.
 //
 //alloc:zero
 func (a *Arena) SwapAlt() {
 	a.keys, a.kAlt = a.kAlt, a.keys
-	a.ranks, a.rAlt = a.rAlt, a.ranks
 	a.lo, a.loAlt = a.loAlt, a.lo
 	a.hi, a.hiAlt = a.hiAlt, a.hi
 }

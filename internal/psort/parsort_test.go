@@ -199,8 +199,8 @@ func TestArenaTrimKeepsBoundedColumns(t *testing.T) {
 
 // inflate grows every column of a to n elements.
 func inflate(a *psort.Arena, n int) {
-	a.Columns(n)
-	a.AltColumns(n)
+	a.Keys(n)
+	a.Grow(n)
 	a.Spans(n)
 	a.AltSpans(n)
 	a.Pairs(n)
@@ -211,8 +211,8 @@ func inflate(a *psort.Arena, n int) {
 // ranks, their scratch pair, the two span columns and their scratch pair,
 // then the pairs column.
 func columnCaps(a *psort.Arena) []int {
-	keys, ranks := a.Columns(0)
-	kAlt, rAlt := a.AltColumns(0)
+	keys, ranks := a.Keys(0), a.Ranks(0)
+	kAlt, rAlt := a.AltKeys(0), psort.RankAlt(a)
 	lo, hi := a.Spans(0)
 	loAlt, hiAlt := a.AltSpans(0)
 	return []int{cap(keys), cap(ranks), cap(kAlt), cap(rAlt), cap(lo), cap(hi), cap(loAlt), cap(hiAlt), cap(a.Pairs(0))}

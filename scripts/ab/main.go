@@ -22,8 +22,13 @@
 // gap, as a ratio, that these runs could call resolved.
 //
 // The modeled cost must not move: if modeled_tp_us differs within any
-// pair, ab exits 1, unless the metric is named with -intended. A completed
-// run appends one JSON row to the history file. The row keeps ratios and
+// pair, ab exits 1, unless the metric is named with -intended. Nor may any
+// other exact metric (the counts and model outputs the benchmark's own
+// -compare marks `changed`, per-layer ones included): after the pairs each
+// side runs one traced pass (-trace -1, same seed and seconds), the new
+// side's -compare reads both reports, and ab exits 1 on any metric it
+// marks changed that -intended does not name. A completed run appends one
+// JSON row to the history file. The row keeps ratios and
 // verdicts, never raw timings, which drift from day to day on one host.
 package main
 
@@ -102,7 +107,7 @@ func main() {
 	workload := flag.String("workload", "", "the benchmark workload to pair")
 	pairs := flag.Int("pairs", 10, "number of ABBA pairs")
 	seed := flag.Int64("seed", 1, "the benchmark's -seed")
-	intended := flag.String("intended", "", "comma-separated metrics allowed to differ exactly (modeled_tp_us)")
+	intended := flag.String("intended", "", "comma-separated exact metrics allowed to differ (modeled_tp_us, partition.kept_ratio, ...)")
 	history := flag.String("history", "scripts/ab_history.jsonl", "file the run's row is appended to (empty: none)")
 	flag.Parse()
 	if *oldRev == "" || *newRev == "" || *workload == "" || *pairs < 1 {
@@ -180,6 +185,22 @@ func run(oldRev, newRev, workload string, pairs int, seed int64, intended []stri
 	if exactErr != nil {
 		return exactErr
 	}
+	traced := slices.Clone(args)
+	traced[slices.Index(traced, "-trace")+1] = "-1"
+	reports := [2]string{filepath.Join(work, "old.json"), filepath.Join(work, "new.json")}
+	for i, s := range []side{oldSide, newSide} {
+		if err := tracedPass(s, traced, reports[i]); err != nil {
+			return err
+		}
+	}
+	moved, err := changedExact(newSide, reports[0], reports[1], intended)
+	if err != nil {
+		return err
+	}
+	if len(moved) > 0 {
+		return fmt.Errorf("the traced passes differ in exact metrics %s (name them with -intended if the change means to move them)", strings.Join(moved, ", "))
+	}
+	fmt.Println("exact metrics: the traced passes agree")
 	if history == "" {
 		return nil
 	}
@@ -271,6 +292,42 @@ func bench(s side, args []string) (runResult, error) {
 		return res, fmt.Errorf("%s: benchmark reports a failed output check", s.label)
 	}
 	return res, nil
+}
+
+// tracedPass runs one side once with args and writes the full report it
+// prints to path.
+func tracedPass(s side, args []string, path string) error {
+	cmd := exec.Command(s.bin, args...)
+	cmd.Dir = s.tree
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("%s: traced benchmark: %w\n%s", s.label, err, stderr.Bytes())
+	}
+	return os.WriteFile(path, out, 0o644)
+}
+
+// changedExact feeds the reports at oldPath and newPath through s's
+// benchmark -compare and returns the metrics it marks changed, less those
+// intended names. -compare exits 1 on an end-to-end regression, which one
+// traced pass per side cannot resolve, so only its changed markers count.
+func changedExact(s side, oldPath, newPath string, intended []string) ([]string, error) {
+	cmd := exec.Command(s.bin, "-compare", oldPath, newPath)
+	cmd.Dir = s.tree
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) || bytes.HasPrefix(out, []byte("compare:")) {
+		return nil, fmt.Errorf("%s: benchmark -compare: %v\n%s", s.label, err, out)
+	}
+	var moved []string
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Fields(line)
+		if i := slices.Index(f, "changed"); i >= 0 && i+1 < len(f) && !slices.Contains(intended, f[i+1]) {
+			moved = append(moved, f[i+1])
+		}
+	}
+	return moved, nil
 }
 
 // values returns one metric's value from each run, or nil when a run

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"os/exec"
 	"slices"
 	"testing"
 )
@@ -104,5 +105,57 @@ func TestJudge(t *testing.T) {
 	}
 	if got := judge(metricDef{Name: "keys_per_s", Better: "higher"}, old, fast); got.Wins != 1 || got.Losses != 9 {
 		t.Errorf("higher-is-better wins %d, losses %d", got.Wins, got.Losses)
+	}
+}
+
+// TestChangedExact feeds two canned reports of one online-repart pass
+// through the benchmark's own -compare: the exact metrics that moved, one
+// end-to-end and one per-layer, are reported unless -intended names them,
+// and clocks that moved are not.
+func TestChangedExact(t *testing.T) {
+	dir := t.TempDir()
+	s := side{label: "tree", tree: "../..", bin: dir + "/benchmark"}
+	if out, err := exec.Command("go", "build", "-o", s.bin, "../../benchmark").CombinedOutput(); err != nil {
+		t.Fatalf("build the benchmark: %v\n%s", err, out)
+	}
+	canned := func(name string, tp, kept, stepMs float64) string {
+		rep := map[string]any{"seed": 1, "seconds": 5, "reps": 3, "workloads": []any{map[string]any{
+			"name": "online-repart", "correct": true, "attempted": 10, "n": 10,
+			"end_to_end": map[string]any{"modeled_tp_us": map[string]any{"value": tp, "unit": "us"}},
+			"per_layer": map[string]any{
+				"partition.kept_ratio": map[string]any{"value": kept, "unit": "ratio"},
+				"partition.step_ms":    map[string]any{"value": stepMs, "unit": "ms"},
+			},
+		}}}
+		raw, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := dir + "/" + name
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	old, same, moved := canned("old.json", 1000, 0.75, 2), canned("same.json", 1000, 0.75, 1.5), canned("moved.json", 1001, 0.8, 1.5)
+	for _, c := range []struct {
+		newPath  string
+		intended []string
+		want     []string
+	}{
+		{same, nil, nil},
+		{moved, nil, []string{"modeled_tp_us", "partition.kept_ratio"}},
+		{moved, []string{"partition.kept_ratio"}, []string{"modeled_tp_us"}},
+	} {
+		got, err := changedExact(s, old, c.newPath, c.intended)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s, intended %v: changed %v, want %v", c.newPath, c.intended, got, c.want)
+		}
+	}
+	if _, err := changedExact(s, old, dir+"/missing.json", nil); err == nil {
+		t.Error("an unreadable report passed")
 	}
 }
