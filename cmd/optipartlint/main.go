@@ -4,7 +4,6 @@
 //
 //	nondeterminism   wall clocks, global rand, map-order output, goroutines
 //	apihygiene       reflection sorts, looped NewCurve, non-error panics
-//	unboundedgrowth  long-lived fields that only ever grow
 //	alloczero        heap allocations inside //alloc:zero functions
 //
 // Usage:

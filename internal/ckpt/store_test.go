@@ -134,3 +134,28 @@ func TestMemStore(t *testing.T) {
 		t.Fatal("restored bytes not tracked")
 	}
 }
+
+// TestMemStoreRetainsBoundedEpochs: a long campaign saves many epochs, and
+// the store keeps only the MemRetain most recent, keys and bytes alike, so
+// its memory stays bounded however long the campaign runs.
+func TestMemStoreRetainsBoundedEpochs(t *testing.T) {
+	m := NewMemStore()
+	for epoch := 1; epoch <= 4*MemRetain; epoch++ {
+		snap := testSnapshot(t, int64(epoch), 2)
+		snap.Epoch = epoch
+		if err := m.Save(snap); err != nil {
+			t.Fatal(err)
+		}
+		if len(m.snaps) > MemRetain {
+			t.Fatalf("after epoch %d the store holds %d epochs, more than MemRetain = %d", epoch, len(m.snaps), MemRetain)
+		}
+	}
+	for epoch := range m.snaps {
+		if epoch <= 3*MemRetain {
+			t.Fatalf("epoch %d retained after %d saves", epoch, 4*MemRetain)
+		}
+	}
+	if got, err := m.Latest(); err != nil || got.Epoch != 4*MemRetain {
+		t.Fatalf("latest: got %+v, %v", got, err)
+	}
+}

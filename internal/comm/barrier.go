@@ -84,7 +84,6 @@ func (b *barrier) depart(rank int) {
 		b.mu.Unlock()
 		return
 	}
-	//lint:ignore unboundedgrowth each rank departs at most once per world, so departed is bounded by the world's rank count and the barrier dies with the world
 	b.departed = append(b.departed, rank)
 	stranded := b.count > 0
 	departed := append([]int(nil), b.departed...)

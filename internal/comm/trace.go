@@ -32,7 +32,6 @@ func (t *Trace) add(e Event) {
 		return // zero-cost spans add noise, not information
 	}
 	t.mu.Lock()
-	//lint:ignore unboundedgrowth tracing is documented as memory proportional to events (see CheckedOptions.Trace): a Trace lives for one diagnostic run, not for service traffic
 	t.events = append(t.events, e)
 	t.mu.Unlock()
 }

@@ -29,9 +29,7 @@ var registry = map[string]Runner{}
 var descriptions = map[string]string{}
 
 func register(name, desc string, r Runner) {
-	//lint:ignore unboundedgrowth registry is filled once at package init from the fixed set of figure drivers in this package — bounded by program text
 	registry[name] = r
-	//lint:ignore unboundedgrowth same init-time registration as registry above: one entry per figure driver, never written after init
 	descriptions[name] = desc
 }
 

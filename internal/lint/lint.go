@@ -7,8 +7,6 @@
 //     flips,
 //   - apihygiene: the performance decisions (generic sorts, memoized
 //     curves, rank order) and structured panics, which no test times,
-//   - unboundedgrowth: long-lived state that only grows, which short
-//     tests never fill,
 //   - alloczero: every //alloc:zero function held to the compiler's
 //     escape analysis.
 //
@@ -72,7 +70,7 @@ type Analyzer struct {
 
 // Analyzers returns the full suite, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Nondeterminism, APIHygiene, UnboundedGrowth, AllocZero}
+	return []*Analyzer{Nondeterminism, APIHygiene, AllocZero}
 }
 
 // RuleNames returns the valid rule ids, for directive validation.

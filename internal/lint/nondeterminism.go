@@ -160,9 +160,18 @@ func isAppendTo(info *types.Info, rhs ast.Expr, obj types.Object) bool {
 	return ok && info.Uses[first] == obj
 }
 
-// sortedAfter reports whether obj is passed to a sort.* / slices.Sort* call
-// after the range loop within the same function — the collect-then-sort
-// idiom that restores determinism.
+// sorters are the sort and slices functions that sort their first
+// argument in place.
+var sorters = map[string]bool{
+	"sort.Ints": true, "sort.Strings": true, "sort.Float64s": true, "sort.Slice": true,
+	"sort.SliceStable": true, "sort.Sort": true, "sort.Stable": true,
+	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
+}
+
+// sortedAfter reports whether obj, or a conversion of it (sort.Sort's
+// byKey(ids)), is sorted by one of the sorters after the range loop within
+// the same function — the collect-then-sort idiom that restores
+// determinism.
 func sortedAfter(info *types.Info, fn *ast.FuncDecl, rng *ast.RangeStmt, obj types.Object) bool {
 	found := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -174,17 +183,15 @@ func sortedAfter(info *types.Info, fn *ast.FuncDecl, rng *ast.RangeStmt, obj typ
 			return true
 		}
 		callee := calleeFunc(info, call)
-		if callee == nil || callee.Pkg() == nil {
+		if callee == nil || callee.Pkg() == nil || !sorters[callee.Pkg().Path()+"."+callee.Name()] || len(call.Args) == 0 {
 			return true
 		}
-		pkg := callee.Pkg().Path()
-		if (pkg != "sort" && pkg != "slices") || !strings.HasPrefix(callee.Name(), "Sort") {
-			return true
+		arg := call.Args[0]
+		if conv, ok := arg.(*ast.CallExpr); ok && len(conv.Args) == 1 && info.Types[conv.Fun].IsType() {
+			arg = conv.Args[0]
 		}
-		if len(call.Args) > 0 {
-			if id, ok := call.Args[0].(*ast.Ident); ok && info.Uses[id] == obj {
-				found = true
-			}
+		if id, ok := arg.(*ast.Ident); ok && info.Uses[id] == obj {
+			found = true
 		}
 		return true
 	})

@@ -47,3 +47,15 @@ func compareOne(curve *sfc.Curve, a, b sfc.Key) bool {
 	cmp := (*sfc.Curve).Compare                            // want "\(\*sfc\.Curve\)\.Compare walks the tree"
 	return curve.Compare(a, b) < 0 && cmp(curve, b, a) > 0 // want "search by rank"
 }
+
+// sortedIDs collects map keys, then sorts them with sort.Ints: apihygiene
+// reports the sort, and nondeterminism must credit it as the sort that
+// restores key order, so the append draws no finding.
+func sortedIDs(m map[int]bool) []int {
+	var ids []int
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids) // want "sort\.Ints is reflection/interface-based"
+	return ids
+}

@@ -116,33 +116,38 @@ func Partition(c *comm.Comm, local []sfc.Key, opts Options) *Result {
 	a := psort.GetArena()
 	defer psort.PutArena(a)
 	ranks, _ := psort.TreeSortArena(opts.Curve, local, a)
-	return partitionSorted(c, local, ranks, a, opts)
+	return partitionSorted(c, c.Size(), local, ranks, a, opts)
 }
 
-// PartitionSorted is Partition over elements the caller has already sorted
-// along opts.Curve, with their rank column: ranks[i] = opts.Curve.Rank(local[i]).
-// It skips the sort but charges the same modeled local sort, so its Result
-// and modeled costs equal Partition's on the same sorted block. The service
-// calls it with blocks of its canonical octree, ranked once when it was
-// canonicalized. It must be called collectively by all ranks.
-func PartitionSorted(c *comm.Comm, local []sfc.Key, ranks []sfc.Rank128, opts Options) *Result {
+// PartitionSorted is Partition into p partitions over elements the caller
+// has sorted along opts.Curve, with their rank column: ranks[i] =
+// opts.Curve.Rank(local[i]). It charges the modeled sort it skips, so at
+// p = c.Size() its Result and modeled costs equal Partition's. Any world
+// size selects the same p partitions, but only p = c.Size() ranks can
+// exchange: otherwise it panics unless SkipExchange is set. The service calls it in one rank
+// over its whole canonical octree. It must be called by all ranks.
+func PartitionSorted(c *comm.Comm, p int, local []sfc.Key, ranks []sfc.Rank128, opts Options) *Result {
+	if p != c.Size() && !opts.SkipExchange {
+		panic(fmt.Errorf("partition: PartitionSorted into %d partitions exchanges over %d ranks; set SkipExchange", p, c.Size()))
+	}
 	a := psort.GetArena()
 	defer psort.PutArena(a)
-	return partitionSorted(c, local, ranks, a, opts)
+	return partitionSorted(c, p, local, ranks, a, opts)
 }
 
-// partitionSorted is the core behind both doors: the modeled local sort,
-// which both pay whether or not the host sorted, then splitter selection
-// over the sorted elements and their rank column, with the selector's span
-// columns drawn from a, then the exchange.
-func partitionSorted(c *comm.Comm, local []sfc.Key, ranks []sfc.Rank128, a *psort.Arena, opts Options) *Result {
+// partitionSorted is the core behind Partition, PartitionSorted and
+// Repartitioner.Seed: the modeled local sort, which each pays whether or
+// not the host sorted, then the selection of p partitions over the sorted
+// elements and their rank column, with the selector's span columns drawn
+// from a, then the exchange.
+func partitionSorted(c *comm.Comm, p int, local []sfc.Key, ranks []sfc.Rank128, a *psort.Arena, opts Options) *Result {
 	obj := newObjective(opts.Machine, opts.Alpha, opts.PayloadBytes, opts.Tol, 0)
 	curve := opts.Curve
 	c.SetPhase("local sort")
 	c.Compute(psort.LocalSortCost(len(local), curve.Dim)) // ChargeLocalSort's charge
 
 	c.SetPhase("splitter")
-	sel := newSelector(c, curve, local, ranks, a, opts.MaxSplitters)
+	sel := newSelector(c, p, curve, local, ranks, a, opts.MaxSplitters)
 	var sp *Splitters
 	var b []int
 	var q Quality
@@ -247,7 +252,7 @@ func (l *ladder) offer(v float64, empties bool) (adopt, more bool) {
 func runModelDriven(sel *selector, obj *objective) (best *Splitters, bestB []int, bestQ Quality) {
 	var l ladder
 	sel.descend(func(cand *Splitters, b []int, q Quality) bool {
-		adopt, more := l.offer(obj.tp(q), q.emptiesRank(sel.c.Size()))
+		adopt, more := l.offer(obj.tp(q), q.emptiesRank(sel.p))
 		if adopt {
 			best, bestB, bestQ = cand, b, q
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"optipart/internal/comm"
@@ -36,7 +37,10 @@ func runPartition(t *testing.T, p, perRank int, kind sfc.Kind, opts Options) []*
 // blocks — elements after the exchange, separators, quality, prediction,
 // rounds and achieved tolerance — and its world the same modeled clocks,
 // phase times, messages and bytes, so skipping the sort skips no charge.
-// Both curves, 2-D and 3-D, every mode, and p in {1, 3, 8}.
+// Partitions are not ranks: PartitionSorted into p partitions over k
+// ranks, for every k in 1..p, returns the same separators, quality,
+// prediction, rounds and achieved tolerance as Partition at p ranks. Both
+// curves, 2-D and 3-D, every mode, and p in {1, 3, 8}.
 func TestPartitionSortedMatchesPartition(t *testing.T) {
 	m := machine.Wisconsin8()
 	for _, kind := range []sfc.Kind{sfc.Morton, sfc.Hilbert} {
@@ -58,7 +62,7 @@ func TestPartitionSortedMatchesPartition(t *testing.T) {
 							lo, hi := len(keys)*c.Rank()/p, len(keys)*(c.Rank()+1)/p
 							block := slices.Clone(keys[lo:hi])
 							if sorted {
-								res[c.Rank()] = PartitionSorted(c, block, ranks[lo:hi], opts)
+								res[c.Rank()] = PartitionSorted(c, p, block, ranks[lo:hi], opts)
 							} else {
 								res[c.Rank()] = Partition(c, block, opts)
 							}
@@ -81,9 +85,41 @@ func TestPartitionSortedMatchesPartition(t *testing.T) {
 					if !reflect.DeepEqual(gotStats, wantStats) {
 						t.Fatalf("%v dim=%d %v p=%d: PartitionSorted stats %+v, Partition %+v", kind, dim, mode, p, gotStats, wantStats)
 					}
+					kopts := opts
+					kopts.SkipExchange = true
+					for k := 1; k <= p; k++ {
+						var g *Result
+						comm.Run(k, m.CostModel(), func(c *comm.Comm) {
+							lo, hi := len(keys)*c.Rank()/k, len(keys)*(c.Rank()+1)/k
+							if res := PartitionSorted(c, p, keys[lo:hi], ranks[lo:hi], kopts); c.Rank() == 0 {
+								g = res
+							}
+						})
+						w := want[0]
+						if !slices.Equal(g.Splitters.Seps, w.Splitters.Seps) || g.Quality != w.Quality ||
+							g.Predicted != w.Predicted || g.Rounds != w.Rounds || g.AchievedTol != w.AchievedTol {
+							t.Fatalf("%v dim=%d %v p=%d: PartitionSorted over %d ranks %+v, Partition over %d %+v", kind, dim, mode, p, k, g, p, w)
+						}
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestPartitionSortedRefusesUnexchangeable: p partitions cannot be
+// exchanged over a world of another size, so PartitionSorted fails the
+// world instead of exchanging into the wrong ranks.
+func TestPartitionSortedRefusesUnexchangeable(t *testing.T) {
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	keys := []sfc.Key{sfc.RootKey}
+	ranks := []sfc.Rank128{curve.Rank(sfc.RootKey)}
+	_, err := comm.RunChecked(1, comm.CostModel{}, func(c *comm.Comm) error {
+		PartitionSorted(c, 3, keys, ranks, Options{Curve: curve, Machine: machine.Titan()})
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "SkipExchange") {
+		t.Fatalf("PartitionSorted into 3 partitions over 1 rank: err %v, want a SkipExchange refusal", err)
 	}
 }
 

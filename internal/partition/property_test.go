@@ -243,7 +243,7 @@ func TestSelectorRungsMatchExactSpans(t *testing.T) {
 					}
 					a := psort.GetArena()
 					defer psort.PutArena(a)
-					sel := newSelector(c, curve, local, ranks, a, 0)
+					sel := newSelector(c, c.Size(), curve, local, ranks, a, 0)
 					sel.descend(func(cand *Splitters, _ []int, q Quality) bool {
 						// The rung's range counts equal scanCounts on the
 						// selector's own columns.

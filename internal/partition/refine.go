@@ -48,6 +48,7 @@ type selector struct {
 	ranks   []sfc.Rank128 // ranks[i] = curve.Rank(local[i])
 	lo, hi  []sfc.Rank128 // local[i]'s neighbour span or a box around it (see scanCounts)
 	buckets []bucket
+	p       int     // partition count, independent of the world size
 	targets []int64 // ideal global splitter ranks r·N/p, r = 1..p-1
 	n       int64   // global element count
 	kmax    int     // max buckets refined per reduction (the paper's k ≤ p)
@@ -55,14 +56,14 @@ type selector struct {
 	offsBuf []int // reused flat offset scratch for splitChunk
 }
 
-// newSelector builds a selector over the sorted local elements and their
-// rank column, ranks (the sort's, or the caller's of PartitionSorted). The
-// span columns come from a, so the selector's columns live exactly as long
-// as the caller holds a and ranks.
-func newSelector(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, ranks []sfc.Rank128, a *psort.Arena, kmax int) *selector {
-	s := &selector{c: c, curve: curve, local: local, ranks: ranks, kmax: kmax}
+// newSelector builds a selector for p partitions over the sorted local
+// elements and their rank column, ranks. Splitters derive from global
+// counts alone, so p need not be the world size. The span columns come
+// from a, so the selector's columns live as long as the caller holds a.
+func newSelector(c *comm.Comm, p int, curve *sfc.Curve, local []sfc.Key, ranks []sfc.Rank128, a *psort.Arena, kmax int) *selector {
+	s := &selector{c: c, p: p, curve: curve, local: local, ranks: ranks, kmax: kmax}
 	if s.kmax <= 0 {
-		s.kmax = c.Size()
+		s.kmax = p
 	}
 	s.lo, s.hi = a.Spans(len(local))
 	fillColumns(curve, local, ranks, s.lo, s.hi, false)
@@ -74,7 +75,7 @@ func newSelector(c *comm.Comm, curve *sfc.Curve, local []sfc.Key, ranks []sfc.Ra
 // restart returns a selector over the same elements, cached columns and
 // global count with a fresh bucket tree. It issues no reduction.
 func (s *selector) restart() *selector {
-	t := &selector{c: s.c, curve: s.curve, local: s.local, ranks: s.ranks, lo: s.lo, hi: s.hi, kmax: s.kmax, n: s.n}
+	t := &selector{c: s.c, p: s.p, curve: s.curve, local: s.local, ranks: s.ranks, lo: s.lo, hi: s.hi, kmax: s.kmax, n: s.n}
 	t.start()
 	return t
 }
@@ -82,7 +83,6 @@ func (s *selector) restart() *selector {
 // start sets up the root bucket over the global count n and the ideal
 // splitter ranks.
 func (s *selector) start() {
-	p := s.c.Size()
 	s.buckets = []bucket{{
 		key:   sfc.RootKey,
 		state: s.curve.RootState(),
@@ -91,15 +91,15 @@ func (s *selector) start() {
 		lo:    0,
 		hi:    len(s.local),
 	}}
-	s.targets = make([]int64, p-1)
-	for r := 1; r < p; r++ {
-		s.targets[r-1] = int64(r) * s.n / int64(p)
+	s.targets = make([]int64, s.p-1)
+	for r := 1; r < s.p; r++ {
+		s.targets[r-1] = int64(r) * s.n / int64(s.p)
 	}
 }
 
-// grain returns the ideal per-rank load N/p.
+// grain returns the ideal per-partition load N/p.
 func (s *selector) grain() float64 {
-	return float64(s.n) / float64(s.c.Size())
+	return float64(s.n) / float64(s.p)
 }
 
 // worstDeviation returns the largest distance from any target to its

@@ -75,7 +75,7 @@ func Repartition(c *comm.Comm, local []sfc.Key, opts RepartOptions) *RepartResul
 	}
 
 	c.SetPhase("splitter")
-	sel := newSelector(c, curve, local, ranks, a, opts.MaxSplitters)
+	sel := newSelector(c, p, curve, local, ranks, a, opts.MaxSplitters)
 
 	// Rung zero: keep the prior placement verbatim. Its quality is the
 	// baseline objective; it moves nothing. Its range boundaries in the new

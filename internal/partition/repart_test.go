@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -218,7 +219,7 @@ func TestMergeSepsClampCopiesBoundary(t *testing.T) {
 		a := psort.GetArena()
 		defer psort.PutArena(a)
 		ranks, _ := psort.TreeSortArena(curve, local, a)
-		sel := newSelector(c, curve, local, ranks, a, 0)
+		sel := newSelector(c, c.Size(), curve, local, ranks, a, 0)
 		priorB := priorBounds(c, sel, prior)
 		violated := []int64{sel.targets[1]}
 		sel.targets = violated
@@ -260,6 +261,67 @@ func TestRepartitionerSeedInvariants(t *testing.T) {
 	if sp.P() != 8 {
 		t.Fatalf("splitters P = %d, want 8", sp.P())
 	}
+
+	// The cold start is Algorithm 3: Seed's separators are Partition's
+	// under ModelDriven at the same p, curve and machine, and its Quality
+	// is Algorithm 2 under the element positions they fall at.
+	for _, kind := range []sfc.Kind{sfc.Hilbert, sfc.Morton} {
+		curve := sfc.NewCurve(kind, 3)
+		mesh := repartMesh(curve, 4, 400, 6)
+		for _, m := range []machine.Machine{machine.Titan(), machine.Wisconsin8()} {
+			for _, p := range []int{3, 8, 16} {
+				cfg := engineConfig(curve, p)
+				cfg.Machine = m
+				e := NewRepartitioner(cfg)
+				res := e.Seed(mesh)
+				var want *Splitters
+				comm.Run(p, m.CostModel(), func(c *comm.Comm) {
+					opts := Options{Curve: curve, Mode: ModelDriven, Machine: m, SkipExchange: true}
+					if r := Partition(c, blockOf(mesh, p, c.Rank()), opts); c.Rank() == 0 {
+						want = r.Splitters
+					}
+				})
+				if got := e.Splitters(); !slices.Equal(got.Seps, want.Seps) {
+					t.Fatalf("%v %s p=%d: Seed separators %v, Partition's %v", kind, m.Name, p, got.Seps, want.Seps)
+				}
+				keys := e.Keys()
+				snapped := &Splitters{Curve: curve, Seps: make([]sfc.Key, p-1)}
+				for i, pos := range want.Ranges(keys)[1:p] {
+					snapped.Seps[i] = InfKey
+					if pos < len(keys) {
+						snapped.Seps[i] = keys[pos]
+					}
+				}
+				comm.Run(1, comm.CostModel{}, func(c *comm.Comm) {
+					if q := EvaluateQuality(c, curve, keys, snapped); q != res.Quality {
+						t.Errorf("%v %s p=%d: Seed quality %+v, Algorithm 2 under its snapped separators %+v", kind, m.Name, p, res.Quality, q)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRepartitionerKeepsNoRankColumn: the sort's rank columns live in a
+// borrowed arena for as long as Seed's selection reads them, so the
+// engine's own arena never holds one, after Seed or after Rebuild.
+func TestRepartitionerKeepsNoRankColumn(t *testing.T) {
+	curve := sfc.NewCurve(sfc.Hilbert, 3)
+	mesh := repartMesh(curve, 4, 400, 6)
+	e := NewRepartitioner(engineConfig(curve, 8))
+	check := func(when string) {
+		t.Helper()
+		a := reflect.ValueOf(e.arena).Elem()
+		for _, name := range []string{"ranks", "rAlt"} {
+			if col := a.FieldByName(name); !col.IsValid() || col.Cap() != 0 {
+				t.Fatalf("after %s the engine arena's %s column is %v with capacity %d, want an empty column", when, name, col.IsValid(), col.Cap())
+			}
+		}
+	}
+	e.Seed(mesh)
+	check("Seed")
+	e.Rebuild(mesh, e.Splitters())
+	check("Rebuild")
 }
 
 // checkColumns fails unless the engine's key column is in strictly
@@ -733,7 +795,7 @@ func fullWalk(e *Repartitioner) (res StepResult, lost bool) {
 	res = StepResult{Quality: q, Predicted: e.obj.tp(q), Rounds: 1, Kept: true}
 	best := e.obj.j(q, 0)
 	for slack := int(e.obj.tol * (float64(e.n) / float64(p))); ; slack /= 2 {
-		e.buildCandidate(slack, true)
+		e.buildCandidate(slack)
 		q, _ := e.scanQuality(e.bPos, math.MaxInt64)
 		moved := movedBetween(e.aPos, e.bPos, e.n)
 		res.Rounds++
@@ -829,7 +891,7 @@ func TestRepartitionerMergeStraddlingFamily(t *testing.T) {
 	if !slices.Equal(e.counts, recount) {
 		t.Fatalf("count memo %v, full recount %v", e.counts, recount)
 	}
-	if res, q := e.selectPlacement(true), fullQuality(e); res.Quality != q {
+	if res, q := e.selectPlacement(), fullQuality(e); res.Quality != q {
 		t.Fatalf("reported quality %+v, full recount %+v", res.Quality, q)
 	}
 }
@@ -910,7 +972,7 @@ func walkOnlyJ(c *comm.Comm, local []sfc.Key, opts RepartOptions) float64 {
 	a := psort.GetArena()
 	defer psort.PutArena(a)
 	ranks, _ := psort.TreeSortArena(opts.Curve, local, a)
-	sel := newSelector(c, opts.Curve, local, ranks, a, opts.MaxSplitters)
+	sel := newSelector(c, c.Size(), opts.Curve, local, ranks, a, opts.MaxSplitters)
 	best := obj.j(sel.quality(opts.Prior), 0)
 	minT := math.Inf(1)
 	sel.descend(func(cand *Splitters, _ []int, q Quality) bool {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"optipart/internal/comm"
 	"optipart/internal/machine"
 	"optipart/internal/octree"
 	"optipart/internal/par"
@@ -164,11 +165,25 @@ func (e *Repartitioner) Splitters() *Splitters {
 }
 
 // Seed ingests the first mesh (keys are copied, sorted, and linearized)
-// and cold-starts a placement by the model-driven ladder, with no
-// migration term because there is no prior data to move.
+// and cold-starts a placement with Partition's Algorithm 3 (partitionSorted,
+// ModelDriven, default α and payload) selecting cfg.P partitions in a
+// one-rank world over the engine's columns. Its Splitters are that
+// selection's and its Rounds the selection's rounds; its Quality is counted
+// under the element positions the separators fall at, as Step counts.
 func (e *Repartitioner) Seed(keys []sfc.Key) StepResult {
-	e.ingest(keys)
-	return e.selectPlacement(false)
+	sa := psort.GetArena()
+	defer psort.PutArena(sa)
+	ranks := e.ingest(keys, sa)
+	var sel *Result
+	comm.Run(1, comm.CostModel{}, func(c *comm.Comm) {
+		opts := Options{Curve: e.cfg.Curve, Mode: ModelDriven, Machine: e.cfg.Machine, SkipExchange: true}
+		sel = partitionSorted(c, e.cfg.P, e.keys, ranks, sa, opts)
+	})
+	copy(e.seps, sel.Splitters.Seps)
+	copy(e.sepRanks, sel.Splitters.ranks())
+	res := e.keepPrior()
+	res.Rounds, res.Kept = sel.Rounds, false
+	return res
 }
 
 // Rebuild re-ingests a full mesh (re-ranking every element) and
@@ -182,10 +197,12 @@ func (e *Repartitioner) Rebuild(keys []sfc.Key, prior *Splitters) StepResult {
 	if prior.P() != e.cfg.P {
 		panic(fmt.Errorf("partition: Rebuild prior has %d partitions, engine has %d", prior.P(), e.cfg.P))
 	}
-	e.ingest(keys)
+	sa := psort.GetArena()
+	e.ingest(keys, sa)
+	psort.PutArena(sa)
 	copy(e.seps, prior.Seps)
 	copy(e.sepRanks, prior.ranks())
-	return e.selectPlacement(true)
+	return e.selectPlacement()
 }
 
 // Step applies one refine/coarsen delta to the cached mesh and warm-starts
@@ -206,26 +223,32 @@ func (e *Repartitioner) Step(delta octree.Delta) StepResult {
 		panic(fmt.Errorf("partition: Step delta against %d elements, engine holds %d", delta.OldLen, e.n))
 	}
 	e.applyDelta(delta)
-	return e.selectPlacement(true)
+	return e.selectPlacement()
 }
 
-// ingest copies keys into the arena's key column, sorts them along the
-// curve, linearizes duplicates and ancestor pairs out in place
-// (octree.LinearizeSorted), and fills every survivor's exact neighbour
-// span with fillSpans. The sort's rank column is not kept.
-func (e *Repartitioner) ingest(keys []sfc.Key) {
+// ingest sorts a copy of keys along the curve in the borrowed arena sa,
+// linearizes duplicates and ancestor pairs out together with the sort's
+// rank column (octree.LinearizeSortedRanks), copies the survivors into the
+// engine's key column, and fills each one's exact neighbour span with
+// fillSpans. It returns the survivors' rank column, which lives in sa: the
+// engine's own arena holds no rank column.
+func (e *Repartitioner) ingest(keys []sfc.Key, sa *psort.Arena) []sfc.Rank128 {
 	curve := e.cfg.Curve
-	ks := e.arena.Keys(len(keys))
+	ks := sa.Keys(len(keys))
 	copy(ks, keys)
-	psort.TreeSortArena(curve, ks, e.arena)
-	e.n = len(octree.LinearizeSorted(ks))
+	ranks, _ := psort.TreeSortArena(curve, ks, sa)
+	ks, ranks = octree.LinearizeSortedRanks(ks, ranks)
+	e.n = len(ks)
 	e.memoOK = false
 	e.keys = e.arena.Keys(e.n)
+	copy(e.keys, ks)
 	e.lo, e.hi = e.arena.Spans(e.n)
-	// Size the scratch span pair now, as the sort sized the key scratch,
-	// so the first Step reslices instead of allocating.
+	// Size the scratch columns now, so the first Step reslices instead of
+	// allocating.
+	e.arena.AltKeys(e.n)
 	e.arena.AltSpans(e.n)
 	fillSpans(curve, e.keys, e.lo, e.hi)
+	return ranks
 }
 
 // applyDelta merges the surviving elements into the scratch columns,
@@ -360,17 +383,17 @@ func (e *Repartitioner) adjust(dst []int64, rank, lo, hi sfc.Rank128, d int64) {
 	}
 }
 
-// selectPlacement runs the slack-halving ladder: at each rung, separators
-// whose deviation from the ideal grain exceeds the rung's slack move to
-// the coarsest octant boundary inside the slack window around their
-// target, and the candidate is priced by the migration-aware objective
-// J = horizon·Tp + MigrationCost (warm) or by Tp alone (cold). A ladder,
-// offered the kept prior first when warm, adopts and stops the rungs. A
-// warm candidate's scan stops at its loss limit, which proves the rung
-// strictly worse than the best: the ladder would stop there too.
+// selectPlacement runs the warm slack-halving ladder: at each rung,
+// separators whose deviation from the ideal grain exceeds the rung's slack
+// move to the coarsest octant boundary inside the slack window around
+// their target, and the candidate is priced by the migration-aware
+// objective J = horizon·Tp + MigrationCost. A ladder, offered the kept
+// prior first, adopts and stops the rungs. A candidate's scan stops at its
+// loss limit, which proves the rung strictly worse than the best: the
+// ladder would stop there too.
 //
 //alloc:zero
-func (e *Repartitioner) selectPlacement(warm bool) StepResult {
+func (e *Repartitioner) selectPlacement() StepResult {
 	p := e.cfg.P
 	if p == 1 || e.n == 0 {
 		for i := range e.seps {
@@ -382,40 +405,18 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 		}
 		e.bPos[0] = 0
 		q, _ := e.scanQuality(e.bPos, math.MaxInt64)
-		return StepResult{Quality: q, Predicted: e.obj.tp(q), Kept: warm}
+		return StepResult{Quality: q, Predicted: e.obj.tp(q), Kept: true}
 	}
 
-	// Prior positions: where the current separators fall in the new mesh.
-	e.aPos[0], e.aPos[p] = 0, e.n
-	for r := 1; r < p; r++ {
-		e.aPos[r] = e.cfg.Curve.LowerBoundKeys(e.keys, e.sepRanks[r-1])
-	}
-
-	grain := float64(e.n) / float64(p)
-	slack := int(e.obj.tol * grain)
-	if !warm {
-		slack = int(grain / 2)
-	}
-
-	res := StepResult{}
+	// Rung zero: keep the prior placement verbatim; it moves nothing.
+	res := e.keepPrior()
 	var l ladder
-	if warm {
-		// Rung zero: keep the prior placement verbatim; it moves nothing.
-		q, _ := e.scanQuality(e.aPos, math.MaxInt64)
-		copy(e.bestPos, e.aPos)
-		copy(e.bestCounts, e.counts)
-		res = StepResult{Quality: q, Predicted: e.obj.tp(q), Rounds: 1, Kept: true}
-		l.offer(e.obj.j(q, 0), false)
-	}
+	l.offer(e.obj.j(res.Quality, 0), false)
+	slack := int(e.obj.tol * (float64(e.n) / float64(p)))
 	for {
-		e.buildCandidate(slack, warm)
-		var moved int64
-		limit := int64(math.MaxInt64)
-		if warm {
-			moved = movedBetween(e.aPos, e.bPos, e.n)
-			limit = e.lossLimit(l.best, moved)
-		}
-		q, ok := e.scanQuality(e.bPos, limit)
+		e.buildCandidate(slack)
+		moved := movedBetween(e.aPos, e.bPos, e.n)
+		q, ok := e.scanQuality(e.bPos, e.lossLimit(l.best, moved))
 		res.Rounds++
 		if !ok {
 			break
@@ -454,6 +455,23 @@ func (e *Repartitioner) selectPlacement(warm bool) StepResult {
 	return res
 }
 
+// keepPrior prices the placement in force on the current mesh: its
+// separators' positions go to aPos and bestPos, and its counts to the memo
+// and bestCounts. It moves nothing.
+//
+//alloc:zero
+func (e *Repartitioner) keepPrior() StepResult {
+	p := e.cfg.P
+	e.aPos[0], e.aPos[p] = 0, e.n
+	for r := 1; r < p; r++ {
+		e.aPos[r] = e.cfg.Curve.LowerBoundKeys(e.keys, e.sepRanks[r-1])
+	}
+	q, _ := e.scanQuality(e.aPos, math.MaxInt64)
+	copy(e.bestPos, e.aPos)
+	copy(e.bestCounts, e.counts)
+	return StepResult{Quality: q, Predicted: e.obj.tp(q), Rounds: 1, Kept: true}
+}
+
 // lossLimit returns the smallest boundary count that prices the candidate
 // in bPos, moving moved elements, strictly above best. Its Wmax is
 // positional, and J never decreases as Cmax grows, so the search is exact;
@@ -478,14 +496,14 @@ func (e *Repartitioner) lossLimit(best float64, moved int64) int64 {
 }
 
 // buildCandidate fills bPos with the rung's candidate placement: each
-// separator keeps its prior position when within slack of its target
-// (warm), otherwise it snaps to the coarsest element boundary inside the
-// slack window around the target, ties broken toward the target. Positions
-// are clamped strictly increasing, so every partition holds at least one
+// separator keeps its prior position when within slack of its target,
+// otherwise it snaps to the coarsest element boundary inside the slack
+// window around the target, ties broken toward the target. Positions are
+// clamped strictly increasing, so every partition holds at least one
 // element whenever n >= p.
 //
 //alloc:zero
-func (e *Repartitioner) buildCandidate(slack int, warm bool) {
+func (e *Repartitioner) buildCandidate(slack int) {
 	p := e.cfg.P
 	e.bPos[0], e.bPos[p] = 0, e.n
 	if e.n < p {
@@ -496,46 +514,17 @@ func (e *Repartitioner) buildCandidate(slack int, warm bool) {
 	}
 	for r := 1; r < p; r++ {
 		target := r * e.n / p
-		if warm {
-			dev := e.aPos[r] - target
-			if dev < 0 {
-				dev = -dev
-			}
-			if dev <= slack {
-				e.bPos[r] = e.aPos[r]
-				e.clampPos(r)
-				continue
-			}
+		if dev := e.aPos[r] - target; max(dev, -dev) <= slack {
+			e.bPos[r] = e.aPos[r]
+			e.clampPos(r)
+			continue
 		}
-		lo, hi := target-slack, target+slack
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > e.n-1 {
-			hi = e.n - 1
-		}
-		best := target
-		if best < lo {
-			best = lo
-		}
-		if best > hi {
-			best = hi
-		}
-		bestLevel := e.keys[best].Level
-		bestDist := best - target
-		if bestDist < 0 {
-			bestDist = -bestDist
-		}
+		lo, hi := max(target-slack, 1), min(target+slack, e.n-1)
+		best := min(max(target, lo), hi)
+		bestLevel, bestDist := e.keys[best].Level, max(best-target, target-best)
 		for j := lo; j <= hi; j++ {
-			lv := e.keys[j].Level
-			if lv > bestLevel {
-				continue
-			}
-			dist := j - target
-			if dist < 0 {
-				dist = -dist
-			}
-			if lv < bestLevel || dist < bestDist {
+			lv, dist := e.keys[j].Level, max(j-target, target-j)
+			if lv < bestLevel || lv == bestLevel && dist < bestDist {
 				best, bestLevel, bestDist = j, lv, dist
 			}
 		}

@@ -337,10 +337,10 @@ func (s *Service) lead(d digest128, req Request, curve *sfc.Curve, canon []sfc.K
 	return &e.resp, false, nil
 }
 
-// maxRanks bounds Request.Ranks. A miss runs a world of Ranks goroutines
-// whose exchange buffers grow with Ranks², so one request for a million
-// ranks would exhaust the host's memory. At 1024 ranks a miss of a few
-// thousand keys peaks near 0.8 GB, which two slots can afford.
+// maxRanks bounds Request.Ranks. A miss selects Ranks partitions in one
+// rank, but every refinement round, rung and response sizes its scratch by
+// Ranks, so an unbounded count lets one request hold a slot and memory in
+// proportion to a number the client picks.
 const maxRanks = 1024
 
 func validate(req *Request) error {
@@ -453,11 +453,12 @@ func (s *Service) release() {
 	s.cond.Broadcast()
 }
 
-// compute runs one p-rank SPMD partitioning world over the canonical
-// octree and its rank column. Each rank takes an equal contiguous block of
-// the (already curve-sorted) canonical keys and the matching block of
-// ranks; blocks are disjoint subslices, so the world partitions in place
-// without copying, sorting or ranking (partition.PartitionSorted).
+// compute selects the request's p partitions in a one-rank world over the
+// whole canonical octree and its rank column (partition.PartitionSorted
+// with SkipExchange): splitters depend only on global counts, so the answer
+// is the one a p-rank world over equal blocks returns, without p goroutines
+// or their collectives. It neither copies, sorts nor ranks a key; a failure
+// inside the world comes back as comm.RunChecked's structured error.
 func compute(req Request, curve *sfc.Curve, canon []sfc.Key, ranks []sfc.Rank128) (*Response, error) {
 	p := req.Ranks
 	var resp Response
@@ -470,18 +471,14 @@ func compute(req Request, curve *sfc.Curve, canon []sfc.Key, ranks []sfc.Rank128
 		PayloadBytes: req.PayloadBytes,
 		SkipExchange: true,
 	}
-	_, err := comm.RunChecked(p, req.Machine.CostModel(), func(c *comm.Comm) error {
-		lo := len(canon) * c.Rank() / p
-		hi := len(canon) * (c.Rank() + 1) / p
-		res := partition.PartitionSorted(c, canon[lo:hi], ranks[lo:hi], opts)
-		if c.Rank() == 0 {
-			resp = Response{
-				Splitters:   res.Splitters,
-				Quality:     res.Quality,
-				Predicted:   res.Predicted,
-				Rounds:      res.Rounds,
-				AchievedTol: res.AchievedTol,
-			}
+	_, err := comm.RunChecked(1, req.Machine.CostModel(), func(c *comm.Comm) error {
+		res := partition.PartitionSorted(c, p, canon, ranks, opts)
+		resp = Response{
+			Splitters:   res.Splitters,
+			Quality:     res.Quality,
+			Predicted:   res.Predicted,
+			Rounds:      res.Rounds,
+			AchievedTol: res.AchievedTol,
 		}
 		return nil
 	})

@@ -963,8 +963,8 @@ func TestServeConnSurvivesInvalidKey(t *testing.T) {
 	if resp := roundTrip(unknownKind); !strings.Contains(resp.Err, "unknown curve kind") {
 		t.Fatalf("unknown curve kind over the wire: Err = %q", resp.Err)
 	}
-	// A request for a million ranks would size a world past the host's
-	// memory; it must be refused before any world is spawned.
+	// A request for a million partitions must be refused by name before
+	// any selection runs.
 	huge := baseRequest(good)
 	huge.Ranks = 1 << 20
 	if resp := roundTrip(huge); !strings.Contains(resp.Err, fmt.Sprintf("ranks %d not in [1, %d]", huge.Ranks, maxRanks)) {
@@ -1095,8 +1095,8 @@ func FuzzServeConn(f *testing.F) {
 }
 
 // fuzzRanks maps a fuzzed byte to a rank count: 1-8, or one of the values
-// validate must refuse. A large in-range count is never drawn, since a miss
-// at 1024 ranks sizes a world near 0.8 GB.
+// validate must refuse. A large in-range count is never drawn, since
+// directPartition's oracle at 1024 ranks sizes a world near 0.8 GB.
 func fuzzRanks(b uint8) int {
 	n := int(b) % 12
 	if n < 8 {
@@ -1143,8 +1143,9 @@ func directPartition(req Request) (res *partition.Result, counts []int) {
 // mode, Tol, Alpha, payload and ranks — Service.Do returns a response or an
 // error and never panics, and a response is a placement of the canonical
 // octree over the requested ranks. A computed response (a miss) equals
-// directPartition's, so the rank column the service carries from
-// canonicalization into its world is the one a fresh sort would produce.
+// directPartition's p-rank world bit for bit, so the service's one-rank
+// selection is the world's, and the rank column it carries from
+// canonicalization is the one a fresh sort would produce.
 // The seeds send the keys of a cached octree with different scalar fields,
 // so they reach the canonical fast path as well as validation and the
 // compute path, and the same keys permuted, with duplicates and with

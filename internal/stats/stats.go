@@ -33,7 +33,6 @@ func (t *Table) Add(cells ...any) {
 			row[i] = fmt.Sprintf("%v", c)
 		}
 	}
-	//lint:ignore unboundedgrowth a Table lives for one experiment render and its row count is fixed by the driver's sweep, not by request traffic
 	t.Rows = append(t.Rows, row)
 }
 
